@@ -116,18 +116,6 @@ def binom_pmf(k, n: int, p: float):
     return stats.binom.pmf(k, n, p)[()]
 
 
-def activation_pmf(law: ActivationLaw, K_a: int):
-    """Probability of exactly K_a active devices out of law.K."""
-    n, p = _binom_params(law)
-    return binom_pmf(K_a, n, p)
-
-
-def collision_pmf(law: CollisionLaw, c: int):
-    """Probability that exactly c other active devices pick the reference pilot."""
-    n, p = _binom_params(law)
-    return binom_pmf(c, n, p)
-
-
 def pmf_over(law: AnyLaw, ks: np.ndarray) -> np.ndarray:
     """Vectorized pmf of either law over integer values ``ks``."""
     n, p = _binom_params(law)

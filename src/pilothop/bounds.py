@@ -22,7 +22,8 @@ points (common random numbers) to stabilize argmax comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -32,7 +33,6 @@ from .access import ActivationLaw, CollisionLaw, pmf_over, truncate_support
 from .channels import (
     BetaMoments,
     LargeScaleModel,
-    LogNormalShadowing,
     analytic_moments,
     expect_beta,
     is_degenerate,
@@ -52,8 +52,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_beta_samples < 1:
-            raise ValueError("n_beta_samples must be >= 1")
+        if not isinstance(self.n_beta_samples, numbers.Integral) or self.n_beta_samples < 1:
+            raise ValueError(f"n_beta_samples must be an integer >= 1 (got {self.n_beta_samples!r})")
         if not 0.0 < self.eps_tail < 1.0:
             raise ValueError("eps_tail must lie in (0, 1)")
         if self.seed < 0:
@@ -202,8 +202,9 @@ def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):
         - c * bm**2 * tau_p
         + (1.0 + (K_a - 1) * bm) * (1.0 + b0 * tau_p + tau_p * c * bm)
     )
-    # (M-1)*mean_sq >= mean^2 keeps the denominator positive for M >= 2
-    assert np.all(den > 0), "internal error: non-positive interference power"
+    # (M-1)*mean_sq >= mean^2 keeps the denominator positive for M >= 2 and beta_0 > 0
+    if not np.all(den > 0):
+        raise ValueError("non-positive interference power: beta_0 must be positive")
     return (tau_p * (M - 1) * b0**2 / den)[()]
 
 
@@ -228,7 +229,8 @@ def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a: float, K: int, M: int):
         + n1 * bm
         + bm**2 * (p_a**2 * K * (K - 1) - n1)
     )
-    assert np.all(den > 0), "internal error: non-positive interference power"
+    if not np.all(den > 0):
+        raise ValueError("non-positive interference power: beta_0 must be positive")
     return (tau_p * (M - 1) * b0**2 / den)[()]
 
 
@@ -381,54 +383,59 @@ def r2_bar(cfg: "SystemConfig", model: LargeScaleModel, mc: McConfig | None = No
     return BoundResult(value, "R2", mc_samples=n, mc_std_err=err)
 
 
-def _expectation_samples(model: LargeScaleModel) -> int:
-    # seeded Monte Carlo only for non-degenerate log-normal shadowing;
-    # everything else integrates exactly
-    if isinstance(model, LogNormalShadowing) and model.sigma_v2 > 0:
-        return 16384
-    return 0
+def _analytic_bound(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel, sinr) -> BoundResult:
+    """prelog * p_a*K * E[log2(1 + sinr(beta_0, moments))]: the body shared by R3 and Ra."""
+    if cfg.tau_p is None or cfg.p_a is None:
+        raise ValueError(f"{bound_id.lower()} needs tau_p and p_a set on the config")
+    if cfg.tau_p > cfg.tau_u:
+        raise ValueError(f"tau_p={cfg.tau_p} exceeds tau_u={cfg.tau_u}")
+    prelog = (cfg.tau_u - cfg.tau_p) / cfg.tau_u
+    paK = cfg.p_a * cfg.K
+    if paK == 0.0 or prelog == 0.0:
+        return BoundResult(0.0, bound_id)
+    moments = analytic_moments(model)
+    val, err, n_mc = expect_beta(
+        model, lambda b0: np.log2(1.0 + sinr(b0, moments)), seed=cfg.seed, return_mc=True
+    )
+    return BoundResult(prelog * paK * val, bound_id, mc_samples=n_mc, mc_std_err=prelog * paK * err)
 
 
 def r3(cfg: "SystemConfig", model: LargeScaleModel) -> BoundResult:
     """Optimization bound: analytic except for the 1-D gain expectation."""
-    if cfg.tau_p is None or cfg.p_a is None:
-        raise ValueError("r3 needs tau_p and p_a set on the config")
-    if cfg.tau_p > cfg.tau_u:
-        raise ValueError(f"tau_p={cfg.tau_p} exceeds tau_u={cfg.tau_u}")
-    prelog = (cfg.tau_u - cfg.tau_p) / cfg.tau_u
-    paK = cfg.p_a * cfg.K
-    if paK == 0.0 or prelog == 0.0:
-        return BoundResult(0.0, "R3")
-    moments = analytic_moments(model)
-    n_mc = _expectation_samples(model)
-    val, err = expect_beta(
-        model,
-        lambda b0: np.log2(1.0 + sinr3(b0, moments, cfg.tau_p, cfg.p_a, cfg.K, cfg.M)),
-        seed=cfg.seed,
-        return_err=True,
+    return _analytic_bound(
+        "R3", cfg, model, lambda b0, m: sinr3(b0, m, cfg.tau_p, cfg.p_a, cfg.K, cfg.M)
     )
-    return BoundResult(prelog * paK * val, "R3", mc_samples=n_mc, mc_std_err=prelog * paK * err)
 
 
 def ra(cfg: "SystemConfig", model: LargeScaleModel) -> BoundResult:
     """Large-system bound used for fast optimization."""
-    if cfg.tau_p is None or cfg.p_a is None:
-        raise ValueError("ra needs tau_p and p_a set on the config")
-    if cfg.tau_p > cfg.tau_u:
-        raise ValueError(f"tau_p={cfg.tau_p} exceeds tau_u={cfg.tau_u}")
-    prelog = (cfg.tau_u - cfg.tau_p) / cfg.tau_u
-    paK = cfg.p_a * cfg.K
-    if paK == 0.0 or prelog == 0.0:
-        return BoundResult(0.0, "Ra")
-    moments = analytic_moments(model)
-    n_mc = _expectation_samples(model)
-    val, err = expect_beta(
-        model,
-        lambda b0: np.log2(1.0 + sinra(b0, moments, cfg.tau_p, paK, cfg.M)),
-        seed=cfg.seed,
-        return_err=True,
+    return _analytic_bound(
+        "Ra", cfg, model, lambda b0, m: sinra(b0, m, cfg.tau_p, cfg.p_a * cfg.K, cfg.M)
     )
-    return BoundResult(prelog * paK * val, "Ra", mc_samples=n_mc, mc_std_err=prelog * paK * err)
+
+
+# Every bound by id, called as (cfg, model, mc); the analytic ones draw no gain pool.
+BOUNDS = {
+    "R1": r1_bar,
+    "R2": r2_bar,
+    "R3": lambda cfg, model, mc: r3(cfg, model),
+    "Ra": lambda cfg, model, mc: ra(cfg, model),
+}
+# The bounds an operating point is optimized on or re-evaluated under.
+COSTS = ("R1", "R3", "Ra")
+
+
+def at_point(cfg: "SystemConfig", tau_p, p_aK: float) -> "SystemConfig":
+    """``cfg`` at the operating point (tau_p, p_a*K), with p_a capped at 1."""
+    return replace(cfg, tau_p=int(tau_p), p_a=min(p_aK / cfg.K, 1.0))
+
+
+def bound_at(bound: str, cfg: "SystemConfig", model: LargeScaleModel, mc: McConfig | None,
+             tau_p, p_aK: float) -> BoundResult:
+    """Bound ``bound`` at the operating point (tau_p, p_a*K)."""
+    if bound not in BOUNDS:
+        raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
+    return BOUNDS[bound](at_point(cfg, tau_p, p_aK), model, mc)
 
 
 def per_device_rate(

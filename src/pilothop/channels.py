@@ -180,27 +180,6 @@ def sample_channels(betas, M: int, rng: np.random.Generator) -> np.ndarray:
     return h * np.sqrt(betas / 2.0)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One slot's channel draw together with the gains that produced it."""
-
-    matrix: np.ndarray  # (M, n_devices) complex
-    betas: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.shape[1] != np.atleast_1d(self.betas).size:
-            raise ValueError("one gain per channel column")
-
-    @property
-    def n_antennas(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def draw(cls, betas, M: int, rng: np.random.Generator) -> "ChannelRealization":
-        betas = np.atleast_1d(np.asarray(betas, dtype=float))
-        return cls(sample_channels(betas, M, rng), betas)
-
-
 def is_degenerate(model: LargeScaleModel) -> bool:
     """True when the model collapses to the constant gain delta_bar."""
     if isinstance(model, LogNormalShadowing):
@@ -223,30 +202,30 @@ def expect_beta(
     epsrel: float = 1e-9,
     mc_samples: int = 16384,
     seed: int = 0,
-    return_err: bool = False,
+    return_mc: bool = False,
 ):
     """Expectation of f(gain) under the model.
 
     Bounded-support models use adaptive quadrature; log-normal shadowing
     falls back to seeded Monte Carlo (deterministic for a fixed seed).
-    With ``return_err`` the Monte Carlo standard error (0 for quadrature)
-    is returned alongside.
+    With ``return_mc`` the result is (value, std_err, n_samples): the Monte
+    Carlo standard error and draw count, both 0 when the value is exact.
     """
     if is_degenerate(model):
         val = float(f(model.delta_bar))
-        return (val, 0.0) if return_err else val
+        return (val, 0.0, 0) if return_mc else val
     if isinstance(model, LogNormalShadowing):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         draws = sample_beta(model, rng, mc_samples)
         vals = np.asarray(f(draws), dtype=float)
         val = float(vals.mean())
         err = float(vals.std(ddof=1) / math.sqrt(mc_samples))
-        return (val, err) if return_err else val
+        return (val, err, mc_samples) if return_mc else val
     beta_of_v = _beta_of_v(model)
     a = model.alpha
     val, _ = integrate.quad(lambda v: f(beta_of_v(v)), -a, a, epsrel=epsrel, limit=200)
     val = float(val / (2 * a))
-    return (val, 0.0) if return_err else val
+    return (val, 0.0, 0) if return_mc else val
 
 
 def beta_nodes(

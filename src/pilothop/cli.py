@@ -58,7 +58,7 @@ def _cmd_run(args) -> int:
         return EXIT_INVALID
     try:
         outputs = run_experiment(spec, seed_override=args.seed, jobs=args.jobs)
-    except (ValueError, ArithmeticError, AssertionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     out_dir = Path(args.out)

@@ -9,13 +9,15 @@ returns one diagnostic per problem, each naming the offending field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
+import numpy as np
 import yaml
 
-from .bounds import McConfig
+from .bounds import BOUNDS, COSTS, McConfig
 from .channels import LargeScaleModel, LogNormalShadowing, RingPathLoss, UniformPowerError
 
 KINDS = ("bound-eval", "optimize", "sweep", "scaling-verify", "simulate", "compare")
@@ -54,18 +56,33 @@ class SystemConfig:
     mc: McConfig = McConfig()
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ValueError(f"M must be >= 2, got {self.M}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.tau_u < 1:
-            raise ValueError(f"tau_u must be >= 1, got {self.tau_u}")
-        if self.tau_p is not None and not 1 <= self.tau_p <= self.tau_u:
-            raise ValueError(f"tau_p={self.tau_p} must lie in [1, tau_u={self.tau_u}]")
-        if self.p_a is not None and not 0.0 <= self.p_a <= 1.0:
-            raise ValueError(f"p_a={self.p_a} must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        problems = _system_problems(vars(self))
+        if problems:
+            name, message = problems[0]
+            raise ValueError(f"{name} {message}")
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _system_problems(v: dict) -> list[tuple[str, str]]:
+    """Every violated SystemConfig invariant as (field, message), in field order."""
+    problems = []
+    for name, low in (("M", 2), ("K", 1), ("tau_u", 1)):
+        if not (_is_integer(v[name]) and v[name] >= low):
+            problems.append((name, f"must be an integer >= {low}"))
+    tau_p, tau_u = v["tau_p"], v["tau_u"]
+    top = tau_u if _is_integer(tau_u) else math.inf  # a bad tau_u is reported on its own
+    if tau_p is not None and not (_is_integer(tau_p) and 1 <= tau_p <= top):
+        problems.append(("tau_p", f"must be an integer in [1, tau_u={tau_u}]"))
+    p_a = v["p_a"]
+    if p_a is not None and not (isinstance(p_a, (float, int, np.integer, np.floating))
+                                and not isinstance(p_a, bool) and 0.0 <= p_a <= 1.0):
+        problems.append(("p_a", "must be a number in [0, 1]"))
+    if not (_is_integer(v["seed"]) and v["seed"] >= 0):
+        problems.append(("seed", "must be a non-negative integer"))
+    return [(name, f"{rule} (got {v[name]!r})") for name, rule in problems]
 
 
 @dataclass(frozen=True)
@@ -116,6 +133,8 @@ def parse_model(raw) -> LargeScaleModel:
 
 def build_system(raw: dict) -> tuple[SystemConfig | None, list[Diagnostic]]:
     """Construct a SystemConfig from raw values, collecting diagnostics."""
+    if raw is not None and not isinstance(raw, dict):
+        return None, [Diagnostic("system", "must be a mapping")]
     diags: list[Diagnostic] = []
     raw = dict(raw or {})
     model_raw = raw.pop("model", None)
@@ -125,6 +144,9 @@ def build_system(raw: dict) -> tuple[SystemConfig | None, list[Diagnostic]]:
     except (ValueError, TypeError) as exc:
         diags.append(Diagnostic("system.model", str(exc)))
         model = UniformPowerError(DEFAULT_DELTA_BAR, 0.0)
+    if isinstance(mc_raw, dict) and "seed" in mc_raw:
+        diags.append(Diagnostic("system.mc.seed", "the Monte Carlo seed comes from system.seed; remove it"))
+        mc_raw = {k: v for k, v in mc_raw.items() if k != "seed"}
     try:
         mc = McConfig(**(mc_raw or {}))
     except (ValueError, TypeError) as exc:
@@ -140,20 +162,8 @@ def build_system(raw: dict) -> tuple[SystemConfig | None, list[Diagnostic]]:
         diags.append(Diagnostic("system.M", "required field is missing"))
         return None, diags
 
-    checks = [
-        ("M", lambda v: v >= 2, "must be >= 2"),
-        ("K", lambda v: v >= 1, "must be >= 1"),
-        ("tau_u", lambda v: v >= 1, "must be >= 1"),
-        ("p_a", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-        ("seed", lambda v: v >= 0, "must be non-negative"),
-    ]
-    for name, ok, msg in checks:
-        if name in raw and raw[name] is not None and not ok(raw[name]):
-            diags.append(Diagnostic(f"system.{name}", f"{msg} (got {raw[name]})"))
-    tau_u = raw.get("tau_u", 100)
-    tau_p = raw.get("tau_p")
-    if tau_p is not None and not 1 <= tau_p <= tau_u:
-        diags.append(Diagnostic("system.tau_p", f"must lie in [1, tau_u={tau_u}] (got {tau_p})"))
+    values = {f.name: f.default for f in fields(SystemConfig)} | raw
+    diags.extend(Diagnostic(f"system.{name}", msg) for name, msg in _system_problems(values))
     if diags:
         return None, diags
     return SystemConfig(model=model, mc=mc, **raw), diags
@@ -210,26 +220,26 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
     if spec.kind == "sweep":
         if spec.sweep_axis not in SWEEP_AXES:
             diags.append(Diagnostic("sweep.axis", f"unknown axis {spec.sweep_axis!r}; expected one of {SWEEP_AXES}"))
-        if not spec.sweep_values:
-            diags.append(Diagnostic("sweep.values", "sweep value list is empty"))
-        elif any(v <= 0 for v in spec.sweep_values):
-            diags.append(Diagnostic("sweep.values", "sweep values must be positive"))
-        elif (spec.sweep_axis == "tau_u" and cfg is not None and cfg.tau_p is not None
-              and min(spec.sweep_values) < cfg.tau_p):
-            diags.append(Diagnostic("sweep.values", f"swept tau_u would drop below tau_p={cfg.tau_p}"))
+        if not isinstance(spec.sweep_values, list) or not spec.sweep_values:
+            diags.append(Diagnostic("sweep.values", "must be a non-empty list of values"))
+        elif cfg is not None and spec.sweep_axis in SWEEP_AXES:
+            # every sweep point must itself be a valid system
+            for v in spec.sweep_values:
+                _, point = build_system({**spec.system, spec.sweep_axis: v})
+                diags.extend(Diagnostic("sweep.values", f"{spec.sweep_axis}={v!r}: {d}") for d in point)
     if spec.kind == "bound-eval":
         for b in spec.bounds:
-            if b not in ("R1", "R2", "R3", "Ra"):
+            if b not in tuple(BOUNDS):  # a tuple: a YAML list entry is unhashable
                 diags.append(Diagnostic("bounds", f"unknown bound {b!r}"))
     if spec.kind in ("bound-eval", "simulate") and cfg is not None:
         for name in ("tau_p", "p_a"):
             if getattr(cfg, name) is None:
                 diags.append(Diagnostic(f"system.{name}", f"{spec.kind} needs {name} set"))
     if spec.kind in ("simulate", "compare"):
-        if spec.n_slots < 1:
-            diags.append(Diagnostic("n_slots", "must be >= 1"))
-        if spec.n_frames < 1:
-            diags.append(Diagnostic("n_frames", "must be >= 1"))
+        for name in ("n_slots", "n_frames"):
+            v = getattr(spec, name)
+            if not (_is_integer(v) and v >= 1):
+                diags.append(Diagnostic(name, f"must be an integer >= 1 (got {v!r})"))
     if spec.kind == "scaling-verify":
         if spec.case not in ("antenna-rich", "slot-rich", "balanced"):
             diags.append(Diagnostic("case", f"unknown case {spec.case!r}"))
@@ -237,8 +247,8 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
             diags.append(Diagnostic("ladder", "ladder of (M, tau_u) pairs is empty"))
         else:
             for i, rung in enumerate(spec.ladder):
-                if not (isinstance(rung, (list, tuple)) and len(rung) == 2):
-                    diags.append(Diagnostic(f"ladder[{i}]", "each rung must be a (M, tau_u) pair"))
-    if spec.evaluate_with not in ("R1", "R3", "Ra", "self"):
+                if not (isinstance(rung, (list, tuple)) and len(rung) == 2 and all(map(_is_integer, rung))):
+                    diags.append(Diagnostic(f"ladder[{i}]", "each rung must be a (M, tau_u) pair of integers"))
+    if spec.evaluate_with not in (*COSTS, "self"):
         diags.append(Diagnostic("evaluate_with", f"unknown metric {spec.evaluate_with!r}"))
     return diags

@@ -15,15 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import McConfig, r1_bar, r2_bar, r3, ra
+from .bounds import BOUNDS, at_point, bound_at
 from .config import ExperimentSpec, SystemConfig, build_system
 from .optimize import optimize
 from .protocol import run_frame
 from .scaling import verify_scaling
 
 CSV_HEADER = "sweep_value,method,rate,tau_p_opt,p_aK_opt,mc_std_err"
-
-_BOUNDS = {"R1": r1_bar, "R2": r2_bar, "R3": lambda c, m, mc: r3(c, m), "Ra": lambda c, m, mc: ra(c, m)}
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,6 @@ def _with_seed(cfg: SystemConfig, seed: int) -> SystemConfig:
     return replace(cfg, seed=seed, mc=replace(cfg.mc, seed=seed))
 
 
-def _bound_at(metric: str, cfg: SystemConfig, tau_p: int, p_aK: float):
-    at = replace(cfg, tau_p=int(tau_p), p_a=min(p_aK / cfg.K, 1.0))
-    if metric == "R1":
-        return r1_bar(at, at.model, at.mc)
-    if metric == "R3":
-        return r3(at, at.model)
-    if metric == "Ra":
-        return ra(at, at.model)
-    raise ValueError(f"unknown evaluation metric {metric!r}")
-
-
 def _methods_at_point(cfg: SystemConfig, methods, evaluate_with: str, sweep_value) -> list[Record]:
     records = []
     for m in methods:
@@ -81,7 +68,7 @@ def _methods_at_point(cfg: SystemConfig, methods, evaluate_with: str, sweep_valu
         if evaluate_with == "self":
             rate, err = res.rate, float(res.diagnostics.get("mc_std_err", 0.0))
         else:
-            b = _bound_at(evaluate_with, cfg, res.tau_p_opt, res.p_aK_opt)
+            b = bound_at(evaluate_with, cfg, cfg.model, cfg.mc, res.tau_p_opt, res.p_aK_opt)
             rate, err = b.value, b.mc_std_err
         records.append(Record(sweep_value, m, rate, res.tau_p_opt, res.p_aK_opt, err))
     return records
@@ -122,15 +109,14 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
     if seed_override is not None:
         system["seed"] = seed_override
     cfg, diags = build_system(system)
-    if cfg is None and spec.kind != "scaling-verify":
+    if cfg is None:
         raise ValueError("; ".join(map(str, diags)))
-    if cfg is not None:
-        cfg = _with_seed(cfg, cfg.seed)
+    cfg = _with_seed(cfg, cfg.seed)
 
     if spec.kind == "bound-eval":
         records = []
         for b in spec.bounds:
-            res = _BOUNDS[b](cfg, cfg.model, cfg.mc)
+            res = BOUNDS[b](cfg, cfg.model, cfg.mc)
             records.append(Record(cfg.tau_u, b, res.value, cfg.tau_p, cfg.p_a * cfg.K, res.mc_std_err))
         return {"bounds": records}
 
@@ -152,10 +138,7 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
         return {"rate": records, "tau_p_opt": records, "p_aK_opt": records}
 
     if spec.kind == "scaling-verify":
-        model = cfg.model if cfg is not None else build_system({"M": 100})[0].model
-        seed = cfg.seed if cfg is not None else 0
-        mc = cfg.mc if cfg is not None else McConfig()
-        report = verify_scaling(spec.case, model, [tuple(r) for r in spec.ladder], mc=mc, seed=seed)
+        report = verify_scaling(spec.case, cfg.model, [tuple(r) for r in spec.ladder], mc=cfg.mc, seed=cfg.seed)
         records = []
         for pt in report.points:
             records.append(Record(pt.M, "Ra-opt", pt.rate, pt.tau_p_opt, pt.p_aK_opt, 0.0))
@@ -170,9 +153,9 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
         records = []
         for m in spec.methods:
             res = optimize(m, cfg, cfg.model, mc=cfg.mc)
-            bound = _bound_at("R1", cfg, res.tau_p_opt, res.p_aK_opt)
+            bound = bound_at("R1", cfg, cfg.model, cfg.mc, res.tau_p_opt, res.p_aK_opt)
             records.append(Record(cfg.tau_u, m, bound.value, res.tau_p_opt, res.p_aK_opt, bound.mc_std_err))
-            at = replace(cfg, tau_p=res.tau_p_opt, p_a=min(res.p_aK_opt / cfg.K, 1.0))
+            at = at_point(cfg, res.tau_p_opt, res.p_aK_opt)
             records.extend(_simulate(at, spec.n_slots, spec.n_frames, f"{m}-sim", cfg.tau_u))
         return {"compare": records}
 

@@ -19,30 +19,22 @@ p_a*K is continuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .bounds import McConfig, r1_bar, r3, ra
+from .bounds import COSTS, McConfig, bound_at
 from .channels import LargeScaleModel, analytic_moments, beta_nodes
 
 if TYPE_CHECKING:
     from .config import SystemConfig
 
-METHODS = ("R1-opt", "R3-opt", "Ra-opt", "Ra-1D", "Rh0", "Rh-1D")
+METHODS = (*(f"{cost}-opt" for cost in COSTS), "Ra-1D", "Rh0", "Rh-1D")
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_s0_cache: float | None = None
-
-
-@dataclass(frozen=True)
-class HeuristicConstants:
-    """Constants backing the closed-form methods."""
-
-    s0: float
-    b_opt: float
 
 
 @dataclass(frozen=True)
@@ -75,14 +67,10 @@ class OptimizationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+@cache
 def solve_s0() -> float:
     """Root of log(1+x) = 2x/(1+x), the SINR at which adding devices stops paying."""
-    global _s0_cache
-    if _s0_cache is None:
-        _s0_cache = float(
-            brentq(lambda x: math.log1p(x) - 2.0 * x / (1.0 + x), 1.0, 10.0, xtol=1e-14)
-        )
-    return _s0_cache
+    return float(brentq(lambda x: math.log1p(x) - 2.0 * x / (1.0 + x), 1.0, 10.0, xtol=1e-14))
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-4):
@@ -144,7 +132,7 @@ def _heuristic2_full(tau_u, M, model, seed=0):
         return b * float(w @ np.log2(1.0 + nodes**2 / (3.0 * mean * b * b)))
 
     b_opt, val, evals = _scan_then_golden(obj, 1e-2, 1e2)
-    return _tau_p_third(tau_u), b_opt * math.sqrt(tau_u * M), b_opt, val, evals
+    return _tau_p_third(tau_u), b_opt * math.sqrt(tau_u * M), val, evals
 
 
 def heuristic2_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0) -> tuple[int, float]:
@@ -152,7 +140,7 @@ def heuristic2_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0) 
 
     The scale maximizer does not depend on M or tau_u, only on the gain law.
     """
-    tau_p, p_aK, _, _, _ = _heuristic2_full(tau_u, M, model, seed)
+    tau_p, p_aK, _, _ = _heuristic2_full(tau_u, M, model, seed)
     return tau_p, p_aK
 
 
@@ -175,22 +163,6 @@ def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0) 
     return tau_p, p_aK
 
 
-COSTS = ("R1", "R3", "Ra")
-
-
-def _evaluator(cost: str, cfg: "SystemConfig", model, mc: McConfig):
-    def at_point(tp, q):
-        return replace(cfg, tau_p=int(tp), p_a=min(q / cfg.K, 1.0))
-
-    if cost == "R1":
-        return lambda tp, q: r1_bar(at_point(tp, q), model, mc)
-    if cost == "R3":
-        return lambda tp, q: r3(at_point(tp, q), model)
-    if cost == "Ra":
-        return lambda tp, q: ra(at_point(tp, q), model)
-    raise ValueError(f"unknown cost {cost!r}; expected one of {COSTS}")
-
-
 def grid_opt(
     cost: str,
     cfg: "SystemConfig",
@@ -203,9 +175,10 @@ def grid_opt(
     Stage one scans tau_p linearly over [1, tau_u] and p_a*K log-spaced over
     [pak_min, K]; stage two refines one stage-one cell around the argmax.
     """
+    if cost not in COSTS:
+        raise ValueError(f"unknown cost {cost!r}; expected one of {COSTS}")
     grid = grid or GridSpec()
     mc = mc or cfg.mc
-    evaluate = _evaluator(cost, cfg, model, mc)
     tau_u, K = cfg.tau_u, cfg.K
 
     if grid.tau_p_values:
@@ -231,7 +204,7 @@ def grid_opt(
         nonlocal evals, best
         for tp in tp_list:
             for q in q_list:
-                res = evaluate(int(tp), float(q))
+                res = bound_at(cost, cfg, model, mc, tp, float(q))
                 evals += 1
                 if res.value > best[0]:
                     best = (res.value, int(tp), float(q), res)
@@ -280,28 +253,19 @@ def optimize(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in ("R1-opt", "R3-opt", "Ra-opt"):
-        return grid_opt(method.split("-")[0], cfg, model, grid, mc)
+    cost = method.removesuffix("-opt")
+    if cost in COSTS:
+        return grid_opt(cost, cfg, model, grid, mc)
 
     tau_u, M, K = cfg.tau_u, cfg.M, cfg.K
     if method == "Rh0":
         tau_p, p_aK = heuristic1(tau_u, M)
         p_aK = min(p_aK, float(K))
-        consts = HeuristicConstants(solve_s0(), 1.0 / math.sqrt(3.0 * solve_s0()))
-        return OptimizationResult(
-            tau_p, p_aK, rh0_cost(tau_p, p_aK, tau_u, M), "Rh0", 0,
-            {"constants": consts},
-        )
+        return OptimizationResult(tau_p, p_aK, rh0_cost(tau_p, p_aK, tau_u, M), "Rh0", 0)
     if method == "Rh-1D":
-        tau_p, p_aK, b_opt, val, evals = _heuristic2_full(tau_u, M, model, cfg.seed)
-        return OptimizationResult(
-            tau_p, min(p_aK, float(K)), val, "Rh-1D", evals,
-            {"constants": HeuristicConstants(solve_s0(), b_opt)},
-        )
-    tau_p, p_aK, b_opt, _, evals = _asymptotic_1d_full(tau_u, M, model, cfg.seed)
+        tau_p, p_aK, val, evals = _heuristic2_full(tau_u, M, model, cfg.seed)
+        return OptimizationResult(tau_p, min(p_aK, float(K)), val, "Rh-1D", evals)
+    tau_p, p_aK, _, _, evals = _asymptotic_1d_full(tau_u, M, model, cfg.seed)
     p_aK = min(p_aK, float(K))
-    achieved = ra(replace(cfg, tau_p=tau_p, p_a=p_aK / K), model)
-    return OptimizationResult(
-        tau_p, p_aK, achieved.value, "Ra-1D", evals + 1,
-        {"constants": HeuristicConstants(solve_s0(), b_opt)},
-    )
+    achieved = bound_at("Ra", cfg, model, None, tau_p, p_aK)
+    return OptimizationResult(tau_p, p_aK, achieved.value, "Ra-1D", evals + 1)

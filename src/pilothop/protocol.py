@@ -17,7 +17,7 @@ per-slot effective SINR that the analytic bounds are validated against.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,40 +70,6 @@ def all_patterns(K: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -
     return np.vstack([hopping_pattern(k, frame, n_slots, tau_p, root_seed) for k in range(K)])
 
 
-@dataclass(frozen=True)
-class FramePlan:
-    """One frame's transmission plan: who is active and which pilots they hop."""
-
-    n_slots: int
-    hopping_patterns: np.ndarray  # (K, n_slots)
-    active_set: np.ndarray
-
-    def __post_init__(self):
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be >= 1")
-        if self.hopping_patterns.shape[1] != self.n_slots:
-            raise ValueError("patterns must cover every slot")
-
-
-def plan_frame(
-    cfg: SystemConfig,
-    n_slots: int,
-    rng: np.random.Generator,
-    *,
-    frame_index: int = 0,
-    patterns: np.ndarray | None = None,
-    active: np.ndarray | None = None,
-) -> FramePlan:
-    """Draw the active set and lay out hopping patterns for one frame."""
-    if cfg.tau_p is None or cfg.p_a is None:
-        raise ValueError("frame planning needs tau_p and p_a set")
-    if active is None:
-        active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
-    if patterns is None:
-        patterns = all_patterns(cfg.K, frame_index, n_slots, cfg.tau_p, cfg.seed)
-    return FramePlan(n_slots, np.asarray(patterns), np.asarray(active))
-
-
 def detect_pilots(Y_p: np.ndarray, pilots: np.ndarray, threshold: DetectionThreshold | None = None) -> np.ndarray:
     """Indices of pilot sequences whose correlation energy clears the threshold."""
     threshold = threshold or DetectionThreshold()
@@ -151,7 +117,6 @@ class SlotOutcome:
     est_sum_power: dict
     mrc_outputs: dict
     device_sinr: np.ndarray
-    estimates: dict = field(default_factory=dict)
 
 
 def _crandn(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -163,22 +128,18 @@ def mrc_and_measure(
     betas: np.ndarray,
     assignment: np.ndarray,
     corr: np.ndarray,
-    detected: np.ndarray,
+    est_sum_power: dict,
     Y_d: np.ndarray,
     tau_p: int,
 ) -> tuple[dict, np.ndarray]:
     """Combine the data block per detected pilot and measure per-device SINR.
 
+    ``est_sum_power`` maps each detected pilot to its estimated sum power.
     Returns (mrc outputs keyed by pilot, genie SINR per active device). The
     SINR decomposition uses the correlated observation direction, so it is
     invariant to any positive rescaling of the combiner.
     """
-    mrc = {}
-    for j in detected:
-        y = corr[:, j]
-        est = estimate_sum_power(y, tau_p)
-        w = estimate_channel(y, tau_p, est)
-        mrc[int(j)] = w.conj() @ Y_d
+    mrc = {j: estimate_channel(corr[:, j], tau_p, p).conj() @ Y_d for j, p in est_sum_power.items()}
 
     K_a = betas.size
     sinr = np.zeros(K_a)
@@ -212,11 +173,9 @@ def simulate_slot(
     *,
     n_data: int,
     pilots: np.ndarray | None = None,
-    threshold: DetectionThreshold | None = None,
 ) -> SlotOutcome:
     """One coherence slot: training, detection, estimation, MRC, genie SINR."""
     pilots = pilots if pilots is not None else pilot_sequences(tau_p)
-    threshold = threshold or DetectionThreshold()
     betas = np.asarray(betas, dtype=float)
     assignment = np.asarray(assignment, dtype=int)
 
@@ -227,24 +186,21 @@ def simulate_slot(
         Y_p = np.sqrt(tau_p) * (G @ P) + N_p
     else:
         Y_p = N_p
+    detected = detect_pilots(Y_p, pilots)
     corr = Y_p @ pilots.conj()
-    stats = (np.abs(corr) ** 2).sum(axis=0) / M
-    detected = np.flatnonzero(stats > threshold.value(M))
+    est_power = {int(j): estimate_sum_power(corr[:, j], tau_p) for j in detected}
 
     X = _crandn(rng, betas.size, n_data)
     N_d = _crandn(rng, M, n_data)
     Y_d = (G @ X if betas.size else 0.0) + N_d
 
-    mrc, sinr = mrc_and_measure(G, betas, assignment, corr, detected, Y_d, tau_p)
-    est_power = {int(j): max(0.0, (float(stats[j]) - 1.0) / tau_p) for j in detected}
-    estimates = {j: estimate_channel(corr[:, j], tau_p, p) for j, p in est_power.items()}
+    mrc, sinr = mrc_and_measure(G, betas, assignment, corr, est_power, Y_d, tau_p)
     return SlotOutcome(
         detected=detected,
         pilot_of_device=assignment,
         est_sum_power=est_power,
         mrc_outputs=mrc,
         device_sinr=sinr,
-        estimates=estimates,
     )
 
 
@@ -302,7 +258,6 @@ class FrameResult:
     rates: np.ndarray
     sum_rate: float
     identification: IdentificationReport
-    soft_weights: dict
     slots: list | None = None
 
 
@@ -313,67 +268,52 @@ def run_frame(
     rng,
     *,
     frame_index: int = 0,
-    patterns: np.ndarray | None = None,
     active: np.ndarray | None = None,
-    betas: np.ndarray | None = None,
-    threshold: DetectionThreshold | None = None,
-    rho: float = 0.9,
-    pilot_kind: str = "dft",
-    beta_knowledge_error: float = 1.0,
     collect_slots: bool = False,
-    keep_estimates: bool = False,
 ) -> FrameResult:
     """Simulate one transmission frame of ``n_slots`` coherence slots.
 
-    Per-device empirical rates average log2(1 + SINR) over the slots in
-    which the device's pilot was detected (undetected slots contribute
-    zero), scaled by the training-overhead prelog. ``beta_knowledge_error``
-    multiplies the gain the receiver assumes when soft-combining; it scales
-    the decoder-facing weights only and provably cannot move any SINR.
-    ``collect_slots`` retains the per-slot outcomes (for traces); channel
-    estimates are dropped from retained slots unless ``keep_estimates``.
+    The active set is drawn from ``rng`` unless ``active`` is given. Per-device
+    empirical rates average log2(1 + SINR) over the slots in which the
+    device's pilot was detected (undetected slots contribute zero), scaled by
+    the training-overhead prelog. ``collect_slots`` retains the per-slot
+    outcomes (for traces).
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    if cfg.tau_p is None:
-        raise ValueError("run_frame needs tau_p set")
+    if cfg.tau_p is None or cfg.p_a is None:
+        raise ValueError("run_frame needs tau_p and p_a set")
+    if n_slots < 1:
+        raise ValueError("n_slots must be >= 1")
     tau_p, tau_u, M = cfg.tau_p, cfg.tau_u, cfg.M
     n_data = tau_u - tau_p
-    plan = plan_frame(cfg, n_slots, rng, frame_index=frame_index, patterns=patterns, active=active)
-    active = plan.active_set
-    if betas is None:
-        betas = np.atleast_1d(sample_beta(model, rng, active.size))
-    betas = np.asarray(betas, dtype=float)
-    pilots = pilot_sequences(tau_p, pilot_kind)
-    threshold = threshold or DetectionThreshold()
+    if active is None:
+        active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
+    active = np.asarray(active)
+    patterns = all_patterns(cfg.K, frame_index, n_slots, tau_p, cfg.seed)
+    betas = np.atleast_1d(sample_beta(model, rng, active.size))
+    pilots = pilot_sequences(tau_p)
 
     bits = np.zeros(active.size)
     detected_sets = []
     slots = [] if collect_slots else None
     for l in range(n_slots):
-        assignment = plan.hopping_patterns[active, l] if active.size else np.array([], dtype=int)
-        out = simulate_slot(
-            betas, assignment, tau_p, M, rng,
-            n_data=max(n_data, 1), pilots=pilots, threshold=threshold,
-        )
+        assignment = patterns[active, l] if active.size else np.array([], dtype=int)
+        out = simulate_slot(betas, assignment, tau_p, M, rng, n_data=max(n_data, 1), pilots=pilots)
         detected_sets.append(out.detected)
         if active.size:
             seen = np.isin(assignment, out.detected)
             bits[seen] += np.log2(1.0 + out.device_sinr[seen])
         if collect_slots:
-            if not keep_estimates:
-                out.estimates = {}  # M-vector per pilot per slot adds up fast
             slots.append(out)
 
     prelog = (tau_u - tau_p) / tau_u
     rates = prelog * bits / n_slots
-    ident = match_patterns(detected_sets, plan.hopping_patterns, tau_p, rho, active=active)
-    found = set(ident.identified.tolist())
-    soft = {int(k): beta_knowledge_error * float(b) for k, b in zip(active, betas) if k in found}
+    ident = match_patterns(detected_sets, patterns, tau_p, active=active)
     return FrameResult(
         M=M, K=cfg.K, tau_u=tau_u, tau_p=tau_p, seed=cfg.seed, n_slots=n_slots,
         active=active, betas=betas, rates=rates, sum_rate=float(rates.sum()),
-        identification=ident, soft_weights=soft, slots=slots,
+        identification=ident, slots=slots,
     )
 
 

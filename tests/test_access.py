@@ -10,8 +10,6 @@ from scipy.stats import binom
 from pilothop.access import (
     ActivationLaw,
     CollisionLaw,
-    activation_pmf,
-    collision_pmf,
     pmf_over,
     sample_active_set,
     truncate_support,
@@ -19,8 +17,7 @@ from pilothop.access import (
 
 
 def test_activation_certain():
-    assert activation_pmf(ActivationLaw(4, 1.0), 4) == 1.0
-    assert activation_pmf(ActivationLaw(4, 1.0), 3) == 0.0
+    assert np.array_equal(pmf_over(ActivationLaw(4, 1.0), np.array([3, 4])), [0.0, 1.0])
 
 
 def test_activation_matches_enumeration():
@@ -29,7 +26,7 @@ def test_activation_matches_enumeration():
     counts = {k: 0 for k in range(3)}
     for pattern in itertools.product([0, 1], repeat=2):
         counts[sum(pattern)] += 1
-    assert activation_pmf(law, 1) == pytest.approx(counts[1] / 4, abs=1e-15)
+    assert pmf_over(law, np.array([1]))[0] == pytest.approx(counts[1] / 4, abs=1e-15)
     # and an asymmetric case against direct probability accounting
     law = ActivationLaw(3, 0.3)
     for k in range(4):
@@ -38,7 +35,7 @@ def test_activation_matches_enumeration():
             for pattern in itertools.product([0, 1], repeat=3)
             if sum(pattern) == k
         )
-        assert activation_pmf(law, k) == pytest.approx(want, rel=1e-12)
+        assert pmf_over(law, np.array([k]))[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_activation_mean_is_pa_k():
@@ -53,14 +50,14 @@ def test_activation_mean_is_pa_k():
 def test_activation_out_of_range():
     law = ActivationLaw(5, 0.2)
     with pytest.raises(ValueError):
-        activation_pmf(law, 6)
+        pmf_over(law, np.array([6]))
     with pytest.raises(ValueError):
-        activation_pmf(law, -1)
+        pmf_over(law, np.array([-1]))
 
 
 def test_collision_lone_device():
     for tau_p in (1, 2, 17):
-        assert collision_pmf(CollisionLaw(1, tau_p), 0) == 1.0
+        assert pmf_over(CollisionLaw(1, tau_p), np.array([0]))[0] == 1.0
 
 
 def test_collision_mean_41_20():
@@ -74,7 +71,7 @@ def test_collision_matches_enumeration():
     # two other devices choose among two pilots; one collider in 2 of the 4 cases
     law = CollisionLaw(3, 2)
     hits = sum(1 for choice in itertools.product([0, 1], repeat=2) if sum(c == 0 for c in choice) == 1)
-    assert collision_pmf(law, 1) == pytest.approx(hits / 4, abs=1e-15)
+    assert pmf_over(law, np.array([1]))[0] == pytest.approx(hits / 4, abs=1e-15)
 
 
 def test_collision_no_reference_device():

@@ -179,6 +179,16 @@ def test_sinr3_requires_enough_activity():
         sinr3(10.0, mo, 33, 0.5 / 800, 800, 100)
 
 
+@pytest.mark.parametrize("beta_0", [math.nan, -1e6])
+def test_sinr2_sinr3_reject_non_positive_interference(beta_0):
+    # an explicit error, not an assert, so the check survives python -O
+    mo = analytic_moments(UniformPowerError(10.0, 0.2))
+    with pytest.raises(ValueError, match="interference power"):
+        sinr2(1, 10, beta_0, mo, 16, 64)
+    with pytest.raises(ValueError, match="interference power"):
+        sinr3(beta_0, mo, 16, 10 / 800, 800, 64)
+
+
 def test_sinra_three_term_decomposition():
     mo = analytic_moments(LogNormalShadowing(10.0, 0.2))
     b0, tau_p, paK, M = 6.0, 25, 40.0, 128

@@ -162,6 +162,7 @@ def test_expect_beta_lognormal_is_seeded():
     c = expect_beta(model, f, seed=4)
     assert a == b
     assert a != c
-    val, err = expect_beta(model, f, seed=3, return_err=True)
+    val, err, n = expect_beta(model, f, seed=3, return_mc=True)
+    assert val == a and n == 16384
     exact = expect_beta(model, f, seed=5, mc_samples=2**18)
     assert abs(val - exact) <= 4 * err

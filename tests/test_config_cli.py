@@ -46,6 +46,14 @@ def test_system_config_invariants():
         SystemConfig(M=100, tau_u=50, tau_p=51)
     with pytest.raises(ValueError):
         SystemConfig(M=100, p_a=-0.1)
+    with pytest.raises(ValueError, match="tau_p"):
+        SystemConfig(M=100, tau_p=33.5)
+
+
+def test_build_system_reports_every_violation():
+    cfg, diags = build_system({"M": 1, "K": 0, "tau_p": 5.5, "p_a": "x", "seed": -1})
+    assert cfg is None
+    assert [d.field for d in diags] == ["system.M", "system.K", "system.tau_p", "system.p_a", "system.seed"]
 
 
 def test_parse_spec_reports_line_and_column(tmp_path):
@@ -116,6 +124,43 @@ def test_cli_invalid_spec_exit_3(tmp_path, capsys):
     )
     assert main(["run", spec]) == 3
     assert "sweep.values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, field", [
+    ("kind: optimize\nsystem: {M: abc}\nmethods: [Rh0]\n", "system.M"),
+    ("kind: optimize\nsystem: {M: [1, 2]}\nmethods: [Rh0]\n", "system.M"),
+    ("kind: optimize\nsystem: {M: 100, K: 800.0}\nmethods: [Rh0]\n", "system.K"),
+    ("kind: optimize\nsystem: {M: 100, tau_u: long}\nmethods: [Rh0]\n", "system.tau_u"),
+    ("kind: optimize\nsystem: {M: 100, seed: 1.5}\nmethods: [Rh0]\n", "system.seed"),
+    ("kind: optimize\nsystem: {M: 100, mc: {n_beta_samples: 2.5}}\nmethods: [R1-opt]\n", "system.mc"),
+    ("kind: bound-eval\nsystem: {M: 100, tau_p: x, p_a: 0.0375}\n", "system.tau_p"),
+    ("kind: bound-eval\nsystem: {M: 100, tau_p: 33.5, p_a: 0.0375}\n", "system.tau_p"),
+    ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: high}\n", "system.p_a"),
+    ("kind: sweep\nsystem: {M: 100}\nmethods: [Rh0]\nsweep: {values: [a]}\n", "sweep.values"),
+    ("kind: sweep\nsystem: {M: 100}\nmethods: [Rh0]\nsweep: {axis: M, values: [64.5]}\n", "sweep.values"),
+    ("kind: sweep\nsystem: {M: 100}\nmethods: [Rh0]\nsweep: {axis: K, values: 800}\n", "sweep.values"),
+    ("kind: simulate\nsystem: {M: 64, tau_p: 12, p_a: 0.1}\nn_slots: lots\n", "n_slots"),
+    ("kind: compare\nsystem: {M: 64}\nmethods: [Rh0]\nn_frames: 2.5\n", "n_frames"),
+], ids=["M-text", "M-list", "K-float", "tau_u-text", "seed-fraction", "mc-samples-fraction",
+        "tau_p-text", "tau_p-fraction", "p_a-text", "sweep-text", "sweep-fraction", "sweep-scalar",
+        "n_slots-text", "n_frames-fraction"])
+def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
+    spec = _write(tmp_path, "bad.yaml", body)
+    assert main(["validate", spec]) == 3
+    assert main(["run", spec, "--out", str(tmp_path)]) == 3
+    assert f"invalid: {field}: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_rejects_mc_seed(tmp_path, capsys):
+    # the Monte Carlo seed always follows system.seed (and --seed)
+    spec = _write(
+        tmp_path, "mc.yaml",
+        "kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375, seed: 1, mc: {seed: 3}}\n",
+    )
+    assert main(["run", spec, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "invalid: system.mc.seed: " in err and "system.seed" in err
 
 
 def test_cli_numeric_failure_exit_4(tmp_path, capsys):

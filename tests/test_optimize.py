@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pilothop.optimize as opt
-from pilothop.bounds import McConfig, r3, ra
+from pilothop.bounds import BOUNDS, McConfig, r3, ra
 from pilothop.channels import LogNormalShadowing, UniformPowerError
 from pilothop.config import SystemConfig
 from pilothop.optimize import (
@@ -197,7 +197,7 @@ def test_heuristics_never_touch_the_main_bound(monkeypatch):
         calls["n"] += 1
         raise AssertionError("main bound evaluated inside a heuristic")
 
-    monkeypatch.setattr(opt, "r1_bar", spy)
+    monkeypatch.setitem(BOUNDS, "R1", spy)  # every bound evaluation goes through the registry
     model = UniformPowerError(10.0, 0.3)
     cfg = _cfg()
     for method in ("Rh0", "Rh-1D", "Ra-1D"):
