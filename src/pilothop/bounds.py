@@ -235,8 +235,8 @@ def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a: float, K: int, M: int):
 
 
 def sinra(beta_0, moments: BetaMoments, tau_p: float, p_aK: float, M: int):
-    """Large-system SINR. Vectorized over beta_0."""
-    if p_aK <= 0:
+    """Large-system SINR. Vectorized over beta_0 and p_aK."""
+    if np.any(np.asarray(p_aK) <= 0):
         raise ValueError("p_a*K must be positive")
     b0 = np.asarray(beta_0, dtype=float)
     bm, b2m = moments.mean, moments.mean_sq

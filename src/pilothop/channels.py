@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate
 
 LN10_OVER_10 = math.log(10.0) / 10.0
 
@@ -187,45 +187,42 @@ def is_degenerate(model: LargeScaleModel) -> bool:
     return model.alpha == 0.0
 
 
-def _beta_of_v(model: LargeScaleModel) -> Callable[[float], float]:
-    if isinstance(model, UniformPowerError):
-        return lambda v: model.delta_bar * (1.0 + v)
-    if isinstance(model, RingPathLoss):
-        return lambda v: model.delta_bar * (1.0 + v) ** (-model.pathloss_exp)
-    raise TypeError("expected a bounded-support model")
-
-
 def expect_beta(
     model: LargeScaleModel,
     f: Callable,
     *,
-    epsrel: float = 1e-9,
     mc_samples: int = 16384,
     seed: int = 0,
     return_mc: bool = False,
 ):
-    """Expectation of f(gain) under the model.
+    """Expectation of f(gain) under the model, as ``w @ f(nodes)`` over :func:`beta_nodes`.
 
-    Bounded-support models use adaptive quadrature; log-normal shadowing
-    falls back to seeded Monte Carlo (deterministic for a fixed seed).
-    With ``return_mc`` the result is (value, std_err, n_samples): the Monte
-    Carlo standard error and draw count, both 0 when the value is exact.
+    ``f`` must be vectorized: it is called once on the whole node array.
+    Bounded-support models use 96-point Gauss-Legendre, accurate to ~1e-13
+    for smooth integrands up to uniform alpha = 1 and ring alpha = 0.9; near
+    the ring's pole (alpha -> 1) it degrades, e.g. ~1e-5 at alpha = 0.99.
+    Log-normal shadowing uses ``mc_samples`` seeded Monte Carlo draws
+    (deterministic for a fixed seed). With ``return_mc`` the result is
+    (value, std_err, n_samples): the Monte Carlo standard error and draw
+    count, both 0 when the value comes from a quadrature rule.
     """
-    if is_degenerate(model):
-        val = float(f(model.delta_bar))
-        return (val, 0.0, 0) if return_mc else val
-    if isinstance(model, LogNormalShadowing):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        draws = sample_beta(model, rng, mc_samples)
-        vals = np.asarray(f(draws), dtype=float)
-        val = float(vals.mean())
-        err = float(vals.std(ddof=1) / math.sqrt(mc_samples))
-        return (val, err, mc_samples) if return_mc else val
-    beta_of_v = _beta_of_v(model)
-    a = model.alpha
-    val, _ = integrate.quad(lambda v: f(beta_of_v(v)), -a, a, epsrel=epsrel, limit=200)
-    val = float(val / (2 * a))
-    return (val, 0.0, 0) if return_mc else val
+    nodes, w = beta_nodes(model, mc_samples=mc_samples, seed=seed)
+    vals = np.asarray(f(nodes), dtype=float)
+    val = float(w @ vals)
+    if not return_mc:
+        return val
+    if isinstance(model, LogNormalShadowing) and not is_degenerate(model):
+        return val, float(vals.std(ddof=1) / math.sqrt(mc_samples)), mc_samples
+    return val, 0.0, 0
+
+
+@cache
+def _legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], computed once per process (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def beta_nodes(
@@ -238,8 +235,7 @@ def beta_nodes(
     """Nodes and weights such that E[f(gain)] ~= weights @ f(nodes).
 
     Gauss-Legendre on the bounded-support models, seeded Monte Carlo draws
-    with uniform weights for log-normal shadowing. Intended for optimizer
-    hot loops where many expectations share the same nodes.
+    with uniform weights for log-normal shadowing.
     """
     if is_degenerate(model):
         return np.array([model.delta_bar]), np.array([1.0])
@@ -247,7 +243,8 @@ def beta_nodes(
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         draws = sample_beta(model, rng, mc_samples)
         return draws, np.full(mc_samples, 1.0 / mc_samples)
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    beta_of_v = _beta_of_v(model)
-    nodes = np.array([beta_of_v(model.alpha * xi) for xi in x])
-    return nodes, w / 2.0
+    x, w = _legendre(n_nodes)
+    v = model.alpha * x
+    if isinstance(model, RingPathLoss):
+        return model.delta_bar * (1.0 + v) ** (-model.pathloss_exp), w / 2.0
+    return model.delta_bar * (1.0 + v), w / 2.0

@@ -10,6 +10,7 @@ returns one diagnostic per problem, each naming the offending field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
@@ -128,6 +129,9 @@ def parse_model(raw) -> LargeScaleModel:
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown model parameters {sorted(unknown)} for {tag!r}")
+    for name, v in raw.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name}: must be a real number (got {v!r})")
     return cls(**raw)
 
 
@@ -209,7 +213,7 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
     cfg, sys_diags = build_system(spec.system)
     diags.extend(sys_diags)
 
-    from .optimize import METHODS  # local import to keep config dependency-light
+    from .optimize import METHODS, RH0_MIN_TAU_U  # local import to keep config dependency-light
 
     if spec.kind in ("optimize", "sweep", "compare"):
         if not spec.methods:
@@ -217,6 +221,13 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
         for m in spec.methods:
             if m not in METHODS:
                 diags.append(Diagnostic("methods", f"unknown method {m!r}; expected one of {METHODS}"))
+        if cfg is not None and "Rh0" in spec.methods:  # check every slot length Rh0 will run on
+            if spec.kind == "sweep" and spec.sweep_axis == "tau_u":
+                where, slots = "sweep.values", spec.sweep_values if isinstance(spec.sweep_values, list) else []
+            else:
+                where, slots = "system.tau_u", [cfg.tau_u]
+            diags.extend(Diagnostic(where, f"tau_u={v!r}: Rh0 needs tau_u >= {RH0_MIN_TAU_U}")
+                         for v in slots if _is_integer(v) and v < RH0_MIN_TAU_U)
     if spec.kind == "sweep":
         if spec.sweep_axis not in SWEEP_AXES:
             diags.append(Diagnostic("sweep.axis", f"unknown axis {spec.sweep_axis!r}; expected one of {SWEEP_AXES}"))

@@ -26,13 +26,16 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .bounds import COSTS, McConfig, bound_at
+from .bounds import COSTS, McConfig, bound_at, sinra
 from .channels import LargeScaleModel, analytic_moments, beta_nodes
 
 if TYPE_CHECKING:
     from .config import SystemConfig
 
 METHODS = (*(f"{cost}-opt" for cost in COSTS), "Ra-1D", "Rh0", "Rh-1D")
+
+# heuristic1 (method Rh0) splits the slot in thirds, so it needs this many symbols
+RH0_MIN_TAU_U = 3
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -114,8 +117,8 @@ def _tau_p_third(tau_u: int) -> int:
 
 def heuristic1(tau_u: int, M: int) -> tuple[int, float]:
     """Closed-form operating point: a third of the slot on pilots, sqrt(M*tau_u) scaling."""
-    if tau_u < 3:
-        raise ValueError("slot length must be at least 3 symbols")
+    if tau_u < RH0_MIN_TAU_U:
+        raise ValueError(f"slot length must be at least {RH0_MIN_TAU_U} symbols")
     return _tau_p_third(tau_u), math.sqrt(tau_u * M / (3.0 * solve_s0()))
 
 
@@ -124,7 +127,12 @@ def rh0_cost(tau_p: int, p_aK: float, tau_u: int, M: int) -> float:
     return p_aK * (tau_u - tau_p) / tau_u * math.log2(1.0 + M * tau_p / p_aK**2)
 
 
-def _heuristic2_full(tau_u, M, model, seed=0):
+def heuristic2_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
+    """tau_p = tau_u/3 with a gain-distribution-aware activation scale.
+
+    Returns (tau_p, p_aK, surrogate value, evaluations). The scale maximizer
+    b = p_aK / sqrt(M*tau_u) does not depend on M or tau_u, only on the gain law.
+    """
     nodes, w = beta_nodes(model, seed=seed)
     mean = analytic_moments(model).mean
 
@@ -135,32 +143,21 @@ def _heuristic2_full(tau_u, M, model, seed=0):
     return _tau_p_third(tau_u), b_opt * math.sqrt(tau_u * M), val, evals
 
 
-def heuristic2_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0) -> tuple[int, float]:
-    """tau_p = tau_u/3 with a gain-distribution-aware activation scale.
+def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
+    """tau_p = tau_u/3, activation scale maximizing the large-system bound.
 
-    The scale maximizer does not depend on M or tau_u, only on the gain law.
+    Returns (tau_p, p_aK, value, evaluations); the value is the objective
+    b * E[log2(1 + sinra)] at b = p_aK / sqrt(M*tau_u), without the prelog.
     """
-    tau_p, p_aK, _, _ = _heuristic2_full(tau_u, M, model, seed)
-    return tau_p, p_aK
-
-
-def _asymptotic_1d_full(tau_u, M, model, seed=0):
     nodes, w = beta_nodes(model, seed=seed)
     m = analytic_moments(model)
     root = math.sqrt(M * tau_u)
 
     def obj(b):
-        den = b * m.mean_sq * M + b * b * m.mean**2 * root + b * m.mean * nodes * tau_u / 3.0
-        return b * float(w @ np.log2(1.0 + (root / 3.0) * nodes**2 / den))
+        return b * float(w @ np.log2(1.0 + sinra(nodes, m, tau_u / 3.0, b * root, M)))
 
     b_opt, val, evals = _scan_then_golden(obj, 1e-3, 1e2)
-    return _tau_p_third(tau_u), b_opt * root, b_opt, val, evals
-
-
-def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0) -> tuple[int, float]:
-    """tau_p = tau_u/3, activation scale maximizing the large-system bound."""
-    tau_p, p_aK, _, _, _ = _asymptotic_1d_full(tau_u, M, model, seed)
-    return tau_p, p_aK
+    return _tau_p_third(tau_u), b_opt * root, val, evals
 
 
 def grid_opt(
@@ -263,9 +260,9 @@ def optimize(
         p_aK = min(p_aK, float(K))
         return OptimizationResult(tau_p, p_aK, rh0_cost(tau_p, p_aK, tau_u, M), "Rh0", 0)
     if method == "Rh-1D":
-        tau_p, p_aK, val, evals = _heuristic2_full(tau_u, M, model, cfg.seed)
+        tau_p, p_aK, val, evals = heuristic2_1d(tau_u, M, model, seed=cfg.seed)
         return OptimizationResult(tau_p, min(p_aK, float(K)), val, "Rh-1D", evals)
-    tau_p, p_aK, _, _, evals = _asymptotic_1d_full(tau_u, M, model, cfg.seed)
+    tau_p, p_aK, _, evals = asymptotic_1d(tau_u, M, model, seed=cfg.seed)
     p_aK = min(p_aK, float(K))
     achieved = bound_at("Ra", cfg, model, None, tau_p, p_aK)
     return OptimizationResult(tau_p, p_aK, achieved.value, "Ra-1D", evals + 1)

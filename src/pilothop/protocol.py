@@ -2,16 +2,17 @@
 
 Each active device holds a pseudo-random pilot-hopping pattern known to the
 base station. Per slot the receiver correlates the pilot block against every
-sequence, thresholds the correlation energy to find the pilots in use,
-estimates the per-pilot sum power through channel hardening, forms a scaled
-channel estimate, and applies maximum ratio combining to the data block.
-Across slots the detected pilot sets are matched against the hopping
-patterns to identify which devices transmitted.
+sequence, thresholds the correlation energy to find the pilots in use and
+estimates the per-pilot sum power through channel hardening. Across slots
+the detected pilot sets are matched against the hopping patterns to identify
+which devices transmitted.
 
 A genie side channel (true channels and gains, never visible to the
-receiver path) decomposes every combiner output into signal, contamination,
-estimation-error, residual-interference and noise powers, yielding the
-per-slot effective SINR that the analytic bounds are validated against.
+receiver path) decomposes the output of maximum ratio combining along each
+pilot's correlated observation into signal, contamination, estimation-error,
+residual-interference and noise powers, yielding the per-slot effective SINR
+that the analytic bounds are validated against. The SINR is a closed form in
+the channels, so no data block is drawn.
 """
 
 from __future__ import annotations
@@ -33,8 +34,14 @@ _TRACE_VERSION = 1
 @dataclass(frozen=True)
 class DetectionThreshold:
     """Pilot-activity threshold: detect when the correlation energy per
-    antenna exceeds 1 + zeta*sqrt(2/M); zeta controls the false-alarm rate
-    of the unit-mean noise-only statistic."""
+    antenna exceeds t = 1 + zeta*sqrt(2/M).
+
+    On a pilot nobody uses the statistic is Gamma(M, 1/M): mean 1, standard
+    deviation 1/sqrt(M), so t sits zeta*sqrt(2) standard deviations above
+    the mean. The per-pilot false-alarm probability is
+    ``scipy.special.gammaincc(M, M*t)``; the default zeta = 5 gives 1.8e-9
+    at M = 100.
+    """
 
     zeta: float = 5.0
 
@@ -70,11 +77,14 @@ def all_patterns(K: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -
     return np.vstack([hopping_pattern(k, frame, n_slots, tau_p, root_seed) for k in range(K)])
 
 
-def detect_pilots(Y_p: np.ndarray, pilots: np.ndarray, threshold: DetectionThreshold | None = None) -> np.ndarray:
-    """Indices of pilot sequences whose correlation energy clears the threshold."""
+def detect_pilots(corr: np.ndarray, threshold: DetectionThreshold | None = None) -> np.ndarray:
+    """Indices of pilots whose correlation energy clears the threshold.
+
+    ``corr`` is the (M, tau_p) pilot block correlated with the pilot book,
+    ``Y_p @ pilots.conj()``.
+    """
     threshold = threshold or DetectionThreshold()
-    M = Y_p.shape[0]
-    corr = Y_p @ pilots.conj()
+    M = corr.shape[0]
     stats = np.einsum("ij,ij->j", corr.real, corr.real) + np.einsum("ij,ij->j", corr.imag, corr.imag)
     return np.flatnonzero(stats / M > threshold.value(M))
 
@@ -88,15 +98,6 @@ def estimate_sum_power(y_p: np.ndarray, tau_p: int) -> float:
     M = y_p.shape[0]
     stat = float(np.vdot(y_p, y_p).real) / M
     return max(0.0, (stat - 1.0) / tau_p)
-
-
-def estimate_channel(y_p: np.ndarray, tau_p: int, beta_sum_estimate: float) -> np.ndarray:
-    """Receiver-side scaled channel estimate used as the MRC combiner.
-
-    Needs only the estimated sum power on the pilot, not any per-device
-    gain, so it is available before devices are identified.
-    """
-    return (np.sqrt(tau_p) / (tau_p * beta_sum_estimate + 1.0)) * y_p
 
 
 def genie_mmse_estimate(y_p: np.ndarray, tau_p: int, beta_0: float, member_beta_sum: float) -> np.ndarray:
@@ -115,12 +116,7 @@ class SlotOutcome:
     detected: np.ndarray
     pilot_of_device: np.ndarray
     est_sum_power: dict
-    mrc_outputs: dict
     device_sinr: np.ndarray
-
-
-def _crandn(rng: np.random.Generator, *shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def mrc_and_measure(
@@ -128,21 +124,16 @@ def mrc_and_measure(
     betas: np.ndarray,
     assignment: np.ndarray,
     corr: np.ndarray,
-    est_sum_power: dict,
-    Y_d: np.ndarray,
     tau_p: int,
-) -> tuple[dict, np.ndarray]:
-    """Combine the data block per detected pilot and measure per-device SINR.
+) -> np.ndarray:
+    """Genie SINR per active device under MRC along its pilot's observation.
 
-    ``est_sum_power`` maps each detected pilot to its estimated sum power.
-    Returns (mrc outputs keyed by pilot, genie SINR per active device). The
-    SINR decomposition uses the correlated observation direction, so it is
-    invariant to any positive rescaling of the combiner.
+    The combiner is a positive multiple of the correlated observation
+    ``corr[:, pilot]``, and the SINR does not depend on that multiple, so
+    neither the receiver's sum-power estimate nor any data realization
+    enters it.
     """
-    mrc = {j: estimate_channel(corr[:, j], tau_p, p).conj() @ Y_d for j, p in est_sum_power.items()}
-
-    K_a = betas.size
-    sinr = np.zeros(K_a)
+    sinr = np.zeros(betas.size)
     for j in np.unique(assignment):
         members = np.flatnonzero(assignment == j)
         y = corr[:, j]
@@ -161,7 +152,7 @@ def mrc_and_measure(
             sig = gd2[idx]
             pc = gd2_tot - sig
             sinr[k] = sig / (pc + ee + oi + yn2)
-    return mrc, sinr
+    return sinr
 
 
 def simulate_slot(
@@ -171,36 +162,27 @@ def simulate_slot(
     M: int,
     rng: np.random.Generator,
     *,
-    n_data: int,
     pilots: np.ndarray | None = None,
 ) -> SlotOutcome:
-    """One coherence slot: training, detection, estimation, MRC, genie SINR."""
+    """One coherence slot: training, detection, sum-power estimation, genie SINR."""
     pilots = pilots if pilots is not None else pilot_sequences(tau_p)
     betas = np.asarray(betas, dtype=float)
     assignment = np.asarray(assignment, dtype=int)
 
     G = sample_channels(betas, M, rng) if betas.size else np.zeros((M, 0), dtype=complex)
-    N_p = _crandn(rng, M, tau_p)
+    N_p = (rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) / np.sqrt(2.0)
     if betas.size:
         P = pilots.T[assignment]  # rows are the transposed sequences in use
         Y_p = np.sqrt(tau_p) * (G @ P) + N_p
     else:
         Y_p = N_p
-    detected = detect_pilots(Y_p, pilots)
     corr = Y_p @ pilots.conj()
-    est_power = {int(j): estimate_sum_power(corr[:, j], tau_p) for j in detected}
-
-    X = _crandn(rng, betas.size, n_data)
-    N_d = _crandn(rng, M, n_data)
-    Y_d = (G @ X if betas.size else 0.0) + N_d
-
-    mrc, sinr = mrc_and_measure(G, betas, assignment, corr, est_power, Y_d, tau_p)
+    detected = detect_pilots(corr)
     return SlotOutcome(
         detected=detected,
         pilot_of_device=assignment,
-        est_sum_power=est_power,
-        mrc_outputs=mrc,
-        device_sinr=sinr,
+        est_sum_power={int(j): estimate_sum_power(corr[:, j], tau_p) for j in detected},
+        device_sinr=mrc_and_measure(G, betas, assignment, corr, tau_p),
     )
 
 
@@ -286,7 +268,6 @@ def run_frame(
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     tau_p, tau_u, M = cfg.tau_p, cfg.tau_u, cfg.M
-    n_data = tau_u - tau_p
     if active is None:
         active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
     active = np.asarray(active)
@@ -299,7 +280,7 @@ def run_frame(
     slots = [] if collect_slots else None
     for l in range(n_slots):
         assignment = patterns[active, l] if active.size else np.array([], dtype=int)
-        out = simulate_slot(betas, assignment, tau_p, M, rng, n_data=max(n_data, 1), pilots=pilots)
+        out = simulate_slot(betas, assignment, tau_p, M, rng, pilots=pilots)
         detected_sets.append(out.detected)
         if active.size:
             seen = np.isin(assignment, out.detected)

@@ -164,10 +164,7 @@ def ab_objective(a, b, delta: float, model: LargeScaleModel, *, nodes=None) -> f
     if nodes is None:
         nodes = beta_nodes(model)
     betas, w = nodes
-    m = analytic_moments(model)
-    sd = math.sqrt(delta)
-    den = b * m.mean_sq * delta * sd + b * b * m.mean**2 * delta + a * b * m.mean * betas * sd
-    x = a * betas**2 * delta / den
+    x = sinra(betas, analytic_moments(model), a, b * math.sqrt(delta), delta)
     return float((1.0 - a) * b * (np.log2(1.0 + x) @ w))
 
 
@@ -189,8 +186,7 @@ def solve_ab(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    nodes = beta_nodes(model, seed=seed)
-    betas, w = nodes
+    betas, w = beta_nodes(model, seed=seed)
     m = analytic_moments(model)
     root_f = math.sqrt(m.spread_factor)
     sd = math.sqrt(delta)
@@ -200,16 +196,11 @@ def solve_ab(
     grid_a = np.geomspace(a_lo, 1.0 - 1e-3, n_grid)
     grid_b = np.geomspace(1e-3 * root_f, b_hi, n_grid)
 
-    c1 = m.mean_sq * delta * sd
-    c2 = m.mean**2 * delta
-    c3 = m.mean * sd
-
     def eval_mesh(avals, bvals):
         best = (-math.inf, None, None)
         bcol = bvals[:, None]
         for a in avals:
-            den = bcol * c1 + bcol * bcol * c2 + a * bcol * c3 * betas[None, :]
-            x = a * delta * betas[None, :] ** 2 / den
+            x = sinra(betas, m, a, bcol * sd, delta)
             vals = (1.0 - a) * bvals * (np.log2(1.0 + x) @ w)
             j = int(np.argmax(vals))
             if vals[j] > best[0]:
@@ -237,10 +228,7 @@ def case4_objective(b, delta_prime: float, model: LargeScaleModel, *, nodes=None
     if nodes is None:
         nodes = beta_nodes(model)
     betas, w = nodes
-    m = analytic_moments(model)
-    sd = math.sqrt(delta_prime)
-    den = b * m.mean_sq * delta_prime * sd + b * b * m.mean**2 * delta_prime + b * m.mean * betas * sd
-    x = betas**2 * delta_prime / den
+    x = sinra(betas, analytic_moments(model), 1.0, b * math.sqrt(delta_prime), delta_prime)
     return float(b * (np.log2(1.0 + x) @ w))
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from pilothop.bounds import sinr3, sinra
 from pilothop.channels import (
     BetaMoments,
     LogNormalShadowing,
@@ -146,12 +147,29 @@ def test_sample_channels_entry_variance_and_independence(rng):
     assert g.shape == (100, 2)
 
 
+def _quad_expectation(model, f):
+    """E[f(gain)] by adaptive quadrature over the model's uniform variable."""
+    if isinstance(model, UniformPowerError):
+        beta_of_v = lambda v: model.delta_bar * (1 + v)
+    else:
+        beta_of_v = lambda v: model.delta_bar * (1 + v) ** -model.pathloss_exp
+    a = model.alpha
+    val, _ = integrate.quad(lambda v: f(beta_of_v(v)), -a, a, epsrel=1e-12, limit=400)
+    return val / (2 * a)
+
+
 def test_expect_beta_quadrature_matches_nodes():
-    model = UniformPowerError(10.0, 0.5)
-    f = lambda b: np.log2(1.0 + b)
-    quad_val = expect_beta(model, f)
-    nodes, w = beta_nodes(model)
-    assert quad_val == pytest.approx(float(w @ f(nodes)), rel=1e-10)
+    # the R3 and Ra integrands, as the bounds build them, over an operating grid
+    M, K = 100, 800
+    models = [UniformPowerError(10.0, a) for a in (0.25, 0.5, 1.0)]
+    models += [RingPathLoss(10.0, a) for a in (0.25, 0.5, 0.9)]
+    for model in models:
+        mo = analytic_moments(model)
+        for tau_p in (1, 10, 33, 60):
+            for paK in (1.0, 5.0, 30.0, 200.0):
+                for sinr in (lambda b: sinr3(b, mo, tau_p, paK / K, K, M), lambda b: sinra(b, mo, tau_p, paK, M)):
+                    f = lambda b: np.log2(1.0 + sinr(b))
+                    assert expect_beta(model, f) == pytest.approx(_quad_expectation(model, f), rel=1e-9)
 
 
 def test_expect_beta_lognormal_is_seeded():

@@ -141,9 +141,17 @@ def test_cli_invalid_spec_exit_3(tmp_path, capsys):
     ("kind: sweep\nsystem: {M: 100}\nmethods: [Rh0]\nsweep: {axis: K, values: 800}\n", "sweep.values"),
     ("kind: simulate\nsystem: {M: 64, tau_p: 12, p_a: 0.1}\nn_slots: lots\n", "n_slots"),
     ("kind: compare\nsystem: {M: 64}\nmethods: [Rh0]\nn_frames: 2.5\n", "n_frames"),
+    ("kind: optimize\nsystem: {M: 100, model: {delta_bar: abc}}\nmethods: [Rh0]\n", "system.model: delta_bar"),
+    ("kind: optimize\nsystem: {M: 100, model: {type: pathloss, alpha: [1]}}\nmethods: [Rh0]\n",
+     "system.model: alpha"),
+    ("kind: optimize\nsystem: {M: 100, model: {alpha: true}}\nmethods: [Rh0]\n", "system.model: alpha"),
+    ("kind: sweep\nsystem: {M: 100}\nmethods: [Ra-1D, Rh0]\nsweep: {axis: tau_u, values: [2, 60]}\n",
+     "sweep.values"),
+    ("kind: optimize\nsystem: {M: 100, tau_u: 2}\nmethods: [Rh0]\n", "system.tau_u"),
 ], ids=["M-text", "M-list", "K-float", "tau_u-text", "seed-fraction", "mc-samples-fraction",
         "tau_p-text", "tau_p-fraction", "p_a-text", "sweep-text", "sweep-fraction", "sweep-scalar",
-        "n_slots-text", "n_frames-fraction"])
+        "n_slots-text", "n_frames-fraction", "model-text", "model-list", "model-bool",
+        "rh0-sweep-short-slot", "rh0-short-slot"])
 def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
     spec = _write(tmp_path, "bad.yaml", body)
     assert main(["validate", spec]) == 3

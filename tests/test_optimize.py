@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import pilothop.optimize as opt
 from pilothop.bounds import BOUNDS, McConfig, r3, ra
 from pilothop.channels import LogNormalShadowing, UniformPowerError
 from pilothop.config import SystemConfig
@@ -54,7 +53,7 @@ def test_heuristic1_scaling_homogeneity():
 def test_heuristic2_matches_fine_scan():
     # constant gain: objective reduces to b*log2(1 + 10/(3 b^2))
     model = UniformPowerError(10.0, 0.0)
-    tau_p, p_aK = heuristic2_1d(100, 100, model)
+    tau_p, p_aK, _, _ = heuristic2_1d(100, 100, model)
     assert tau_p == 33
     b = p_aK / 100.0
     grid = np.linspace(0.3, 3.0, 300001)
@@ -65,22 +64,23 @@ def test_heuristic2_matches_fine_scan():
 
 def test_heuristic2_independent_of_size():
     model = UniformPowerError(10.0, 0.3)
-    _, q1 = heuristic2_1d(100, 100, model)
-    _, q2 = heuristic2_1d(300, 400, model)
+    _, q1, _, _ = heuristic2_1d(100, 100, model)
+    _, q2, _, _ = heuristic2_1d(300, 400, model)
     assert q1 / math.sqrt(100 * 100) == pytest.approx(q2 / math.sqrt(300 * 400), rel=1e-9)
 
 
 def test_heuristic2_grows_with_gain_spread():
     bs = []
     for s2 in (0.0, 0.5):
-        _, q = heuristic2_1d(100, 100, LogNormalShadowing(10.0, s2), seed=1)
+        _, q, _, _ = heuristic2_1d(100, 100, LogNormalShadowing(10.0, s2), seed=1)
         bs.append(q / 100.0)
     assert bs[1] > bs[0]
 
 
 def test_asymptotic_1d_objective_vanishes_at_extremes():
     model = UniformPowerError(10.0, 0.0)
-    _, _, b_opt, val, _ = opt._asymptotic_1d_full(100, 100, model)
+    _, p_aK, val, _ = asymptotic_1d(100, 100, model)
+    b_opt = p_aK / math.sqrt(100 * 100)
     for b in (1e-9, 1e6):
         den = b * 100.0 * 100 + b * b * 100.0 * 100.0 + b * 10.0 * 10.0 * 100 / 3.0
         tail = b * math.log2(1.0 + (100.0 / 3.0) * 100.0 / den)
@@ -91,7 +91,7 @@ def test_asymptotic_1d_objective_vanishes_at_extremes():
 def test_asymptotic_1d_matches_restricted_grid():
     model = UniformPowerError(10.0, 0.0)
     cfg = SystemConfig(M=100, K=800, tau_u=100, seed=13)
-    tau_p, p_aK = asymptotic_1d(100, 100, model)
+    tau_p, p_aK, _, _ = asymptotic_1d(100, 100, model)
     qs = np.linspace(5.0, 200.0, 4000)
     vals = [ra(replace(cfg, tau_p=tau_p, p_a=q / 800), model).value for q in qs]
     q_scan = qs[int(np.argmax(vals))]
@@ -103,7 +103,7 @@ def test_asymptotic_1d_vs_heuristic1_same_order():
     # array-gain interference term, which shifts its activation level up
     # by ~30% at M = tau_u = 100 (measured), not within 15%
     model = UniformPowerError(10.0, 0.0)
-    _, q_a = asymptotic_1d(100, 100, model)
+    _, q_a, _, _ = asymptotic_1d(100, 100, model)
     _, q_h = heuristic1(100, 100)
     assert 0.8 <= q_a / q_h <= 1.5
     assert q_a / q_h == pytest.approx(1.30, abs=0.05)

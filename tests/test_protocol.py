@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincc
 from scipy.stats import binom, chisquare
 
 from pilothop.bounds import CollisionScenario, McConfig, estimation_variances, sinr1
@@ -10,7 +11,6 @@ from pilothop.protocol import (
     DetectionThreshold,
     all_patterns,
     detect_pilots,
-    estimate_channel,
     estimate_sum_power,
     genie_mmse_estimate,
     hopping_pattern,
@@ -50,7 +50,7 @@ def test_detect_single_device_certain(rng):
     pil = pilot_sequences(12)
     hits, extras = 0, 0
     for _ in range(300):
-        out = simulate_slot(np.array([10.0]), np.array([5]), 12, 100, rng, n_data=2, pilots=pil)
+        out = simulate_slot(np.array([10.0]), np.array([5]), 12, 100, rng, pilots=pil)
         hits += 5 in out.detected
         extras += out.detected.size - (5 in out.detected)
     assert hits == 300
@@ -60,7 +60,7 @@ def test_detect_single_device_certain(rng):
 def test_detect_no_transmitters_false_alarm(rng):
     pil = pilot_sequences(12)
     fa = sum(
-        simulate_slot(np.array([]), np.array([], dtype=int), 12, 100, rng, n_data=1, pilots=pil).detected.size
+        simulate_slot(np.array([]), np.array([], dtype=int), 12, 100, rng, pilots=pil).detected.size
         for _ in range(2000)
     )
     assert fa / (2000 * 12) < 1e-3
@@ -69,7 +69,25 @@ def test_detect_no_transmitters_false_alarm(rng):
 def test_detect_infinite_threshold_empty(rng):
     pil = pilot_sequences(8)
     Y = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8)) + 40.0
-    assert detect_pilots(Y, pil, DetectionThreshold(zeta=1e9)).size == 0
+    assert detect_pilots(Y @ pil.conj(), DetectionThreshold(zeta=1e9)).size == 0
+
+
+@pytest.mark.parametrize("zeta", [0.5, 1.0])
+def test_detection_false_alarm_rate_is_gamma_tail(rng, zeta):
+    # noise only: the per-antenna correlation energy is Gamma(M, 1/M), so a
+    # pilot clears t = 1 + zeta*sqrt(2/M) with probability Q(M, M*t)
+    M, tau_p, slots = 100, 4, 2000
+    pil = pilot_sequences(tau_p)
+    threshold = DetectionThreshold(zeta)
+    alarms = sum(
+        detect_pilots(((rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) / math.sqrt(2))
+                      @ pil.conj(), threshold).size
+        for _ in range(slots)
+    )
+    p = gammaincc(M, M * threshold.value(M))
+    assert p == pytest.approx({0.5: 0.2345, 1.0: 0.0830}[zeta], abs=1e-4)
+    n = slots * tau_p
+    assert abs(alarms / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
 def test_detection_statistic_mean_noise_only(rng):
@@ -85,14 +103,19 @@ def test_detection_statistic_mean_noise_only(rng):
 def test_estimate_sum_power_concentration(rng):
     pil = pilot_sequences(33)
     est = np.array([
-        simulate_slot(np.array([10.0]), np.array([0]), 33, 400, rng, n_data=1, pilots=pil).est_sum_power.get(0, 0.0)
+        simulate_slot(np.array([10.0]), np.array([0]), 33, 400, rng, pilots=pil).est_sum_power.get(0, 0.0)
         for _ in range(400)
     ])
-    assert float(np.mean(np.abs(est - 10.0) <= 1.0)) >= 0.95
+    # the pilot's observation is CN(0, (33*10 + 1) I_400), so |est - 10| <= 1
+    # holds with a Gamma(400, 1) probability of 0.954: match it to 3 sigma
+    s2 = 33 * 10.0 + 1.0
+    p = gammainc(400, (33 * 11 + 1) * 400 / s2) - gammainc(400, (33 * 9 + 1) * 400 / s2)
+    cover = float(np.mean(np.abs(est - 10.0) <= 1.0))
+    assert abs(cover - p) <= 3 * math.sqrt(p * (1 - p) / est.size)
     # two equal colliders: estimate approaches the summed gain
     pil16 = pilot_sequences(16)
     est2 = np.array([
-        simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), 16, 2048, rng, n_data=1, pilots=pil16).est_sum_power[3]
+        simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), 16, 2048, rng, pilots=pil16).est_sum_power[3]
         for _ in range(100)
     ])
     assert est2.mean() == pytest.approx(20.0, rel=0.05)
@@ -112,7 +135,7 @@ def test_estimate_sum_power_error_scales_inversely_with_antennas(rng):
     variances = []
     for M in Ms:
         es = [
-            simulate_slot(np.array([10.0]), np.array([0]), 16, M, rng, n_data=1, pilots=pil).est_sum_power.get(0, 0.0)
+            simulate_slot(np.array([10.0]), np.array([0]), 16, M, rng, pilots=pil).est_sum_power.get(0, 0.0)
             for _ in range(300)
         ]
         variances.append(np.var(es))
@@ -148,55 +171,13 @@ def test_collider_estimates_are_proportional(rng):
     assert np.allclose(b, (4.0 / 9.0) * a, rtol=1e-12)
 
 
-def test_receiver_estimate_is_parallel_to_observation(rng):
-    # the combiner is a positive multiple of the correlated observation, so
-    # any rescaling (or sum-power estimation error) cannot move the SINR
-    y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    w1 = estimate_channel(y, 16, 9.5)
-    w2 = estimate_channel(y, 16, 22.0)
-    assert np.allclose(w1 / np.linalg.norm(w1), w2 / np.linalg.norm(w2), rtol=1e-12)
-
-
-def test_mrc_zero_data_gives_zero_output(rng):
-    pil = pilot_sequences(8)
-    betas = np.array([10.0, 3.0])
-    assignment = np.array([1, 4])
-    from pilothop.channels import sample_channels
-
-    G = sample_channels(betas, 32, rng)
-    noise = (rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8))) / math.sqrt(2)
-    Y_p = math.sqrt(8) * (G @ pil.T[assignment]) + noise
-    corr = Y_p @ pil.conj()
-    est = {j: estimate_sum_power(corr[:, j], 8) for j in (1, 4)}
-    mrc, sinr = mrc_and_measure(G, betas, assignment, corr, est, np.zeros((32, 3), complex), 8)
-    for out in mrc.values():
-        assert np.all(out == 0.0)
-    assert np.all(sinr > 0)
-
-
-def test_mrc_sinr_ignores_data_realization(rng):
-    pil = pilot_sequences(8)
-    betas = np.array([10.0, 3.0])
-    assignment = np.array([1, 1])
-    from pilothop.channels import sample_channels
-
-    G = sample_channels(betas, 32, rng)
-    noise = (rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8))) / math.sqrt(2)
-    Y_p = math.sqrt(8) * (G @ pil.T[assignment]) + noise
-    corr = Y_p @ pil.conj()
-    est = {1: estimate_sum_power(corr[:, 1], 8)}
-    _, s1 = mrc_and_measure(G, betas, assignment, corr, est, rng.standard_normal((32, 2)) + 0j, 8)
-    _, s2 = mrc_and_measure(G, betas, assignment, corr, est, rng.standard_normal((32, 2)) + 0j, 8)
-    assert np.array_equal(s1, s2)
-
-
 def test_mrc_large_array_matches_conditional_sinr(rng):
     M = 8192
     s = CollisionScenario(10.0, (), 1, 16, M)
     target = sinr1(s, [])
     pil = pilot_sequences(16)
     vals = [
-        simulate_slot(np.array([10.0]), np.array([2]), 16, M, rng, n_data=1, pilots=pil).device_sinr[0]
+        simulate_slot(np.array([10.0]), np.array([2]), 16, M, rng, pilots=pil).device_sinr[0]
         for _ in range(12)
     ]
     assert np.mean(vals) == pytest.approx(target, rel=0.05)
@@ -208,8 +189,7 @@ def test_forced_collision_jensen_bound(rng):
     bound = math.log2(1.0 + sinr1(s, []))
     pil = pilot_sequences(20)
     vals = np.array([
-        math.log2(1.0 + simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), 20, 100, rng,
-                                      n_data=2, pilots=pil).device_sinr[0])
+        math.log2(1.0 + simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), 20, 100, rng, pilots=pil).device_sinr[0])
         for _ in range(2000)
     ])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -312,24 +292,24 @@ def test_all_patterns_shape():
 
 
 def test_slot_outcome_carries_estimates():
-    # the slot runs the shared detection and sum-power estimation routines,
-    # once per detected pilot, and combines the data on every detected pilot
+    # the slot correlates once and runs the shared detection, sum-power
+    # estimation and SINR routines on that correlation
     from pilothop.channels import sample_channels
 
     pil = pilot_sequences(8)
     betas, assignment = np.array([10.0, 6.0]), np.array([3, 5])
-    out = simulate_slot(betas, assignment, 8, 64, np.random.default_rng(4), n_data=2, pilots=pil)
-    assert set(out.est_sum_power) == set(out.mrc_outputs) == {3, 5}
-    assert out.mrc_outputs[3].shape == (2,)
+    out = simulate_slot(betas, assignment, 8, 64, np.random.default_rng(4), pilots=pil)
+    assert set(out.est_sum_power) == {3, 5}
 
     rng = np.random.default_rng(4)  # replay the slot's training draws
     G = sample_channels(betas, 64, rng)
     N_p = (rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))) / math.sqrt(2.0)
     Y_p = math.sqrt(8) * (G @ pil.T[assignment]) + N_p
-    assert np.array_equal(out.detected, detect_pilots(Y_p, pil))
     corr = Y_p @ pil.conj()
+    assert np.array_equal(out.detected, detect_pilots(corr))
     for j in out.detected:
         assert out.est_sum_power[int(j)] == estimate_sum_power(corr[:, j], 8)
+    assert np.array_equal(out.device_sinr, mrc_and_measure(G, betas, assignment, corr, 8))
 
 
 def test_run_frame_rejects_empty_frame(power_controlled):
