@@ -7,19 +7,19 @@ the other active devices pick pilots uniformly and independently.
 
 Masses are evaluated overflow-safe at mMTC populations (K up to 1e5), and
 the averaged rate bounds truncate the outer sums to a high-coverage window
-around the binomial mode.
+around the binomial mode. ``binom_windows`` finds those windows for many
+binomials of one success probability in one vectorized pass; the averaged
+bounds build every collision window of a pilot length with it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import stats
 from scipy.special import gammaln
+from scipy.special._ufuncs import _binom_pmf
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,13 @@ def _binom_params(law: AnyLaw) -> tuple[int, float]:
     raise TypeError(f"expected ActivationLaw or CollisionLaw, got {type(law).__name__}")
 
 
-def binom_pmf(k, n: int, p: float):
-    """Binomial(n, p) mass at k; overflow-safe at mMTC scale. Vectorized in k.
+def binom_pmf(k, n, p: float):
+    """Binomial(n, p) mass at k; overflow-safe at mMTC scale. Vectorized in k and n.
 
-    Backed by scipy's saddle-point evaluation: a plain log-gamma route loses
-    ~2e-12 of total mass around n = 2000, which would break the unit-mass
-    contract the averaged bounds rely on.
+    Calls the saddle-point ufunc behind ``scipy.stats.binom.pmf`` directly,
+    which gives the same values without importing ``scipy.stats``. A plain
+    log-gamma route loses ~2e-12 of total mass around n = 2000, which would
+    break the unit-mass contract the averaged bounds rely on.
     """
     k = np.asarray(k)
     if np.any((k < 0) | (k > n)):
@@ -103,8 +104,8 @@ def binom_pmf(k, n: int, p: float):
     if p == 1.0:
         return np.where(k == n, 1.0, 0.0)[()]
     if p < 1e-6 or p > 1.0 - 1e-6:
-        # scipy's evaluator overflows for extreme p; the log-gamma route is
-        # accurate there because the mass sits on a handful of terms
+        # the saddle-point evaluator overflows for extreme p; the log-gamma
+        # route is accurate there because the mass sits on a handful of terms
         log_pmf = (
             gammaln(n + 1.0)
             - gammaln(k + 1.0)
@@ -113,7 +114,7 @@ def binom_pmf(k, n: int, p: float):
             + (n - k) * np.log1p(-p)
         )
         return np.exp(log_pmf)[()]
-    return stats.binom.pmf(k, n, p)[()]
+    return _binom_pmf(k, n, p)[()]
 
 
 def pmf_over(law: AnyLaw, ks: np.ndarray) -> np.ndarray:
@@ -122,35 +123,55 @@ def pmf_over(law: AnyLaw, ks: np.ndarray) -> np.ndarray:
     return np.atleast_1d(binom_pmf(ks, n, p))
 
 
-@lru_cache(maxsize=65536)
-def _truncate_binom(n: int, p: float, eps_tail: float) -> tuple[int, int, float]:
-    if p in (0.0, 1.0) or n == 0:
-        k = int(round(n * p))
-        return k, k, 1.0
-    mode = min(n, int((n + 1) * p))
-    sd = math.sqrt(n * p * (1.0 - p))
-    # vectorized pmf over a window wide enough for the requested tail,
-    # doubled on the rare occasions the Gaussian-with-margin guess is short
-    half = int(6.5 * sd) + 12
+def binom_windows(ns, p: float, eps_tail: float):
+    """Smallest contiguous windows around the mode with mass >= 1 - eps_tail,
+    for Binomial(n, p) at every n in ``ns``, in one vectorized pass.
+
+    Returns (lo, hi, covered, masses): integer arrays of window ends, the
+    mass each window covers, and for each n the pmf over lo..hi.
+
+    The pmf is evaluated on a band of mode +- (6.5 sd + 12), doubled for the
+    rare n whose band holds less than 1 - eps_tail. A window grows from the
+    mode by always annexing the heavier neighbour (the left one on ties).
+    Both sides of a binomial pmf fall away from the mode, so that order is a
+    stable descending sort of the band, and the window is the shortest
+    prefix of it whose running sum, added in that order, reaches the target.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    mode = np.minimum(ns, np.floor((ns + 1) * p).astype(np.int64))
+    half = (6.5 * np.sqrt(ns * p * (1.0 - p))).astype(np.int64) + 12
     while True:
-        w_lo, w_hi = max(0, mode - half), min(n, mode + half)
-        pm = np.atleast_1d(binom_pmf(np.arange(w_lo, w_hi + 1), n, p))
-        if float(pm.sum()) >= 1.0 - eps_tail or (w_lo == 0 and w_hi == n):
+        w_lo, w_hi = np.maximum(0, mode - half), np.minimum(ns, mode + half)
+        width = int((w_hi - w_lo).max()) + 1
+        ks = w_lo[:, None] + np.arange(width)
+        inside = ks <= w_hi[:, None]
+        pm = np.where(inside, binom_pmf(np.minimum(ks, ns[:, None]), ns[:, None], p), 0.0)
+        band = pm.sum(axis=1)
+        short = (band < 1.0 - eps_tail) & ((w_lo > 0) | (w_hi < ns))
+        if not short.any():
             break
-        half *= 2
-    target = min(1.0 - eps_tail, float(pm.sum()))
-    i = j = mode - w_lo
-    mass = float(pm[i])
-    while mass < target:
-        left = pm[i - 1] if i > 0 else -1.0
-        right = pm[j + 1] if j + 1 < pm.size else -1.0
-        if left >= right:
-            i -= 1
-            mass += left
-        else:
-            j += 1
-            mass += right
-    return w_lo + i, w_lo + j, min(mass, 1.0)
+        half = np.where(short, 2 * half, half)
+    rows = np.arange(ns.size)[:, None]
+    m, span = (mode - w_lo)[:, None], (w_hi - w_lo)[:, None]
+    step = np.arange(1, width)
+    # neighbours in the order the window reaches them, left side then right;
+    # -1 marks positions outside the band
+    left, right = m - step, m + step
+    side = np.concatenate([
+        np.where(left >= 0, pm[rows, np.maximum(left, 0)], -1.0),
+        np.where(right <= span, pm[rows, np.minimum(right, span)], -1.0),
+    ], axis=1)
+    order = np.argsort(-side, axis=1, kind="stable")
+    ranked = np.take_along_axis(side, order, axis=1)
+    running = np.cumsum(np.concatenate([pm[rows, m], ranked], axis=1), axis=1)
+    reached = running >= np.minimum(1.0 - eps_tail, band)[:, None]
+    # annexed neighbours; the whole band if rounding keeps the target out of reach
+    taken = np.where(reached.any(axis=1), reached.argmax(axis=1), (ranked >= 0).sum(axis=1))
+    n_left = ((order < width - 1) & (np.arange(order.shape[1]) < taken[:, None])).sum(axis=1)
+    lo, hi = mode - n_left, mode - n_left + taken
+    covered = np.minimum(running[np.arange(ns.size), taken], 1.0)
+    masses = [pm[i, a:b] for i, (a, b) in enumerate(zip(lo - w_lo, hi - w_lo + 1))]
+    return lo, hi, covered, masses
 
 
 def truncate_support(law: AnyLaw, eps_tail: float = 1e-9) -> TruncatedSupport:
@@ -162,8 +183,8 @@ def truncate_support(law: AnyLaw, eps_tail: float = 1e-9) -> TruncatedSupport:
     if not 0.0 < eps_tail < 1.0:
         raise ValueError(f"eps_tail must lie in (0, 1), got {eps_tail}")
     n, p = _binom_params(law)
-    lo, hi, mass = _truncate_binom(n, p, eps_tail)
-    return TruncatedSupport(lo, hi, mass)
+    lo, hi, covered, _ = binom_windows([n], p, eps_tail)
+    return TruncatedSupport(int(lo[0]), int(hi[0]), float(covered[0]))
 
 
 def sample_active_set(law: ActivationLaw, rng: np.random.Generator) -> np.ndarray:

@@ -17,19 +17,26 @@ deterministic for a fixed seed: the gain pool is drawn column-wise from
 counter-based streams so results are identical no matter how the enclosing
 experiment is parallelized, and identical columns are reused across grid
 points (common random numbers) to stabilize argmax comparisons.
+
+Because the pool is shared, the collider average at one active count K_a,
+an F row, is the same for every activation probability: a cell is the
+activation-weighted sum of its F rows. Rows, keyed by the table (bound,
+model, samples, seed, M, tau_p, tail mass) and K_a, live with the pool's
+prefix sums in one LRU store of at most 32 MiB (``_Store``), so a grid
+sweep computes each row once per pilot length.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .access import ActivationLaw, CollisionLaw, pmf_over, truncate_support
+from .access import binom_windows
 from .channels import (
     BetaMoments,
     LargeScaleModel,
@@ -244,56 +251,83 @@ def sinra(beta_0, moments: BetaMoments, tau_p: float, p_aK: float, M: int):
     return (M * tau_p * b0**2 / den)[()]
 
 
-_POOL_CACHE: dict = {}
+# Byte cap of the averaged-bound engine's store (``_Store``).
+STORE_CAP_BYTES = 32 * 2**20
 
 
-def _column_pool(model: LargeScaleModel, n: int, width: int, seed: int) -> np.ndarray:
-    """(n, width) gain pool; column j comes from its own counter-based stream.
+class _Store:
+    """Process-wide memo of the averaged-bound engine, LRU, bounded in bytes.
 
-    Column-stable: enlarging the pool or changing the activation grid leaves
-    existing columns untouched, which is what makes common random numbers
-    across grid points (and bit-identical reruns) work. Pools are cached per
-    (model, n, seed) since grid searches reuse them hundreds of times; the
-    cached array is read-only.
+    It holds two kinds of array, each counted by its ``nbytes``:
+
+    * a gain pool's prefix sums, keyed ``("pool", model, n, seed, fixed_beta0)``;
+    * F rows, keyed ``(table, K_a)``, where ``table`` is ``(kind, model, n,
+      seed, fixed_beta0, M, tau_p, eps_tail)`` and ``kind`` is "R1" or "R2".
+
+    The arrays held never total more than ``cap`` bytes (STORE_CAP_BYTES,
+    32 MiB): storing one evicts the least recently used until it fits, and
+    an array larger than the cap is not stored at all. A pool of n samples
+    and width w takes 16 n (w + 1) bytes and a row 8 n bytes: at 500
+    samples and K=800, 6.4 MB and 4 kB; at the default 2000, 25.6 MB and
+    16 kB; at 50,000 samples the prefix sums are not stored and are rebuilt
+    on every call.
     """
-    key = (model, n, seed)
-    pool = _POOL_CACHE.get(key)
-    if pool is None or pool.shape[1] < width:
-        have = 0 if pool is None else pool.shape[1]
-        grown = np.empty((n, width))
-        if have:
-            grown[:, :have] = pool
-        for j in range(have, width):
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.nbytes = 0
+        self.items: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        item = self.items.get(key)
+        if item is None:
+            return None
+        self.items.move_to_end(key)
+        return item[0]
+
+    def put(self, key, value, nbytes: int) -> None:
+        if key in self.items:
+            self.nbytes -= self.items.pop(key)[1]
+        if nbytes > self.cap:
+            return
+        while self.nbytes + nbytes > self.cap:
+            self.nbytes -= self.items.popitem(last=False)[1][1]
+        self.items[key] = (value, nbytes)
+        self.nbytes += nbytes
+
+
+_STORE = _Store(STORE_CAP_BYTES)
+
+
+def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int, fixed_beta0):
+    """Prefix sums of the (n, width) gain pool and of its squares.
+
+    Returns (cum, cum_sq), each (width + 1, n): row j sums pool columns
+    0..j-1 in column order. Column j of the pool comes from its own
+    counter-based stream, so enlarging the pool leaves earlier columns (and
+    prefix sums) untouched; that makes common random numbers across grid
+    points, and bit-identical reruns, work. ``fixed_beta0`` replaces column
+    0, the reference device's gain. Stored read-only and grown on demand.
+    """
+    key = ("pool", model, n, seed, fixed_beta0)
+    held = _STORE.get(key)
+    if held is not None and held[0].shape[0] > width:
+        return held
+    have = 0 if held is None else held[0].shape[0] - 1
+    cum, cum_sq = np.zeros((width + 1, n)), np.zeros((width + 1, n))
+    if held is not None:
+        cum[: have + 1], cum_sq[: have + 1] = held
+    for j in range(have, width):
+        if j == 0 and fixed_beta0 is not None:
+            col = np.full(n, float(fixed_beta0))
+        else:
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, j))))
-            grown[:, j] = sample_beta(model, rng, n)
-        grown.flags.writeable = False
-        if len(_POOL_CACHE) >= 16 and key not in _POOL_CACHE:
-            _POOL_CACHE.clear()
-        _POOL_CACHE[key] = grown
-        pool = grown
-    return pool[:, :width]
-
-
-@lru_cache(maxsize=65536)
-def _activation_cells(K: int, p_a: float, eps: float):
-    sup = truncate_support(ActivationLaw(K, p_a), eps)
-    k_lo, k_hi = max(sup.lo, 1), sup.hi
-    if k_hi < 1:
-        return 1, 0, None
-    w = np.atleast_1d(pmf_over(ActivationLaw(K, p_a), np.arange(k_lo, k_hi + 1)))
-    w.flags.writeable = False
-    return k_lo, k_hi, w
-
-
-@lru_cache(maxsize=262144)
-def _collision_cells(K_a: int, tau_p: int, eps: float):
-    claw = CollisionLaw(K_a, tau_p)
-    sup = truncate_support(claw, eps)
-    cs = np.arange(sup.lo, sup.hi + 1)
-    w = np.atleast_1d(pmf_over(claw, cs))
-    cs.flags.writeable = False
-    w.flags.writeable = False
-    return cs, w
+            col = sample_beta(model, rng, n)
+        cum[j + 1] = cum[j] + col
+        cum_sq[j + 1] = cum_sq[j] + col * col
+    cum.flags.writeable = cum_sq.flags.writeable = False
+    _STORE.put(key, (cum, cum_sq), cum.nbytes + cum_sq.nbytes)
+    return cum, cum_sq
 
 
 def _sinr1_from_sums(b0, b0_sq, coll_sum, coll_sq, other_sum, tau_p, M):
@@ -321,6 +355,17 @@ def _averaged_bound(
 
     Returns (value, std_err, n_samples); n_samples is 0 when the gain law is
     degenerate and the result is exact.
+
+    Per gain sample, the bound is the sum over active counts K_a of
+    p(K_a) * K_a * prelog * F[K_a], with the F row
+    ``F[K_a] = log2(1 + sinr(colliders)) @ p(colliders | K_a)``. A row
+    depends on neither p_a, K nor tau_u: it is computed on first use and
+    kept under its table key (kind, model, n_samples, seed, fixed_beta0, M,
+    tau_p, eps_tail) in the store (``_Store``, at most STORE_CAP_BYTES), for
+    the rest of a grid row, stage-two refinement and re-evaluations. The
+    collision windows of all missing rows come from one ``binom_windows``
+    call. No row depends on which rows were computed with it, so a cell's
+    value is the same with a cold or a warm store.
     """
     tau_p, tau_u, M, K = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K
     if tau_p is None or cfg.p_a is None:
@@ -330,35 +375,42 @@ def _averaged_bound(
     prelog = (tau_u - tau_p) / tau_u
     if cfg.p_a == 0.0 or prelog == 0.0:
         return 0.0, 0.0, 0
-    k_lo, k_hi, act_w = _activation_cells(K, cfg.p_a, mc.eps_tail)
-    if act_w is None:
+    a_lo, a_hi, _, (act_w,) = binom_windows([K], cfg.p_a, mc.eps_tail)
+    k_lo, k_hi = max(int(a_lo[0]), 1), int(a_hi[0])
+    if k_hi < 1:
         return 0.0, 0.0, 0
+    ks = np.arange(k_lo, k_hi + 1)
+    coeffs = act_w[k_lo - a_lo[0]:] * ks * prelog
 
     exact = is_degenerate(model)
     n = 1 if exact else mc.n_beta_samples
-    pool = _column_pool(model, n, k_hi, mc.seed)
-    if fixed_beta0 is not None:
-        pool = pool.copy()
-        pool[:, 0] = fixed_beta0
-    b0 = pool[:, 0]
-    b0_sq = b0 * b0
-    zero = np.zeros((n, 1))
-    cum = np.concatenate([zero, np.cumsum(pool, axis=1)], axis=1)
-    cum_sq = np.concatenate([zero, np.cumsum(pool * pool, axis=1)], axis=1)
+    cum, cum_sq = _prefix_sums(model, n, k_hi, mc.seed, fixed_beta0)
+    b0, b0_sq = cum[1], cum_sq[1]
     moments = analytic_moments(model) if use_sinr2 else None
+    table = ("R2" if use_sinr2 else "R1", model, n, mc.seed, fixed_beta0, M, tau_p, mc.eps_tail)
+
+    kas = ks.tolist()
+    rows = [_STORE.get((table, K_a)) for K_a in kas]
+    missing = [K_a for K_a, row in zip(kas, rows) if row is None]
+    if missing:
+        c_lo, _, _, c_w = binom_windows(np.array(missing) - 1, 1.0 / tau_p, mc.eps_tail)
+        windows = dict(zip(missing, zip(c_lo.tolist(), c_w)))
 
     total_s = np.zeros(n)
-    for K_a, w_a in zip(range(k_lo, k_hi + 1), act_w):
-        cs, coll_w = _collision_cells(K_a, tau_p, mc.eps_tail)
-        # one (n_samples, n_colliders) block per active count
-        if use_sinr2:
-            s = sinr2(cs[None, :], K_a, b0[:, None], moments, tau_p, M)
-        else:
-            coll_sum = cum[:, 1 + cs] - cum[:, [1]]
-            coll_sq = cum_sq[:, 1 + cs] - cum_sq[:, [1]]
-            other_sum = cum[:, [K_a]] - cum[:, 1 + cs]
-            s = _sinr1_from_sums(b0[:, None], b0_sq[:, None], coll_sum, coll_sq, other_sum, tau_p, M)
-        total_s += np.log2(1.0 + s) @ (w_a * K_a * prelog * coll_w)
+    for K_a, coeff, row in zip(kas, coeffs, rows):
+        if row is None:
+            c_lo_a, coll_w = windows[K_a]
+            # one (n_colliders, n_samples) block: the prefix sums through each collider count
+            cols = slice(1 + c_lo_a, 1 + c_lo_a + coll_w.size)
+            if use_sinr2:
+                s = sinr2(np.arange(c_lo_a, c_lo_a + coll_w.size)[:, None], K_a, b0, moments, tau_p, M)
+            else:
+                upto = cum[cols]
+                s = _sinr1_from_sums(b0, b0_sq, upto - b0, cum_sq[cols] - b0_sq, cum[K_a] - upto, tau_p, M)
+            row = coll_w @ np.log2(1.0 + s)
+            row.flags.writeable = False
+            _STORE.put((table, K_a), row, row.nbytes)
+        total_s += coeff * row
 
     value = float(total_s.mean())
     if exact:

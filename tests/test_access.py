@@ -10,6 +10,7 @@ from scipy.stats import binom
 from pilothop.access import (
     ActivationLaw,
     CollisionLaw,
+    binom_pmf,
     pmf_over,
     sample_active_set,
     truncate_support,
@@ -36,6 +37,18 @@ def test_activation_matches_enumeration():
             if sum(pattern) == k
         )
         assert pmf_over(law, np.array([k]))[0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1 / 120, 0.05, 1 / 3, 0.5, 0.9, 1 - 2e-6])
+def test_binom_pmf_equals_scipy_stats(p):
+    # the same saddle-point values scipy.stats gives, up to n = 2000 where a
+    # plain log-gamma route would lose ~2e-12 of the unit mass
+    for n in (0, 1, 2, 7, 40, 799, 1500, 1999, 2000):
+        ks = np.arange(n + 1)
+        assert np.array_equal(binom_pmf(ks, n, p), binom.pmf(ks, n, p)), n
+    ns = np.arange(1990, 2001)[:, None]
+    ks = np.minimum(np.arange(0, 2001, 7), ns)
+    assert np.array_equal(binom_pmf(ks, ns, p), binom.pmf(ks, ns, p))
 
 
 def test_activation_mean_is_pa_k():
@@ -146,6 +159,14 @@ def test_truncate_never_drops_more_than_eps(K, p_a, eps):
     sup = truncate_support(ActivationLaw(K, p_a), eps)
     dropped = binom.cdf(sup.lo - 1, K, p_a) + binom.sf(sup.hi, K, p_a)
     assert dropped <= eps * (1 + 1e-9)
+
+
+def test_truncate_returns_when_rounding_keeps_the_target_out_of_reach():
+    # the running sum of this pmf, added from the mode outward, tops out
+    # below 1 - 1e-15; the window is then the whole band, not an endless loop
+    sup = truncate_support(ActivationLaw(2452, 0.7826601293598362), 1e-15)
+    assert sup.lo < 0.7826601293598362 * 2452 < sup.hi
+    assert 1.0 - 1e-14 < sup.covered_mass < 1.0 - 1e-15
 
 
 def test_truncate_eps_domain():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilothop import bounds
 from pilothop.bounds import (
     BoundResult,
     CollisionScenario,
@@ -26,6 +27,7 @@ from pilothop.bounds import (
 )
 from pilothop.channels import LogNormalShadowing, UniformPowerError, analytic_moments, expect_beta, sample_beta
 from pilothop.config import SystemConfig
+from pilothop.optimize import GridSpec, grid_opt
 
 
 def test_sinr1_hand_value():
@@ -318,13 +320,48 @@ def test_r3_and_ra_zero_cases(power_controlled):
     assert ra(cfg, power_controlled).value == 0.0
 
 
-def test_r1_bar_is_deterministic(uniform_spread):
+def _cold_store(monkeypatch):
+    store = bounds._Store(bounds.STORE_CAP_BYTES)
+    monkeypatch.setattr(bounds, "_STORE", store)
+    return store
+
+
+def _held_bytes(store):
+    arrays = [a for value, _ in store.items.values() for a in (value if isinstance(value, tuple) else (value,))]
+    return sum(a.nbytes for a in arrays)
+
+
+def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
     cfg = _cfg()
+    _cold_store(monkeypatch)
     a = r1_bar(cfg, uniform_spread, cfg.mc)
     b = r1_bar(cfg, uniform_spread, cfg.mc)
     assert a.value == b.value and a.mc_std_err == b.mc_std_err
     c = r1_bar(cfg, uniform_spread, McConfig(seed=8))
     assert c.value != a.value  # different stream, different estimate
+    # the same bits from a cold store and from one warmed by a grid sweep
+    # whose rows overlap the cell's, across three pilot lengths
+    for tp in (20, 33, 50):
+        _cold_store(monkeypatch)
+        cold = r1_bar(replace(cfg, tau_p=tp), uniform_spread, cfg.mc)
+        grid_opt("R1", replace(cfg, tau_p=None, p_a=None), uniform_spread,
+                 GridSpec(tau_p_values=(tp - 7, tp, tp + 3), pak_points=9, refine_points=4), cfg.mc)
+        warm = r1_bar(replace(cfg, tau_p=tp), uniform_spread, cfg.mc)
+        assert (warm.value, warm.mc_std_err) == (cold.value, cold.mc_std_err)
+
+
+def test_store_stays_under_its_cap(uniform_spread, ring, monkeypatch):
+    store = _cold_store(monkeypatch)
+    cfg = _cfg()
+    grid_opt("R1", replace(cfg, tau_p=None, p_a=None), uniform_spread, GridSpec(6, 8, refine_points=3), cfg.mc)
+    assert 0 < store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
+    big = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, seed=7, mc=McConfig(seed=7))
+    r1_bar(big, ring, big.mc)
+    assert store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
+    # prefix sums larger than the cap (20000 x ~145 x 2 doubles) are used and dropped, not stored
+    r1_bar(_cfg(p_a=90 / 800), uniform_spread, McConfig(n_beta_samples=20000, seed=7))
+    assert store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
+    assert not [key for key in store.items if key[0] == "pool" and key[2] == 20000]
 
 
 def test_r1_saturates_in_population(shadowed):

@@ -1,0 +1,180 @@
+"""The averaged-bound engine against the per-cell engine it replaced.
+
+The reference below is the earlier engine, kept apart from names: every
+cell redraws its gain pool, rebuilds the prefix sums and loops over the
+active counts K_a, forming one (samples x colliders) block per K_a from a
+collision window grown greedily from the mode, one binomial at a time, with
+``scipy.stats`` masses. The engine computes each F row once per pilot length
+and finds all collision windows of a pilot length in one vectorized pass.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from scipy import stats
+from scipy.special import gammaln
+
+from pilothop.access import CollisionLaw, binom_pmf, binom_windows, truncate_support
+from pilothop.bounds import McConfig, per_device_rate, r1_bar, r2_bar, sinr2
+from pilothop.channels import (
+    LogNormalShadowing,
+    RingPathLoss,
+    UniformPowerError,
+    analytic_moments,
+    is_degenerate,
+    sample_beta,
+)
+from pilothop.config import SystemConfig
+
+
+def _ref_pmf(k, n, p):
+    """Binomial(n, p) mass at k through scipy.stats, log-gamma for extreme p."""
+    k = np.asarray(k)
+    if p == 0.0:
+        return np.where(k == 0, 1.0, 0.0)
+    if p == 1.0:
+        return np.where(k == n, 1.0, 0.0)
+    if p < 1e-6 or p > 1.0 - 1e-6:
+        return np.exp(gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+                      + k * np.log(p) + (n - k) * np.log1p(-p))
+    return stats.binom.pmf(k, n, p)
+
+
+def _ref_window(n, p, eps, pmf=_ref_pmf):
+    """Minimal window of Binomial(n, p): a band around the mode, then grow
+    one neighbour at a time, the heavier first (left on ties)."""
+    if p in (0.0, 1.0) or n == 0:
+        k = int(round(n * p))
+        return k, k, 1.0
+    mode = min(n, int((n + 1) * p))
+    half = int(6.5 * math.sqrt(n * p * (1.0 - p))) + 12
+    while True:
+        w_lo, w_hi = max(0, mode - half), min(n, mode + half)
+        pm = np.atleast_1d(pmf(np.arange(w_lo, w_hi + 1), n, p))
+        if float(pm.sum()) >= 1.0 - eps or (w_lo == 0 and w_hi == n):
+            break
+        half *= 2
+    target = min(1.0 - eps, float(pm.sum()))
+    i = j = mode - w_lo
+    mass = float(pm[i])
+    while mass < target:
+        left = pm[i - 1] if i > 0 else -1.0
+        right = pm[j + 1] if j + 1 < pm.size else -1.0
+        if left >= right:
+            i -= 1
+            mass += left
+        else:
+            j += 1
+            mass += right
+    return w_lo + i, w_lo + j, min(mass, 1.0)
+
+
+@functools.cache
+def _ref_cells(n, p, eps, k_min=0):
+    """(values, masses) over the window of Binomial(n, p), cut below at k_min."""
+    lo, hi, _ = _ref_window(n, p, eps)
+    ks = np.arange(max(lo, k_min), hi + 1)
+    return ks, np.atleast_1d(_ref_pmf(ks, n, p))
+
+
+def _ref_averaged_bound(cfg, model, mc, *, use_sinr2=False, fixed_beta0=None):
+    """(value, std_err, n_samples) of the averaged bound, one cell at a time."""
+    tau_p, tau_u, M, K = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K
+    prelog = (tau_u - tau_p) / tau_u
+    if cfg.p_a == 0.0 or prelog == 0.0:
+        return 0.0, 0.0, 0
+    kas, act_w = _ref_cells(K, cfg.p_a, mc.eps_tail, 1)
+    if kas.size == 0:
+        return 0.0, 0.0, 0
+    exact = is_degenerate(model)
+    n = 1 if exact else mc.n_beta_samples
+    pool = np.empty((n, int(kas[-1])))
+    for j in range(pool.shape[1]):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((mc.seed, j))))
+        pool[:, j] = sample_beta(model, rng, n)
+    if fixed_beta0 is not None:
+        pool[:, 0] = fixed_beta0
+    b0 = pool[:, :1]
+    zero = np.zeros((n, 1))
+    cum = np.concatenate([zero, np.cumsum(pool, axis=1)], axis=1)
+    cum_sq = np.concatenate([zero, np.cumsum(pool * pool, axis=1)], axis=1)
+    moments = analytic_moments(model)
+    total_s = np.zeros(n)
+    for K_a, w_a in zip(kas.tolist(), act_w):
+        cs, coll_w = _ref_cells(K_a - 1, 1.0 / tau_p, mc.eps_tail)
+        if use_sinr2:
+            s = sinr2(cs[None, :], K_a, b0, moments, tau_p, M)
+        else:
+            coll_sum = cum[:, 1 + cs] - cum[:, [1]]
+            coll_sq = cum_sq[:, 1 + cs] - cum_sq[:, [1]]
+            other_sum = cum[:, [K_a]] - cum[:, 1 + cs]
+            total, sq = b0 + coll_sum, b0 * b0 + coll_sq
+            den = (tau_p * (M - 1) * coll_sq + total + tau_p * (total * total - sq)
+                   + (1.0 + other_sum) * (1.0 + tau_p * total))
+            s = tau_p * (M - 1) * b0 * b0 / den
+        total_s += np.log2(1.0 + s) @ (w_a * K_a * prelog * coll_w)
+    value = float(total_s.mean())
+    if exact:
+        return value, 0.0, 0
+    return value, float(total_s.std(ddof=1) / math.sqrt(n)), n
+
+
+MODELS = {
+    "ring": RingPathLoss(10.0, 0.25),
+    "spread": UniformPowerError(10.0, 0.5),
+    "shadowed": LogNormalShadowing(10.0, 0.25),
+    "power-controlled": UniformPowerError(10.0, 0.0),
+}
+# (K, tau_p, p_a*K) at tau_u = 100; tau_p = 1 puts every collider on the one pilot
+CELLS = [(K, tau_p, q) for K in (60, 800) for tau_p, q in ((1, 5.0), (3, 40.0), (17, 12.0), (40, 55.0), (99, 2.0))]
+CELLS += [(800, 7, 400.0), (800, 33, 800.0), (800, 1, 30.0)]
+
+
+def _rel(got, want):
+    return abs(got - want) / max(abs(want), 1e-300)
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+def test_engine_matches_per_cell_reference(model):
+    for K, tau_p, q in CELLS:
+        cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=tau_p, p_a=min(q / K, 1.0), seed=5,
+                           mc=McConfig(n_beta_samples=300, seed=5))
+        v1, e1, n1 = _ref_averaged_bound(cfg, model, cfg.mc)
+        got = r1_bar(cfg, model, cfg.mc)
+        assert _rel(got.value, v1) <= 1e-12 and got.mc_samples == n1, (K, tau_p, q)
+        assert _rel(got.mc_std_err, e1) <= 1e-12, (K, tau_p, q)
+        v2, _, _ = _ref_averaged_bound(cfg, model, cfg.mc, use_sinr2=True)
+        assert _rel(r2_bar(cfg, model, cfg.mc).value, v2) <= 1e-12, (K, tau_p, q)
+        vd, _, _ = _ref_averaged_bound(cfg, model, cfg.mc, fixed_beta0=7.0)
+        assert _rel(per_device_rate(cfg, model, 7.0, cfg.mc), vd / K) <= 1e-12, (K, tau_p, q)
+
+
+def test_engine_matches_per_cell_reference_at_mmtc_scale(ring):
+    cfg = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, seed=7, mc=McConfig(seed=7))
+    v1, e1, _ = _ref_averaged_bound(cfg, ring, cfg.mc)
+    got = r1_bar(cfg, ring, cfg.mc)
+    assert _rel(got.value, v1) <= 1e-12
+    assert _rel(got.mc_std_err, e1) <= 1e-12
+    v2, _, _ = _ref_averaged_bound(cfg, ring, cfg.mc, use_sinr2=True)
+    assert _rel(r2_bar(cfg, ring, cfg.mc).value, v2) <= 1e-12
+    vd, _, _ = _ref_averaged_bound(cfg, ring, cfg.mc, fixed_beta0=12.0)
+    assert _rel(per_device_rate(cfg, ring, 12.0, cfg.mc), vd / cfg.K) <= 1e-12
+
+
+def test_collision_windows_match_greedy_reference():
+    # every (K_a, tau_p) cell up to K_a = 800, tau_p = 120: the engine's
+    # batched windows, one tau_p per call, against the one-binomial-at-a-time
+    # greedy and against truncate_support
+    eps = 1e-9
+    kas = np.arange(1, 801)
+    for tau_p in range(1, 121):
+        p = 1.0 / tau_p
+        lo, hi, covered, masses = binom_windows(kas - 1, p, eps)
+        for i, K_a in enumerate(kas.tolist()):
+            want = _ref_window(K_a - 1, p, eps, pmf=binom_pmf)
+            assert (lo[i], hi[i], covered[i]) == want, (K_a, tau_p)
+            assert np.array_equal(masses[i], np.atleast_1d(binom_pmf(np.arange(want[0], want[1] + 1), K_a - 1, p)))
+            sup = truncate_support(CollisionLaw(K_a, tau_p), eps)
+            assert (sup.lo, sup.hi, sup.covered_mass) == want, (K_a, tau_p)

@@ -131,6 +131,15 @@ def test_grid_opt_reevaluation_reproduces_rate():
     assert again.value == res.rate  # bit-identical: same seed, same point
 
 
+def test_r1_opt_point_keeps_its_argmax(ring):
+    # one fig6 R1-opt point, 500 samples per cell: the argmax and rate the
+    # per-cell engine found before the F-row table replaced it
+    cfg = SystemConfig(M=100, K=800, tau_u=120, seed=3, mc=McConfig(n_beta_samples=500, seed=3))
+    res = grid_opt("R1", cfg, ring, mc=cfg.mc)
+    assert (res.tau_p_opt, res.p_aK_opt, res.evaluations) == (39, 40.46389372560529, 790)
+    assert res.rate == pytest.approx(27.571692350974395, rel=1e-12)
+
+
 def test_grid_opt_respects_bounds():
     model = UniformPowerError(10.0, 0.0)
     for cost, fn in (("R3", r3), ("Ra", ra)):
