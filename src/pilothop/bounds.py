@@ -260,9 +260,9 @@ class _Store:
 
     It holds two kinds of array, each counted by its ``nbytes``:
 
-    * a gain pool's prefix sums, keyed ``("pool", model, n, seed, fixed_beta0)``;
+    * a gain pool's prefix sums, keyed ``("pool", model, n, seed)``;
     * F rows, keyed ``(table, K_a)``, where ``table`` is ``(kind, model, n,
-      seed, fixed_beta0, M, tau_p, eps_tail)`` and ``kind`` is "R1" or "R2".
+      seed, M, tau_p, eps_tail)`` and ``kind`` is "R1" or "R2".
 
     The arrays held never total more than ``cap`` bytes (STORE_CAP_BYTES,
     32 MiB): storing one evicts the least recently used until it fits, and
@@ -299,17 +299,17 @@ class _Store:
 _STORE = _Store(STORE_CAP_BYTES)
 
 
-def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int, fixed_beta0):
+def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int):
     """Prefix sums of the (n, width) gain pool and of its squares.
 
     Returns (cum, cum_sq), each (width + 1, n): row j sums pool columns
     0..j-1 in column order. Column j of the pool comes from its own
     counter-based stream, so enlarging the pool leaves earlier columns (and
     prefix sums) untouched; that makes common random numbers across grid
-    points, and bit-identical reruns, work. ``fixed_beta0`` replaces column
-    0, the reference device's gain. Stored read-only and grown on demand.
+    points, and bit-identical reruns, work. Stored read-only and grown on
+    demand.
     """
-    key = ("pool", model, n, seed, fixed_beta0)
+    key = ("pool", model, n, seed)
     held = _STORE.get(key)
     if held is not None and held[0].shape[0] > width:
         return held
@@ -318,11 +318,8 @@ def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int, fixed_be
     if held is not None:
         cum[: have + 1], cum_sq[: have + 1] = held
     for j in range(have, width):
-        if j == 0 and fixed_beta0 is not None:
-            col = np.full(n, float(fixed_beta0))
-        else:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, j))))
-            col = sample_beta(model, rng, n)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, j))))
+        col = sample_beta(model, rng, n)
         cum[j + 1] = cum[j] + col
         cum_sq[j + 1] = cum_sq[j] + col * col
     cum.flags.writeable = cum_sq.flags.writeable = False
@@ -349,7 +346,6 @@ def _averaged_bound(
     mc: McConfig,
     *,
     use_sinr2: bool = False,
-    fixed_beta0: float | None = None,
 ) -> tuple[float, float, int]:
     """Shared activation/collision summation engine for r1_bar and r2_bar.
 
@@ -360,8 +356,8 @@ def _averaged_bound(
     p(K_a) * K_a * prelog * F[K_a], with the F row
     ``F[K_a] = log2(1 + sinr(colliders)) @ p(colliders | K_a)``. A row
     depends on neither p_a, K nor tau_u: it is computed on first use and
-    kept under its table key (kind, model, n_samples, seed, fixed_beta0, M,
-    tau_p, eps_tail) in the store (``_Store``, at most STORE_CAP_BYTES), for
+    kept under its table key (kind, model, n_samples, seed, M, tau_p,
+    eps_tail) in the store (``_Store``, at most STORE_CAP_BYTES), for
     the rest of a grid row, stage-two refinement and re-evaluations. The
     collision windows of all missing rows come from one ``binom_windows``
     call. No row depends on which rows were computed with it, so a cell's
@@ -384,10 +380,10 @@ def _averaged_bound(
 
     exact = is_degenerate(model)
     n = 1 if exact else mc.n_beta_samples
-    cum, cum_sq = _prefix_sums(model, n, k_hi, mc.seed, fixed_beta0)
+    cum, cum_sq = _prefix_sums(model, n, k_hi, mc.seed)
     b0, b0_sq = cum[1], cum_sq[1]
     moments = analytic_moments(model) if use_sinr2 else None
-    table = ("R2" if use_sinr2 else "R1", model, n, mc.seed, fixed_beta0, M, tau_p, mc.eps_tail)
+    table = ("R2" if use_sinr2 else "R1", model, n, mc.seed, M, tau_p, mc.eps_tail)
 
     kas = ks.tolist()
     rows = [_STORE.get((table, K_a)) for K_a in kas]
@@ -446,9 +442,7 @@ def _analytic_bound(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel, 
     if paK == 0.0 or prelog == 0.0:
         return BoundResult(0.0, bound_id)
     moments = analytic_moments(model)
-    val, err, n_mc = expect_beta(
-        model, lambda b0: np.log2(1.0 + sinr(b0, moments)), seed=cfg.seed, return_mc=True
-    )
+    val, err, n_mc = expect_beta(model, lambda b0: np.log2(1.0 + sinr(b0, moments)), seed=cfg.seed)
     return BoundResult(prelog * paK * val, bound_id, mc_samples=n_mc, mc_std_err=prelog * paK * err)
 
 
@@ -489,20 +483,3 @@ def bound_at(bound: str, cfg: "SystemConfig", model: LargeScaleModel, mc: McConf
         raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
     return BOUNDS[bound](at_point(cfg, tau_p, p_aK), model, mc)
 
-
-def per_device_rate(
-    cfg: "SystemConfig",
-    model: LargeScaleModel,
-    beta_0: float,
-    mc: McConfig | None = None,
-) -> float:
-    """Rate a single device with known gain beta_0 can count on (bits/symbol).
-
-    The per-device analog of r1_bar: the same activation/collision average
-    with the reference gain pinned, scaled by 1/K.
-    """
-    mc = mc or McConfig()
-    if beta_0 <= 0:
-        raise ValueError("beta_0 must be positive")
-    value, _, _ = _averaged_bound(cfg, model, mc, fixed_beta0=beta_0)
-    return value / cfg.K

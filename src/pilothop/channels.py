@@ -193,8 +193,7 @@ def expect_beta(
     *,
     mc_samples: int = 16384,
     seed: int = 0,
-    return_mc: bool = False,
-):
+) -> tuple[float, float, int]:
     """Expectation of f(gain) under the model, as ``w @ f(nodes)`` over :func:`beta_nodes`.
 
     ``f`` must be vectorized: it is called once on the whole node array.
@@ -202,15 +201,13 @@ def expect_beta(
     for smooth integrands up to uniform alpha = 1 and ring alpha = 0.9; near
     the ring's pole (alpha -> 1) it degrades, e.g. ~1e-5 at alpha = 0.99.
     Log-normal shadowing uses ``mc_samples`` seeded Monte Carlo draws
-    (deterministic for a fixed seed). With ``return_mc`` the result is
-    (value, std_err, n_samples): the Monte Carlo standard error and draw
-    count, both 0 when the value comes from a quadrature rule.
+    (deterministic for a fixed seed). Returns (value, std_err, n_samples):
+    the Monte Carlo standard error and draw count, both 0 when the value
+    comes from a quadrature rule.
     """
     nodes, w = beta_nodes(model, mc_samples=mc_samples, seed=seed)
     vals = np.asarray(f(nodes), dtype=float)
     val = float(w @ vals)
-    if not return_mc:
-        return val
     if isinstance(model, LogNormalShadowing) and not is_degenerate(model):
         return val, float(vals.std(ddof=1) / math.sqrt(mc_samples)), mc_samples
     return val, 0.0, 0

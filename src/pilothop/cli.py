@@ -23,39 +23,34 @@ EXIT_INVALID = 3
 EXIT_NUMERIC = 4
 
 
-def _load(path: str):
+def _load_valid(path: str):
+    """(spec, EXIT_OK) when the file parses and validates; otherwise (None,
+    exit code), with the parse error or every diagnostic on stderr."""
     p = Path(path)
-    if not p.exists():
-        raise SpecParseError(f"no such file: {path}")
-    return parse_spec(p)
+    try:
+        if not p.exists():
+            raise SpecParseError(f"no such file: {path}")
+        spec = parse_spec(p)
+    except SpecParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return None, EXIT_PARSE
+    diags = validate(spec)
+    for d in diags:
+        print(f"invalid: {d}", file=sys.stderr)
+    return (None, EXIT_INVALID) if diags else (spec, EXIT_OK)
 
 
 def _cmd_validate(args) -> int:
-    try:
-        spec = _load(args.spec)
-    except SpecParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    diags = validate(spec)
-    if diags:
-        for d in diags:
-            print(f"invalid: {d}", file=sys.stderr)
-        return EXIT_INVALID
-    print(f"{args.spec}: OK")
-    return EXIT_OK
+    spec, code = _load_valid(args.spec)
+    if spec is not None:
+        print(f"{args.spec}: OK")
+    return code
 
 
 def _cmd_run(args) -> int:
-    try:
-        spec = _load(args.spec)
-    except SpecParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    diags = validate(spec)
-    if diags:
-        for d in diags:
-            print(f"invalid: {d}", file=sys.stderr)
-        return EXIT_INVALID
+    spec, code = _load_valid(args.spec)
+    if spec is None:
+        return code
     try:
         outputs = run_experiment(spec, seed_override=args.seed, jobs=args.jobs)
     except (ValueError, ArithmeticError) as exc:

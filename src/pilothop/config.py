@@ -252,8 +252,11 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
             if not (_is_integer(v) and v >= 1):
                 diags.append(Diagnostic(name, f"must be an integer >= 1 (got {v!r})"))
     if spec.kind == "scaling-verify":
-        if spec.case not in ("antenna-rich", "slot-rich", "balanced"):
-            diags.append(Diagnostic("case", f"unknown case {spec.case!r}"))
+        from .scaling import ScalingCase  # local import, as for optimize above
+
+        cases = tuple(c.value for c in ScalingCase)
+        if spec.case not in cases:
+            diags.append(Diagnostic("case", f"unknown case {spec.case!r}; expected one of {cases}"))
         if not spec.ladder:
             diags.append(Diagnostic("ladder", "ladder of (M, tau_u) pairs is empty"))
         else:

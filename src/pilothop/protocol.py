@@ -17,7 +17,6 @@ the channels, so no data block is drawn.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,9 +25,6 @@ import numpy as np
 from .access import ActivationLaw, sample_active_set
 from .channels import LargeScaleModel, sample_beta, sample_channels
 from .config import SystemConfig
-
-_TRACE_MAGIC = b"PHTR"
-_TRACE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -53,16 +49,12 @@ class DetectionThreshold:
         return 1.0 + self.zeta * np.sqrt(2.0 / M)
 
 
-def pilot_sequences(tau_p: int, kind: str = "dft") -> np.ndarray:
-    """Orthonormal pilot book: columns are the tau_p sequences."""
+def pilot_sequences(tau_p: int) -> np.ndarray:
+    """Orthonormal DFT pilot book: columns are the tau_p sequences."""
     if tau_p < 1:
         raise ValueError("tau_p must be >= 1")
-    if kind == "identity":
-        return np.eye(tau_p, dtype=complex)
-    if kind == "dft":
-        j, k = np.meshgrid(np.arange(tau_p), np.arange(tau_p), indexing="ij")
-        return np.exp(-2j * np.pi * j * k / tau_p) / np.sqrt(tau_p)
-    raise ValueError(f"unknown pilot book {kind!r}; expected 'dft' or 'identity'")
+    j, k = np.meshgrid(np.arange(tau_p), np.arange(tau_p), indexing="ij")
+    return np.exp(-2j * np.pi * j * k / tau_p) / np.sqrt(tau_p)
 
 
 def hopping_pattern(device: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -> np.ndarray:
@@ -259,7 +251,7 @@ def run_frame(
     empirical rates average log2(1 + SINR) over the slots in which the
     device's pilot was detected (undetected slots contribute zero), scaled by
     the training-overhead prelog. ``collect_slots`` retains the per-slot
-    outcomes (for traces).
+    outcomes in ``FrameResult.slots``.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
@@ -297,46 +289,3 @@ def run_frame(
         identification=ident, slots=slots,
     )
 
-
-def write_trace(path, frame: FrameResult) -> None:
-    """Columnar binary dump of a frame's slot outcomes (versioned header)."""
-    if frame.slots is None:
-        raise ValueError("run the frame with collect_slots=True to dump a trace")
-    with open(path, "wb") as fh:
-        fh.write(_TRACE_MAGIC)
-        fh.write(struct.pack("<IIIIIQI", _TRACE_VERSION, frame.M, frame.K, frame.tau_u,
-                             frame.tau_p, frame.seed, frame.n_slots))
-        fh.write(struct.pack("<I", frame.active.size))
-        fh.write(frame.active.astype("<u4").tobytes())
-        fh.write(frame.betas.astype("<f8").tobytes())
-        for out in frame.slots:
-            det = out.detected.astype("<u2")
-            fh.write(struct.pack("<H", det.size))
-            fh.write(det.tobytes())
-            powers = np.array([out.est_sum_power[int(j)] for j in out.detected], dtype="<f8")
-            fh.write(powers.tobytes())
-            fh.write(out.device_sinr.astype("<f8").tobytes())
-
-
-def read_trace(path) -> tuple[dict, list[dict]]:
-    """Read back a trace written by :func:`write_trace`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _TRACE_MAGIC:
-            raise ValueError(f"not a trace file (magic {magic!r})")
-        version, M, K, tau_u, tau_p, seed, n_slots = struct.unpack("<IIIIIQI", fh.read(32))
-        if version != _TRACE_VERSION:
-            raise ValueError(f"unsupported trace version {version}")
-        (n_active,) = struct.unpack("<I", fh.read(4))
-        active = np.frombuffer(fh.read(4 * n_active), dtype="<u4")
-        betas = np.frombuffer(fh.read(8 * n_active), dtype="<f8")
-        header = {"version": version, "M": M, "K": K, "tau_u": tau_u, "tau_p": tau_p,
-                  "seed": seed, "n_slots": n_slots, "active": active, "betas": betas}
-        slots = []
-        for _ in range(n_slots):
-            (n_det,) = struct.unpack("<H", fh.read(2))
-            detected = np.frombuffer(fh.read(2 * n_det), dtype="<u2")
-            powers = np.frombuffer(fh.read(8 * n_det), dtype="<f8")
-            sinr = np.frombuffer(fh.read(8 * n_active), dtype="<f8")
-            slots.append({"detected": detected, "est_sum_power": powers, "device_sinr": sinr})
-    return header, slots

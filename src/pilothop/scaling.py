@@ -1,6 +1,6 @@
 """Closed-form scaling of the optimized sum rate in the array/slot budget.
 
-Three unconstrained regimes are covered, plus a coherence-limited variant:
+Three regimes of the unconstrained pilot length are covered:
 
 * antenna-rich (M >> tau_u): half the slot goes to pilots and the rate
   saturates at tau_u / (4 ln 2) bits per symbol.
@@ -9,8 +9,6 @@ Three unconstrained regimes are covered, plus a coherence-limited variant:
 * balanced (M ~ tau_u): pilot share a and activation scale b are order-one
   numbers found by maximizing a rate functional that depends on the system
   only through delta = M / tau_u; the rate grows like sqrt(M tau_u).
-* coherence-limited: the pilot length is capped; the activation scale is
-  set against delta' = M / tau_p_max.
 
 ``verify_scaling`` drives the grid optimizer up a ladder of (M, tau_u)
 points and reports how fast the numeric optimum approaches the predictions.
@@ -28,7 +26,7 @@ import numpy as np
 from .bounds import McConfig, sinra
 from .channels import BetaMoments, LargeScaleModel, analytic_moments, beta_nodes
 from .config import SystemConfig
-from .optimize import GridSpec, grid_opt, _scan_then_golden
+from .optimize import GridSpec, grid_opt
 
 LN2 = math.log(2.0)
 
@@ -37,20 +35,6 @@ class ScalingCase(str, Enum):
     ANTENNA_RICH = "antenna-rich"
     SLOT_RICH = "slot-rich"
     BALANCED = "balanced"
-    COHERENCE_LIMITED = "coherence-limited"
-
-
-@dataclass(frozen=True)
-class ScalingRegime:
-    """Declared asymptotic regime; delta is M/tau_u, or M/tau_p_max when
-    the pilot length is capped."""
-
-    case: ScalingCase
-    delta: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,21 +63,22 @@ def _warn_if_mismatched(case: ScalingCase, M: int, tau_u: int):
 
 
 def predict(
-    regime: ScalingRegime,
+    case: ScalingCase | str,
     tau_u: int,
     M: int,
     moments: BetaMoments,
     *,
     model: LargeScaleModel | None = None,
 ) -> ScalingPrediction:
-    """Leading-order optimal (tau_p, p_a*K, rate, SINR) for the regime.
+    """Leading-order optimal (tau_p, p_a*K, rate, SINR) in the declared regime.
 
-    The balanced and coherence-limited cases need the full gain law for a
-    1-D expectation, hence the optional ``model``.
+    The balanced case needs the full gain law for a 1-D expectation, hence
+    the optional ``model``; its functional is solved at delta = M / tau_u.
     """
-    _warn_if_mismatched(regime.case, M, tau_u)
+    case = ScalingCase(case)
+    _warn_if_mismatched(case, M, tau_u)
     f = moments.spread_factor
-    if regime.case is ScalingCase.ANTENNA_RICH:
+    if case is ScalingCase.ANTENNA_RICH:
         return ScalingPrediction(
             tau_p=tau_u / 2.0,
             p_aK=math.sqrt(f) * 0.5 * math.sqrt(M * tau_u),
@@ -106,7 +91,7 @@ def predict(
                 "sinr": tau_u / M,
             },
         )
-    if regime.case is ScalingCase.SLOT_RICH:
+    if case is ScalingCase.SLOT_RICH:
         tau_p = (M / 2.0) ** (2.0 / 3.0) * tau_u ** (1.0 / 3.0)
         # the stationary point of the regime's own pilot-length equation
         # -2*x^(3/2)/sqrt(M) + x + tau_u = 0 sits at (M/4)^(1/3)*tau_u^(2/3)
@@ -129,43 +114,34 @@ def predict(
                 "sinr_alt": 2.0 ** (5.0 / 6.0) * (M / tau_u) ** (1.0 / 3.0),
             },
         )
-    if regime.case is ScalingCase.BALANCED:
-        if model is None:
-            raise ValueError("the balanced case needs the gain model for a 1-D expectation")
-        a, b, scale = solve_ab(regime.delta, model)
-        tau_p = a * tau_u
-        p_aK = b * math.sqrt(M * tau_u)
-        return ScalingPrediction(
-            tau_p=tau_p,
-            p_aK=p_aK,
-            rate=scale * math.sqrt(M * tau_u),
-            sinr=float(sinra(moments.mean, moments, tau_p, p_aK, M)),
-            remainders={"a": a, "b": b, "rate_scale": scale},
-        )
     if model is None:
-        raise ValueError("the coherence-limited case needs the gain model")
-    tau_p_max = M / regime.delta
-    p_aK, scale = solve_case4(M, tau_p_max, model)
+        raise ValueError("the balanced case needs the gain model for a 1-D expectation")
+    a, b, scale = solve_ab(M / tau_u, model)
+    tau_p = a * tau_u
+    p_aK = b * math.sqrt(M * tau_u)
     return ScalingPrediction(
-        tau_p=tau_p_max,
+        tau_p=tau_p,
         p_aK=p_aK,
-        rate=scale * math.sqrt(M * tau_p_max),
-        sinr=float(sinra(moments.mean, moments, tau_p_max, p_aK, M)),
-        remainders={"b": p_aK / math.sqrt(M * tau_p_max), "rate_scale": scale},
+        rate=scale * math.sqrt(M * tau_u),
+        sinr=float(sinra(moments.mean, moments, tau_p, p_aK, M)),
+        remainders={"a": a, "b": b, "rate_scale": scale},
     )
 
 
-def ab_objective(a, b, delta: float, model: LargeScaleModel, *, nodes=None) -> float:
+def ab_objective(a, b, delta: float, model: LargeScaleModel, *, nodes=None):
     """Normalized balanced-regime rate at pilot share a and activation scale b.
 
     Multiplying by sqrt(M*tau_u) recovers the sum rate; the functional
-    depends on (M, tau_u) only through delta.
+    depends on (M, tau_u) only through delta. ``b`` is a scalar, giving a
+    float, or a 1-D array, giving one value per entry.
     """
     if nodes is None:
         nodes = beta_nodes(model)
     betas, w = nodes
-    x = sinra(betas, analytic_moments(model), a, b * math.sqrt(delta), delta)
-    return float((1.0 - a) * b * (np.log2(1.0 + x) @ w))
+    b = np.asarray(b, dtype=float)
+    x = sinra(betas, analytic_moments(model), a, b[..., None] * math.sqrt(delta), delta)
+    vals = (1.0 - a) * b * (np.log2(1.0 + x) @ w)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def solve_ab(
@@ -186,10 +162,8 @@ def solve_ab(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    betas, w = beta_nodes(model, seed=seed)
-    m = analytic_moments(model)
-    root_f = math.sqrt(m.spread_factor)
-    sd = math.sqrt(delta)
+    nodes = beta_nodes(model, seed=seed)
+    root_f = math.sqrt(analytic_moments(model).spread_factor)
     b_hi = b_max if b_max is not None else 5.0 * root_f
     # the slot-rich limit pushes a toward (delta/2)^(2/3); keep it in range
     a_lo = min(1e-3, 0.2 * (delta / 2.0) ** (2.0 / 3.0))
@@ -198,10 +172,8 @@ def solve_ab(
 
     def eval_mesh(avals, bvals):
         best = (-math.inf, None, None)
-        bcol = bvals[:, None]
         for a in avals:
-            x = sinra(betas, m, a, bcol * sd, delta)
-            vals = (1.0 - a) * bvals * (np.log2(1.0 + x) @ w)
+            vals = ab_objective(a, bvals, delta, model, nodes=nodes)
             j = int(np.argmax(vals))
             if vals[j] > best[0]:
                 best = (float(vals[j]), float(a), float(bvals[j]))
@@ -223,46 +195,6 @@ def solve_ab(
     return a_star, b_star, val
 
 
-def case4_objective(b, delta_prime: float, model: LargeScaleModel, *, nodes=None) -> float:
-    """Coherence-limited rate scale at activation scale b (pilot length pinned)."""
-    if nodes is None:
-        nodes = beta_nodes(model)
-    betas, w = nodes
-    x = sinra(betas, analytic_moments(model), 1.0, b * math.sqrt(delta_prime), delta_prime)
-    return float(b * (np.log2(1.0 + x) @ w))
-
-
-def solve_case4(
-    M: int,
-    tau_p_max: float,
-    model: LargeScaleModel,
-    *,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Optimal activation level when the pilot length is capped at tau_p_max.
-
-    Returns (p_a*K, rate_scale); the sum rate is rate_scale times
-    sqrt(M * tau_p_max) up to the training-overhead prelog. Far from the
-    M ~ tau_p_max regime the closed form sqrt(M tau_p_max / 2) (times the
-    gain-spread factor) applies; in between a 1-D search is used.
-    """
-    if tau_p_max < 1:
-        raise ValueError("tau_p_max must be >= 1")
-    dprime = M / tau_p_max
-    nodes = beta_nodes(model, seed=seed)
-    m = analytic_moments(model)
-    root = math.sqrt(M * tau_p_max)
-    if dprime >= 100.0 or dprime <= 0.01:
-        b = math.sqrt(0.5 * m.spread_factor)
-        return b * root, case4_objective(b, dprime, model, nodes=nodes)
-    b, val, _ = _scan_then_golden(
-        lambda b: case4_objective(b, dprime, model, nodes=nodes),
-        1e-3 * math.sqrt(m.spread_factor),
-        5.0 * math.sqrt(m.spread_factor),
-    )
-    return b * root, val
-
-
 @dataclass(frozen=True)
 class LadderPoint:
     M: int
@@ -280,9 +212,6 @@ class ConvergenceReport:
     points: tuple
     errors_shrink: dict
     rate_normalization: str | None = None
-
-    def final_errors(self) -> dict:
-        return self.points[-1].rel_err
 
 
 def verify_scaling(
@@ -302,8 +231,6 @@ def verify_scaling(
     regimes are statements about p_a*K, not about the device population.
     """
     case = ScalingCase(case)
-    if case is ScalingCase.COHERENCE_LIMITED:
-        raise ValueError("ladder verification applies to the unconstrained regimes")
     moments = analytic_moments(model)
     points = []
     with warnings.catch_warnings():
@@ -311,7 +238,7 @@ def verify_scaling(
         for M, tau_u in ladder:
             cfg = SystemConfig(M=int(M), K=K, tau_u=int(tau_u), seed=seed, mc=mc or McConfig())
             res = grid_opt("Ra", cfg, model, grid=grid, mc=mc)
-            pred = predict(ScalingRegime(case, M / tau_u), int(tau_u), int(M), moments, model=model)
+            pred = predict(case, int(tau_u), int(M), moments, model=model)
             rel = {
                 "tau_p": abs(res.tau_p_opt - pred.tau_p) / pred.tau_p,
                 "p_aK": abs(res.p_aK_opt - pred.p_aK) / pred.p_aK,

@@ -28,7 +28,7 @@ from pilothop.config import SystemConfig
 from pilothop.experiments import point_seed
 from pilothop.optimize import grid_opt, heuristic1, optimize, solve_s0
 from pilothop.protocol import genie_mmse_estimate, run_frame
-from pilothop.scaling import ScalingCase, ScalingRegime, predict, solve_ab, verify_scaling
+from pilothop.scaling import ScalingCase, predict, solve_ab, verify_scaling
 
 
 def _report(num, name, ok, detail):
@@ -126,8 +126,8 @@ def test_criterion_06_balanced_regime_solution():
     db = [abs(b - 0.5) for _, b in pts]
     monotone = all(x > y for x, y in zip(da, da[1:])) and all(x > y for x, y in zip(db, db[1:]))
     mo = analytic_moments(model)
-    p1 = predict(ScalingRegime(ScalingCase.BALANCED, 0.5), 200, 100, mo, model=model)
-    p2 = predict(ScalingRegime(ScalingCase.BALANCED, 0.5), 2000, 1000, mo, model=model)
+    p1 = predict(ScalingCase.BALANCED, 200, 100, mo, model=model)
+    p2 = predict(ScalingCase.BALANCED, 2000, 1000, mo, model=model)
     invariant = (abs(p1.remainders["a"] - p2.remainders["a"]) <= 1e-8
                  and abs(p1.remainders["b"] - p2.remainders["b"]) <= 1e-8)
     elapsed = time.perf_counter() - t0

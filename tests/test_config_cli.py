@@ -148,10 +148,11 @@ def test_cli_invalid_spec_exit_3(tmp_path, capsys):
     ("kind: sweep\nsystem: {M: 100}\nmethods: [Ra-1D, Rh0]\nsweep: {axis: tau_u, values: [2, 60]}\n",
      "sweep.values"),
     ("kind: optimize\nsystem: {M: 100, tau_u: 2}\nmethods: [Rh0]\n", "system.tau_u"),
+    ("kind: scaling-verify\nsystem: {M: 100}\ncase: coherence-limited\nladder: [[100, 100]]\n", "case"),
 ], ids=["M-text", "M-list", "K-float", "tau_u-text", "seed-fraction", "mc-samples-fraction",
         "tau_p-text", "tau_p-fraction", "p_a-text", "sweep-text", "sweep-fraction", "sweep-scalar",
         "n_slots-text", "n_frames-fraction", "model-text", "model-list", "model-bool",
-        "rh0-sweep-short-slot", "rh0-short-slot"])
+        "rh0-sweep-short-slot", "rh0-short-slot", "case-coherence-limited"])
 def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
     spec = _write(tmp_path, "bad.yaml", body)
     assert main(["validate", spec]) == 3

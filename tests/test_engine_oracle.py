@@ -17,7 +17,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from pilothop.access import CollisionLaw, binom_pmf, binom_windows, truncate_support
-from pilothop.bounds import McConfig, per_device_rate, r1_bar, r2_bar, sinr2
+from pilothop.bounds import McConfig, r1_bar, r2_bar, sinr2
 from pilothop.channels import (
     LogNormalShadowing,
     RingPathLoss,
@@ -79,7 +79,7 @@ def _ref_cells(n, p, eps, k_min=0):
     return ks, np.atleast_1d(_ref_pmf(ks, n, p))
 
 
-def _ref_averaged_bound(cfg, model, mc, *, use_sinr2=False, fixed_beta0=None):
+def _ref_averaged_bound(cfg, model, mc, *, use_sinr2=False):
     """(value, std_err, n_samples) of the averaged bound, one cell at a time."""
     tau_p, tau_u, M, K = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K
     prelog = (tau_u - tau_p) / tau_u
@@ -94,8 +94,6 @@ def _ref_averaged_bound(cfg, model, mc, *, use_sinr2=False, fixed_beta0=None):
     for j in range(pool.shape[1]):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((mc.seed, j))))
         pool[:, j] = sample_beta(model, rng, n)
-    if fixed_beta0 is not None:
-        pool[:, 0] = fixed_beta0
     b0 = pool[:, :1]
     zero = np.zeros((n, 1))
     cum = np.concatenate([zero, np.cumsum(pool, axis=1)], axis=1)
@@ -147,8 +145,6 @@ def test_engine_matches_per_cell_reference(model):
         assert _rel(got.mc_std_err, e1) <= 1e-12, (K, tau_p, q)
         v2, _, _ = _ref_averaged_bound(cfg, model, cfg.mc, use_sinr2=True)
         assert _rel(r2_bar(cfg, model, cfg.mc).value, v2) <= 1e-12, (K, tau_p, q)
-        vd, _, _ = _ref_averaged_bound(cfg, model, cfg.mc, fixed_beta0=7.0)
-        assert _rel(per_device_rate(cfg, model, 7.0, cfg.mc), vd / K) <= 1e-12, (K, tau_p, q)
 
 
 def test_engine_matches_per_cell_reference_at_mmtc_scale(ring):
@@ -159,8 +155,6 @@ def test_engine_matches_per_cell_reference_at_mmtc_scale(ring):
     assert _rel(got.mc_std_err, e1) <= 1e-12
     v2, _, _ = _ref_averaged_bound(cfg, ring, cfg.mc, use_sinr2=True)
     assert _rel(r2_bar(cfg, ring, cfg.mc).value, v2) <= 1e-12
-    vd, _, _ = _ref_averaged_bound(cfg, ring, cfg.mc, fixed_beta0=12.0)
-    assert _rel(per_device_rate(cfg, ring, 12.0, cfg.mc), vd / cfg.K) <= 1e-12
 
 
 def test_collision_windows_match_greedy_reference():

@@ -17,22 +17,20 @@ from pilothop.protocol import (
     match_patterns,
     mrc_and_measure,
     pilot_sequences,
-    read_trace,
     run_frame,
     simulate_slot,
-    write_trace,
 )
 
 
-@pytest.mark.parametrize("kind", ["dft", "identity"])
-def test_pilot_sequences_orthonormal(kind):
-    P = pilot_sequences(16, kind)
-    assert np.allclose(P.conj().T @ P, np.eye(16), atol=1e-12)
+def test_pilot_sequences_orthonormal():
+    for tau_p in (1, 16, 33):
+        P = pilot_sequences(tau_p)
+        assert np.allclose(P.conj().T @ P, np.eye(tau_p), atol=1e-12)
 
 
-def test_pilot_sequences_rejects_unknown():
+def test_pilot_sequences_rejects_empty_book():
     with pytest.raises(ValueError):
-        pilot_sequences(8, "hadamard")
+        pilot_sequences(0)
 
 
 def test_hopping_patterns_deterministic_and_uniform():
@@ -255,34 +253,20 @@ def test_run_frame_no_active_devices(power_controlled):
     assert fr.identification.identified.size == 0
 
 
-def test_run_frame_deterministic_and_trace_roundtrip(tmp_path, power_controlled):
+def test_run_frame_is_deterministic_with_collected_slots(power_controlled):
+    # the same seed reproduces the frame and every retained slot outcome bit for bit
     cfg = _frame_cfg()
     a = run_frame(cfg, power_controlled, 40, 77, collect_slots=True)
     b = run_frame(cfg, power_controlled, 40, 77, collect_slots=True)
-    assert np.array_equal(a.active, b.active)
-    assert np.array_equal(a.rates, b.rates)
+    assert a.active.size > 0
+    for name in ("active", "betas", "rates"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.sum_rate == b.sum_rate
-
-    pa, pb = tmp_path / "a.trace", tmp_path / "b.trace"
-    write_trace(pa, a)
-    write_trace(pb, b)
-    assert pa.read_bytes() == pb.read_bytes()
-
-    header, slots = read_trace(pa)
-    assert header["M"] == 64 and header["n_slots"] == 40
-    assert np.array_equal(header["active"], a.active)
-    assert len(slots) == 40
-    assert np.array_equal(slots[0]["detected"], a.slots[0].detected)
-    assert np.allclose(slots[0]["device_sinr"], a.slots[0].device_sinr)
-
-
-def test_trace_requires_collected_slots(tmp_path, power_controlled):
-    fr = run_frame(_frame_cfg(), power_controlled, 5, 1)
-    with pytest.raises(ValueError):
-        write_trace(tmp_path / "x.trace", fr)
-    (tmp_path / "junk.trace").write_bytes(b"nope")
-    with pytest.raises(ValueError):
-        read_trace(tmp_path / "junk.trace")
+    assert len(a.slots) == len(b.slots) == 40
+    for sa, sb in zip(a.slots, b.slots):
+        assert np.array_equal(sa.detected, sb.detected)
+        assert sa.est_sum_power == sb.est_sum_power
+        assert np.array_equal(sa.device_sinr, sb.device_sinr)
 
 
 def test_all_patterns_shape():

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pilothop.channels import UniformPowerError, RingPathLoss, analytic_moments, beta_nodes
+from pilothop.bounds import sinra
+from pilothop.channels import LogNormalShadowing, UniformPowerError, RingPathLoss, analytic_moments, beta_nodes
 from pilothop.scaling import (
     ScalingCase,
     ScalingPrediction,
-    ScalingRegime,
     ab_objective,
-    case4_objective,
     predict,
     solve_ab,
-    solve_case4,
     verify_scaling,
 )
 
@@ -28,8 +26,7 @@ def pc_moments(pc_model):
 
 
 def test_predict_antenna_rich_values(pc_moments, pc_model):
-    reg = ScalingRegime(ScalingCase.ANTENNA_RICH, 1000.0)
-    p = predict(reg, 100, 100000, pc_moments)
+    p = predict(ScalingCase.ANTENNA_RICH, 100, 100000, pc_moments)
     assert p.tau_p == pytest.approx(50.0)
     assert p.p_aK == pytest.approx(0.5 * math.sqrt(100 * 100000), rel=1e-12)
     assert p.rate == pytest.approx(100 / (4 * math.log(2)), rel=1e-12)
@@ -38,8 +35,7 @@ def test_predict_antenna_rich_values(pc_moments, pc_model):
 
 
 def test_predict_slot_rich_values(pc_moments):
-    reg = ScalingRegime(ScalingCase.SLOT_RICH, 100 / 10**5)
-    p = predict(reg, 10**5, 100, pc_moments)
+    p = predict(ScalingCase.SLOT_RICH, 10**5, 100, pc_moments)
     assert p.tau_p == pytest.approx(50 ** (2 / 3) * (10**5) ** (1 / 3), rel=1e-12)
     assert p.rate == 100.0
     assert p.remainders["rate_alt"] == pytest.approx(100 / math.log(2), rel=1e-12)
@@ -48,12 +44,12 @@ def test_predict_slot_rich_values(pc_moments):
 
 def test_predict_warns_on_regime_mismatch(pc_moments):
     with pytest.warns(UserWarning, match="antenna-rich"):
-        predict(ScalingRegime(ScalingCase.ANTENNA_RICH, 1.0), 100, 100, pc_moments)
+        predict(ScalingCase.ANTENNA_RICH, 100, 100, pc_moments)
 
 
 def test_predict_balanced_needs_model(pc_moments):
     with pytest.raises(ValueError):
-        predict(ScalingRegime(ScalingCase.BALANCED, 1.0), 100, 100, pc_moments)
+        predict(ScalingCase.BALANCED, 100, 100, pc_moments)
 
 
 def test_prediction_validation():
@@ -74,8 +70,8 @@ def test_solve_ab_beats_brute_force(pc_model):
 
 
 def test_solve_ab_depends_only_on_ratio(pc_model, pc_moments):
-    p1 = predict(ScalingRegime(ScalingCase.BALANCED, 100 / 300), 300, 100, pc_moments, model=pc_model)
-    p2 = predict(ScalingRegime(ScalingCase.BALANCED, 1000 / 3000), 3000, 1000, pc_moments, model=pc_model)
+    p1 = predict(ScalingCase.BALANCED, 300, 100, pc_moments, model=pc_model)
+    p2 = predict(ScalingCase.BALANCED, 3000, 1000, pc_moments, model=pc_model)
     assert abs(p1.remainders["a"] - p2.remainders["a"]) <= 1e-8
     assert abs(p1.remainders["b"] - p2.remainders["b"]) <= 1e-8
 
@@ -100,29 +96,29 @@ def test_solve_ab_small_delta_exponent(pc_model):
     assert 0.28 <= slope <= 0.40
 
 
-def test_case4_closed_form_branch(pc_model):
-    p_aK, _ = solve_case4(10**4, 100, pc_model)
-    assert p_aK == pytest.approx(math.sqrt(0.5 * 10**4 * 100), rel=1e-12)
-
-
-def test_case4_matches_pinned_functional_at_delta_one(pc_model):
-    # delta' = 1: the 1-D search must land on the argmax of the same
-    # functional with the pilot share pinned (computed by dense scan)
-    p_aK, _ = solve_case4(200, 200, pc_model)
-    b_got = p_aK / math.sqrt(200 * 200)
+def test_ab_objective_vanishes_at_full_pilot_share(pc_model):
+    # the training prelog (1 - a) kills the functional as the pilot share reaches the slot
     nodes = beta_nodes(pc_model)
-    bs = np.linspace(0.05, 2.0, 20000)
-    vals = [case4_objective(b, 1.0, pc_model, nodes=nodes) for b in bs]
-    b_scan = bs[int(np.argmax(vals))]
-    assert abs(b_got - b_scan) <= 0.01 * b_scan
-    a_pinned = ab_objective(1.0 - 1e-12, b_scan, 1.0, pc_model, nodes=nodes)
-    assert a_pinned == pytest.approx(0.0, abs=1e-9)  # prelog kills the joint form at a=1
+    for b in (0.05, 0.5, 2.0):
+        assert ab_objective(1.0 - 1e-12, b, 1.0, pc_model, nodes=nodes) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_case4_rate_vanishes_with_b(pc_model):
-    vals = [case4_objective(b, 1.0, pc_model) for b in (1e-6, 1e-4, 1e-2)]
-    assert vals[0] < vals[1] < vals[2]
-    assert vals[0] < 1e-4
+def test_ab_objective_takes_a_row_of_activation_scales():
+    # one call over a 1-D b is the (b x nodes) mesh row solve_ab has always
+    # maximized, bit for bit, and matches the scalar calls to rounding (a
+    # matrix-vector product sums in another order than a dot product)
+    bs = np.geomspace(1e-3, 5.0, 61)
+    models = (UniformPowerError(10.0, 0.5), RingPathLoss(10.0, 0.25), LogNormalShadowing(10.0, 4.0))
+    for model in models:
+        betas, w = nodes = beta_nodes(model)
+        m = analytic_moments(model)
+        for delta in (0.01, 1.0, 10.0):
+            for a in (0.01, 0.5, 0.9):
+                row = ab_objective(a, bs, delta, model, nodes=nodes)
+                mesh = sinra(betas, m, a, bs[:, None] * math.sqrt(delta), delta)
+                assert np.array_equal(row, (1.0 - a) * bs * (np.log2(1.0 + mesh) @ w))
+                want = [ab_objective(a, b, delta, model, nodes=nodes) for b in bs]
+                assert row == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_verify_scaling_antenna_rich_short(pc_model):
@@ -151,13 +147,13 @@ def test_verify_scaling_slot_rich_normalization(pc_model):
 
 def test_verify_scaling_rejects_constrained_case(pc_model):
     with pytest.raises(ValueError):
-        verify_scaling(ScalingCase.COHERENCE_LIMITED, pc_model, [(100, 100)])
+        verify_scaling("coherence-limited", pc_model, [(100, 100)])
 
 
 def test_spread_factor_enters_predictions():
     ring = RingPathLoss(10.0, 0.25)
     mo = analytic_moments(ring)
-    p = predict(ScalingRegime(ScalingCase.ANTENNA_RICH, 1000.0), 100, 100000, mo)
+    p = predict(ScalingCase.ANTENNA_RICH, 100, 100000, mo)
     f = mo.spread_factor
     assert p.p_aK == pytest.approx(math.sqrt(f) * 0.5 * math.sqrt(100 * 100000), rel=1e-12)
     assert f > 1.0

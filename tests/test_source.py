@@ -33,3 +33,20 @@ def test_import_and_validate_leave_scipy_stats_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split()[-2:] == ["0", "False"], out.stdout + out.stderr
+
+
+def test_perfbench_tracer_names_resolve():
+    # perfbench/run.py --trace 1 wraps these by name; a deleted name would break it only there
+    import importlib
+    import importlib.util
+
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # Tracer._collider_columns builds collision windows through these
+    wanted = [(mod, name) for mod, names in tracing.LAYERS.items() for name in names]
+    wanted += [("access", "ActivationLaw"), ("access", "CollisionLaw"), ("access", "truncate_support")]
+    missing = [f"{mod}.{name}" for mod, name in wanted
+               if not hasattr(importlib.import_module(f"pilothop.{mod}"), name)]
+    assert len(wanted) > 3 and not missing, missing
