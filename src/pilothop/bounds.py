@@ -22,15 +22,20 @@ Because the pool is shared, the collider average at one active count K_a,
 an F row, is the same for every activation probability: a cell is the
 activation-weighted sum of its F rows. Rows, keyed by the table (bound,
 model, samples, seed, M, tau_p, tail mass) and K_a, live with the pool's
-prefix sums in one LRU store of at most 32 MiB (``_Store``), so a grid
+prefix sums in one LRU store of at most 32 MiB (``_STORE``), so a grid
 sweep computes each row once per pilot length.
+
+R3 and Ra are taken a grid row at a time: for one pilot length,
+``analytic_row`` evaluates the gain expectations of every activation level
+of the row in one ``expect_rows`` call, in blocks over the memoized gain
+nodes. Each cell equals, bit for bit, the same cell evaluated alone, and
+``r3``/``ra`` are the row's one-cell case.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -40,8 +45,10 @@ from .access import binom_windows
 from .channels import (
     BetaMoments,
     LargeScaleModel,
+    LruStore,
     analytic_moments,
     expect_beta,
+    expect_rows,
     is_degenerate,
     sample_beta,
 )
@@ -191,6 +198,16 @@ def rate1(s: CollisionScenario, other_active_betas: Sequence[float], tau_u: int)
     return prelog * math.log2(1.0 + sinr1(s, other_active_betas))
 
 
+def _pow2(x):
+    """x**2 by libm pow, element by element, as Python's ** takes it of a float.
+
+    NumPy's ** squares an array by multiplying, which rounds differently
+    from pow for about 1 value in 1,000; pow keeps a row of activation
+    levels giving, bit for bit, what each level gives as a Python float.
+    """
+    return np.float_power(x, 2)
+
+
 def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):
     """SINR with collider identities averaged into the interference variances.
 
@@ -215,12 +232,12 @@ def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):
     return (tau_p * (M - 1) * b0**2 / den)[()]
 
 
-def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a: float, K: int, M: int):
-    """SINR with collider and active counts averaged out. Vectorized over beta_0."""
-    paK = p_a * K
-    if paK < 1.0:
+def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a, K: int, M: int):
+    """SINR with collider and active counts averaged out. Vectorized over beta_0 and p_a."""
+    paK = np.asarray(p_a, dtype=float) * K
+    if np.any(paK < 1.0):
         raise ValueError(
-            f"p_a*K = {paK:.3g} < 1: the averaged interference terms are meaningless; "
+            f"p_a*K = {np.min(paK):.3g} < 1: the averaged interference terms are meaningless; "
             "evaluate r1_bar directly for sparse activity"
         )
     if M < 2:
@@ -234,7 +251,7 @@ def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a: float, K: int, M: int):
         - bm**2 * n1
         + (1.0 + n1 * bm) * (1.0 + b0 * tau_p)
         + n1 * bm
-        + bm**2 * (p_a**2 * K * (K - 1) - n1)
+        + bm**2 * (_pow2(p_a) * K * (K - 1) - n1)
     )
     if not np.all(den > 0):
         raise ValueError("non-positive interference power: beta_0 must be positive")
@@ -247,56 +264,22 @@ def sinra(beta_0, moments: BetaMoments, tau_p: float, p_aK: float, M: int):
         raise ValueError("p_a*K must be positive")
     b0 = np.asarray(beta_0, dtype=float)
     bm, b2m = moments.mean, moments.mean_sq
-    den = b2m * M * p_aK + bm**2 * p_aK**2 + bm * b0 * p_aK * tau_p
+    den = b2m * M * p_aK + bm**2 * _pow2(p_aK) + bm * b0 * p_aK * tau_p
     return (M * tau_p * b0**2 / den)[()]
 
 
-# Byte cap of the averaged-bound engine's store (``_Store``).
+# Byte cap of the averaged-bound engine's store (``_STORE``).
 STORE_CAP_BYTES = 32 * 2**20
 
 
-class _Store:
-    """Process-wide memo of the averaged-bound engine, LRU, bounded in bytes.
-
-    It holds two kinds of array, each counted by its ``nbytes``:
-
-    * a gain pool's prefix sums, keyed ``("pool", model, n, seed)``;
-    * F rows, keyed ``(table, K_a)``, where ``table`` is ``(kind, model, n,
-      seed, M, tau_p, eps_tail)`` and ``kind`` is "R1" or "R2".
-
-    The arrays held never total more than ``cap`` bytes (STORE_CAP_BYTES,
-    32 MiB): storing one evicts the least recently used until it fits, and
-    an array larger than the cap is not stored at all. A pool of n samples
-    and width w takes 16 n (w + 1) bytes and a row 8 n bytes: at 500
-    samples and K=800, 6.4 MB and 4 kB; at the default 2000, 25.6 MB and
-    16 kB; at 50,000 samples the prefix sums are not stored and are rebuilt
-    on every call.
-    """
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.nbytes = 0
-        self.items: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        item = self.items.get(key)
-        if item is None:
-            return None
-        self.items.move_to_end(key)
-        return item[0]
-
-    def put(self, key, value, nbytes: int) -> None:
-        if key in self.items:
-            self.nbytes -= self.items.pop(key)[1]
-        if nbytes > self.cap:
-            return
-        while self.nbytes + nbytes > self.cap:
-            self.nbytes -= self.items.popitem(last=False)[1][1]
-        self.items[key] = (value, nbytes)
-        self.nbytes += nbytes
-
-
-_STORE = _Store(STORE_CAP_BYTES)
+# The averaged-bound engine's memo. It holds two kinds of array, each counted
+# by its nbytes: a gain pool's prefix sums, keyed ("pool", model, n, seed),
+# and F rows, keyed (table, K_a), where table is (kind, model, n, seed, M,
+# tau_p, eps_tail) and kind is "R1" or "R2". A pool of n samples and width w
+# takes 16 n (w + 1) bytes and a row 8 n bytes: at 500 samples and K=800,
+# 6.4 MB and 4 kB; at the default 2000, 25.6 MB and 16 kB; at 50,000 samples
+# the prefix sums exceed the cap, are not stored and are rebuilt on every call.
+_STORE = LruStore(STORE_CAP_BYTES)
 
 
 def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int):
@@ -357,7 +340,7 @@ def _averaged_bound(
     ``F[K_a] = log2(1 + sinr(colliders)) @ p(colliders | K_a)``. A row
     depends on neither p_a, K nor tau_u: it is computed on first use and
     kept under its table key (kind, model, n_samples, seed, M, tau_p,
-    eps_tail) in the store (``_Store``, at most STORE_CAP_BYTES), for
+    eps_tail) in the store (``_STORE``, at most STORE_CAP_BYTES), for
     the rest of a grid row, stage-two refinement and re-evaluations. The
     collision windows of all missing rows come from one ``binom_windows``
     call. No row depends on which rows were computed with it, so a cell's
@@ -431,33 +414,69 @@ def r2_bar(cfg: "SystemConfig", model: LargeScaleModel, mc: McConfig | None = No
     return BoundResult(value, "R2", mc_samples=n, mc_std_err=err)
 
 
-def _analytic_bound(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel, sinr) -> BoundResult:
-    """prelog * p_a*K * E[log2(1 + sinr(beta_0, moments))]: the body shared by R3 and Ra."""
+def _analytic_cells(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel, tau_p: int, p_a):
+    """A row of R3 or Ra cells at pilot length ``tau_p``, as (live, scale, f).
+
+    Cell ``live[r]`` of the row is ``scale[r] * E[f(gain, r)]``, with scale
+    = prelog * p_a*K and f(beta_0, rows) = log2(1 + sinr) by the bound's own
+    :func:`sinr3` or :func:`sinra`, broadcast as (rows, nodes). The other
+    cells, those with p_a*K = 0 and every cell when tau_p = tau_u, are 0.
+    """
+    if tau_p > cfg.tau_u:
+        raise ValueError(f"tau_p={tau_p} exceeds tau_u={cfg.tau_u}")
+    p_a = np.asarray(p_a, dtype=float)
+    paK = p_a * cfg.K
+    prelog = (cfg.tau_u - tau_p) / cfg.tau_u
+    live = np.flatnonzero(paK != 0.0) if prelog != 0.0 else np.empty(0, dtype=int)
+    moments = analytic_moments(model)
+
+    def f(b0, rows):
+        if bound_id == "R3":
+            s = sinr3(b0, moments, tau_p, p_a[live[rows], None], cfg.K, cfg.M)
+        else:
+            s = sinra(b0, moments, tau_p, paK[live[rows], None], cfg.M)
+        return np.log2(1.0 + s)
+
+    return live, prelog * paK[live], f
+
+
+def analytic_row(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel, tau_p: int, p_a) -> np.ndarray:
+    """R3 or Ra at pilot length ``tau_p`` for every activation probability of the row ``p_a``.
+
+    One :func:`expect_rows` call takes the whole row, so each cell equals,
+    bit for bit, the value of :func:`r3`/:func:`ra` at that cell.
+    """
+    live, scale, f = _analytic_cells(bound_id, cfg, model, tau_p, p_a)
+    values = np.zeros(np.size(p_a))
+    if live.size:
+        values[live] = scale * expect_rows(model, f, live.size, seed=cfg.seed)
+    return values
+
+
+def _analytic_bound(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel) -> BoundResult:
+    """R3 or Ra at the config's own operating point: the one-cell case of the row kernel.
+
+    Its one cell is reduced by :func:`expect_beta`, which also gives the
+    Monte Carlo error; expect_beta's ``w @ row`` is the reduction
+    :func:`expect_rows` makes, so the value equals :func:`analytic_row`'s.
+    """
     if cfg.tau_p is None or cfg.p_a is None:
         raise ValueError(f"{bound_id.lower()} needs tau_p and p_a set on the config")
-    if cfg.tau_p > cfg.tau_u:
-        raise ValueError(f"tau_p={cfg.tau_p} exceeds tau_u={cfg.tau_u}")
-    prelog = (cfg.tau_u - cfg.tau_p) / cfg.tau_u
-    paK = cfg.p_a * cfg.K
-    if paK == 0.0 or prelog == 0.0:
+    live, scale, f = _analytic_cells(bound_id, cfg, model, cfg.tau_p, [cfg.p_a])
+    if live.size == 0:
         return BoundResult(0.0, bound_id)
-    moments = analytic_moments(model)
-    val, err, n_mc = expect_beta(model, lambda b0: np.log2(1.0 + sinr(b0, moments)), seed=cfg.seed)
-    return BoundResult(prelog * paK * val, bound_id, mc_samples=n_mc, mc_std_err=prelog * paK * err)
+    val, err, n_mc = expect_beta(model, lambda b0: f(b0, slice(0, 1))[0], seed=cfg.seed)
+    return BoundResult(float(scale[0] * val), bound_id, mc_samples=n_mc, mc_std_err=float(scale[0] * err))
 
 
 def r3(cfg: "SystemConfig", model: LargeScaleModel) -> BoundResult:
     """Optimization bound: analytic except for the 1-D gain expectation."""
-    return _analytic_bound(
-        "R3", cfg, model, lambda b0, m: sinr3(b0, m, cfg.tau_p, cfg.p_a, cfg.K, cfg.M)
-    )
+    return _analytic_bound("R3", cfg, model)
 
 
 def ra(cfg: "SystemConfig", model: LargeScaleModel) -> BoundResult:
     """Large-system bound used for fast optimization."""
-    return _analytic_bound(
-        "Ra", cfg, model, lambda b0, m: sinra(b0, m, cfg.tau_p, cfg.p_a * cfg.K, cfg.M)
-    )
+    return _analytic_bound("Ra", cfg, model)
 
 
 # Every bound by id, called as (cfg, model, mc); the analytic ones draw no gain pool.
@@ -483,3 +502,17 @@ def bound_at(bound: str, cfg: "SystemConfig", model: LargeScaleModel, mc: McConf
         raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
     return BOUNDS[bound](at_point(cfg, tau_p, p_aK), model, mc)
 
+
+def bound_row(bound: str, cfg: "SystemConfig", model: LargeScaleModel, mc: McConfig | None,
+              tau_p, p_aK) -> np.ndarray:
+    """Values of bound ``bound`` at (tau_p, q) for every q of the 1-D row ``p_aK``.
+
+    Each equals the value :func:`bound_at` returns at its cell. R3 and Ra
+    take the row at once through :func:`analytic_row`, with p_a = min(q/K, 1)
+    as in :func:`at_point`; R1 and R2 go cell by cell, their F rows shared
+    through the store.
+    """
+    if bound in ("R3", "Ra"):
+        p_a = np.minimum(np.asarray(p_aK, dtype=float) / cfg.K, 1.0)
+        return analytic_row(bound, cfg, model, int(tau_p), p_a)
+    return np.array([bound_at(bound, cfg, model, mc, tau_p, float(q)).value for q in p_aK])

@@ -19,6 +19,7 @@ the rate bounds and optimizers that consume them fully deterministic.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Union
@@ -187,11 +188,24 @@ def is_degenerate(model: LargeScaleModel) -> bool:
     return model.alpha == 0.0
 
 
+# Log-normal draws behind expect_beta and expect_rows, and so behind the
+# R3/Ra bounds. beta_nodes' own default, 8,192 draws, serves the
+# heuristics and the scaling functional. The two counts are kept apart on
+# purpose: unifying them would change published numbers.
+EXPECT_MC_SAMPLES = 16384
+NODE_MC_SAMPLES = 8192
+
+# Node x row elements expect_rows evaluates at once: a whole row of cells on
+# a 96-node rule, a single row on thousands of log-normal draws. A block
+# much wider than this is slower on log-normal draws and raises peak memory.
+_BLOCK_ELEMENTS = 4096
+
+
 def expect_beta(
     model: LargeScaleModel,
     f: Callable,
     *,
-    mc_samples: int = 16384,
+    mc_samples: int = EXPECT_MC_SAMPLES,
     seed: int = 0,
 ) -> tuple[float, float, int]:
     """Expectation of f(gain) under the model, as ``w @ f(nodes)`` over :func:`beta_nodes`.
@@ -213,6 +227,34 @@ def expect_beta(
     return val, 0.0, 0
 
 
+def expect_rows(
+    model: LargeScaleModel,
+    f: Callable,
+    n_rows: int,
+    *,
+    mc_samples: int = EXPECT_MC_SAMPLES,
+    seed: int = 0,
+) -> np.ndarray:
+    """E[f_r(gain)] for each row r = 0..n_rows-1 of a family of integrands.
+
+    ``f(nodes, rows)`` returns the integrands of the rows in the slice
+    ``rows`` at every node of :func:`beta_nodes`, shape (len(rows), n).
+    Rows are evaluated in blocks of about 4096 node x row elements, and each
+    is reduced on its own as ``w @ row`` over a C-contiguous row, the
+    reduction :func:`expect_beta` makes: a row's value equals expect_beta of
+    its integrand, whatever rows are evaluated with it. No standard error
+    is computed.
+    """
+    nodes, w = beta_nodes(model, mc_samples=mc_samples, seed=seed)
+    values = np.empty(n_rows)
+    step = max(1, _BLOCK_ELEMENTS // nodes.size)
+    for lo in range(0, n_rows, step):
+        block = np.ascontiguousarray(f(nodes, slice(lo, lo + step)), dtype=float)
+        for j, row in enumerate(block, lo):
+            values[j] = w @ row
+    return values
+
+
 @cache
 def _legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [-1, 1], computed once per process (read-only)."""
@@ -222,26 +264,84 @@ def _legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+# Byte cap of beta_nodes' memo (``_NODES``).
+NODES_CAP_BYTES = 8 * 2**20
+
+
+class LruStore:
+    """Process-wide memo, least recently used first out, bounded in bytes.
+
+    Each value is stored with its size in bytes. The values held never total
+    more than ``cap`` bytes: storing one evicts the least recently used until
+    it fits, and a value larger than the cap is not stored at all.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.nbytes = 0
+        self.items: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        item = self.items.get(key)
+        if item is None:
+            return None
+        self.items.move_to_end(key)
+        return item[0]
+
+    def put(self, key, value, nbytes: int) -> None:
+        if key in self.items:
+            self.nbytes -= self.items.pop(key)[1]
+        if nbytes > self.cap:
+            return
+        while self.nbytes + nbytes > self.cap:
+            self.nbytes -= self.items.popitem(last=False)[1][1]
+        self.items[key] = (value, nbytes)
+        self.nbytes += nbytes
+
+
+_NODES = LruStore(NODES_CAP_BYTES)
+
+
 def beta_nodes(
     model: LargeScaleModel,
     *,
     n_nodes: int = 96,
-    mc_samples: int = 8192,
+    mc_samples: int = NODE_MC_SAMPLES,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights such that E[f(gain)] ~= weights @ f(nodes).
 
     Gauss-Legendre on the bounded-support models, seeded Monte Carlo draws
-    with uniform weights for log-normal shadowing.
+    with uniform weights for log-normal shadowing, one node of weight 1 when
+    the gain is constant. Log-normal shadowing draws 16,384 nodes behind
+    expect_beta and the R3/Ra bounds (EXPECT_MC_SAMPLES) and, by default,
+    8,192 behind heuristic2_1d, asymptotic_1d and the scaling functional
+    (NODE_MC_SAMPLES); the counts are deliberately not unified, because
+    unifying them would change numbers.
+
+    Both arrays are read-only and memoized per (model, n_nodes, mc_samples,
+    seed) in an LRU store of at most NODES_CAP_BYTES (8 MiB), counted as
+    the arrays' bytes: a log-normal key takes 16 bytes per draw, 256 kB at
+    16,384 draws, so the store keeps 32 such keys; a key larger than the cap
+    is computed on every call and not kept.
     """
+    key = (model, n_nodes, mc_samples, seed)
+    held = _NODES.get(key)
+    if held is not None:
+        return held
     if is_degenerate(model):
-        return np.array([model.delta_bar]), np.array([1.0])
-    if isinstance(model, LogNormalShadowing):
+        nodes, w = np.array([model.delta_bar]), np.array([1.0])
+    elif isinstance(model, LogNormalShadowing):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        draws = sample_beta(model, rng, mc_samples)
-        return draws, np.full(mc_samples, 1.0 / mc_samples)
-    x, w = _legendre(n_nodes)
-    v = model.alpha * x
-    if isinstance(model, RingPathLoss):
-        return model.delta_bar * (1.0 + v) ** (-model.pathloss_exp), w / 2.0
-    return model.delta_bar * (1.0 + v), w / 2.0
+        nodes, w = sample_beta(model, rng, mc_samples), np.full(mc_samples, 1.0 / mc_samples)
+    else:
+        x, w = _legendre(n_nodes)
+        v = model.alpha * x
+        if isinstance(model, RingPathLoss):
+            nodes = model.delta_bar * (1.0 + v) ** (-model.pathloss_exp)
+        else:
+            nodes = model.delta_bar * (1.0 + v)
+        w = w / 2.0
+    nodes.flags.writeable = w.flags.writeable = False
+    _NODES.put(key, (nodes, w), nodes.nbytes + w.nbytes)
+    return nodes, w

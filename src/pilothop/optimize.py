@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .bounds import COSTS, McConfig, bound_at, sinra
-from .channels import LargeScaleModel, analytic_moments, beta_nodes
+from .bounds import COSTS, McConfig, bound_at, bound_row, sinra
+from .channels import NODE_MC_SAMPLES, LargeScaleModel, analytic_moments, expect_rows
 
 if TYPE_CHECKING:
     from .config import SystemConfig
@@ -98,16 +98,20 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_to
     return x, f(x), evals + 1
 
 
-def _scan_then_golden(f, lo: float, hi: float, n_scan: int = 61, rel_tol: float = 1e-4):
-    """Coarse log-spaced scan to bracket the maximum, then golden section."""
+def _scan_then_golden(model, g, seed: int, lo: float, hi: float, n_scan: int = 61, rel_tol: float = 1e-4):
+    """Maximize b * E[g(gain, b)] over [lo, hi]: a log-spaced scan, taken as one row, then golden section."""
+    def obj(bs):
+        return bs * expect_rows(model, lambda nodes, r: g(nodes, bs[r, None]), bs.size,
+                                mc_samples=NODE_MC_SAMPLES, seed=seed)
+
     grid = np.geomspace(lo, hi, n_scan)
-    vals = [f(b) for b in grid]
+    vals = obj(grid)
     i = int(np.argmax(vals))
     b_lo = grid[max(i - 1, 0)]
     b_hi = grid[min(i + 1, n_scan - 1)]
-    x, fx, evals = golden_section_max(f, b_lo, b_hi, rel_tol)
+    x, fx, evals = golden_section_max(lambda b: float(obj(np.array([b]))[0]), b_lo, b_hi, rel_tol)
     if vals[i] > fx:
-        x, fx = float(grid[i]), vals[i]
+        x, fx = float(grid[i]), float(vals[i])
     return x, fx, evals + n_scan
 
 
@@ -133,13 +137,9 @@ def heuristic2_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
     Returns (tau_p, p_aK, surrogate value, evaluations). The scale maximizer
     b = p_aK / sqrt(M*tau_u) does not depend on M or tau_u, only on the gain law.
     """
-    nodes, w = beta_nodes(model, seed=seed)
     mean = analytic_moments(model).mean
-
-    def obj(b):
-        return b * float(w @ np.log2(1.0 + nodes**2 / (3.0 * mean * b * b)))
-
-    b_opt, val, evals = _scan_then_golden(obj, 1e-2, 1e2)
+    b_opt, val, evals = _scan_then_golden(
+        model, lambda nodes, b: np.log2(1.0 + nodes**2 / (3.0 * mean * b * b)), seed, 1e-2, 1e2)
     return _tau_p_third(tau_u), b_opt * math.sqrt(tau_u * M), val, evals
 
 
@@ -149,14 +149,10 @@ def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
     Returns (tau_p, p_aK, value, evaluations); the value is the objective
     b * E[log2(1 + sinra)] at b = p_aK / sqrt(M*tau_u), without the prelog.
     """
-    nodes, w = beta_nodes(model, seed=seed)
     m = analytic_moments(model)
     root = math.sqrt(M * tau_u)
-
-    def obj(b):
-        return b * float(w @ np.log2(1.0 + sinra(nodes, m, tau_u / 3.0, b * root, M)))
-
-    b_opt, val, evals = _scan_then_golden(obj, 1e-3, 1e2)
+    b_opt, val, evals = _scan_then_golden(
+        model, lambda nodes, b: np.log2(1.0 + sinra(nodes, m, tau_u / 3.0, b * root, M)), seed, 1e-3, 1e2)
     return _tau_p_third(tau_u), b_opt * root, val, evals
 
 
@@ -195,16 +191,17 @@ def grid_opt(
         raise ValueError("p_a*K grid must lie within (0, K]")
 
     evals = 0
-    best = (-math.inf, None, None, None)
+    best = (-math.inf, None, None)
 
     def sweep(tp_list, q_list):
+        # row by row; the first strict maximum in row-major order wins
         nonlocal evals, best
         for tp in tp_list:
-            for q in q_list:
-                res = bound_at(cost, cfg, model, mc, tp, float(q))
-                evals += 1
-                if res.value > best[0]:
-                    best = (res.value, int(tp), float(q), res)
+            values = bound_row(cost, cfg, model, mc, tp, q_list)
+            evals += q_list.size
+            j = int(np.argmax(values))
+            if values[j] > best[0]:
+                best = (float(values[j]), int(tp), float(q_list[j]))
 
     sweep(tps, qs)
     stage1 = {"tau_p": best[1], "p_aK": best[2], "value": best[0]}
@@ -220,11 +217,12 @@ def grid_opt(
     qs2 = np.geomspace(q_lo2, q_hi2, grid.refine_points) if q_hi2 > q_lo2 else np.array([best[2]])
     sweep(tps2, qs2)
 
-    value, tau_p_opt, q_opt, res = best
+    _, tau_p_opt, q_opt = best
+    res = bound_at(cost, cfg, model, mc, tau_p_opt, q_opt)
     return OptimizationResult(
         tau_p_opt=tau_p_opt,
         p_aK_opt=q_opt,
-        rate=value,
+        rate=res.value,
         method=f"{cost}-opt",
         evaluations=evals,
         diagnostics={

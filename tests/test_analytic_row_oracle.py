@@ -1,0 +1,163 @@
+"""Oracle for the R3/Ra row kernel: whole rows against the per-cell formulation.
+
+The reference evaluates one cell at a time, with p_a a Python float, as the
+bounds did before rows existed: p_a = min(q/K, 1), paK = p_a*K, and
+prelog * paK * E[log2(1 + sinr)] with the SINR written out on scalars
+(Python's ** squares p_a through libm pow). Rows must equal it with ==,
+and ``grid_opt`` must equal a cell-by-cell grid search over ``bound_at``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pilothop.bounds import analytic_row, bound_at, bound_row
+from pilothop.channels import (
+    LogNormalShadowing,
+    RingPathLoss,
+    UniformPowerError,
+    analytic_moments,
+    expect_beta,
+)
+from pilothop.config import SystemConfig
+from pilothop.optimize import GridSpec, grid_opt
+
+MODELS = {
+    "power-controlled": UniformPowerError(10.0, 0.0),
+    "uniform-0.5": UniformPowerError(10.0, 0.5),
+    "ring-0.25": RingPathLoss(10.0, 0.25),
+    "lognormal-4": LogNormalShadowing(10.0, 4.0),
+}
+TAU_U, K, M = 60, 800, 100
+
+
+def _cfg(seed=11):
+    return SystemConfig(M=M, K=K, tau_u=TAU_U, seed=seed)
+
+
+def _cell(bound, cfg, model, tau_p, q):
+    """(value, std_err, n_samples) of one cell, the per-cell way."""
+    p_a = min(q / cfg.K, 1.0)
+    paK = p_a * cfg.K
+    prelog = (cfg.tau_u - tau_p) / cfg.tau_u
+    if paK == 0.0 or prelog == 0.0:
+        return 0.0, 0.0, 0
+    mo = analytic_moments(model)
+    bm, b2m = mo.mean, mo.mean_sq
+    if bound == "R3":
+        if paK < 1.0:
+            raise ValueError("p_a*K < 1")
+        n1 = paK - 1.0
+
+        def sinr(b0):
+            den = (b2m * (cfg.M - 1) * n1 + b0 * (1.0 + bm * n1) - bm**2 * n1 + (1.0 + n1 * bm) * (1.0 + b0 * tau_p)
+                   + n1 * bm + bm**2 * (p_a**2 * cfg.K * (cfg.K - 1) - n1))
+            return tau_p * (cfg.M - 1) * b0**2 / den
+    else:
+        def sinr(b0):
+            den = b2m * cfg.M * paK + bm**2 * paK**2 + bm * b0 * paK * tau_p
+            return cfg.M * tau_p * b0**2 / den
+    val, err, n = expect_beta(model, lambda b0: np.log2(1.0 + sinr(b0)), seed=cfg.seed)
+    return prelog * paK * val, prelog * paK * err, n
+
+
+
+def _squares_disagree(x):
+    # libm pow and a multiplication round x**2 differently (about 1 in 1,000)
+    return x**2 != float(np.multiply(x, x))
+
+
+# q = K caps p_a at 1; the 50-point row is wider than one 96-node block (42
+# cells of 4096 elements); every row of two or more cells crosses a block on
+# 16,384 log-normal draws. The last cells are ones whose p_a (R3) or p_a*K
+# (Ra) squares differently by pow and by multiplication, taken at high
+# activity, where that square dominates the interference.
+_QS = np.linspace(400.0, K, 20000)
+ROW = np.concatenate([
+    np.geomspace(1.0, K, 50), [K, 37.5, 1.0],
+    [q for q in _QS if _squares_disagree(q / K)][:8],
+    [q for q in _QS if _squares_disagree(q / K * K)][:8],
+])
+
+
+@pytest.mark.parametrize("bound", ["R3", "Ra"])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_row_equals_cells(bound, name):
+    model, cfg = MODELS[name], _cfg()
+    for tau_p in (1, 20, TAU_U - 1, TAU_U):
+        want = [_cell(bound, cfg, model, tau_p, float(q)) for q in ROW]
+        row = bound_row(bound, cfg, model, None, tau_p, ROW)
+        assert row.tolist() == [v for v, _, _ in want]
+        for q, (v, err, n) in zip(ROW[::7], want[::7]):
+            res = bound_at(bound, cfg, model, None, tau_p, float(q))
+            assert (res.value, res.mc_std_err, res.mc_samples) == (v, err, n)
+    # zero prelog: every cell is 0 with no Monte Carlo error
+    assert not bound_row(bound, cfg, model, None, TAU_U, ROW).any()
+    res = bound_at(bound, cfg, model, None, TAU_U, 30.0)
+    assert (res.value, res.mc_std_err, res.mc_samples) == (0.0, 0.0, 0)
+
+
+def test_row_handles_zero_activity_and_rejects_long_pilots():
+    model, cfg = MODELS["uniform-0.5"], _cfg()
+    row = analytic_row("Ra", cfg, model, 20, [0.0, 30 / K, 0.0])
+    assert row[0] == row[2] == 0.0
+    assert row[1] == _cell("Ra", cfg, model, 20, 30.0)[0]
+    with pytest.raises(ValueError):
+        analytic_row("Ra", cfg, model, TAU_U + 1, [30 / K])
+
+
+@pytest.mark.parametrize("name", ["uniform-0.5", "lognormal-4"])
+def test_r3_rejects_sparse_activity(name):
+    model, cfg = MODELS[name], _cfg()
+    with pytest.raises(ValueError):
+        bound_row("R3", cfg, model, None, 20, np.array([0.5, 2.0, 30.0]))
+    with pytest.raises(ValueError):
+        bound_at("R3", cfg, model, None, 20, 0.5)
+    with pytest.raises(ValueError):
+        _cell("R3", cfg, model, 20, 0.5)
+
+
+def _reference_grid_opt(cost, cfg, model, grid):
+    """Two-stage grid search, one bound_at call per cell, first strict maximum wins."""
+    tps = np.unique(np.round(np.linspace(1, cfg.tau_u, grid.tau_p_points)).astype(int))
+    qs = np.geomspace(min(grid.pak_min, float(cfg.K)), cfg.K, grid.pak_points)
+    evals, best = 0, (-math.inf, None, None, None)
+
+    def sweep(tp_list, q_list):
+        nonlocal evals, best
+        for tp in tp_list:
+            for q in q_list:
+                res = bound_at(cost, cfg, model, None, tp, float(q))
+                evals += 1
+                if res.value > best[0]:
+                    best = (res.value, int(tp), float(q), res)
+
+    sweep(tps, qs)
+    i = int(np.searchsorted(tps, best[1]))
+    tps2 = np.unique(np.round(np.linspace(tps[max(i - 1, 0)], tps[min(i + 1, tps.size - 1)],
+                                          grid.refine_points)).astype(int))
+    j = int(np.searchsorted(qs, best[2]))
+    ratio = qs[min(j + 1, qs.size - 1)] / qs[j]
+    q_lo2 = max(best[2] / max(ratio, 1.0), float(qs[0]))
+    q_hi2 = min(best[2] * max(ratio, 1.0), float(cfg.K))
+    sweep(tps2, np.geomspace(q_lo2, q_hi2, grid.refine_points) if q_hi2 > q_lo2 else np.array([best[2]]))
+    value, tau_p, q, res = best
+    return tau_p, q, value, res.mc_std_err, res.mc_samples, evals
+
+
+@pytest.mark.parametrize("cost", ["R3", "Ra"])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_grid_opt_equals_cell_by_cell_search(cost, name):
+    model, cfg = MODELS[name], _cfg(seed=5)
+    for grid in (GridSpec(12, 14, refine_points=6), GridSpec(5, 60, refine_points=50)):
+        got = grid_opt(cost, cfg, model, grid)
+        want = _reference_grid_opt(cost, cfg, model, grid)
+        assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.diagnostics["mc_std_err"],
+                got.diagnostics["mc_samples"], got.evaluations) == want
+
+
+def test_grid_opt_reports_lognormal_error():
+    # the log-normal comparison above is not one of zeros
+    res = grid_opt("Ra", _cfg(seed=5), MODELS["lognormal-4"], GridSpec(6, 6, refine_points=3))
+    assert res.diagnostics["mc_samples"] == 16384 and res.diagnostics["mc_std_err"] > 0.0

@@ -24,7 +24,7 @@ from pilothop.bounds import (
     sinr_components,
     sinra,
 )
-from pilothop.channels import LogNormalShadowing, UniformPowerError, analytic_moments, expect_beta, sample_beta
+from pilothop.channels import LogNormalShadowing, LruStore, UniformPowerError, analytic_moments, expect_beta, sample_beta
 from pilothop.config import SystemConfig
 from pilothop.optimize import GridSpec, grid_opt
 
@@ -320,7 +320,7 @@ def test_r3_and_ra_zero_cases(power_controlled):
 
 
 def _cold_store(monkeypatch):
-    store = bounds._Store(bounds.STORE_CAP_BYTES)
+    store = LruStore(bounds.STORE_CAP_BYTES)
     monkeypatch.setattr(bounds, "_STORE", store)
     return store
 

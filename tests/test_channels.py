@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from pilothop.bounds import sinr3, sinra
+from pilothop import channels
 from pilothop.channels import (
     BetaMoments,
     LogNormalShadowing,
@@ -184,3 +185,42 @@ def test_expect_beta_lognormal_is_seeded():
     assert val == a and n == 16384
     exact = expect_beta(model, f, seed=5, mc_samples=2**18)[0]
     assert abs(val - exact) <= 4 * err
+
+
+def _held_bytes(store):
+    return sum(a.nbytes for (nodes, w), _ in store.items.values() for a in (nodes, w))
+
+
+@pytest.mark.parametrize("model", [
+    UniformPowerError(10.0, 0.0), LogNormalShadowing(10.0, 0.0), UniformPowerError(10.0, 0.5),
+    RingPathLoss(10.0, 0.25), LogNormalShadowing(10.0, 4.0),
+])
+def test_beta_nodes_are_memoized_read_only(model):
+    nodes, w = beta_nodes(model, seed=3)
+    again = beta_nodes(model, seed=3)
+    assert again[0] is nodes and again[1] is w
+    for a in (nodes, w):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert w.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_beta_nodes_store_stays_under_its_cap():
+    model = LogNormalShadowing(10.0, 0.5)
+    for seed in range(40):  # 40 keys of 256 kB overflow the 8 MiB cap
+        beta_nodes(model, mc_samples=16384, seed=seed)
+        assert channels._NODES.nbytes == _held_bytes(channels._NODES) <= channels.NODES_CAP_BYTES
+    expect_beta(model, lambda b: np.log2(1.0 + b), seed=5, mc_samples=2**18)
+    assert channels._NODES.nbytes == _held_bytes(channels._NODES) <= channels.NODES_CAP_BYTES
+    # a key larger than the cap is computed, used and not kept
+    big = beta_nodes(model, mc_samples=2**20, seed=5)
+    assert big[0].size == 2**20 and not big[0].flags.writeable
+    assert (model, 96, 2**20, 5) not in channels._NODES.items
+    assert channels._NODES.nbytes == _held_bytes(channels._NODES) <= channels.NODES_CAP_BYTES
+
+
+def test_beta_nodes_seeds_give_different_lognormal_draws():
+    model = LogNormalShadowing(10.0, 4.0)
+    a, b = beta_nodes(model, seed=3)[0], beta_nodes(model, seed=4)[0]
+    assert not np.array_equal(a, b)
+    assert np.array_equal(a, beta_nodes(model, seed=3)[0])

@@ -7,6 +7,7 @@ spec at its own seed. A refactor that keeps the arithmetic must keep them.
 from pathlib import Path
 
 import pytest
+import yaml
 
 from pilothop.cli import main
 
@@ -21,4 +22,26 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ])
 def test_shipped_spec_csv_is_byte_identical(tmp_path, spec, csv):
     assert main(["run", str(ROOT / "specs" / spec), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
+
+
+# R3/Ra grid searches and the two 1-D methods on spread gains, one sweep
+# point each: a ring re-evaluated under R3, log-normal gains under Ra
+ANALYTIC_SWEEPS = {
+    "ring_r3": ({"type": "pathloss", "delta_bar": 10.0, "alpha": 0.25}, "R3", 180),
+    "shadowed_ra": ({"type": "lognormal", "delta_bar": 10.0, "sigma_v2": 4.0}, "Ra", 60),
+}
+
+
+@pytest.mark.parametrize("prefix", list(ANALYTIC_SWEEPS))
+def test_analytic_sweep_csv_is_byte_identical(tmp_path, prefix):
+    model, bound, tau_u = ANALYTIC_SWEEPS[prefix]
+    spec = tmp_path / f"{prefix}.yaml"
+    spec.write_text(yaml.safe_dump({
+        "kind": "sweep", "system": {"M": 100, "K": 800, "seed": 5, "model": model},
+        "methods": ["R3-opt", "Ra-opt", "Ra-1D", "Rh-1D"], "sweep": {"axis": "tau_u", "values": [tau_u]},
+        "evaluate_with": bound, "out_prefix": prefix,
+    }, sort_keys=False))
+    assert main(["run", str(spec), "--out", str(tmp_path)]) == 0
+    csv = f"{prefix}_rate.csv"
     assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
