@@ -59,19 +59,27 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo settings for the averaged bounds."""
+    """Monte Carlo settings for the averaged bounds; their seed is the
+    scenario's (``SystemConfig.seed``)."""
 
     n_beta_samples: int = 2000
     eps_tail: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_beta_samples, numbers.Integral) or self.n_beta_samples < 1:
-            raise ValueError(f"n_beta_samples must be an integer >= 1 (got {self.n_beta_samples!r})")
-        if not 0.0 < self.eps_tail < 1.0:
-            raise ValueError("eps_tail must lie in (0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        problems = mc_problems(vars(self))
+        if problems:
+            raise ValueError("{} {}".format(*problems[0]))
+
+
+def mc_problems(v: dict) -> list[tuple[str, str]]:
+    """Every violated McConfig invariant as (field, message)."""
+    n, eps = v["n_beta_samples"], v["eps_tail"]
+    problems = []
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        problems.append(("n_beta_samples", f"must be an integer >= 1 (got {n!r})"))
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
+        problems.append(("eps_tail", f"must be a real number in (0, 1) (got {eps!r})"))
+    return problems
 
 
 @dataclass(frozen=True)
@@ -363,10 +371,10 @@ def _averaged_bound(
 
     exact = is_degenerate(model)
     n = 1 if exact else mc.n_beta_samples
-    cum, cum_sq = _prefix_sums(model, n, k_hi, mc.seed)
+    cum, cum_sq = _prefix_sums(model, n, k_hi, cfg.seed)
     b0, b0_sq = cum[1], cum_sq[1]
     moments = analytic_moments(model) if use_sinr2 else None
-    table = ("R2" if use_sinr2 else "R1", model, n, mc.seed, M, tau_p, mc.eps_tail)
+    table = ("R2" if use_sinr2 else "R1", model, n, cfg.seed, M, tau_p, mc.eps_tail)
 
     kas = ks.tolist()
     rows = [_STORE.get((table, K_a)) for K_a in kas]

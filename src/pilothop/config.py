@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 import yaml
 
-from .bounds import BOUNDS, COSTS, McConfig
+from .bounds import BOUNDS, COSTS, McConfig, mc_problems
 from .channels import LargeScaleModel, LogNormalShadowing, RingPathLoss, UniformPowerError
 
 KINDS = ("bound-eval", "optimize", "sweep", "scaling-verify", "simulate", "compare")
@@ -148,14 +148,15 @@ def build_system(raw: dict) -> tuple[SystemConfig | None, list[Diagnostic]]:
     except (ValueError, TypeError) as exc:
         diags.append(Diagnostic("system.model", str(exc)))
         model = UniformPowerError(DEFAULT_DELTA_BAR, 0.0)
-    if isinstance(mc_raw, dict) and "seed" in mc_raw:
-        diags.append(Diagnostic("system.mc.seed", "the Monte Carlo seed comes from system.seed; remove it"))
-        mc_raw = {k: v for k, v in mc_raw.items() if k != "seed"}
-    try:
-        mc = McConfig(**(mc_raw or {}))
-    except (ValueError, TypeError) as exc:
-        diags.append(Diagnostic("system.mc", str(exc)))
-        mc = McConfig()
+    if mc_raw is not None and not isinstance(mc_raw, dict):
+        diags.append(Diagnostic("system.mc", f"must be a mapping, got {type(mc_raw).__name__}"))
+    mc_raw = dict(mc_raw) if isinstance(mc_raw, dict) else {}
+    for name in sorted(set(mc_raw) - {f.name for f in fields(McConfig)}, key=str):
+        why = "the Monte Carlo seed comes from system.seed; remove it" if name == "seed" else "unknown field"
+        diags.append(Diagnostic(f"system.mc.{name}", why))
+        mc_raw.pop(name)
+    mc_values = {f.name: f.default for f in fields(McConfig)} | mc_raw
+    diags.extend(Diagnostic(f"system.mc.{name}", msg) for name, msg in mc_problems(mc_values))
 
     known = {f.name for f in fields(SystemConfig)} - {"model", "mc"}
     unknown = set(raw) - known
@@ -170,7 +171,7 @@ def build_system(raw: dict) -> tuple[SystemConfig | None, list[Diagnostic]]:
     diags.extend(Diagnostic(f"system.{name}", msg) for name, msg in _system_problems(values))
     if diags:
         return None, diags
-    return SystemConfig(model=model, mc=mc, **raw), diags
+    return SystemConfig(model=model, mc=McConfig(**mc_raw), **raw), diags
 
 
 def parse_spec(source: Union[str, Path]) -> ExperimentSpec:

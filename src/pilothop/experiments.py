@@ -57,10 +57,6 @@ def point_seed(root: int, index: int) -> int:
     return int(np.random.SeedSequence((int(root), int(index))).generate_state(1)[0])
 
 
-def _with_seed(cfg: SystemConfig, seed: int) -> SystemConfig:
-    return replace(cfg, seed=seed, mc=replace(cfg.mc, seed=seed))
-
-
 def _methods_at_point(cfg: SystemConfig, methods, evaluate_with: str, sweep_value) -> list[Record]:
     records = []
     for m in methods:
@@ -81,7 +77,7 @@ def _sweep_point(args) -> list[Record]:
     cfg, diags = build_system(raw)
     if cfg is None:
         raise ValueError(f"sweep point {axis}={value}: " + "; ".join(map(str, diags)))
-    cfg = _with_seed(cfg, point_seed(root_seed, index))
+    cfg = replace(cfg, seed=point_seed(root_seed, index))
     return _methods_at_point(cfg, methods, evaluate_with, value)
 
 
@@ -111,7 +107,6 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
     cfg, diags = build_system(system)
     if cfg is None:
         raise ValueError("; ".join(map(str, diags)))
-    cfg = _with_seed(cfg, cfg.seed)
 
     if spec.kind == "bound-eval":
         records = []

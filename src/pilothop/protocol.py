@@ -69,6 +69,11 @@ def all_patterns(K: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -
     return np.vstack([hopping_pattern(k, frame, n_slots, tau_p, root_seed) for k in range(K)])
 
 
+def _pilot_energy(corr: np.ndarray) -> np.ndarray:
+    """Correlation energy ||y_j||^2 of each column of ``corr`` (a scalar for one column)."""
+    return np.einsum("i...,i...->...", corr.real, corr.real) + np.einsum("i...,i...->...", corr.imag, corr.imag)
+
+
 def detect_pilots(corr: np.ndarray, threshold: DetectionThreshold | None = None) -> np.ndarray:
     """Indices of pilots whose correlation energy clears the threshold.
 
@@ -77,19 +82,18 @@ def detect_pilots(corr: np.ndarray, threshold: DetectionThreshold | None = None)
     """
     threshold = threshold or DetectionThreshold()
     M = corr.shape[0]
-    stats = np.einsum("ij,ij->j", corr.real, corr.real) + np.einsum("ij,ij->j", corr.imag, corr.imag)
-    return np.flatnonzero(stats / M > threshold.value(M))
+    return np.flatnonzero(_pilot_energy(corr) / M > threshold.value(M))
 
 
-def estimate_sum_power(y_p: np.ndarray, tau_p: int) -> float:
-    """Channel-hardening estimate of the summed gain on one pilot.
+def estimate_sum_power(y_p: np.ndarray, tau_p: int):
+    """Channel-hardening estimate of the summed gain on a pilot.
 
-    ``y_p`` is the correlated observation for that pilot; the noise floor
-    contributes exactly 1 per antenna, hence the subtraction.
+    ``y_p`` is the correlated observation of one pilot (a float is returned)
+    or an (M, n) block of such columns (one estimate per column). The noise
+    floor contributes exactly 1 per antenna, hence the subtraction.
     """
-    M = y_p.shape[0]
-    stat = float(np.vdot(y_p, y_p).real) / M
-    return max(0.0, (stat - 1.0) / tau_p)
+    est = np.maximum(0.0, (_pilot_energy(y_p) / y_p.shape[0] - 1.0) / tau_p)
+    return float(est) if est.ndim == 0 else est
 
 
 def genie_mmse_estimate(y_p: np.ndarray, tau_p: int, beta_0: float, member_beta_sum: float) -> np.ndarray:
@@ -123,28 +127,21 @@ def mrc_and_measure(
     The combiner is a positive multiple of the correlated observation
     ``corr[:, pilot]``, and the SINR does not depend on that multiple, so
     neither the receiver's sum-power estimate nor any data realization
-    enters it.
+    enters it. One product ``U[j, k] = y_j^H g_k`` serves every pilot; the
+    per-pilot terms are sums over the pilot's members.
     """
-    sinr = np.zeros(betas.size)
-    for j in np.unique(assignment):
-        members = np.flatnonzero(assignment == j)
-        y = corr[:, j]
-        yn2 = float(np.vdot(y, y).real)
-        total = float(betas[members].sum())
-        scale = np.sqrt(tau_p) * betas[members] / (tau_p * total + 1.0)
-        ghat_dot = scale * yn2  # y^H ghat_m, real by construction
-        u = y.conj() @ G  # y^H g_k for every active device
-        eps_dot = ghat_dot - u[members]
-        out = np.delete(np.abs(u) ** 2, members)
-        ee = float(np.sum(np.abs(eps_dot) ** 2))
-        oi = float(out.sum())
-        gd2 = np.abs(ghat_dot) ** 2
-        gd2_tot = float(gd2.sum())
-        for idx, k in enumerate(members):
-            sig = gd2[idx]
-            pc = gd2_tot - sig
-            sinr[k] = sig / (pc + ee + oi + yn2)
-    return sinr
+    own = (assignment, np.arange(betas.size))
+    U = corr.conj().T @ G
+    yn2 = _pilot_energy(corr)
+    total = np.bincount(assignment, weights=betas, minlength=tau_p)
+    ghat_dot = np.sqrt(tau_p) * betas / (tau_p * total[assignment] + 1.0) * yn2[assignment]  # y^H ghat_k, real
+    ee = np.bincount(assignment, weights=np.abs(ghat_dot - U[own]) ** 2, minlength=tau_p)
+    gd2 = ghat_dot**2
+    gd2_tot = np.bincount(assignment, weights=gd2, minlength=tau_p)
+    out = np.abs(U) ** 2
+    out[own] = 0.0  # row j keeps only the devices off pilot j
+    rest = (ee + out.sum(axis=1) + yn2)[assignment]
+    return gd2 / (gd2_tot[assignment] - gd2 + rest)
 
 
 def simulate_slot(
@@ -161,19 +158,15 @@ def simulate_slot(
     betas = np.asarray(betas, dtype=float)
     assignment = np.asarray(assignment, dtype=int)
 
-    G = sample_channels(betas, M, rng) if betas.size else np.zeros((M, 0), dtype=complex)
+    G = sample_channels(betas, M, rng)
     N_p = (rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) / np.sqrt(2.0)
-    if betas.size:
-        P = pilots.T[assignment]  # rows are the transposed sequences in use
-        Y_p = np.sqrt(tau_p) * (G @ P) + N_p
-    else:
-        Y_p = N_p
+    Y_p = np.sqrt(tau_p) * (G @ pilots.T[assignment]) + N_p  # rows of pilots.T are the sequences in use
     corr = Y_p @ pilots.conj()
     detected = detect_pilots(corr)
     return SlotOutcome(
         detected=detected,
         pilot_of_device=assignment,
-        est_sum_power={int(j): estimate_sum_power(corr[:, j], tau_p) for j in detected},
+        est_sum_power=dict(zip(detected.tolist(), estimate_sum_power(corr[:, detected], tau_p).tolist())),
         device_sinr=mrc_and_measure(G, betas, assignment, corr, tau_p),
     )
 
@@ -262,7 +255,7 @@ def run_frame(
     tau_p, tau_u, M = cfg.tau_p, cfg.tau_u, cfg.M
     if active is None:
         active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
-    active = np.asarray(active)
+    active = np.asarray(active, dtype=int)
     patterns = all_patterns(cfg.K, frame_index, n_slots, tau_p, cfg.seed)
     betas = np.atleast_1d(sample_beta(model, rng, active.size))
     pilots = pilot_sequences(tau_p)
@@ -271,12 +264,11 @@ def run_frame(
     detected_sets = []
     slots = [] if collect_slots else None
     for l in range(n_slots):
-        assignment = patterns[active, l] if active.size else np.array([], dtype=int)
+        assignment = patterns[active, l]
         out = simulate_slot(betas, assignment, tau_p, M, rng, pilots=pilots)
         detected_sets.append(out.detected)
-        if active.size:
-            seen = np.isin(assignment, out.detected)
-            bits[seen] += np.log2(1.0 + out.device_sinr[seen])
+        seen = np.isin(assignment, out.detected)
+        bits[seen] += np.log2(1.0 + out.device_sinr[seen])
         if collect_slots:
             slots.append(out)
 

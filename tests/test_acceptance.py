@@ -82,8 +82,7 @@ def test_criterion_04_bound_ordering_grid():
         model = UniformPowerError(10.0, alpha)
         for tp in (5, 20, 33, 60, 90):
             for q in (2.0, 8.0, 30.0, 120.0, 500.0):
-                cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=tp, p_a=q / 800,
-                                   seed=9, mc=McConfig(seed=9))
+                cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=tp, p_a=q / 800, seed=9)
                 v1 = r1_bar(cfg, model, cfg.mc)
                 v2 = r2_bar(cfg, model, cfg.mc)
                 v3 = r3(cfg, model)
@@ -144,17 +143,17 @@ def fig6_sweep():
     # achieved-rate comparison re-evaluates the operating points precisely
     # (common random numbers) so the 8% check measures the methods, not the
     # search noise
-    precise = McConfig(n_beta_samples=50000, seed=777)
+    precise = McConfig(n_beta_samples=50000)
     t0 = time.perf_counter()
     rows = {}
     for i, tau_u in enumerate((60, 120, 180, 240, 300)):
         seed = point_seed(2024, i)
         cfg = SystemConfig(M=100, K=800, tau_u=tau_u, seed=seed,
-                           mc=McConfig(n_beta_samples=500, seed=seed))
+                           mc=McConfig(n_beta_samples=500))
         per = {}
         for m in methods:
             res = optimize(m, cfg, model, mc=cfg.mc)
-            ach = r1_bar(replace(cfg, tau_p=res.tau_p_opt, p_a=min(res.p_aK_opt / 800, 1.0)),
+            ach = r1_bar(replace(cfg, tau_p=res.tau_p_opt, p_a=min(res.p_aK_opt / 800, 1.0), seed=777),
                          model, precise)
             per[m] = (res.tau_p_opt, res.p_aK_opt, ach.value, ach.mc_std_err)
         rows[tau_u] = per
@@ -186,7 +185,7 @@ def test_criterion_07_method_consistency(fig6_sweep):
 def test_criterion_08_protocol_vs_bound():
     t0 = time.perf_counter()
     model = UniformPowerError(10.0, 0.0)
-    cfg = SystemConfig(M=100, K=800, tau_u=100, seed=5, mc=McConfig(seed=5))
+    cfg = SystemConfig(M=100, K=800, tau_u=100, seed=5)
     res = grid_opt("Ra", cfg, model)
     at = replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / cfg.K)
     bound = r1_bar(at, model, at.mc)
@@ -275,7 +274,7 @@ def test_criterion_11_rate_saturation_in_population():
     values = []
     for K in (200, 400, 800, 1600):
         cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=33, p_a=30 / K, seed=3,
-                           mc=McConfig(n_beta_samples=4000, seed=3))
+                           mc=McConfig(n_beta_samples=4000))
         values.append(r1_bar(cfg, model, cfg.mc).value)
     inc = np.abs(np.diff(values))
     elapsed = time.perf_counter() - t0

@@ -232,7 +232,7 @@ def test_ra_below_r3_at_scale():
 
 
 def _cfg(**kw):
-    base = dict(M=100, K=800, tau_u=100, tau_p=33, p_a=30 / 800, seed=7, mc=McConfig(seed=7))
+    base = dict(M=100, K=800, tau_u=100, tau_p=33, p_a=30 / 800, seed=7)
     base.update(kw)
     return SystemConfig(**base)
 
@@ -247,7 +247,7 @@ def test_averaged_bounds_zero_activity(power_controlled):
 
 def test_r1_bar_single_device_matches_quadrature(uniform_spread):
     cfg = SystemConfig(M=50, K=1, tau_u=80, tau_p=10, p_a=1.0, seed=2,
-                       mc=McConfig(n_beta_samples=100000, seed=2))
+                       mc=McConfig(n_beta_samples=100000))
     got = r1_bar(cfg, uniform_spread, cfg.mc)
 
     def rate_of_gain(b0):
@@ -278,7 +278,7 @@ def test_r1_bar_matches_exhaustive_enumeration():
             total += p_act * p_assign * rate_sum
     model = UniformPowerError(beta, 0.0)
     cfg = SystemConfig(M=M, K=K, tau_u=tau_u, tau_p=tau_p, p_a=p_a, seed=0,
-                       mc=McConfig(eps_tail=1e-15, seed=0))
+                       mc=McConfig(eps_tail=1e-15))
     got = r1_bar(cfg, model, cfg.mc)
     assert got.mc_samples == 0
     assert got.value == pytest.approx(total, rel=1e-12)
@@ -296,7 +296,7 @@ def test_r2_equals_r1_single_device(uniform_spread):
     # one device, always active: no colliders exist and the two averaged
     # bounds coincide draw for draw
     cfg = SystemConfig(M=50, K=1, tau_u=80, tau_p=10, p_a=1.0, seed=6,
-                       mc=McConfig(n_beta_samples=5000, seed=6))
+                       mc=McConfig(n_beta_samples=5000))
     v1 = r1_bar(cfg, uniform_spread, cfg.mc)
     v2 = r2_bar(cfg, uniform_spread, cfg.mc)
     assert v2.value == pytest.approx(v1.value, rel=1e-12)
@@ -336,7 +336,7 @@ def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
     a = r1_bar(cfg, uniform_spread, cfg.mc)
     b = r1_bar(cfg, uniform_spread, cfg.mc)
     assert a.value == b.value and a.mc_std_err == b.mc_std_err
-    c = r1_bar(cfg, uniform_spread, McConfig(seed=8))
+    c = r1_bar(replace(cfg, seed=8), uniform_spread, cfg.mc)
     assert c.value != a.value  # different stream, different estimate
     # the same bits from a cold store and from one warmed by a grid sweep
     # whose rows overlap the cell's, across three pilot lengths
@@ -354,11 +354,11 @@ def test_store_stays_under_its_cap(uniform_spread, ring, monkeypatch):
     cfg = _cfg()
     grid_opt("R1", replace(cfg, tau_p=None, p_a=None), uniform_spread, GridSpec(6, 8, refine_points=3), cfg.mc)
     assert 0 < store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
-    big = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, seed=7, mc=McConfig(seed=7))
+    big = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, seed=7)
     r1_bar(big, ring, big.mc)
     assert store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
     # prefix sums larger than the cap (20000 x ~145 x 2 doubles) are used and dropped, not stored
-    r1_bar(_cfg(p_a=90 / 800), uniform_spread, McConfig(n_beta_samples=20000, seed=7))
+    r1_bar(_cfg(p_a=90 / 800), uniform_spread, McConfig(n_beta_samples=20000))
     assert store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
     assert not [key for key in store.items if key[0] == "pool" and key[2] == 20000]
 
@@ -367,7 +367,7 @@ def test_r1_saturates_in_population(shadowed):
     values = []
     for K in (200, 400, 800, 1600):
         cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=33, p_a=30 / K, seed=3,
-                           mc=McConfig(n_beta_samples=1000, seed=3))
+                           mc=McConfig(n_beta_samples=1000))
         values.append(r1_bar(cfg, shadowed, cfg.mc).value)
     inc = np.abs(np.diff(values))
     assert inc[0] > inc[1] > inc[2]

@@ -126,13 +126,20 @@ def test_cli_invalid_spec_exit_3(tmp_path, capsys):
     assert "sweep.values" in capsys.readouterr().err
 
 
+_MC_EVAL = "kind: bound-eval\nsystem: {{M: 100, tau_p: 33, p_a: 0.0375, seed: 1, mc: {}}}\n"
+
+
 @pytest.mark.parametrize("body, field", [
     ("kind: optimize\nsystem: {M: abc}\nmethods: [Rh0]\n", "system.M"),
     ("kind: optimize\nsystem: {M: [1, 2]}\nmethods: [Rh0]\n", "system.M"),
     ("kind: optimize\nsystem: {M: 100, K: 800.0}\nmethods: [Rh0]\n", "system.K"),
     ("kind: optimize\nsystem: {M: 100, tau_u: long}\nmethods: [Rh0]\n", "system.tau_u"),
     ("kind: optimize\nsystem: {M: 100, seed: 1.5}\nmethods: [Rh0]\n", "system.seed"),
-    ("kind: optimize\nsystem: {M: 100, mc: {n_beta_samples: 2.5}}\nmethods: [R1-opt]\n", "system.mc"),
+    ("kind: optimize\nsystem: {M: 100, mc: {n_beta_samples: 2.5}}\nmethods: [R1-opt]\n", "system.mc.n_beta_samples"),
+    (_MC_EVAL.format("{n_beta_samples: true}"), "system.mc.n_beta_samples"),
+    (_MC_EVAL.format("{eps_tail: abc}"), "system.mc.eps_tail"),
+    (_MC_EVAL.format("[1, 2]"), "system.mc"),
+    (_MC_EVAL.format("{n_samples: 10}"), "system.mc.n_samples"),
     ("kind: bound-eval\nsystem: {M: 100, tau_p: x, p_a: 0.0375}\n", "system.tau_p"),
     ("kind: bound-eval\nsystem: {M: 100, tau_p: 33.5, p_a: 0.0375}\n", "system.tau_p"),
     ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: high}\n", "system.p_a"),
@@ -150,6 +157,7 @@ def test_cli_invalid_spec_exit_3(tmp_path, capsys):
     ("kind: optimize\nsystem: {M: 100, tau_u: 2}\nmethods: [Rh0]\n", "system.tau_u"),
     ("kind: scaling-verify\nsystem: {M: 100}\ncase: coherence-limited\nladder: [[100, 100]]\n", "case"),
 ], ids=["M-text", "M-list", "K-float", "tau_u-text", "seed-fraction", "mc-samples-fraction",
+        "mc-samples-bool", "mc-eps-text", "mc-list", "mc-unknown-key",
         "tau_p-text", "tau_p-fraction", "p_a-text", "sweep-text", "sweep-fraction", "sweep-scalar",
         "n_slots-text", "n_frames-fraction", "model-text", "model-list", "model-bool",
         "rh0-sweep-short-slot", "rh0-short-slot", "case-coherence-limited"])

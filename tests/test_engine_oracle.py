@@ -92,7 +92,7 @@ def _ref_averaged_bound(cfg, model, mc, *, use_sinr2=False):
     n = 1 if exact else mc.n_beta_samples
     pool = np.empty((n, int(kas[-1])))
     for j in range(pool.shape[1]):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((mc.seed, j))))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, j))))
         pool[:, j] = sample_beta(model, rng, n)
     b0 = pool[:, :1]
     zero = np.zeros((n, 1))
@@ -138,7 +138,7 @@ def _rel(got, want):
 def test_engine_matches_per_cell_reference(model):
     for K, tau_p, q in CELLS:
         cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=tau_p, p_a=min(q / K, 1.0), seed=5,
-                           mc=McConfig(n_beta_samples=300, seed=5))
+                           mc=McConfig(n_beta_samples=300))
         v1, e1, n1 = _ref_averaged_bound(cfg, model, cfg.mc)
         got = r1_bar(cfg, model, cfg.mc)
         assert _rel(got.value, v1) <= 1e-12 and got.mc_samples == n1, (K, tau_p, q)
@@ -148,7 +148,7 @@ def test_engine_matches_per_cell_reference(model):
 
 
 def test_engine_matches_per_cell_reference_at_mmtc_scale(ring):
-    cfg = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, seed=7, mc=McConfig(seed=7))
+    cfg = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, seed=7)
     v1, e1, _ = _ref_averaged_bound(cfg, ring, cfg.mc)
     got = r1_bar(cfg, ring, cfg.mc)
     assert _rel(got.value, v1) <= 1e-12

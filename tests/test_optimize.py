@@ -116,7 +116,7 @@ def test_golden_section_finds_quadratic_peak():
 
 
 def _cfg(seed=11, **kw):
-    base = dict(M=100, K=800, tau_u=100, seed=seed, mc=McConfig(n_beta_samples=500, seed=seed))
+    base = dict(M=100, K=800, tau_u=100, seed=seed, mc=McConfig(n_beta_samples=500))
     base.update(kw)
     return SystemConfig(**base)
 
@@ -134,7 +134,7 @@ def test_grid_opt_reevaluation_reproduces_rate():
 def test_r1_opt_point_keeps_its_argmax(ring):
     # one fig6 R1-opt point, 500 samples per cell: the argmax and rate the
     # per-cell engine found before the F-row table replaced it
-    cfg = SystemConfig(M=100, K=800, tau_u=120, seed=3, mc=McConfig(n_beta_samples=500, seed=3))
+    cfg = SystemConfig(M=100, K=800, tau_u=120, seed=3, mc=McConfig(n_beta_samples=500))
     res = grid_opt("R1", cfg, ring, mc=cfg.mc)
     assert (res.tau_p_opt, res.p_aK_opt, res.evaluations) == (39, 40.46389372560529, 790)
     assert res.rate == pytest.approx(27.571692350974395, rel=1e-12)
@@ -189,7 +189,7 @@ def test_grid_opt_interior_argmax_at_m400():
 
 def test_r3_and_ra_argmax_agree():
     model = UniformPowerError(10.0, 0.0)
-    cfg = _cfg(seed=13, mc=McConfig(n_beta_samples=1, seed=13))
+    cfg = _cfg(seed=13, mc=McConfig(n_beta_samples=1))
     g = GridSpec(tau_p_points=12, pak_points=12, refine_points=7)
     r3res = grid_opt("R3", cfg, model, grid=g)
     rares = grid_opt("Ra", cfg, model, grid=g)

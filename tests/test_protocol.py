@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammainc, gammaincc
 from scipy.stats import binom, chisquare
 
-from pilothop.bounds import CollisionScenario, McConfig, estimation_variances, sinr1
+from pilothop.bounds import CollisionScenario, estimation_variances, sinr1
 from pilothop.config import SystemConfig
 from pilothop.protocol import (
     DetectionThreshold,
@@ -122,6 +122,7 @@ def test_estimate_sum_power_concentration(rng):
 def test_estimate_sum_power_clamped_at_zero(rng):
     y = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2)
     assert estimate_sum_power(0.0 * y, 8) == 0.0
+    assert isinstance(estimate_sum_power(y, 8), float)  # one column, one float
     vals = [estimate_sum_power((rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2), 8)
             for _ in range(200)]
     assert np.mean(vals) < 0.05
@@ -195,6 +196,78 @@ def test_forced_collision_jensen_bound(rng):
     assert abs(vals.mean() - bound) / bound < 0.15
 
 
+def _mrc_reference(G, betas, assignment, corr, tau_p):
+    """The receiver as one loop over the pilots in use: the slow, obvious
+    form of ``mrc_and_measure``."""
+    sinr = np.zeros(betas.size)
+    for j in np.unique(assignment):
+        members = np.flatnonzero(assignment == j)
+        y = corr[:, j]
+        yn2 = float(np.vdot(y, y).real)
+        total = float(betas[members].sum())
+        scale = np.sqrt(tau_p) * betas[members] / (tau_p * total + 1.0)
+        ghat_dot = scale * yn2  # y^H ghat_m, real by construction
+        u = y.conj() @ G  # y^H g_k for every active device
+        eps_dot = ghat_dot - u[members]
+        out = np.delete(np.abs(u) ** 2, members)
+        ee = float(np.sum(np.abs(eps_dot) ** 2))
+        oi = float(out.sum())
+        gd2 = np.abs(ghat_dot) ** 2
+        gd2_tot = float(gd2.sum())
+        for idx, k in enumerate(members):
+            sig = gd2[idx]
+            pc = gd2_tot - sig
+            sinr[k] = sig / (pc + ee + oi + yn2)
+    return sinr
+
+
+def _training_slot(rng, tau_p, M, assignment):
+    """Channels, gains and pilot correlation of one slot with spread gains."""
+    from pilothop.channels import sample_channels
+
+    assignment = np.asarray(assignment, dtype=int)
+    betas = 10.0 ** rng.uniform(-1.0, 2.0, assignment.size)
+    pil = pilot_sequences(tau_p)
+    G = sample_channels(betas, M, rng)
+    N_p = (rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) / math.sqrt(2.0)
+    corr = (math.sqrt(tau_p) * (G @ pil.T[assignment]) + N_p) @ pil.conj()
+    return G, betas, assignment, corr
+
+
+@pytest.mark.parametrize("tau_p, M, assignment", [
+    (1, 64, [0, 0, 0]),                 # one pilot
+    (12, 32, []),                       # nobody active
+    (12, 32, [7]),                      # one device
+    (8, 100, [5] * 20),                 # every device on one pilot
+    (33, 100, [0, 4, 4, 30]),           # most pilots unused
+    (4, 2, [0, 1, 1, 2, 2, 2, 3, 0]),  # fewer antennas than devices
+])
+def test_mrc_matches_per_pilot_loop(rng, tau_p, M, assignment):
+    G, betas, assignment, corr = _training_slot(rng, tau_p, M, assignment)
+    got = mrc_and_measure(G, betas, assignment, corr, tau_p)
+    assert got.shape == (len(assignment),)
+    np.testing.assert_allclose(got, _mrc_reference(G, betas, assignment, corr, tau_p), rtol=1e-12, atol=0)
+
+
+def test_mrc_matches_per_pilot_loop_on_random_slots(rng):
+    for _ in range(300):
+        tau_p, M = int(rng.integers(1, 41)), int(rng.integers(1, 129))
+        assignment = rng.integers(0, tau_p, int(rng.integers(0, 61)))
+        G, betas, assignment, corr = _training_slot(rng, tau_p, M, assignment)
+        np.testing.assert_allclose(mrc_and_measure(G, betas, assignment, corr, tau_p),
+                                   _mrc_reference(G, betas, assignment, corr, tau_p), rtol=1e-12, atol=0)
+
+
+def test_empty_slot_draws_only_the_noise_block():
+    M, tau_p = 16, 5
+    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+    out = simulate_slot([], [], tau_p, M, rng)
+    N_p = (replay.standard_normal((M, tau_p)) + 1j * replay.standard_normal((M, tau_p))) / math.sqrt(2.0)
+    assert np.array_equal(out.detected, detect_pilots(N_p @ pilot_sequences(tau_p).conj()))
+    assert out.device_sinr.shape == (0,)
+    assert rng.random() == replay.random()  # both streams stand at the same place
+
+
 def test_match_patterns_trivial_and_reports():
     patterns = np.array([[1, 2, 3, 0], [0, 0, 1, 1], [2, 2, 2, 2]])
     detected = [np.array([1]), np.array([2]), np.array([3]), np.array([0])]
@@ -231,7 +304,7 @@ def test_match_patterns_validates_inputs():
 
 
 def _frame_cfg(**kw):
-    base = dict(M=64, K=60, tau_u=60, tau_p=12, p_a=0.1, seed=9, mc=McConfig(seed=9))
+    base = dict(M=64, K=60, tau_u=60, tau_p=12, p_a=0.1, seed=9)
     base.update(kw)
     return SystemConfig(**base)
 
@@ -291,8 +364,9 @@ def test_slot_outcome_carries_estimates():
     Y_p = math.sqrt(8) * (G @ pil.T[assignment]) + N_p
     corr = Y_p @ pil.conj()
     assert np.array_equal(out.detected, detect_pilots(corr))
+    assert list(out.est_sum_power.values()) == estimate_sum_power(corr[:, out.detected], 8).tolist()
     for j in out.detected:
-        assert out.est_sum_power[int(j)] == estimate_sum_power(corr[:, j], 8)
+        assert out.est_sum_power[int(j)] == pytest.approx(estimate_sum_power(corr[:, j], 8), rel=1e-12)
     assert np.array_equal(out.device_sinr, mrc_and_measure(G, betas, assignment, corr, 8))
 
 
