@@ -364,9 +364,8 @@ def test_slot_outcome_carries_estimates():
     Y_p = math.sqrt(8) * (G @ pil.T[assignment]) + N_p
     corr = Y_p @ pil.conj()
     assert np.array_equal(out.detected, detect_pilots(corr))
-    assert list(out.est_sum_power.values()) == estimate_sum_power(corr[:, out.detected], 8).tolist()
     for j in out.detected:
-        assert out.est_sum_power[int(j)] == pytest.approx(estimate_sum_power(corr[:, j], 8), rel=1e-12)
+        assert out.est_sum_power[int(j)] == estimate_sum_power(corr[:, j], 8)
     assert np.array_equal(out.device_sinr, mrc_and_measure(G, betas, assignment, corr, 8))
 
 
