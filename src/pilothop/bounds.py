@@ -11,12 +11,15 @@ The hierarchy, from tightest to loosest:
   interference variances; fully analytic up to a 1-D gain expectation.
 * Ra -- large-system limit of R3; the optimizer's workhorse.
 
-All rates are in bits per symbol and include the (tau_u - tau_p)/tau_u
-training overhead prelog. Averaged bounds (``r1_bar``/``r2_bar``) are
-deterministic for a fixed seed: the gain pool is drawn column-wise from
-counter-based streams so results are identical no matter how the enclosing
-experiment is parallelized, and identical columns are reused across grid
-points (common random numbers) to stabilize argmax comparisons.
+Every bound is a function of one scenario, a ``SystemConfig``: its gain
+law is ``cfg.model`` and the averaged bounds' Monte Carlo settings are
+``cfg.mc``. All rates are in bits per symbol and include the
+(tau_u - tau_p)/tau_u training overhead prelog. Averaged bounds
+(``r1_bar``/``r2_bar``) are deterministic for a fixed seed: the gain pool
+is drawn column-wise from counter-based streams so results are identical
+no matter how the enclosing experiment is parallelized, and identical
+columns are reused across grid points (common random numbers) to
+stabilize argmax comparisons.
 
 Because the pool is shared, the collider average at one active count K_a,
 an F row, is the same for every activation probability: a cell is the
@@ -331,13 +334,7 @@ def _sinr1_from_sums(b0, b0_sq, coll_sum, coll_sq, other_sum, tau_p, M):
     return tau_p * (M - 1) * b0_sq / den
 
 
-def _averaged_bound(
-    cfg: "SystemConfig",
-    model: LargeScaleModel,
-    mc: McConfig,
-    *,
-    use_sinr2: bool = False,
-) -> tuple[float, float, int]:
+def _averaged_bound(cfg: "SystemConfig", *, use_sinr2: bool = False) -> tuple[float, float, int]:
     """Shared activation/collision summation engine for r1_bar and r2_bar.
 
     Returns (value, std_err, n_samples); n_samples is 0 when the gain law is
@@ -354,7 +351,7 @@ def _averaged_bound(
     call. No row depends on which rows were computed with it, so a cell's
     value is the same with a cold or a warm store.
     """
-    tau_p, tau_u, M, K = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K
+    tau_p, tau_u, M, K, model, mc = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K, cfg.model, cfg.mc
     if tau_p is None or cfg.p_a is None:
         raise ValueError("averaged bounds need tau_p and p_a set on the config")
     if tau_p > tau_u:
@@ -408,21 +405,19 @@ def _averaged_bound(
     return value, err, n
 
 
-def r1_bar(cfg: "SystemConfig", model: LargeScaleModel, mc: McConfig | None = None) -> BoundResult:
-    """Main averaged sum-rate bound (Monte Carlo over the gain law)."""
-    mc = mc or McConfig()
-    value, err, n = _averaged_bound(cfg, model, mc)
+def r1_bar(cfg: "SystemConfig") -> BoundResult:
+    """Main averaged sum-rate bound (Monte Carlo over the gain law, ``cfg.mc``)."""
+    value, err, n = _averaged_bound(cfg)
     return BoundResult(value, "R1", mc_samples=n, mc_std_err=err)
 
 
-def r2_bar(cfg: "SystemConfig", model: LargeScaleModel, mc: McConfig | None = None) -> BoundResult:
+def r2_bar(cfg: "SystemConfig") -> BoundResult:
     """Secondary averaged bound with collider identities Jensen-averaged."""
-    mc = mc or McConfig()
-    value, err, n = _averaged_bound(cfg, model, mc, use_sinr2=True)
+    value, err, n = _averaged_bound(cfg, use_sinr2=True)
     return BoundResult(value, "R2", mc_samples=n, mc_std_err=err)
 
 
-def _analytic_cells(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel, tau_p: int, p_a):
+def _analytic_cells(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a):
     """A row of R3 or Ra cells at pilot length ``tau_p``, as (live, scale, f).
 
     Cell ``live[r]`` of the row is ``scale[r] * E[f(gain, r)]``, with scale
@@ -436,7 +431,7 @@ def _analytic_cells(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel, 
     paK = p_a * cfg.K
     prelog = (cfg.tau_u - tau_p) / cfg.tau_u
     live = np.flatnonzero(paK != 0.0) if prelog != 0.0 else np.empty(0, dtype=int)
-    moments = analytic_moments(model)
+    moments = analytic_moments(cfg.model)
 
     def f(b0, rows):
         if bound_id == "R3":
@@ -448,20 +443,20 @@ def _analytic_cells(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel, 
     return live, prelog * paK[live], f
 
 
-def analytic_row(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel, tau_p: int, p_a) -> np.ndarray:
+def analytic_row(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a) -> np.ndarray:
     """R3 or Ra at pilot length ``tau_p`` for every activation probability of the row ``p_a``.
 
     One :func:`expect_rows` call takes the whole row, so each cell equals,
     bit for bit, the value of :func:`r3`/:func:`ra` at that cell.
     """
-    live, scale, f = _analytic_cells(bound_id, cfg, model, tau_p, p_a)
+    live, scale, f = _analytic_cells(bound_id, cfg, tau_p, p_a)
     values = np.zeros(np.size(p_a))
     if live.size:
-        values[live] = scale * expect_rows(model, f, live.size, seed=cfg.seed)
+        values[live] = scale * expect_rows(cfg.model, f, live.size, seed=cfg.seed)
     return values
 
 
-def _analytic_bound(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel) -> BoundResult:
+def _analytic_bound(bound_id: str, cfg: "SystemConfig") -> BoundResult:
     """R3 or Ra at the config's own operating point: the one-cell case of the row kernel.
 
     Its one cell is reduced by :func:`expect_beta`, which also gives the
@@ -470,30 +465,25 @@ def _analytic_bound(bound_id: str, cfg: "SystemConfig", model: LargeScaleModel) 
     """
     if cfg.tau_p is None or cfg.p_a is None:
         raise ValueError(f"{bound_id.lower()} needs tau_p and p_a set on the config")
-    live, scale, f = _analytic_cells(bound_id, cfg, model, cfg.tau_p, [cfg.p_a])
+    live, scale, f = _analytic_cells(bound_id, cfg, cfg.tau_p, [cfg.p_a])
     if live.size == 0:
         return BoundResult(0.0, bound_id)
-    val, err, n_mc = expect_beta(model, lambda b0: f(b0, slice(0, 1))[0], seed=cfg.seed)
+    val, err, n_mc = expect_beta(cfg.model, lambda b0: f(b0, slice(0, 1))[0], seed=cfg.seed)
     return BoundResult(float(scale[0] * val), bound_id, mc_samples=n_mc, mc_std_err=float(scale[0] * err))
 
 
-def r3(cfg: "SystemConfig", model: LargeScaleModel) -> BoundResult:
+def r3(cfg: "SystemConfig") -> BoundResult:
     """Optimization bound: analytic except for the 1-D gain expectation."""
-    return _analytic_bound("R3", cfg, model)
+    return _analytic_bound("R3", cfg)
 
 
-def ra(cfg: "SystemConfig", model: LargeScaleModel) -> BoundResult:
+def ra(cfg: "SystemConfig") -> BoundResult:
     """Large-system bound used for fast optimization."""
-    return _analytic_bound("Ra", cfg, model)
+    return _analytic_bound("Ra", cfg)
 
 
-# Every bound by id, called as (cfg, model, mc); the analytic ones draw no gain pool.
-BOUNDS = {
-    "R1": r1_bar,
-    "R2": r2_bar,
-    "R3": lambda cfg, model, mc: r3(cfg, model),
-    "Ra": lambda cfg, model, mc: ra(cfg, model),
-}
+# Every bound by id, called as fn(cfg); the analytic ones read no cfg.mc.
+BOUNDS = {"R1": r1_bar, "R2": r2_bar, "R3": r3, "Ra": ra}
 # The bounds an operating point is optimized on or re-evaluated under.
 COSTS = ("R1", "R3", "Ra")
 
@@ -503,16 +493,14 @@ def at_point(cfg: "SystemConfig", tau_p, p_aK: float) -> "SystemConfig":
     return replace(cfg, tau_p=int(tau_p), p_a=min(p_aK / cfg.K, 1.0))
 
 
-def bound_at(bound: str, cfg: "SystemConfig", model: LargeScaleModel, mc: McConfig | None,
-             tau_p, p_aK: float) -> BoundResult:
+def bound_at(bound: str, cfg: "SystemConfig", tau_p, p_aK: float) -> BoundResult:
     """Bound ``bound`` at the operating point (tau_p, p_a*K)."""
     if bound not in BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
-    return BOUNDS[bound](at_point(cfg, tau_p, p_aK), model, mc)
+    return BOUNDS[bound](at_point(cfg, tau_p, p_aK))
 
 
-def bound_row(bound: str, cfg: "SystemConfig", model: LargeScaleModel, mc: McConfig | None,
-              tau_p, p_aK) -> np.ndarray:
+def bound_row(bound: str, cfg: "SystemConfig", tau_p, p_aK) -> np.ndarray:
     """Values of bound ``bound`` at (tau_p, q) for every q of the 1-D row ``p_aK``.
 
     Each equals the value :func:`bound_at` returns at its cell. R3 and Ra
@@ -522,5 +510,5 @@ def bound_row(bound: str, cfg: "SystemConfig", model: LargeScaleModel, mc: McCon
     """
     if bound in ("R3", "Ra"):
         p_a = np.minimum(np.asarray(p_aK, dtype=float) / cfg.K, 1.0)
-        return analytic_row(bound, cfg, model, int(tau_p), p_a)
-    return np.array([bound_at(bound, cfg, model, mc, tau_p, float(q)).value for q in p_aK])
+        return analytic_row(bound, cfg, int(tau_p), p_a)
+    return np.array([bound_at(bound, cfg, tau_p, float(q)).value for q in p_aK])

@@ -195,6 +195,9 @@ def is_degenerate(model: LargeScaleModel) -> bool:
 EXPECT_MC_SAMPLES = 16384
 NODE_MC_SAMPLES = 8192
 
+# Gauss-Legendre points of beta_nodes' rule on the bounded-support models.
+LEGENDRE_NODES = 96
+
 # Node x row elements expect_rows evaluates at once: a whole row of cells on
 # a 96-node rule, a single row on thousands of log-normal draws. A block
 # much wider than this is slower on log-normal draws and raises peak memory.
@@ -256,9 +259,9 @@ def expect_rows(
 
 
 @cache
-def _legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [-1, 1], computed once per process (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+def _legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The LEGENDRE_NODES-point Gauss-Legendre rule on [-1, 1], computed once (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(LEGENDRE_NODES)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -305,27 +308,27 @@ _NODES = LruStore(NODES_CAP_BYTES)
 def beta_nodes(
     model: LargeScaleModel,
     *,
-    n_nodes: int = 96,
     mc_samples: int = NODE_MC_SAMPLES,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights such that E[f(gain)] ~= weights @ f(nodes).
 
-    Gauss-Legendre on the bounded-support models, seeded Monte Carlo draws
-    with uniform weights for log-normal shadowing, one node of weight 1 when
-    the gain is constant. Log-normal shadowing draws 16,384 nodes behind
-    expect_beta and the R3/Ra bounds (EXPECT_MC_SAMPLES) and, by default,
-    8,192 behind heuristic2_1d, asymptotic_1d and the scaling functional
-    (NODE_MC_SAMPLES); the counts are deliberately not unified, because
-    unifying them would change numbers.
+    Gauss-Legendre (LEGENDRE_NODES points) on the bounded-support models,
+    seeded Monte Carlo draws with uniform weights for log-normal shadowing,
+    one node of weight 1 when the gain is constant. Log-normal shadowing
+    draws 16,384 nodes behind expect_beta and the R3/Ra bounds
+    (EXPECT_MC_SAMPLES) and, by default, 8,192 behind heuristic2_1d,
+    asymptotic_1d and the scaling functional (NODE_MC_SAMPLES); the counts
+    are deliberately not unified, because unifying them would change
+    numbers.
 
-    Both arrays are read-only and memoized per (model, n_nodes, mc_samples,
-    seed) in an LRU store of at most NODES_CAP_BYTES (8 MiB), counted as
-    the arrays' bytes: a log-normal key takes 16 bytes per draw, 256 kB at
-    16,384 draws, so the store keeps 32 such keys; a key larger than the cap
-    is computed on every call and not kept.
+    Both arrays are read-only and memoized per (model, mc_samples, seed) in
+    an LRU store of at most NODES_CAP_BYTES (8 MiB), counted as the arrays'
+    bytes: a log-normal key takes 16 bytes per draw, 256 kB at 16,384
+    draws, so the store keeps 32 such keys; a key larger than the cap is
+    computed on every call and not kept.
     """
-    key = (model, n_nodes, mc_samples, seed)
+    key = (model, mc_samples, seed)
     held = _NODES.get(key)
     if held is not None:
         return held
@@ -335,7 +338,7 @@ def beta_nodes(
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         nodes, w = sample_beta(model, rng, mc_samples), np.full(mc_samples, 1.0 / mc_samples)
     else:
-        x, w = _legendre(n_nodes)
+        x, w = _legendre()
         v = model.alpha * x
         if isinstance(model, RingPathLoss):
             nodes = model.delta_bar * (1.0 + v) ** (-model.pathloss_exp)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
@@ -31,6 +32,18 @@ _MODEL_TAGS = {
     "lognormal": LogNormalShadowing,
     "pathloss": RingPathLoss,
 }
+
+
+class _SpecLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1, plus YAML 1.2's reading
+    of an exponent float: ``3e-4`` and ``1.0e9`` load as floats, not strings."""
+
+
+_SpecLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 class SpecParseError(Exception):
@@ -178,7 +191,7 @@ def parse_spec(source: Union[str, Path]) -> ExperimentSpec:
     """Parse an experiment file (or YAML string). Raises SpecParseError."""
     text = Path(source).read_text() if isinstance(source, Path) else str(source)
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_SpecLoader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         raise SpecParseError(

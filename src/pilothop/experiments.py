@@ -60,11 +60,11 @@ def point_seed(root: int, index: int) -> int:
 def _methods_at_point(cfg: SystemConfig, methods, evaluate_with: str, sweep_value) -> list[Record]:
     records = []
     for m in methods:
-        res = optimize(m, cfg, cfg.model, mc=cfg.mc)
+        res = optimize(m, cfg)
         if evaluate_with == "self":
             rate, err = res.rate, float(res.diagnostics.get("mc_std_err", 0.0))
         else:
-            b = bound_at(evaluate_with, cfg, cfg.model, cfg.mc, res.tau_p_opt, res.p_aK_opt)
+            b = bound_at(evaluate_with, cfg, res.tau_p_opt, res.p_aK_opt)
             rate, err = b.value, b.mc_std_err
         records.append(Record(sweep_value, m, rate, res.tau_p_opt, res.p_aK_opt, err))
     return records
@@ -90,7 +90,7 @@ def _simulate(cfg: SystemConfig, n_slots: int, n_frames: int, label: str, sweep_
     records = []
     p_aK = cfg.p_a * cfg.K
     for i in range(n_frames):
-        fr = run_frame(cfg, cfg.model, n_slots, _frame_rng(cfg.seed, i), frame_index=i)
+        fr = run_frame(cfg, n_slots, _frame_rng(cfg.seed, i), frame_index=i)
         rates.append(fr.sum_rate)
         records.append(Record(sweep_value, f"{label}-frame{i}", fr.sum_rate, cfg.tau_p, p_aK, 0.0))
     mean = float(np.mean(rates))
@@ -111,7 +111,7 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
     if spec.kind == "bound-eval":
         records = []
         for b in spec.bounds:
-            res = BOUNDS[b](cfg, cfg.model, cfg.mc)
+            res = BOUNDS[b](cfg)
             records.append(Record(cfg.tau_u, b, res.value, cfg.tau_p, cfg.p_a * cfg.K, res.mc_std_err))
         return {"bounds": records}
 
@@ -133,7 +133,7 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
         return {"rate": records, "tau_p_opt": records, "p_aK_opt": records}
 
     if spec.kind == "scaling-verify":
-        report = verify_scaling(spec.case, cfg.model, [tuple(r) for r in spec.ladder], mc=cfg.mc, seed=cfg.seed)
+        report = verify_scaling(spec.case, cfg.model, [tuple(r) for r in spec.ladder], seed=cfg.seed)
         records = []
         for pt in report.points:
             records.append(Record(pt.M, "Ra-opt", pt.rate, pt.tau_p_opt, pt.p_aK_opt, 0.0))
@@ -147,8 +147,8 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
     if spec.kind == "compare":
         records = []
         for m in spec.methods:
-            res = optimize(m, cfg, cfg.model, mc=cfg.mc)
-            bound = bound_at("R1", cfg, cfg.model, cfg.mc, res.tau_p_opt, res.p_aK_opt)
+            res = optimize(m, cfg)
+            bound = bound_at("R1", cfg, res.tau_p_opt, res.p_aK_opt)
             records.append(Record(cfg.tau_u, m, bound.value, res.tau_p_opt, res.p_aK_opt, bound.mc_std_err))
             at = at_point(cfg, res.tau_p_opt, res.p_aK_opt)
             records.extend(_simulate(at, spec.n_slots, spec.n_frames, f"{m}-sim", cfg.tau_u))

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .bounds import COSTS, McConfig, bound_at, bound_row, sinra
+from .bounds import COSTS, bound_at, bound_row, sinra
 from .channels import NODE_MC_SAMPLES, LargeScaleModel, analytic_moments, expect_rows
 
 if TYPE_CHECKING:
@@ -98,21 +98,26 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_to
     return x, f(x), evals + 1
 
 
-def _scan_then_golden(model, g, seed: int, lo: float, hi: float, n_scan: int = 61, rel_tol: float = 1e-4):
+# Points of _scan_then_golden's log-spaced scan, and its golden-section tolerance.
+SCAN_POINTS = 61
+SCAN_REL_TOL = 1e-4
+
+
+def _scan_then_golden(model, g, seed: int, lo: float, hi: float):
     """Maximize b * E[g(gain, b)] over [lo, hi]: a log-spaced scan, taken as one row, then golden section."""
     def obj(bs):
         return bs * expect_rows(model, lambda nodes, r: g(nodes, bs[r, None]), bs.size,
                                 mc_samples=NODE_MC_SAMPLES, seed=seed)
 
-    grid = np.geomspace(lo, hi, n_scan)
+    grid = np.geomspace(lo, hi, SCAN_POINTS)
     vals = obj(grid)
     i = int(np.argmax(vals))
     b_lo = grid[max(i - 1, 0)]
-    b_hi = grid[min(i + 1, n_scan - 1)]
-    x, fx, evals = golden_section_max(lambda b: float(obj(np.array([b]))[0]), b_lo, b_hi, rel_tol)
+    b_hi = grid[min(i + 1, SCAN_POINTS - 1)]
+    x, fx, evals = golden_section_max(lambda b: float(obj(np.array([b]))[0]), b_lo, b_hi, SCAN_REL_TOL)
     if vals[i] > fx:
         x, fx = float(grid[i]), float(vals[i])
-    return x, fx, evals + n_scan
+    return x, fx, evals + SCAN_POINTS
 
 
 def _tau_p_third(tau_u: int) -> int:
@@ -156,14 +161,8 @@ def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
     return _tau_p_third(tau_u), b_opt * root, val, evals
 
 
-def grid_opt(
-    cost: str,
-    cfg: "SystemConfig",
-    model: LargeScaleModel,
-    grid: GridSpec | None = None,
-    mc: McConfig | None = None,
-) -> OptimizationResult:
-    """Two-stage grid search of ``cost`` over (tau_p, p_a*K).
+def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> OptimizationResult:
+    """Two-stage grid search of ``cost`` over (tau_p, p_a*K) for the scenario ``cfg``.
 
     Stage one scans tau_p linearly over [1, tau_u] and p_a*K log-spaced over
     [pak_min, K]; stage two refines one stage-one cell around the argmax.
@@ -171,7 +170,6 @@ def grid_opt(
     if cost not in COSTS:
         raise ValueError(f"unknown cost {cost!r}; expected one of {COSTS}")
     grid = grid or GridSpec()
-    mc = mc or cfg.mc
     tau_u, K = cfg.tau_u, cfg.K
 
     if grid.tau_p_values:
@@ -197,7 +195,7 @@ def grid_opt(
         # row by row; the first strict maximum in row-major order wins
         nonlocal evals, best
         for tp in tp_list:
-            values = bound_row(cost, cfg, model, mc, tp, q_list)
+            values = bound_row(cost, cfg, tp, q_list)
             evals += q_list.size
             j = int(np.argmax(values))
             if values[j] > best[0]:
@@ -218,7 +216,7 @@ def grid_opt(
     sweep(tps2, qs2)
 
     _, tau_p_opt, q_opt = best
-    res = bound_at(cost, cfg, model, mc, tau_p_opt, q_opt)
+    res = bound_at(cost, cfg, tau_p_opt, q_opt)
     return OptimizationResult(
         tau_p_opt=tau_p_opt,
         p_aK_opt=q_opt,
@@ -234,15 +232,10 @@ def grid_opt(
     )
 
 
-def optimize(
-    method: str,
-    cfg: "SystemConfig",
-    model: LargeScaleModel,
-    mc: McConfig | None = None,
-    grid: GridSpec | None = None,
-) -> OptimizationResult:
-    """Run one of the six named methods and return its operating point.
+def optimize(method: str, cfg: "SystemConfig") -> OptimizationResult:
+    """Run one of the six named methods on the scenario ``cfg`` and return its operating point.
 
+    The three ``-opt`` methods search the default :class:`GridSpec`.
     ``rate`` is always the method's own cost at the returned point; for the
     closed-form heuristics that is a surrogate, not an achievable rate.
     """
@@ -250,9 +243,9 @@ def optimize(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     cost = method.removesuffix("-opt")
     if cost in COSTS:
-        return grid_opt(cost, cfg, model, grid, mc)
+        return grid_opt(cost, cfg)
 
-    tau_u, M, K = cfg.tau_u, cfg.M, cfg.K
+    tau_u, M, K, model = cfg.tau_u, cfg.M, cfg.K, cfg.model
     if method == "Rh0":
         tau_p, p_aK = heuristic1(tau_u, M)
         p_aK = min(p_aK, float(K))
@@ -262,5 +255,5 @@ def optimize(
         return OptimizationResult(tau_p, min(p_aK, float(K)), val, "Rh-1D", evals)
     tau_p, p_aK, _, evals = asymptotic_1d(tau_u, M, model, seed=cfg.seed)
     p_aK = min(p_aK, float(K))
-    achieved = bound_at("Ra", cfg, model, None, tau_p, p_aK)
+    achieved = bound_at("Ra", cfg, tau_p, p_aK)
     return OptimizationResult(tau_p, p_aK, achieved.value, "Ra-1D", evals + 1)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .access import ActivationLaw, sample_active_set
-from .channels import LargeScaleModel, sample_beta, sample_channels
+from .channels import sample_beta, sample_channels
 from .config import SystemConfig
 
 
@@ -214,12 +214,6 @@ def match_patterns(
 class FrameResult:
     """Per-frame simulation summary; rates are aligned with ``active``."""
 
-    M: int
-    K: int
-    tau_u: int
-    tau_p: int
-    seed: int
-    n_slots: int
     active: np.ndarray
     betas: np.ndarray
     rates: np.ndarray
@@ -230,7 +224,6 @@ class FrameResult:
 
 def run_frame(
     cfg: SystemConfig,
-    model: LargeScaleModel,
     n_slots: int,
     rng,
     *,
@@ -238,13 +231,14 @@ def run_frame(
     active: np.ndarray | None = None,
     collect_slots: bool = False,
 ) -> FrameResult:
-    """Simulate one transmission frame of ``n_slots`` coherence slots.
+    """Simulate one transmission frame of ``n_slots`` coherence slots of the scenario ``cfg``.
 
-    The active set is drawn from ``rng`` unless ``active`` is given. Per-device
-    empirical rates average log2(1 + SINR) over the slots in which the
-    device's pilot was detected (undetected slots contribute zero), scaled by
-    the training-overhead prelog. ``collect_slots`` retains the per-slot
-    outcomes in ``FrameResult.slots``.
+    The active set is drawn from ``rng`` unless ``active`` is given, and its
+    gains from ``cfg.model``. Per-device empirical rates average
+    log2(1 + SINR) over the slots in which the device's pilot was detected
+    (undetected slots contribute zero), scaled by the training-overhead
+    prelog. ``collect_slots`` retains the per-slot outcomes in
+    ``FrameResult.slots``.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
@@ -257,7 +251,7 @@ def run_frame(
         active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
     active = np.asarray(active, dtype=int)
     patterns = all_patterns(cfg.K, frame_index, n_slots, tau_p, cfg.seed)
-    betas = np.atleast_1d(sample_beta(model, rng, active.size))
+    betas = np.atleast_1d(sample_beta(cfg.model, rng, active.size))
     pilots = pilot_sequences(tau_p)
 
     bits = np.zeros(active.size)
@@ -275,9 +269,5 @@ def run_frame(
     prelog = (tau_u - tau_p) / tau_u
     rates = prelog * bits / n_slots
     ident = match_patterns(detected_sets, patterns, tau_p, active=active)
-    return FrameResult(
-        M=M, K=cfg.K, tau_u=tau_u, tau_p=tau_p, seed=cfg.seed, n_slots=n_slots,
-        active=active, betas=betas, rates=rates, sum_rate=float(rates.sum()),
-        identification=ident, slots=slots,
-    )
+    return FrameResult(active, betas, rates, float(rates.sum()), ident, slots)
 

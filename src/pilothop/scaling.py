@@ -23,12 +23,21 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import McConfig, sinra
-from .channels import BetaMoments, LargeScaleModel, analytic_moments, beta_nodes
+from .bounds import sinra
+from .channels import LargeScaleModel, analytic_moments, beta_nodes
 from .config import SystemConfig
-from .optimize import GridSpec, grid_opt
+from .optimize import grid_opt
 
 LN2 = math.log(2.0)
+
+# solve_ab's mesh: points per axis and coarse-to-fine stages.
+AB_GRID_POINTS = 61
+AB_STAGES = 3
+
+# Device population of every verify_scaling rung: high enough that the
+# activation cap never binds, since the regimes are statements about p_a*K,
+# not about K.
+LADDER_K = 10**6
 
 
 class ScalingCase(str, Enum):
@@ -62,21 +71,16 @@ def _warn_if_mismatched(case: ScalingCase, M: int, tau_u: int):
         warnings.warn(f"balanced regime declared but M/tau_u = {ratio:.3g}", stacklevel=3)
 
 
-def predict(
-    case: ScalingCase | str,
-    tau_u: int,
-    M: int,
-    moments: BetaMoments,
-    *,
-    model: LargeScaleModel | None = None,
-) -> ScalingPrediction:
+def predict(case: ScalingCase | str, tau_u: int, M: int, model: LargeScaleModel) -> ScalingPrediction:
     """Leading-order optimal (tau_p, p_a*K, rate, SINR) in the declared regime.
 
-    The balanced case needs the full gain law for a 1-D expectation, hence
-    the optional ``model``; its functional is solved at delta = M / tau_u.
+    The antenna- and slot-rich cases read the gain law only through its
+    moments; the balanced case solves its functional at delta = M / tau_u
+    by a 1-D expectation over the gain law.
     """
     case = ScalingCase(case)
     _warn_if_mismatched(case, M, tau_u)
+    moments = analytic_moments(model)
     f = moments.spread_factor
     if case is ScalingCase.ANTENNA_RICH:
         return ScalingPrediction(
@@ -114,8 +118,6 @@ def predict(
                 "sinr_alt": 2.0 ** (5.0 / 6.0) * (M / tau_u) ** (1.0 / 3.0),
             },
         )
-    if model is None:
-        raise ValueError("the balanced case needs the gain model for a 1-D expectation")
     a, b, scale = solve_ab(M / tau_u, model)
     tau_p = a * tau_u
     p_aK = b * math.sqrt(M * tau_u)
@@ -128,66 +130,56 @@ def predict(
     )
 
 
-def ab_objective(a, b, delta: float, model: LargeScaleModel, *, nodes=None):
+def ab_objective(a, b, delta: float, model: LargeScaleModel):
     """Normalized balanced-regime rate at pilot share a and activation scale b.
 
     Multiplying by sqrt(M*tau_u) recovers the sum rate; the functional
     depends on (M, tau_u) only through delta. ``b`` is a scalar, giving a
-    float, or a 1-D array, giving one value per entry.
+    float, or a 1-D array, giving one value per entry. The expectation is
+    taken over the memoized seed-0 :func:`beta_nodes`.
     """
-    if nodes is None:
-        nodes = beta_nodes(model)
-    betas, w = nodes
+    betas, w = beta_nodes(model)
     b = np.asarray(b, dtype=float)
     x = sinra(betas, analytic_moments(model), a, b[..., None] * math.sqrt(delta), delta)
     vals = (1.0 - a) * b * (np.log2(1.0 + x) @ w)
     return float(vals) if vals.ndim == 0 else vals
 
 
-def solve_ab(
-    delta: float,
-    model: LargeScaleModel,
-    *,
-    n_grid: int = 61,
-    stages: int = 3,
-    b_max: float | None = None,
-    seed: int = 0,
-) -> tuple[float, float, float]:
+def solve_ab(delta: float, model: LargeScaleModel) -> tuple[float, float, float]:
     """Maximize the balanced-regime functional over (a, b).
 
     Returns (a, b, rate_scale) with rate_scale the functional's maximum, so
     the predicted optimized sum rate is rate_scale * sqrt(M * tau_u).
-    Coarse-to-fine grid: a log-spaced global stage, then zooms around the
-    argmax.
+    Coarse-to-fine grid of AB_GRID_POINTS per axis: a log-spaced global
+    stage over b up to 5 sqrt(spread_factor), then AB_STAGES - 1 zooms
+    around the argmax.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    nodes = beta_nodes(model, seed=seed)
     root_f = math.sqrt(analytic_moments(model).spread_factor)
-    b_hi = b_max if b_max is not None else 5.0 * root_f
     # the slot-rich limit pushes a toward (delta/2)^(2/3); keep it in range
     a_lo = min(1e-3, 0.2 * (delta / 2.0) ** (2.0 / 3.0))
-    grid_a = np.geomspace(a_lo, 1.0 - 1e-3, n_grid)
-    grid_b = np.geomspace(1e-3 * root_f, b_hi, n_grid)
+    grid_a = np.geomspace(a_lo, 1.0 - 1e-3, AB_GRID_POINTS)
+    grid_b = np.geomspace(1e-3 * root_f, 5.0 * root_f, AB_GRID_POINTS)
 
     def eval_mesh(avals, bvals):
         best = (-math.inf, None, None)
         for a in avals:
-            vals = ab_objective(a, bvals, delta, model, nodes=nodes)
+            vals = ab_objective(a, bvals, delta, model)
             j = int(np.argmax(vals))
             if vals[j] > best[0]:
                 best = (float(vals[j]), float(a), float(bvals[j]))
         return best
 
     best = eval_mesh(grid_a, grid_b)
-    for _ in range(stages - 1):
+    for _ in range(AB_STAGES - 1):
         _, a_star, b_star = best
         ia = int(np.searchsorted(grid_a, a_star))
         ib = int(np.searchsorted(grid_b, b_star))
         a_win = (grid_a[max(ia - 1, 0)], grid_a[min(ia + 1, grid_a.size - 1)])
         b_win = (grid_b[max(ib - 1, 0)], grid_b[min(ib + 1, grid_b.size - 1)])
-        grid_a = np.linspace(a_win[0], a_win[1], n_grid)
-        grid_b = np.linspace(b_win[0], b_win[1], n_grid)
+        grid_a = np.linspace(a_win[0], a_win[1], AB_GRID_POINTS)
+        grid_b = np.linspace(b_win[0], b_win[1], AB_GRID_POINTS)
         cand = eval_mesh(grid_a, grid_b)
         if cand[0] > best[0]:
             best = cand
@@ -214,31 +206,21 @@ class ConvergenceReport:
     rate_normalization: str | None = None
 
 
-def verify_scaling(
-    case: ScalingCase | str,
-    model: LargeScaleModel,
-    ladder,
-    *,
-    K: int = 10**6,
-    grid: GridSpec | None = None,
-    mc: McConfig | None = None,
-    seed: int = 0,
-) -> ConvergenceReport:
+def verify_scaling(case: ScalingCase | str, model: LargeScaleModel, ladder, *, seed: int = 0) -> ConvergenceReport:
     """Grid-optimize the large-system bound along a (M, tau_u) ladder and
     compare against the closed-form predictions.
 
-    ``K`` defaults high enough that the activation cap never binds; the
-    regimes are statements about p_a*K, not about the device population.
+    Each rung is the scenario (M, tau_u) with LADDER_K devices, gains from
+    ``model`` and seed ``seed``, searched on the default grid.
     """
     case = ScalingCase(case)
-    moments = analytic_moments(model)
     points = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # declared-regime warnings on early rungs
         for M, tau_u in ladder:
-            cfg = SystemConfig(M=int(M), K=K, tau_u=int(tau_u), seed=seed, mc=mc or McConfig())
-            res = grid_opt("Ra", cfg, model, grid=grid, mc=mc)
-            pred = predict(case, int(tau_u), int(M), moments, model=model)
+            cfg = SystemConfig(M=int(M), K=LADDER_K, tau_u=int(tau_u), model=model, seed=seed)
+            res = grid_opt("Ra", cfg)
+            pred = predict(case, int(tau_u), int(M), model)
             rel = {
                 "tau_p": abs(res.tau_p_opt - pred.tau_p) / pred.tau_p,
                 "p_aK": abs(res.p_aK_opt - pred.p_aK) / pred.p_aK,

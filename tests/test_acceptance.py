@@ -22,7 +22,7 @@ from pilothop.bounds import (
     sinr1,
     sinr_components,
 )
-from pilothop.channels import RingPathLoss, LogNormalShadowing, UniformPowerError, analytic_moments
+from pilothop.channels import RingPathLoss, LogNormalShadowing, UniformPowerError
 from pilothop.cli import main as cli_main
 from pilothop.config import SystemConfig
 from pilothop.experiments import point_seed
@@ -82,10 +82,10 @@ def test_criterion_04_bound_ordering_grid():
         model = UniformPowerError(10.0, alpha)
         for tp in (5, 20, 33, 60, 90):
             for q in (2.0, 8.0, 30.0, 120.0, 500.0):
-                cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=tp, p_a=q / 800, seed=9)
-                v1 = r1_bar(cfg, model, cfg.mc)
-                v2 = r2_bar(cfg, model, cfg.mc)
-                v3 = r3(cfg, model)
+                cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=tp, p_a=q / 800, model=model, seed=9)
+                v1 = r1_bar(cfg)
+                v2 = r2_bar(cfg)
+                v3 = r3(cfg)
                 slack12 = 3 * math.hypot(v1.mc_std_err, v2.mc_std_err) + 1e-9 * max(1.0, v1.value)
                 slack13 = 3 * v1.mc_std_err + 1e-9 * max(1.0, v1.value)
                 if v2.value > v1.value + slack12 or v3.value > v1.value + slack13:
@@ -124,9 +124,8 @@ def test_criterion_06_balanced_regime_solution():
     da = [abs(a - 0.5) for a, _ in pts]
     db = [abs(b - 0.5) for _, b in pts]
     monotone = all(x > y for x, y in zip(da, da[1:])) and all(x > y for x, y in zip(db, db[1:]))
-    mo = analytic_moments(model)
-    p1 = predict(ScalingCase.BALANCED, 200, 100, mo, model=model)
-    p2 = predict(ScalingCase.BALANCED, 2000, 1000, mo, model=model)
+    p1 = predict(ScalingCase.BALANCED, 200, 100, model)
+    p2 = predict(ScalingCase.BALANCED, 2000, 1000, model)
     invariant = (abs(p1.remainders["a"] - p2.remainders["a"]) <= 1e-8
                  and abs(p1.remainders["b"] - p2.remainders["b"]) <= 1e-8)
     elapsed = time.perf_counter() - t0
@@ -148,13 +147,13 @@ def fig6_sweep():
     rows = {}
     for i, tau_u in enumerate((60, 120, 180, 240, 300)):
         seed = point_seed(2024, i)
-        cfg = SystemConfig(M=100, K=800, tau_u=tau_u, seed=seed,
+        cfg = SystemConfig(M=100, K=800, tau_u=tau_u, model=model, seed=seed,
                            mc=McConfig(n_beta_samples=500))
         per = {}
         for m in methods:
-            res = optimize(m, cfg, model, mc=cfg.mc)
-            ach = r1_bar(replace(cfg, tau_p=res.tau_p_opt, p_a=min(res.p_aK_opt / 800, 1.0), seed=777),
-                         model, precise)
+            res = optimize(m, cfg)
+            ach = r1_bar(replace(cfg, tau_p=res.tau_p_opt, p_a=min(res.p_aK_opt / 800, 1.0), seed=777,
+                                 mc=precise))
             per[m] = (res.tau_p_opt, res.p_aK_opt, ach.value, ach.mc_std_err)
         rows[tau_u] = per
     return rows, time.perf_counter() - t0
@@ -184,13 +183,12 @@ def test_criterion_07_method_consistency(fig6_sweep):
 
 def test_criterion_08_protocol_vs_bound():
     t0 = time.perf_counter()
-    model = UniformPowerError(10.0, 0.0)
-    cfg = SystemConfig(M=100, K=800, tau_u=100, seed=5)
-    res = grid_opt("Ra", cfg, model)
+    cfg = SystemConfig(M=100, K=800, tau_u=100, model=UniformPowerError(10.0, 0.0), seed=5)
+    res = grid_opt("Ra", cfg)
     at = replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / cfg.K)
-    bound = r1_bar(at, model, at.mc)
+    bound = r1_bar(at)
 
-    fr = run_frame(at, model, 2000, np.random.default_rng(99), collect_slots=True)
+    fr = run_frame(at, 2000, np.random.default_rng(99), collect_slots=True)
     prelog = (at.tau_u - at.tau_p) / at.tau_u
     slot_totals = np.array([prelog * np.log2(1.0 + out.device_sinr).sum() for out in fr.slots])
     se_slots = slot_totals.std(ddof=1) / math.sqrt(slot_totals.size)
@@ -202,7 +200,7 @@ def test_criterion_08_protocol_vs_bound():
     law = ActivationLaw(at.K, at.p_a)
     sup = truncate_support(law, 1e-9)
     ks = np.arange(max(sup.lo, 1), sup.hi + 1)
-    cond = np.array([r1_bar(replace(at, K=int(k), p_a=1.0), model, at.mc).value for k in ks])
+    cond = np.array([r1_bar(replace(at, K=int(k), p_a=1.0)).value for k in ks])
     w = pmf_over(law, ks)
     var_ka = float(w @ (cond - float(w @ cond)) ** 2)
     sigma = math.sqrt(se_slots**2 + var_ka + bound.mc_std_err**2)
@@ -273,9 +271,9 @@ def test_criterion_11_rate_saturation_in_population():
     model = LogNormalShadowing(10.0, 0.25)
     values = []
     for K in (200, 400, 800, 1600):
-        cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=33, p_a=30 / K, seed=3,
+        cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=33, p_a=30 / K, model=model, seed=3,
                            mc=McConfig(n_beta_samples=4000))
-        values.append(r1_bar(cfg, model, cfg.mc).value)
+        values.append(r1_bar(cfg).value)
     inc = np.abs(np.diff(values))
     elapsed = time.perf_counter() - t0
     ok = inc[0] > inc[1] > inc[2] and inc[-1] < 0.02 * values[-1] and elapsed < 900.0

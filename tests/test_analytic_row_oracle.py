@@ -32,18 +32,18 @@ MODELS = {
 TAU_U, K, M = 60, 800, 100
 
 
-def _cfg(seed=11):
-    return SystemConfig(M=M, K=K, tau_u=TAU_U, seed=seed)
+def _cfg(name, seed=11):
+    return SystemConfig(M=M, K=K, tau_u=TAU_U, model=MODELS[name], seed=seed)
 
 
-def _cell(bound, cfg, model, tau_p, q):
+def _cell(bound, cfg, tau_p, q):
     """(value, std_err, n_samples) of one cell, the per-cell way."""
     p_a = min(q / cfg.K, 1.0)
     paK = p_a * cfg.K
     prelog = (cfg.tau_u - tau_p) / cfg.tau_u
     if paK == 0.0 or prelog == 0.0:
         return 0.0, 0.0, 0
-    mo = analytic_moments(model)
+    mo = analytic_moments(cfg.model)
     bm, b2m = mo.mean, mo.mean_sq
     if bound == "R3":
         if paK < 1.0:
@@ -58,7 +58,7 @@ def _cell(bound, cfg, model, tau_p, q):
         def sinr(b0):
             den = b2m * cfg.M * paK + bm**2 * paK**2 + bm * b0 * paK * tau_p
             return cfg.M * tau_p * b0**2 / den
-    val, err, n = expect_beta(model, lambda b0: np.log2(1.0 + sinr(b0)), seed=cfg.seed)
+    val, err, n = expect_beta(cfg.model, lambda b0: np.log2(1.0 + sinr(b0)), seed=cfg.seed)
     return prelog * paK * val, prelog * paK * err, n
 
 
@@ -84,41 +84,41 @@ ROW = np.concatenate([
 @pytest.mark.parametrize("bound", ["R3", "Ra"])
 @pytest.mark.parametrize("name", list(MODELS))
 def test_row_equals_cells(bound, name):
-    model, cfg = MODELS[name], _cfg()
+    cfg = _cfg(name)
     for tau_p in (1, 20, TAU_U - 1, TAU_U):
-        want = [_cell(bound, cfg, model, tau_p, float(q)) for q in ROW]
-        row = bound_row(bound, cfg, model, None, tau_p, ROW)
+        want = [_cell(bound, cfg, tau_p, float(q)) for q in ROW]
+        row = bound_row(bound, cfg, tau_p, ROW)
         assert row.tolist() == [v for v, _, _ in want]
         for q, (v, err, n) in zip(ROW[::7], want[::7]):
-            res = bound_at(bound, cfg, model, None, tau_p, float(q))
+            res = bound_at(bound, cfg, tau_p, float(q))
             assert (res.value, res.mc_std_err, res.mc_samples) == (v, err, n)
     # zero prelog: every cell is 0 with no Monte Carlo error
-    assert not bound_row(bound, cfg, model, None, TAU_U, ROW).any()
-    res = bound_at(bound, cfg, model, None, TAU_U, 30.0)
+    assert not bound_row(bound, cfg, TAU_U, ROW).any()
+    res = bound_at(bound, cfg, TAU_U, 30.0)
     assert (res.value, res.mc_std_err, res.mc_samples) == (0.0, 0.0, 0)
 
 
 def test_row_handles_zero_activity_and_rejects_long_pilots():
-    model, cfg = MODELS["uniform-0.5"], _cfg()
-    row = analytic_row("Ra", cfg, model, 20, [0.0, 30 / K, 0.0])
+    cfg = _cfg("uniform-0.5")
+    row = analytic_row("Ra", cfg, 20, [0.0, 30 / K, 0.0])
     assert row[0] == row[2] == 0.0
-    assert row[1] == _cell("Ra", cfg, model, 20, 30.0)[0]
+    assert row[1] == _cell("Ra", cfg, 20, 30.0)[0]
     with pytest.raises(ValueError):
-        analytic_row("Ra", cfg, model, TAU_U + 1, [30 / K])
+        analytic_row("Ra", cfg, TAU_U + 1, [30 / K])
 
 
 @pytest.mark.parametrize("name", ["uniform-0.5", "lognormal-4"])
 def test_r3_rejects_sparse_activity(name):
-    model, cfg = MODELS[name], _cfg()
+    cfg = _cfg(name)
     with pytest.raises(ValueError):
-        bound_row("R3", cfg, model, None, 20, np.array([0.5, 2.0, 30.0]))
+        bound_row("R3", cfg, 20, np.array([0.5, 2.0, 30.0]))
     with pytest.raises(ValueError):
-        bound_at("R3", cfg, model, None, 20, 0.5)
+        bound_at("R3", cfg, 20, 0.5)
     with pytest.raises(ValueError):
-        _cell("R3", cfg, model, 20, 0.5)
+        _cell("R3", cfg, 20, 0.5)
 
 
-def _reference_grid_opt(cost, cfg, model, grid):
+def _reference_grid_opt(cost, cfg, grid):
     """Two-stage grid search, one bound_at call per cell, first strict maximum wins."""
     tps = np.unique(np.round(np.linspace(1, cfg.tau_u, grid.tau_p_points)).astype(int))
     qs = np.geomspace(min(grid.pak_min, float(cfg.K)), cfg.K, grid.pak_points)
@@ -128,7 +128,7 @@ def _reference_grid_opt(cost, cfg, model, grid):
         nonlocal evals, best
         for tp in tp_list:
             for q in q_list:
-                res = bound_at(cost, cfg, model, None, tp, float(q))
+                res = bound_at(cost, cfg, tp, float(q))
                 evals += 1
                 if res.value > best[0]:
                     best = (res.value, int(tp), float(q), res)
@@ -149,15 +149,15 @@ def _reference_grid_opt(cost, cfg, model, grid):
 @pytest.mark.parametrize("cost", ["R3", "Ra"])
 @pytest.mark.parametrize("name", list(MODELS))
 def test_grid_opt_equals_cell_by_cell_search(cost, name):
-    model, cfg = MODELS[name], _cfg(seed=5)
+    cfg = _cfg(name, seed=5)
     for grid in (GridSpec(12, 14, refine_points=6), GridSpec(5, 60, refine_points=50)):
-        got = grid_opt(cost, cfg, model, grid)
-        want = _reference_grid_opt(cost, cfg, model, grid)
+        got = grid_opt(cost, cfg, grid)
+        want = _reference_grid_opt(cost, cfg, grid)
         assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.diagnostics["mc_std_err"],
                 got.diagnostics["mc_samples"], got.evaluations) == want
 
 
 def test_grid_opt_reports_lognormal_error():
     # the log-normal comparison above is not one of zeros
-    res = grid_opt("Ra", _cfg(seed=5), MODELS["lognormal-4"], GridSpec(6, 6, refine_points=3))
+    res = grid_opt("Ra", _cfg("lognormal-4", seed=5), GridSpec(6, 6, refine_points=3))
     assert res.diagnostics["mc_samples"] == 16384 and res.diagnostics["mc_std_err"] > 0.0

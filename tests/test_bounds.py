@@ -12,6 +12,7 @@ from pilothop.bounds import (
     BoundResult,
     CollisionScenario,
     McConfig,
+    bound_at,
     estimation_variances,
     r1_bar,
     r2_bar,
@@ -204,12 +205,11 @@ def test_sinra_three_term_decomposition():
 
 def test_ra_surface_unimodal_interior():
     # coarse scan of the large-system bound at M = tau_u = 400
-    model = UniformPowerError(10.0, 0.0)
-    cfg = SystemConfig(M=400, K=10**5, tau_u=400, seed=0)
+    cfg = SystemConfig(M=400, K=10**5, tau_u=400, model=UniformPowerError(10.0, 0.0), seed=0)
     tps = np.arange(8, 400, 8)
     qs = np.geomspace(2.0, 4000.0, 40)
     surf = np.array(
-        [[ra(replace(cfg, tau_p=int(tp), p_a=q / cfg.K), model).value for q in qs] for tp in tps]
+        [[ra(replace(cfg, tau_p=int(tp), p_a=q / cfg.K)).value for q in qs] for tp in tps]
     )
     i, j = np.unravel_index(surf.argmax(), surf.shape)
     assert 0 < i < tps.size - 1 and 0 < j < qs.size - 1
@@ -227,8 +227,8 @@ def test_ra_surface_unimodal_interior():
 def test_ra_below_r3_at_scale():
     model = UniformPowerError(10.0, 0.0)
     for M, tau_u, tau_p, paK in [(4000, 2000, 600, 500), (10**4, 5000, 1500, 900)]:
-        cfg = SystemConfig(M=M, K=10**5, tau_u=tau_u, tau_p=tau_p, p_a=paK / 10**5, seed=0)
-        assert ra(cfg, model).value <= r3(cfg, model).value * (1 + 1e-9)
+        cfg = SystemConfig(M=M, K=10**5, tau_u=tau_u, tau_p=tau_p, p_a=paK / 10**5, model=model, seed=0)
+        assert ra(cfg).value <= r3(cfg).value * (1 + 1e-9)
 
 
 def _cfg(**kw):
@@ -238,17 +238,16 @@ def _cfg(**kw):
 
 
 def test_averaged_bounds_zero_activity(power_controlled):
-    cfg = _cfg(p_a=0.0)
-    for fn in (lambda: r1_bar(cfg, power_controlled, cfg.mc), lambda: r2_bar(cfg, power_controlled, cfg.mc),
-               lambda: r3(cfg, power_controlled), lambda: ra(cfg, power_controlled)):
-        res = fn()
+    cfg = _cfg(p_a=0.0, model=power_controlled)
+    for fn in (r1_bar, r2_bar, r3, ra):
+        res = fn(cfg)
         assert res.value == 0.0 and res.mc_std_err == 0.0
 
 
 def test_r1_bar_single_device_matches_quadrature(uniform_spread):
-    cfg = SystemConfig(M=50, K=1, tau_u=80, tau_p=10, p_a=1.0, seed=2,
+    cfg = SystemConfig(M=50, K=1, tau_u=80, tau_p=10, p_a=1.0, model=uniform_spread, seed=2,
                        mc=McConfig(n_beta_samples=100000))
-    got = r1_bar(cfg, uniform_spread, cfg.mc)
+    got = r1_bar(cfg)
 
     def rate_of_gain(b0):
         return (70 / 80) * math.log2(1.0 + sinr1(CollisionScenario(b0, (), 1, 10, 50), []))
@@ -276,18 +275,27 @@ def test_r1_bar_matches_exhaustive_enumeration():
                 s = CollisionScenario(beta, (beta,) * c, K_a, tau_p, M)
                 rate_sum += rate1(s, [beta] * (K_a - 1 - c), tau_u)
             total += p_act * p_assign * rate_sum
-    model = UniformPowerError(beta, 0.0)
-    cfg = SystemConfig(M=M, K=K, tau_u=tau_u, tau_p=tau_p, p_a=p_a, seed=0,
+    cfg = SystemConfig(M=M, K=K, tau_u=tau_u, tau_p=tau_p, p_a=p_a, model=UniformPowerError(beta, 0.0), seed=0,
                        mc=McConfig(eps_tail=1e-15))
-    got = r1_bar(cfg, model, cfg.mc)
+    got = r1_bar(cfg)
     assert got.mc_samples == 0
     assert got.value == pytest.approx(total, rel=1e-12)
 
 
+def test_bounds_and_grid_opt_read_the_config_mc(uniform_spread):
+    # the Monte Carlo settings come from the scenario itself, on every entry point
+    cfg = _cfg(model=uniform_spread, mc=McConfig(n_beta_samples=300))
+    assert r1_bar(cfg).mc_samples == 300
+    assert r2_bar(cfg).mc_samples == 300
+    assert bound_at("R1", cfg, 20, 10.0).mc_samples == 300
+    res = grid_opt("R1", replace(cfg, tau_p=None, p_a=None), GridSpec(3, 3, refine_points=2))
+    assert res.diagnostics["mc_samples"] == 300
+
+
 def test_r2_equals_r1_power_control(power_controlled):
-    cfg = _cfg()
-    v1 = r1_bar(cfg, power_controlled, cfg.mc)
-    v2 = r2_bar(cfg, power_controlled, cfg.mc)
+    cfg = _cfg(model=power_controlled)
+    v1 = r1_bar(cfg)
+    v2 = r2_bar(cfg)
     assert v1.mc_samples == 0 and v2.mc_samples == 0
     assert v2.value == pytest.approx(v1.value, rel=1e-12)
 
@@ -295,28 +303,28 @@ def test_r2_equals_r1_power_control(power_controlled):
 def test_r2_equals_r1_single_device(uniform_spread):
     # one device, always active: no colliders exist and the two averaged
     # bounds coincide draw for draw
-    cfg = SystemConfig(M=50, K=1, tau_u=80, tau_p=10, p_a=1.0, seed=6,
+    cfg = SystemConfig(M=50, K=1, tau_u=80, tau_p=10, p_a=1.0, model=uniform_spread, seed=6,
                        mc=McConfig(n_beta_samples=5000))
-    v1 = r1_bar(cfg, uniform_spread, cfg.mc)
-    v2 = r2_bar(cfg, uniform_spread, cfg.mc)
+    v1 = r1_bar(cfg)
+    v2 = r2_bar(cfg)
     assert v2.value == pytest.approx(v1.value, rel=1e-12)
 
 
 def test_bound_ordering_with_spread(uniform_spread):
     for tp, q in [(10, 8.0), (33, 30.0), (70, 150.0)]:
-        cfg = _cfg(tau_p=tp, p_a=q / 800)
-        v1 = r1_bar(cfg, uniform_spread, cfg.mc)
-        v2 = r2_bar(cfg, uniform_spread, cfg.mc)
-        v3 = r3(cfg, uniform_spread)
+        cfg = _cfg(tau_p=tp, p_a=q / 800, model=uniform_spread)
+        v1 = r1_bar(cfg)
+        v2 = r2_bar(cfg)
+        v3 = r3(cfg)
         slack = 3 * math.hypot(v1.mc_std_err, v2.mc_std_err) + 1e-9 * v1.value
         assert v2.value <= v1.value + slack
         assert v3.value <= v1.value + 3 * v1.mc_std_err + 1e-9 * v1.value
 
 
 def test_r3_and_ra_zero_cases(power_controlled):
-    cfg = _cfg(tau_p=100)
-    assert r3(cfg, power_controlled).value == 0.0
-    assert ra(cfg, power_controlled).value == 0.0
+    cfg = _cfg(tau_p=100, model=power_controlled)
+    assert r3(cfg).value == 0.0
+    assert ra(cfg).value == 0.0
 
 
 def _cold_store(monkeypatch):
@@ -331,34 +339,34 @@ def _held_bytes(store):
 
 
 def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
-    cfg = _cfg()
+    cfg = _cfg(model=uniform_spread)
     _cold_store(monkeypatch)
-    a = r1_bar(cfg, uniform_spread, cfg.mc)
-    b = r1_bar(cfg, uniform_spread, cfg.mc)
+    a = r1_bar(cfg)
+    b = r1_bar(cfg)
     assert a.value == b.value and a.mc_std_err == b.mc_std_err
-    c = r1_bar(replace(cfg, seed=8), uniform_spread, cfg.mc)
+    c = r1_bar(replace(cfg, seed=8))
     assert c.value != a.value  # different stream, different estimate
     # the same bits from a cold store and from one warmed by a grid sweep
     # whose rows overlap the cell's, across three pilot lengths
     for tp in (20, 33, 50):
         _cold_store(monkeypatch)
-        cold = r1_bar(replace(cfg, tau_p=tp), uniform_spread, cfg.mc)
-        grid_opt("R1", replace(cfg, tau_p=None, p_a=None), uniform_spread,
-                 GridSpec(tau_p_values=(tp - 7, tp, tp + 3), pak_points=9, refine_points=4), cfg.mc)
-        warm = r1_bar(replace(cfg, tau_p=tp), uniform_spread, cfg.mc)
+        cold = r1_bar(replace(cfg, tau_p=tp))
+        grid_opt("R1", replace(cfg, tau_p=None, p_a=None),
+                 GridSpec(tau_p_values=(tp - 7, tp, tp + 3), pak_points=9, refine_points=4))
+        warm = r1_bar(replace(cfg, tau_p=tp))
         assert (warm.value, warm.mc_std_err) == (cold.value, cold.mc_std_err)
 
 
 def test_store_stays_under_its_cap(uniform_spread, ring, monkeypatch):
     store = _cold_store(monkeypatch)
-    cfg = _cfg()
-    grid_opt("R1", replace(cfg, tau_p=None, p_a=None), uniform_spread, GridSpec(6, 8, refine_points=3), cfg.mc)
+    cfg = _cfg(model=uniform_spread)
+    grid_opt("R1", replace(cfg, tau_p=None, p_a=None), GridSpec(6, 8, refine_points=3))
     assert 0 < store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
-    big = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, seed=7)
-    r1_bar(big, ring, big.mc)
+    big = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, model=ring, seed=7)
+    r1_bar(big)
     assert store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
     # prefix sums larger than the cap (20000 x ~145 x 2 doubles) are used and dropped, not stored
-    r1_bar(_cfg(p_a=90 / 800), uniform_spread, McConfig(n_beta_samples=20000))
+    r1_bar(_cfg(p_a=90 / 800, model=uniform_spread, mc=McConfig(n_beta_samples=20000)))
     assert store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
     assert not [key for key in store.items if key[0] == "pool" and key[2] == 20000]
 
@@ -366,9 +374,9 @@ def test_store_stays_under_its_cap(uniform_spread, ring, monkeypatch):
 def test_r1_saturates_in_population(shadowed):
     values = []
     for K in (200, 400, 800, 1600):
-        cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=33, p_a=30 / K, seed=3,
+        cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=33, p_a=30 / K, model=shadowed, seed=3,
                            mc=McConfig(n_beta_samples=1000))
-        values.append(r1_bar(cfg, shadowed, cfg.mc).value)
+        values.append(r1_bar(cfg).value)
     inc = np.abs(np.diff(values))
     assert inc[0] > inc[1] > inc[2]
     assert inc[-1] < 0.02 * values[-1]

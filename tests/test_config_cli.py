@@ -207,6 +207,19 @@ def test_cli_run_bound_eval(tmp_path, capsys):
     assert all(v >= 0 for v in rates.values())
 
 
+def test_cli_reads_exponent_floats(tmp_path, capsys):
+    # YAML 1.1 reads a float with an exponent and no dot as a string; specs read it as YAML 1.2 does
+    text = ("kind: bound-eval\nsystem: {M: 100, K: 100000, tau_p: 33, p_a: 3e-4, mc: {eps_tail: 1e-9}}\n"
+            "out_prefix: exp\n")
+    system = parse_spec(text).system
+    assert (system["p_a"], system["mc"]["eps_tail"]) == (3e-4, 1e-9)
+    spec = _write(tmp_path, "exp.yaml", text)
+    assert main(["validate", spec]) == 0
+    assert main(["run", spec, "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "exp_bounds.csv").read_text().strip().split("\n")
+    assert len(lines) == 2 and lines[1].startswith("100,R1,") and float(lines[1].split(",")[2]) > 0
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     text = (
         "kind: bound-eval\nsystem: {M: 100, K: 800, tau_u: 100, tau_p: 33, p_a: 0.0375,\n"

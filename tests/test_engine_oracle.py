@@ -79,9 +79,9 @@ def _ref_cells(n, p, eps, k_min=0):
     return ks, np.atleast_1d(_ref_pmf(ks, n, p))
 
 
-def _ref_averaged_bound(cfg, model, mc, *, use_sinr2=False):
+def _ref_averaged_bound(cfg, *, use_sinr2=False):
     """(value, std_err, n_samples) of the averaged bound, one cell at a time."""
-    tau_p, tau_u, M, K = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K
+    tau_p, tau_u, M, K, model, mc = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K, cfg.model, cfg.mc
     prelog = (tau_u - tau_p) / tau_u
     if cfg.p_a == 0.0 or prelog == 0.0:
         return 0.0, 0.0, 0
@@ -137,24 +137,24 @@ def _rel(got, want):
 @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
 def test_engine_matches_per_cell_reference(model):
     for K, tau_p, q in CELLS:
-        cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=tau_p, p_a=min(q / K, 1.0), seed=5,
+        cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=tau_p, p_a=min(q / K, 1.0), model=model, seed=5,
                            mc=McConfig(n_beta_samples=300))
-        v1, e1, n1 = _ref_averaged_bound(cfg, model, cfg.mc)
-        got = r1_bar(cfg, model, cfg.mc)
+        v1, e1, n1 = _ref_averaged_bound(cfg)
+        got = r1_bar(cfg)
         assert _rel(got.value, v1) <= 1e-12 and got.mc_samples == n1, (K, tau_p, q)
         assert _rel(got.mc_std_err, e1) <= 1e-12, (K, tau_p, q)
-        v2, _, _ = _ref_averaged_bound(cfg, model, cfg.mc, use_sinr2=True)
-        assert _rel(r2_bar(cfg, model, cfg.mc).value, v2) <= 1e-12, (K, tau_p, q)
+        v2, _, _ = _ref_averaged_bound(cfg, use_sinr2=True)
+        assert _rel(r2_bar(cfg).value, v2) <= 1e-12, (K, tau_p, q)
 
 
 def test_engine_matches_per_cell_reference_at_mmtc_scale(ring):
-    cfg = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, seed=7)
-    v1, e1, _ = _ref_averaged_bound(cfg, ring, cfg.mc)
-    got = r1_bar(cfg, ring, cfg.mc)
+    cfg = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, model=ring, seed=7)
+    v1, e1, _ = _ref_averaged_bound(cfg)
+    got = r1_bar(cfg)
     assert _rel(got.value, v1) <= 1e-12
     assert _rel(got.mc_std_err, e1) <= 1e-12
-    v2, _, _ = _ref_averaged_bound(cfg, ring, cfg.mc, use_sinr2=True)
-    assert _rel(r2_bar(cfg, ring, cfg.mc).value, v2) <= 1e-12
+    v2, _, _ = _ref_averaged_bound(cfg, use_sinr2=True)
+    assert _rel(r2_bar(cfg).value, v2) <= 1e-12
 
 
 def test_collision_windows_match_greedy_reference():

@@ -90,10 +90,10 @@ def test_asymptotic_1d_objective_vanishes_at_extremes():
 
 def test_asymptotic_1d_matches_restricted_grid():
     model = UniformPowerError(10.0, 0.0)
-    cfg = SystemConfig(M=100, K=800, tau_u=100, seed=13)
+    cfg = SystemConfig(M=100, K=800, tau_u=100, model=model, seed=13)
     tau_p, p_aK, _, _ = asymptotic_1d(100, 100, model)
     qs = np.linspace(5.0, 200.0, 4000)
-    vals = [ra(replace(cfg, tau_p=tau_p, p_a=q / 800), model).value for q in qs]
+    vals = [ra(replace(cfg, tau_p=tau_p, p_a=q / 800)).value for q in qs]
     q_scan = qs[int(np.argmax(vals))]
     assert abs(p_aK - q_scan) <= 0.01 * q_scan
 
@@ -122,77 +122,73 @@ def _cfg(seed=11, **kw):
 
 
 def test_grid_opt_reevaluation_reproduces_rate():
-    model = UniformPowerError(10.0, 0.5)
-    cfg = _cfg()
-    res = grid_opt("R1", cfg, model, grid=GridSpec(8, 8, refine_points=5), mc=cfg.mc)
+    cfg = _cfg(model=UniformPowerError(10.0, 0.5))
+    res = grid_opt("R1", cfg, grid=GridSpec(8, 8, refine_points=5))
     from pilothop.bounds import r1_bar
 
-    again = r1_bar(replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / 800), model, cfg.mc)
+    again = r1_bar(replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / 800))
     assert again.value == res.rate  # bit-identical: same seed, same point
 
 
 def test_r1_opt_point_keeps_its_argmax(ring):
     # one fig6 R1-opt point, 500 samples per cell: the argmax and rate the
     # per-cell engine found before the F-row table replaced it
-    cfg = SystemConfig(M=100, K=800, tau_u=120, seed=3, mc=McConfig(n_beta_samples=500))
-    res = grid_opt("R1", cfg, ring, mc=cfg.mc)
+    cfg = SystemConfig(M=100, K=800, tau_u=120, model=ring, seed=3, mc=McConfig(n_beta_samples=500))
+    res = grid_opt("R1", cfg)
     assert (res.tau_p_opt, res.p_aK_opt, res.evaluations) == (39, 40.46389372560529, 790)
     assert res.rate == pytest.approx(27.571692350974395, rel=1e-12)
 
 
 def test_grid_opt_respects_bounds():
-    model = UniformPowerError(10.0, 0.0)
+    cfg = _cfg(model=UniformPowerError(10.0, 0.0))
     for cost, fn in (("R3", r3), ("Ra", ra)):
-        res = grid_opt(cost, _cfg(), model, grid=GridSpec(9, 9, refine_points=5))
+        res = grid_opt(cost, cfg, grid=GridSpec(9, 9, refine_points=5))
         assert 1 <= res.tau_p_opt <= 100
         assert 0 < res.p_aK_opt <= 800
         assert res.rate > 0
         assert res.evaluations >= 81
-        at = replace(_cfg(), tau_p=res.tau_p_opt, p_a=res.p_aK_opt / 800)
-        assert fn(at, model).value == res.rate  # re-evaluation reproduces the optimum
+        at = replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / 800)
+        assert fn(at).value == res.rate  # re-evaluation reproduces the optimum
 
 
 def test_grid_opt_single_point_grid():
-    model = UniformPowerError(10.0, 0.0)
-    res = grid_opt("Ra", _cfg(), model, grid=GridSpec(tau_p_values=(17,), pak_values=(42.0,)))
+    cfg = _cfg(model=UniformPowerError(10.0, 0.0))
+    res = grid_opt("Ra", cfg, grid=GridSpec(tau_p_values=(17,), pak_values=(42.0,)))
     assert (res.tau_p_opt, res.p_aK_opt) == (17, 42.0)
 
 
 def test_grid_opt_rejects_bad_grids():
-    model = UniformPowerError(10.0, 0.0)
+    cfg = _cfg(model=UniformPowerError(10.0, 0.0))
     with pytest.raises(ValueError):
         GridSpec(tau_p_points=0)
     with pytest.raises(ValueError):
-        grid_opt("Ra", _cfg(), model, grid=GridSpec(tau_p_values=(0,)))
+        grid_opt("Ra", cfg, grid=GridSpec(tau_p_values=(0,)))
     with pytest.raises(ValueError):
-        grid_opt("Ra", _cfg(), model, grid=GridSpec(pak_values=(9999.0,)))
+        grid_opt("Ra", cfg, grid=GridSpec(pak_values=(9999.0,)))
     with pytest.raises(ValueError):
-        grid_opt("R2", _cfg(), model)
+        grid_opt("R2", cfg)
 
 
 def test_grid_opt_dominates_heuristic_on_same_cost():
-    model = UniformPowerError(10.0, 0.0)
-    cfg = _cfg()
-    res = grid_opt("Ra", cfg, model)
+    cfg = _cfg(model=UniformPowerError(10.0, 0.0))
+    res = grid_opt("Ra", cfg)
     tau_p, p_aK = heuristic1(100, 100)
-    at_heur = ra(replace(cfg, tau_p=tau_p, p_a=p_aK / 800), model).value
+    at_heur = ra(replace(cfg, tau_p=tau_p, p_a=p_aK / 800)).value
     assert res.rate >= at_heur - 1e-12
 
 
 def test_grid_opt_interior_argmax_at_m400():
-    model = UniformPowerError(10.0, 0.0)
-    cfg = SystemConfig(M=400, K=10**5, tau_u=400, seed=1)
-    res = grid_opt("Ra", cfg, model)
+    cfg = SystemConfig(M=400, K=10**5, tau_u=400, model=UniformPowerError(10.0, 0.0), seed=1)
+    res = grid_opt("Ra", cfg)
     assert 0.2 <= res.tau_p_opt / 400 <= 0.5
     assert res.p_aK_opt < 10**5
 
 
 def test_r3_and_ra_argmax_agree():
-    model = UniformPowerError(10.0, 0.0)
-    cfg = _cfg(seed=13, mc=McConfig(n_beta_samples=1))
+    cfg = _cfg(seed=13, model=UniformPowerError(10.0, 0.0), mc=McConfig(n_beta_samples=1))
     g = GridSpec(tau_p_points=12, pak_points=12, refine_points=7)
-    r3res = grid_opt("R3", cfg, model, grid=g)
-    rares = grid_opt("Ra", cfg, model, grid=g)
+    r3res = grid_opt("R3", cfg, grid=g)
+    rares = grid_opt("Ra", cfg, grid=g)
     tp_step = 99 / 11
     assert abs(r3res.tau_p_opt - rares.tau_p_opt) <= tp_step
     ratio = (800 / 1.0) ** (1 / 11)
@@ -207,21 +203,19 @@ def test_heuristics_never_touch_the_main_bound(monkeypatch):
         raise AssertionError("main bound evaluated inside a heuristic")
 
     monkeypatch.setitem(BOUNDS, "R1", spy)  # every bound evaluation goes through the registry
-    model = UniformPowerError(10.0, 0.3)
-    cfg = _cfg()
+    cfg = _cfg(model=UniformPowerError(10.0, 0.3))
     for method in ("Rh0", "Rh-1D", "Ra-1D"):
-        res = optimize(method, cfg, model)
+        res = optimize(method, cfg)
         assert res.method == method
     assert calls["n"] == 0
 
 
 def test_optimize_dispatch_and_rate_recheck():
-    model = UniformPowerError(10.0, 0.0)
-    cfg = _cfg()
-    res = optimize("Rh0", cfg, model)
+    cfg = _cfg(model=UniformPowerError(10.0, 0.0))
+    res = optimize("Rh0", cfg)
     assert res.rate == pytest.approx(rh0_cost(res.tau_p_opt, res.p_aK_opt, 100, 100), rel=1e-14)
-    res = optimize("Ra-1D", cfg, model)
-    again = ra(replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / 800), model).value
+    res = optimize("Ra-1D", cfg)
+    again = ra(replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / 800)).value
     assert res.rate == again
     with pytest.raises(ValueError):
-        optimize("R9-opt", cfg, model)
+        optimize("R9-opt", cfg)

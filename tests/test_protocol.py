@@ -310,8 +310,8 @@ def _frame_cfg(**kw):
 
 
 def test_run_frame_identifies_single_device(power_controlled):
-    cfg = _frame_cfg()
-    fr = run_frame(cfg, power_controlled, 50, np.random.default_rng(3), active=np.array([7]))
+    cfg = _frame_cfg(model=power_controlled)
+    fr = run_frame(cfg, 50, np.random.default_rng(3), active=np.array([7]))
     assert np.array_equal(fr.active, np.array([7]))
     assert 7 in fr.identification.identified
     assert fr.identification.false.size == 0
@@ -320,17 +320,17 @@ def test_run_frame_identifies_single_device(power_controlled):
 
 
 def test_run_frame_no_active_devices(power_controlled):
-    cfg = _frame_cfg()
-    fr = run_frame(cfg, power_controlled, 50, np.random.default_rng(4), active=np.array([], dtype=int))
+    cfg = _frame_cfg(model=power_controlled)
+    fr = run_frame(cfg, 50, np.random.default_rng(4), active=np.array([], dtype=int))
     assert fr.sum_rate == 0.0
     assert fr.identification.identified.size == 0
 
 
 def test_run_frame_is_deterministic_with_collected_slots(power_controlled):
     # the same seed reproduces the frame and every retained slot outcome bit for bit
-    cfg = _frame_cfg()
-    a = run_frame(cfg, power_controlled, 40, 77, collect_slots=True)
-    b = run_frame(cfg, power_controlled, 40, 77, collect_slots=True)
+    cfg = _frame_cfg(model=power_controlled)
+    a = run_frame(cfg, 40, 77, collect_slots=True)
+    b = run_frame(cfg, 40, 77, collect_slots=True)
     assert a.active.size > 0
     for name in ("active", "betas", "rates"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -371,4 +371,4 @@ def test_slot_outcome_carries_estimates():
 
 def test_run_frame_rejects_empty_frame(power_controlled):
     with pytest.raises(ValueError, match="n_slots"):
-        run_frame(_frame_cfg(), power_controlled, 0, 1)
+        run_frame(_frame_cfg(model=power_controlled), 0, 1)

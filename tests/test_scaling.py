@@ -20,13 +20,8 @@ def pc_model():
     return UniformPowerError(10.0, 0.0)
 
 
-@pytest.fixture(scope="module")
-def pc_moments(pc_model):
-    return analytic_moments(pc_model)
-
-
-def test_predict_antenna_rich_values(pc_moments, pc_model):
-    p = predict(ScalingCase.ANTENNA_RICH, 100, 100000, pc_moments)
+def test_predict_antenna_rich_values(pc_model):
+    p = predict(ScalingCase.ANTENNA_RICH, 100, 100000, pc_model)
     assert p.tau_p == pytest.approx(50.0)
     assert p.p_aK == pytest.approx(0.5 * math.sqrt(100 * 100000), rel=1e-12)
     assert p.rate == pytest.approx(100 / (4 * math.log(2)), rel=1e-12)
@@ -34,22 +29,17 @@ def test_predict_antenna_rich_values(pc_moments, pc_model):
     assert p.sinr == pytest.approx(math.sqrt(100 / 100000), rel=1e-12)
 
 
-def test_predict_slot_rich_values(pc_moments):
-    p = predict(ScalingCase.SLOT_RICH, 10**5, 100, pc_moments)
+def test_predict_slot_rich_values(pc_model):
+    p = predict(ScalingCase.SLOT_RICH, 10**5, 100, pc_model)
     assert p.tau_p == pytest.approx(50 ** (2 / 3) * (10**5) ** (1 / 3), rel=1e-12)
     assert p.rate == 100.0
     assert p.remainders["rate_alt"] == pytest.approx(100 / math.log(2), rel=1e-12)
     assert p.sinr == pytest.approx(2 ** (1 / 3) * (100 / 10**5) ** (1 / 6), rel=1e-12)
 
 
-def test_predict_warns_on_regime_mismatch(pc_moments):
+def test_predict_warns_on_regime_mismatch(pc_model):
     with pytest.warns(UserWarning, match="antenna-rich"):
-        predict(ScalingCase.ANTENNA_RICH, 100, 100, pc_moments)
-
-
-def test_predict_balanced_needs_model(pc_moments):
-    with pytest.raises(ValueError):
-        predict(ScalingCase.BALANCED, 100, 100, pc_moments)
+        predict(ScalingCase.ANTENNA_RICH, 100, 100, pc_model)
 
 
 def test_prediction_validation():
@@ -58,20 +48,17 @@ def test_prediction_validation():
 
 
 def test_solve_ab_beats_brute_force(pc_model):
-    nodes = beta_nodes(pc_model)
     a, b, val = solve_ab(1.0, pc_model)
     avals = np.linspace(0.005, 0.995, 200)
     bvals = np.geomspace(0.005, 5.0, 200)
-    brute = max(
-        ab_objective(ai, bi, 1.0, pc_model, nodes=nodes) for ai in avals for bi in bvals
-    )
+    brute = max(ab_objective(ai, bi, 1.0, pc_model) for ai in avals for bi in bvals)
     assert val >= brute - 1e-6
-    assert val == pytest.approx(ab_objective(a, b, 1.0, pc_model, nodes=nodes), rel=1e-12)
+    assert val == pytest.approx(ab_objective(a, b, 1.0, pc_model), rel=1e-12)
 
 
-def test_solve_ab_depends_only_on_ratio(pc_model, pc_moments):
-    p1 = predict(ScalingCase.BALANCED, 300, 100, pc_moments, model=pc_model)
-    p2 = predict(ScalingCase.BALANCED, 3000, 1000, pc_moments, model=pc_model)
+def test_solve_ab_depends_only_on_ratio(pc_model):
+    p1 = predict(ScalingCase.BALANCED, 300, 100, pc_model)
+    p2 = predict(ScalingCase.BALANCED, 3000, 1000, pc_model)
     assert abs(p1.remainders["a"] - p2.remainders["a"]) <= 1e-8
     assert abs(p1.remainders["b"] - p2.remainders["b"]) <= 1e-8
 
@@ -98,9 +85,8 @@ def test_solve_ab_small_delta_exponent(pc_model):
 
 def test_ab_objective_vanishes_at_full_pilot_share(pc_model):
     # the training prelog (1 - a) kills the functional as the pilot share reaches the slot
-    nodes = beta_nodes(pc_model)
     for b in (0.05, 0.5, 2.0):
-        assert ab_objective(1.0 - 1e-12, b, 1.0, pc_model, nodes=nodes) == pytest.approx(0.0, abs=1e-9)
+        assert ab_objective(1.0 - 1e-12, b, 1.0, pc_model) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ab_objective_takes_a_row_of_activation_scales():
@@ -110,14 +96,14 @@ def test_ab_objective_takes_a_row_of_activation_scales():
     bs = np.geomspace(1e-3, 5.0, 61)
     models = (UniformPowerError(10.0, 0.5), RingPathLoss(10.0, 0.25), LogNormalShadowing(10.0, 4.0))
     for model in models:
-        betas, w = nodes = beta_nodes(model)
+        betas, w = beta_nodes(model)
         m = analytic_moments(model)
         for delta in (0.01, 1.0, 10.0):
             for a in (0.01, 0.5, 0.9):
-                row = ab_objective(a, bs, delta, model, nodes=nodes)
+                row = ab_objective(a, bs, delta, model)
                 mesh = sinra(betas, m, a, bs[:, None] * math.sqrt(delta), delta)
                 assert np.array_equal(row, (1.0 - a) * bs * (np.log2(1.0 + mesh) @ w))
-                want = [ab_objective(a, b, delta, model, nodes=nodes) for b in bs]
+                want = [ab_objective(a, b, delta, model) for b in bs]
                 assert row == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -152,8 +138,7 @@ def test_verify_scaling_rejects_constrained_case(pc_model):
 
 def test_spread_factor_enters_predictions():
     ring = RingPathLoss(10.0, 0.25)
-    mo = analytic_moments(ring)
-    p = predict(ScalingCase.ANTENNA_RICH, 100, 100000, mo)
-    f = mo.spread_factor
+    p = predict(ScalingCase.ANTENNA_RICH, 100, 100000, ring)
+    f = analytic_moments(ring).spread_factor
     assert p.p_aK == pytest.approx(math.sqrt(f) * 0.5 * math.sqrt(100 * 100000), rel=1e-12)
     assert f > 1.0

@@ -50,3 +50,16 @@ def test_perfbench_tracer_names_resolve():
     missing = [f"{mod}.{name}" for mod, name in wanted
                if not hasattr(importlib.import_module(f"pilothop.{mod}"), name)]
     assert len(wanted) > 3 and not missing, missing
+
+
+def test_no_function_takes_model_or_mc_beside_cfg():
+    # a SystemConfig carries its own gain model and Monte Carlo settings; a second copy could contradict it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+                if "cfg" in names and names & {"model", "mc"}:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert SRC.is_dir() and not found, found
