@@ -1,11 +1,15 @@
 """Slot-level simulation of the pilot-hopping random access uplink.
 
-Each active device holds a pseudo-random pilot-hopping pattern known to the
-base station. Per slot the receiver correlates the pilot block against every
+Each device holds a pseudo-random pilot-hopping pattern known to the base
+station: the pilot of device d in slot l of a frame is a counter-based hash
+of (seed, frame, d, l), so only the active devices' patterns are computed
+to transmit. Per slot the receiver correlates the pilot block against every
 sequence, thresholds the correlation energy to find the pilots in use and
 estimates the per-pilot sum power through channel hardening. Across slots
 the detected pilot sets are matched against the hopping patterns to identify
-which devices transmitted.
+which devices transmitted; the scan regenerates the population's patterns
+in blocks of ``SCAN_ENTRIES`` entries, so its memory does not grow with
+K x L.
 
 A genie side channel (true channels and gains, never visible to the
 receiver path) decomposes the output of maximum ratio combining along each
@@ -18,7 +22,8 @@ the channels, so no data block is drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,16 +62,50 @@ def pilot_sequences(tau_p: int) -> np.ndarray:
     return np.exp(-2j * np.pi * j * k / tau_p) / np.sqrt(tau_p)
 
 
-def hopping_pattern(device: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -> np.ndarray:
-    """Pilot index per slot for one device; a counter-mode function of
-    (root seed, frame, device) so both sides can regenerate it."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((root_seed, frame, device))))
-    return rng.integers(0, tau_p, n_slots)
+# (device, slot) pattern entries the identification scan regenerates at a
+# time: the scan's working set stays near 1 MB whatever K and L are
+SCAN_ENTRIES = 1 << 16
+
+# SplitMix64: the golden-ratio counter increment and the finalizer multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def hopping_patterns(devices, frame: int, n_slots: int, tau_p: int, root_seed: int) -> np.ndarray:
+    """(len(devices), n_slots) pilot indices: row i is the pattern of device
+    ``devices[i]`` in frame ``frame``.
+
+    A counter-based function of (root seed, frame, device, slot), so both
+    sides regenerate any entry alone. ``SeedSequence((root_seed, frame))``
+    gives one 64-bit frame key, which keeps every bit of any non-negative
+    integer seed. Entry (d, l) is the SplitMix64 output at counter
+    d * 2**32 + l under that key, and its output h maps to a pilot by
+    multiply-high, ``((h >> 32) * tau_p) >> 32``. Each pilot then has
+    probability within 2**-32 of 1/tau_p: a relative bias of at most
+    tau_p / 2**32.
+    """
+    devices = np.asarray(devices, dtype=np.int64)
+    if devices.size and (devices.min() < 0 or devices.max() >= 1 << 32):
+        raise ValueError("device ids must lie in [0, 2**32)")
+    key = np.random.SeedSequence((root_seed, frame)).generate_state(1, np.uint64)
+    x = (devices.astype(np.uint64) << np.uint64(32))[:, None] + np.arange(1, n_slots + 1, dtype=np.uint64)
+    x *= _GAMMA
+    x += key
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    x >>= np.uint64(32)
+    x *= np.uint64(tau_p)
+    x >>= np.uint64(32)
+    return x.astype(np.intp)
 
 
 def all_patterns(K: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -> np.ndarray:
     """(K, n_slots) hopping patterns of the whole device population."""
-    return np.vstack([hopping_pattern(k, frame, n_slots, tau_p, root_seed) for k in range(K)])
+    return hopping_patterns(np.arange(K), frame, n_slots, tau_p, root_seed)
 
 
 def _pilot_energy(corr: np.ndarray) -> np.ndarray:
@@ -181,14 +220,18 @@ class IdentificationReport:
 
 def match_patterns(
     detected_sets: Sequence[np.ndarray],
-    patterns: np.ndarray,
+    patterns_of: Callable[[np.ndarray], np.ndarray],
+    K: int,
     tau_p: int,
     rho: float = 0.9,
     active: np.ndarray | None = None,
 ) -> IdentificationReport:
-    """Declare a device active when its pattern hits the detected pilot set
-    in at least a rho fraction of slots.
+    """Declare a device of 0..K-1 active when its pattern hits the detected
+    pilot set in at least a rho fraction of slots.
 
+    ``patterns_of(devices)`` returns the devices' pattern rows, at least
+    ``len(detected_sets)`` slots wide. The population is scanned in blocks
+    of about ``SCAN_ENTRIES`` pattern entries, so no K x L table is held.
     With a single observed slot this degenerates to per-slot pilot
     ambiguity: every device whose pilot was detected matches.
     """
@@ -200,8 +243,13 @@ def match_patterns(
     D = np.zeros((L, tau_p), dtype=bool)
     for l, det in enumerate(detected_sets):
         D[l, np.asarray(det, dtype=int)] = True
-    hits = D[np.arange(L)[None, :], patterns[:, :L]]
-    frac = hits.mean(axis=1)
+    D, offsets = D.ravel(), np.arange(L) * tau_p  # slot l's pilot j sits at l*tau_p + j
+    hits = np.empty(K, dtype=np.intp)
+    step = max(1, SCAN_ENTRIES // L)
+    for lo in range(0, K, step):
+        block = np.arange(lo, min(lo + step, K))
+        hits[lo:lo + block.size] = np.count_nonzero(D[patterns_of(block)[:, :L] + offsets], axis=1)
+    frac = hits / L
     identified = np.flatnonzero(frac >= rho)
     if active is None:
         active = np.array([], dtype=int)
@@ -233,8 +281,8 @@ def run_frame(
 ) -> FrameResult:
     """Simulate one transmission frame of ``n_slots`` coherence slots of the scenario ``cfg``.
 
-    The active set is drawn from ``rng`` unless ``active`` is given, and its
-    gains from ``cfg.model``. Per-device empirical rates average
+    The active set is drawn from ``rng`` unless ``active`` is given (distinct
+    ids in [0, K), else ``ValueError``), and its gains from ``cfg.model``. Per-device empirical rates average
     log2(1 + SINR) over the slots in which the device's pilot was detected
     (undetected slots contribute zero), scaled by the training-overhead
     prelog. ``collect_slots`` retains the per-slot outcomes in
@@ -250,7 +298,12 @@ def run_frame(
     if active is None:
         active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
     active = np.asarray(active, dtype=int)
-    patterns = all_patterns(cfg.K, frame_index, n_slots, tau_p, cfg.seed)
+    if np.any((active < 0) | (active >= cfg.K)):
+        raise ValueError(f"active device ids must lie in [0, {cfg.K})")
+    if np.unique(active).size != active.size:
+        raise ValueError("active device ids must be distinct")
+    patterns_of = partial(hopping_patterns, frame=frame_index, n_slots=n_slots, tau_p=tau_p, root_seed=cfg.seed)
+    assignments = patterns_of(active).T  # row l: the active devices' pilots in slot l
     betas = np.atleast_1d(sample_beta(cfg.model, rng, active.size))
     pilots = pilot_sequences(tau_p)
 
@@ -258,7 +311,7 @@ def run_frame(
     detected_sets = []
     slots = [] if collect_slots else None
     for l in range(n_slots):
-        assignment = patterns[active, l]
+        assignment = assignments[l]
         out = simulate_slot(betas, assignment, tau_p, M, rng, pilots=pilots)
         detected_sets.append(out.detected)
         seen = np.isin(assignment, out.detected)
@@ -268,6 +321,6 @@ def run_frame(
 
     prelog = (tau_u - tau_p) / tau_u
     rates = prelog * bits / n_slots
-    ident = match_patterns(detected_sets, patterns, tau_p, active=active)
+    ident = match_patterns(detected_sets, patterns_of, cfg.K, tau_p, active=active)
     return FrameResult(active, betas, rates, float(rates.sum()), ident, slots)
 

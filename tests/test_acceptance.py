@@ -218,6 +218,27 @@ def test_criterion_08_protocol_vs_bound():
             f"K_a={k_a}, R1(K_a)={bound_ka:.3f}, se_slots={se_slots:.3f}, {elapsed:.0f}s")
 
 
+def test_criterion_08_per_ka_limit_at_several_seeds():
+    # criterion 8's per-K_a lower limit, R1(K_a) - 3 se_slots, on one frame
+    # of 500 slots for each of the frame seeds 1-5; every margin is reported
+    t0 = time.perf_counter()
+    cfg = SystemConfig(M=100, K=800, tau_u=100, model=UniformPowerError(10.0, 0.0), seed=5)
+    res = grid_opt("Ra", cfg)
+    at = replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / cfg.K)
+    prelog = (at.tau_u - at.tau_p) / at.tau_u
+    margins = []
+    for seed in range(1, 6):
+        fr = run_frame(at, 500, np.random.default_rng(seed), frame_index=seed, collect_slots=True)
+        slot_totals = np.array([prelog * np.log2(1.0 + out.device_sinr).sum() for out in fr.slots])
+        se_slots = slot_totals.std(ddof=1) / math.sqrt(slot_totals.size)
+        bound_ka = r1_bar(replace(at, K=int(fr.active.size), p_a=1.0)).value
+        margins.append((seed, int(fr.active.size), fr.sum_rate - (bound_ka - 3 * se_slots)))
+    elapsed = time.perf_counter() - t0
+    ok = all(m >= 0 for *_, m in margins)
+    _report(8, "per-K_a lower limit at frame seeds 1-5", ok,
+            ", ".join(f"seed {s}: K_a={k}, margin={m:.3f}" for s, k, m in margins) + f", {elapsed:.0f}s")
+
+
 def test_criterion_09_estimation_layer_statistics():
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)

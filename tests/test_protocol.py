@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from scipy.stats import binom, chisquare
 from pilothop.bounds import CollisionScenario, estimation_variances, sinr1
 from pilothop.config import SystemConfig
 from pilothop.protocol import (
+    SCAN_ENTRIES,
     DetectionThreshold,
+    IdentificationReport,
     all_patterns,
     detect_pilots,
     estimate_sum_power,
     genie_mmse_estimate,
-    hopping_pattern,
+    hopping_patterns,
     match_patterns,
     mrc_and_measure,
     pilot_sequences,
@@ -33,14 +36,35 @@ def test_pilot_sequences_rejects_empty_book():
         pilot_sequences(0)
 
 
-def test_hopping_patterns_deterministic_and_uniform():
-    a = hopping_pattern(17, 0, 20000, 7, 123)
-    b = hopping_pattern(17, 0, 20000, 7, 123)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, hopping_pattern(18, 0, 20000, 7, 123))
-    assert not np.array_equal(a, hopping_pattern(17, 1, 20000, 7, 123))
-    counts = np.bincount(a, minlength=7)
-    assert chisquare(counts).pvalue > 0.001
+@pytest.mark.parametrize("tau_p", [7, 33])
+def test_hopping_patterns_uniform_per_slot(tau_p):
+    # in every slot the population's pilots are uniform over the book
+    pats = all_patterns(20000, 3, 10, tau_p, 123)
+    pvalues = [chisquare(np.bincount(pats[:, l], minlength=tau_p)).pvalue for l in range(10)]
+    assert min(pvalues) > 1e-4, pvalues
+
+
+@pytest.mark.parametrize("tau_p", [7, 33])
+def test_hopping_patterns_pairwise_collision_rate(tau_p):
+    # two devices share a slot's pilot with probability 1/tau_p
+    pats = all_patterns(20000, 0, 20, tau_p, 5)
+    same = pats[0::2] == pats[1::2]
+    p, n = 1.0 / tau_p, same.size
+    assert abs(same.mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+
+def test_hopping_patterns_keyed_and_deterministic():
+    assert not all_patterns(50, 0, 40, 1, 9).any()  # one pilot: all zeros
+    a = hopping_patterns([17, 18], 0, 2000, 7, 123)
+    assert np.array_equal(a, hopping_patterns([17, 18], 0, 2000, 7, 123))
+    assert not np.array_equal(a[0], a[1])
+    assert not np.array_equal(a, hopping_patterns([17, 18], 1, 2000, 7, 123))
+    # (seed, frame) keys as a pair, and a seed above 2**64 is not truncated
+    assert not np.array_equal(hopping_patterns([3], 0, 200, 33, 1), hopping_patterns([3], 1, 200, 33, 0))
+    assert not np.array_equal(hopping_patterns([3], 0, 200, 33, 2**70), hopping_patterns([3], 0, 200, 33, 2**70 + 2**64))
+    for bad in ([-1], [2**32]):
+        with pytest.raises(ValueError, match="device ids"):
+            hopping_patterns(bad, 0, 10, 7, 1)
 
 
 def test_detect_single_device_certain(rng):
@@ -271,7 +295,7 @@ def test_empty_slot_draws_only_the_noise_block():
 def test_match_patterns_trivial_and_reports():
     patterns = np.array([[1, 2, 3, 0], [0, 0, 1, 1], [2, 2, 2, 2]])
     detected = [np.array([1]), np.array([2]), np.array([3]), np.array([0])]
-    rep = match_patterns(detected, patterns, 4, rho=0.9, active=np.array([0]))
+    rep = match_patterns(detected, patterns.__getitem__, 3, 4, rho=0.9, active=np.array([0]))
     assert np.array_equal(rep.identified, np.array([0]))
     assert rep.missed.size == 0 and rep.false.size == 0
     assert rep.match_fraction[0] == 1.0
@@ -279,7 +303,7 @@ def test_match_patterns_trivial_and_reports():
 
 def test_match_patterns_single_slot_is_ambiguous():
     patterns = np.array([[1], [1], [2]])
-    rep = match_patterns([np.array([1])], patterns, 4, rho=0.9)
+    rep = match_patterns([np.array([1])], patterns.__getitem__, 3, 4, rho=0.9)
     assert np.array_equal(rep.identified, np.array([0, 1]))
 
 
@@ -292,15 +316,57 @@ def test_match_patterns_false_identification_tail(rng):
     L, tau_p, trials = 40, 20, 40000
     detected = [np.arange(10) for _ in range(L)]
     patterns = rng.integers(0, tau_p, size=(trials, L))
-    rep = match_patterns(detected, patterns, tau_p, rho=0.9)
+    rep = match_patterns(detected, patterns.__getitem__, trials, tau_p, rho=0.9)
     assert rep.identified.size <= max(1, 10 * trials * tail)
 
 
 def test_match_patterns_validates_inputs():
     with pytest.raises(ValueError):
-        match_patterns([], np.zeros((2, 4), dtype=int), 4)
+        match_patterns([], np.zeros((2, 4), dtype=int).__getitem__, 2, 4)
     with pytest.raises(ValueError):
-        match_patterns([np.array([0])], np.zeros((2, 1), dtype=int), 4, rho=0.0)
+        match_patterns([np.array([0])], np.zeros((2, 1), dtype=int).__getitem__, 2, 4, rho=0.0)
+
+
+def _match_reference(detected_sets, patterns, tau_p, rho=0.9, active=None):
+    """Identification against the whole (K, L) pattern table at once: the
+    slow, obvious form of ``match_patterns``."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("rho must lie in (0, 1]")
+    L = len(detected_sets)
+    if L < 1:
+        raise ValueError("need at least one observed slot")
+    D = np.zeros((L, tau_p), dtype=bool)
+    for l, det in enumerate(detected_sets):
+        D[l, np.asarray(det, dtype=int)] = True
+    hits = D[np.arange(L)[None, :], patterns[:, :L]]
+    frac = hits.mean(axis=1)
+    identified = np.flatnonzero(frac >= rho)
+    if active is None:
+        active = np.array([], dtype=int)
+    missed = np.setdiff1d(active, identified)
+    false = np.setdiff1d(identified, active)
+    return IdentificationReport(identified, frac, missed, false)
+
+
+@pytest.mark.parametrize("L", [1, 5, 500])
+@pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1", "3block+7"])
+def test_match_patterns_blocked_scan_matches_whole_table(L, size):
+    block = SCAN_ENTRIES // L
+    K = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1, "3block+7": 3 * block + 7}[size]
+    tau_p, frame, seed = 33, 4, 2**70 + 11
+    rng = np.random.default_rng(K * 1000 + L)
+    active = np.sort(rng.choice(K, size=min(K, 5), replace=False))
+    own = hopping_patterns(active, frame, L, tau_p, seed)
+    table = all_patterns(K, frame, L, tau_p, seed)
+    assert np.array_equal(own, table[active])
+    # the active pilots, each missed with probability 0.2, plus false alarms
+    detected = [np.union1d(own[rng.random(active.size) > 0.2, l], np.flatnonzero(rng.random(tau_p) < 0.1))
+                for l in range(L)]
+    got = match_patterns(detected, lambda d: hopping_patterns(d, frame, L, tau_p, seed), K, tau_p,
+                         rho=0.7, active=active)
+    want = _match_reference(detected, table, tau_p, rho=0.7, active=active)
+    for name in ("identified", "missed", "false", "match_fraction"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def _frame_cfg(**kw):
@@ -317,6 +383,30 @@ def test_run_frame_identifies_single_device(power_controlled):
     assert fr.identification.false.size == 0
     assert fr.rates.shape == (1,)
     assert fr.sum_rate > 0
+
+
+@pytest.mark.parametrize("active, match", [
+    ([3, 60], r"\[0, 60\)"),  # K = 60: ids run 0..59
+    ([-1, 3], r"\[0, 60\)"),
+    ([3, 5, 3], "distinct"),
+])
+def test_run_frame_rejects_bad_active_ids(power_controlled, active, match):
+    with pytest.raises(ValueError, match=match):
+        run_frame(_frame_cfg(model=power_controlled), 5, 1, active=np.array(active))
+
+
+def test_run_frame_memory_stays_bounded_at_mmtc_scale(power_controlled):
+    # K x L = 2e7 pattern entries: a (K, L) table alone would take 160 MB
+    cfg = SystemConfig(M=100, K=100_000, tau_u=100, tau_p=33, p_a=3e-4, model=power_controlled, seed=1)
+    tracemalloc.start()
+    try:
+        fr = run_frame(cfg, 200, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fr.active.size > 0
+    assert fr.identification.missed.size == 0 and fr.identification.false.size == 0
+    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_run_frame_no_active_devices(power_controlled):
