@@ -63,7 +63,7 @@ def pilot_sequences(tau_p: int) -> np.ndarray:
 
 
 # (device, slot) pattern entries the identification scan regenerates at a
-# time: the scan's working set stays near 1 MB whatever K and L are
+# time: its working set stays at a few 512 kB arrays whatever K and L are
 SCAN_ENTRIES = 1 << 16
 
 # SplitMix64: the golden-ratio counter increment and the finalizer multipliers
@@ -78,8 +78,8 @@ def hopping_patterns(devices, frame: int, n_slots: int, tau_p: int, root_seed: i
 
     A counter-based function of (root seed, frame, device, slot), so both
     sides regenerate any entry alone. ``SeedSequence((root_seed, frame))``
-    gives one 64-bit frame key, which keeps every bit of any non-negative
-    integer seed. Entry (d, l) is the SplitMix64 output at counter
+    gives one 64-bit frame key per call, which keeps every bit of any
+    non-negative integer seed. Entry (d, l) is the SplitMix64 output at counter
     d * 2**32 + l under that key, and its output h maps to a pilot by
     multiply-high, ``((h >> 32) * tau_p) >> 32``. Each pilot then has
     probability within 2**-32 of 1/tau_p: a relative bias of at most
@@ -282,11 +282,11 @@ def run_frame(
     """Simulate one transmission frame of ``n_slots`` coherence slots of the scenario ``cfg``.
 
     The active set is drawn from ``rng`` unless ``active`` is given (distinct
-    ids in [0, K), else ``ValueError``), and its gains from ``cfg.model``. Per-device empirical rates average
-    log2(1 + SINR) over the slots in which the device's pilot was detected
-    (undetected slots contribute zero), scaled by the training-overhead
-    prelog. ``collect_slots`` retains the per-slot outcomes in
-    ``FrameResult.slots``.
+    ids in [0, K), else ``ValueError``), and its gains from ``cfg.model``.
+    Per-device empirical rates average log2(1 + SINR) over the slots in
+    which the device's pilot was detected (undetected slots contribute
+    zero), scaled by the training-overhead prelog. ``collect_slots`` retains
+    the per-slot outcomes in ``FrameResult.slots``.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
