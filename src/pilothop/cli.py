@@ -3,9 +3,9 @@
     pilothop run <spec.yaml> [--seed N] [--out DIR] [--jobs N]
     pilothop validate <spec.yaml>
 
-Exit codes: 0 success, 2 spec parse error (reported with line/column),
-3 invariant violation (reported with the offending field), 4 numeric
-failure during execution.
+Exit codes: 0 success, 2 usage error (such as ``--jobs 0``) or spec parse
+error (reported with line/column), 3 invariant violation (reported with the
+offending field), 4 numeric failure during execution.
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_NUMERIC = 4
+
+
+def _jobs(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _load_valid(path: str):
@@ -76,7 +83,7 @@ def main(argv=None) -> int:
     run_p.add_argument("spec", help="path to the experiment YAML file")
     run_p.add_argument("--seed", type=int, default=None, help="override the system seed")
     run_p.add_argument("--out", default=".", help="output directory for CSV files")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweep points")
+    run_p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers for sweep points")
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser("validate", help="check an experiment spec without running it")

@@ -202,7 +202,6 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
                 best = (float(values[j]), int(tp), float(q_list[j]))
 
     sweep(tps, qs)
-    stage1 = {"tau_p": best[1], "p_aK": best[2], "value": best[0]}
 
     i = int(np.searchsorted(tps, best[1]))
     tp_lo, tp_hi = tps[max(i - 1, 0)], tps[min(i + 1, tps.size - 1)]
@@ -223,12 +222,7 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
         rate=res.value,
         method=f"{cost}-opt",
         evaluations=evals,
-        diagnostics={
-            "stage1": stage1,
-            "mc_std_err": res.mc_std_err,
-            "mc_samples": res.mc_samples,
-            "grid": (tps.size, qs.size, grid.refine_points),
-        },
+        diagnostics={"mc_std_err": res.mc_std_err, "mc_samples": res.mc_samples},
     )
 
 

@@ -3,13 +3,13 @@
 Each device holds a pseudo-random pilot-hopping pattern known to the base
 station: the pilot of device d in slot l of a frame is a counter-based hash
 of (seed, frame, d, l), so only the active devices' patterns are computed
-to transmit. Per slot the receiver correlates the pilot block against every
-sequence, thresholds the correlation energy to find the pilots in use and
-estimates the per-pilot sum power through channel hardening. Across slots
-the detected pilot sets are matched against the hopping patterns to identify
-which devices transmitted; the scan regenerates the population's patterns
-in blocks of ``SCAN_ENTRIES`` entries, so its memory does not grow with
-K x L.
+to transmit. Per slot ``train_slot`` draws the channels and noise and
+correlates the pilot block against every sequence (the only place the
+training phase is written), and the receiver thresholds the correlation
+energy to find the pilots in use. Across slots the detected pilot sets are
+matched against the hopping patterns to identify which devices transmitted;
+the scan regenerates the population's patterns in blocks of
+``SCAN_ENTRIES`` entries, so its memory does not grow with K x L.
 
 A genie side channel (true channels and gains, never visible to the
 receiver path) decomposes the output of maximum ratio combining along each
@@ -129,19 +129,11 @@ def estimate_sum_power(y_p: np.ndarray, tau_p: int):
 
     ``y_p`` is the correlated observation of one pilot (a float is returned)
     or an (M, n) block of such columns (one estimate per column). The noise
-    floor contributes exactly 1 per antenna, hence the subtraction.
+    floor contributes exactly 1 per antenna, hence the subtraction. No slot
+    output holds it, so ``simulate_slot`` does not compute it.
     """
     est = np.maximum(0.0, (_pilot_energy(y_p) / y_p.shape[0] - 1.0) / tau_p)
     return float(est) if est.ndim == 0 else est
-
-
-def genie_mmse_estimate(y_p: np.ndarray, tau_p: int, beta_0: float, member_beta_sum: float) -> np.ndarray:
-    """True MMSE estimate given exact gains (validation side channel).
-
-    ``member_beta_sum`` sums the gains of every device on the pilot,
-    including the device being estimated.
-    """
-    return (np.sqrt(tau_p) * beta_0 / (tau_p * member_beta_sum + 1.0)) * y_p
 
 
 @dataclass
@@ -150,7 +142,6 @@ class SlotOutcome:
 
     detected: np.ndarray
     pilot_of_device: np.ndarray
-    est_sum_power: dict
     device_sinr: np.ndarray
 
 
@@ -183,31 +174,26 @@ def mrc_and_measure(
     return gd2 / (gd2_tot[assignment] - gd2 + rest)
 
 
-def simulate_slot(
-    betas: np.ndarray,
-    assignment: np.ndarray,
-    tau_p: int,
-    M: int,
-    rng: np.random.Generator,
-    *,
-    pilots: np.ndarray | None = None,
-) -> SlotOutcome:
-    """One coherence slot: training, detection, sum-power estimation, genie SINR."""
-    pilots = pilots if pilots is not None else pilot_sequences(tau_p)
-    betas = np.asarray(betas, dtype=float)
-    assignment = np.asarray(assignment, dtype=int)
+def train_slot(betas: np.ndarray, assignment: np.ndarray, pilots: np.ndarray, M: int, rng: np.random.Generator):
+    """Training phase of one slot: (G, corr), the (M, K_a) channels and the
+    pilot block correlated with the book ``pilots``, ``Y_p @ pilots.conj()``.
 
+    Device k sends column ``assignment[k]`` of the (tau_p, tau_p) book.
+    Draws the channels, then the (M, tau_p) noise block, from ``rng``.
+    """
+    tau_p = pilots.shape[0]
     G = sample_channels(betas, M, rng)
     N_p = (rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) / np.sqrt(2.0)
     Y_p = np.sqrt(tau_p) * (G @ pilots.T[assignment]) + N_p  # rows of pilots.T are the sequences in use
-    corr = Y_p @ pilots.conj()
-    detected = detect_pilots(corr)
-    return SlotOutcome(
-        detected=detected,
-        pilot_of_device=assignment,
-        est_sum_power=dict(zip(detected.tolist(), estimate_sum_power(corr[:, detected], tau_p).tolist())),
-        device_sinr=mrc_and_measure(G, betas, assignment, corr, tau_p),
-    )
+    return G, Y_p @ pilots.conj()
+
+
+def simulate_slot(betas, assignment, pilots: np.ndarray, M: int, rng: np.random.Generator) -> SlotOutcome:
+    """One coherence slot on the pilot book ``pilots``: training, detection, genie SINR."""
+    betas = np.asarray(betas, dtype=float)
+    assignment = np.asarray(assignment, dtype=int)
+    G, corr = train_slot(betas, assignment, pilots, M, rng)
+    return SlotOutcome(detect_pilots(corr), assignment, mrc_and_measure(G, betas, assignment, corr, pilots.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -312,9 +298,11 @@ def run_frame(
     slots = [] if collect_slots else None
     for l in range(n_slots):
         assignment = assignments[l]
-        out = simulate_slot(betas, assignment, tau_p, M, rng, pilots=pilots)
+        out = simulate_slot(betas, assignment, pilots, M, rng)
         detected_sets.append(out.detected)
-        seen = np.isin(assignment, out.detected)
+        detected = np.zeros(tau_p, dtype=bool)
+        detected[out.detected] = True
+        seen = detected[assignment]
         bits[seen] += np.log2(1.0 + out.device_sinr[seen])
         if collect_slots:
             slots.append(out)

@@ -202,7 +202,6 @@ class LadderPoint:
 class ConvergenceReport:
     case: ScalingCase
     points: tuple
-    errors_shrink: dict
     rate_normalization: str | None = None
 
 
@@ -231,12 +230,8 @@ def verify_scaling(case: ScalingCase | str, model: LargeScaleModel, ladder, *, s
                 if alt is not None:
                     rel[f"{key}_alt"] = abs(measured - alt) / alt
             points.append(LadderPoint(int(M), int(tau_u), res.tau_p_opt, res.p_aK_opt, res.rate, pred, rel))
-    shrink = {
-        q: all(points[i + 1].rel_err[q] <= points[i].rel_err[q] for i in range(len(points) - 1))
-        for q in points[0].rel_err
-    }
     norm = None
     if case is ScalingCase.SLOT_RICH:
         last = points[-1].rel_err
         norm = "M_over_ln2" if last["rate_alt"] < last["rate"] else "M"
-    return ConvergenceReport(case, tuple(points), shrink, norm)
+    return ConvergenceReport(case, tuple(points), norm)

@@ -117,6 +117,16 @@ def test_cli_missing_file_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "absent.yaml")]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_cli_rejects_bad_jobs_exit_2(tmp_path, capsys, jobs):
+    spec = _write(tmp_path, "ok.yaml", "kind: optimize\nsystem: {M: 100}\nmethods: [Rh0]\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", spec, "--out", str(tmp_path), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_invalid_spec_exit_3(tmp_path, capsys):
     spec = _write(
         tmp_path, "inv.yaml",

@@ -6,7 +6,8 @@ import pytest
 from scipy.special import gammainc, gammaincc
 from scipy.stats import binom, chisquare
 
-from pilothop.bounds import CollisionScenario, estimation_variances, sinr1
+from pilothop.bounds import CollisionScenario, sinr1
+from pilothop.channels import UniformPowerError, sample_channels
 from pilothop.config import SystemConfig
 from pilothop.protocol import (
     SCAN_ENTRIES,
@@ -15,13 +16,13 @@ from pilothop.protocol import (
     all_patterns,
     detect_pilots,
     estimate_sum_power,
-    genie_mmse_estimate,
     hopping_patterns,
     match_patterns,
     mrc_and_measure,
     pilot_sequences,
     run_frame,
     simulate_slot,
+    train_slot,
 )
 
 
@@ -67,12 +68,17 @@ def test_hopping_patterns_keyed_and_deterministic():
             hopping_patterns(bad, 0, 10, 7, 1)
 
 
+def _noise_corr(pil, M, rng):
+    """Pilot correlation of a slot in which nobody transmits."""
+    return train_slot(np.zeros(0), np.zeros(0, dtype=int), pil, M, rng)[1]
+
+
 def test_detect_single_device_certain(rng):
     # a 10 dB device on pilot 5: correlation energy ~ tau_p*beta + 1 >> threshold
     pil = pilot_sequences(12)
     hits, extras = 0, 0
     for _ in range(300):
-        out = simulate_slot(np.array([10.0]), np.array([5]), 12, 100, rng, pilots=pil)
+        out = simulate_slot(np.array([10.0]), np.array([5]), pil, 100, rng)
         hits += 5 in out.detected
         extras += out.detected.size - (5 in out.detected)
     assert hits == 300
@@ -82,7 +88,7 @@ def test_detect_single_device_certain(rng):
 def test_detect_no_transmitters_false_alarm(rng):
     pil = pilot_sequences(12)
     fa = sum(
-        simulate_slot(np.array([]), np.array([], dtype=int), 12, 100, rng, pilots=pil).detected.size
+        simulate_slot(np.array([]), np.array([], dtype=int), pil, 100, rng).detected.size
         for _ in range(2000)
     )
     assert fa / (2000 * 12) < 1e-3
@@ -101,11 +107,7 @@ def test_detection_false_alarm_rate_is_gamma_tail(rng, zeta):
     M, tau_p, slots = 100, 4, 2000
     pil = pilot_sequences(tau_p)
     threshold = DetectionThreshold(zeta)
-    alarms = sum(
-        detect_pilots(((rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) / math.sqrt(2))
-                      @ pil.conj(), threshold).size
-        for _ in range(slots)
-    )
+    alarms = sum(detect_pilots(_noise_corr(pil, M, rng), threshold).size for _ in range(slots))
     p = gammaincc(M, M * threshold.value(M))
     assert p == pytest.approx({0.5: 0.2345, 1.0: 0.0830}[zeta], abs=1e-4)
     n = slots * tau_p
@@ -116,8 +118,7 @@ def test_detection_statistic_mean_noise_only(rng):
     pil = pilot_sequences(8)
     stats = []
     for _ in range(500):
-        Y = (rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))) / math.sqrt(2)
-        corr = Y @ pil.conj()
+        corr = _noise_corr(pil, 64, rng)
         stats.append((np.abs(corr) ** 2).sum(axis=0) / 64)
     assert np.mean(stats) == pytest.approx(1.0, abs=0.02)
 
@@ -125,7 +126,7 @@ def test_detection_statistic_mean_noise_only(rng):
 def test_estimate_sum_power_concentration(rng):
     pil = pilot_sequences(33)
     est = np.array([
-        simulate_slot(np.array([10.0]), np.array([0]), 33, 400, rng, pilots=pil).est_sum_power.get(0, 0.0)
+        estimate_sum_power(train_slot(np.array([10.0]), np.array([0]), pil, 400, rng)[1][:, 0], 33)
         for _ in range(400)
     ])
     # the pilot's observation is CN(0, (33*10 + 1) I_400), so |est - 10| <= 1
@@ -137,7 +138,7 @@ def test_estimate_sum_power_concentration(rng):
     # two equal colliders: estimate approaches the summed gain
     pil16 = pilot_sequences(16)
     est2 = np.array([
-        simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), 16, 2048, rng, pilots=pil16).est_sum_power[3]
+        estimate_sum_power(train_slot(np.array([10.0, 10.0]), np.array([3, 3]), pil16, 2048, rng)[1][:, 3], 16)
         for _ in range(100)
     ])
     assert est2.mean() == pytest.approx(20.0, rel=0.05)
@@ -158,40 +159,12 @@ def test_estimate_sum_power_error_scales_inversely_with_antennas(rng):
     variances = []
     for M in Ms:
         es = [
-            simulate_slot(np.array([10.0]), np.array([0]), 16, M, rng, pilots=pil).est_sum_power.get(0, 0.0)
+            estimate_sum_power(train_slot(np.array([10.0]), np.array([0]), pil, M, rng)[1][:, 0], 16)
             for _ in range(300)
         ]
         variances.append(np.var(es))
     slope = np.polyfit(np.log(Ms), np.log(variances), 1)[0]
     assert -1.2 <= slope <= -0.8
-
-
-def test_genie_estimate_variances_and_orthogonality(rng):
-    M, tau_p = 8, 16
-    b0, coll = 9.0, np.array([4.0, 2.5])
-    S = b0 + coll.sum()
-    n = 30000
-    g0 = (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M))) * math.sqrt(b0 / 2)
-    gs = sum(
-        (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M))) * math.sqrt(b / 2) for b in coll
-    )
-    noise = (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M))) / math.sqrt(2)
-    y = math.sqrt(tau_p) * (g0 + gs) + noise
-    ghat = np.array([genie_mmse_estimate(row, tau_p, b0, S) for row in y])
-    eps = ghat - g0
-    est_v, err_v = estimation_variances(b0, coll, tau_p)
-    assert (np.abs(ghat) ** 2).mean() == pytest.approx(est_v, rel=0.03)
-    assert (np.abs(eps) ** 2).mean() == pytest.approx(err_v, rel=0.03)
-    cross = (ghat * eps.conj()).mean(axis=0)
-    se = math.sqrt(est_v * err_v / n)
-    assert float(np.abs(cross).max()) <= 4 * se
-
-
-def test_collider_estimates_are_proportional(rng):
-    y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    a = genie_mmse_estimate(y, 16, 9.0, 15.5)
-    b = genie_mmse_estimate(y, 16, 4.0, 15.5)
-    assert np.allclose(b, (4.0 / 9.0) * a, rtol=1e-12)
 
 
 def test_mrc_large_array_matches_conditional_sinr(rng):
@@ -200,7 +173,7 @@ def test_mrc_large_array_matches_conditional_sinr(rng):
     target = sinr1(s, [])
     pil = pilot_sequences(16)
     vals = [
-        simulate_slot(np.array([10.0]), np.array([2]), 16, M, rng, pilots=pil).device_sinr[0]
+        simulate_slot(np.array([10.0]), np.array([2]), pil, M, rng).device_sinr[0]
         for _ in range(12)
     ]
     assert np.mean(vals) == pytest.approx(target, rel=0.05)
@@ -212,7 +185,7 @@ def test_forced_collision_jensen_bound(rng):
     bound = math.log2(1.0 + sinr1(s, []))
     pil = pilot_sequences(20)
     vals = np.array([
-        math.log2(1.0 + simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), 20, 100, rng, pilots=pil).device_sinr[0])
+        math.log2(1.0 + simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), pil, 100, rng).device_sinr[0])
         for _ in range(2000)
     ])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -247,14 +220,9 @@ def _mrc_reference(G, betas, assignment, corr, tau_p):
 
 def _training_slot(rng, tau_p, M, assignment):
     """Channels, gains and pilot correlation of one slot with spread gains."""
-    from pilothop.channels import sample_channels
-
     assignment = np.asarray(assignment, dtype=int)
     betas = 10.0 ** rng.uniform(-1.0, 2.0, assignment.size)
-    pil = pilot_sequences(tau_p)
-    G = sample_channels(betas, M, rng)
-    N_p = (rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) / math.sqrt(2.0)
-    corr = (math.sqrt(tau_p) * (G @ pil.T[assignment]) + N_p) @ pil.conj()
+    G, corr = train_slot(betas, assignment, pilot_sequences(tau_p), M, rng)
     return G, betas, assignment, corr
 
 
@@ -285,7 +253,7 @@ def test_mrc_matches_per_pilot_loop_on_random_slots(rng):
 def test_empty_slot_draws_only_the_noise_block():
     M, tau_p = 16, 5
     rng, replay = np.random.default_rng(11), np.random.default_rng(11)
-    out = simulate_slot([], [], tau_p, M, rng)
+    out = simulate_slot([], [], pilot_sequences(tau_p), M, rng)
     N_p = (replay.standard_normal((M, tau_p)) + 1j * replay.standard_normal((M, tau_p))) / math.sqrt(2.0)
     assert np.array_equal(out.detected, detect_pilots(N_p @ pilot_sequences(tau_p).conj()))
     assert out.device_sinr.shape == (0,)
@@ -428,7 +396,6 @@ def test_run_frame_is_deterministic_with_collected_slots(power_controlled):
     assert len(a.slots) == len(b.slots) == 40
     for sa, sb in zip(a.slots, b.slots):
         assert np.array_equal(sa.detected, sb.detected)
-        assert sa.est_sum_power == sb.est_sum_power
         assert np.array_equal(sa.device_sinr, sb.device_sinr)
 
 
@@ -439,24 +406,39 @@ def test_all_patterns_shape():
 
 
 def test_slot_outcome_carries_estimates():
-    # the slot correlates once and runs the shared detection, sum-power
-    # estimation and SINR routines on that correlation
-    from pilothop.channels import sample_channels
-
+    # train_slot draws the channels, then the noise, and correlates once; the
+    # slot runs the shared detection and SINR routines on that correlation
     pil = pilot_sequences(8)
     betas, assignment = np.array([10.0, 6.0]), np.array([3, 5])
-    out = simulate_slot(betas, assignment, 8, 64, np.random.default_rng(4), pilots=pil)
-    assert set(out.est_sum_power) == {3, 5}
+    G, corr = train_slot(betas, assignment, pil, 64, np.random.default_rng(4))
 
-    rng = np.random.default_rng(4)  # replay the slot's training draws
-    G = sample_channels(betas, 64, rng)
+    rng = np.random.default_rng(4)  # replay the training draws by hand
+    G_ref = sample_channels(betas, 64, rng)
     N_p = (rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))) / math.sqrt(2.0)
-    Y_p = math.sqrt(8) * (G @ pil.T[assignment]) + N_p
-    corr = Y_p @ pil.conj()
+    Y_p = math.sqrt(8) * (G_ref @ pil.T[assignment]) + N_p
+    assert np.array_equal(G, G_ref)
+    assert np.array_equal(corr, Y_p @ pil.conj())
+
+    out = simulate_slot(betas, assignment, pil, 64, np.random.default_rng(4))
     assert np.array_equal(out.detected, detect_pilots(corr))
-    for j in out.detected:
-        assert out.est_sum_power[int(j)] == estimate_sum_power(corr[:, j], 8)
+    assert np.array_equal(out.detected, [3, 5])
+    assert np.array_equal(out.pilot_of_device, assignment)
     assert np.array_equal(out.device_sinr, mrc_and_measure(G, betas, assignment, corr, 8))
+
+
+def test_run_frame_rates_count_only_detected_slots():
+    # weak spread gains on few antennas: some slots miss a device's pilot, and
+    # those slots add nothing to its rate
+    cfg = SystemConfig(M=32, K=60, tau_u=40, tau_p=8, p_a=0.15, model=UniformPowerError(0.15, 0.5), seed=3)
+    fr = run_frame(cfg, 60, 5, collect_slots=True)
+    bits = np.zeros(fr.active.size)
+    missed = 0
+    for out in fr.slots:
+        seen = np.isin(out.pilot_of_device, out.detected)
+        bits[seen] += np.log2(1.0 + out.device_sinr[seen])
+        missed += int((~seen).sum())
+    assert missed > 0 and missed < fr.active.size * 60
+    assert np.array_equal(fr.rates, (cfg.tau_u - cfg.tau_p) / cfg.tau_u * bits / 60)
 
 
 def test_run_frame_rejects_empty_frame(power_controlled):

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -50,6 +51,33 @@ def test_perfbench_tracer_names_resolve():
     missing = [f"{mod}.{name}" for mod, name in wanted
                if not hasattr(importlib.import_module(f"pilothop.{mod}"), name)]
     assert len(wanted) > 3 and not missing, missing
+
+
+def test_perfbench_tracer_runs_a_simulate_spec(tmp_path):
+    # the tracer's observers read SlotOutcome and IdentificationReport fields; a dropped
+    # field would break only a traced benchmark run
+    spec = tmp_path / "sim.yaml"
+    spec.write_text("kind: simulate\nsystem: {M: 32, K: 60, tau_u: 40, tau_p: 8, p_a: 0.1, seed: 3}\n"
+                    "n_slots: 20\nn_frames: 2\nout_prefix: sim\n")
+    code = (
+        "import json\n"
+        "from tracing import Tracer\n"
+        "from pilothop.cli import main\n"
+        "tracer = Tracer().install()\n"
+        f"rc = main(['run', {str(spec)!r}, '--out', {str(tmp_path)!r}])\n"
+        f"metrics = tracer.finish({str(tmp_path / 'spans.json')!r})\n"
+        "print(json.dumps([rc, metrics]))\n"
+    )
+    path = [str(SRC.parent), str(SRC.parent.parent / "perfbench"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    rc, metrics = json.loads(out.stdout.splitlines()[-1])
+    assert rc == 0
+    assert metrics["protocol.simulate_slot.calls"] == 40
+    for name in ("simulate_slot.missed_pilots", "simulate_slot.false_pilots",
+                 "match_patterns.missed_devices", "match_patterns.false_devices"):
+        assert isinstance(metrics[f"protocol.{name}"], int), name
 
 
 def test_no_function_takes_model_or_mc_beside_cfg():
