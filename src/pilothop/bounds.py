@@ -28,6 +28,17 @@ model, samples, seed, M, tau_p, tail mass) and K_a, live with the pool's
 prefix sums in one LRU store of at most 32 MiB (``_STORE``), so a grid
 sweep computes each row once per pilot length.
 
+R1 and R2 rows share one formula, ``F[K_a] = coll_w @ log2(1 + num /
+(A_c + x(K_a) B_c))`` over the collider counts c of the row's collision
+window: ``num``, ``A_c`` and ``B_c`` depend on c and the gain sample but
+not on K_a, so one call computes them once for all the rows it is missing,
+and a row adds only x(K_a), the interference of the active devices on the
+other pilots. The rows are computed a block of gain samples at a time
+(``ROW_BLOCK_ENTRIES``), so the kernel's working set does not grow with
+the sample count. Every row has the bits of the per-row formula (under
+one BLAS thread when its samples span several blocks; see
+``_sample_blocks``).
+
 R3 and Ra are taken a grid row at a time: for one pilot length,
 ``analytic_row`` evaluates the gain expectations of every activation level
 of the row in one ``expect_rows`` call, in blocks over the memoized gain
@@ -223,6 +234,8 @@ def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):
     """SINR with collider identities averaged into the interference variances.
 
     Broadcasts over both ``beta_0`` and the collider count ``c``.
+    ``r2_bar`` forms the same denominator, term for term, in the averaged
+    bounds' shared row kernel (``_f_rows``).
     """
     if M < 2:
         raise ValueError("M must be >= 2")
@@ -321,17 +334,78 @@ def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int):
     return cum, cum_sq
 
 
-def _sinr1_from_sums(b0, b0_sq, coll_sum, coll_sq, other_sum, tau_p, M):
-    """Closed-form per-scenario SINR from collider sum statistics (vectorized)."""
-    total = b0 + coll_sum
-    sq = b0_sq + coll_sq
-    den = (
-        tau_p * (M - 1) * coll_sq
-        + total
-        + tau_p * (total * total - sq)
-        + (1.0 + other_sum) * (1.0 + tau_p * total)
-    )
-    return tau_p * (M - 1) * b0_sq / den
+# Entries (collider counts x gain samples) in one block of the F-row
+# kernel's arrays. Rows are computed a block of sample columns at a time, so
+# the kernel's working set stays at a few 2 MiB arrays whatever the sample
+# count is.
+ROW_BLOCK_ENTRIES = 1 << 18
+
+
+def _sample_blocks(n: int, span: int) -> list[tuple[int, int]]:
+    """Column ranges tiling 0..n-1 for an F-row block over ``span`` collider counts.
+
+    Every block starts at a multiple of a width that is itself a multiple
+    of 4, and the last one takes the remainder. OpenBLAS's gemv sums the
+    products of a column in an order set by whether the column falls in the
+    kernel's groups of four or in the ``n mod 4`` tail; tiles like these
+    keep every column where the whole-row product puts it, so ``coll_w @
+    block`` gives each column the bits of ``coll_w @ whole`` (under one BLAS
+    thread; with more, OpenBLAS splits a long product into ranges of its
+    own). A row of fewer than two widths is one block.
+    """
+    width = max(4, ROW_BLOCK_ENTRIES // span // 4 * 4)
+    edges = [i * width for i in range(max(n // width, 1))] + [n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _f_rows(cum, cum_sq, kas: list[int], tau_p: int, M: int, eps_tail: float, moments: BetaMoments | None):
+    """F rows at the active counts ``kas``: R1's, or R2's when ``moments`` is given.
+
+    Both bounds share one row formula over the collider counts c of each
+    row's collision window,
+    ``F[K_a] = coll_w @ log2(1 + num / (A_c + x(K_a) B_c))``:
+    ``num = tau_p (M-1) b0^2``, and ``A_c``, ``B_c`` are the parts of the
+    SINR denominator that depend on c and the gain sample but not on K_a,
+    computed once for the union of the windows. In R1, ``A_c = tau_p (M-1)
+    coll_sq + total + tau_p (total^2 - sq)``, ``B_c = 1 + tau_p total`` and
+    ``x = 1 + other``, with ``other`` the summed gains of the active
+    devices on the other pilots; in R2 (:func:`sinr2`), ``x = 1 + (K_a - 1)
+    mean`` is a number. The sum ``A_c + x B_c`` is the denominator summed
+    left to right, so each row has the bits of the per-row formula.
+    """
+    c_lo, _, _, c_w = binom_windows(np.array(kas) - 1, 1.0 / tau_p, eps_tail)
+    c0, c1 = int(c_lo.min()), int(max(lo + w.size for lo, w in zip(c_lo.tolist(), c_w)))
+    n = cum.shape[1]
+    rows = [np.empty(n) for _ in kas]
+    gain = tau_p * (M - 1)
+    for j0, j1 in _sample_blocks(n, c1 - c0):
+        blk = slice(j0, j1)
+        b0, b0_sq = cum[1, blk], cum_sq[1, blk]
+        num = gain * b0_sq
+        if moments is None:
+            coll_sq = cum_sq[1 + c0:1 + c1, blk] - b0_sq
+            total = b0 + (cum[1 + c0:1 + c1, blk] - b0)
+            A = gain * coll_sq + total + tau_p * (total * total - (b0_sq + coll_sq))
+            B = 1.0 + tau_p * total
+        else:
+            c, bm = np.arange(c0, c1)[:, None], moments.mean
+            A = gain * moments.mean_sq * c + b0 * (1.0 + tau_p * c * bm) - c * bm**2 * tau_p
+            B = 1.0 + b0 * tau_p + tau_p * c * bm
+        buf = np.empty(A.size)
+        for K_a, lo, coll_w, row in zip(kas, c_lo.tolist(), c_w, rows):
+            at = slice(lo - c0, lo - c0 + coll_w.size)
+            den = buf[:coll_w.size * (j1 - j0)].reshape(coll_w.size, j1 - j0)
+            if moments is None:
+                np.subtract(cum[K_a, blk], cum[1 + lo:1 + lo + coll_w.size, blk], out=den)
+                den += 1.0
+            else:
+                den.fill(1.0 + (K_a - 1) * moments.mean)
+            den *= B[at]
+            den += A[at]
+            np.divide(num, den, out=den)
+            den += 1.0
+            row[blk] = coll_w @ np.log2(den, out=den)
+    return rows
 
 
 def _averaged_bound(cfg: "SystemConfig", *, use_sinr2: bool = False) -> tuple[float, float, int]:
@@ -347,8 +421,10 @@ def _averaged_bound(cfg: "SystemConfig", *, use_sinr2: bool = False) -> tuple[fl
     kept under its table key (kind, model, n_samples, seed, M, tau_p,
     eps_tail) in the store (``_STORE``, at most STORE_CAP_BYTES), for
     the rest of a grid row, stage-two refinement and re-evaluations. The
-    collision windows of all missing rows come from one ``binom_windows``
-    call. No row depends on which rows were computed with it, so a cell's
+    missing rows come from one :func:`_f_rows` call, which finds their
+    collision windows in one ``binom_windows`` call and splits the SINR
+    denominator into its collider-count part, computed once, and its K_a
+    part. No row depends on which rows were computed with it, so a cell's
     value is the same with a cold or a warm store.
     """
     tau_p, tau_u, M, K, model, mc = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K, cfg.model, cfg.mc
@@ -369,7 +445,6 @@ def _averaged_bound(cfg: "SystemConfig", *, use_sinr2: bool = False) -> tuple[fl
     exact = is_degenerate(model)
     n = 1 if exact else mc.n_beta_samples
     cum, cum_sq = _prefix_sums(model, n, k_hi, cfg.seed)
-    b0, b0_sq = cum[1], cum_sq[1]
     moments = analytic_moments(model) if use_sinr2 else None
     table = ("R2" if use_sinr2 else "R1", model, n, cfg.seed, M, tau_p, mc.eps_tail)
 
@@ -377,23 +452,14 @@ def _averaged_bound(cfg: "SystemConfig", *, use_sinr2: bool = False) -> tuple[fl
     rows = [_STORE.get((table, K_a)) for K_a in kas]
     missing = [K_a for K_a, row in zip(kas, rows) if row is None]
     if missing:
-        c_lo, _, _, c_w = binom_windows(np.array(missing) - 1, 1.0 / tau_p, mc.eps_tail)
-        windows = dict(zip(missing, zip(c_lo.tolist(), c_w)))
-
-    total_s = np.zeros(n)
-    for K_a, coeff, row in zip(kas, coeffs, rows):
-        if row is None:
-            c_lo_a, coll_w = windows[K_a]
-            # one (n_colliders, n_samples) block: the prefix sums through each collider count
-            cols = slice(1 + c_lo_a, 1 + c_lo_a + coll_w.size)
-            if use_sinr2:
-                s = sinr2(np.arange(c_lo_a, c_lo_a + coll_w.size)[:, None], K_a, b0, moments, tau_p, M)
-            else:
-                upto = cum[cols]
-                s = _sinr1_from_sums(b0, b0_sq, upto - b0, cum_sq[cols] - b0_sq, cum[K_a] - upto, tau_p, M)
-            row = coll_w @ np.log2(1.0 + s)
+        fresh = dict(zip(missing, _f_rows(cum, cum_sq, missing, tau_p, M, mc.eps_tail, moments)))
+        for K_a, row in fresh.items():
             row.flags.writeable = False
             _STORE.put((table, K_a), row, row.nbytes)
+        rows = [fresh[K_a] if row is None else row for K_a, row in zip(kas, rows)]
+
+    total_s = np.zeros(n)
+    for coeff, row in zip(coeffs, rows):
         total_s += coeff * row
 
     value = float(total_s.mean())

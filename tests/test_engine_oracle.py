@@ -1,15 +1,26 @@
-"""The averaged-bound engine against the per-cell engine it replaced.
+"""The averaged-bound engine against the engines it replaced.
 
-The reference below is the earlier engine, kept apart from names: every
-cell redraws its gain pool, rebuilds the prefix sums and loops over the
-active counts K_a, forming one (samples x colliders) block per K_a from a
-collision window grown greedily from the mode, one binomial at a time, with
-``scipy.stats`` masses. The engine computes each F row once per pilot length
-and finds all collision windows of a pilot length in one vectorized pass.
+The first reference below is the earlier per-cell engine, kept apart from
+names: every cell redraws its gain pool, rebuilds the prefix sums and loops
+over the active counts K_a, forming one (samples x colliders) block per K_a
+from a collision window grown greedily from the mode, one binomial at a
+time, with ``scipy.stats`` masses. The engine computes each F row once per
+pilot length and finds all collision windows of a pilot length in one
+vectorized pass.
+
+The second is the per-row kernel that the engine's shared R1/R2 row
+formula replaced: R1 rows through ``_sinr1_from_sums`` below, R2 rows
+through ``sinr2``, each row's SINR block built whole. The engine's rows
+must equal it bit for bit, from a cold store and from a warm one.
 """
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +28,13 @@ from scipy import stats
 from scipy.special import gammaln
 
 from pilothop.access import CollisionLaw, binom_pmf, binom_windows, truncate_support
+from pilothop import bounds
 from pilothop.bounds import McConfig, r1_bar, r2_bar, sinr2
 from pilothop.channels import (
     LogNormalShadowing,
     RingPathLoss,
     UniformPowerError,
+    LruStore,
     analytic_moments,
     is_degenerate,
     sample_beta,
@@ -172,3 +185,141 @@ def test_collision_windows_match_greedy_reference():
             assert np.array_equal(masses[i], np.atleast_1d(binom_pmf(np.arange(want[0], want[1] + 1), K_a - 1, p)))
             sup = truncate_support(CollisionLaw(K_a, tau_p), eps)
             assert (sup.lo, sup.hi, sup.covered_mass) == want, (K_a, tau_p)
+
+
+def _sinr1_from_sums(b0, b0_sq, coll_sum, coll_sq, other_sum, tau_p, M):
+    """Closed-form per-scenario SINR from collider sum statistics (vectorized)."""
+    total = b0 + coll_sum
+    sq = b0_sq + coll_sq
+    den = (
+        tau_p * (M - 1) * coll_sq
+        + total
+        + tau_p * (total * total - sq)
+        + (1.0 + other_sum) * (1.0 + tau_p * total)
+    )
+    return tau_p * (M - 1) * b0_sq / den
+
+
+def _ref_row(kind, cfg, K_a):
+    """The F row at K_a of the config's table, its SINR block built whole."""
+    n = 1 if is_degenerate(cfg.model) else cfg.mc.n_beta_samples
+    cum, cum_sq = bounds._prefix_sums(cfg.model, n, K_a, cfg.seed)
+    b0, b0_sq = cum[1], cum_sq[1]
+    (c_lo,), _, _, (coll_w,) = binom_windows([K_a - 1], 1.0 / cfg.tau_p, cfg.mc.eps_tail)
+    cols = slice(1 + c_lo, 1 + c_lo + coll_w.size)
+    if kind == "R2":
+        cs = np.arange(c_lo, c_lo + coll_w.size)[:, None]
+        s = sinr2(cs, K_a, b0, analytic_moments(cfg.model), cfg.tau_p, cfg.M)
+    else:
+        upto = cum[cols]
+        s = _sinr1_from_sums(b0, b0_sq, upto - b0, cum_sq[cols] - b0_sq, cum[K_a] - upto, cfg.tau_p, cfg.M)
+    return coll_w @ np.log2(1.0 + s)
+
+
+def _rows_of(store, kind, cfg):
+    """{K_a: row} of the store's F rows for the config's table."""
+    n = 1 if is_degenerate(cfg.model) else cfg.mc.n_beta_samples
+    table = (kind, cfg.model, n, cfg.seed, cfg.M, cfg.tau_p, cfg.mc.eps_tail)
+    return {key[1]: value for key, (value, _) in store.items.items() if key[0] == table}
+
+
+ROW_MODELS = {k: MODELS[k] for k in ("ring", "spread", "shadowed")}
+# (tau_p, p_a*K) per pilot length at tau_u = 100, p_a*K capped at K; tau_p = 1 puts every collider on one pilot
+ROW_CELLS = ((1, 5.0), (7, 30.0), (33, 30.0), (60, 55.0))
+
+
+@pytest.mark.parametrize("kind", ["R1", "R2"])
+@pytest.mark.parametrize("model", ROW_MODELS.values(), ids=ROW_MODELS.keys())
+def test_engine_rows_equal_per_row_formula(model, kind, monkeypatch):
+    fn = r1_bar if kind == "R1" else r2_bar
+    for K in (60, 800, 10**5):
+        for tau_p, q in ROW_CELLS:
+            cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=tau_p, p_a=min(q, K) / K, model=model, seed=9,
+                               mc=McConfig(n_beta_samples=700))
+            cold_store = LruStore(bounds.STORE_CAP_BYTES)
+            monkeypatch.setattr(bounds, "_STORE", cold_store)
+            cold = fn(cfg)
+            rows = _rows_of(cold_store, kind, cfg)
+            assert rows, (K, tau_p)
+            for K_a, row in rows.items():
+                assert np.array_equal(row, _ref_row(kind, cfg, K_a)), (K, tau_p, K_a)
+            # warm: a sparser cell leaves part of the rows in the store, so
+            # the cell computes the rest over a different union of windows
+            warm_store = LruStore(bounds.STORE_CAP_BYTES)
+            monkeypatch.setattr(bounds, "_STORE", warm_store)
+            fn(replace(cfg, p_a=cfg.p_a * 0.6))
+            held = set(_rows_of(warm_store, kind, cfg))
+            warm = fn(cfg)
+            rows = _rows_of(warm_store, kind, cfg)
+            assert held < set(rows), (K, tau_p)
+            for K_a, row in rows.items():
+                assert np.array_equal(row, _ref_row(kind, cfg, K_a)), (K, tau_p, K_a)
+            assert (warm.value, warm.mc_std_err) == (cold.value, cold.mc_std_err), (K, tau_p)
+
+
+def _block_mismatches():
+    """Every (case, block width) whose sample blocks do not give the whole product's bits.
+
+    Checks ``coll_w @ block`` on the tiles of ``_sample_blocks`` against
+    ``coll_w @ whole`` column for column, and whole engine cells computed
+    in narrow sample blocks against the same cells in one block. Run under
+    one BLAS thread.
+    """
+    found = []
+    rng = np.random.default_rng(3)
+    widths = (4, 8, 12, 20, 64, 1000, 4096)
+    for n in (1, 2, 3, 5, 7, 301, 302, 303, 700, 1003, 4097, 4098, 4099, 20001, 50003):
+        for w in (1, 2, 3, 5, 17, 40, 71):
+            x = np.log2(1.0 + 10.0 * rng.random((w, n)))
+            coll_w = rng.random(w)
+            whole = coll_w @ x
+            for width in widths:
+                bounds.ROW_BLOCK_ENTRIES = width
+                tiles = bounds._sample_blocks(n, 1)
+                got = np.concatenate([coll_w @ np.ascontiguousarray(x[:, a:b]) for a, b in tiles])
+                if not np.array_equal(got, whole):
+                    found.append(("gemv", n, w, width))
+    for n in (301, 302, 303, 1004):
+        for kind, fn in (("R1", r1_bar), ("R2", r2_bar)):
+            for tau_p, q in ROW_CELLS:
+                cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=tau_p, p_a=q / 800, model=MODELS["ring"],
+                                   seed=4, mc=McConfig(n_beta_samples=n))
+                cells = []
+                for entries in (1 << 40, 4, 48, 1000):
+                    bounds.ROW_BLOCK_ENTRIES = entries
+                    bounds._STORE = LruStore(bounds.STORE_CAP_BYTES)
+                    res = fn(cfg)
+                    rows = _rows_of(bounds._STORE, kind, cfg)
+                    cells.append((res.value, res.mc_std_err, {k: v.tobytes() for k, v in rows.items()}))
+                if any(c != cells[0] for c in cells):
+                    found.append((kind, n, tau_p))
+    return found
+
+
+def test_sample_blocks_keep_every_bit():
+    # sample blocks must not move a bit of any row; BLAS runs one thread, as
+    # in the benchmark, because OpenBLAS splits a long product across
+    # threads into ranges of its own
+    tests = Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "OPENBLAS_NUM_THREADS": "1"}
+    code = "import test_engine_oracle as t; print(t._block_mismatches())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stdout[-2000:] + out.stderr[-2000:]
+
+
+def test_sample_blocks_tile_in_multiples_of_four(monkeypatch):
+    for entries in (1, 4, 48, 1000, 1 << 18):
+        monkeypatch.setattr(bounds, "ROW_BLOCK_ENTRIES", entries)
+        for n in (1, 3, 4, 5, 700, 4099, 50000):
+            for span in (1, 3, 70, 900):
+                tiles = bounds._sample_blocks(n, span)
+                width = tiles[0][1] - tiles[0][0]
+                assert tiles[0][0] == 0 and tiles[-1][1] == n
+                assert all(b == c for (_, b), (c, _) in zip(tiles, tiles[1:]))
+                if len(tiles) > 1:
+                    assert width % 4 == 0 and all(a % width == 0 for a, _ in tiles)
+                    assert width <= tiles[-1][1] - tiles[-1][0] < 2 * width
+                    assert width * span <= max(entries, 4 * span)
+                else:
+                    assert n < 2 * max(4, entries // span // 4 * 4)
