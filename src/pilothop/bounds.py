@@ -28,16 +28,10 @@ model, samples, seed, M, tau_p, tail mass) and K_a, live with the pool's
 prefix sums in one LRU store of at most 32 MiB (``_STORE``), so a grid
 sweep computes each row once per pilot length.
 
-R1 and R2 rows share one formula, ``F[K_a] = coll_w @ log2(1 + num /
-(A_c + x(K_a) B_c))`` over the collider counts c of the row's collision
-window: ``num``, ``A_c`` and ``B_c`` depend on c and the gain sample but
-not on K_a, so one call computes them once for all the rows it is missing,
-and a row adds only x(K_a), the interference of the active devices on the
-other pilots. The rows are computed a block of gain samples at a time
-(``ROW_BLOCK_ENTRIES``), so the kernel's working set does not grow with
-the sample count. Every row has the bits of the per-row formula (under
-one BLAS thread when its samples span several blocks; see
-``_sample_blocks``).
+R1 and R2 rows share one kernel, ``_f_rows``: the SINR terms that depend
+only on the collider count are computed once per call for all the rows it
+is missing, and a row is computed a block of gain samples at a time, so
+the kernel's working set does not grow with the sample count.
 
 R3 and Ra are taken a grid row at a time: for one pilot length,
 ``analytic_row`` evaluates the gain expectations of every activation level
@@ -334,24 +328,20 @@ def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int):
     return cum, cum_sq
 
 
-# Entries (collider counts x gain samples) in one block of the F-row
-# kernel's arrays. Rows are computed a block of sample columns at a time, so
-# the kernel's working set stays at a few 2 MiB arrays whatever the sample
-# count is.
+# (collider count, gain sample) entries in one block of the F-row kernel's
+# arrays: its working set is a few 2 MiB arrays whatever the sample count
 ROW_BLOCK_ENTRIES = 1 << 18
 
 
 def _sample_blocks(n: int, span: int) -> list[tuple[int, int]]:
     """Column ranges tiling 0..n-1 for an F-row block over ``span`` collider counts.
 
-    Every block starts at a multiple of a width that is itself a multiple
-    of 4, and the last one takes the remainder. OpenBLAS's gemv sums the
-    products of a column in an order set by whether the column falls in the
-    kernel's groups of four or in the ``n mod 4`` tail; tiles like these
-    keep every column where the whole-row product puts it, so ``coll_w @
-    block`` gives each column the bits of ``coll_w @ whole`` (under one BLAS
-    thread; with more, OpenBLAS splits a long product into ranges of its
-    own). A row of fewer than two widths is one block.
+    Blocks start at multiples of a width that is a multiple of 4, and the
+    last takes the remainder. OpenBLAS's gemv sums a column in an order set
+    by whether it falls in the kernel's groups of four or in the ``n mod
+    4`` tail, so these tiles give each column of ``coll_w @ block`` the bits
+    of ``coll_w @ whole`` under one BLAS thread (with more, OpenBLAS splits
+    a long product into ranges of its own).
     """
     width = max(4, ROW_BLOCK_ENTRIES // span // 4 * 4)
     edges = [i * width for i in range(max(n // width, 1))] + [n]
@@ -373,8 +363,8 @@ def _f_rows(cum, cum_sq, kas: list[int], tau_p: int, M: int, eps_tail: float, mo
     mean`` is a number. The sum ``A_c + x B_c`` is the denominator summed
     left to right, so each row has the bits of the per-row formula.
     """
-    c_lo, _, _, c_w = binom_windows(np.array(kas) - 1, 1.0 / tau_p, eps_tail)
-    c0, c1 = int(c_lo.min()), int(max(lo + w.size for lo, w in zip(c_lo.tolist(), c_w)))
+    c_lo, c_hi, _, c_w = binom_windows(np.array(kas) - 1, 1.0 / tau_p, eps_tail)
+    c0, c1 = int(c_lo.min()), int(c_hi.max()) + 1
     n = cum.shape[1]
     rows = [np.empty(n) for _ in kas]
     gain = tau_p * (M - 1)
@@ -421,11 +411,9 @@ def _averaged_bound(cfg: "SystemConfig", *, use_sinr2: bool = False) -> tuple[fl
     kept under its table key (kind, model, n_samples, seed, M, tau_p,
     eps_tail) in the store (``_STORE``, at most STORE_CAP_BYTES), for
     the rest of a grid row, stage-two refinement and re-evaluations. The
-    missing rows come from one :func:`_f_rows` call, which finds their
-    collision windows in one ``binom_windows`` call and splits the SINR
-    denominator into its collider-count part, computed once, and its K_a
-    part. No row depends on which rows were computed with it, so a cell's
-    value is the same with a cold or a warm store.
+    missing rows come from one :func:`_f_rows` call. No row depends on
+    which rows were computed with it, so a cell's value is the same with a
+    cold or a warm store.
     """
     tau_p, tau_u, M, K, model, mc = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K, cfg.model, cfg.mc
     if tau_p is None or cfg.p_a is None:
