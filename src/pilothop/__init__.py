@@ -21,7 +21,7 @@ from .channels import (
     analytic_moments,
 )
 from .config import SystemConfig
-from .optimize import GridSpec, OptimizationResult, solve_s0
+from .optimize import GridSpec, OptimizationResult, S0
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "SystemConfig",
     "GridSpec",
     "OptimizationResult",
-    "solve_s0",
+    "S0",
     "__version__",
 ]

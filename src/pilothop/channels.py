@@ -8,9 +8,9 @@ distributions are supported:
   Residual spread after closed-loop power control.
 * ``LogNormalShadowing`` -- gain = delta_bar*10^(v/10), v ~ N(0, sigma_v2).
   Log-normal shadowing with power control applied to the dB-domain mean.
-* ``RingPathLoss``       -- gain = delta_bar*(d/d0)^-pathloss_exp with
-  d = d0*(1+v), v ~ U[-alpha, alpha]. Devices spread uniformly around a
-  nominal distance from the base station.
+* ``RingPathLoss``       -- gain = delta_bar*(1+v)^-PATHLOSS_EXP with
+  v ~ U[-alpha, alpha] and the exponent fixed at 3.76. Devices spread
+  uniformly on a ring around a nominal distance from the base station.
 
 Raw moments of the gain exist in closed form for every model, which keeps
 the rate bounds and optimizers that consume them fully deterministic.
@@ -27,6 +27,9 @@ from typing import Callable, Union
 import numpy as np
 
 LN10_OVER_10 = math.log(10.0) / 10.0
+
+# Path-loss exponent of RingPathLoss: 37.6 dB per decade of distance
+PATHLOSS_EXP = 3.76
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,15 @@ class LogNormalShadowing:
 
 @dataclass(frozen=True)
 class RingPathLoss:
-    """Gain delta_bar*(1+v)^-pathloss_exp with v uniform on [-alpha, alpha].
+    """Gain delta_bar*(1+v)^-PATHLOSS_EXP with v uniform on [-alpha, alpha].
 
-    The distance ratio d/d0 = 1+v places devices uniformly on a ring of
-    relative width alpha around the nominal distance d0.
+    The distance ratio 1+v to the nominal distance places devices uniformly
+    on a ring of relative width alpha; delta_bar is the gain at the nominal
+    distance.
     """
 
     delta_bar: float = 10.0
     alpha: float = 0.0
-    d0: float = 500.0
-    pathloss_exp: float = 3.76
 
     def __post_init__(self):
         if self.delta_bar <= 0:
@@ -76,8 +78,6 @@ class RingPathLoss:
         # alpha = 1 puts devices at distance 0 where the gain moments diverge
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.pathloss_exp <= 0:
-            raise ValueError("pathloss_exp must be positive")
 
 
 LargeScaleModel = Union[UniformPowerError, LogNormalShadowing, RingPathLoss]
@@ -124,7 +124,7 @@ def raw_moment(model: LargeScaleModel, n: int) -> float:
     if isinstance(model, LogNormalShadowing):
         return d**n * math.exp(n**2 * LN10_OVER_10**2 * model.sigma_v2 / 2.0)
     if isinstance(model, RingPathLoss):
-        a, g = model.alpha, model.pathloss_exp
+        a, g = model.alpha, PATHLOSS_EXP
         if a == 0.0:
             return d**n
         q = -n * g
@@ -136,7 +136,7 @@ def raw_moment(model: LargeScaleModel, n: int) -> float:
                 + q * (q - 1) / 2.0 * a**2 / 3.0
                 + q * (q - 1) * (q - 2) * (q - 3) / 24.0 * a**4 / 5.0
             )
-        # n*g = 1 would need the log limit, which cannot occur for the
+        # n*g = 1 would need the log limit; no integer n meets it at the
         # fixed exponent 3.76
         return d**n * ((1 - a) ** (1 + q) - (1 + a) ** (1 + q)) / (2 * a * (n * g - 1))
     raise TypeError(f"unknown large-scale model {type(model).__name__}")
@@ -164,7 +164,7 @@ def sample_beta(model: LargeScaleModel, rng: np.random.Generator, size=None):
         return model.delta_bar * np.power(10.0, v / 10.0)
     if isinstance(model, RingPathLoss):
         v = rng.uniform(-model.alpha, model.alpha, size)
-        return model.delta_bar * np.power(1.0 + v, -model.pathloss_exp)
+        return model.delta_bar * np.power(1.0 + v, -PATHLOSS_EXP)
     raise TypeError(f"unknown large-scale model {type(model).__name__}")
 
 
@@ -341,7 +341,7 @@ def beta_nodes(
         x, w = _legendre()
         v = model.alpha * x
         if isinstance(model, RingPathLoss):
-            nodes = model.delta_bar * (1.0 + v) ** (-model.pathloss_exp)
+            nodes = model.delta_bar * (1.0 + v) ** (-PATHLOSS_EXP)
         else:
             nodes = model.delta_bar * (1.0 + v)
         w = w / 2.0

@@ -21,6 +21,7 @@ import yaml
 
 from .bounds import BOUNDS, COSTS, McConfig, mc_problems
 from .channels import LargeScaleModel, LogNormalShadowing, RingPathLoss, UniformPowerError
+from .optimize import METHODS, RH0_MIN_TAU_U
 
 KINDS = ("bound-eval", "optimize", "sweep", "scaling-verify", "simulate", "compare")
 SWEEP_AXES = ("tau_u", "M", "K")
@@ -227,8 +228,6 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
     cfg, sys_diags = build_system(spec.system)
     diags.extend(sys_diags)
 
-    from .optimize import METHODS, RH0_MIN_TAU_U  # local import to keep config dependency-light
-
     if spec.kind in ("optimize", "sweep", "compare"):
         if not spec.methods:
             diags.append(Diagnostic("methods", "at least one method is required"))
@@ -266,7 +265,7 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
             if not (_is_integer(v) and v >= 1):
                 diags.append(Diagnostic(name, f"must be an integer >= 1 (got {v!r})"))
     if spec.kind == "scaling-verify":
-        from .scaling import ScalingCase  # local import, as for optimize above
+        from .scaling import ScalingCase  # local: scaling imports config, a cycle at module level
 
         cases = tuple(c.value for c in ScalingCase)
         if spec.case not in cases:

@@ -147,11 +147,9 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
     if spec.kind == "compare":
         records = []
         for m in spec.methods:
-            res = optimize(m, cfg)
-            bound = bound_at("R1", cfg, res.tau_p_opt, res.p_aK_opt)
-            records.append(Record(cfg.tau_u, m, bound.value, res.tau_p_opt, res.p_aK_opt, bound.mc_std_err))
-            at = at_point(cfg, res.tau_p_opt, res.p_aK_opt)
-            records.extend(_simulate(at, spec.n_slots, spec.n_frames, f"{m}-sim", cfg.tau_u))
+            [rec] = _methods_at_point(cfg, [m], "R1", cfg.tau_u)
+            at = at_point(cfg, rec.tau_p_opt, rec.p_aK_opt)
+            records += [rec, *_simulate(at, spec.n_slots, spec.n_frames, f"{m}-sim", cfg.tau_u)]
         return {"compare": records}
 
     raise ValueError(f"unknown experiment kind {spec.kind!r}")

@@ -8,7 +8,7 @@ Six methods are provided, from exhaustive to closed-form:
 * ``Ra-1D``  -- pilot length pinned to a third of the slot, activation
   scale found by golden section on the large-system bound.
 * ``Rh0``    -- fully closed form: tau_p = tau_u/3 and an activation level
-  set by the root of log(1+x) = 2x/(1+x).
+  set by S0, the root of log(1+x) = 2x/(1+x), pinned as a literal.
 * ``Rh-1D``  -- tau_p = tau_u/3 with the activation scale maximizing a
   gain-distribution-aware surrogate; robust when gains vary widely.
 
@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import COSTS, bound_at, bound_row, sinra
 from .channels import NODE_MC_SAMPLES, LargeScaleModel, analytic_moments, expect_rows
@@ -38,6 +36,10 @@ METHODS = (*(f"{cost}-opt" for cost in COSTS), "Ra-1D", "Rh0", "Rh-1D")
 RH0_MIN_TAU_U = 3
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Root of log(1+x) = 2x/(1+x), the SINR at which adding devices stops paying:
+# brentq on [1, 10] at xtol=1e-14 gives these bits, and a test re-solves it.
+S0 = 3.9215536345675077
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,6 @@ class OptimizationResult:
     method: str
     evaluations: int
     diagnostics: dict = field(default_factory=dict)
-
-
-@cache
-def solve_s0() -> float:
-    """Root of log(1+x) = 2x/(1+x), the SINR at which adding devices stops paying."""
-    return float(brentq(lambda x: math.log1p(x) - 2.0 * x / (1.0 + x), 1.0, 10.0, xtol=1e-14))
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-4):
@@ -128,7 +124,7 @@ def heuristic1(tau_u: int, M: int) -> tuple[int, float]:
     """Closed-form operating point: a third of the slot on pilots, sqrt(M*tau_u) scaling."""
     if tau_u < RH0_MIN_TAU_U:
         raise ValueError(f"slot length must be at least {RH0_MIN_TAU_U} symbols")
-    return _tau_p_third(tau_u), math.sqrt(tau_u * M / (3.0 * solve_s0()))
+    return _tau_p_third(tau_u), math.sqrt(tau_u * M / (3.0 * S0))
 
 
 def rh0_cost(tau_p: int, p_aK: float, tau_u: int, M: int) -> float:

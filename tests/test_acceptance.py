@@ -26,7 +26,7 @@ from pilothop.channels import RingPathLoss, LogNormalShadowing, UniformPowerErro
 from pilothop.cli import main as cli_main
 from pilothop.config import SystemConfig
 from pilothop.experiments import point_seed
-from pilothop.optimize import grid_opt, heuristic1, optimize, solve_s0
+from pilothop.optimize import S0, grid_opt, heuristic1, optimize
 from pilothop.protocol import run_frame
 from pilothop.scaling import ScalingCase, predict, solve_ab, verify_scaling
 
@@ -38,7 +38,7 @@ def _report(num, name, ok, detail):
 
 def test_criterion_01_s0_root():
     t0 = time.perf_counter()
-    s0 = solve_s0()
+    s0 = S0
     residual = abs(math.log1p(s0) - 2 * s0 / (1 + s0))
     elapsed = time.perf_counter() - t0
     ok = residual < 1e-10 and 3.91 <= s0 <= 3.93 and elapsed < 1.0
@@ -48,7 +48,7 @@ def test_criterion_01_s0_root():
 def test_criterion_02_heuristic_operating_point():
     t0 = time.perf_counter()
     tau_p, p_aK = heuristic1(100, 100)
-    want = math.sqrt(1e4 / (3 * solve_s0()))
+    want = math.sqrt(1e4 / (3 * S0))
     elapsed = time.perf_counter() - t0
     ok = tau_p == 33 and abs(p_aK - want) < 1e-12 and abs(p_aK - 29.2) <= 0.1 and elapsed < 1.0
     _report(2, "closed-form heuristic at M=tau_u=100", ok,

@@ -44,7 +44,7 @@ def _uniform_quad_moment(model, n):
     if isinstance(model, UniformPowerError):
         f = lambda v: (model.delta_bar * (1 + v)) ** n
     else:
-        f = lambda v: (model.delta_bar * (1 + v) ** -model.pathloss_exp) ** n
+        f = lambda v: (model.delta_bar * (1 + v) ** -channels.PATHLOSS_EXP) ** n
     a = model.alpha
     val, _ = integrate.quad(f, -a, a, epsrel=1e-12)
     return val / (2 * a)
@@ -153,7 +153,7 @@ def _quad_expectation(model, f):
     if isinstance(model, UniformPowerError):
         beta_of_v = lambda v: model.delta_bar * (1 + v)
     else:
-        beta_of_v = lambda v: model.delta_bar * (1 + v) ** -model.pathloss_exp
+        beta_of_v = lambda v: model.delta_bar * (1 + v) ** -channels.PATHLOSS_EXP
     a = model.alpha
     val, _ = integrate.quad(lambda v: f(beta_of_v(v)), -a, a, epsrel=1e-12, limit=400)
     return val / (2 * a)

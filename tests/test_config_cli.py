@@ -162,6 +162,10 @@ _MC_EVAL = "kind: bound-eval\nsystem: {{M: 100, tau_p: 33, p_a: 0.0375, seed: 1,
     ("kind: optimize\nsystem: {M: 100, model: {type: pathloss, alpha: [1]}}\nmethods: [Rh0]\n",
      "system.model: alpha"),
     ("kind: optimize\nsystem: {M: 100, model: {alpha: true}}\nmethods: [Rh0]\n", "system.model: alpha"),
+    ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375, model: {type: pathloss, alpha: 0.25, "
+     "pathloss_exp: 0.5}}\nbounds: [R3]\n", "system.model"),
+    ("kind: optimize\nsystem: {M: 100, model: {type: pathloss, alpha: 0.25, d0: 200}}\nmethods: [Rh0]\n",
+     "system.model"),
     ("kind: sweep\nsystem: {M: 100}\nmethods: [Ra-1D, Rh0]\nsweep: {axis: tau_u, values: [2, 60]}\n",
      "sweep.values"),
     ("kind: optimize\nsystem: {M: 100, tau_u: 2}\nmethods: [Rh0]\n", "system.tau_u"),
@@ -170,6 +174,7 @@ _MC_EVAL = "kind: bound-eval\nsystem: {{M: 100, tau_p: 33, p_a: 0.0375, seed: 1,
         "mc-samples-bool", "mc-eps-text", "mc-list", "mc-unknown-key",
         "tau_p-text", "tau_p-fraction", "p_a-text", "sweep-text", "sweep-fraction", "sweep-scalar",
         "n_slots-text", "n_frames-fraction", "model-text", "model-list", "model-bool",
+        "model-pathloss-exp", "model-d0",
         "rh0-sweep-short-slot", "rh0-short-slot", "case-coherence-limited"])
 def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
     spec = _write(tmp_path, "bad.yaml", body)

@@ -8,6 +8,7 @@ from pilothop.bounds import BOUNDS, McConfig, r3, ra
 from pilothop.channels import LogNormalShadowing, UniformPowerError
 from pilothop.config import SystemConfig
 from pilothop.optimize import (
+    S0,
     GridSpec,
     asymptotic_1d,
     golden_section_max,
@@ -16,12 +17,19 @@ from pilothop.optimize import (
     heuristic2_1d,
     optimize,
     rh0_cost,
-    solve_s0,
 )
 
 
+def test_s0_literal_is_the_brentq_root():
+    # S0 is pinned so the package need not import scipy.optimize; the bracket
+    # and xtol are those the literal was solved with
+    from scipy.optimize import brentq
+
+    assert brentq(lambda x: math.log1p(x) - 2.0 * x / (1.0 + x), 1.0, 10.0, xtol=1e-14) == S0
+
+
 def test_s0_defining_equation():
-    s0 = solve_s0()
+    s0 = S0
     assert abs(math.log1p(s0) - 2 * s0 / (1 + s0)) < 1e-10
     assert 3.91 <= s0 <= 3.93
 
@@ -32,13 +40,13 @@ def test_s0_brute_force_bracket():
     res = np.log1p(x) - 2 * x / (1 + x)
     idx = np.flatnonzero(np.sign(res[:-1]) != np.sign(res[1:]))
     assert idx.size == 1
-    assert x[idx[0]] <= solve_s0() <= x[idx[0] + 1]
+    assert x[idx[0]] <= S0 <= x[idx[0] + 1]
 
 
 def test_heuristic1_values():
     tau_p, p_aK = heuristic1(100, 100)
     assert tau_p == 33
-    assert p_aK == pytest.approx(math.sqrt(1e4 / (3 * solve_s0())), rel=1e-14)
+    assert p_aK == pytest.approx(math.sqrt(1e4 / (3 * S0)), rel=1e-14)
     assert heuristic1(3, 12345)[0] == 1
     with pytest.raises(ValueError):
         heuristic1(2, 100)

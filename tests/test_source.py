@@ -21,19 +21,28 @@ def test_no_assert_statements():
     assert SRC.is_dir() and not found, found
 
 
-def test_import_and_validate_leave_scipy_stats_out():
-    # importing scipy.stats costs about 0.6 s per interpreter; the package needs none of it
+def test_import_validate_and_run_leave_scipy_stats_and_optimize_out(tmp_path):
+    # importing scipy.stats costs about 0.6 s per interpreter and scipy.optimize about
+    # 0.24 s; the package needs neither, Rh0 included (s0 is a literal)
     spec = SRC.parent.parent / "specs" / "bound_hierarchy.yaml"
+    opt = tmp_path / "opt.yaml"
+    opt.write_text("kind: optimize\nsystem: {M: 32, K: 100, tau_u: 30, seed: 2}\n"
+                   "methods: [Rh0, Rh-1D]\nout_prefix: opt\n")
     code = (
-        "import sys, pilothop\n"
+        "import json, sys, pilothop\n"
         "from pilothop.cli import main\n"
-        f"rc = main(['validate', {str(spec)!r}])\n"
-        "print(rc, 'scipy.stats' in sys.modules)\n"
+        "def loaded():\n"
+        "    return [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]\n"
+        "seen = [loaded()]\n"
+        f"seen.append([main(['validate', {str(spec)!r}]), loaded()])\n"
+        f"seen.append([main(['run', {str(opt)!r}, '--out', {str(tmp_path)!r}]), loaded()])\n"
+        "print(json.dumps(seen))\n"
     )
     path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split()[-2:] == ["0", "False"], out.stdout + out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], [0, []], [0, []]], out.stdout + out.stderr
+    assert (tmp_path / "opt_optimize.csv").read_text().count("\n") == 3
 
 
 def test_perfbench_tracer_names_resolve():
