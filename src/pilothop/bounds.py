@@ -21,23 +21,15 @@ no matter how the enclosing experiment is parallelized, and identical
 columns are reused across grid points (common random numbers) to
 stabilize argmax comparisons.
 
-Because the pool is shared, the collider average at one active count K_a,
-an F row, is the same for every activation probability: a cell is the
-activation-weighted sum of its F rows. Rows, keyed by the table (bound,
-model, samples, seed, M, tau_p, tail mass) and K_a, live with the pool's
-prefix sums in one LRU store of at most 32 MiB (``_STORE``), so a grid
-sweep computes each row once per pilot length.
-
-R1 and R2 rows share one kernel, ``_f_rows``: the SINR terms that depend
-only on the collider count are computed once per call for all the rows it
-is missing, and a row is computed a block of gain samples at a time, so
-the kernel's working set does not grow with the sample count.
-
-R3 and Ra are taken a grid row at a time: for one pilot length,
-``analytic_row`` evaluates the gain expectations of every activation level
-of the row in one ``expect_rows`` call, in blocks over the memoized gain
-nodes. Each cell equals, bit for bit, the same cell evaluated alone, and
-``r3``/``ra`` are the row's one-cell case.
+Every bound is taken a grid row (one pilot length) at a time, each cell
+equal, bit for bit, to the same cell alone; ``r1_bar``/``r2_bar``/``r3``/
+``ra`` are the row's one-cell case. An R1 or R2 cell is the
+activation-weighted sum of F rows, the collider averages at each active
+count K_a, which the cells of a row share: ``_averaged_row`` computes them
+in one pass of one kernel, ``_f_row_sums``, a block of gain samples at a
+time, and keeps none after the call. Only the pool's prefix sums are kept,
+in an LRU store of at most 32 MiB (``_STORE``). R3 and Ra rows take one
+``expect_rows`` call over the memoized gain nodes (``analytic_row``).
 """
 
 from __future__ import annotations
@@ -229,7 +221,7 @@ def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):
 
     Broadcasts over both ``beta_0`` and the collider count ``c``.
     ``r2_bar`` forms the same denominator, term for term, in the averaged
-    bounds' shared row kernel (``_f_rows``).
+    bounds' shared row kernel (``_f_row_sums``).
     """
     if M < 2:
         raise ValueError("M must be >= 2")
@@ -290,13 +282,11 @@ def sinra(beta_0, moments: BetaMoments, tau_p: float, p_aK: float, M: int):
 STORE_CAP_BYTES = 32 * 2**20
 
 
-# The averaged-bound engine's memo. It holds two kinds of array, each counted
-# by its nbytes: a gain pool's prefix sums, keyed ("pool", model, n, seed),
-# and F rows, keyed (table, K_a), where table is (kind, model, n, seed, M,
-# tau_p, eps_tail) and kind is "R1" or "R2". A pool of n samples and width w
-# takes 16 n (w + 1) bytes and a row 8 n bytes: at 500 samples and K=800,
-# 6.4 MB and 4 kB; at the default 2000, 25.6 MB and 16 kB; at 50,000 samples
-# the prefix sums exceed the cap, are not stored and are rebuilt on every call.
+# The averaged-bound engine's memo of gain pools' prefix sums, keyed ("pool",
+# model, n, seed) and counted by their nbytes. A pool of n samples and width w
+# takes 16 n (w + 1) bytes: at 500 samples and K=800, 6.4 MB; at the default
+# 2000, 25.6 MB; at 50,000 samples the prefix sums exceed the cap, are not
+# stored and are rebuilt on every call.
 _STORE = LruStore(STORE_CAP_BYTES)
 
 
@@ -348,8 +338,12 @@ def _sample_blocks(n: int, span: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _f_rows(cum, cum_sq, kas: list[int], tau_p: int, M: int, eps_tail: float, moments: BetaMoments | None):
-    """F rows at the active counts ``kas``: R1's, or R2's when ``moments`` is given.
+def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments: BetaMoments | None):
+    """Per-sample sums ``sum_t coeffs[t] F[k_lo + t]``, one row per (k_lo, coeffs) of ``cells``.
+
+    F is R1's, or R2's when ``moments`` is given. Each row is computed once,
+    a block of gain samples at a time, and each block is added, times its
+    coefficient, to the sums of the cells that use it, in ascending K_a.
 
     Both bounds share one row formula over the collider counts c of each
     row's collision window,
@@ -363,10 +357,15 @@ def _f_rows(cum, cum_sq, kas: list[int], tau_p: int, M: int, eps_tail: float, mo
     mean`` is a number. The sum ``A_c + x B_c`` is the denominator summed
     left to right, so each row has the bits of the per-row formula.
     """
+    users: dict[int, list] = {}
+    for i, (k_lo, coeffs) in enumerate(cells):
+        for K_a, coeff in enumerate(coeffs, k_lo):
+            users.setdefault(K_a, []).append((i, coeff))
+    kas = sorted(users)
     c_lo, c_hi, _, c_w = binom_windows(np.array(kas) - 1, 1.0 / tau_p, eps_tail)
     c0, c1 = int(c_lo.min()), int(c_hi.max()) + 1
     n = cum.shape[1]
-    rows = [np.empty(n) for _ in kas]
+    sums = np.zeros((len(cells), n))
     gain = tau_p * (M - 1)
     for j0, j1 in _sample_blocks(n, c1 - c0):
         blk = slice(j0, j1)
@@ -382,7 +381,7 @@ def _f_rows(cum, cum_sq, kas: list[int], tau_p: int, M: int, eps_tail: float, mo
             A = gain * moments.mean_sq * c + b0 * (1.0 + tau_p * c * bm) - c * bm**2 * tau_p
             B = 1.0 + b0 * tau_p + tau_p * c * bm
         buf = np.empty(A.size)
-        for K_a, lo, coll_w, row in zip(kas, c_lo.tolist(), c_w, rows):
+        for K_a, lo, coll_w in zip(kas, c_lo.tolist(), c_w):
             at = slice(lo - c0, lo - c0 + coll_w.size)
             den = buf[:coll_w.size * (j1 - j0)].reshape(coll_w.size, j1 - j0)
             if moments is None:
@@ -394,81 +393,72 @@ def _f_rows(cum, cum_sq, kas: list[int], tau_p: int, M: int, eps_tail: float, mo
             den += A[at]
             np.divide(num, den, out=den)
             den += 1.0
-            row[blk] = coll_w @ np.log2(den, out=den)
-    return rows
+            row = coll_w @ np.log2(den, out=den)
+            for i, coeff in users[K_a]:
+                sums[i, blk] += coeff * row
+    return sums
 
 
-def _averaged_bound(cfg: "SystemConfig", *, use_sinr2: bool = False) -> tuple[float, float, int]:
-    """Shared activation/collision summation engine for r1_bar and r2_bar.
+def _averaged_row(cfg: "SystemConfig", tau_p: int, p_a, use_sinr2: bool):
+    """R1 (R2 with ``use_sinr2``) at pilot length ``tau_p`` for every activation probability of the row ``p_a``.
 
-    Returns (value, std_err, n_samples); n_samples is 0 when the gain law is
-    degenerate and the result is exact.
+    Returns (values, std_errs, n_samples), one entry per cell; n_samples is
+    0 where the cell is exact (a degenerate gain law, or a cell that is 0).
 
-    Per gain sample, the bound is the sum over active counts K_a of
+    Per gain sample, a cell is the sum over active counts K_a of
     p(K_a) * K_a * prelog * F[K_a], with the F row
-    ``F[K_a] = log2(1 + sinr(colliders)) @ p(colliders | K_a)``. A row
-    depends on neither p_a, K nor tau_u: it is computed on first use and
-    kept under its table key (kind, model, n_samples, seed, M, tau_p,
-    eps_tail) in the store (``_STORE``, at most STORE_CAP_BYTES), for
-    the rest of a grid row, stage-two refinement and re-evaluations. The
-    missing rows come from one :func:`_f_rows` call. No row depends on
-    which rows were computed with it, so a cell's value is the same with a
-    cold or a warm store.
+    ``F[K_a] = log2(1 + sinr(colliders)) @ p(colliders | K_a)``, which
+    depends on neither p_a, K nor tau_u. One :func:`_f_row_sums` call sums
+    the rows of all the cells' activation windows, each cell's in ascending
+    K_a, so each cell equals, bit for bit, the same cell evaluated alone.
     """
-    tau_p, tau_u, M, K, model, mc = cfg.tau_p, cfg.tau_u, cfg.M, cfg.K, cfg.model, cfg.mc
-    if tau_p is None or cfg.p_a is None:
-        raise ValueError("averaged bounds need tau_p and p_a set on the config")
+    tau_u, mc = cfg.tau_u, cfg.mc
     if tau_p > tau_u:
         raise ValueError(f"tau_p={tau_p} exceeds tau_u={tau_u}")
     prelog = (tau_u - tau_p) / tau_u
-    if cfg.p_a == 0.0 or prelog == 0.0:
-        return 0.0, 0.0, 0
-    a_lo, a_hi, _, (act_w,) = binom_windows([K], cfg.p_a, mc.eps_tail)
-    k_lo, k_hi = max(int(a_lo[0]), 1), int(a_hi[0])
-    if k_hi < 1:
-        return 0.0, 0.0, 0
-    ks = np.arange(k_lo, k_hi + 1)
-    coeffs = act_w[k_lo - a_lo[0]:] * ks * prelog
+    p_a = np.atleast_1d(np.asarray(p_a, dtype=float)).tolist()
+    values, errs, ns = np.zeros(len(p_a)), np.zeros(len(p_a)), np.zeros(len(p_a), dtype=int)
+    live, cells = [], []
+    for i, p in enumerate(p_a):
+        if p == 0.0 or prelog == 0.0:
+            continue
+        a_lo, a_hi, _, (act_w,) = binom_windows([cfg.K], p, mc.eps_tail)
+        k_lo, k_hi = max(int(a_lo[0]), 1), int(a_hi[0])
+        if k_hi >= 1:
+            live.append(i)
+            cells.append((k_lo, act_w[k_lo - a_lo[0]:] * np.arange(k_lo, k_hi + 1) * prelog))
+    if not cells:
+        return values, errs, ns
 
-    exact = is_degenerate(model)
+    exact = is_degenerate(cfg.model)
     n = 1 if exact else mc.n_beta_samples
-    cum, cum_sq = _prefix_sums(model, n, k_hi, cfg.seed)
-    moments = analytic_moments(model) if use_sinr2 else None
-    table = ("R2" if use_sinr2 else "R1", model, n, cfg.seed, M, tau_p, mc.eps_tail)
+    k_top = max(k_lo + coeffs.size - 1 for k_lo, coeffs in cells)
+    cum, cum_sq = _prefix_sums(cfg.model, n, k_top, cfg.seed)
+    moments = analytic_moments(cfg.model) if use_sinr2 else None
+    for i, total_s in zip(live, _f_row_sums(cum, cum_sq, cells, tau_p, cfg.M, mc.eps_tail, moments)):
+        values[i] = total_s.mean()
+        if not exact:
+            # a single draw is not analytic, but its error is unknown
+            ns[i], errs[i] = n, total_s.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    return values, errs, ns
 
-    kas = ks.tolist()
-    rows = [_STORE.get((table, K_a)) for K_a in kas]
-    missing = [K_a for K_a, row in zip(kas, rows) if row is None]
-    if missing:
-        fresh = dict(zip(missing, _f_rows(cum, cum_sq, missing, tau_p, M, mc.eps_tail, moments)))
-        for K_a, row in fresh.items():
-            row.flags.writeable = False
-            _STORE.put((table, K_a), row, row.nbytes)
-        rows = [fresh[K_a] if row is None else row for K_a, row in zip(kas, rows)]
 
-    total_s = np.zeros(n)
-    for coeff, row in zip(coeffs, rows):
-        total_s += coeff * row
-
-    value = float(total_s.mean())
-    if exact:
-        return value, 0.0, 0
-    if n == 1:
-        return value, 0.0, 1  # single-draw estimate: error unknown, not analytic
-    err = float(total_s.std(ddof=1) / math.sqrt(n))
-    return value, err, n
+def _averaged_bound(bound_id: str, cfg: "SystemConfig") -> BoundResult:
+    """R1 or R2 at the config's own operating point: the one-cell case of :func:`_averaged_row`."""
+    if cfg.tau_p is None or cfg.p_a is None:
+        raise ValueError("averaged bounds need tau_p and p_a set on the config")
+    (value,), (err,), (n,) = _averaged_row(cfg, cfg.tau_p, cfg.p_a, use_sinr2=bound_id == "R2")
+    return BoundResult(float(value), bound_id, mc_samples=int(n), mc_std_err=float(err))
 
 
 def r1_bar(cfg: "SystemConfig") -> BoundResult:
     """Main averaged sum-rate bound (Monte Carlo over the gain law, ``cfg.mc``)."""
-    value, err, n = _averaged_bound(cfg)
-    return BoundResult(value, "R1", mc_samples=n, mc_std_err=err)
+    return _averaged_bound("R1", cfg)
 
 
 def r2_bar(cfg: "SystemConfig") -> BoundResult:
     """Secondary averaged bound with collider identities Jensen-averaged."""
-    value, err, n = _averaged_bound(cfg, use_sinr2=True)
-    return BoundResult(value, "R2", mc_samples=n, mc_std_err=err)
+    return _averaged_bound("R2", cfg)
 
 
 def _analytic_cells(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a):
@@ -557,12 +547,13 @@ def bound_at(bound: str, cfg: "SystemConfig", tau_p, p_aK: float) -> BoundResult
 def bound_row(bound: str, cfg: "SystemConfig", tau_p, p_aK) -> np.ndarray:
     """Values of bound ``bound`` at (tau_p, q) for every q of the 1-D row ``p_aK``.
 
-    Each equals the value :func:`bound_at` returns at its cell. R3 and Ra
-    take the row at once through :func:`analytic_row`, with p_a = min(q/K, 1)
-    as in :func:`at_point`; R1 and R2 go cell by cell, their F rows shared
-    through the store.
+    Each equals the value :func:`bound_at` returns at its cell. The row is
+    taken at once, with p_a = min(q/K, 1) as in :func:`at_point`: R3 and Ra
+    through :func:`analytic_row`, R1 and R2 through :func:`_averaged_row`.
     """
+    if bound not in BOUNDS:
+        raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
+    p_a = np.minimum(np.asarray(p_aK, dtype=float) / cfg.K, 1.0)
     if bound in ("R3", "Ra"):
-        p_a = np.minimum(np.asarray(p_aK, dtype=float) / cfg.K, 1.0)
         return analytic_row(bound, cfg, int(tau_p), p_a)
-    return np.array([bound_at(bound, cfg, tau_p, float(q)).value for q in p_aK])
+    return _averaged_row(cfg, int(tau_p), p_a, use_sinr2=bound == "R2")[0]

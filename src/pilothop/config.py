@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Union
 
@@ -225,11 +225,15 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
     if spec.kind not in KINDS:
         diags.append(Diagnostic("kind", f"unknown kind {spec.kind!r}; expected one of {KINDS}"))
         return diags
+    # a list field given as a scalar or a mapping is reported here and read as empty below
+    not_lists = [name for name in ("methods", "bounds", "ladder") if not isinstance(getattr(spec, name), list)]
+    diags.extend(Diagnostic(name, f"must be a list (got {getattr(spec, name)!r})") for name in not_lists)
+    spec = replace(spec, **{name: [] for name in not_lists})
     cfg, sys_diags = build_system(spec.system)
     diags.extend(sys_diags)
 
     if spec.kind in ("optimize", "sweep", "compare"):
-        if not spec.methods:
+        if not spec.methods and "methods" not in not_lists:
             diags.append(Diagnostic("methods", "at least one method is required"))
         for m in spec.methods:
             if m not in METHODS:
@@ -270,7 +274,7 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
         cases = tuple(c.value for c in ScalingCase)
         if spec.case not in cases:
             diags.append(Diagnostic("case", f"unknown case {spec.case!r}; expected one of {cases}"))
-        if not spec.ladder:
+        if not spec.ladder and "ladder" not in not_lists:
             diags.append(Diagnostic("ladder", "ladder of (M, tau_u) pairs is empty"))
         else:
             for i, rung in enumerate(spec.ladder):

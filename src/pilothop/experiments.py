@@ -62,7 +62,7 @@ def _methods_at_point(cfg: SystemConfig, methods, evaluate_with: str, sweep_valu
     for m in methods:
         res = optimize(m, cfg)
         if evaluate_with == "self":
-            rate, err = res.rate, float(res.diagnostics.get("mc_std_err", 0.0))
+            rate, err = res.rate, res.mc_std_err
         else:
             b = bound_at(evaluate_with, cfg, res.tau_p_opt, res.p_aK_opt)
             rate, err = b.value, b.mc_std_err

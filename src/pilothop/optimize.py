@@ -19,7 +19,7 @@ p_a*K is continuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -69,7 +69,8 @@ class OptimizationResult:
     rate: float
     method: str
     evaluations: int
-    diagnostics: dict = field(default_factory=dict)
+    mc_std_err: float = 0.0
+    mc_samples: int = 0
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-4):
@@ -212,14 +213,8 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
 
     _, tau_p_opt, q_opt = best
     res = bound_at(cost, cfg, tau_p_opt, q_opt)
-    return OptimizationResult(
-        tau_p_opt=tau_p_opt,
-        p_aK_opt=q_opt,
-        rate=res.value,
-        method=f"{cost}-opt",
-        evaluations=evals,
-        diagnostics={"mc_std_err": res.mc_std_err, "mc_samples": res.mc_samples},
-    )
+    return OptimizationResult(tau_p_opt=tau_p_opt, p_aK_opt=q_opt, rate=res.value, method=f"{cost}-opt",
+                              evaluations=evals, mc_std_err=res.mc_std_err, mc_samples=res.mc_samples)
 
 
 def optimize(method: str, cfg: "SystemConfig") -> OptimizationResult:

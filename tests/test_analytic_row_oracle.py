@@ -1,27 +1,37 @@
-"""Oracle for the R3/Ra row kernel: whole rows against the per-cell formulation.
+"""Oracle for the row kernels: whole rows against the per-cell formulation.
 
-The reference evaluates one cell at a time, with p_a a Python float, as the
-bounds did before rows existed: p_a = min(q/K, 1), paK = p_a*K, and
+The R3/Ra reference evaluates one cell at a time, with p_a a Python float,
+as the bounds did before rows existed: p_a = min(q/K, 1), paK = p_a*K, and
 prelog * paK * E[log2(1 + sinr)] with the SINR written out on scalars
-(Python's ** squares p_a through libm pow). Rows must equal it with ==,
-and ``grid_opt`` must equal a cell-by-cell grid search over ``bound_at``.
+(Python's ** squares p_a through libm pow). The R1/R2 reference is the
+per-cell engine that the row function replaced: each F row of the cell's
+activation window built whole by the per-row formula, then summed into the
+cell in ascending K_a. Rows must equal them with ==, and ``grid_opt`` must
+equal a cell-by-cell grid search over ``bound_at``.
 """
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pilothop.bounds import analytic_row, bound_at, bound_row
+from pilothop import bounds
+from pilothop.access import binom_windows
+from pilothop.bounds import McConfig, analytic_row, bound_at, bound_row
 from pilothop.channels import (
     LogNormalShadowing,
+    LruStore,
     RingPathLoss,
     UniformPowerError,
     analytic_moments,
     expect_beta,
+    is_degenerate,
 )
 from pilothop.config import SystemConfig
 from pilothop.optimize import GridSpec, grid_opt
+from test_engine_oracle import _ref_row
 
 MODELS = {
     "power-controlled": UniformPowerError(10.0, 0.0),
@@ -33,7 +43,7 @@ TAU_U, K, M = 60, 800, 100
 
 
 def _cfg(name, seed=11):
-    return SystemConfig(M=M, K=K, tau_u=TAU_U, model=MODELS[name], seed=seed)
+    return SystemConfig(M=M, K=K, tau_u=TAU_U, model=MODELS[name], seed=seed, mc=McConfig(n_beta_samples=200))
 
 
 def _cell(bound, cfg, tau_p, q):
@@ -68,9 +78,10 @@ def _squares_disagree(x):
     return x**2 != float(np.multiply(x, x))
 
 
-# q = K caps p_a at 1; the 50-point row is wider than one 96-node block (42
-# cells of 4096 elements); every row of two or more cells crosses a block on
-# 16,384 log-normal draws. The last cells are ones whose p_a (R3) or p_a*K
+# q = K caps p_a at 1, and q = 1 puts R1/R2's activation window at K_a =
+# 1..8; the 50-point row is wider than one 96-node block (42 cells of 4096
+# elements); every row of two or more cells crosses a block on 16,384
+# log-normal draws. The last cells are ones whose p_a (R3) or p_a*K
 # (Ra) squares differently by pow and by multiplication, taken at high
 # activity, where that square dominates the interference.
 _QS = np.linspace(400.0, K, 20000)
@@ -81,12 +92,37 @@ ROW = np.concatenate([
 ])
 
 
-@pytest.mark.parametrize("bound", ["R3", "Ra"])
+# an F row depends on the bound, the config, tau_p and K_a only, so cells
+# share them, as they did in the per-cell engine's store
+_shared_row = functools.lru_cache(maxsize=4096)(_ref_row)
+
+
+def _averaged_cell(bound, cfg, tau_p, q):
+    """(value, std_err, n_samples) of one R1 or R2 cell, the per-cell way."""
+    p_a = min(q / cfg.K, 1.0)
+    prelog = (cfg.tau_u - tau_p) / cfg.tau_u
+    if p_a == 0.0 or prelog == 0.0:
+        return 0.0, 0.0, 0
+    table = replace(cfg, tau_p=tau_p)
+    (a_lo,), (a_hi,), _, (act_w,) = binom_windows([cfg.K], p_a, cfg.mc.eps_tail)
+    kas = range(max(int(a_lo), 1), int(a_hi) + 1)
+    exact = is_degenerate(cfg.model)
+    n = 1 if exact else cfg.mc.n_beta_samples
+    total = np.zeros(n)
+    for K_a, w in zip(kas, act_w[kas[0] - a_lo:]):
+        total += w * K_a * prelog * _shared_row(bound, table, K_a)
+    if exact:
+        return float(total.mean()), 0.0, 0
+    return float(total.mean()), float(total.std(ddof=1) / math.sqrt(n)), n
+
+
+@pytest.mark.parametrize("bound", ["R1", "R2", "R3", "Ra"])
 @pytest.mark.parametrize("name", list(MODELS))
 def test_row_equals_cells(bound, name):
     cfg = _cfg(name)
+    cell = _averaged_cell if bound in ("R1", "R2") else _cell
     for tau_p in (1, 20, TAU_U - 1, TAU_U):
-        want = [_cell(bound, cfg, tau_p, float(q)) for q in ROW]
+        want = [cell(bound, cfg, tau_p, float(q)) for q in ROW]
         row = bound_row(bound, cfg, tau_p, ROW)
         assert row.tolist() == [v for v, _, _ in want]
         for q, (v, err, n) in zip(ROW[::7], want[::7]):
@@ -96,6 +132,14 @@ def test_row_equals_cells(bound, name):
     assert not bound_row(bound, cfg, TAU_U, ROW).any()
     res = bound_at(bound, cfg, TAU_U, 30.0)
     assert (res.value, res.mc_std_err, res.mc_samples) == (0.0, 0.0, 0)
+
+
+def test_grid_opt_on_r1_keeps_only_pools(monkeypatch):
+    # F rows live only inside a row call: the store holds gain pools alone
+    store = LruStore(bounds.STORE_CAP_BYTES)
+    monkeypatch.setattr(bounds, "_STORE", store)
+    grid_opt("R1", _cfg("ring-0.25"), GridSpec(4, 6, refine_points=3))
+    assert store.items and {key[0] for key in store.items} == {"pool"}
 
 
 def test_row_handles_zero_activity_and_rejects_long_pilots():
@@ -153,11 +197,10 @@ def test_grid_opt_equals_cell_by_cell_search(cost, name):
     for grid in (GridSpec(12, 14, refine_points=6), GridSpec(5, 60, refine_points=50)):
         got = grid_opt(cost, cfg, grid)
         want = _reference_grid_opt(cost, cfg, grid)
-        assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.diagnostics["mc_std_err"],
-                got.diagnostics["mc_samples"], got.evaluations) == want
+        assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.mc_std_err, got.mc_samples, got.evaluations) == want
 
 
 def test_grid_opt_reports_lognormal_error():
     # the log-normal comparison above is not one of zeros
     res = grid_opt("Ra", _cfg("lognormal-4", seed=5), GridSpec(6, 6, refine_points=3))
-    assert res.diagnostics["mc_samples"] == 16384 and res.diagnostics["mc_std_err"] > 0.0
+    assert res.mc_samples == 16384 and res.mc_std_err > 0.0

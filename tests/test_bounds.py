@@ -289,7 +289,7 @@ def test_bounds_and_grid_opt_read_the_config_mc(uniform_spread):
     assert r2_bar(cfg).mc_samples == 300
     assert bound_at("R1", cfg, 20, 10.0).mc_samples == 300
     res = grid_opt("R1", replace(cfg, tau_p=None, p_a=None), GridSpec(3, 3, refine_points=2))
-    assert res.diagnostics["mc_samples"] == 300
+    assert res.mc_samples == 300
 
 
 def test_r2_equals_r1_power_control(power_controlled):
@@ -334,8 +334,7 @@ def _cold_store(monkeypatch):
 
 
 def _held_bytes(store):
-    arrays = [a for value, _ in store.items.values() for a in (value if isinstance(value, tuple) else (value,))]
-    return sum(a.nbytes for a in arrays)
+    return sum(a.nbytes for value, _ in store.items.values() for a in value)
 
 
 def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
@@ -347,7 +346,7 @@ def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
     c = r1_bar(replace(cfg, seed=8))
     assert c.value != a.value  # different stream, different estimate
     # the same bits from a cold store and from one warmed by a grid sweep
-    # whose rows overlap the cell's, across three pilot lengths
+    # over the cell's pool, across three pilot lengths
     for tp in (20, 33, 50):
         _cold_store(monkeypatch)
         cold = r1_bar(replace(cfg, tau_p=tp))

@@ -81,6 +81,14 @@ def test_validate_catches_problems():
     assert validate(spec) == []
 
 
+def test_validate_reports_a_scalar_list_field_once():
+    # a string is not read letter by letter, and no "empty" diagnostic follows
+    for body, name, got in (("kind: optimize\nsystem: {M: 100}\nmethods: Rh0\n", "methods", "'Rh0'"),
+                            ("kind: sweep\nsystem: {M: 100}\nmethods: 5\nsweep: {values: [60]}\n", "methods", "5"),
+                            ("kind: scaling-verify\nsystem: {M: 100}\nladder: 5\n", "ladder", "5")):
+        assert [str(d) for d in validate(parse_spec(body))] == [f"{name}: must be a list (got {got})"]
+
+
 def test_point_seed_is_stable():
     assert point_seed(42, 0) == point_seed(42, 0)
     assert point_seed(42, 0) != point_seed(42, 1)
@@ -170,12 +178,19 @@ _MC_EVAL = "kind: bound-eval\nsystem: {{M: 100, tau_p: 33, p_a: 0.0375, seed: 1,
      "sweep.values"),
     ("kind: optimize\nsystem: {M: 100, tau_u: 2}\nmethods: [Rh0]\n", "system.tau_u"),
     ("kind: scaling-verify\nsystem: {M: 100}\ncase: coherence-limited\nladder: [[100, 100]]\n", "case"),
+    ("kind: optimize\nsystem: {M: 100}\nmethods: 5\n", "methods"),
+    ("kind: optimize\nsystem: {M: 100}\nmethods: Rh0\n", "methods"),
+    ("kind: compare\nsystem: {M: 64}\nmethods: {Rh0: 1}\n", "methods"),
+    ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375}\nbounds: 5\n", "bounds"),
+    ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375}\nbounds: R1\n", "bounds"),
+    ("kind: scaling-verify\nsystem: {M: 100}\nladder: 5\n", "ladder"),
 ], ids=["M-text", "M-list", "K-float", "tau_u-text", "seed-fraction", "mc-samples-fraction",
         "mc-samples-bool", "mc-eps-text", "mc-list", "mc-unknown-key",
         "tau_p-text", "tau_p-fraction", "p_a-text", "sweep-text", "sweep-fraction", "sweep-scalar",
         "n_slots-text", "n_frames-fraction", "model-text", "model-list", "model-bool",
         "model-pathloss-exp", "model-d0",
-        "rh0-sweep-short-slot", "rh0-short-slot", "case-coherence-limited"])
+        "rh0-sweep-short-slot", "rh0-short-slot", "case-coherence-limited",
+        "methods-scalar", "methods-text", "methods-mapping", "bounds-scalar", "bounds-text", "ladder-scalar"])
 def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
     spec = _write(tmp_path, "bad.yaml", body)
     assert main(["validate", spec]) == 3

@@ -10,8 +10,10 @@ vectorized pass.
 
 The second is the per-row kernel that the engine's shared R1/R2 row
 formula replaced: R1 rows through ``_sinr1_from_sums`` below, R2 rows
-through ``sinr2``, each row's SINR block built whole. The engine's rows
-must equal it bit for bit, from a cold store and from a warm one.
+through ``sinr2``, each row's SINR block built whole. The kernel's rows
+must equal it bit for bit, computed alone and inside a wider union of
+rows; the kernel is read one cell per K_a with coefficient 1.0, whose sum
+is the row itself (0.0 + 1.0 x == x).
 """
 
 import functools
@@ -19,7 +21,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from pilothop.channels import (
     LogNormalShadowing,
     RingPathLoss,
     UniformPowerError,
-    LruStore,
     analytic_moments,
     is_degenerate,
     sample_beta,
@@ -216,11 +216,19 @@ def _ref_row(kind, cfg, K_a):
     return coll_w @ np.log2(1.0 + s)
 
 
-def _rows_of(store, kind, cfg):
-    """{K_a: row} of the store's F rows for the config's table."""
+def _cell_kas(cfg):
+    """The active counts of the config's cell: its activation window, from K_a = 1."""
+    (a_lo,), (a_hi,), _, _ = binom_windows([cfg.K], cfg.p_a, cfg.mc.eps_tail)
+    return list(range(max(int(a_lo), 1), int(a_hi) + 1))
+
+
+def _kernel_rows(kind, cfg, kas):
+    """The kernel's F rows at ``kas`` for the config's table, as (len(kas), samples)."""
     n = 1 if is_degenerate(cfg.model) else cfg.mc.n_beta_samples
-    table = (kind, cfg.model, n, cfg.seed, cfg.M, cfg.tau_p, cfg.mc.eps_tail)
-    return {key[1]: value for key, (value, _) in store.items.items() if key[0] == table}
+    cum, cum_sq = bounds._prefix_sums(cfg.model, n, max(kas), cfg.seed)
+    moments = analytic_moments(cfg.model) if kind == "R2" else None
+    cells = [(K_a, [1.0]) for K_a in kas]
+    return bounds._f_row_sums(cum, cum_sq, cells, cfg.tau_p, cfg.M, cfg.mc.eps_tail, moments)
 
 
 ROW_MODELS = {k: MODELS[k] for k in ("ring", "spread", "shadowed")}
@@ -230,40 +238,33 @@ ROW_CELLS = ((1, 5.0), (7, 30.0), (33, 30.0), (60, 55.0))
 
 @pytest.mark.parametrize("kind", ["R1", "R2"])
 @pytest.mark.parametrize("model", ROW_MODELS.values(), ids=ROW_MODELS.keys())
-def test_engine_rows_equal_per_row_formula(model, kind, monkeypatch):
+def test_engine_rows_equal_per_row_formula(model, kind):
     fn = r1_bar if kind == "R1" else r2_bar
     for K in (60, 800, 10**5):
         for tau_p, q in ROW_CELLS:
             cfg = SystemConfig(M=100, K=K, tau_u=100, tau_p=tau_p, p_a=min(q, K) / K, model=model, seed=9,
                                mc=McConfig(n_beta_samples=700))
-            cold_store = LruStore(bounds.STORE_CAP_BYTES)
-            monkeypatch.setattr(bounds, "_STORE", cold_store)
-            cold = fn(cfg)
-            rows = _rows_of(cold_store, kind, cfg)
-            assert rows, (K, tau_p)
-            for K_a, row in rows.items():
+            kas = _cell_kas(cfg)
+            alone = _kernel_rows(kind, cfg, kas)
+            for K_a, row in zip(kas, alone):
                 assert np.array_equal(row, _ref_row(kind, cfg, K_a)), (K, tau_p, K_a)
-            # warm: a sparser cell leaves part of the rows in the store, so
-            # the cell computes the rest over a different union of windows
-            warm_store = LruStore(bounds.STORE_CAP_BYTES)
-            monkeypatch.setattr(bounds, "_STORE", warm_store)
-            fn(replace(cfg, p_a=cfg.p_a * 0.6))
-            held = set(_rows_of(warm_store, kind, cfg))
-            warm = fn(cfg)
-            rows = _rows_of(warm_store, kind, cfg)
-            assert held < set(rows), (K, tau_p)
-            for K_a, row in rows.items():
-                assert np.array_equal(row, _ref_row(kind, cfg, K_a)), (K, tau_p, K_a)
-            assert (warm.value, warm.mc_std_err) == (cold.value, cold.mc_std_err), (K, tau_p)
+            # the same rows inside a union of every K_a up to twice the
+            # window's top, whose collision windows reach further
+            wide = _kernel_rows(kind, cfg, list(range(1, min(2 * kas[-1], K) + 1)))
+            assert np.array_equal(wide[kas[0] - 1:kas[-1]], alone), (K, tau_p)
+            # the cell alone and the cell in a row next to a sparser one
+            cell = fn(cfg)
+            values, errs, ns = bounds._averaged_row(cfg, tau_p, [cfg.p_a * 0.6, cfg.p_a], use_sinr2=kind == "R2")
+            assert (values[1], errs[1], ns[1]) == (cell.value, cell.mc_std_err, cell.mc_samples), (K, tau_p)
 
 
 def _block_mismatches():
     """Every (case, block width) whose sample blocks do not give the whole product's bits.
 
     Checks ``coll_w @ block`` on the tiles of ``_sample_blocks`` against
-    ``coll_w @ whole`` column for column, and whole engine cells computed
-    in narrow sample blocks against the same cells in one block. Run under
-    one BLAS thread.
+    ``coll_w @ whole`` column for column, and engine cells and their F rows
+    computed in narrow sample blocks against the same in one block. Run
+    under one BLAS thread.
     """
     found = []
     rng = np.random.default_rng(3)
@@ -284,13 +285,11 @@ def _block_mismatches():
             for tau_p, q in ROW_CELLS:
                 cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=tau_p, p_a=q / 800, model=MODELS["ring"],
                                    seed=4, mc=McConfig(n_beta_samples=n))
-                cells = []
+                kas, cells = _cell_kas(cfg), []
                 for entries in (1 << 40, 4, 48, 1000):
                     bounds.ROW_BLOCK_ENTRIES = entries
-                    bounds._STORE = LruStore(bounds.STORE_CAP_BYTES)
                     res = fn(cfg)
-                    rows = _rows_of(bounds._STORE, kind, cfg)
-                    cells.append((res.value, res.mc_std_err, {k: v.tobytes() for k, v in rows.items()}))
+                    cells.append((res.value, res.mc_std_err, _kernel_rows(kind, cfg, kas).tobytes()))
                 if any(c != cells[0] for c in cells):
                     found.append((kind, n, tau_p))
     return found
