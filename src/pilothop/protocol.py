@@ -3,13 +3,13 @@
 Each device holds a pseudo-random pilot-hopping pattern known to the base
 station: the pilot of device d in slot l of a frame is a counter-based hash
 of (seed, frame, d, l), so only the active devices' patterns are computed
-to transmit. Per slot ``train_slot`` draws the channels and noise and
-correlates the pilot block against every sequence (the only place the
-training phase is written), and the receiver thresholds the correlation
-energy to find the pilots in use. Across slots the detected pilot sets are
-matched against the hopping patterns to identify which devices transmitted;
-the scan regenerates the population's patterns in blocks of
-``SCAN_ENTRIES`` entries, so its memory does not grow with K x L.
+to transmit. Per slot ``train_slot``, the only place the training phase is
+written, draws the Bartlett QR factor of [channels | noise], a rotated
+antenna basis, instead of M-dimensional draws, and forms no pilot-book
+product. The receiver thresholds the correlation energy to find the pilots
+in use. Across slots the detected pilot sets are matched against the
+hopping patterns to identify which devices transmitted; the scan regenerates
+the population's patterns in ``SCAN_ENTRIES``-entry blocks, bounding memory.
 
 A genie side channel (true channels and gains, never visible to the
 receiver path) decomposes the output of maximum ratio combining along each
@@ -22,13 +22,13 @@ the channels, so no data block is drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .access import ActivationLaw, sample_active_set
-from .channels import sample_beta, sample_channels
+from .channels import sample_beta
 from .config import SystemConfig
 
 
@@ -113,26 +113,25 @@ def _pilot_energy(corr: np.ndarray) -> np.ndarray:
     return np.einsum("i...,i...->...", corr.real, corr.real) + np.einsum("i...,i...->...", corr.imag, corr.imag)
 
 
-def detect_pilots(corr: np.ndarray, threshold: DetectionThreshold | None = None) -> np.ndarray:
+def detect_pilots(corr: np.ndarray, M: int, threshold: DetectionThreshold | None = None) -> np.ndarray:
     """Indices of pilots whose correlation energy clears the threshold.
 
-    ``corr`` is the (M, tau_p) pilot block correlated with the pilot book,
-    ``Y_p @ pilots.conj()``.
+    ``corr`` is the pilot block correlated with the book at ``M`` antennas,
+    in a basis of r <= M rows (``train_slot``'s is rotated), so M is passed.
     """
     threshold = threshold or DetectionThreshold()
-    M = corr.shape[0]
     return np.flatnonzero(_pilot_energy(corr) / M > threshold.value(M))
 
 
-def estimate_sum_power(y_p: np.ndarray, tau_p: int):
+def estimate_sum_power(y_p: np.ndarray, tau_p: int, M: int):
     """Channel-hardening estimate of the summed gain on a pilot.
 
-    ``y_p`` is the correlated observation of one pilot (a float is returned)
-    or an (M, n) block of such columns (one estimate per column). The noise
+    ``y_p`` is the correlated observation of one pilot at ``M`` antennas, in
+    a basis of r <= M rows (a float), or a block of such columns. The noise
     floor contributes exactly 1 per antenna, hence the subtraction. No slot
     output holds it, so ``simulate_slot`` does not compute it.
     """
-    est = np.maximum(0.0, (_pilot_energy(y_p) / y_p.shape[0] - 1.0) / tau_p)
+    est = np.maximum(0.0, (_pilot_energy(y_p) / M - 1.0) / tau_p)
     return float(est) if est.ndim == 0 else est
 
 
@@ -174,26 +173,43 @@ def mrc_and_measure(
     return gd2 / (gd2_tot[assignment] - gd2 + rest)
 
 
-def train_slot(betas: np.ndarray, assignment: np.ndarray, pilots: np.ndarray, M: int, rng: np.random.Generator):
-    """Training phase of one slot: (G, corr), the (M, K_a) channels and the
-    pilot block correlated with the book ``pilots``, ``Y_p @ pilots.conj()``.
+@lru_cache(maxsize=16)
+def _trapezoid(n: int, r: int):
+    """Flat float-view positions of an (n, r) complex array's strictly lower entries (row-major) and diagonal."""
+    rows, cols = np.tril_indices(n, -1, r)
+    re = 2 * (rows * r + cols)
+    return np.stack([re, re + 1], axis=1).ravel(), np.arange(r) * (2 * r + 2)
 
-    Device k sends column ``assignment[k]`` of the (tau_p, tau_p) book.
-    Draws the channels, then the (M, tau_p) noise block, from ``rng``.
+
+def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rng: np.random.Generator):
+    """Training phase of one slot: (G, corr), the (r, K_a) channels and the
+    pilot block correlated with the unitary book, in a rotated basis of
+    r = min(M, n) antennas, n = K_a + tau_p.
+
+    Rotating the antennas keeps every inner product the receiver reads, so
+    the slot draws the (r, n) QR factor R of X = [G diag(betas)^-1/2 | W],
+    not X (complex Bartlett): CN(0, 1) strictly upper entries in row-major
+    order of R^T, then R_ii = sqrt(Gamma(M - i, 1)). G = R[:, :K_a] sqrt(betas)
+    and corr = R[:, K_a:] + sqrt(tau_p) G E, E the 0/1 map of device k to
+    pilot ``assignment[k]``; an empty slot's corr is R.
     """
-    tau_p = pilots.shape[0]
-    G = sample_channels(betas, M, rng)
-    N_p = (rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) / np.sqrt(2.0)
-    Y_p = np.sqrt(tau_p) * (G @ pilots.T[assignment]) + N_p  # rows of pilots.T are the sequences in use
-    return G, Y_p @ pilots.conj()
+    K_a, n = betas.size, betas.size + tau_p
+    r = min(M, n)
+    strict, diag = _trapezoid(n, r)
+    Rt = np.zeros((n, r), dtype=complex)  # R^T: antennas on the last axis
+    Rt.reshape(-1).view(float)[strict] = rng.standard_normal(strict.size) * np.sqrt(0.5)
+    Rt.reshape(-1).view(float)[diag] = np.sqrt(rng.standard_gamma(M - np.arange(r)))
+    Gt = Rt[:K_a].view(float) * np.sqrt(betas)[:, None]  # float view: (K_a, 2r)
+    E = np.sqrt(tau_p) * (np.arange(tau_p)[:, None] == assignment)
+    return Gt.view(complex).T, (Rt[K_a:] + (E @ Gt).view(complex)).T
 
 
-def simulate_slot(betas, assignment, pilots: np.ndarray, M: int, rng: np.random.Generator) -> SlotOutcome:
-    """One coherence slot on the pilot book ``pilots``: training, detection, genie SINR."""
+def simulate_slot(betas, assignment, tau_p: int, M: int, rng: np.random.Generator) -> SlotOutcome:
+    """One coherence slot on a book of ``tau_p`` pilots: training, detection, genie SINR."""
     betas = np.asarray(betas, dtype=float)
     assignment = np.asarray(assignment, dtype=int)
-    G, corr = train_slot(betas, assignment, pilots, M, rng)
-    return SlotOutcome(detect_pilots(corr), assignment, mrc_and_measure(G, betas, assignment, corr, pilots.shape[0]))
+    G, corr = train_slot(betas, assignment, tau_p, M, rng)
+    return SlotOutcome(detect_pilots(corr, M), assignment, mrc_and_measure(G, betas, assignment, corr, tau_p))
 
 
 @dataclass(frozen=True)
@@ -291,14 +307,13 @@ def run_frame(
     patterns_of = partial(hopping_patterns, frame=frame_index, n_slots=n_slots, tau_p=tau_p, root_seed=cfg.seed)
     assignments = patterns_of(active).T  # row l: the active devices' pilots in slot l
     betas = np.atleast_1d(sample_beta(cfg.model, rng, active.size))
-    pilots = pilot_sequences(tau_p)
 
     bits = np.zeros(active.size)
     detected_sets = []
     slots = [] if collect_slots else None
     for l in range(n_slots):
         assignment = assignments[l]
-        out = simulate_slot(betas, assignment, pilots, M, rng)
+        out = simulate_slot(betas, assignment, tau_p, M, rng)
         detected_sets.append(out.detected)
         detected = np.zeros(tau_p, dtype=bool)
         detected[out.detected] = True

@@ -184,13 +184,18 @@ _MC_EVAL = "kind: bound-eval\nsystem: {{M: 100, tau_p: 33, p_a: 0.0375, seed: 1,
     ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375}\nbounds: 5\n", "bounds"),
     ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375}\nbounds: R1\n", "bounds"),
     ("kind: scaling-verify\nsystem: {M: 100}\nladder: 5\n", "ladder"),
+    ("kind: optimize\nsystem: {M: 32, K: 100, tau_u: 30}\nmethods: [Rh0]\nout_prefix: ../../x\n", "out_prefix"),
+    ("kind: optimize\nsystem: {M: 32, K: 100, tau_u: 30}\nmethods: [Rh0]\nout_prefix: [a]\n", "out_prefix"),
+    ("kind: simulate\nsystem: {M: 32, K: 60, tau_p: 8, p_a: 0.1}\nn_slots: 2\nout_prefix: {a: 1}\n", "out_prefix"),
+    ("kind: optimize\nsystem: {M: 32, K: 100, tau_u: 30}\nmethods: [Rh0]\nout_prefix: ''\n", "out_prefix"),
 ], ids=["M-text", "M-list", "K-float", "tau_u-text", "seed-fraction", "mc-samples-fraction",
         "mc-samples-bool", "mc-eps-text", "mc-list", "mc-unknown-key",
         "tau_p-text", "tau_p-fraction", "p_a-text", "sweep-text", "sweep-fraction", "sweep-scalar",
         "n_slots-text", "n_frames-fraction", "model-text", "model-list", "model-bool",
         "model-pathloss-exp", "model-d0",
         "rh0-sweep-short-slot", "rh0-short-slot", "case-coherence-limited",
-        "methods-scalar", "methods-text", "methods-mapping", "bounds-scalar", "bounds-text", "ladder-scalar"])
+        "methods-scalar", "methods-text", "methods-mapping", "bounds-scalar", "bounds-text", "ladder-scalar",
+        "out_prefix-parent-path", "out_prefix-list", "out_prefix-mapping", "out_prefix-empty"])
 def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
     spec = _write(tmp_path, "bad.yaml", body)
     assert main(["validate", spec]) == 3

@@ -7,7 +7,7 @@ from scipy.special import gammainc, gammaincc
 from scipy.stats import binom, chisquare
 
 from pilothop.bounds import CollisionScenario, sinr1
-from pilothop.channels import UniformPowerError, sample_channels
+from pilothop.channels import UniformPowerError
 from pilothop.config import SystemConfig
 from pilothop.protocol import (
     SCAN_ENTRIES,
@@ -68,17 +68,17 @@ def test_hopping_patterns_keyed_and_deterministic():
             hopping_patterns(bad, 0, 10, 7, 1)
 
 
-def _noise_corr(pil, M, rng):
-    """Pilot correlation of a slot in which nobody transmits."""
-    return train_slot(np.zeros(0), np.zeros(0, dtype=int), pil, M, rng)[1]
+def _noise_corr(tau_p, M, rng):
+    """Pilot correlation of a slot in which nobody transmits: the (r, tau_p)
+    Bartlett factor R of an (M, tau_p) CN(0, 1) block, r = min(M, tau_p)."""
+    return train_slot(np.zeros(0), np.zeros(0, dtype=int), tau_p, M, rng)[1]
 
 
 def test_detect_single_device_certain(rng):
     # a 10 dB device on pilot 5: correlation energy ~ tau_p*beta + 1 >> threshold
-    pil = pilot_sequences(12)
     hits, extras = 0, 0
     for _ in range(300):
-        out = simulate_slot(np.array([10.0]), np.array([5]), pil, 100, rng)
+        out = simulate_slot(np.array([10.0]), np.array([5]), 12, 100, rng)
         hits += 5 in out.detected
         extras += out.detected.size - (5 in out.detected)
     assert hits == 300
@@ -86,9 +86,8 @@ def test_detect_single_device_certain(rng):
 
 
 def test_detect_no_transmitters_false_alarm(rng):
-    pil = pilot_sequences(12)
     fa = sum(
-        simulate_slot(np.array([]), np.array([], dtype=int), pil, 100, rng).detected.size
+        simulate_slot(np.array([]), np.array([], dtype=int), 12, 100, rng).detected.size
         for _ in range(2000)
     )
     assert fa / (2000 * 12) < 1e-3
@@ -97,7 +96,7 @@ def test_detect_no_transmitters_false_alarm(rng):
 def test_detect_infinite_threshold_empty(rng):
     pil = pilot_sequences(8)
     Y = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8)) + 40.0
-    assert detect_pilots(Y @ pil.conj(), DetectionThreshold(zeta=1e9)).size == 0
+    assert detect_pilots(Y @ pil.conj(), 64, DetectionThreshold(zeta=1e9)).size == 0
 
 
 @pytest.mark.parametrize("zeta", [0.5, 1.0])
@@ -105,28 +104,40 @@ def test_detection_false_alarm_rate_is_gamma_tail(rng, zeta):
     # noise only: the per-antenna correlation energy is Gamma(M, 1/M), so a
     # pilot clears t = 1 + zeta*sqrt(2/M) with probability Q(M, M*t)
     M, tau_p, slots = 100, 4, 2000
-    pil = pilot_sequences(tau_p)
     threshold = DetectionThreshold(zeta)
-    alarms = sum(detect_pilots(_noise_corr(pil, M, rng), threshold).size for _ in range(slots))
+    alarms = sum(detect_pilots(_noise_corr(tau_p, M, rng), M, threshold).size for _ in range(slots))
     p = gammaincc(M, M * threshold.value(M))
     assert p == pytest.approx({0.5: 0.2345, 1.0: 0.0830}[zeta], abs=1e-4)
     n = slots * tau_p
     assert abs(alarms / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
+def test_detection_threshold_is_set_by_the_antenna_count_not_the_rows(rng):
+    # a noise-only correlation has r = tau_p < M rows, yet each column's energy
+    # is Gamma(M, 1): detection at M gets the Gamma(M, 1/M) tail, while reading
+    # the row count would flag nearly every pilot
+    M, tau_p, slots = 40, 6, 3000
+    threshold = DetectionThreshold(1.0)
+    corrs = [_noise_corr(tau_p, M, rng) for _ in range(slots)]
+    assert corrs[0].shape == (tau_p, tau_p)
+    alarms = sum(detect_pilots(c, M, threshold).size for c in corrs)
+    p = gammaincc(M, M * threshold.value(M))
+    n = slots * tau_p
+    assert abs(alarms / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
+    assert sum(detect_pilots(c, tau_p, threshold).size for c in corrs) > 0.99 * n
+
+
 def test_detection_statistic_mean_noise_only(rng):
-    pil = pilot_sequences(8)
     stats = []
     for _ in range(500):
-        corr = _noise_corr(pil, 64, rng)
+        corr = _noise_corr(8, 64, rng)
         stats.append((np.abs(corr) ** 2).sum(axis=0) / 64)
     assert np.mean(stats) == pytest.approx(1.0, abs=0.02)
 
 
 def test_estimate_sum_power_concentration(rng):
-    pil = pilot_sequences(33)
     est = np.array([
-        estimate_sum_power(train_slot(np.array([10.0]), np.array([0]), pil, 400, rng)[1][:, 0], 33)
+        estimate_sum_power(train_slot(np.array([10.0]), np.array([0]), 33, 400, rng)[1][:, 0], 33, 400)
         for _ in range(400)
     ])
     # the pilot's observation is CN(0, (33*10 + 1) I_400), so |est - 10| <= 1
@@ -136,9 +147,8 @@ def test_estimate_sum_power_concentration(rng):
     cover = float(np.mean(np.abs(est - 10.0) <= 1.0))
     assert abs(cover - p) <= 3 * math.sqrt(p * (1 - p) / est.size)
     # two equal colliders: estimate approaches the summed gain
-    pil16 = pilot_sequences(16)
     est2 = np.array([
-        estimate_sum_power(train_slot(np.array([10.0, 10.0]), np.array([3, 3]), pil16, 2048, rng)[1][:, 3], 16)
+        estimate_sum_power(train_slot(np.array([10.0, 10.0]), np.array([3, 3]), 16, 2048, rng)[1][:, 3], 16, 2048)
         for _ in range(100)
     ])
     assert est2.mean() == pytest.approx(20.0, rel=0.05)
@@ -146,20 +156,19 @@ def test_estimate_sum_power_concentration(rng):
 
 def test_estimate_sum_power_clamped_at_zero(rng):
     y = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2)
-    assert estimate_sum_power(0.0 * y, 8) == 0.0
-    assert isinstance(estimate_sum_power(y, 8), float)  # one column, one float
-    vals = [estimate_sum_power((rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2), 8)
+    assert estimate_sum_power(0.0 * y, 8, 64) == 0.0
+    assert isinstance(estimate_sum_power(y, 8, 64), float)  # one column, one float
+    vals = [estimate_sum_power((rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2), 8, 64)
             for _ in range(200)]
     assert np.mean(vals) < 0.05
 
 
 def test_estimate_sum_power_error_scales_inversely_with_antennas(rng):
-    pil = pilot_sequences(16)
     Ms = [50, 100, 200, 400, 800]
     variances = []
     for M in Ms:
         es = [
-            estimate_sum_power(train_slot(np.array([10.0]), np.array([0]), pil, M, rng)[1][:, 0], 16)
+            estimate_sum_power(train_slot(np.array([10.0]), np.array([0]), 16, M, rng)[1][:, 0], 16, M)
             for _ in range(300)
         ]
         variances.append(np.var(es))
@@ -171,9 +180,8 @@ def test_mrc_large_array_matches_conditional_sinr(rng):
     M = 8192
     s = CollisionScenario(10.0, (), 1, 16, M)
     target = sinr1(s, [])
-    pil = pilot_sequences(16)
     vals = [
-        simulate_slot(np.array([10.0]), np.array([2]), pil, M, rng).device_sinr[0]
+        simulate_slot(np.array([10.0]), np.array([2]), 16, M, rng).device_sinr[0]
         for _ in range(12)
     ]
     assert np.mean(vals) == pytest.approx(target, rel=0.05)
@@ -183,9 +191,8 @@ def test_forced_collision_jensen_bound(rng):
     # two devices pinned to the same pilot every slot, equal gains
     s = CollisionScenario(10.0, (10.0,), 2, 20, 100)
     bound = math.log2(1.0 + sinr1(s, []))
-    pil = pilot_sequences(20)
     vals = np.array([
-        math.log2(1.0 + simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), pil, 100, rng).device_sinr[0])
+        math.log2(1.0 + simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), 20, 100, rng).device_sinr[0])
         for _ in range(2000)
     ])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -222,7 +229,7 @@ def _training_slot(rng, tau_p, M, assignment):
     """Channels, gains and pilot correlation of one slot with spread gains."""
     assignment = np.asarray(assignment, dtype=int)
     betas = 10.0 ** rng.uniform(-1.0, 2.0, assignment.size)
-    G, corr = train_slot(betas, assignment, pilot_sequences(tau_p), M, rng)
+    G, corr = train_slot(betas, assignment, tau_p, M, rng)
     return G, betas, assignment, corr
 
 
@@ -250,12 +257,85 @@ def test_mrc_matches_per_pilot_loop_on_random_slots(rng):
                                    _mrc_reference(G, betas, assignment, corr, tau_p), rtol=1e-12, atol=0)
 
 
+def _pilot_book_slot(betas, assignment, tau_p, M, R):
+    """The training phase written through the pilot book P, on the Bartlett
+    factor R = [R_G | R_W] zero-padded to M antennas: G = [R_G sqrt(betas); 0]
+    and N_p = [R_W; 0] @ P^T, sent as Y_p and correlated with P^*."""
+    K_a = betas.size
+    pad = np.zeros((M, K_a + tau_p), dtype=complex)
+    pad[:R.shape[0]] = R
+    pil = pilot_sequences(tau_p)
+    G = pad[:, :K_a] * np.sqrt(betas)
+    N_p = pad[:, K_a:] @ pil.T
+    Y_p = np.sqrt(tau_p) * (G @ pil.T[assignment]) + N_p  # rows of pil.T are the sequences in use
+    return G, Y_p @ pil.conj()
+
+
+def test_rotated_training_matches_the_zero_padded_pilot_book_path(rng):
+    # an empty slot on K_a + tau_p pilots draws the same factor R as a slot of
+    # K_a devices on tau_p pilots; sent through the pilot book, zero-padded to M
+    # antennas, R gives the same SINRs and pilot energies as the rotated path
+    cases = [(4, 2, [0, 1, 1, 2, 2, 2, 3, 0])]  # fewer antennas than devices
+    for _ in range(300):
+        tau_p, M = int(rng.integers(1, 41)), int(rng.integers(1, 129))
+        cases.append((tau_p, M, rng.integers(0, tau_p, int(rng.integers(0, 61)))))
+    for tau_p, M, assignment in cases:
+        assignment = np.asarray(assignment, dtype=int)
+        betas = 10.0 ** rng.uniform(-1.0, 2.0, assignment.size)
+        seed = int(rng.integers(2**32))
+        G, corr = train_slot(betas, assignment, tau_p, M, np.random.default_rng(seed))
+        R = _noise_corr(assignment.size + tau_p, M, np.random.default_rng(seed))
+        G_pad, corr_pad = _pilot_book_slot(betas, assignment, tau_p, M, R)
+        r = min(M, assignment.size + tau_p)
+        assert G.shape == (r, assignment.size) and corr.shape == (r, tau_p)
+        sinr = mrc_and_measure(G, betas, assignment, corr, tau_p)
+        np.testing.assert_allclose(sinr, mrc_and_measure(G_pad, betas, assignment, corr_pad, tau_p), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sinr, _mrc_reference(G_pad, betas, assignment, corr_pad, tau_p), rtol=1e-12, atol=0)
+        energy = (np.abs(corr) ** 2).sum(axis=0)
+        np.testing.assert_allclose(energy, (np.abs(corr_pad) ** 2).sum(axis=0), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("M, n", [(6, 4), (4, 7)])
+def test_bartlett_factor_gram_has_wishart_moments(M, n):
+    # R^H R is distributed as X^H X for X (M, n) i.i.d. CN(0, 1): its diagonal
+    # is Gamma(M, 1), mean and variance M; each off-diagonal entry is a sum of M
+    # products of independent CN(0, 1) entries, mean 0 and E|.|^2 = M
+    rng, trials = np.random.default_rng(21), 20000
+    R = _noise_corr(n, M, rng)
+    assert R.shape == (min(M, n), n) and not np.tril(R, -1).any()
+    assert np.all(np.diag(R).real > 0) and not np.diag(R).imag.any()
+    grams = np.array([R.conj().T @ R for R in (_noise_corr(n, M, rng) for _ in range(trials))])
+    diag = grams[:, np.arange(n), np.arange(n)].real
+    rows, cols = np.triu_indices(n, 1)
+    off = grams[:, rows, cols]
+    z = [
+        (diag.mean(axis=0) - M) / math.sqrt(M / trials),
+        (diag.var(axis=0) - M) / math.sqrt((2 * M**2 + 6 * M) / trials),
+        off.mean(axis=0).real / math.sqrt(M / 2 / trials),
+        off.mean(axis=0).imag / math.sqrt(M / 2 / trials),
+        ((np.abs(off) ** 2).mean(axis=0) - M) / math.sqrt((M**2 + 2 * M) / trials),
+    ]
+    assert max(float(np.abs(v).max()) for v in z) < 4.5, z
+
+
+def _bartlett_replay(rng, M, n):
+    """The (r, n) factor R drawn by hand in ``train_slot``'s order: the strictly
+    upper entries column by column, then the diagonal."""
+    r = min(M, n)
+    R = np.zeros((r, n), dtype=complex)
+    upper = [(i, j) for j in range(n) for i in range(min(j, r))]
+    z = rng.standard_normal(2 * len(upper)) * math.sqrt(0.5)
+    for k, (i, j) in enumerate(upper):
+        R[i, j] = complex(z[2 * k], z[2 * k + 1])
+    R[np.arange(r), np.arange(r)] = np.sqrt(rng.standard_gamma(M - np.arange(r)))
+    return R
+
+
 def test_empty_slot_draws_only_the_noise_block():
     M, tau_p = 16, 5
     rng, replay = np.random.default_rng(11), np.random.default_rng(11)
-    out = simulate_slot([], [], pilot_sequences(tau_p), M, rng)
-    N_p = (replay.standard_normal((M, tau_p)) + 1j * replay.standard_normal((M, tau_p))) / math.sqrt(2.0)
-    assert np.array_equal(out.detected, detect_pilots(N_p @ pilot_sequences(tau_p).conj()))
+    out = simulate_slot([], [], tau_p, M, rng)
+    assert np.array_equal(out.detected, detect_pilots(_bartlett_replay(replay, M, tau_p), M))
     assert out.device_sinr.shape == (0,)
     assert rng.random() == replay.random()  # both streams stand at the same place
 
@@ -408,19 +488,21 @@ def test_all_patterns_shape():
 def test_slot_outcome_carries_estimates():
     # train_slot draws the channels, then the noise, and correlates once; the
     # slot runs the shared detection and SINR routines on that correlation
-    pil = pilot_sequences(8)
     betas, assignment = np.array([10.0, 6.0]), np.array([3, 5])
-    G, corr = train_slot(betas, assignment, pil, 64, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    G, corr = train_slot(betas, assignment, 8, 64, rng)
 
-    rng = np.random.default_rng(4)  # replay the training draws by hand
-    G_ref = sample_channels(betas, 64, rng)
-    N_p = (rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))) / math.sqrt(2.0)
-    Y_p = math.sqrt(8) * (G_ref @ pil.T[assignment]) + N_p
+    replay = np.random.default_rng(4)  # replay the training draws by hand
+    R = _bartlett_replay(replay, 64, 10)
+    G_ref = R[:, :2] * np.sqrt(betas)
+    corr_ref = R[:, 2:].copy()
+    corr_ref[:, assignment] += math.sqrt(8) * G_ref  # one device per pilot
     assert np.array_equal(G, G_ref)
-    assert np.array_equal(corr, Y_p @ pil.conj())
+    assert np.array_equal(corr, corr_ref)
+    assert rng.random() == replay.random()  # both streams stand at the same place
 
-    out = simulate_slot(betas, assignment, pil, 64, np.random.default_rng(4))
-    assert np.array_equal(out.detected, detect_pilots(corr))
+    out = simulate_slot(betas, assignment, 8, 64, np.random.default_rng(4))
+    assert np.array_equal(out.detected, detect_pilots(corr, 64))
     assert np.array_equal(out.detected, [3, 5])
     assert np.array_equal(out.pilot_of_device, assignment)
     assert np.array_equal(out.device_sinr, mrc_and_measure(G, betas, assignment, corr, 8))
