@@ -35,12 +35,6 @@ class ActivationLaw:
         if not 0.0 <= self.p_a <= 1.0:
             raise ValueError(f"activation probability must lie in [0, 1], got {self.p_a}")
 
-    def mean(self) -> float:
-        return self.p_a * self.K
-
-    def variance(self) -> float:
-        return self.p_a * self.K * (1.0 - self.p_a)
-
 
 @dataclass(frozen=True)
 class CollisionLaw:
@@ -54,9 +48,6 @@ class CollisionLaw:
             raise ValueError(f"active count K_a must be >= 1 (no reference device exists), got {self.K_a}")
         if self.tau_p < 1:
             raise ValueError(f"pilot count tau_p must be >= 1, got {self.tau_p}")
-
-    def mean(self) -> float:
-        return (self.K_a - 1) / self.tau_p
 
 
 AnyLaw = Union[ActivationLaw, CollisionLaw]
@@ -75,9 +66,6 @@ class TruncatedSupport:
             raise ValueError(f"empty support [{self.lo}, {self.hi}]")
         if not 0.0 < self.covered_mass <= 1.0 + 1e-12:
             raise ValueError(f"covered_mass out of range: {self.covered_mass}")
-
-    def values(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1)
 
 
 def _binom_params(law: AnyLaw) -> tuple[int, float]:
@@ -115,12 +103,6 @@ def binom_pmf(k, n, p: float):
         )
         return np.exp(log_pmf)[()]
     return _binom_pmf(k, n, p)[()]
-
-
-def pmf_over(law: AnyLaw, ks: np.ndarray) -> np.ndarray:
-    """Vectorized pmf of either law over integer values ``ks``."""
-    n, p = _binom_params(law)
-    return np.atleast_1d(binom_pmf(ks, n, p))
 
 
 def binom_windows(ns, p: float, eps_tail: float):

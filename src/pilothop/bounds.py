@@ -22,8 +22,10 @@ columns are reused across grid points (common random numbers) to
 stabilize argmax comparisons.
 
 Every bound is taken a grid row (one pilot length) at a time, each cell
-equal, bit for bit, to the same cell alone; ``r1_bar``/``r2_bar``/``r3``/
-``ra`` are the row's one-cell case. An R1 or R2 cell is the
+equal, bit for bit, to the same cell alone. ``r1_bar``/``r2_bar`` are the
+row's one-cell case; ``r3``/``ra`` reduce their one cell with
+``expect_beta``, which gives the row's cell bit for bit and also its Monte
+Carlo error. An R1 or R2 cell is the
 activation-weighted sum of F rows, the collider averages at each active
 count K_a, which the cells of a row share: ``_averaged_row`` computes them
 in one pass of one kernel, ``_f_row_sums``, a block of gain samples at a
@@ -105,29 +107,10 @@ class CollisionScenario:
 
 
 @dataclass(frozen=True)
-class SinrComponents:
-    """Inverse-SINR decomposition: contamination, estimation error, residual."""
-
-    pilot_contamination: float
-    estimation_error: float
-    residual_interference: float
-
-    def __post_init__(self):
-        for v in (self.pilot_contamination, self.estimation_error, self.residual_interference):
-            if v < 0:
-                raise ValueError("inverse-SINR components must be non-negative")
-
-    @property
-    def inverse_sinr(self) -> float:
-        return self.pilot_contamination + self.estimation_error + self.residual_interference
-
-
-@dataclass(frozen=True)
 class BoundResult:
-    """A sum-rate value tagged with its bound id and Monte Carlo provenance."""
+    """A sum-rate value with its Monte Carlo provenance."""
 
     value: float
-    bound_id: str
     mc_samples: int = 0
     mc_std_err: float = 0.0
 
@@ -149,29 +132,6 @@ def estimation_variances(beta_0: float, collider_betas, tau_p: int) -> tuple[flo
     est = tau_p * beta_0**2 / sigma_yy
     err = beta_0 * (1.0 + tau_p * csum) / sigma_yy
     return est, err
-
-
-def sinr_components(s: CollisionScenario, other_active_betas: Sequence[float] = ()) -> SinrComponents:
-    """Inverse-SINR terms assembled from the MMSE estimate/error variances.
-
-    Independent of :func:`sinr1`: this path goes through the per-device
-    estimation variances, the closed form does not.
-    """
-    if s.M < 2:
-        raise ValueError("the combiner analysis needs M >= 2")
-    members = np.concatenate(([s.beta_0], np.asarray(s.colliders, dtype=float)))
-    others = np.asarray(other_active_betas, dtype=float)
-    est_var, _ = estimation_variances(s.beta_0, members[1:], s.tau_p)
-    err_sum = 0.0
-    for j, b in enumerate(members):
-        _, err = estimation_variances(b, np.delete(members, j), s.tau_p)
-        err_sum += err
-    gain = (s.M - 1) * est_var
-    return SinrComponents(
-        pilot_contamination=float(np.sum(members[1:] ** 2)) / s.beta_0**2,
-        estimation_error=err_sum / gain,
-        residual_interference=(float(others.sum()) + 1.0) / gain,
-    )
 
 
 def sinr1(s: CollisionScenario, other_active_betas: Sequence[float] = ()) -> float:
@@ -196,16 +156,6 @@ def sinr1(s: CollisionScenario, other_active_betas: Sequence[float] = ()) -> flo
     return num / (pilot_term + est_term + resid_term)
 
 
-def rate1(s: CollisionScenario, other_active_betas: Sequence[float], tau_u: int) -> float:
-    """Per-device rate for one scenario, including the training prelog."""
-    if s.tau_p > tau_u:
-        raise ValueError(f"tau_p={s.tau_p} exceeds the slot length tau_u={tau_u}")
-    prelog = (tau_u - s.tau_p) / tau_u
-    if prelog == 0.0:
-        return 0.0
-    return prelog * math.log2(1.0 + sinr1(s, other_active_betas))
-
-
 def _pow2(x):
     """x**2 by libm pow, element by element, as Python's ** takes it of a float.
 
@@ -214,32 +164,6 @@ def _pow2(x):
     levels giving, bit for bit, what each level gives as a Python float.
     """
     return np.float_power(x, 2)
-
-
-def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):
-    """SINR with collider identities averaged into the interference variances.
-
-    Broadcasts over both ``beta_0`` and the collider count ``c``.
-    ``r2_bar`` forms the same denominator, term for term, in the averaged
-    bounds' shared row kernel (``_f_row_sums``).
-    """
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    c = np.asarray(c)
-    if np.any((c < 0) | (c > K_a - 1)):
-        raise ValueError(f"collider count outside 0..{K_a - 1}")
-    b0 = np.asarray(beta_0, dtype=float)
-    bm, b2m = moments.mean, moments.mean_sq
-    den = (
-        tau_p * (M - 1) * b2m * c
-        + b0 * (1.0 + tau_p * c * bm)
-        - c * bm**2 * tau_p
-        + (1.0 + (K_a - 1) * bm) * (1.0 + b0 * tau_p + tau_p * c * bm)
-    )
-    # (M-1)*mean_sq >= mean^2 keeps the denominator positive for M >= 2 and beta_0 > 0
-    if not np.all(den > 0):
-        raise ValueError("non-positive interference power: beta_0 must be positive")
-    return (tau_p * (M - 1) * b0**2 / den)[()]
 
 
 def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a, K: int, M: int):
@@ -353,9 +277,12 @@ def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments
     computed once for the union of the windows. In R1, ``A_c = tau_p (M-1)
     coll_sq + total + tau_p (total^2 - sq)``, ``B_c = 1 + tau_p total`` and
     ``x = 1 + other``, with ``other`` the summed gains of the active
-    devices on the other pilots; in R2 (:func:`sinr2`), ``x = 1 + (K_a - 1)
-    mean`` is a number. The sum ``A_c + x B_c`` is the denominator summed
-    left to right, so each row has the bits of the per-row formula.
+    devices on the other pilots. In R2, where the gain moments replace the
+    colliders' identities, ``A_c = tau_p (M-1) mean_sq c + b0 (1 + tau_p c
+    mean) - c mean^2 tau_p``, ``B_c = 1 + b0 tau_p + tau_p c mean`` and
+    ``x = 1 + (K_a - 1) mean`` is a number. The sum ``A_c + x B_c`` is the
+    denominator summed left to right, so each row has the bits of the
+    per-row formula.
     """
     users: dict[int, list] = {}
     for i, (k_lo, coeffs) in enumerate(cells):
@@ -443,22 +370,22 @@ def _averaged_row(cfg: "SystemConfig", tau_p: int, p_a, use_sinr2: bool):
     return values, errs, ns
 
 
-def _averaged_bound(bound_id: str, cfg: "SystemConfig") -> BoundResult:
-    """R1 or R2 at the config's own operating point: the one-cell case of :func:`_averaged_row`."""
+def _averaged_bound(cfg: "SystemConfig", use_sinr2: bool) -> BoundResult:
+    """R1 (R2 with ``use_sinr2``) at the config's own operating point: the one-cell case of :func:`_averaged_row`."""
     if cfg.tau_p is None or cfg.p_a is None:
         raise ValueError("averaged bounds need tau_p and p_a set on the config")
-    (value,), (err,), (n,) = _averaged_row(cfg, cfg.tau_p, cfg.p_a, use_sinr2=bound_id == "R2")
-    return BoundResult(float(value), bound_id, mc_samples=int(n), mc_std_err=float(err))
+    (value,), (err,), (n,) = _averaged_row(cfg, cfg.tau_p, cfg.p_a, use_sinr2)
+    return BoundResult(float(value), mc_samples=int(n), mc_std_err=float(err))
 
 
 def r1_bar(cfg: "SystemConfig") -> BoundResult:
     """Main averaged sum-rate bound (Monte Carlo over the gain law, ``cfg.mc``)."""
-    return _averaged_bound("R1", cfg)
+    return _averaged_bound(cfg, use_sinr2=False)
 
 
 def r2_bar(cfg: "SystemConfig") -> BoundResult:
     """Secondary averaged bound with collider identities Jensen-averaged."""
-    return _averaged_bound("R2", cfg)
+    return _averaged_bound(cfg, use_sinr2=True)
 
 
 def _analytic_cells(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a):
@@ -501,7 +428,7 @@ def analytic_row(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a) -> np.ndar
 
 
 def _analytic_bound(bound_id: str, cfg: "SystemConfig") -> BoundResult:
-    """R3 or Ra at the config's own operating point: the one-cell case of the row kernel.
+    """R3 or Ra at the config's own operating point, from the row's one cell (:func:`_analytic_cells`).
 
     Its one cell is reduced by :func:`expect_beta`, which also gives the
     Monte Carlo error; expect_beta's ``w @ row`` is the reduction
@@ -511,9 +438,9 @@ def _analytic_bound(bound_id: str, cfg: "SystemConfig") -> BoundResult:
         raise ValueError(f"{bound_id.lower()} needs tau_p and p_a set on the config")
     live, scale, f = _analytic_cells(bound_id, cfg, cfg.tau_p, [cfg.p_a])
     if live.size == 0:
-        return BoundResult(0.0, bound_id)
+        return BoundResult(0.0)
     val, err, n_mc = expect_beta(cfg.model, lambda b0: f(b0, slice(0, 1))[0], seed=cfg.seed)
-    return BoundResult(float(scale[0] * val), bound_id, mc_samples=n_mc, mc_std_err=float(scale[0] * err))
+    return BoundResult(float(scale[0] * val), mc_samples=n_mc, mc_std_err=float(scale[0] * err))
 
 
 def r3(cfg: "SystemConfig") -> BoundResult:

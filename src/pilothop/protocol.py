@@ -54,14 +54,6 @@ class DetectionThreshold:
         return 1.0 + self.zeta * np.sqrt(2.0 / M)
 
 
-def pilot_sequences(tau_p: int) -> np.ndarray:
-    """Orthonormal DFT pilot book: columns are the tau_p sequences."""
-    if tau_p < 1:
-        raise ValueError("tau_p must be >= 1")
-    j, k = np.meshgrid(np.arange(tau_p), np.arange(tau_p), indexing="ij")
-    return np.exp(-2j * np.pi * j * k / tau_p) / np.sqrt(tau_p)
-
-
 # (device, slot) pattern entries the identification scan regenerates at a
 # time: its working set stays at a few 512 kB arrays whatever K and L are
 SCAN_ENTRIES = 1 << 16
@@ -108,19 +100,19 @@ def all_patterns(K: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -
     return hopping_patterns(np.arange(K), frame, n_slots, tau_p, root_seed)
 
 
-def _pilot_energy(corr: np.ndarray) -> np.ndarray:
+def pilot_energy(corr: np.ndarray) -> np.ndarray:
     """Correlation energy ||y_j||^2 of each column of ``corr`` (a scalar for one column)."""
     return np.einsum("i...,i...->...", corr.real, corr.real) + np.einsum("i...,i...->...", corr.imag, corr.imag)
 
 
-def detect_pilots(corr: np.ndarray, M: int, threshold: DetectionThreshold | None = None) -> np.ndarray:
+def detect_pilots(energy: np.ndarray, M: int, threshold: DetectionThreshold | None = None) -> np.ndarray:
     """Indices of pilots whose correlation energy clears the threshold.
 
-    ``corr`` is the pilot block correlated with the book at ``M`` antennas,
-    in a basis of r <= M rows (``train_slot``'s is rotated), so M is passed.
+    ``energy`` is :func:`pilot_energy` of the correlated pilot block, whose
+    r <= M rows may be a rotated basis (``train_slot``'s), so M is passed.
     """
     threshold = threshold or DetectionThreshold()
-    return np.flatnonzero(_pilot_energy(corr) / M > threshold.value(M))
+    return np.flatnonzero(energy / M > threshold.value(M))
 
 
 def estimate_sum_power(y_p: np.ndarray, tau_p: int, M: int):
@@ -131,7 +123,7 @@ def estimate_sum_power(y_p: np.ndarray, tau_p: int, M: int):
     floor contributes exactly 1 per antenna, hence the subtraction. No slot
     output holds it, so ``simulate_slot`` does not compute it.
     """
-    est = np.maximum(0.0, (_pilot_energy(y_p) / M - 1.0) / tau_p)
+    est = np.maximum(0.0, (pilot_energy(y_p) / M - 1.0) / tau_p)
     return float(est) if est.ndim == 0 else est
 
 
@@ -149,6 +141,7 @@ def mrc_and_measure(
     betas: np.ndarray,
     assignment: np.ndarray,
     corr: np.ndarray,
+    yn2: np.ndarray,
     tau_p: int,
 ) -> np.ndarray:
     """Genie SINR per active device under MRC along its pilot's observation.
@@ -156,12 +149,12 @@ def mrc_and_measure(
     The combiner is a positive multiple of the correlated observation
     ``corr[:, pilot]``, and the SINR does not depend on that multiple, so
     neither the receiver's sum-power estimate nor any data realization
-    enters it. One product ``U[j, k] = y_j^H g_k`` serves every pilot; the
-    per-pilot terms are sums over the pilot's members.
+    enters it. ``yn2 = pilot_energy(corr)``, as detection reads it. One
+    product ``U[j, k] = y_j^H g_k`` serves every pilot; the per-pilot terms
+    are sums over the pilot's members.
     """
     own = (assignment, np.arange(betas.size))
     U = corr.conj().T @ G
-    yn2 = _pilot_energy(corr)
     total = np.bincount(assignment, weights=betas, minlength=tau_p)
     ghat_dot = np.sqrt(tau_p) * betas / (tau_p * total[assignment] + 1.0) * yn2[assignment]  # y^H ghat_k, real
     ee = np.bincount(assignment, weights=np.abs(ghat_dot - U[own]) ** 2, minlength=tau_p)
@@ -209,13 +202,13 @@ def simulate_slot(betas, assignment, tau_p: int, M: int, rng: np.random.Generato
     betas = np.asarray(betas, dtype=float)
     assignment = np.asarray(assignment, dtype=int)
     G, corr = train_slot(betas, assignment, tau_p, M, rng)
-    return SlotOutcome(detect_pilots(corr, M), assignment, mrc_and_measure(G, betas, assignment, corr, tau_p))
+    energy = pilot_energy(corr)
+    return SlotOutcome(detect_pilots(energy, M), assignment, mrc_and_measure(G, betas, assignment, corr, energy, tau_p))
 
 
 @dataclass(frozen=True)
 class IdentificationReport:
     identified: np.ndarray
-    match_fraction: np.ndarray
     missed: np.ndarray
     false: np.ndarray
 
@@ -251,13 +244,12 @@ def match_patterns(
     for lo in range(0, K, step):
         block = np.arange(lo, min(lo + step, K))
         hits[lo:lo + block.size] = np.count_nonzero(D[patterns_of(block)[:, :L] + offsets], axis=1)
-    frac = hits / L
-    identified = np.flatnonzero(frac >= rho)
+    identified = np.flatnonzero(hits / L >= rho)
     if active is None:
         active = np.array([], dtype=int)
     missed = np.setdiff1d(active, identified)
     false = np.setdiff1d(identified, active)
-    return IdentificationReport(identified, frac, missed, false)
+    return IdentificationReport(identified, missed, false)
 
 
 @dataclass
@@ -265,7 +257,6 @@ class FrameResult:
     """Per-frame simulation summary; rates are aligned with ``active``."""
 
     active: np.ndarray
-    betas: np.ndarray
     rates: np.ndarray
     sum_rate: float
     identification: IdentificationReport
@@ -325,5 +316,5 @@ def run_frame(
     prelog = (tau_u - tau_p) / tau_u
     rates = prelog * bits / n_slots
     ident = match_patterns(detected_sets, patterns_of, cfg.K, tau_p, active=active)
-    return FrameResult(active, betas, rates, float(rates.sum()), ident, slots)
+    return FrameResult(active, rates, float(rates.sum()), ident, slots)
 

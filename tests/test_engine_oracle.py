@@ -10,10 +10,10 @@ vectorized pass.
 
 The second is the per-row kernel that the engine's shared R1/R2 row
 formula replaced: R1 rows through ``_sinr1_from_sums`` below, R2 rows
-through ``sinr2``, each row's SINR block built whole. The kernel's rows
-must equal it bit for bit, computed alone and inside a wider union of
-rows; the kernel is read one cell per K_a with coefficient 1.0, whose sum
-is the row itself (0.0 + 1.0 x == x).
+through ``reference.sinr2``, each row's SINR block built whole. The
+kernel's rows must equal it bit for bit, computed alone and inside a wider
+union of rows; the kernel is read one cell per K_a with coefficient 1.0,
+whose sum is the row itself (0.0 + 1.0 x == x).
 """
 
 import functools
@@ -30,7 +30,7 @@ from scipy.special import gammaln
 
 from pilothop.access import CollisionLaw, binom_pmf, binom_windows, truncate_support
 from pilothop import bounds
-from pilothop.bounds import McConfig, r1_bar, r2_bar, sinr2
+from pilothop.bounds import McConfig, r1_bar, r2_bar
 from pilothop.channels import (
     LogNormalShadowing,
     RingPathLoss,
@@ -40,6 +40,7 @@ from pilothop.channels import (
     sample_beta,
 )
 from pilothop.config import SystemConfig
+from reference import sinr2
 
 
 def _ref_pmf(k, n, p):

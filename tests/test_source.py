@@ -45,21 +45,59 @@ def test_import_validate_and_run_leave_scipy_stats_and_optimize_out(tmp_path):
     assert (tmp_path / "opt_optimize.csv").read_text().count("\n") == 3
 
 
-def test_perfbench_tracer_names_resolve():
-    # perfbench/run.py --trace 1 wraps these by name; a deleted name would break it only there
-    import importlib
+def _tracer_pinned():
+    """Names perfbench/tracing.py reaches: its LAYERS, and what _collider_columns builds windows through."""
     import importlib.util
 
     path = SRC.parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    # Tracer._collider_columns builds collision windows through these
     wanted = [(mod, name) for mod, names in tracing.LAYERS.items() for name in names]
-    wanted += [("access", "ActivationLaw"), ("access", "CollisionLaw"), ("access", "truncate_support")]
+    return wanted + [("access", "ActivationLaw"), ("access", "CollisionLaw"), ("access", "truncate_support")]
+
+
+# Public names kept though no package code reads them, each with its reason
+KEPT_UNREAD = {
+    "estimate_sum_power": "the receiver's sum-power estimator, for the receiver counters of ROADMAP item 1",
+    "sinr1": "the per-scenario SINR that acceptance criterion 3 tests in the package",
+    "estimation_variances": "the MMSE variances that acceptance criterion 9 tests in the package",
+}
+
+
+def unread_public_names() -> list[str]:
+    """Top-level public defs/classes no package code reads (as a name, attribute or import), less the kept ones."""
+    defined, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    kept = {name for _, name in _tracer_pinned()} | set(KEPT_UNREAD)
+    return sorted(f"{mod}.{name}" for name, mod in defined.items() if name not in read | kept)
+
+
+def test_perfbench_tracer_names_resolve():
+    # perfbench/run.py --trace 1 wraps these by name; a deleted name would break it only there
+    import importlib
+
+    wanted = _tracer_pinned()
     missing = [f"{mod}.{name}" for mod, name in wanted
                if not hasattr(importlib.import_module(f"pilothop.{mod}"), name)]
     assert len(wanted) > 3 and not missing, missing
+
+
+def test_every_public_name_is_read_by_the_package():
+    # public surface that nothing in the package reads belongs in the tests (tests/reference.py) or nowhere
+    unread = unread_public_names()
+    assert SRC.is_dir() and not unread, unread
 
 
 def test_perfbench_tracer_runs_a_simulate_spec(tmp_path):
