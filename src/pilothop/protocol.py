@@ -8,8 +8,10 @@ written, draws the Bartlett QR factor of [channels | noise], a rotated
 antenna basis, instead of M-dimensional draws, and forms no pilot-book
 product. The receiver thresholds the correlation energy to find the pilots
 in use. Across slots the detected pilot sets are matched against the
-hopping patterns to identify which devices transmitted; the scan regenerates
-the population's patterns in ``SCAN_ENTRIES``-entry blocks, bounding memory.
+hopping patterns to identify which devices transmitted. The scan regenerates
+the population's patterns in ``SCAN_ENTRIES``-entry blocks, bounding memory,
+one slot chunk at a time, and stops hashing a device once it has missed more
+slots than the identification threshold rho allows.
 
 A genie side channel (true channels and gains, never visible to the
 receiver path) decomposes the output of maximum ratio combining along each
@@ -22,7 +24,7 @@ the channels, so no data block is drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,40 +66,48 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def hopping_patterns(devices, frame: int, n_slots: int, tau_p: int, root_seed: int) -> np.ndarray:
-    """(len(devices), n_slots) pilot indices: row i is the pattern of device
-    ``devices[i]`` in frame ``frame``.
+def hopping_patterns(devices, frame: int, slots: range, tau_p: int, root_seed: int) -> np.ndarray:
+    """(len(devices), len(slots)) pilot indices: row i is the pattern of
+    device ``devices[i]`` in frame ``frame`` over the slots of the range
+    ``slots`` (step 1).
 
     A counter-based function of (root seed, frame, device, slot), so both
     sides regenerate any entry alone. ``SeedSequence((root_seed, frame))``
     gives one 64-bit frame key per call, which keeps every bit of any
     non-negative integer seed. Entry (d, l) is the SplitMix64 output at counter
-    d * 2**32 + l under that key, and its output h maps to a pilot by
+    d * 2**32 + l + 1 under that key, and its output h maps to a pilot by
     multiply-high, ``((h >> 32) * tau_p) >> 32``. Each pilot then has
     probability within 2**-32 of 1/tau_p: a relative bias of at most
-    tau_p / 2**32.
+    tau_p / 2**32. The mixer's input (counter * gamma + key, mod 2**64) is
+    formed as a per-device column plus a per-slot row.
     """
     devices = np.asarray(devices, dtype=np.int64)
     if devices.size and (devices.min() < 0 or devices.max() >= 1 << 32):
         raise ValueError("device ids must lie in [0, 2**32)")
+    if slots.step != 1 or slots.start < 0:
+        raise ValueError("slots must be a step-1 range of non-negative slot indices")
     key = np.random.SeedSequence((root_seed, frame)).generate_state(1, np.uint64)
-    x = (devices.astype(np.uint64) << np.uint64(32))[:, None] + np.arange(1, n_slots + 1, dtype=np.uint64)
-    x *= _GAMMA
-    x += key
-    x ^= x >> np.uint64(30)
+    col = (devices.astype(np.uint64) << np.uint64(32)) * _GAMMA + key
+    row = np.arange(slots.start + 1, slots.stop + 1, dtype=np.uint64) * _GAMMA
+    x = np.add.outer(col, row)
+    t = np.empty_like(x)  # the xor-shifts' scratch
+    np.right_shift(x, np.uint64(30), out=t)
+    x ^= t
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
     x *= _MIX2
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     x >>= np.uint64(32)
     x *= np.uint64(tau_p)
     x >>= np.uint64(32)
-    return x.astype(np.intp)
+    return x.view(np.intp)
 
 
 def all_patterns(K: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -> np.ndarray:
     """(K, n_slots) hopping patterns of the whole device population."""
-    return hopping_patterns(np.arange(K), frame, n_slots, tau_p, root_seed)
+    return hopping_patterns(np.arange(K), frame, range(n_slots), tau_p, root_seed)
 
 
 def pilot_energy(corr: np.ndarray) -> np.ndarray:
@@ -215,7 +225,7 @@ class IdentificationReport:
 
 def match_patterns(
     detected_sets: Sequence[np.ndarray],
-    patterns_of: Callable[[np.ndarray], np.ndarray],
+    patterns_of: Callable[[np.ndarray, range], np.ndarray],
     K: int,
     tau_p: int,
     rho: float = 0.9,
@@ -224,11 +234,17 @@ def match_patterns(
     """Declare a device of 0..K-1 active when its pattern hits the detected
     pilot set in at least a rho fraction of slots.
 
-    ``patterns_of(devices)`` returns the devices' pattern rows, at least
-    ``len(detected_sets)`` slots wide. The population is scanned in blocks
-    of about ``SCAN_ENTRIES`` pattern entries, so no K x L table is held.
-    With a single observed slot this degenerates to per-slot pilot
-    ambiguity: every device whose pilot was detected matches.
+    ``patterns_of(devices, slots)`` returns the devices' pattern entries over
+    the range ``slots``. A device is identified when its hits h satisfy
+    ``h / L >= rho``, that is when it misses at most ``slack = L - need``
+    slots, ``need`` the least such h. The scan takes the frame in chunks of
+    ``slack + 1`` slots, the fewest after which a device can exceed its
+    slack, and hashes only the devices still within it: a signed per-device
+    budget (one byte each while slack < 128) counts down their misses.
+    Survivors are regenerated in blocks of at most ``SCAN_ENTRIES`` pattern
+    entries, so no K x L table is held. With a single observed slot this
+    degenerates to per-slot pilot ambiguity: every device whose pilot was
+    detected matches.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
@@ -237,14 +253,31 @@ def match_patterns(
         raise ValueError("need at least one observed slot")
     D = np.zeros((L, tau_p), dtype=bool)
     for l, det in enumerate(detected_sets):
-        D[l, np.asarray(det, dtype=int)] = True
+        det = np.asarray(det, dtype=int)
+        if det.size and (det.min() < 0 or det.max() >= tau_p):
+            raise ValueError(f"detected pilots of slot {l} must lie in [0, {tau_p})")
+        D[l, det] = True
     D, offsets = D.ravel(), np.arange(L) * tau_p  # slot l's pilot j sits at l*tau_p + j
-    hits = np.empty(K, dtype=np.intp)
-    step = max(1, SCAN_ENTRIES // L)
-    for lo in range(0, K, step):
-        block = np.arange(lo, min(lo + step, K))
-        hits[lo:lo + block.size] = np.count_nonzero(D[patterns_of(block)[:, :L] + offsets], axis=1)
-    identified = np.flatnonzero(hits / L >= rho)
+    need = int(np.argmax(np.arange(L + 1) / L >= rho))  # the same division as hits / L >= rho
+    chunk = L - need + 1
+    budget = np.full(K, chunk - 1, dtype=np.min_scalar_type(-chunk))  # misses still affordable
+    step = max(1, SCAN_ENTRIES // chunk)
+    for start in range(0, L, chunk):
+        slots = range(start, min(start + chunk, L))
+        alive = np.count_nonzero(budget >= 0)
+        if alive == 0:
+            break
+        width = step * K // alive  # an id window holding about `step` survivors
+        lo = 0
+        while lo < K:
+            ids = np.flatnonzero(budget[lo:lo + width] >= 0)[:step]  # a full block resumes after its last id
+            nxt = lo + (ids[-1] + 1 if ids.size == step else width)
+            if ids.size:
+                ids += lo
+                hits = np.count_nonzero(D[patterns_of(ids, slots) + offsets[start:slots.stop]], axis=1)
+                budget[ids] -= len(slots) - hits
+            lo = nxt
+    identified = np.flatnonzero(budget >= 0)
     if active is None:
         active = np.array([], dtype=int)
     missed = np.setdiff1d(active, identified)
@@ -279,7 +312,10 @@ def run_frame(
     Per-device empirical rates average log2(1 + SINR) over the slots in
     which the device's pilot was detected (undetected slots contribute
     zero), scaled by the training-overhead prelog. ``collect_slots`` retains
-    the per-slot outcomes in ``FrameResult.slots``.
+    the per-slot outcomes in ``FrameResult.slots``. Every run detects pilots
+    at the default zeta = 5 of ``DetectionThreshold`` and identifies devices
+    at the default rho = 0.9 of ``match_patterns``: no spec field reaches
+    either.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
@@ -295,8 +331,10 @@ def run_frame(
         raise ValueError(f"active device ids must lie in [0, {cfg.K})")
     if np.unique(active).size != active.size:
         raise ValueError("active device ids must be distinct")
-    patterns_of = partial(hopping_patterns, frame=frame_index, n_slots=n_slots, tau_p=tau_p, root_seed=cfg.seed)
-    assignments = patterns_of(active).T  # row l: the active devices' pilots in slot l
+    def patterns_of(devices, slots):
+        return hopping_patterns(devices, frame_index, slots, tau_p, cfg.seed)
+
+    assignments = patterns_of(active, range(n_slots)).T  # row l: the active devices' pilots in slot l
     betas = np.atleast_1d(sample_beta(cfg.model, rng, active.size))
 
     bits = np.zeros(active.size)

@@ -1,6 +1,7 @@
 """Reference formulas only the tests read: slow or independent forms of what
 the package computes another way (the R2 SINR as its own function, the SINR
-rebuilt from the MMSE variances, the DFT pilot book ``train_slot`` rotates away)."""
+rebuilt from the MMSE variances, the DFT pilot book ``train_slot`` rotates away,
+the whole-frame hopping-pattern hash)."""
 
 from dataclasses import dataclass
 from typing import Sequence
@@ -84,3 +85,18 @@ def pilot_sequences(tau_p: int) -> np.ndarray:
         raise ValueError("tau_p must be >= 1")
     j, k = np.meshgrid(np.arange(tau_p), np.arange(tau_p), indexing="ij")
     return np.exp(-2j * np.pi * j * k / tau_p) / np.sqrt(tau_p)
+
+
+def hopping_table(devices, frame: int, n_slots: int, tau_p: int, root_seed: int) -> np.ndarray:
+    """(len(devices), n_slots) hopping patterns hashed counter by counter:
+    SplitMix64 of d * 2**32 + l + 1 under the (root_seed, frame) key, mapped
+    to a pilot by multiply-high. ``protocol.hopping_patterns`` forms the same
+    mixer input as a per-device column plus a per-slot row."""
+    gamma, mix1, mix2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+    key = np.random.SeedSequence((root_seed, frame)).generate_state(1, np.uint64)
+    x = (np.asarray(devices, dtype=np.uint64) << np.uint64(32))[:, None] + np.arange(1, n_slots + 1, dtype=np.uint64)
+    x = x * gamma + key
+    x = (x ^ (x >> np.uint64(30))) * mix1
+    x = (x ^ (x >> np.uint64(27))) * mix2
+    x = x ^ (x >> np.uint64(31))
+    return (((x >> np.uint64(32)) * np.uint64(tau_p)) >> np.uint64(32)).astype(np.intp)

@@ -24,7 +24,7 @@ from pilothop.protocol import (
     simulate_slot,
     train_slot,
 )
-from reference import pilot_sequences
+from reference import hopping_table, pilot_sequences
 
 
 def test_pilot_sequences_orthonormal():
@@ -57,16 +57,32 @@ def test_hopping_patterns_pairwise_collision_rate(tau_p):
 
 def test_hopping_patterns_keyed_and_deterministic():
     assert not all_patterns(50, 0, 40, 1, 9).any()  # one pilot: all zeros
-    a = hopping_patterns([17, 18], 0, 2000, 7, 123)
-    assert np.array_equal(a, hopping_patterns([17, 18], 0, 2000, 7, 123))
+    a = hopping_patterns([17, 18], 0, range(2000), 7, 123)
+    assert np.array_equal(a, hopping_patterns([17, 18], 0, range(2000), 7, 123))
     assert not np.array_equal(a[0], a[1])
-    assert not np.array_equal(a, hopping_patterns([17, 18], 1, 2000, 7, 123))
+    assert not np.array_equal(a, hopping_patterns([17, 18], 1, range(2000), 7, 123))
     # (seed, frame) keys as a pair, and a seed above 2**64 is not truncated
-    assert not np.array_equal(hopping_patterns([3], 0, 200, 33, 1), hopping_patterns([3], 1, 200, 33, 0))
-    assert not np.array_equal(hopping_patterns([3], 0, 200, 33, 2**70), hopping_patterns([3], 0, 200, 33, 2**70 + 2**64))
+    assert not np.array_equal(hopping_patterns([3], 0, range(200), 33, 1), hopping_patterns([3], 1, range(200), 33, 0))
+    assert not np.array_equal(hopping_patterns([3], 0, range(200), 33, 2**70),
+                              hopping_patterns([3], 0, range(200), 33, 2**70 + 2**64))
     for bad in ([-1], [2**32]):
         with pytest.raises(ValueError, match="device ids"):
-            hopping_patterns(bad, 0, 10, 7, 1)
+            hopping_patterns(bad, 0, range(10), 7, 1)
+    for bad in (range(0, 10, 2), range(-1, 3)):
+        with pytest.raises(ValueError, match="slots"):
+            hopping_patterns([1], 0, bad, 7, 1)
+
+
+@pytest.mark.parametrize("tau_p", [1, 33, 1000])
+@pytest.mark.parametrize("seed", [0, 7, 2**70 + 11])
+def test_hopping_patterns_match_the_counter_by_counter_hash(tau_p, seed):
+    devices = np.array([0, 1, 5, 4095, 2**31 + 3, 2**32 - 1])
+    table = hopping_table(devices, 3, 300, tau_p, seed)
+    got = hopping_patterns(devices, 3, range(300), tau_p, seed)
+    assert got.dtype == np.intp and np.array_equal(got, table)
+    for a, b in ((0, 1), (0, 300), (17, 18), (120, 301), (299, 300), (40, 40)):
+        window = hopping_patterns(devices, 3, range(a, b), tau_p, seed)
+        assert np.array_equal(window, hopping_table(devices, 3, max(a, b), tau_p, seed)[:, a:b]), (a, b)
 
 
 def _noise_corr(tau_p, M, rng):
@@ -342,17 +358,22 @@ def test_empty_slot_draws_only_the_noise_block():
     assert rng.random() == replay.random()  # both streams stand at the same place
 
 
+def _table_rows(patterns):
+    """``patterns_of`` over a whole (K, L) pattern table."""
+    return lambda devices, slots: patterns[devices][:, slots]
+
+
 def test_match_patterns_trivial_and_reports():
     patterns = np.array([[1, 2, 3, 0], [0, 0, 1, 1], [2, 2, 2, 2]])
     detected = [np.array([1]), np.array([2]), np.array([3]), np.array([0])]
-    rep = match_patterns(detected, patterns.__getitem__, 3, 4, rho=0.9, active=np.array([0]))
+    rep = match_patterns(detected, _table_rows(patterns), 3, 4, rho=0.9, active=np.array([0]))
     assert np.array_equal(rep.identified, np.array([0]))
     assert rep.missed.size == 0 and rep.false.size == 0
 
 
 def test_match_patterns_single_slot_is_ambiguous():
     patterns = np.array([[1], [1], [2]])
-    rep = match_patterns([np.array([1])], patterns.__getitem__, 3, 4, rho=0.9)
+    rep = match_patterns([np.array([1])], _table_rows(patterns), 3, 4, rho=0.9)
     assert np.array_equal(rep.identified, np.array([0, 1]))
 
 
@@ -365,15 +386,23 @@ def test_match_patterns_false_identification_tail(rng):
     L, tau_p, trials = 40, 20, 40000
     detected = [np.arange(10) for _ in range(L)]
     patterns = rng.integers(0, tau_p, size=(trials, L))
-    rep = match_patterns(detected, patterns.__getitem__, trials, tau_p, rho=0.9)
+    rep = match_patterns(detected, _table_rows(patterns), trials, tau_p, rho=0.9)
     assert rep.identified.size <= max(1, 10 * trials * tail)
 
 
 def test_match_patterns_validates_inputs():
     with pytest.raises(ValueError):
-        match_patterns([], np.zeros((2, 4), dtype=int).__getitem__, 2, 4)
+        match_patterns([], _table_rows(np.zeros((2, 4), dtype=int)), 2, 4)
     with pytest.raises(ValueError):
-        match_patterns([np.array([0])], np.zeros((2, 1), dtype=int).__getitem__, 2, 4, rho=0.0)
+        match_patterns([np.array([0])], _table_rows(np.zeros((2, 1), dtype=int)), 2, 4, rho=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_match_patterns_rejects_out_of_range_detected_pilots(bad):
+    # pilot -1 would wrap round to pilot 3 and identify device 1; pilot 4 has no row
+    patterns = np.array([[0, 0], [3, 3]])
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        match_patterns([np.array([bad]), np.array([bad])], _table_rows(patterns), 2, 4, rho=0.9)
 
 
 def _match_reference(detected_sets, patterns, tau_p, rho=0.9, active=None):
@@ -396,25 +425,80 @@ def _match_reference(detected_sets, patterns, tau_p, rho=0.9, active=None):
     return IdentificationReport(identified, missed, false)
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.7, 0.9, 1.0])
 @pytest.mark.parametrize("L", [1, 5, 500])
 @pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1", "3block+7"])
-def test_match_patterns_blocked_scan_matches_whole_table(L, size):
+def test_match_patterns_blocked_scan_matches_whole_table(L, size, rho):
     block = SCAN_ENTRIES // L
     K = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1, "3block+7": 3 * block + 7}[size]
     tau_p, frame, seed = 33, 4, 2**70 + 11
     rng = np.random.default_rng(K * 1000 + L)
     active = np.sort(rng.choice(K, size=min(K, 5), replace=False))
-    own = hopping_patterns(active, frame, L, tau_p, seed)
+    own = hopping_patterns(active, frame, range(L), tau_p, seed)
     table = all_patterns(K, frame, L, tau_p, seed)
     assert np.array_equal(own, table[active])
     # the active pilots, each missed with probability 0.2, plus false alarms
     detected = [np.union1d(own[rng.random(active.size) > 0.2, l], np.flatnonzero(rng.random(tau_p) < 0.1))
                 for l in range(L)]
-    got = match_patterns(detected, lambda d: hopping_patterns(d, frame, L, tau_p, seed), K, tau_p,
-                         rho=0.7, active=active)
-    want = _match_reference(detected, table, tau_p, rho=0.7, active=active)
+    got = match_patterns(detected, lambda d, s: hopping_patterns(d, frame, s, tau_p, seed), K, tau_p,
+                         rho=rho, active=active)
+    want = _match_reference(detected, table, tau_p, rho=rho, active=active)
     for name in ("identified", "missed", "false"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _counting(patterns_of):
+    """``patterns_of`` that adds up the pattern entries it is asked for."""
+    asked = [0]
+
+    def counted(devices, slots):
+        asked[0] += len(devices) * len(slots)
+        return patterns_of(devices, slots)
+    return counted, asked
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 1.0])
+def test_match_patterns_scans_everyone_when_every_pilot_is_detected(rho):
+    # nobody ever misses, so no device can be dropped and every entry is hashed once
+    K, L, tau_p = 2 * SCAN_ENTRIES // 7 + 3, 7, 5
+    patterns_of, asked = _counting(lambda d, s: hopping_patterns(d, 1, s, tau_p, 3))
+    rep = match_patterns([np.arange(tau_p)] * L, patterns_of, K, tau_p, rho=rho, active=np.array([2, 9]))
+    assert np.array_equal(rep.identified, np.arange(K))
+    assert rep.missed.size == 0 and np.array_equal(rep.false, np.setdiff1d(np.arange(K), [2, 9]))
+    assert asked[0] == K * L
+
+
+def test_match_patterns_blocks_stay_bounded_when_survivors_cluster():
+    # the high half of the ids misses every slot, so the survivors of the first
+    # 11-slot chunk fill whole id windows twice over; the even ones among them
+    # then miss 11 more slots, one more than rho = 0.75 of 40 allows
+    K, L, tau_p = 6 * SCAN_ENTRIES // 10 + 5, 40, 4
+    ids = np.arange(K)[:, None]
+    table = np.where((ids >= K // 2) | ((ids % 2 == 0) & (np.arange(L) >= 11) & (np.arange(L) < 22)), 2, 1)
+    sizes = []
+
+    def patterns_of(devices, slots):
+        sizes.append(len(devices) * len(slots))
+        return table[devices][:, slots]
+    detected = [np.array([0, 1])] * L
+    got = match_patterns(detected, patterns_of, K, tau_p, rho=0.75)
+    assert np.array_equal(got.identified, _match_reference(detected, table, tau_p, rho=0.75).identified)
+    assert np.array_equal(got.identified, np.arange(1, K // 2, 2))
+    assert max(sizes) <= SCAN_ENTRIES and sum(sizes) < K * L
+
+
+def test_match_patterns_hashes_at_most_half_the_table_at_mmtc_scale():
+    # slot-mmtc's shape: about 20 of 33 pilots are in use per slot, so a random
+    # device misses about 40% of slots and soon cannot reach rho = 0.9
+    K, L, tau_p, frame, seed = 100_000, 200, 33, 0, 1
+    rng = np.random.default_rng(5)
+    active = np.sort(rng.choice(K, size=30, replace=False))
+    own = hopping_patterns(active, frame, range(L), tau_p, seed)
+    detected = [np.unique(own[:, l]) for l in range(L)]
+    patterns_of, asked = _counting(lambda d, s: hopping_patterns(d, frame, s, tau_p, seed))
+    rep = match_patterns(detected, patterns_of, K, tau_p, rho=0.9, active=active)
+    assert rep.missed.size == 0 and rep.false.size == 0
+    assert asked[0] <= K * L // 2, asked[0] / (K * L)
 
 
 def _frame_cfg(**kw):
