@@ -8,8 +8,9 @@ the other active devices pick pilots uniformly and independently.
 Masses are evaluated overflow-safe at mMTC populations (K up to 1e5), and
 the averaged rate bounds truncate the outer sums to a high-coverage window
 around the binomial mode. ``binom_windows`` finds those windows for many
-binomials of one success probability in one vectorized pass; the averaged
-bounds build every collision window of a pilot length with it.
+(n, p) pairs in one call, a bounded chunk of rows at a time; the averaged
+bounds build every collision window of a pilot length, and every activation
+window of a grid stage, with one call each.
 """
 
 from __future__ import annotations
@@ -105,37 +106,99 @@ def binom_pmf(k, n, p: float):
     return _binom_pmf(k, n, p)[()]
 
 
-def binom_windows(ns, p: float, eps_tail: float):
+# Entries of the pmf band that ``binom_windows`` holds at once: it takes its
+# rows in chunks of at most this many (row x widest band) entries, or one row
+WINDOW_ENTRIES = 1 << 15
+
+
+def _row_chunks(widths) -> list[tuple[int, int]]:
+    """Consecutive row ranges, each of one row or of rows whose count times
+    the widest of them stays within ``WINDOW_ENTRIES``."""
+    chunks, start = [], 0
+    while start < widths.size:
+        widest = np.maximum.accumulate(widths[start:start + max(WINDOW_ENTRIES // int(widths[start]), 1)])
+        fit = int(np.count_nonzero(widest * np.arange(1, widest.size + 1) <= WINDOW_ENTRIES))
+        chunks.append((start, start + max(fit, 1)))
+        start = chunks[-1][1]
+    return chunks
+
+
+def binom_windows(ns, p, eps_tail: float):
     """Smallest contiguous windows around the mode with mass >= 1 - eps_tail,
-    for Binomial(n, p) at every n in ``ns``, in one vectorized pass.
+    for Binomial(n, p) at every pair of ``ns`` and ``p`` (broadcast to 1-D).
 
     Returns (lo, hi, covered, masses): integer arrays of window ends, the
-    mass each window covers, and for each n the pmf over lo..hi.
+    mass each window covers, and for each pair the pmf over lo..hi.
 
     The pmf is evaluated on a band of mode +- (6.5 sd + 12), doubled for the
-    rare n whose band holds less than 1 - eps_tail. A window grows from the
-    mode by always annexing the heavier neighbour (the left one on ties).
-    Both sides of a binomial pmf fall away from the mode, so that order is a
-    stable descending sort of the band, and the window is the shortest
-    prefix of it whose running sum, added in that order, reaches the target.
+    rare pair whose band holds less than 1 - eps_tail, the band's mass being
+    its entries summed as one array. A window grows from the mode by always
+    annexing the heavier neighbour (the left one on ties). Both sides of a
+    binomial pmf fall away from the mode, so that order is a stable
+    descending sort of the band, and the window is the shortest prefix of it
+    whose running sum, added in that order, reaches the target.
+
+    Rows are taken in chunks (:func:`_row_chunks`); every step is one row's
+    own, so a row's window and masses do not depend on the chunk it is in.
     """
-    ns = np.asarray(ns, dtype=np.int64)
-    mode = np.minimum(ns, np.floor((ns + 1) * p).astype(np.int64))
-    half = (6.5 * np.sqrt(ns * p * (1.0 - p))).astype(np.int64) + 12
-    while True:
-        w_lo, w_hi = np.maximum(0, mode - half), np.minimum(ns, mode + half)
-        width = int((w_hi - w_lo).max()) + 1
-        ks = w_lo[:, None] + np.arange(width)
-        inside = ks <= w_hi[:, None]
-        pm = np.where(inside, binom_pmf(np.minimum(ks, ns[:, None]), ns[:, None], p), 0.0)
-        band = pm.sum(axis=1)
-        short = (band < 1.0 - eps_tail) & ((w_lo > 0) | (w_hi < ns))
-        if not short.any():
-            break
-        half = np.where(short, 2 * half, half)
-    rows = np.arange(ns.size)[:, None]
-    m, span = (mode - w_lo)[:, None], (w_hi - w_lo)[:, None]
-    step = np.arange(1, width)
+    ns, ps = np.broadcast_arrays(np.asarray(ns, dtype=np.int64), np.asarray(p, dtype=float))
+    ns, ps = ns.ravel(), ps.ravel()
+    mode = np.minimum(ns, np.floor((ns + 1) * ps).astype(np.int64))
+    half = (6.5 * np.sqrt(ns * ps * (1.0 - ps))).astype(np.int64) + 12
+    lo, hi, covered, masses = np.empty_like(ns), np.empty_like(ns), np.empty(ns.size), [None] * ns.size
+    todo = np.arange(ns.size)
+    while todo.size:
+        w_lo = np.maximum(0, mode[todo] - half[todo])
+        span = np.minimum(ns[todo], mode[todo] + half[todo]) - w_lo
+        short = []
+        for a, b in _row_chunks(span + 1):
+            rows, start, last = todo[a:b], w_lo[a:b], span[a:b]
+            pm, band = _band(ns[rows], ps[rows], start, last)
+            wide = (band < 1.0 - eps_tail) & ((start > 0) | (start + last < ns[rows]))
+            if wide.any():
+                short.append(rows[wide])
+                rows, start, last, pm, band = rows[~wide], start[~wide], last[~wide], pm[~wide], band[~wide]
+            n_lo, n_hi, covered[rows], got = _greedy_windows(pm, band, mode[rows] - start, last, eps_tail)
+            lo[rows], hi[rows] = start + n_lo, start + n_hi
+            for i, m in zip(rows.tolist(), got):
+                masses[i] = m
+        todo = np.concatenate(short) if short else todo[:0]
+        half[todo] *= 2
+    return lo, hi, covered, masses
+
+
+def _band(ns, ps, w_lo, span):
+    """The pmf of each row over w_lo..w_lo + span, zero-padded to the widest
+    row, and each row's band mass.
+
+    ``binom_pmf`` is called once per distinct p, on the in-band entries only.
+    A row's mass is the sum of its own entries, so it does not depend on the
+    padding the other rows give it.
+    """
+    width = int(span.max()) + 1
+    inside = np.arange(width) <= span[:, None]
+    ks = (w_lo[:, None] + np.arange(width))[inside]
+    n_of, p_of = np.repeat(ns, span + 1), np.repeat(ps, span + 1)
+    vals = np.empty(ks.size)
+    for q in np.unique(ps).tolist():
+        at = p_of == q
+        vals[at] = binom_pmf(ks[at], n_of[at], q)
+    pm = np.zeros((ns.size, width))
+    pm[inside] = vals
+    band = np.empty(ns.size)
+    for length in np.unique(span).tolist():
+        at = span == length
+        band[at] = pm[at, :length + 1].sum(axis=1)
+    return pm, band
+
+
+def _greedy_windows(pm, band, m, span, eps_tail: float):
+    """Windows of the band rows ``pm`` (mode at column ``m``, last entry at
+    column ``span``) as (lo, hi, covered, masses), lo and hi counted in
+    columns."""
+    rows = np.arange(pm.shape[0])[:, None]
+    m, span = m[:, None], span[:, None]
+    step = np.arange(1, pm.shape[1])
     # neighbours in the order the window reaches them, left side then right;
     # -1 marks positions outside the band
     left, right = m - step, m + step
@@ -149,11 +212,13 @@ def binom_windows(ns, p: float, eps_tail: float):
     reached = running >= np.minimum(1.0 - eps_tail, band)[:, None]
     # annexed neighbours; the whole band if rounding keeps the target out of reach
     taken = np.where(reached.any(axis=1), reached.argmax(axis=1), (ranked >= 0).sum(axis=1))
-    n_left = ((order < width - 1) & (np.arange(order.shape[1]) < taken[:, None])).sum(axis=1)
-    lo, hi = mode - n_left, mode - n_left + taken
-    covered = np.minimum(running[np.arange(ns.size), taken], 1.0)
-    masses = [pm[i, a:b] for i, (a, b) in enumerate(zip(lo - w_lo, hi - w_lo + 1))]
-    return lo, hi, covered, masses
+    n_left = ((order < step.size) & (np.arange(order.shape[1]) < taken[:, None])).sum(axis=1)
+    lo = m[:, 0] - n_left
+    covered = np.minimum(running[rows[:, 0], taken], 1.0)
+    cols = np.arange(pm.shape[1])
+    in_window = (cols >= lo[:, None]) & (cols <= (lo + taken)[:, None])
+    masses = np.split(pm[in_window], np.cumsum(taken + 1)[:-1])
+    return lo, lo + taken, covered, masses
 
 
 def truncate_support(law: AnyLaw, eps_tail: float = 1e-9) -> TruncatedSupport:

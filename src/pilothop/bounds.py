@@ -30,8 +30,10 @@ activation-weighted sum of F rows, the collider averages at each active
 count K_a, which the cells of a row share: ``_averaged_row`` computes them
 in one pass of one kernel, ``_f_row_sums``, a block of gain samples at a
 time, and keeps none after the call. Only the pool's prefix sums are kept,
-in an LRU store of at most 32 MiB (``_STORE``). R3 and Ra rows take one
-``expect_rows`` call over the memoized gain nodes (``analytic_row``).
+in an LRU store of at most 32 MiB (``_STORE``). The rows of a grid stage
+(``bound_grid``) share its activation windows, taken once per stage. R3
+and Ra rows take one ``expect_rows`` call over the memoized gain nodes
+(``analytic_row``).
 """
 
 from __future__ import annotations
@@ -242,24 +244,34 @@ def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int):
     return cum, cum_sq
 
 
-# (collider count, gain sample) entries in one block of the F-row kernel's
-# arrays: its working set is a few 2 MiB arrays whatever the sample count
+# (collider count, gain sample) entries in one tile of each of the F-row
+# kernel's four arrays: at most 2 MiB per array while eight samples fit in it
+# (span <= 32,768 collider counts); beyond, tiles of four to seven samples
 ROW_BLOCK_ENTRIES = 1 << 18
 
 
 def _sample_blocks(n: int, span: int) -> list[tuple[int, int]]:
     """Column ranges tiling 0..n-1 for an F-row block over ``span`` collider counts.
 
-    Blocks start at multiples of a width that is a multiple of 4, and the
-    last takes the remainder. OpenBLAS's gemv sums a column in an order set
-    by whether it falls in the kernel's groups of four or in the ``n mod
-    4`` tail, so these tiles give each column of ``coll_w @ block`` the bits
-    of ``coll_w @ whole`` under one BLAS thread (with more, OpenBLAS splits
-    a long product into ranges of its own).
+    ``width`` is the largest multiple of 4 with ``width * span <=
+    ROW_BLOCK_ENTRIES``, or 4 if there is none. Blocks are ``width`` wide
+    and the last takes what is left, unless that is under four columns: the
+    last block then starts four columns earlier (merged with the one before
+    when ``width`` is 4). OpenBLAS's gemv sums a column in an order set by
+    whether it falls in the kernel's groups of four or in the ``n mod 4``
+    tail, and a block of under four columns is summed in yet another order;
+    blocks of at least four columns that start at multiples of 4 give each
+    column of ``coll_w @ block`` the bits of ``coll_w @ whole`` under one
+    BLAS thread (with more, OpenBLAS splits a long product into ranges of
+    its own).
     """
     width = max(4, ROW_BLOCK_ENTRIES // span // 4 * 4)
-    edges = [i * width for i in range(max(n // width, 1))] + [n]
-    return list(zip(edges[:-1], edges[1:]))
+    starts = list(range(0, n, width))
+    if len(starts) > 1 and n - starts[-1] < 4:
+        starts[-1] -= 4
+        if starts[-1] == starts[-2]:
+            starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments: BetaMoments | None):
@@ -282,7 +294,9 @@ def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments
     mean) - c mean^2 tau_p``, ``B_c = 1 + b0 tau_p + tau_p c mean`` and
     ``x = 1 + (K_a - 1) mean`` is a number. The sum ``A_c + x B_c`` is the
     denominator summed left to right, so each row has the bits of the
-    per-row formula.
+    per-row formula. ``A_c`` and ``B_c`` are formed in place, each step the
+    same rounding as the formula's (a sum or product with its operands
+    swapped), so a block holds at most four (collider count, sample) arrays.
     """
     users: dict[int, list] = {}
     for i, (k_lo, coeffs) in enumerate(cells):
@@ -294,23 +308,40 @@ def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments
     n = cum.shape[1]
     sums = np.zeros((len(cells), n))
     gain = tau_p * (M - 1)
-    for j0, j1 in _sample_blocks(n, c1 - c0):
+    blocks = _sample_blocks(n, c1 - c0)
+    # A_c, B_c, the den buffer and (R1) one more term, allocated once per call as
+    # separate arrays: one array of all four rows read about 0.6 MB more peak RSS
+    # on the shipped bound_hierarchy spec
+    tile = (c1 - c0) * max(j1 - j0 for j0, j1 in blocks)
+    tiles = [np.empty(tile) for _ in range(4 if moments is None else 3)]
+    for j0, j1 in blocks:
         blk = slice(j0, j1)
         b0, b0_sq = cum[1, blk], cum_sq[1, blk]
         num = gain * b0_sq
+        A, B, buf, *extra = (t[:(c1 - c0) * (j1 - j0)].reshape(c1 - c0, j1 - j0) for t in tiles)
         if moments is None:
-            coll_sq = cum_sq[1 + c0:1 + c1, blk] - b0_sq
-            total = b0 + (cum[1 + c0:1 + c1, blk] - b0)
-            A = gain * coll_sq + total + tau_p * (total * total - (b0_sq + coll_sq))
-            B = 1.0 + tau_p * total
+            coll_sq = np.subtract(cum_sq[1 + c0:1 + c1, blk], b0_sq, out=A)
+            total = np.subtract(cum[1 + c0:1 + c1, blk], b0, out=B)
+            total += b0
+            sq = np.add(b0_sq, coll_sq, out=buf)
+            pair = np.multiply(total, total, out=extra[0])
+            pair -= sq
+            pair *= tau_p
+            A *= gain
+            A += total
+            A += pair
+            B *= tau_p
+            B += 1.0
         else:
             c, bm = np.arange(c0, c1)[:, None], moments.mean
-            A = gain * moments.mean_sq * c + b0 * (1.0 + tau_p * c * bm) - c * bm**2 * tau_p
-            B = 1.0 + b0 * tau_p + tau_p * c * bm
-        buf = np.empty(A.size)
+            np.multiply(b0, 1.0 + tau_p * c * bm, out=A)
+            A += gain * moments.mean_sq * c
+            A -= c * bm**2 * tau_p
+            np.add(1.0 + b0 * tau_p, tau_p * c * bm, out=B)
+        flat = buf.reshape(-1)
         for K_a, lo, coll_w in zip(kas, c_lo.tolist(), c_w):
             at = slice(lo - c0, lo - c0 + coll_w.size)
-            den = buf[:coll_w.size * (j1 - j0)].reshape(coll_w.size, j1 - j0)
+            den = flat[:coll_w.size * (j1 - j0)].reshape(coll_w.size, j1 - j0)
             if moments is None:
                 np.subtract(cum[K_a, blk], cum[1 + lo:1 + lo + coll_w.size, blk], out=den)
                 den += 1.0
@@ -326,14 +357,35 @@ def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments
     return sums
 
 
-def _averaged_row(cfg: "SystemConfig", tau_p: int, p_a, use_sinr2: bool):
-    """R1 (R2 with ``use_sinr2``) at pilot length ``tau_p`` for every activation probability of the row ``p_a``.
+def _activation_terms(cfg: "SystemConfig", p_a) -> list:
+    """Per activation probability of ``p_a``, (k_lo, K_a p(K_a)) over its activation window from K_a = k_lo >= 1.
 
-    Returns (values, std_errs, n_samples), one entry per cell; n_samples is
-    0 where the cell is exact (a degenerate gain law, or a cell that is 0).
+    The entry is None where p_a = 0 or the window holds no K_a >= 1. Every
+    window comes from one :func:`binom_windows` call, so a grid stage takes
+    each of its windows once and hands the terms to all its rows.
+    """
+    p_a = np.atleast_1d(np.asarray(p_a, dtype=float))
+    terms = [None] * p_a.size
+    live = np.flatnonzero(p_a != 0.0)
+    if live.size:
+        a_lo, a_hi, _, act_w = binom_windows(cfg.K, p_a[live], cfg.mc.eps_tail)
+        for i, lo, hi, w in zip(live.tolist(), a_lo.tolist(), a_hi.tolist(), act_w):
+            k_lo = max(lo, 1)
+            if hi >= 1:
+                terms[i] = (k_lo, w[k_lo - lo:] * np.arange(k_lo, hi + 1))
+    return terms
+
+
+def _averaged_row(cfg: "SystemConfig", tau_p: int, terms: list, use_sinr2: bool):
+    """R1 (R2 with ``use_sinr2``) at pilot length ``tau_p`` for every cell of the row, given as its activation ``terms``.
+
+    ``terms`` is :func:`_activation_terms` of the row's activation
+    probabilities. Returns (values, std_errs, n_samples), one entry per
+    cell; n_samples is 0 where the cell is exact (a degenerate gain law, or
+    a cell that is 0).
 
     Per gain sample, a cell is the sum over active counts K_a of
-    p(K_a) * K_a * prelog * F[K_a], with the F row
+    K_a * p(K_a) * prelog * F[K_a], with the F row
     ``F[K_a] = log2(1 + sinr(colliders)) @ p(colliders | K_a)``, which
     depends on neither p_a, K nor tau_u. One :func:`_f_row_sums` call sums
     the rows of all the cells' activation windows, each cell's in ascending
@@ -343,19 +395,11 @@ def _averaged_row(cfg: "SystemConfig", tau_p: int, p_a, use_sinr2: bool):
     if tau_p > tau_u:
         raise ValueError(f"tau_p={tau_p} exceeds tau_u={tau_u}")
     prelog = (tau_u - tau_p) / tau_u
-    p_a = np.atleast_1d(np.asarray(p_a, dtype=float)).tolist()
-    values, errs, ns = np.zeros(len(p_a)), np.zeros(len(p_a)), np.zeros(len(p_a), dtype=int)
-    live, cells = [], []
-    for i, p in enumerate(p_a):
-        if p == 0.0 or prelog == 0.0:
-            continue
-        a_lo, a_hi, _, (act_w,) = binom_windows([cfg.K], p, mc.eps_tail)
-        k_lo, k_hi = max(int(a_lo[0]), 1), int(a_hi[0])
-        if k_hi >= 1:
-            live.append(i)
-            cells.append((k_lo, act_w[k_lo - a_lo[0]:] * np.arange(k_lo, k_hi + 1) * prelog))
-    if not cells:
+    values, errs, ns = np.zeros(len(terms)), np.zeros(len(terms)), np.zeros(len(terms), dtype=int)
+    live = [i for i, t in enumerate(terms) if t is not None] if prelog != 0.0 else []
+    if not live:
         return values, errs, ns
+    cells = [(terms[i][0], terms[i][1] * prelog) for i in live]
 
     exact = is_degenerate(cfg.model)
     n = 1 if exact else mc.n_beta_samples
@@ -374,7 +418,7 @@ def _averaged_bound(cfg: "SystemConfig", use_sinr2: bool) -> BoundResult:
     """R1 (R2 with ``use_sinr2``) at the config's own operating point: the one-cell case of :func:`_averaged_row`."""
     if cfg.tau_p is None or cfg.p_a is None:
         raise ValueError("averaged bounds need tau_p and p_a set on the config")
-    (value,), (err,), (n,) = _averaged_row(cfg, cfg.tau_p, cfg.p_a, use_sinr2)
+    (value,), (err,), (n,) = _averaged_row(cfg, cfg.tau_p, _activation_terms(cfg, cfg.p_a), use_sinr2)
     return BoundResult(float(value), mc_samples=int(n), mc_std_err=float(err))
 
 
@@ -471,16 +515,21 @@ def bound_at(bound: str, cfg: "SystemConfig", tau_p, p_aK: float) -> BoundResult
     return BOUNDS[bound](at_point(cfg, tau_p, p_aK))
 
 
-def bound_row(bound: str, cfg: "SystemConfig", tau_p, p_aK) -> np.ndarray:
-    """Values of bound ``bound`` at (tau_p, q) for every q of the 1-D row ``p_aK``.
+def bound_grid(bound: str, cfg: "SystemConfig", tau_ps, p_aK) -> np.ndarray:
+    """Values of bound ``bound`` at (tau_p, q) for every tau_p of ``tau_ps`` and q of the 1-D row ``p_aK``.
 
-    Each equals the value :func:`bound_at` returns at its cell. The row is
-    taken at once, with p_a = min(q/K, 1) as in :func:`at_point`: R3 and Ra
-    through :func:`analytic_row`, R1 and R2 through :func:`_averaged_row`.
+    Returns a (len(tau_ps), len(p_aK)) array whose cells each equal the
+    value :func:`bound_at` returns there. Each row is taken at once, with
+    p_a = min(q/K, 1) as in :func:`at_point`: R3 and Ra through
+    :func:`analytic_row`, R1 and R2 through :func:`_averaged_row`, every
+    row from the same activation windows (:func:`_activation_terms`).
     """
     if bound not in BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
     p_a = np.minimum(np.asarray(p_aK, dtype=float) / cfg.K, 1.0)
     if bound in ("R3", "Ra"):
-        return analytic_row(bound, cfg, int(tau_p), p_a)
-    return _averaged_row(cfg, int(tau_p), p_a, use_sinr2=bound == "R2")[0]
+        rows = [analytic_row(bound, cfg, int(tau_p), p_a) for tau_p in tau_ps]
+    else:
+        terms = _activation_terms(cfg, p_a)
+        rows = [_averaged_row(cfg, int(tau_p), terms, use_sinr2=bound == "R2")[0] for tau_p in tau_ps]
+    return np.array(rows).reshape(len(rows), p_a.size)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .bounds import COSTS, bound_at, bound_row, sinra
+from .bounds import COSTS, bound_at, bound_grid, sinra
 from .channels import NODE_MC_SAMPLES, LargeScaleModel, analytic_moments, expect_rows
 
 if TYPE_CHECKING:
@@ -189,10 +189,9 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
     best = (-math.inf, None, None)
 
     def sweep(tp_list, q_list):
-        # row by row; the first strict maximum in row-major order wins
+        # one stage at a time; the first strict maximum in row-major order wins
         nonlocal evals, best
-        for tp in tp_list:
-            values = bound_row(cost, cfg, tp, q_list)
+        for tp, values in zip(tp_list, bound_grid(cost, cfg, tp_list, q_list)):
             evals += q_list.size
             j = int(np.argmax(values))
             if values[j] > best[0]:

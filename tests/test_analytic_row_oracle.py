@@ -17,9 +17,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pilothop import bounds
+from pilothop import bounds, optimize
 from pilothop.access import binom_windows
-from pilothop.bounds import McConfig, analytic_row, bound_at, bound_row
+from pilothop.bounds import McConfig, analytic_row, bound_at, bound_grid
 from pilothop.channels import (
     LogNormalShadowing,
     LruStore,
@@ -123,13 +123,13 @@ def test_row_equals_cells(bound, name):
     cell = _averaged_cell if bound in ("R1", "R2") else _cell
     for tau_p in (1, 20, TAU_U - 1, TAU_U):
         want = [cell(bound, cfg, tau_p, float(q)) for q in ROW]
-        row = bound_row(bound, cfg, tau_p, ROW)
+        row = bound_grid(bound, cfg, [tau_p], ROW)[0]
         assert row.tolist() == [v for v, _, _ in want]
         for q, (v, err, n) in zip(ROW[::7], want[::7]):
             res = bound_at(bound, cfg, tau_p, float(q))
             assert (res.value, res.mc_std_err, res.mc_samples) == (v, err, n)
     # zero prelog: every cell is 0 with no Monte Carlo error
-    assert not bound_row(bound, cfg, TAU_U, ROW).any()
+    assert not bound_grid(bound, cfg, [TAU_U], ROW).any()
     res = bound_at(bound, cfg, TAU_U, 30.0)
     assert (res.value, res.mc_std_err, res.mc_samples) == (0.0, 0.0, 0)
 
@@ -140,6 +140,30 @@ def test_grid_opt_on_r1_keeps_only_pools(monkeypatch):
     monkeypatch.setattr(bounds, "_STORE", store)
     grid_opt("R1", _cfg("ring-0.25"), GridSpec(4, 6, refine_points=3))
     assert store.items and {key[0] for key in store.items} == {"pool"}
+
+
+def test_grid_stages_equal_bound_at(monkeypatch):
+    # every cell of both stages of an R1-opt grid, and of the same stages
+    # under R2, taken with the stage's shared activation windows, equals the
+    # cell alone
+    stages = []
+    take = optimize.bound_grid
+
+    def recorded(bound, cfg, tau_ps, p_aK):
+        values = take(bound, cfg, tau_ps, p_aK)
+        stages.append((list(tau_ps), list(p_aK), values))
+        return values
+
+    monkeypatch.setattr(optimize, "bound_grid", recorded)
+    cfg = _cfg("ring-0.25")
+    grid_opt("R1", cfg, GridSpec(5, 7, refine_points=4))
+    assert len(stages) == 2
+    stages += [(tps, qs, bound_grid("R2", cfg, tps, qs)) for tps, qs, _ in stages]
+    for i, (tps, qs, values) in enumerate(stages):
+        bound = "R1" if i < 2 else "R2"
+        assert values.shape == (len(tps), len(qs))
+        for tp, row in zip(tps, values):
+            assert row.tolist() == [bound_at(bound, cfg, tp, float(q)).value for q in qs], (bound, tp)
 
 
 def test_row_handles_zero_activity_and_rejects_long_pilots():
@@ -155,7 +179,7 @@ def test_row_handles_zero_activity_and_rejects_long_pilots():
 def test_r3_rejects_sparse_activity(name):
     cfg = _cfg(name)
     with pytest.raises(ValueError):
-        bound_row("R3", cfg, 20, np.array([0.5, 2.0, 30.0]))
+        bound_grid("R3", cfg, [20], np.array([0.5, 2.0, 30.0]))
     with pytest.raises(ValueError):
         bound_at("R3", cfg, 20, 0.5)
     with pytest.raises(ValueError):

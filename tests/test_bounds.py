@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from pilothop.bounds import (
     CollisionScenario,
     McConfig,
     bound_at,
+    bound_grid,
     estimation_variances,
     r1_bar,
     r2_bar,
@@ -352,6 +354,38 @@ def test_store_stays_under_its_cap(uniform_spread, ring, monkeypatch):
     r1_bar(_cfg(p_a=90 / 800, model=uniform_spread, mc=McConfig(n_beta_samples=20000)))
     assert store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
     assert not [key for key in store.items if key[0] == "pool" and key[2] == 20000]
+
+
+# What an R1/R2 row may hold at once beyond the pool's prefix sums and the
+# window masses it is handed: four kernel tiles of 2 MiB and 2 MiB more
+ROW_SCRATCH_BYTES = 4 * 8 * bounds.ROW_BLOCK_ENTRIES + 2 * 2**20
+
+
+def test_row_scratch_does_not_grow_with_population(ring, monkeypatch):
+    # a 25-cell row of the default grid at two populations: its peak, less
+    # the window masses, stays under one budget whatever K
+    _cold_store(monkeypatch)
+    handed = []
+    windows = bounds.binom_windows
+
+    def counted(*args):
+        found = windows(*args)
+        handed.append(sum(m.nbytes for m in found[3]))
+        return found
+
+    monkeypatch.setattr(bounds, "binom_windows", counted)
+    for K in (800, 4000):
+        cfg = SystemConfig(M=100, K=K, tau_u=120, model=ring, seed=3, mc=McConfig(n_beta_samples=200))
+        bounds._prefix_sums(cfg.model, 200, K, cfg.seed)  # the pool, built before the count
+        for tau_p, bound in itertools.product((1, 6), ("R1", "R2")):
+            handed.clear()
+            tracemalloc.start()
+            try:
+                bound_grid(bound, cfg, [tau_p], np.geomspace(1.0, K, 25))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - sum(handed) <= ROW_SCRATCH_BYTES, (K, tau_p, bound, peak, sum(handed))
 
 
 def test_r1_saturates_in_population(shadowed):

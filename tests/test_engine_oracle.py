@@ -29,7 +29,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from pilothop.access import CollisionLaw, binom_pmf, binom_windows, truncate_support
-from pilothop import bounds
+from pilothop import access, bounds
 from pilothop.bounds import McConfig, r1_bar, r2_bar
 from pilothop.channels import (
     LogNormalShadowing,
@@ -188,6 +188,25 @@ def test_collision_windows_match_greedy_reference():
             assert (sup.lo, sup.hi, sup.covered_mass) == want, (K_a, tau_p)
 
 
+def _windows(ns, p, eps):
+    lo, hi, covered, masses = binom_windows(ns, p, eps)
+    return lo.tolist(), hi.tolist(), covered.tolist(), [m.tolist() for m in masses]
+
+
+def test_window_chunks_keep_every_bit(monkeypatch):
+    # rows taken a few at a time, or one at a time, give the windows and
+    # masses of the default chunks: collision windows on part of the grid
+    # above (eps 1e-15 doubles some bands and leaves some targets out of
+    # reach), activation windows at K = 1e5 for the default grid's p_a
+    cases = [(np.arange(800), 1.0 / tau_p, eps) for tau_p in (1, 2, 3, 7, 20, 61, 120) for eps in (1e-9, 1e-15)]
+    cases += [(10**5, np.geomspace(1.0, 10**5, 25) / 10**5, eps) for eps in (1e-9, 1e-15)]
+    want = [_windows(*case) for case in cases]
+    for entries in (1, 500, 5000):
+        monkeypatch.setattr(access, "WINDOW_ENTRIES", entries)
+        for case, expected in zip(cases, want):
+            assert _windows(*case) == expected, (entries, case[1], case[2])
+
+
 def _sinr1_from_sums(b0, b0_sq, coll_sum, coll_sq, other_sum, tau_p, M):
     """Closed-form per-scenario SINR from collider sum statistics (vectorized)."""
     total = b0 + coll_sum
@@ -255,7 +274,8 @@ def test_engine_rows_equal_per_row_formula(model, kind):
             assert np.array_equal(wide[kas[0] - 1:kas[-1]], alone), (K, tau_p)
             # the cell alone and the cell in a row next to a sparser one
             cell = fn(cfg)
-            values, errs, ns = bounds._averaged_row(cfg, tau_p, [cfg.p_a * 0.6, cfg.p_a], use_sinr2=kind == "R2")
+            terms = bounds._activation_terms(cfg, [cfg.p_a * 0.6, cfg.p_a])
+            values, errs, ns = bounds._averaged_row(cfg, tau_p, terms, use_sinr2=kind == "R2")
             assert (values[1], errs[1], ns[1]) == (cell.value, cell.mc_std_err, cell.mc_samples), (K, tau_p)
 
 
@@ -309,17 +329,21 @@ def test_sample_blocks_keep_every_bit():
 
 
 def test_sample_blocks_tile_in_multiples_of_four(monkeypatch):
+    # blocks start at multiples of 4 and hold at least four samples; none
+    # exceeds the entry budget while eight samples fit in it
     for entries in (1, 4, 48, 1000, 1 << 18):
         monkeypatch.setattr(bounds, "ROW_BLOCK_ENTRIES", entries)
-        for n in (1, 3, 4, 5, 700, 4099, 50000):
-            for span in (1, 3, 70, 900):
+        for n in (1, 3, 4, 5, 7, 9, 500, 700, 4099, 50000):
+            for span in (1, 3, 70, 800, 900, 40000):
                 tiles = bounds._sample_blocks(n, span)
-                width = tiles[0][1] - tiles[0][0]
+                lengths = [b - a for a, b in tiles]
+                width = max(4, entries // span // 4 * 4)
                 assert tiles[0][0] == 0 and tiles[-1][1] == n
                 assert all(b == c for (_, b), (c, _) in zip(tiles, tiles[1:]))
-                if len(tiles) > 1:
-                    assert width % 4 == 0 and all(a % width == 0 for a, _ in tiles)
-                    assert width <= tiles[-1][1] - tiles[-1][0] < 2 * width
-                    assert width * span <= max(entries, 4 * span)
+                assert all(a % 4 == 0 for a, _ in tiles)
+                assert min(lengths) >= min(n, 4) and len(tiles) <= -(-n // width)
+                assert all(length == width for length in lengths[:-2])
+                if width >= 8:
+                    assert max(lengths) <= width and max(lengths) * span <= entries
                 else:
-                    assert n < 2 * max(4, entries // span // 4 * 4)
+                    assert max(lengths) <= 7
