@@ -29,9 +29,9 @@ Carlo error. An R1 or R2 cell is the
 activation-weighted sum of F rows, the collider averages at each active
 count K_a, which the cells of a row share: ``_averaged_row`` computes them
 in one pass of one kernel, ``_f_row_sums``, a block of gain samples at a
-time, and keeps none after the call. Only the pool's prefix sums are kept,
-in an LRU store of at most 32 MiB (``_STORE``). The rows of a grid stage
-(``bound_grid``) share its activation windows, taken once per stage. R3
+time, and keeps none after the call. Only the prefix sums of the last gain
+pool built are kept, if they fit in 32 MiB (``_POOL``). The rows of a grid
+stage (``bound_grid``) share its activation windows, taken once per stage. R3
 and Ra rows take one ``expect_rows`` call over the memoized gain nodes
 (``analytic_row``).
 """
@@ -49,7 +49,6 @@ from .access import binom_windows
 from .channels import (
     BetaMoments,
     LargeScaleModel,
-    LruStore,
     analytic_moments,
     expect_beta,
     expect_rows,
@@ -204,16 +203,16 @@ def sinra(beta_0, moments: BetaMoments, tau_p: float, p_aK: float, M: int):
     return (M * tau_p * b0**2 / den)[()]
 
 
-# Byte cap of the averaged-bound engine's store (``_STORE``).
+# Byte cap of the gain pool that _prefix_sums holds between calls.
 STORE_CAP_BYTES = 32 * 2**20
 
 
-# The averaged-bound engine's memo of gain pools' prefix sums, keyed ("pool",
-# model, n, seed) and counted by their nbytes. A pool of n samples and width w
-# takes 16 n (w + 1) bytes: at 500 samples and K=800, 6.4 MB; at the default
-# 2000, 25.6 MB; at 50,000 samples the prefix sums exceed the cap, are not
-# stored and are rebuilt on every call.
-_STORE = LruStore(STORE_CAP_BYTES)
+# The one gain pool the averaged-bound engine holds: the prefix sums of the
+# last (model, n, seed) built, if they fit under STORE_CAP_BYTES. A pool of n
+# samples and width w takes 16 n (w + 1) bytes: at 500 samples and K=800,
+# 6.4 MB; at the default 2000, 25.6 MB; at 50,000 samples the prefix sums
+# exceed the cap, are not held and are rebuilt on every call.
+_POOL: dict = {}
 
 
 def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int):
@@ -223,24 +222,27 @@ def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int):
     0..j-1 in column order. Column j of the pool comes from its own
     counter-based stream, so enlarging the pool leaves earlier columns (and
     prefix sums) untouched; that makes common random numbers across grid
-    points, and bit-identical reruns, work. Stored read-only and grown on
-    demand.
+    points, and bit-identical reruns, work. Held read-only, one key at a
+    time, and grown on demand.
     """
-    key = ("pool", model, n, seed)
-    held = _STORE.get(key)
+    key = (model, n, seed)
+    held = _POOL.get(key)
     if held is not None and held[0].shape[0] > width:
         return held
+    _POOL.clear()
     have = 0 if held is None else held[0].shape[0] - 1
     cum, cum_sq = np.zeros((width + 1, n)), np.zeros((width + 1, n))
     if held is not None:
         cum[: have + 1], cum_sq[: have + 1] = held
+    del held
     for j in range(have, width):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, j))))
         col = sample_beta(model, rng, n)
         cum[j + 1] = cum[j] + col
         cum_sq[j + 1] = cum_sq[j] + col * col
     cum.flags.writeable = cum_sq.flags.writeable = False
-    _STORE.put(key, (cum, cum_sq), cum.nbytes + cum_sq.nbytes)
+    if cum.nbytes + cum_sq.nbytes <= STORE_CAP_BYTES:
+        _POOL[key] = (cum, cum_sq)
     return cum, cum_sq
 
 

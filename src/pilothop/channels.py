@@ -19,9 +19,8 @@ the rate bounds and optimizers that consume them fully deterministic.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -151,11 +150,8 @@ def analytic_moments(model: LargeScaleModel) -> BetaMoments:
     )
 
 
-def sample_beta(model: LargeScaleModel, rng: np.random.Generator, size=None):
-    """Draw large-scale gains from the model.
-
-    Returns a scalar when ``size`` is None, else an array of that shape.
-    """
+def sample_beta(model: LargeScaleModel, rng: np.random.Generator, size):
+    """Draw an array of large-scale gains of shape ``size`` from the model."""
     if isinstance(model, UniformPowerError):
         v = rng.uniform(-model.alpha, model.alpha, size)
         return model.delta_bar * (1.0 + v)
@@ -267,44 +263,7 @@ def _legendre() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-# Byte cap of beta_nodes' memo (``_NODES``).
-NODES_CAP_BYTES = 8 * 2**20
-
-
-class LruStore:
-    """Process-wide memo, least recently used first out, bounded in bytes.
-
-    Each value is stored with its size in bytes. The values held never total
-    more than ``cap`` bytes: storing one evicts the least recently used until
-    it fits, and a value larger than the cap is not stored at all.
-    """
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.nbytes = 0
-        self.items: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        item = self.items.get(key)
-        if item is None:
-            return None
-        self.items.move_to_end(key)
-        return item[0]
-
-    def put(self, key, value, nbytes: int) -> None:
-        if key in self.items:
-            self.nbytes -= self.items.pop(key)[1]
-        if nbytes > self.cap:
-            return
-        while self.nbytes + nbytes > self.cap:
-            self.nbytes -= self.items.popitem(last=False)[1][1]
-        self.items[key] = (value, nbytes)
-        self.nbytes += nbytes
-
-
-_NODES = LruStore(NODES_CAP_BYTES)
-
-
+@lru_cache(maxsize=32)
 def beta_nodes(
     model: LargeScaleModel,
     *,
@@ -322,16 +281,10 @@ def beta_nodes(
     are deliberately not unified, because unifying them would change
     numbers.
 
-    Both arrays are read-only and memoized per (model, mc_samples, seed) in
-    an LRU store of at most NODES_CAP_BYTES (8 MiB), counted as the arrays'
-    bytes: a log-normal key takes 16 bytes per draw, 256 kB at 16,384
-    draws, so the store keeps 32 such keys; a key larger than the cap is
-    computed on every call and not kept.
+    Both arrays are read-only and memoized for the 32 most recent
+    (model, mc_samples, seed) keys: a log-normal key takes 16 bytes per
+    draw, so at 16,384 draws the memo holds at most 8 MiB.
     """
-    key = (model, mc_samples, seed)
-    held = _NODES.get(key)
-    if held is not None:
-        return held
     if is_degenerate(model):
         nodes, w = np.array([model.delta_bar]), np.array([1.0])
     elif isinstance(model, LogNormalShadowing):
@@ -346,5 +299,4 @@ def beta_nodes(
             nodes = model.delta_bar * (1.0 + v)
         w = w / 2.0
     nodes.flags.writeable = w.flags.writeable = False
-    _NODES.put(key, (nodes, w), nodes.nbytes + w.nbytes)
     return nodes, w

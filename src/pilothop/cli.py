@@ -3,9 +3,10 @@
     pilothop run <spec.yaml> [--seed N] [--out DIR] [--jobs N]
     pilothop validate <spec.yaml>
 
-Exit codes: 0 success, 2 usage error (such as ``--jobs 0``) or spec parse
-error (reported with line/column), 3 invariant violation (reported with the
-offending field), 4 numeric failure during execution.
+Exit codes: 0 success, 2 usage error (such as ``--jobs 0``, ``--seed -1`` or
+an ``--out`` that names a file) or spec parse error (reported with
+line/column), 3 invariant violation (reported with the offending field), 4
+numeric failure during execution.
 """
 
 from __future__ import annotations
@@ -23,11 +24,26 @@ EXIT_INVALID = 3
 EXIT_NUMERIC = 4
 
 
-def _jobs(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _out_dir(text: str) -> Path:
+    """An argparse type: a directory, or a path whose first existing ancestor is one."""
+    path = Path(text)
+    found = next((p for p in (path, *path.parents) if p.exists()), None)
+    if found is not None and not found.is_dir():
+        raise argparse.ArgumentTypeError(f"{found} exists and is not a directory")
+    return path
 
 
 def _load_valid(path: str):
@@ -63,10 +79,9 @@ def _cmd_run(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     for suffix, records in outputs.items():
-        path = out_dir / f"{spec.out_prefix}_{suffix}.csv"
+        path = args.out / f"{spec.out_prefix}_{suffix}.csv"
         path.write_text(format_csv(records))
         print(path)
     return EXIT_OK
@@ -81,9 +96,9 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="execute an experiment spec and write CSVs")
     run_p.add_argument("spec", help="path to the experiment YAML file")
-    run_p.add_argument("--seed", type=int, default=None, help="override the system seed")
-    run_p.add_argument("--out", default=".", help="output directory for CSV files")
-    run_p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers for sweep points")
+    run_p.add_argument("--seed", type=_at_least(0), default=None, help="override the system seed")
+    run_p.add_argument("--out", type=_out_dir, default=".", help="output directory for CSV files")
+    run_p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel workers for sweep points")
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser("validate", help="check an experiment spec without running it")

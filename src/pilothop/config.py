@@ -204,16 +204,20 @@ def parse_spec(source: Union[str, Path]) -> ExperimentSpec:
         raise SpecParseError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise SpecParseError("experiment file must be a mapping", 1, 1)
-    known = {f.name for f in fields(ExperimentSpec)} | {"sweep"}
+    # a sweep is spelt one way only, as sweep: {axis, values}
+    known = ({f.name for f in fields(ExperimentSpec)} - {"sweep_axis", "sweep_values"}) | {"sweep"}
+    unknown = set(raw) - known
+    if unknown:
+        raise SpecParseError(f"unknown top-level keys {sorted(unknown, key=str)}")
     sweep = raw.pop("sweep", None)
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise SpecParseError("sweep must be a mapping with axis/values")
-        raw.setdefault("sweep_axis", sweep.get("axis", "tau_u"))
-        raw.setdefault("sweep_values", sweep.get("values", []))
-    unknown = set(raw) - known
-    if unknown:
-        raise SpecParseError(f"unknown top-level keys {sorted(unknown)}")
+        unknown = set(sweep) - {"axis", "values"}
+        if unknown:
+            raise SpecParseError(f"unknown sweep keys {sorted(unknown, key=str)}; expected axis/values")
+        raw["sweep_axis"] = sweep.get("axis", "tau_u")
+        raw["sweep_values"] = sweep.get("values", [])
     if "kind" not in raw:
         raise SpecParseError("missing required key 'kind'")
     return ExperimentSpec(**raw)

@@ -335,7 +335,7 @@ def run_frame(
         return hopping_patterns(devices, frame_index, slots, tau_p, cfg.seed)
 
     assignments = patterns_of(active, range(n_slots)).T  # row l: the active devices' pilots in slot l
-    betas = np.atleast_1d(sample_beta(cfg.model, rng, active.size))
+    betas = sample_beta(cfg.model, rng, active.size)
 
     bits = np.zeros(active.size)
     detected_sets = []

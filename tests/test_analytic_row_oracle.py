@@ -22,7 +22,6 @@ from pilothop.access import binom_windows
 from pilothop.bounds import McConfig, analytic_row, bound_at, bound_grid
 from pilothop.channels import (
     LogNormalShadowing,
-    LruStore,
     RingPathLoss,
     UniformPowerError,
     analytic_moments,
@@ -135,11 +134,12 @@ def test_row_equals_cells(bound, name):
 
 
 def test_grid_opt_on_r1_keeps_only_pools(monkeypatch):
-    # F rows live only inside a row call: the store holds gain pools alone
-    store = LruStore(bounds.STORE_CAP_BYTES)
-    monkeypatch.setattr(bounds, "_STORE", store)
-    grid_opt("R1", _cfg("ring-0.25"), GridSpec(4, 6, refine_points=3))
-    assert store.items and {key[0] for key in store.items} == {"pool"}
+    # F rows live only inside a row call: the memo holds the cfg's gain pool alone
+    pool: dict = {}
+    monkeypatch.setattr(bounds, "_POOL", pool)
+    cfg = _cfg("ring-0.25")
+    grid_opt("R1", cfg, GridSpec(4, 6, refine_points=3))
+    assert list(pool) == [(cfg.model, cfg.mc.n_beta_samples, cfg.seed)]
 
 
 def test_grid_stages_equal_bound_at(monkeypatch):

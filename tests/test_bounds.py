@@ -24,7 +24,7 @@ from pilothop.bounds import (
     sinr3,
     sinra,
 )
-from pilothop.channels import LogNormalShadowing, LruStore, UniformPowerError, analytic_moments, expect_beta, sample_beta
+from pilothop.channels import LogNormalShadowing, UniformPowerError, analytic_moments, expect_beta, sample_beta
 from pilothop.config import SystemConfig
 from pilothop.optimize import GridSpec, grid_opt
 from reference import sinr2, sinr_components
@@ -314,13 +314,13 @@ def test_r3_and_ra_zero_cases(power_controlled):
 
 
 def _cold_store(monkeypatch):
-    store = LruStore(bounds.STORE_CAP_BYTES)
-    monkeypatch.setattr(bounds, "_STORE", store)
-    return store
+    pool: dict = {}
+    monkeypatch.setattr(bounds, "_POOL", pool)
+    return pool
 
 
-def _held_bytes(store):
-    return sum(a.nbytes for value, _ in store.items.values() for a in value)
+def _held_bytes(pool):
+    return sum(a.nbytes for value in pool.values() for a in value)
 
 
 def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
@@ -343,17 +343,25 @@ def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
 
 
 def test_store_stays_under_its_cap(uniform_spread, ring, monkeypatch):
-    store = _cold_store(monkeypatch)
+    pool = _cold_store(monkeypatch)
     cfg = _cfg(model=uniform_spread)
     grid_opt("R1", replace(cfg, tau_p=None, p_a=None), GridSpec(6, 8, refine_points=3))
-    assert 0 < store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
+    assert len(pool) == 1 and 0 < _held_bytes(pool) <= bounds.STORE_CAP_BYTES
     big = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, model=ring, seed=7)
     r1_bar(big)
-    assert store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
-    # prefix sums larger than the cap (20000 x ~145 x 2 doubles) are used and dropped, not stored
+    assert len(pool) <= 1 and _held_bytes(pool) <= bounds.STORE_CAP_BYTES
+    # prefix sums larger than the cap (20000 x ~145 x 2 doubles) are used and
+    # not held, and building them dropped the pool held before
     r1_bar(_cfg(p_a=90 / 800, model=uniform_spread, mc=McConfig(n_beta_samples=20000)))
-    assert store.nbytes == _held_bytes(store) <= bounds.STORE_CAP_BYTES
-    assert not [key for key in store.items if key[0] == "pool" and key[2] == 20000]
+    assert not pool
+
+
+def test_pool_of_the_last_seed_alone_is_held(uniform_spread, monkeypatch):
+    pool = _cold_store(monkeypatch)
+    cfg = _cfg(model=uniform_spread)
+    for seed in range(1, 6):
+        r1_bar(replace(cfg, seed=seed))
+    assert list(pool) == [(uniform_spread, cfg.mc.n_beta_samples, 5)]
 
 
 # What an R1/R2 row may hold at once beyond the pool's prefix sums and the

@@ -187,10 +187,6 @@ def test_expect_beta_lognormal_is_seeded():
     assert abs(val - exact) <= 4 * err
 
 
-def _held_bytes(store):
-    return sum(a.nbytes for (nodes, w), _ in store.items.values() for a in (nodes, w))
-
-
 @pytest.mark.parametrize("model", [
     UniformPowerError(10.0, 0.0), LogNormalShadowing(10.0, 0.0), UniformPowerError(10.0, 0.5),
     RingPathLoss(10.0, 0.25), LogNormalShadowing(10.0, 4.0),
@@ -207,16 +203,17 @@ def test_beta_nodes_are_memoized_read_only(model):
 
 def test_beta_nodes_store_stays_under_its_cap():
     model = LogNormalShadowing(10.0, 0.5)
-    for seed in range(40):  # 40 keys of 256 kB overflow the 8 MiB cap
+    for seed in range(40):  # 40 keys of 256 kB: the memo keeps the last 32
         beta_nodes(model, mc_samples=16384, seed=seed)
-        assert channels._NODES.nbytes == _held_bytes(channels._NODES) <= channels.NODES_CAP_BYTES
-    expect_beta(model, lambda b: np.log2(1.0 + b), seed=5, mc_samples=2**18)
-    assert channels._NODES.nbytes == _held_bytes(channels._NODES) <= channels.NODES_CAP_BYTES
-    # a key larger than the cap is computed, used and not kept
+        assert beta_nodes.cache_info().currsize <= 32
+    hits = beta_nodes.cache_info().hits
+    for seed in range(8, 40):
+        beta_nodes(model, mc_samples=16384, seed=seed)
+    assert beta_nodes.cache_info().hits == hits + 32
+    # a key of 2**20 draws is computed and read-only like the rest
     big = beta_nodes(model, mc_samples=2**20, seed=5)
-    assert big[0].size == 2**20 and not big[0].flags.writeable
-    assert (model, 96, 2**20, 5) not in channels._NODES.items
-    assert channels._NODES.nbytes == _held_bytes(channels._NODES) <= channels.NODES_CAP_BYTES
+    assert big[0].size == 2**20 and not big[0].flags.writeable and not big[1].flags.writeable
+    assert beta_nodes.cache_info().currsize <= 32
 
 
 def test_beta_nodes_seeds_give_different_lognormal_draws():

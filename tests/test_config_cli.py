@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from pilothop import cli
 from pilothop.cli import main
 from pilothop.config import (
     SpecParseError,
@@ -71,6 +74,17 @@ def test_parse_spec_rejects_unknown_keys():
         parse_spec("methods: [Rh0]\n")
 
 
+@pytest.mark.parametrize("body", [
+    "kind: sweep\nsystem: {M: 100}\nmethods: [Rh0]\nsweep: {axis: M, values: [30]}\nsweep_axis: tau_u\n",
+    "kind: sweep\nsystem: {M: 100}\nmethods: [Rh0]\nsweep_values: [60]\n",
+    "kind: sweep\nsystem: {M: 100}\nmethods: [Rh0]\nsweep: {axis: tau_u, values: [60], step: 3}\n",
+], ids=["sweep_axis-beside-sweep", "sweep_values", "sweep-step"])
+def test_parse_spec_takes_sweep_only_as_axis_and_values(tmp_path, body):
+    with pytest.raises(SpecParseError):
+        parse_spec(body)
+    assert main(["validate", _write(tmp_path, "sweep.yaml", body)]) == 2
+
+
 def test_validate_catches_problems():
     spec = parse_spec("kind: sweep\nsystem: {M: 100}\nmethods: [Rh0]\nsweep: {axis: tau_u, values: []}\n")
     diags = validate(spec)
@@ -133,6 +147,28 @@ def test_cli_rejects_bad_jobs_exit_2(tmp_path, capsys, jobs):
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_rejects_negative_seed_exit_2(tmp_path, capsys):
+    spec = _write(tmp_path, "ok.yaml", "kind: optimize\nsystem: {M: 100}\nmethods: [Rh0]\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", spec, "--out", str(tmp_path), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_cli_rejects_out_file_exit_2(tmp_path, capsys, monkeypatch, under):
+    # refused before the experiment runs
+    spec = _write(tmp_path, "ok.yaml", "kind: optimize\nsystem: {M: 100}\nmethods: [Rh0]\n")
+    taken = _write(tmp_path, "taken.csv", "")
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: ran.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", spec, "--out", str(Path(taken) / "sub") if under else taken])
+    assert exc.value.code == 2 and not ran
+    assert "--out" in capsys.readouterr().err
 
 
 def test_cli_invalid_spec_exit_3(tmp_path, capsys):
