@@ -284,8 +284,8 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
             for i, rung in enumerate(spec.ladder):
                 if not (isinstance(rung, (list, tuple)) and len(rung) == 2 and all(map(_is_integer, rung))):
                     diags.append(Diagnostic(f"ladder[{i}]", "each rung must be a (M, tau_u) pair of integers"))
-    if spec.evaluate_with not in (*COSTS, "self"):
-        diags.append(Diagnostic("evaluate_with", f"unknown metric {spec.evaluate_with!r}"))
+    if spec.evaluate_with not in COSTS:
+        diags.append(Diagnostic("evaluate_with", f"unknown metric {spec.evaluate_with!r}; expected one of {COSTS}"))
     prefix = spec.out_prefix  # joined to --out: a path in it would write outside that directory
     if not (isinstance(prefix, str) and prefix and not {"/", "\\"} & set(prefix) and ".." not in prefix):
         diags.append(Diagnostic("out_prefix", f"must be a non-empty name without '/', '\\' or '..' (got {prefix!r})"))

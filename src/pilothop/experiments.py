@@ -61,24 +61,14 @@ def _methods_at_point(cfg: SystemConfig, methods, evaluate_with: str, sweep_valu
     records = []
     for m in methods:
         res = optimize(m, cfg)
-        if evaluate_with == "self":
-            rate, err = res.rate, res.mc_std_err
-        else:
-            b = bound_at(evaluate_with, cfg, res.tau_p_opt, res.p_aK_opt)
-            rate, err = b.value, b.mc_std_err
-        records.append(Record(sweep_value, m, rate, res.tau_p_opt, res.p_aK_opt, err))
+        b = bound_at(evaluate_with, cfg, res.tau_p_opt, res.p_aK_opt)
+        records.append(Record(sweep_value, m, b.value, res.tau_p_opt, res.p_aK_opt, b.mc_std_err))
     return records
 
 
 def _sweep_point(args) -> list[Record]:
-    system, methods, axis, value, index, root_seed, evaluate_with = args
-    raw = dict(system)
-    raw[axis] = value
-    cfg, diags = build_system(raw)
-    if cfg is None:
-        raise ValueError(f"sweep point {axis}={value}: " + "; ".join(map(str, diags)))
-    cfg = replace(cfg, seed=point_seed(root_seed, index))
-    return _methods_at_point(cfg, methods, evaluate_with, value)
+    cfg, methods, axis, evaluate_with = args
+    return _methods_at_point(cfg, methods, evaluate_with, getattr(cfg, axis))
 
 
 def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -101,12 +91,11 @@ def _simulate(cfg: SystemConfig, n_slots: int, n_frames: int, label: str, sweep_
 
 def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jobs: int = 1) -> dict[str, list[Record]]:
     """Execute a validated spec; returns records keyed by CSV suffix."""
-    system = dict(spec.system or {})
-    if seed_override is not None:
-        system["seed"] = seed_override
-    cfg, diags = build_system(system)
+    cfg, diags = build_system(spec.system)
     if cfg is None:
         raise ValueError("; ".join(map(str, diags)))
+    if seed_override is not None:
+        cfg = replace(cfg, seed=seed_override)
 
     if spec.kind == "bound-eval":
         records = []
@@ -119,10 +108,9 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
         return {"optimize": _methods_at_point(cfg, spec.methods, spec.evaluate_with, cfg.tau_u)}
 
     if spec.kind == "sweep":
-        tasks = [
-            (system, list(spec.methods), spec.sweep_axis, v, i, cfg.seed, spec.evaluate_with)
-            for i, v in enumerate(spec.sweep_values)
-        ]
+        axis = spec.sweep_axis
+        points = [replace(cfg, **{axis: v}, seed=point_seed(cfg.seed, i)) for i, v in enumerate(spec.sweep_values)]
+        tasks = [(point, list(spec.methods), axis, spec.evaluate_with) for point in points]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 chunks = list(pool.map(_sweep_point, tasks))
@@ -133,9 +121,8 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
         return {"rate": records, "tau_p_opt": records, "p_aK_opt": records}
 
     if spec.kind == "scaling-verify":
-        report = verify_scaling(spec.case, cfg.model, [tuple(r) for r in spec.ladder], seed=cfg.seed)
         records = []
-        for pt in report.points:
+        for pt in verify_scaling(spec.case, cfg.model, [tuple(r) for r in spec.ladder], seed=cfg.seed):
             records.append(Record(pt.M, "Ra-opt", pt.rate, pt.tau_p_opt, pt.p_aK_opt, 0.0))
             records.append(Record(pt.M, "predicted", pt.prediction.rate, pt.prediction.tau_p,
                                   pt.prediction.p_aK, 0.0))
@@ -147,7 +134,7 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
     if spec.kind == "compare":
         records = []
         for m in spec.methods:
-            [rec] = _methods_at_point(cfg, [m], "R1", cfg.tau_u)
+            [rec] = _methods_at_point(cfg, [m], spec.evaluate_with, cfg.tau_u)
             at = at_point(cfg, rec.tau_p_opt, rec.p_aK_opt)
             records += [rec, *_simulate(at, spec.n_slots, spec.n_frames, f"{m}-sim", cfg.tau_u)]
         return {"compare": records}

@@ -69,8 +69,6 @@ class OptimizationResult:
     rate: float
     method: str
     evaluations: int
-    mc_std_err: float = 0.0
-    mc_samples: int = 0
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-4):
@@ -163,6 +161,8 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
 
     Stage one scans tau_p linearly over [1, tau_u] and p_a*K log-spaced over
     [pak_min, K]; stage two refines one stage-one cell around the argmax.
+    ``rate`` is the best cell's value, which equals ``bound_at(cost, ...)``
+    at the returned point.
     """
     if cost not in COSTS:
         raise ValueError(f"unknown cost {cost!r}; expected one of {COSTS}")
@@ -210,18 +210,17 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
     qs2 = np.geomspace(q_lo2, q_hi2, grid.refine_points) if q_hi2 > q_lo2 else np.array([best[2]])
     sweep(tps2, qs2)
 
-    _, tau_p_opt, q_opt = best
-    res = bound_at(cost, cfg, tau_p_opt, q_opt)
-    return OptimizationResult(tau_p_opt=tau_p_opt, p_aK_opt=q_opt, rate=res.value, method=f"{cost}-opt",
-                              evaluations=evals, mc_std_err=res.mc_std_err, mc_samples=res.mc_samples)
+    rate, tau_p_opt, q_opt = best
+    return OptimizationResult(tau_p_opt, q_opt, rate, f"{cost}-opt", evals)
 
 
 def optimize(method: str, cfg: "SystemConfig") -> OptimizationResult:
     """Run one of the six named methods on the scenario ``cfg`` and return its operating point.
 
     The three ``-opt`` methods search the default :class:`GridSpec`.
-    ``rate`` is always the method's own cost at the returned point; for the
-    closed-form heuristics that is a surrogate, not an achievable rate.
+    ``rate`` is the method's own cost at the returned point: the best grid
+    cell's value for ``-opt``, the Ra bound for ``Ra-1D`` and a surrogate,
+    not an achievable rate, for the closed-form heuristics.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

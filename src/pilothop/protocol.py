@@ -299,7 +299,7 @@ class FrameResult:
 def run_frame(
     cfg: SystemConfig,
     n_slots: int,
-    rng,
+    rng: np.random.Generator,
     *,
     frame_index: int = 0,
     active: np.ndarray | None = None,
@@ -317,8 +317,6 @@ def run_frame(
     at the default rho = 0.9 of ``match_patterns``: no spec field reaches
     either.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     if cfg.tau_p is None or cfg.p_a is None:
         raise ValueError("run_frame needs tau_p and p_a set")
     if n_slots < 1:

@@ -190,7 +190,7 @@ def _reference_grid_opt(cost, cfg, grid):
     """Two-stage grid search, one bound_at call per cell, first strict maximum wins."""
     tps = np.unique(np.round(np.linspace(1, cfg.tau_u, grid.tau_p_points)).astype(int))
     qs = np.geomspace(min(grid.pak_min, float(cfg.K)), cfg.K, grid.pak_points)
-    evals, best = 0, (-math.inf, None, None, None)
+    evals, best = 0, (-math.inf, None, None)
 
     def sweep(tp_list, q_list):
         nonlocal evals, best
@@ -199,7 +199,7 @@ def _reference_grid_opt(cost, cfg, grid):
                 res = bound_at(cost, cfg, tp, float(q))
                 evals += 1
                 if res.value > best[0]:
-                    best = (res.value, int(tp), float(q), res)
+                    best = (res.value, int(tp), float(q))
 
     sweep(tps, qs)
     i = int(np.searchsorted(tps, best[1]))
@@ -210,8 +210,8 @@ def _reference_grid_opt(cost, cfg, grid):
     q_lo2 = max(best[2] / max(ratio, 1.0), float(qs[0]))
     q_hi2 = min(best[2] * max(ratio, 1.0), float(cfg.K))
     sweep(tps2, np.geomspace(q_lo2, q_hi2, grid.refine_points) if q_hi2 > q_lo2 else np.array([best[2]]))
-    value, tau_p, q, res = best
-    return tau_p, q, value, res.mc_std_err, res.mc_samples, evals
+    value, tau_p, q = best
+    return tau_p, q, value, evals
 
 
 @pytest.mark.parametrize("cost", ["R3", "Ra"])
@@ -221,10 +221,4 @@ def test_grid_opt_equals_cell_by_cell_search(cost, name):
     for grid in (GridSpec(12, 14, refine_points=6), GridSpec(5, 60, refine_points=50)):
         got = grid_opt(cost, cfg, grid)
         want = _reference_grid_opt(cost, cfg, grid)
-        assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.mc_std_err, got.mc_samples, got.evaluations) == want
-
-
-def test_grid_opt_reports_lognormal_error():
-    # the log-normal comparison above is not one of zeros
-    res = grid_opt("Ra", _cfg("lognormal-4", seed=5), GridSpec(6, 6, refine_points=3))
-    assert res.mc_samples == 16384 and res.mc_std_err > 0.0
+        assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.evaluations) == want

@@ -275,7 +275,8 @@ def test_bounds_and_grid_opt_read_the_config_mc(uniform_spread):
     assert r2_bar(cfg).mc_samples == 300
     assert bound_at("R1", cfg, 20, 10.0).mc_samples == 300
     res = grid_opt("R1", replace(cfg, tau_p=None, p_a=None), GridSpec(3, 3, refine_points=2))
-    assert res.mc_samples == 300
+    at = bound_at("R1", cfg, res.tau_p_opt, res.p_aK_opt)
+    assert at.mc_samples == 300 and res.rate == at.value
 
 
 def test_r2_equals_r1_power_control(power_controlled):

@@ -12,7 +12,9 @@ from pilothop.config import (
     parse_spec,
     validate,
 )
+from pilothop.bounds import bound_at
 from pilothop.channels import LogNormalShadowing, RingPathLoss, UniformPowerError
+from pilothop.optimize import optimize
 from pilothop.experiments import CSV_HEADER, Record, format_csv, point_seed, run_experiment
 
 
@@ -224,6 +226,7 @@ _MC_EVAL = "kind: bound-eval\nsystem: {{M: 100, tau_p: 33, p_a: 0.0375, seed: 1,
     ("kind: optimize\nsystem: {M: 32, K: 100, tau_u: 30}\nmethods: [Rh0]\nout_prefix: [a]\n", "out_prefix"),
     ("kind: simulate\nsystem: {M: 32, K: 60, tau_p: 8, p_a: 0.1}\nn_slots: 2\nout_prefix: {a: 1}\n", "out_prefix"),
     ("kind: optimize\nsystem: {M: 32, K: 100, tau_u: 30}\nmethods: [Rh0]\nout_prefix: ''\n", "out_prefix"),
+    ("kind: optimize\nsystem: {M: 32, K: 100, tau_u: 30}\nmethods: [Rh0]\nevaluate_with: self\n", "evaluate_with"),
 ], ids=["M-text", "M-list", "K-float", "tau_u-text", "seed-fraction", "mc-samples-fraction",
         "mc-samples-bool", "mc-eps-text", "mc-list", "mc-unknown-key",
         "tau_p-text", "tau_p-fraction", "p_a-text", "sweep-text", "sweep-fraction", "sweep-scalar",
@@ -231,7 +234,8 @@ _MC_EVAL = "kind: bound-eval\nsystem: {{M: 100, tau_p: 33, p_a: 0.0375, seed: 1,
         "model-pathloss-exp", "model-d0",
         "rh0-sweep-short-slot", "rh0-short-slot", "case-coherence-limited",
         "methods-scalar", "methods-text", "methods-mapping", "bounds-scalar", "bounds-text", "ladder-scalar",
-        "out_prefix-parent-path", "out_prefix-list", "out_prefix-mapping", "out_prefix-empty"])
+        "out_prefix-parent-path", "out_prefix-list", "out_prefix-mapping", "out_prefix-empty",
+        "evaluate_with-self"])
 def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
     spec = _write(tmp_path, "bad.yaml", body)
     assert main(["validate", spec]) == 3
@@ -353,6 +357,24 @@ def test_cli_simulate_and_compare(tmp_path):
     sim_err = float(rows["Rh0-sim"][5])
     # the simulated rate sits at or above the lower bound
     assert sim_mean >= bound - max(3 * sim_err, 0.15 * bound)
+
+
+def test_cli_compare_evaluates_with_the_spec_bound(tmp_path):
+    # compare writes the evaluate_with bound at each method's point, not always R1
+    system = {"M": 64, "K": 60, "tau_u": 60, "seed": 3}
+    spec = _write(
+        tmp_path, "cmp.yaml",
+        "kind: compare\nsystem: {M: 64, K: 60, tau_u: 60, seed: 3}\n"
+        "methods: [Rh0]\nn_slots: 20\nevaluate_with: Ra\nout_prefix: cmp\n",
+    )
+    assert main(["run", spec, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "cmp_compare.csv").read_text().strip().split("\n")
+    row = next(ln.split(",") for ln in lines[1:] if ln.split(",")[1] == "Rh0")
+    cfg, _ = build_system(system)
+    res = optimize("Rh0", cfg)
+    want = bound_at("Ra", cfg, res.tau_p_opt, res.p_aK_opt)
+    assert row[2:4] == [f"{want.value:.9g}", str(res.tau_p_opt)]
+    assert float(row[2]) != bound_at("R1", cfg, res.tau_p_opt, res.p_aK_opt).value
 
 
 def test_run_experiment_unknown_kind():

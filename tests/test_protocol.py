@@ -522,7 +522,7 @@ def test_run_frame_identifies_single_device(power_controlled):
 ])
 def test_run_frame_rejects_bad_active_ids(power_controlled, active, match):
     with pytest.raises(ValueError, match=match):
-        run_frame(_frame_cfg(model=power_controlled), 5, 1, active=np.array(active))
+        run_frame(_frame_cfg(model=power_controlled), 5, np.random.default_rng(1), active=np.array(active))
 
 
 def test_run_frame_memory_stays_bounded_at_mmtc_scale(power_controlled):
@@ -549,8 +549,8 @@ def test_run_frame_no_active_devices(power_controlled):
 def test_run_frame_is_deterministic_with_collected_slots(power_controlled):
     # the same seed reproduces the frame and every retained slot outcome bit for bit
     cfg = _frame_cfg(model=power_controlled)
-    a = run_frame(cfg, 40, 77, collect_slots=True)
-    b = run_frame(cfg, 40, 77, collect_slots=True)
+    a = run_frame(cfg, 40, np.random.default_rng(77), collect_slots=True)
+    b = run_frame(cfg, 40, np.random.default_rng(77), collect_slots=True)
     assert a.active.size > 0
     for name in ("active", "rates"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -594,7 +594,7 @@ def test_run_frame_rates_count_only_detected_slots():
     # weak spread gains on few antennas: some slots miss a device's pilot, and
     # those slots add nothing to its rate
     cfg = SystemConfig(M=32, K=60, tau_u=40, tau_p=8, p_a=0.15, model=UniformPowerError(0.15, 0.5), seed=3)
-    fr = run_frame(cfg, 60, 5, collect_slots=True)
+    fr = run_frame(cfg, 60, np.random.default_rng(5), collect_slots=True)
     bits = np.zeros(fr.active.size)
     missed = 0
     for out in fr.slots:
@@ -607,4 +607,4 @@ def test_run_frame_rates_count_only_detected_slots():
 
 def test_run_frame_rejects_empty_frame(power_controlled):
     with pytest.raises(ValueError, match="n_slots"):
-        run_frame(_frame_cfg(model=power_controlled), 0, 1)
+        run_frame(_frame_cfg(model=power_controlled), 0, np.random.default_rng(1))
