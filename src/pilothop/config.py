@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
@@ -23,7 +23,16 @@ from .bounds import BOUNDS, COSTS, McConfig, mc_problems
 from .channels import LargeScaleModel, LogNormalShadowing, RingPathLoss, UniformPowerError
 from .optimize import METHODS, RH0_MIN_TAU_U
 
-KINDS = ("bound-eval", "optimize", "sweep", "scaling-verify", "simulate", "compare")
+# The top-level fields each kind reads besides kind, system and out_prefix; any other exits 3
+KIND_FIELDS = {
+    "bound-eval": ("bounds",),
+    "optimize": ("methods", "evaluate_with"),
+    "sweep": ("methods", "sweep", "evaluate_with"),
+    "scaling-verify": ("case", "ladder"),
+    "simulate": ("n_slots", "n_frames"),
+    "compare": ("methods", "evaluate_with", "n_slots", "n_frames"),
+}
+KINDS = tuple(KIND_FIELDS)
 SWEEP_AXES = ("tau_u", "M", "K")
 DEFAULT_K = 800
 DEFAULT_DELTA_BAR = 10.0
@@ -125,6 +134,7 @@ class ExperimentSpec:
     case: str = "balanced"
     ladder: list = field(default_factory=list)
     out_prefix: str = "experiment"
+    given: frozenset = frozenset()  # the kind-specific top-level fields the file set
 
 
 def parse_model(raw) -> LargeScaleModel:
@@ -204,11 +214,11 @@ def parse_spec(source: Union[str, Path]) -> ExperimentSpec:
         raise SpecParseError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise SpecParseError("experiment file must be a mapping", 1, 1)
-    # a sweep is spelt one way only, as sweep: {axis, values}
-    known = ({f.name for f in fields(ExperimentSpec)} - {"sweep_axis", "sweep_values"}) | {"sweep"}
-    unknown = set(raw) - known
+    given = frozenset(raw) - {"kind", "system", "out_prefix"}  # a key that no kind reads is a parse error
+    unknown = given.difference(*KIND_FIELDS.values())
     if unknown:
         raise SpecParseError(f"unknown top-level keys {sorted(unknown, key=str)}")
+    # a sweep is spelt one way only, as sweep: {axis, values}
     sweep = raw.pop("sweep", None)
     if sweep is not None:
         if not isinstance(sweep, dict):
@@ -216,75 +226,72 @@ def parse_spec(source: Union[str, Path]) -> ExperimentSpec:
         unknown = set(sweep) - {"axis", "values"}
         if unknown:
             raise SpecParseError(f"unknown sweep keys {sorted(unknown, key=str)}; expected axis/values")
-        raw["sweep_axis"] = sweep.get("axis", "tau_u")
-        raw["sweep_values"] = sweep.get("values", [])
+        raw |= {f"sweep_{name}": v for name, v in sweep.items()}
     if "kind" not in raw:
         raise SpecParseError("missing required key 'kind'")
-    return ExperimentSpec(**raw)
+    return ExperimentSpec(**raw, given=given)
 
 
 def validate(spec: ExperimentSpec) -> list[Diagnostic]:
-    """Pure validation; an empty list means the spec can run."""
-    diags: list[Diagnostic] = []
+    """Pure validation; an empty list means the spec can run. Each field in the
+    kind's ``KIND_FIELDS`` row is checked, and any other field the file set is reported."""
     if spec.kind not in KINDS:
-        diags.append(Diagnostic("kind", f"unknown kind {spec.kind!r}; expected one of {KINDS}"))
-        return diags
-    # a list field given as a scalar or a mapping is reported here and read as empty below
-    not_lists = [name for name in ("methods", "bounds", "ladder") if not isinstance(getattr(spec, name), list)]
-    diags.extend(Diagnostic(name, f"must be a list (got {getattr(spec, name)!r})") for name in not_lists)
-    spec = replace(spec, **{name: [] for name in not_lists})
+        return [Diagnostic("kind", f"unknown kind {spec.kind!r}; expected one of {KINDS}")]
+    reads = KIND_FIELDS[spec.kind]
+    diags = [Diagnostic(name, f"not read by kind {spec.kind}") for name in sorted(spec.given - set(reads))]
+    lists = {name: getattr(spec, name.replace(".", "_"))  # sweep.values is held as sweep_values
+             for name in ("methods", "bounds", "ladder", "sweep.values") if name.split(".")[0] in reads}
+    for name, v in lists.items():  # a scalar or a mapping is reported here and read as empty below
+        if not isinstance(v, list):
+            diags.append(Diagnostic(name, f"must be a list (got {v!r})"))
+            lists[name] = []
+        elif not v:
+            diags.append(Diagnostic(name, "must not be empty"))
     cfg, sys_diags = build_system(spec.system)
     diags.extend(sys_diags)
 
-    if spec.kind in ("optimize", "sweep", "compare"):
-        if not spec.methods and "methods" not in not_lists:
-            diags.append(Diagnostic("methods", "at least one method is required"))
-        for m in spec.methods:
+    if "methods" in reads:
+        for m in lists["methods"]:
             if m not in METHODS:
                 diags.append(Diagnostic("methods", f"unknown method {m!r}; expected one of {METHODS}"))
-        if cfg is not None and "Rh0" in spec.methods:  # check every slot length Rh0 will run on
-            if spec.kind == "sweep" and spec.sweep_axis == "tau_u":
-                where, slots = "sweep.values", spec.sweep_values if isinstance(spec.sweep_values, list) else []
-            else:
-                where, slots = "system.tau_u", [cfg.tau_u]
+        if cfg is not None and "Rh0" in lists["methods"]:  # check every slot length Rh0 will run on
+            on_sweep = "sweep" in reads and spec.sweep_axis == "tau_u"
+            where, slots = ("sweep.values", lists["sweep.values"]) if on_sweep else ("system.tau_u", [cfg.tau_u])
             diags.extend(Diagnostic(where, f"tau_u={v!r}: Rh0 needs tau_u >= {RH0_MIN_TAU_U}")
                          for v in slots if _is_integer(v) and v < RH0_MIN_TAU_U)
-    if spec.kind == "sweep":
+    if "sweep" in reads:
         if spec.sweep_axis not in SWEEP_AXES:
             diags.append(Diagnostic("sweep.axis", f"unknown axis {spec.sweep_axis!r}; expected one of {SWEEP_AXES}"))
-        if not isinstance(spec.sweep_values, list) or not spec.sweep_values:
-            diags.append(Diagnostic("sweep.values", "must be a non-empty list of values"))
-        elif cfg is not None and spec.sweep_axis in SWEEP_AXES:
-            # every sweep point must itself be a valid system
-            for v in spec.sweep_values:
+        elif cfg is not None:  # every sweep point must itself be a valid system
+            for v in lists["sweep.values"]:
                 _, point = build_system({**spec.system, spec.sweep_axis: v})
                 diags.extend(Diagnostic("sweep.values", f"{spec.sweep_axis}={v!r}: {d}") for d in point)
-    if spec.kind == "bound-eval":
-        for b in spec.bounds:
+    if "bounds" in reads:
+        for b in lists["bounds"]:
             if b not in tuple(BOUNDS):  # a tuple: a YAML list entry is unhashable
                 diags.append(Diagnostic("bounds", f"unknown bound {b!r}"))
     if spec.kind in ("bound-eval", "simulate") and cfg is not None:
         for name in ("tau_p", "p_a"):
             if getattr(cfg, name) is None:
                 diags.append(Diagnostic(f"system.{name}", f"{spec.kind} needs {name} set"))
-    if spec.kind in ("simulate", "compare"):
-        for name in ("n_slots", "n_frames"):
-            v = getattr(spec, name)
-            if not (_is_integer(v) and v >= 1):
-                diags.append(Diagnostic(name, f"must be an integer >= 1 (got {v!r})"))
-    if spec.kind == "scaling-verify":
+    for name in ("n_slots", "n_frames"):
+        v = getattr(spec, name)
+        if name in reads and not (_is_integer(v) and v >= 1):
+            diags.append(Diagnostic(name, f"must be an integer >= 1 (got {v!r})"))
+    if "case" in reads:
         from .scaling import ScalingCase  # local: scaling imports config, a cycle at module level
 
         cases = tuple(c.value for c in ScalingCase)
         if spec.case not in cases:
             diags.append(Diagnostic("case", f"unknown case {spec.case!r}; expected one of {cases}"))
-        if not spec.ladder and "ladder" not in not_lists:
-            diags.append(Diagnostic("ladder", "ladder of (M, tau_u) pairs is empty"))
-        else:
-            for i, rung in enumerate(spec.ladder):
-                if not (isinstance(rung, (list, tuple)) and len(rung) == 2 and all(map(_is_integer, rung))):
-                    diags.append(Diagnostic(f"ladder[{i}]", "each rung must be a (M, tau_u) pair of integers"))
-    if spec.evaluate_with not in COSTS:
+    if "ladder" in reads:
+        for i, rung in enumerate(lists["ladder"]):
+            if not (isinstance(rung, (list, tuple)) and len(rung) == 2):
+                diags.append(Diagnostic(f"ladder[{i}]", "each rung must be a (M, tau_u) pair of integers"))
+                continue
+            _, rung_diags = build_system({"M": rung[0], "tau_u": rung[1]})  # a rung is the system it runs
+            diags.extend(Diagnostic(f"ladder[{i}]", str(d)) for d in rung_diags)
+    if "evaluate_with" in reads and spec.evaluate_with not in COSTS:
         diags.append(Diagnostic("evaluate_with", f"unknown metric {spec.evaluate_with!r}; expected one of {COSTS}"))
     prefix = spec.out_prefix  # joined to --out: a path in it would write outside that directory
     if not (isinstance(prefix, str) and prefix and not {"/", "\\"} & set(prefix) and ".." not in prefix):

@@ -222,6 +222,9 @@ _MC_EVAL = "kind: bound-eval\nsystem: {{M: 100, tau_p: 33, p_a: 0.0375, seed: 1,
     ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375}\nbounds: 5\n", "bounds"),
     ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375}\nbounds: R1\n", "bounds"),
     ("kind: scaling-verify\nsystem: {M: 100}\nladder: 5\n", "ladder"),
+    ("kind: scaling-verify\nsystem: {M: 100}\nladder: [[1, 100]]\n", "ladder[0]"),
+    ("kind: scaling-verify\nsystem: {M: 100}\nladder: [[100, 100], [0, 0]]\n", "ladder[1]"),
+    ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375}\nbounds: []\n", "bounds"),
     ("kind: optimize\nsystem: {M: 32, K: 100, tau_u: 30}\nmethods: [Rh0]\nout_prefix: ../../x\n", "out_prefix"),
     ("kind: optimize\nsystem: {M: 32, K: 100, tau_u: 30}\nmethods: [Rh0]\nout_prefix: [a]\n", "out_prefix"),
     ("kind: simulate\nsystem: {M: 32, K: 60, tau_p: 8, p_a: 0.1}\nn_slots: 2\nout_prefix: {a: 1}\n", "out_prefix"),
@@ -234,6 +237,7 @@ _MC_EVAL = "kind: bound-eval\nsystem: {{M: 100, tau_p: 33, p_a: 0.0375, seed: 1,
         "model-pathloss-exp", "model-d0",
         "rh0-sweep-short-slot", "rh0-short-slot", "case-coherence-limited",
         "methods-scalar", "methods-text", "methods-mapping", "bounds-scalar", "bounds-text", "ladder-scalar",
+        "ladder-one-antenna", "ladder-zero-rung", "bounds-empty",
         "out_prefix-parent-path", "out_prefix-list", "out_prefix-mapping", "out_prefix-empty",
         "evaluate_with-self"])
 def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
@@ -241,6 +245,23 @@ def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
     assert main(["validate", spec]) == 3
     assert main(["run", spec, "--out", str(tmp_path)]) == 3
     assert f"invalid: {field}: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("body, kind, unread", [
+    ("kind: simulate\nsystem: {M: 64, tau_p: 12, p_a: 0.1}\nn_slots: 2\n"
+     "evaluate_with: R3\nmethods: [Rh0]\nladder: [[1, 2]]\n", "simulate", ["evaluate_with", "methods", "ladder"]),
+    ("kind: bound-eval\nsystem: {M: 100, tau_p: 33, p_a: 0.0375}\nevaluate_with: Ra\nmethods: [Rh0]\n",
+     "bound-eval", ["evaluate_with", "methods"]),
+    ("kind: optimize\nsystem: {M: 100}\nmethods: [Rh0]\nsweep: {axis: tau_u, values: [60]}\n", "optimize", ["sweep"]),
+], ids=["simulate", "bound-eval", "optimize"])
+def test_cli_field_the_kind_does_not_read_exit_3(tmp_path, capsys, body, kind, unread):
+    # a field the run would ignore is refused, not dropped without a word
+    spec = _write(tmp_path, "unread.yaml", body)
+    assert main(["validate", spec]) == 3
+    assert main(["run", spec, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert all(f"invalid: {name}: not read by kind {kind}\n" in err for name in unread), err
     assert not list(tmp_path.glob("*.csv"))
 
 

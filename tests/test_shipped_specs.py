@@ -1,15 +1,20 @@
-"""Byte-for-byte guard on the CSVs of the fast shipped specs.
+"""Guards on the shipped specs: the CSV bytes of the fast ones, and that every
+spec the repository ships (``specs/``, the benchmark's, the README's) validates.
 
 The files under ``tests/golden/`` were written by ``pilothop run`` on each
 spec at its own seed. A refactor that keeps the arithmetic must keep them.
 """
 
+import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
 from pilothop.cli import main
+from pilothop.config import KIND_FIELDS, parse_spec, validate
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -45,3 +50,30 @@ def test_analytic_sweep_csv_is_byte_identical(tmp_path, prefix):
     assert main(["run", str(spec), "--out", str(tmp_path)]) == 0
     csv = f"{prefix}_rate.csv"
     assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
+
+
+def test_shipped_and_benchmark_specs_validate(tmp_path, monkeypatch):
+    # a stricter schema must not turn a benchmark run into a failed one
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # workloads.py imports oracle from there
+    loader = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, workloads)  # dataclasses look their module up there
+    loader.loader.exec_module(workloads)
+    ops = [op.spec for build in workloads.WORKLOADS.values() for op in build(1, ROOT, tmp_path)]
+    specs = sorted((ROOT / "specs").glob("*.yaml"))
+    assert len(ops) >= 8 and len(specs) >= 4
+    assert {str(path): [str(d) for d in validate(parse_spec(path))] for path in ops + specs} == \
+        {str(path): [] for path in ops + specs}
+
+
+README = (ROOT / "README.md").read_text()
+
+
+@pytest.mark.parametrize("block", re.findall(r"```yaml\n(.*?)```", README, re.S))
+def test_readme_yaml_examples_validate(block):
+    assert [str(d) for d in validate(parse_spec(block))] == []
+
+
+def test_readme_field_table_is_kind_fields():
+    rows = re.findall(r"^\| `([a-z-]+)` +\| (.+?) +\|$", README, re.M)
+    assert {kind: tuple(re.findall(r"`(\w+)`", cells)) for kind, cells in rows} == KIND_FIELDS
