@@ -217,7 +217,8 @@ def _greedy_windows(pm, band, m, span, eps_tail: float):
     covered = np.minimum(running[rows[:, 0], taken], 1.0)
     cols = np.arange(pm.shape[1])
     in_window = (cols >= lo[:, None]) & (cols <= (lo + taken)[:, None])
-    masses = np.split(pm[in_window], np.cumsum(taken + 1)[:-1])
+    flat, ends = pm[in_window], np.cumsum(taken + 1).tolist()
+    masses = [flat[a:b] for a, b in zip([0, *ends], ends)]
     return lo, lo + taken, covered, masses
 
 

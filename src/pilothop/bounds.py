@@ -33,7 +33,8 @@ time, and keeps none after the call. Only the prefix sums of the last gain
 pool built are kept, if they fit in 32 MiB (``_POOL``). The rows of a grid
 stage (``bound_grid``) share its activation windows, taken once per stage. R3
 and Ra rows take one ``expect_rows`` call over the memoized gain nodes
-(``analytic_row``).
+(``analytic_row``), each block of cells written in place by the bound's one
+SINR formula (``_sinr3_fill``, ``_sinra_fill``).
 """
 
 from __future__ import annotations
@@ -167,40 +168,58 @@ def _pow2(x):
     return np.float_power(x, 2)
 
 
-def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a, K: int, M: int):
-    """SINR with collider and active counts averaged out. Vectorized over beta_0 and p_a."""
-    paK = np.asarray(p_a, dtype=float) * K
-    if np.any(paK < 1.0):
-        raise ValueError(
-            f"p_a*K = {np.min(paK):.3g} < 1: the averaged interference terms are meaningless; "
-            "evaluate r1_bar directly for sparse activity"
-        )
+def _sinr3_fill(b0, moments: BetaMoments, tau_p: int, K: int, M: int):
+    """R3's SINR at the gains ``b0`` as ``fill(p_a, out)``, which writes it at every (p_a, b0) into ``out``.
+
+    With n1 = p_a K - 1 the denominator is b2m (M-1) n1 + b0 (1 + bm n1) -
+    bm^2 n1 + (1 + n1 bm)(1 + b0 tau_p) + n1 bm + bm^2 (p_a^2 K (K-1) - n1),
+    summed left to right in ``out`` with each step's rounding, so an entry
+    has the same bits at any shape; the terms of b0 alone are taken once.
+    """
     if M < 2:
         raise ValueError("M must be >= 2")
-    b0 = np.asarray(beta_0, dtype=float)
     bm, b2m = moments.mean, moments.mean_sq
-    n1 = paK - 1.0
-    den = (
-        b2m * (M - 1) * n1
-        + b0 * (1.0 + bm * n1)
-        - bm**2 * n1
-        + (1.0 + n1 * bm) * (1.0 + b0 * tau_p)
-        + n1 * bm
-        + bm**2 * (_pow2(p_a) * K * (K - 1) - n1)
-    )
-    if not np.all(den > 0):
-        raise ValueError("non-positive interference power: beta_0 must be positive")
-    return (tau_p * (M - 1) * b0**2 / den)[()]
+    num, pilot = tau_p * (M - 1) * b0**2, 1.0 + b0 * tau_p
+
+    def fill(p_a, out):
+        paK = p_a * K
+        if np.any(paK < 1.0):
+            raise ValueError(f"p_a*K = {np.min(paK):.3g} < 1: the averaged interference terms are meaningless; "
+                             "evaluate r1_bar directly for sparse activity")
+        n1 = paK - 1.0
+        den = np.multiply(b0, 1.0 + bm * n1, out=out)
+        den += b2m * (M - 1) * n1
+        den -= bm**2 * n1
+        den += (1.0 + n1 * bm) * pilot
+        den += n1 * bm
+        den += bm**2 * (_pow2(p_a) * K * (K - 1) - n1)
+        if not den.min() > 0:
+            raise ValueError("non-positive interference power: beta_0 must be positive")
+        return np.divide(num, den, out=den)
+
+    return fill
+
+
+def _sinra_fill(b0, moments: BetaMoments, tau_p: float, M: int):
+    """The large-system SINR at the gains ``b0`` as ``fill(p_aK, out)``, as :func:`_sinr3_fill` fills R3's."""
+    bm, b2m = moments.mean, moments.mean_sq
+    num, mean_b0 = M * tau_p * b0**2, bm * b0
+
+    def fill(p_aK, out):
+        if np.any(p_aK <= 0):
+            raise ValueError("p_a*K must be positive")
+        den = np.multiply(mean_b0, p_aK, out=out)
+        den *= tau_p
+        den += b2m * M * p_aK + bm**2 * _pow2(p_aK)
+        return np.divide(num, den, out=den)
+
+    return fill
 
 
 def sinra(beta_0, moments: BetaMoments, tau_p: float, p_aK: float, M: int):
     """Large-system SINR. Vectorized over beta_0 and p_aK."""
-    if np.any(np.asarray(p_aK) <= 0):
-        raise ValueError("p_a*K must be positive")
-    b0 = np.asarray(beta_0, dtype=float)
-    bm, b2m = moments.mean, moments.mean_sq
-    den = b2m * M * p_aK + bm**2 * _pow2(p_aK) + bm * b0 * p_aK * tau_p
-    return (M * tau_p * b0**2 / den)[()]
+    b0, p_aK = np.asarray(beta_0, dtype=float), np.asarray(p_aK, dtype=float)
+    return _sinra_fill(b0, moments, tau_p, M)(p_aK, np.empty(np.broadcast_shapes(b0.shape, p_aK.shape)))[()]
 
 
 # Byte cap of the gain pool that _prefix_sums holds between calls.
@@ -437,10 +456,10 @@ def r2_bar(cfg: "SystemConfig") -> BoundResult:
 def _analytic_cells(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a):
     """A row of R3 or Ra cells at pilot length ``tau_p``, as (live, scale, f).
 
-    Cell ``live[r]`` of the row is ``scale[r] * E[f(gain, r)]``, with scale
-    = prelog * p_a*K and f(beta_0, rows) = log2(1 + sinr) by the bound's own
-    :func:`sinr3` or :func:`sinra`, broadcast as (rows, nodes). The other
-    cells, those with p_a*K = 0 and every cell when tau_p = tau_u, are 0.
+    Cell ``live[r]`` of the row is ``scale[r] * E[log2(1 + sinr(gain, r))]``,
+    with scale = prelog * p_a*K and ``f`` the :func:`expect_rows` integrand
+    of the bound's SINR fill. The other cells, those with p_a*K = 0 and every
+    cell when tau_p = tau_u, are 0.
     """
     if tau_p > cfg.tau_u:
         raise ValueError(f"tau_p={tau_p} exceeds tau_u={cfg.tau_u}")
@@ -449,13 +468,12 @@ def _analytic_cells(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a):
     prelog = (cfg.tau_u - tau_p) / cfg.tau_u
     live = np.flatnonzero(paK != 0.0) if prelog != 0.0 else np.empty(0, dtype=int)
     moments = analytic_moments(cfg.model)
+    levels = p_a[live, None] if bound_id == "R3" else paK[live, None]
 
-    def f(b0, rows):
-        if bound_id == "R3":
-            s = sinr3(b0, moments, tau_p, p_a[live[rows], None], cfg.K, cfg.M)
-        else:
-            s = sinra(b0, moments, tau_p, paK[live[rows], None], cfg.M)
-        return np.log2(1.0 + s)
+    def f(b0):
+        sinr = (_sinr3_fill(b0, moments, tau_p, cfg.K, cfg.M) if bound_id == "R3"
+                else _sinra_fill(b0, moments, tau_p, cfg.M))
+        return lambda rows, out: np.log2(np.add(sinr(levels[rows], out), 1.0, out=out), out=out)
 
     return live, prelog * paK[live], f
 
@@ -485,7 +503,7 @@ def _analytic_bound(bound_id: str, cfg: "SystemConfig") -> BoundResult:
     live, scale, f = _analytic_cells(bound_id, cfg, cfg.tau_p, [cfg.p_a])
     if live.size == 0:
         return BoundResult(0.0)
-    val, err, n_mc = expect_beta(cfg.model, lambda b0: f(b0, slice(0, 1))[0], seed=cfg.seed)
+    val, err, n_mc = expect_beta(cfg.model, lambda b0: f(b0)(slice(0, 1), np.empty((1, b0.size)))[0], seed=cfg.seed)
     return BoundResult(float(scale[0] * val), mc_samples=n_mc, mc_std_err=float(scale[0] * err))
 
 

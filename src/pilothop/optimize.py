@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .bounds import COSTS, bound_at, bound_grid, sinra
+from .bounds import COSTS, BoundResult, bound_at, bound_grid, sinra
 from .channels import NODE_MC_SAMPLES, LargeScaleModel, analytic_moments, expect_rows
 
 if TYPE_CHECKING:
@@ -69,6 +69,7 @@ class OptimizationResult:
     rate: float
     method: str
     evaluations: int
+    ra: BoundResult | None = None  # Ra-1D's Ra bound at the point, whose value is rate
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-4):
@@ -98,11 +99,13 @@ SCAN_POINTS = 61
 SCAN_REL_TOL = 1e-4
 
 
-def _scan_then_golden(model, g, seed: int, lo: float, hi: float):
-    """Maximize b * E[g(gain, b)] over [lo, hi]: a log-spaced scan, taken as one row, then golden section."""
+def _scan_then_golden(model, sinr, seed: int, lo: float, hi: float):
+    """Maximize b * E[log2(1 + sinr(gain, b))] over [lo, hi]: a log-spaced scan as one row, then golden section."""
     def obj(bs):
-        return bs * expect_rows(model, lambda nodes, r: g(nodes, bs[r, None]), bs.size,
-                                mc_samples=NODE_MC_SAMPLES, seed=seed)
+        def f(nodes):
+            return lambda rows, out: np.log2(1.0 + sinr(nodes, bs[rows, None]), out=out)
+
+        return bs * expect_rows(model, f, bs.size, mc_samples=NODE_MC_SAMPLES, seed=seed)
 
     grid = np.geomspace(lo, hi, SCAN_POINTS)
     vals = obj(grid)
@@ -139,7 +142,7 @@ def heuristic2_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
     """
     mean = analytic_moments(model).mean
     b_opt, val, evals = _scan_then_golden(
-        model, lambda nodes, b: np.log2(1.0 + nodes**2 / (3.0 * mean * b * b)), seed, 1e-2, 1e2)
+        model, lambda nodes, b: nodes**2 / (3.0 * mean * b * b), seed, 1e-2, 1e2)
     return _tau_p_third(tau_u), b_opt * math.sqrt(tau_u * M), val, evals
 
 
@@ -152,7 +155,7 @@ def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
     m = analytic_moments(model)
     root = math.sqrt(M * tau_u)
     b_opt, val, evals = _scan_then_golden(
-        model, lambda nodes, b: np.log2(1.0 + sinra(nodes, m, tau_u / 3.0, b * root, M)), seed, 1e-3, 1e2)
+        model, lambda nodes, b: sinra(nodes, m, tau_u / 3.0, b * root, M), seed, 1e-3, 1e2)
     return _tau_p_third(tau_u), b_opt * root, val, evals
 
 
@@ -239,4 +242,4 @@ def optimize(method: str, cfg: "SystemConfig") -> OptimizationResult:
     tau_p, p_aK, _, evals = asymptotic_1d(tau_u, M, model, seed=cfg.seed)
     p_aK = min(p_aK, float(K))
     achieved = bound_at("Ra", cfg, tau_p, p_aK)
-    return OptimizationResult(tau_p, p_aK, achieved.value, "Ra-1D", evals + 1)
+    return OptimizationResult(tau_p, p_aK, achieved.value, "Ra-1D", evals + 1, achieved)

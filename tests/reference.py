@@ -1,14 +1,14 @@
 """Reference formulas only the tests read: slow or independent forms of what
-the package computes another way (the R2 SINR as its own function, the SINR
-rebuilt from the MMSE variances, the DFT pilot book ``train_slot`` rotates away,
-the whole-frame hopping-pattern hash)."""
+the package computes another way (the R2 SINR as its own function, the R3
+SINR at scalars, the SINR rebuilt from the MMSE variances, the DFT pilot
+book ``train_slot`` rotates away, the whole-frame hopping-pattern hash)."""
 
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from pilothop.bounds import CollisionScenario, estimation_variances
+from pilothop.bounds import CollisionScenario, _sinr3_fill, estimation_variances
 from pilothop.channels import BetaMoments
 
 
@@ -51,6 +51,15 @@ def sinr_components(s: CollisionScenario, other_active_betas: Sequence[float] = 
         estimation_error=err_sum / gain,
         residual_interference=(float(others.sum()) + 1.0) / gain,
     )
+
+
+def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a, K: int, M: int):
+    """SINR with collider and active counts averaged out. Broadcasts over ``beta_0`` and ``p_a``.
+
+    It is the formula the R3 row path fills (``bounds._sinr3_fill``), taken at one shape.
+    """
+    b0, p_a = np.asarray(beta_0, dtype=float), np.asarray(p_a, dtype=float)
+    return _sinr3_fill(b0, moments, tau_p, K, M)(p_a, np.empty(np.broadcast_shapes(b0.shape, p_a.shape)))[()]
 
 
 def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):

@@ -17,14 +17,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pilothop import bounds, optimize
+from pilothop import bounds, channels, optimize
 from pilothop.access import binom_windows
 from pilothop.bounds import McConfig, analytic_row, bound_at, bound_grid
 from pilothop.channels import (
+    EXPECT_MC_SAMPLES,
     LogNormalShadowing,
     RingPathLoss,
     UniformPowerError,
     analytic_moments,
+    beta_nodes,
     expect_beta,
     is_degenerate,
 )
@@ -78,17 +80,24 @@ def _squares_disagree(x):
 
 
 # q = K caps p_a at 1, and q = 1 puts R1/R2's activation window at K_a =
-# 1..8; the 50-point row is wider than one 96-node block (42 cells of 4096
-# elements); every row of two or more cells crosses a block on 16,384
-# log-normal draws. The last cells are ones whose p_a (R3) or p_a*K
-# (Ra) squares differently by pow and by multiplication, taken at high
-# activity, where that square dominates the interference.
+# 1..8. The last cells are ones whose p_a (R3) or p_a*K (Ra) squares
+# differently by pow and by multiplication, taken at high activity, where
+# that square dominates the interference. R3/Ra rows at tau_p = 20 are
+# padded to cross a block (_block_crossing_row).
 _QS = np.linspace(400.0, K, 20000)
 ROW = np.concatenate([
     np.geomspace(1.0, K, 50), [K, 37.5, 1.0],
     [q for q in _QS if _squares_disagree(q / K)][:8],
     [q for q in _QS if _squares_disagree(q / K * K)][:8],
 ])
+
+
+def _block_crossing_row(name):
+    """ROW padded until its live cells fill more than one expect_rows block on
+    the model's nodes, with a zero-activity cell between the first two blocks."""
+    step = max(1, channels._BLOCK_ELEMENTS // beta_nodes(MODELS[name], mc_samples=EXPECT_MC_SAMPLES)[0].size)
+    row = np.concatenate([ROW, np.geomspace(1.5, K, max(step + 1 - ROW.size, 0))])
+    return np.insert(row, step, 0.0)
 
 
 # an F row depends on the bound, the config, tau_p and K_a only, so cells
@@ -121,10 +130,11 @@ def test_row_equals_cells(bound, name):
     cfg = _cfg(name)
     cell = _averaged_cell if bound in ("R1", "R2") else _cell
     for tau_p in (1, 20, TAU_U - 1, TAU_U):
-        want = [cell(bound, cfg, tau_p, float(q)) for q in ROW]
-        row = bound_grid(bound, cfg, [tau_p], ROW)[0]
+        qs = _block_crossing_row(name) if bound in ("R3", "Ra") and tau_p == 20 else ROW
+        want = [cell(bound, cfg, tau_p, float(q)) for q in qs]
+        row = bound_grid(bound, cfg, [tau_p], qs)[0]
         assert row.tolist() == [v for v, _, _ in want]
-        for q, (v, err, n) in zip(ROW[::7], want[::7]):
+        for q, (v, err, n) in zip(qs[::7], want[::7]):
             res = bound_at(bound, cfg, tau_p, float(q))
             assert (res.value, res.mc_std_err, res.mc_samples) == (v, err, n)
     # zero prelog: every cell is 0 with no Monte Carlo error
@@ -173,6 +183,15 @@ def test_row_handles_zero_activity_and_rejects_long_pilots():
     assert row[1] == _cell("Ra", cfg, 20, 30.0)[0]
     with pytest.raises(ValueError):
         analytic_row("Ra", cfg, TAU_U + 1, [30 / K])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e6])
+def test_r3_row_rejects_non_positive_interference(monkeypatch, bad):
+    # an explicit error, not an assert, so the check survives python -O
+    nodes, w = np.array([10.0, bad, 12.0]), np.full(3, 1.0 / 3.0)
+    monkeypatch.setattr(channels, "beta_nodes", lambda *args, **kwargs: (nodes, w))
+    with pytest.raises(ValueError, match="interference power"):
+        analytic_row("R3", _cfg("uniform-0.5"), 20, np.array([2.0, 30.0, 400.0]) / K)
 
 
 @pytest.mark.parametrize("name", ["uniform-0.5", "lognormal-4"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from pilothop.bounds import sinr3, sinra
+from pilothop.bounds import sinra
 from pilothop import channels
 from pilothop.channels import (
     BetaMoments,
@@ -21,6 +21,7 @@ from pilothop.channels import (
     sample_beta,
     sample_channels,
 )
+from reference import sinr3
 
 
 @pytest.mark.parametrize(

@@ -398,6 +398,36 @@ def test_cli_compare_evaluates_with_the_spec_bound(tmp_path):
     assert float(row[2]) != bound_at("R1", cfg, res.tau_p_opt, res.p_aK_opt).value
 
 
+@pytest.mark.parametrize("evaluate_with", ["Ra", "R3"])
+def test_each_bound_is_taken_once_per_method_point(tmp_path, monkeypatch, evaluate_with):
+    # Ra-1D takes the Ra bound at its point; under evaluate_with: Ra its CSV row reuses it
+    from pilothop import experiments
+    from pilothop import optimize as optimize_module
+
+    calls = []
+    for module in (experiments, optimize_module):
+        def counted(bound, cfg, tau_p, p_aK, take=module.bound_at):
+            calls.append((bound, tau_p, p_aK))
+            return take(bound, cfg, tau_p, p_aK)
+
+        monkeypatch.setattr(module, "bound_at", counted)
+    system = {"M": 60, "K": 200, "tau_u": 40, "seed": 2, "model": {"type": "lognormal", "sigma_v2": 4.0}}
+    spec = _write(
+        tmp_path, "opt.yaml",
+        f"kind: optimize\nsystem: {system}\nmethods: [Ra-1D, Rh0]\n"
+        f"evaluate_with: {evaluate_with}\nout_prefix: opt\n",
+    )
+    assert main(["run", spec, "--out", str(tmp_path)]) == 0
+    seen = list(calls)
+    cfg, _ = build_system(system)
+    points = [(res.tau_p_opt, res.p_aK_opt) for res in (optimize("Ra-1D", cfg), optimize("Rh0", cfg))]
+    assert seen == list(dict.fromkeys([("Ra", *points[0])] + [(evaluate_with, *p) for p in points]))
+    lines = (tmp_path / "opt_optimize.csv").read_text().strip().split("\n")[1:]
+    for line, (tau_p, p_aK) in zip(lines, points):
+        b = bound_at(evaluate_with, cfg, tau_p, p_aK)
+        assert line.split(",")[2::3] == [f"{b.value:.9g}", f"{b.mc_std_err:.9g}"]
+
+
 def test_run_experiment_unknown_kind():
     from pilothop.config import ExperimentSpec
 

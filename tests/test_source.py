@@ -45,6 +45,15 @@ def test_import_validate_and_run_leave_scipy_stats_and_optimize_out(tmp_path):
     assert (tmp_path / "opt_optimize.csv").read_text().count("\n") == 3
 
 
+def test_import_cli_leaves_multiprocessing_out():
+    # the process pool is imported only for --jobs > 1; loading it slows every run's start-up
+    code = "import sys, pilothop.cli\nprint(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
 def _tracer_pinned():
     """Names perfbench/tracing.py reaches: its LAYERS, and what _collider_columns builds windows through."""
     import importlib.util
