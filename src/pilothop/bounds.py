@@ -8,7 +8,9 @@ The hierarchy, from tightest to loosest:
 * R2 -- collider identities averaged out of the interference variances via
   Jensen; only the reference gain stays random.
 * R3 -- additionally averages the collider and active counts into the
-  interference variances; fully analytic up to a 1-D gain expectation.
+  interference variances; fully analytic up to a 1-D gain expectation,
+  taken by a 96-point Gauss rule (``expect_beta``), so R3 and Ra carry no
+  Monte Carlo error under any gain law.
 * Ra -- large-system limit of R3; the optimizer's workhorse.
 
 Every bound is a function of one scenario, a ``SystemConfig``: its gain
@@ -24,8 +26,7 @@ stabilize argmax comparisons.
 Every bound is taken a grid row (one pilot length) at a time, each cell
 equal, bit for bit, to the same cell alone. ``r1_bar``/``r2_bar`` are the
 row's one-cell case; ``r3``/``ra`` reduce their one cell with
-``expect_beta``, which gives the row's cell bit for bit and also its Monte
-Carlo error. An R1 or R2 cell is the
+``expect_beta``, which gives the row's cell bit for bit. An R1 or R2 cell is the
 activation-weighted sum of F rows, the collider averages at each active
 count K_a, which the cells of a row share: ``_averaged_row`` computes them
 in one pass of one kernel, ``_f_row_sums``, a block of gain samples at a
@@ -487,24 +488,24 @@ def analytic_row(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a) -> np.ndar
     live, scale, f = _analytic_cells(bound_id, cfg, tau_p, p_a)
     values = np.zeros(np.size(p_a))
     if live.size:
-        values[live] = scale * expect_rows(cfg.model, f, live.size, seed=cfg.seed)
+        values[live] = scale * expect_rows(cfg.model, f, live.size)
     return values
 
 
 def _analytic_bound(bound_id: str, cfg: "SystemConfig") -> BoundResult:
     """R3 or Ra at the config's own operating point, from the row's one cell (:func:`_analytic_cells`).
 
-    Its one cell is reduced by :func:`expect_beta`, which also gives the
-    Monte Carlo error; expect_beta's ``w @ row`` is the reduction
-    :func:`expect_rows` makes, so the value equals :func:`analytic_row`'s.
+    Its one cell is reduced by :func:`expect_beta`, whose ``w @ row`` is the
+    reduction :func:`expect_rows` makes, so the value equals
+    :func:`analytic_row`'s.
     """
     if cfg.tau_p is None or cfg.p_a is None:
         raise ValueError(f"{bound_id.lower()} needs tau_p and p_a set on the config")
     live, scale, f = _analytic_cells(bound_id, cfg, cfg.tau_p, [cfg.p_a])
     if live.size == 0:
         return BoundResult(0.0)
-    val, err, n_mc = expect_beta(cfg.model, lambda b0: f(b0)(slice(0, 1), np.empty((1, b0.size)))[0], seed=cfg.seed)
-    return BoundResult(float(scale[0] * val), mc_samples=n_mc, mc_std_err=float(scale[0] * err))
+    val = expect_beta(cfg.model, lambda b0: f(b0)(slice(0, 1), np.empty((1, b0.size)))[0])
+    return BoundResult(float(scale[0] * val))
 
 
 def r3(cfg: "SystemConfig") -> BoundResult:
@@ -535,21 +536,24 @@ def bound_at(bound: str, cfg: "SystemConfig", tau_p, p_aK: float) -> BoundResult
     return BOUNDS[bound](at_point(cfg, tau_p, p_aK))
 
 
-def bound_grid(bound: str, cfg: "SystemConfig", tau_ps, p_aK) -> np.ndarray:
-    """Values of bound ``bound`` at (tau_p, q) for every tau_p of ``tau_ps`` and q of the 1-D row ``p_aK``.
+def bound_grid(bound: str, cfg: "SystemConfig", tau_ps, p_aK) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bound ``bound`` at (tau_p, q) for every tau_p of ``tau_ps`` and q of the 1-D row ``p_aK``.
 
-    Returns a (len(tau_ps), len(p_aK)) array whose cells each equal the
-    value :func:`bound_at` returns there. Each row is taken at once, with
-    p_a = min(q/K, 1) as in :func:`at_point`: R3 and Ra through
-    :func:`analytic_row`, R1 and R2 through :func:`_averaged_row`, every
-    row from the same activation windows (:func:`_activation_terms`).
+    Returns (values, std_errs, n_samples), each a (len(tau_ps), len(p_aK))
+    array whose cells equal the value, mc_std_err and mc_samples of the
+    :class:`BoundResult` that :func:`bound_at` returns there. Each row is
+    taken at once, with p_a = min(q/K, 1) as in :func:`at_point`: R3 and Ra
+    through :func:`analytic_row`, with no Monte Carlo error, R1 and R2
+    through :func:`_averaged_row`, every row from the same activation
+    windows (:func:`_activation_terms`).
     """
     if bound not in BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
     p_a = np.minimum(np.asarray(p_aK, dtype=float) / cfg.K, 1.0)
+    shape = (len(tau_ps), p_a.size)
     if bound in ("R3", "Ra"):
-        rows = [analytic_row(bound, cfg, int(tau_p), p_a) for tau_p in tau_ps]
-    else:
-        terms = _activation_terms(cfg, p_a)
-        rows = [_averaged_row(cfg, int(tau_p), terms, use_sinr2=bound == "R2")[0] for tau_p in tau_ps]
-    return np.array(rows).reshape(len(rows), p_a.size)
+        values = np.array([analytic_row(bound, cfg, int(tau_p), p_a) for tau_p in tau_ps]).reshape(shape)
+        return values, np.zeros(shape), np.zeros(shape, dtype=int)
+    terms = _activation_terms(cfg, p_a)
+    rows = [_averaged_row(cfg, int(tau_p), terms, use_sinr2=bound == "R2") for tau_p in tau_ps]
+    return tuple(np.array([row[k] for row in rows]).reshape(shape) for k in range(3))

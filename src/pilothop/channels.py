@@ -12,15 +12,17 @@ distributions are supported:
   v ~ U[-alpha, alpha] and the exponent fixed at 3.76. Devices spread
   uniformly on a ring around a nominal distance from the base station.
 
-Raw moments of the gain exist in closed form for every model, which keeps
-the rate bounds and optimizers that consume them fully deterministic.
+Raw moments of the gain exist in closed form for every model, and every
+other gain expectation is a fixed Gauss rule in the model's underlying
+variable (``beta_nodes``), so the analytic bounds and the optimizers that
+consume them are deterministic and free of sampling error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -184,57 +186,33 @@ def is_degenerate(model: LargeScaleModel) -> bool:
     return model.alpha == 0.0
 
 
-# Log-normal draws behind expect_beta and expect_rows, and so behind the
-# R3/Ra bounds. beta_nodes' own default, 8,192 draws, serves the
-# heuristics and the scaling functional. The two counts are kept apart on
-# purpose: unifying them would change published numbers.
-EXPECT_MC_SAMPLES = 16384
-NODE_MC_SAMPLES = 8192
+# Points of beta_nodes' Gauss rule: Legendre on the bounded-support models,
+# Hermite on log-normal shadowing.
+QUAD_NODES = 96
 
-# Gauss-Legendre points of beta_nodes' rule on the bounded-support models.
-LEGENDRE_NODES = 96
-
-# Node x row elements expect_rows fills at once (512 KiB): a 96-node row of up
-# to 682 cells, four rows of 16,384 log-normal draws. R3-opt and Ra-opt on six
-# scenarios (2-core Xeon, 2 MiB of L2 a core) took 0.72 s at 2^12, 0.53 s at
-# 2^14, 0.44-0.49 s at 2^15 and 2^16 and 0.70 s at 2^18, past the L2.
+# Node x row elements expect_rows fills at once (512 KiB): up to 682 cells of
+# 96 nodes, so a grid row of the default GridSpec (25 cells) or a 61-point
+# scan is one block.
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def expect_beta(
-    model: LargeScaleModel,
-    f: Callable,
-    *,
-    mc_samples: int = EXPECT_MC_SAMPLES,
-    seed: int = 0,
-) -> tuple[float, float, int]:
+def expect_beta(model: LargeScaleModel, f: Callable) -> float:
     """Expectation of f(gain) under the model, as ``w @ f(nodes)`` over :func:`beta_nodes`.
 
     ``f`` must be vectorized: it is called once on the whole node array.
-    Bounded-support models use 96-point Gauss-Legendre, accurate to ~1e-13
-    for smooth integrands up to uniform alpha = 1 and ring alpha = 0.9; near
-    the ring's pole (alpha -> 1) it degrades, e.g. ~1e-5 at alpha = 0.99.
-    Log-normal shadowing uses ``mc_samples`` seeded Monte Carlo draws
-    (deterministic for a fixed seed). Returns (value, std_err, n_samples):
-    the Monte Carlo standard error and draw count, both 0 when the value
-    comes from a quadrature rule.
+    The bounded-support models' 96-point Gauss-Legendre rule is accurate to
+    ~1e-13 for smooth integrands up to uniform alpha = 1 and ring alpha =
+    0.9; near the ring's pole (alpha -> 1) it degrades, e.g. ~1e-5 at alpha
+    = 0.99. Log-normal shadowing's 96-point Gauss-Hermite rule agrees with a
+    200-point rule to 5e-15 relative on the R3/Ra integrands for sigma_v2 <=
+    16 dB^2 (4e-13 with log2(1 + sinr)'s own rounding), 5e-8 at 64 and
+    1.5e-5 at 144, and gives the raw moments to 2e-14.
     """
-    nodes, w = beta_nodes(model, mc_samples=mc_samples, seed=seed)
-    vals = np.asarray(f(nodes), dtype=float)
-    val = float(w @ vals)
-    if isinstance(model, LogNormalShadowing) and not is_degenerate(model):
-        return val, float(vals.std(ddof=1) / math.sqrt(mc_samples)), mc_samples
-    return val, 0.0, 0
+    nodes, w = beta_nodes(model)
+    return float(w @ np.asarray(f(nodes), dtype=float))
 
 
-def expect_rows(
-    model: LargeScaleModel,
-    f: Callable,
-    n_rows: int,
-    *,
-    mc_samples: int = EXPECT_MC_SAMPLES,
-    seed: int = 0,
-) -> np.ndarray:
+def expect_rows(model: LargeScaleModel, f: Callable, n_rows: int) -> np.ndarray:
     """E[f_r(gain)] for each row r = 0..n_rows-1 of a family of integrands.
 
     ``f(nodes)`` is called once on the n nodes of :func:`beta_nodes` and
@@ -243,9 +221,9 @@ def expect_rows(
     _BLOCK_ELEMENTS entries (or one row) that expect_rows owns, and returns
     it. Each row is reduced on its own as ``w @ row``, the reduction
     :func:`expect_beta` makes: a row's value equals expect_beta of its
-    integrand, whatever rows are filled with it. No standard error is computed.
+    integrand, whatever rows are filled with it.
     """
-    nodes, w = beta_nodes(model, mc_samples=mc_samples, seed=seed)
+    nodes, w = beta_nodes(model)
     fill = f(nodes)
     values = np.empty(n_rows)
     step = min(max(1, _BLOCK_ELEMENTS // nodes.size), n_rows)
@@ -257,44 +235,24 @@ def expect_rows(
     return values
 
 
-@cache
-def _legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The LEGENDRE_NODES-point Gauss-Legendre rule on [-1, 1], computed once (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(LEGENDRE_NODES)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 @lru_cache(maxsize=32)
-def beta_nodes(
-    model: LargeScaleModel,
-    *,
-    mc_samples: int = NODE_MC_SAMPLES,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+def beta_nodes(model: LargeScaleModel) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights such that E[f(gain)] ~= weights @ f(nodes).
 
-    Gauss-Legendre (LEGENDRE_NODES points) on the bounded-support models,
-    seeded Monte Carlo draws with uniform weights for log-normal shadowing,
-    one node of weight 1 when the gain is constant. Log-normal shadowing
-    draws 16,384 nodes behind expect_beta and the R3/Ra bounds
-    (EXPECT_MC_SAMPLES) and, by default, 8,192 behind heuristic2_1d,
-    asymptotic_1d and the scaling functional (NODE_MC_SAMPLES); the counts
-    are deliberately not unified, because unifying them would change
-    numbers.
-
-    Both arrays are read-only and memoized for the 32 most recent
-    (model, mc_samples, seed) keys: a log-normal key takes 16 bytes per
-    draw, so at 16,384 draws the memo holds at most 8 MiB.
+    A QUAD_NODES-point Gauss rule in the model's underlying variable v:
+    Gauss-Legendre on the bounded-support models (v uniform), Gauss-Hermite
+    on log-normal shadowing (v Gaussian); one node of weight 1 when the gain
+    is constant. Both arrays are read-only and memoized for the 32 most
+    recent models, 1.5 KiB each.
     """
     if is_degenerate(model):
         nodes, w = np.array([model.delta_bar]), np.array([1.0])
     elif isinstance(model, LogNormalShadowing):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        nodes, w = sample_beta(model, rng, mc_samples), np.full(mc_samples, 1.0 / mc_samples)
+        x, w = np.polynomial.hermite.hermgauss(QUAD_NODES)
+        nodes = model.delta_bar * 10.0 ** (math.sqrt(2.0 * model.sigma_v2) * x / 10.0)
+        w = w / math.sqrt(math.pi)
     else:
-        x, w = _legendre()
+        x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
         v = model.alpha * x
         if isinstance(model, RingPathLoss):
             nodes = model.delta_bar * (1.0 + v) ** (-PATHLOSS_EXP)

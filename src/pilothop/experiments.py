@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import BOUNDS, at_point, bound_at
 from .config import ExperimentSpec, SystemConfig, build_system
-from .optimize import optimize
+from .optimize import RATE_BOUND, optimize
 from .protocol import run_frame
 from .scaling import verify_scaling
 
@@ -60,7 +60,10 @@ def _methods_at_point(cfg: SystemConfig, methods, evaluate_with: str, sweep_valu
     records = []
     for m in methods:
         res = optimize(m, cfg)
-        b = res.ra if evaluate_with == "Ra" and res.ra else bound_at(evaluate_with, cfg, res.tau_p_opt, res.p_aK_opt)
+        if RATE_BOUND.get(m) == evaluate_with:
+            b = res.bound  # the optimizer took this bound at its point already
+        else:
+            b = bound_at(evaluate_with, cfg, res.tau_p_opt, res.p_aK_opt)
         records.append(Record(sweep_value, m, b.value, res.tau_p_opt, res.p_aK_opt, b.mc_std_err))
     return records
 
@@ -122,7 +125,7 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
 
     if spec.kind == "scaling-verify":
         records = []
-        for pt in verify_scaling(spec.case, cfg.model, [tuple(r) for r in spec.ladder], seed=cfg.seed):
+        for pt in verify_scaling(spec.case, cfg.model, [tuple(r) for r in spec.ladder]):
             records.append(Record(pt.M, "Ra-opt", pt.rate, pt.tau_p_opt, pt.p_aK_opt, 0.0))
             records.append(Record(pt.M, "predicted", pt.prediction.rate, pt.prediction.tau_p,
                                   pt.prediction.p_aK, 0.0))

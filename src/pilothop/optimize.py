@@ -25,12 +25,15 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .bounds import COSTS, BoundResult, bound_at, bound_grid, sinra
-from .channels import NODE_MC_SAMPLES, LargeScaleModel, analytic_moments, expect_rows
+from .channels import LargeScaleModel, analytic_moments, expect_rows
 
 if TYPE_CHECKING:
     from .config import SystemConfig
 
 METHODS = (*(f"{cost}-opt" for cost in COSTS), "Ra-1D", "Rh0", "Rh-1D")
+
+# The bound whose value each method's rate is; the heuristics' rates are surrogates.
+RATE_BOUND = {**{f"{cost}-opt": cost for cost in COSTS}, "Ra-1D": "Ra"}
 
 # heuristic1 (method Rh0) splits the slot in thirds, so it needs this many symbols
 RH0_MIN_TAU_U = 3
@@ -69,7 +72,7 @@ class OptimizationResult:
     rate: float
     method: str
     evaluations: int
-    ra: BoundResult | None = None  # Ra-1D's Ra bound at the point, whose value is rate
+    bound: BoundResult | None = None  # RATE_BOUND[method] at the point, whose value is rate
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-4):
@@ -99,13 +102,13 @@ SCAN_POINTS = 61
 SCAN_REL_TOL = 1e-4
 
 
-def _scan_then_golden(model, sinr, seed: int, lo: float, hi: float):
+def _scan_then_golden(model, sinr, lo: float, hi: float):
     """Maximize b * E[log2(1 + sinr(gain, b))] over [lo, hi]: a log-spaced scan as one row, then golden section."""
     def obj(bs):
         def f(nodes):
             return lambda rows, out: np.log2(1.0 + sinr(nodes, bs[rows, None]), out=out)
 
-        return bs * expect_rows(model, f, bs.size, mc_samples=NODE_MC_SAMPLES, seed=seed)
+        return bs * expect_rows(model, f, bs.size)
 
     grid = np.geomspace(lo, hi, SCAN_POINTS)
     vals = obj(grid)
@@ -134,7 +137,7 @@ def rh0_cost(tau_p: int, p_aK: float, tau_u: int, M: int) -> float:
     return p_aK * (tau_u - tau_p) / tau_u * math.log2(1.0 + M * tau_p / p_aK**2)
 
 
-def heuristic2_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
+def heuristic2_1d(tau_u: int, M: int, model: LargeScaleModel):
     """tau_p = tau_u/3 with a gain-distribution-aware activation scale.
 
     Returns (tau_p, p_aK, surrogate value, evaluations). The scale maximizer
@@ -142,11 +145,11 @@ def heuristic2_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
     """
     mean = analytic_moments(model).mean
     b_opt, val, evals = _scan_then_golden(
-        model, lambda nodes, b: nodes**2 / (3.0 * mean * b * b), seed, 1e-2, 1e2)
+        model, lambda nodes, b: nodes**2 / (3.0 * mean * b * b), 1e-2, 1e2)
     return _tau_p_third(tau_u), b_opt * math.sqrt(tau_u * M), val, evals
 
 
-def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
+def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel):
     """tau_p = tau_u/3, activation scale maximizing the large-system bound.
 
     Returns (tau_p, p_aK, value, evaluations); the value is the objective
@@ -155,7 +158,7 @@ def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel, *, seed: int = 0):
     m = analytic_moments(model)
     root = math.sqrt(M * tau_u)
     b_opt, val, evals = _scan_then_golden(
-        model, lambda nodes, b: sinra(nodes, m, tau_u / 3.0, b * root, M), seed, 1e-3, 1e2)
+        model, lambda nodes, b: sinra(nodes, m, tau_u / 3.0, b * root, M), 1e-3, 1e2)
     return _tau_p_third(tau_u), b_opt * root, val, evals
 
 
@@ -164,8 +167,9 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
 
     Stage one scans tau_p linearly over [1, tau_u] and p_a*K log-spaced over
     [pak_min, K]; stage two refines one stage-one cell around the argmax.
-    ``rate`` is the best cell's value, which equals ``bound_at(cost, ...)``
-    at the returned point.
+    ``rate`` is the best cell's value and ``bound`` its :class:`BoundResult`,
+    which equals ``bound_at(cost, ...)`` at the returned point, Monte Carlo
+    error included.
     """
     if cost not in COSTS:
         raise ValueError(f"unknown cost {cost!r}; expected one of {COSTS}")
@@ -189,16 +193,17 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
         raise ValueError("p_a*K grid must lie within (0, K]")
 
     evals = 0
-    best = (-math.inf, None, None)
+    best = (-math.inf, None, None, None)
 
     def sweep(tp_list, q_list):
         # one stage at a time; the first strict maximum in row-major order wins
         nonlocal evals, best
-        for tp, values in zip(tp_list, bound_grid(cost, cfg, tp_list, q_list)):
+        for tp, values, errs, ns in zip(tp_list, *bound_grid(cost, cfg, tp_list, q_list)):
             evals += q_list.size
             j = int(np.argmax(values))
             if values[j] > best[0]:
-                best = (float(values[j]), int(tp), float(q_list[j]))
+                best = (float(values[j]), int(tp), float(q_list[j]),
+                        BoundResult(float(values[j]), int(ns[j]), float(errs[j])))
 
     sweep(tps, qs)
 
@@ -213,8 +218,8 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
     qs2 = np.geomspace(q_lo2, q_hi2, grid.refine_points) if q_hi2 > q_lo2 else np.array([best[2]])
     sweep(tps2, qs2)
 
-    rate, tau_p_opt, q_opt = best
-    return OptimizationResult(tau_p_opt, q_opt, rate, f"{cost}-opt", evals)
+    rate, tau_p_opt, q_opt, at = best
+    return OptimizationResult(tau_p_opt, q_opt, rate, f"{cost}-opt", evals, at)
 
 
 def optimize(method: str, cfg: "SystemConfig") -> OptimizationResult:
@@ -222,8 +227,9 @@ def optimize(method: str, cfg: "SystemConfig") -> OptimizationResult:
 
     The three ``-opt`` methods search the default :class:`GridSpec`.
     ``rate`` is the method's own cost at the returned point: the best grid
-    cell's value for ``-opt``, the Ra bound for ``Ra-1D`` and a surrogate,
-    not an achievable rate, for the closed-form heuristics.
+    cell's value for ``-opt``, the Ra bound for ``Ra-1D`` (for both, ``bound``
+    holds that bound's :class:`BoundResult`) and a surrogate, not an
+    achievable rate, for the closed-form heuristics.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -237,9 +243,9 @@ def optimize(method: str, cfg: "SystemConfig") -> OptimizationResult:
         p_aK = min(p_aK, float(K))
         return OptimizationResult(tau_p, p_aK, rh0_cost(tau_p, p_aK, tau_u, M), "Rh0", 0)
     if method == "Rh-1D":
-        tau_p, p_aK, val, evals = heuristic2_1d(tau_u, M, model, seed=cfg.seed)
+        tau_p, p_aK, val, evals = heuristic2_1d(tau_u, M, model)
         return OptimizationResult(tau_p, min(p_aK, float(K)), val, "Rh-1D", evals)
-    tau_p, p_aK, _, evals = asymptotic_1d(tau_u, M, model, seed=cfg.seed)
+    tau_p, p_aK, _, evals = asymptotic_1d(tau_u, M, model)
     p_aK = min(p_aK, float(K))
     achieved = bound_at("Ra", cfg, tau_p, p_aK)
     return OptimizationResult(tau_p, p_aK, achieved.value, "Ra-1D", evals + 1, achieved)

@@ -11,7 +11,9 @@ Three regimes of the unconstrained pilot length are covered:
   with a rate near M / ln 2.
 * balanced (M ~ tau_u): pilot share a and activation scale b are order-one
   numbers found by maximizing a rate functional that depends on the system
-  only through delta = M / tau_u; the rate grows like sqrt(M tau_u).
+  only through delta = M / tau_u; the rate grows like sqrt(M tau_u). The
+  functional's gain expectation is the fixed Gauss rule of ``beta_nodes``
+  under every gain law, so the solution is deterministic.
 
 ``verify_scaling`` drives the grid optimizer up a ladder of (M, tau_u)
 points and pairs each rung's numeric optimum with its prediction.
@@ -117,7 +119,7 @@ def ab_objective(a, b, delta: float, model: LargeScaleModel):
     Multiplying by sqrt(M*tau_u) recovers the sum rate; the functional
     depends on (M, tau_u) only through delta. ``b`` is a scalar, giving a
     float, or a 1-D array, giving one value per entry. The expectation is
-    taken over the memoized seed-0 :func:`beta_nodes`.
+    taken over the memoized Gauss rule of :func:`beta_nodes`.
     """
     betas, w = beta_nodes(model)
     b = np.asarray(b, dtype=float)
@@ -178,13 +180,12 @@ class LadderPoint:
     prediction: ScalingPrediction
 
 
-def verify_scaling(case: ScalingCase | str, model: LargeScaleModel, ladder, *,
-                   seed: int = 0) -> tuple[LadderPoint, ...]:
+def verify_scaling(case: ScalingCase | str, model: LargeScaleModel, ladder) -> tuple[LadderPoint, ...]:
     """Grid-optimize the large-system bound along a (M, tau_u) ladder and
     pair each rung's optimum with the closed-form prediction.
 
-    Each rung is the scenario (M, tau_u) with LADDER_K devices, gains from
-    ``model`` and seed ``seed``, searched on the default grid. Returns one
+    Each rung is the scenario (M, tau_u) with LADDER_K devices and gains
+    from ``model``, searched on the default grid. Returns one
     :class:`LadderPoint` per rung, in ladder order.
     """
     case = ScalingCase(case)
@@ -192,7 +193,7 @@ def verify_scaling(case: ScalingCase | str, model: LargeScaleModel, ladder, *,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # declared-regime warnings on early rungs
         for M, tau_u in ladder:
-            cfg = SystemConfig(M=int(M), K=LADDER_K, tau_u=int(tau_u), model=model, seed=seed)
+            cfg = SystemConfig(M=int(M), K=LADDER_K, tau_u=int(tau_u), model=model)
             res = grid_opt("Ra", cfg)
             pred = predict(case, int(tau_u), int(M), model)
             points.append(LadderPoint(int(M), int(tau_u), res.tau_p_opt, res.p_aK_opt, res.rate, pred))

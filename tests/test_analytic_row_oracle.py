@@ -21,7 +21,6 @@ from pilothop import bounds, channels, optimize
 from pilothop.access import binom_windows
 from pilothop.bounds import McConfig, analytic_row, bound_at, bound_grid
 from pilothop.channels import (
-    EXPECT_MC_SAMPLES,
     LogNormalShadowing,
     RingPathLoss,
     UniformPowerError,
@@ -69,8 +68,7 @@ def _cell(bound, cfg, tau_p, q):
         def sinr(b0):
             den = b2m * cfg.M * paK + bm**2 * paK**2 + bm * b0 * paK * tau_p
             return cfg.M * tau_p * b0**2 / den
-    val, err, n = expect_beta(cfg.model, lambda b0: np.log2(1.0 + sinr(b0)), seed=cfg.seed)
-    return prelog * paK * val, prelog * paK * err, n
+    return prelog * paK * expect_beta(cfg.model, lambda b0: np.log2(1.0 + sinr(b0))), 0.0, 0
 
 
 
@@ -95,7 +93,7 @@ ROW = np.concatenate([
 def _block_crossing_row(name):
     """ROW padded until its live cells fill more than one expect_rows block on
     the model's nodes, with a zero-activity cell between the first two blocks."""
-    step = max(1, channels._BLOCK_ELEMENTS // beta_nodes(MODELS[name], mc_samples=EXPECT_MC_SAMPLES)[0].size)
+    step = max(1, channels._BLOCK_ELEMENTS // beta_nodes(MODELS[name])[0].size)
     row = np.concatenate([ROW, np.geomspace(1.5, K, max(step + 1 - ROW.size, 0))])
     return np.insert(row, step, 0.0)
 
@@ -132,13 +130,13 @@ def test_row_equals_cells(bound, name):
     for tau_p in (1, 20, TAU_U - 1, TAU_U):
         qs = _block_crossing_row(name) if bound in ("R3", "Ra") and tau_p == 20 else ROW
         want = [cell(bound, cfg, tau_p, float(q)) for q in qs]
-        row = bound_grid(bound, cfg, [tau_p], qs)[0]
-        assert row.tolist() == [v for v, _, _ in want]
+        values, errs, ns = (part[0].tolist() for part in bound_grid(bound, cfg, [tau_p], qs))
+        assert list(zip(values, errs, ns)) == want
         for q, (v, err, n) in zip(qs[::7], want[::7]):
             res = bound_at(bound, cfg, tau_p, float(q))
             assert (res.value, res.mc_std_err, res.mc_samples) == (v, err, n)
     # zero prelog: every cell is 0 with no Monte Carlo error
-    assert not bound_grid(bound, cfg, [TAU_U], ROW).any()
+    assert not any(part.any() for part in bound_grid(bound, cfg, [TAU_U], ROW))
     res = bound_at(bound, cfg, TAU_U, 30.0)
     assert (res.value, res.mc_std_err, res.mc_samples) == (0.0, 0.0, 0)
 
@@ -169,11 +167,13 @@ def test_grid_stages_equal_bound_at(monkeypatch):
     grid_opt("R1", cfg, GridSpec(5, 7, refine_points=4))
     assert len(stages) == 2
     stages += [(tps, qs, bound_grid("R2", cfg, tps, qs)) for tps, qs, _ in stages]
-    for i, (tps, qs, values) in enumerate(stages):
+    for i, (tps, qs, (values, errs, ns)) in enumerate(stages):
         bound = "R1" if i < 2 else "R2"
-        assert values.shape == (len(tps), len(qs))
-        for tp, row in zip(tps, values):
-            assert row.tolist() == [bound_at(bound, cfg, tp, float(q)).value for q in qs], (bound, tp)
+        assert values.shape == errs.shape == ns.shape == (len(tps), len(qs))
+        for r, tp in enumerate(tps):
+            got = list(zip(values[r].tolist(), errs[r].tolist(), ns[r].tolist()))
+            want = [(b.value, b.mc_std_err, b.mc_samples) for b in (bound_at(bound, cfg, tp, float(q)) for q in qs)]
+            assert got == want, (bound, tp)
 
 
 def test_row_handles_zero_activity_and_rejects_long_pilots():

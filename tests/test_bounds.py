@@ -237,7 +237,7 @@ def test_r1_bar_single_device_matches_quadrature(uniform_spread):
     def rate_of_gain(b0):
         return (70 / 80) * math.log2(1.0 + sinr1(CollisionScenario(b0, (), 1, 10, 50), []))
 
-    want = expect_beta(uniform_spread, np.vectorize(rate_of_gain))[0]
+    want = expect_beta(uniform_spread, np.vectorize(rate_of_gain))
     assert abs(got.value - want) <= 4 * got.mc_std_err
 
 

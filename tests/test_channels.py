@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -150,7 +152,13 @@ def test_sample_channels_entry_variance_and_independence(rng):
 
 
 def _quad_expectation(model, f):
-    """E[f(gain)] by adaptive quadrature over the model's uniform variable."""
+    """E[f(gain)] by adaptive quadrature over the model's underlying variable."""
+    if isinstance(model, LogNormalShadowing):
+        sd = math.sqrt(model.sigma_v2)
+        pdf = lambda v: math.exp(-v * v / (2 * model.sigma_v2)) / (sd * math.sqrt(2 * math.pi))
+        val, _ = integrate.quad(lambda v: f(model.delta_bar * 10 ** (v / 10)) * pdf(v), -14 * sd, 14 * sd,
+                                epsrel=1e-12, epsabs=0.0, limit=400)
+        return val
     if isinstance(model, UniformPowerError):
         beta_of_v = lambda v: model.delta_bar * (1 + v)
     else:
@@ -165,27 +173,51 @@ def test_expect_beta_quadrature_matches_nodes():
     M, K = 100, 800
     models = [UniformPowerError(10.0, a) for a in (0.25, 0.5, 1.0)]
     models += [RingPathLoss(10.0, a) for a in (0.25, 0.5, 0.9)]
+    models += [LogNormalShadowing(10.0, s2) for s2 in (0.25, 4.0, 16.0)]
     for model in models:
         mo = analytic_moments(model)
         for tau_p in (1, 10, 33, 60):
             for paK in (1.0, 5.0, 30.0, 200.0):
                 for sinr in (lambda b: sinr3(b, mo, tau_p, paK / K, K, M), lambda b: sinra(b, mo, tau_p, paK, M)):
                     f = lambda b: np.log2(1.0 + sinr(b))
-                    assert expect_beta(model, f)[0] == pytest.approx(_quad_expectation(model, f), rel=1e-9)
+                    assert expect_beta(model, f) == pytest.approx(_quad_expectation(model, f), rel=1e-9), model
 
 
-def test_expect_beta_lognormal_is_seeded():
-    model = LogNormalShadowing(10.0, 0.5)
-    f = lambda b: np.log2(1.0 + b)
-    a = expect_beta(model, f, seed=3)[0]
-    b = expect_beta(model, f, seed=3)[0]
-    c = expect_beta(model, f, seed=4)[0]
-    assert a == b
-    assert a != c
-    val, err, n = expect_beta(model, f, seed=3)
-    assert val == a and n == 16384
-    exact = expect_beta(model, f, seed=5, mc_samples=2**18)[0]
-    assert abs(val - exact) <= 4 * err
+@pytest.mark.parametrize("sigma_v2", [0.25, 1.0, 4.0, 9.0, 16.0])
+def test_hermite_moments_equal_closed_form(sigma_v2):
+    model = LogNormalShadowing(10.0, sigma_v2)
+    mo = analytic_moments(model)
+    for n, want in ((1, mo.mean), (2, mo.mean_sq), (4, mo.mean_4th)):
+        assert expect_beta(model, lambda b: b**n) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _hermite_200(model):
+    x, w = np.polynomial.hermite.hermgauss(200)
+    return model.delta_bar * 10.0 ** (math.sqrt(2.0 * model.sigma_v2) * x / 10.0), w / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("sigma_v2, tol", [(0.25, 1e-12), (4.0, 1e-12), (16.0, 1e-12), (64.0, 1e-7)])
+def test_hermite_rule_agrees_with_a_finer_rule(sigma_v2, tol):
+    # the R3 and Ra integrands over an operating grid, Rh-1D's over its scan
+    # range and the balanced functional's over solve_ab's b range; taken as
+    # log1p so that the rounding of 1 + sinr at tiny SINRs (up to 5e-12
+    # relative here) does not hide the rule's own error
+    model = LogNormalShadowing(10.0, sigma_v2)
+    mo = analytic_moments(model)
+    fine, w_fine = _hermite_200(model)
+    root_f = math.sqrt(mo.spread_factor)
+    sinrs = []
+    for M, tau_p, paK in itertools.product((10, 100, 1000), (1, 10, 40), (1.0, 3.0, 30.0, 300.0)):
+        sinrs += [functools.partial(sinr3, moments=mo, tau_p=tau_p, p_a=paK / 1000, K=1000, M=M),
+                  functools.partial(sinra, moments=mo, tau_p=tau_p, p_aK=paK, M=M)]
+    for scale in (1e-2, 0.3, 1.0, 3.0, 1e2):
+        sinrs.append(functools.partial(lambda b, s: b**2 / (3.0 * mo.mean * s * s), s=scale))
+    for scale, (a, delta) in itertools.product((1e-3, 0.3, 1.0, 3.0, 5.0), ((0.01, 0.01), (0.3, 1.0), (0.9, 10.0))):
+        sinrs.append(functools.partial(sinra, moments=mo, tau_p=a, p_aK=scale * root_f * math.sqrt(delta), M=delta))
+    assert len(sinrs) == 92
+    for sinr in sinrs:
+        f = lambda b: np.log1p(sinr(b)) / math.log(2.0)
+        assert expect_beta(model, f) == pytest.approx(w_fine @ f(fine), rel=tol, abs=0.0), sinr
 
 
 @pytest.mark.parametrize("model", [
@@ -193,32 +225,17 @@ def test_expect_beta_lognormal_is_seeded():
     RingPathLoss(10.0, 0.25), LogNormalShadowing(10.0, 4.0),
 ])
 def test_beta_nodes_are_memoized_read_only(model):
-    nodes, w = beta_nodes(model, seed=3)
-    again = beta_nodes(model, seed=3)
+    nodes, w = beta_nodes(model)
+    again = beta_nodes(type(model)(*vars(model).values()))  # an equal model, not the same object
     assert again[0] is nodes and again[1] is w
+    assert nodes.size == (1 if is_degenerate(model) else channels.QUAD_NODES)
     for a in (nodes, w):
         with pytest.raises(ValueError):
             a[0] = 1.0
     assert w.sum() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_beta_nodes_store_stays_under_its_cap():
-    model = LogNormalShadowing(10.0, 0.5)
-    for seed in range(40):  # 40 keys of 256 kB: the memo keeps the last 32
-        beta_nodes(model, mc_samples=16384, seed=seed)
-        assert beta_nodes.cache_info().currsize <= 32
-    hits = beta_nodes.cache_info().hits
-    for seed in range(8, 40):
-        beta_nodes(model, mc_samples=16384, seed=seed)
-    assert beta_nodes.cache_info().hits == hits + 32
-    # a key of 2**20 draws is computed and read-only like the rest
-    big = beta_nodes(model, mc_samples=2**20, seed=5)
-    assert big[0].size == 2**20 and not big[0].flags.writeable and not big[1].flags.writeable
-    assert beta_nodes.cache_info().currsize <= 32
-
-
-def test_beta_nodes_seeds_give_different_lognormal_draws():
-    model = LogNormalShadowing(10.0, 4.0)
-    a, b = beta_nodes(model, seed=3)[0], beta_nodes(model, seed=4)[0]
-    assert not np.array_equal(a, b)
-    assert np.array_equal(a, beta_nodes(model, seed=3)[0])
+def test_beta_nodes_differ_between_models():
+    a, b = beta_nodes(LogNormalShadowing(10.0, 4.0)), beta_nodes(LogNormalShadowing(10.0, 4.5))
+    assert not np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])  # the same Hermite weights, at wider nodes

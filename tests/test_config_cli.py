@@ -398,11 +398,13 @@ def test_cli_compare_evaluates_with_the_spec_bound(tmp_path):
     assert float(row[2]) != bound_at("R1", cfg, res.tau_p_opt, res.p_aK_opt).value
 
 
-@pytest.mark.parametrize("evaluate_with", ["Ra", "R3"])
+@pytest.mark.parametrize("evaluate_with", ["Ra", "R3", "R1"])
 def test_each_bound_is_taken_once_per_method_point(tmp_path, monkeypatch, evaluate_with):
-    # Ra-1D takes the Ra bound at its point; under evaluate_with: Ra its CSV row reuses it
+    # Ra-1D takes the Ra bound at its point and an -opt method its cost in the
+    # grid: a CSV row evaluated with that same bound reuses it
     from pilothop import experiments
     from pilothop import optimize as optimize_module
+    from pilothop.optimize import RATE_BOUND
 
     calls = []
     for module in (experiments, optimize_module):
@@ -411,18 +413,25 @@ def test_each_bound_is_taken_once_per_method_point(tmp_path, monkeypatch, evalua
             return take(bound, cfg, tau_p, p_aK)
 
         monkeypatch.setattr(module, "bound_at", counted)
-    system = {"M": 60, "K": 200, "tau_u": 40, "seed": 2, "model": {"type": "lognormal", "sigma_v2": 4.0}}
+    system = {"M": 60, "K": 200, "tau_u": 40, "seed": 2, "model": {"type": "lognormal", "sigma_v2": 4.0},
+              "mc": {"n_beta_samples": 60}}
+    methods = ["R1-opt", "R3-opt", "Ra-opt", "Ra-1D", "Rh0"]
     spec = _write(
         tmp_path, "opt.yaml",
-        f"kind: optimize\nsystem: {system}\nmethods: [Ra-1D, Rh0]\n"
+        f"kind: optimize\nsystem: {system}\nmethods: {methods}\n"
         f"evaluate_with: {evaluate_with}\nout_prefix: opt\n",
     )
     assert main(["run", spec, "--out", str(tmp_path)]) == 0
     seen = list(calls)
     cfg, _ = build_system(system)
-    points = [(res.tau_p_opt, res.p_aK_opt) for res in (optimize("Ra-1D", cfg), optimize("Rh0", cfg))]
-    assert seen == list(dict.fromkeys([("Ra", *points[0])] + [(evaluate_with, *p) for p in points]))
+    points = [(res.tau_p_opt, res.p_aK_opt) for res in (optimize(m, cfg) for m in methods)]
+    want = []
+    for m, point in zip(methods, points):
+        want += [("Ra", *point)] if m == "Ra-1D" else []
+        want += [(evaluate_with, *point)] if RATE_BOUND.get(m) != evaluate_with else []
+    assert seen == want
     lines = (tmp_path / "opt_optimize.csv").read_text().strip().split("\n")[1:]
+    assert len(lines) == len(methods)
     for line, (tau_p, p_aK) in zip(lines, points):
         b = bound_at(evaluate_with, cfg, tau_p, p_aK)
         assert line.split(",")[2::3] == [f"{b.value:.9g}", f"{b.mc_std_err:.9g}"]

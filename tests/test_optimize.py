@@ -80,7 +80,7 @@ def test_heuristic2_independent_of_size():
 def test_heuristic2_grows_with_gain_spread():
     bs = []
     for s2 in (0.0, 0.5):
-        _, q, _, _ = heuristic2_1d(100, 100, LogNormalShadowing(10.0, s2), seed=1)
+        _, q, _, _ = heuristic2_1d(100, 100, LogNormalShadowing(10.0, s2))
         bs.append(q / 100.0)
     assert bs[1] > bs[0]
 
