@@ -11,16 +11,21 @@ around the binomial mode. ``binom_windows`` finds those windows for many
 (n, p) pairs in one call, a bounded chunk of rows at a time; the averaged
 bounds build every collision window of a pilot length, and every activation
 window of a grid stage, with one call each.
+
+The masses come from ``scipy.special``, which is imported by the first
+binomial (:func:`load_binomial`) and not by importing this module: only R1
+and R2 take binomials, and the simulator, R3, Ra and the scaling laws run
+without scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.special._ufuncs import _binom_pmf
+import numpy.ma  # noqa: F401  np.unique loads it lazily; load it at import, not inside a run
 
 
 @dataclass(frozen=True)
@@ -77,14 +82,32 @@ def _binom_params(law: AnyLaw) -> tuple[int, float]:
     raise TypeError(f"expected ActivationLaw or CollisionLaw, got {type(law).__name__}")
 
 
+@cache
+def load_binomial():
+    """(gammaln, _binom_pmf) from ``scipy.special``, imported on the first call.
+
+    scipy is the package's only source of binomial masses, and importing it
+    costs about 0.2 s and 16 MB, so only runs that take a binomial pay for
+    it. ``pilothop run`` calls this during set-up for specs that evaluate R1
+    or R2 (``config.evaluated_bounds``), so a broken scipy fails before any work.
+    """
+    from scipy.special import gammaln
+    from scipy.special._ufuncs import _binom_pmf
+
+    return gammaln, _binom_pmf
+
+
 def binom_pmf(k, n, p: float):
     """Binomial(n, p) mass at k; overflow-safe at mMTC scale. Vectorized in k and n.
 
     Calls the saddle-point ufunc behind ``scipy.stats.binom.pmf`` directly,
     which gives the same values without importing ``scipy.stats``. A plain
     log-gamma route loses ~2e-12 of total mass around n = 2000, which would
-    break the unit-mass contract the averaged bounds rely on.
+    break the unit-mass contract the averaged bounds rely on. Both come from
+    :func:`load_binomial`, so scipy is imported by the first call, not by
+    importing this module.
     """
+    gammaln, _binom_pmf = load_binomial()
     k = np.asarray(k)
     if np.any((k < 0) | (k > n)):
         raise ValueError(f"support of Binomial({n}, {p}) is 0..{n}")

@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not inside a run
 
 from .access import binom_windows
 from .channels import (

@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
+import numpy.polynomial  # noqa: F401  numpy loads it lazily; load it at import, not inside a run
 
 LN10_OVER_10 = math.log(10.0) / 10.0
 

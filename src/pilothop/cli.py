@@ -15,7 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import SpecParseError, parse_spec, validate
+from .access import load_binomial
+from .config import SpecParseError, evaluated_bounds, parse_spec, validate
 from .experiments import format_csv, run_experiment
 
 EXIT_OK = 0
@@ -74,6 +75,8 @@ def _cmd_run(args) -> int:
     spec, code = _load_valid(args.spec)
     if spec is None:
         return code
+    if {"R1", "R2"} & evaluated_bounds(spec):
+        load_binomial()  # scipy's import belongs to start-up, and a broken scipy fails before any work
     try:
         outputs = run_experiment(spec, seed_override=args.seed, jobs=args.jobs)
     except (ValueError, ArithmeticError) as exc:

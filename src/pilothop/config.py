@@ -21,7 +21,7 @@ import yaml
 
 from .bounds import BOUNDS, COSTS, McConfig, mc_problems
 from .channels import LargeScaleModel, LogNormalShadowing, RingPathLoss, UniformPowerError
-from .optimize import METHODS, RH0_MIN_TAU_U
+from .optimize import METHODS, RATE_BOUND, RH0_MIN_TAU_U
 
 # The top-level fields each kind reads besides kind, system and out_prefix; any other exits 3
 KIND_FIELDS = {
@@ -33,6 +33,15 @@ KIND_FIELDS = {
     "compare": ("methods", "evaluate_with", "n_slots", "n_frames"),
 }
 KINDS = tuple(KIND_FIELDS)
+# The system fields a kind does not read; they are dropped unchecked. optimize, sweep and
+# compare choose tau_p and p_a, and scaling-verify reads the gain model only: each ladder
+# rung is its own (M, tau_u) system of LADDER_K devices
+SYSTEM_UNREAD = {
+    "optimize": ("tau_p", "p_a"),
+    "sweep": ("tau_p", "p_a"),
+    "compare": ("tau_p", "p_a"),
+    "scaling-verify": ("M", "K", "tau_u", "tau_p", "p_a", "seed", "mc"),
+}
 SWEEP_AXES = ("tau_u", "M", "K")
 DEFAULT_K = 800
 DEFAULT_DELTA_BAR = 10.0
@@ -159,12 +168,14 @@ def parse_model(raw) -> LargeScaleModel:
     return cls(**raw)
 
 
-def build_system(raw: dict) -> tuple[SystemConfig | None, list[Diagnostic]]:
-    """Construct a SystemConfig from raw values, collecting diagnostics."""
+def build_system(raw: dict, unread=()) -> tuple[SystemConfig | None, list[Diagnostic]]:
+    """Construct a SystemConfig from raw values, collecting diagnostics. The
+    fields named in ``unread`` are dropped unchecked; without M there is no
+    SystemConfig, and a missing M is reported unless M is unread."""
     if raw is not None and not isinstance(raw, dict):
         return None, [Diagnostic("system", "must be a mapping")]
     diags: list[Diagnostic] = []
-    raw = dict(raw or {})
+    raw = {name: v for name, v in (raw or {}).items() if name not in unread}
     model_raw = raw.pop("model", None)
     mc_raw = raw.pop("mc", None)
     try:
@@ -188,7 +199,8 @@ def build_system(raw: dict) -> tuple[SystemConfig | None, list[Diagnostic]]:
         diags.append(Diagnostic(f"system.{name}", "unknown field"))
         raw.pop(name)
     if "M" not in raw:
-        diags.append(Diagnostic("system.M", "required field is missing"))
+        if "M" not in unread:
+            diags.append(Diagnostic("system.M", "required field is missing"))
         return None, diags
 
     values = {f.name: f.default for f in fields(SystemConfig)} | raw
@@ -247,7 +259,8 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
             lists[name] = []
         elif not v:
             diags.append(Diagnostic(name, "must not be empty"))
-    cfg, sys_diags = build_system(spec.system)
+    unread = SYSTEM_UNREAD.get(spec.kind, ())
+    cfg, sys_diags = build_system(spec.system, unread)
     diags.extend(sys_diags)
 
     if "methods" in reads:
@@ -264,7 +277,7 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
             diags.append(Diagnostic("sweep.axis", f"unknown axis {spec.sweep_axis!r}; expected one of {SWEEP_AXES}"))
         elif cfg is not None:  # every sweep point must itself be a valid system
             for v in lists["sweep.values"]:
-                _, point = build_system({**spec.system, spec.sweep_axis: v})
+                _, point = build_system({**spec.system, spec.sweep_axis: v}, unread)
                 diags.extend(Diagnostic("sweep.values", f"{spec.sweep_axis}={v!r}: {d}") for d in point)
     if "bounds" in reads:
         for b in lists["bounds"]:
@@ -297,3 +310,19 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
     if not (isinstance(prefix, str) and prefix and not {"/", "\\"} & set(prefix) and ".." not in prefix):
         diags.append(Diagnostic("out_prefix", f"must be a non-empty name without '/', '\\' or '..' (got {prefix!r})"))
     return diags
+
+
+def evaluated_bounds(spec: ExperimentSpec) -> set[str]:
+    """The bounds a valid spec's run evaluates, read off the fields its kind
+    reads (``KIND_FIELDS``): ``bounds``, the bound behind each method
+    (``RATE_BOUND``; the heuristics evaluate none), ``evaluate_with`` (R1 by
+    default) and Ra for a ``ladder``, whose every rung is an Ra grid search."""
+    reads = KIND_FIELDS[spec.kind]
+    found = set(spec.bounds) if "bounds" in reads else set()
+    if "methods" in reads:
+        found.update(RATE_BOUND[m] for m in spec.methods if m in RATE_BOUND)
+    if "evaluate_with" in reads:
+        found.add(spec.evaluate_with)
+    if "ladder" in reads:
+        found.add("Ra")
+    return found

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique loads it lazily; load it at import, not inside a run
 
 from .bounds import COSTS, BoundResult, bound_at, bound_grid, sinra
 from .channels import LargeScaleModel, analytic_moments, expect_rows

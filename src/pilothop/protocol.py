@@ -28,6 +28,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique loads it lazily; load it at import, not inside a run
+import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not inside a run
 
 from .access import ActivationLaw, sample_active_set
 from .channels import sample_beta

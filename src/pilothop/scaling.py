@@ -25,6 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,6 +129,7 @@ def ab_objective(a, b, delta: float, model: LargeScaleModel):
     return float(vals) if vals.ndim == 0 else vals
 
 
+@lru_cache(maxsize=32)
 def solve_ab(delta: float, model: LargeScaleModel) -> tuple[float, float, float]:
     """Maximize the balanced-regime functional over (a, b).
 
@@ -135,7 +137,8 @@ def solve_ab(delta: float, model: LargeScaleModel) -> tuple[float, float, float]
     the predicted optimized sum rate is rate_scale * sqrt(M * tau_u).
     Coarse-to-fine grid of AB_GRID_POINTS per axis: a log-spaced global
     stage over b up to 5 sqrt(spread_factor), then AB_STAGES - 1 zooms
-    around the argmax.
+    around the argmax. Memoized per (delta, model): the rungs of a balanced
+    ladder share one delta = M / tau_u, so they share one solve.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")

@@ -265,6 +265,26 @@ def test_cli_field_the_kind_does_not_read_exit_3(tmp_path, capsys, body, kind, u
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("body, twin", [
+    ("kind: scaling-verify\nsystem: {seed: 0}\nladder: [[1000, 100]]\nout_prefix: x\n",
+     "kind: scaling-verify\nsystem: {M: 100, seed: 0}\nladder: [[1000, 100]]\nout_prefix: x\n"),
+    ("kind: sweep\nsystem: {M: 100, tau_u: 30, tau_p: 20}\nmethods: [Rh0]\nsweep: {axis: tau_u, values: [10]}\n"
+     "evaluate_with: Ra\nout_prefix: x\n",
+     "kind: sweep\nsystem: {M: 100, tau_u: 30}\nmethods: [Rh0]\nsweep: {axis: tau_u, values: [10]}\n"
+     "evaluate_with: Ra\nout_prefix: x\n"),
+], ids=["scaling-verify-without-M", "sweep-past-tau_p"])
+def test_cli_system_field_the_kind_does_not_read_is_not_checked(tmp_path, capsys, body, twin):
+    # scaling-verify takes M from each rung, and a sweep chooses tau_p and p_a itself
+    csvs = []
+    for name, text in (("given", body), ("twin", twin)):
+        spec = _write(tmp_path, f"{name}.yaml", text)
+        assert main(["validate", spec]) == 0
+        assert main(["run", spec, "--out", str(tmp_path / name)]) == 0
+        csvs.append({path.name: path.read_bytes() for path in (tmp_path / name).glob("*.csv")})
+    assert csvs[0] == csvs[1] and csvs[0]
+    assert "invalid" not in capsys.readouterr().err
+
+
 def test_cli_rejects_mc_seed(tmp_path, capsys):
     # the Monte Carlo seed always follows system.seed (and --seed)
     spec = _write(

@@ -5,7 +5,10 @@ import pytest
 
 from pilothop.bounds import sinra
 from pilothop.channels import LogNormalShadowing, UniformPowerError, RingPathLoss, analytic_moments, beta_nodes
+from pilothop import scaling
 from pilothop.scaling import (
+    AB_GRID_POINTS,
+    AB_STAGES,
     ScalingCase,
     ScalingPrediction,
     ab_objective,
@@ -57,10 +60,26 @@ def test_solve_ab_beats_brute_force(pc_model):
 
 def test_solve_ab_depends_only_on_ratio(pc_model):
     p1 = predict(ScalingCase.BALANCED, 300, 100, pc_model)
+    solve_ab.cache_clear()  # solve again: both points have the same delta
     p2 = predict(ScalingCase.BALANCED, 3000, 1000, pc_model)
     # a = tau_p / tau_u and b = p_aK / sqrt(M tau_u)
     assert abs(p1.tau_p / 300 - p2.tau_p / 3000) <= 1e-8
     assert abs(p1.p_aK / math.sqrt(100 * 300) - p2.p_aK / math.sqrt(1000 * 3000)) <= 1e-8
+
+
+def test_balanced_ladder_solves_its_functional_once(monkeypatch):
+    # the rungs of a balanced ladder share delta = M / tau_u, so one solve serves them all
+    deltas, objective = [], scaling.ab_objective
+
+    def counted(a, b, delta, model):
+        deltas.append(delta)
+        return objective(a, b, delta, model)
+
+    monkeypatch.setattr(scaling, "ab_objective", counted)
+    solve_ab.cache_clear()
+    model = UniformPowerError(10.0, 0.5)
+    points = verify_scaling("balanced", model, [(100, 100), (400, 400), (1600, 1600)])
+    assert len(points) == 3 and len(deltas) == AB_STAGES * AB_GRID_POINTS and set(deltas) == {1.0}
 
 
 def test_solve_ab_saturates_to_half(pc_model):

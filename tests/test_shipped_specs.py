@@ -1,12 +1,16 @@
-"""Guards on the shipped specs: the CSV bytes of the fast ones, and that every
-spec the repository ships (``specs/``, the benchmark's, the README's) validates.
+"""Guards on the shipped specs: the CSV bytes of the fast ones, that every
+spec the repository ships (``specs/``, the benchmark's, the README's)
+validates, and that their runs import every module during start-up.
 
 The files under ``tests/golden/`` were written by ``pilothop run`` on each
 spec at its own seed. A refactor that keeps the arithmetic must keep them.
 """
 
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +18,7 @@ import pytest
 import yaml
 
 from pilothop.cli import main
-from pilothop.config import KIND_FIELDS, parse_spec, validate
+from pilothop.config import KIND_FIELDS, evaluated_bounds, parse_spec, validate
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -52,18 +56,73 @@ def test_analytic_sweep_csv_is_byte_identical(tmp_path, prefix):
     assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
 
 
-def test_shipped_and_benchmark_specs_validate(tmp_path, monkeypatch):
-    # a stricter schema must not turn a benchmark run into a failed one
+def _benchmark_ops(tmp_path, monkeypatch) -> list:
+    """The ops of every perfbench workload at seed 1, their specs written under tmp_path."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # workloads.py imports oracle from there
     loader = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(loader)
     monkeypatch.setitem(sys.modules, loader.name, workloads)  # dataclasses look their module up there
     loader.loader.exec_module(workloads)
-    ops = [op.spec for build in workloads.WORKLOADS.values() for op in build(1, ROOT, tmp_path)]
-    specs = sorted((ROOT / "specs").glob("*.yaml"))
-    assert len(ops) >= 8 and len(specs) >= 4
-    assert {str(path): [str(d) for d in validate(parse_spec(path))] for path in ops + specs} == \
-        {str(path): [] for path in ops + specs}
+    return [op for build in workloads.WORKLOADS.values() for op in build(1, ROOT, tmp_path)]
+
+
+SHIPPED = sorted((ROOT / "specs").glob("*.yaml"))
+
+
+def test_shipped_and_benchmark_specs_validate(tmp_path, monkeypatch):
+    # a stricter schema must not turn a benchmark run into a failed one
+    ops = [op.spec for op in _benchmark_ops(tmp_path, monkeypatch)]
+    assert len(ops) >= 8 and len(SHIPPED) >= 4
+    assert {str(path): [str(d) for d in validate(parse_spec(path))] for path in ops + SHIPPED} == \
+        {str(path): [] for path in ops + SHIPPED}
+
+
+def test_evaluated_bounds_of_the_shipped_specs():
+    assert {path.stem: evaluated_bounds(parse_spec(path)) for path in SHIPPED} == {
+        "bound_hierarchy": {"R1", "R2", "R3", "Ra"},
+        "fig6_sweep": {"R1", "Ra"},
+        "protocol_validation": {"R1", "Ra"},  # Ra-opt, written under the default evaluate_with
+        "scaling_antenna_rich": {"Ra"},
+    }
+
+
+# Runs one `pilothop run` and prints [exit code, scipy.special loaded at entry into
+# run_experiment, binom_pmf called during the run, modules imported during the run]
+_WATCHED_RUN = """
+import json, sys
+from pilothop import access, cli
+took, seen = [], {}
+binom_pmf, run_experiment = access.binom_pmf, cli.run_experiment
+def counted(*args, **kwargs):
+    took.append(1)
+    return binom_pmf(*args, **kwargs)
+def watched(*args, **kwargs):
+    seen["scipy"], before = "scipy.special" in sys.modules, set(sys.modules)
+    out = run_experiment(*args, **kwargs)
+    seen["imported"] = sorted(set(sys.modules) - before)
+    return out
+access.binom_pmf, cli.run_experiment = counted, watched
+rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, seen["scipy"], bool(took), seen["imported"]]))
+"""
+
+
+def test_runs_import_nothing_and_load_scipy_at_start_up_only_for_binomials(tmp_path, monkeypatch):
+    # setup_s ends at entry into run_experiment, so no run may import a module after it; scipy
+    # is loaded before that entry exactly when the spec evaluates R1 or R2, which take binomials
+    runs = {op.name: (op.spec, op.cli_args(tmp_path / op.name)) for op in _benchmark_ops(tmp_path, monkeypatch)}
+    runs |= {path.stem: (path, ["run", str(path), "--out", str(tmp_path / path.stem), "--jobs", "1"])
+             for path in SHIPPED}
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    seen, want = {}, {}
+    for name, (spec, args) in runs.items():
+        out = subprocess.run([sys.executable, "-c", _WATCHED_RUN, *args], env=env, capture_output=True, text=True)
+        seen[name] = json.loads(out.stdout.splitlines()[-1]) if out.returncode == 0 else out.stderr[-400:]
+        binomial = bool({"R1", "R2"} & evaluated_bounds(parse_spec(spec)))
+        want[name] = [0, binomial, binomial, []]
+    assert seen == want
+    assert {binomial for _, binomial, _, _ in want.values()} == {False, True}  # both kinds of run are covered
 
 
 README = (ROOT / "README.md").read_text()

@@ -10,6 +10,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "pilothop"
 
 
+def _python(code: str, *paths: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports pilothop from src/ (and from ``paths``)."""
+    path = [str(SRC.parent), *map(str, paths), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so none may guard the numerics
     found = [
@@ -19,6 +26,55 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SRC.is_dir() and not found, found
+
+
+def _module_level(tree):
+    """The nodes of a module that run when it is imported: all but function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _scipy_imports(nodes) -> list:
+    return [node for node in nodes
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"]
+
+
+def test_no_module_imports_scipy_at_module_level():
+    # scipy is imported on first use, by access.load_binomial, never with the package
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in _scipy_imports(_module_level(tree))]
+    anywhere = [node for tree in trees.values() for node in _scipy_imports(ast.walk(tree))]
+    assert anywhere and not found, found
+
+
+def test_import_validate_simulate_and_scaling_leave_scipy_out(tmp_path):
+    # importing scipy.special costs about 0.2 s of start-up; only runs that evaluate R1 or R2 load it
+    specs = sorted((SRC.parent.parent / "specs").glob("*.yaml"))
+    sim = tmp_path / "sim.yaml"
+    sim.write_text("kind: simulate\nsystem: {M: 32, K: 60, tau_u: 40, tau_p: 8, p_a: 0.1, seed: 3}\n"
+                   "n_slots: 20\nout_prefix: sim\n")
+    ladder = tmp_path / "ladder.yaml"
+    ladder.write_text("kind: scaling-verify\nsystem: {seed: 0}\ncase: balanced\n"
+                      "ladder: [[100, 100], [400, 400]]\nout_prefix: ladder\n")
+    code = (
+        "import json, sys, pilothop\n"
+        "from pilothop.cli import main\n"
+        "seen = [['import', 'scipy' in sys.modules]]\n"
+        f"for args in {[['validate', str(p)] for p in specs]}:\n"
+        "    seen.append([main(args), 'scipy' in sys.modules])\n"
+        f"for spec in {[str(sim), str(ladder)]}:\n"
+        f"    seen.append([main(['run', spec, '--out', {str(tmp_path)!r}]), 'scipy' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    out = _python(code)
+    assert json.loads(out.stdout.splitlines()[-1]) == [["import", False]] + [[0, False]] * (len(specs) + 2), \
+        out.stdout + out.stderr
+    assert len(specs) >= 4 and (tmp_path / "sim_simulate.csv").exists() and (tmp_path / "ladder_scaling.csv").exists()
 
 
 def test_import_validate_and_run_leave_scipy_stats_and_optimize_out(tmp_path):
@@ -38,9 +94,7 @@ def test_import_validate_and_run_leave_scipy_stats_and_optimize_out(tmp_path):
         f"seen.append([main(['run', {str(opt)!r}, '--out', {str(tmp_path)!r}]), loaded()])\n"
         "print(json.dumps(seen))\n"
     )
-    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = _python(code)
     assert json.loads(out.stdout.splitlines()[-1]) == [[], [0, []], [0, []]], out.stdout + out.stderr
     assert (tmp_path / "opt_optimize.csv").read_text().count("\n") == 3
 
@@ -48,9 +102,7 @@ def test_import_validate_and_run_leave_scipy_stats_and_optimize_out(tmp_path):
 def test_import_cli_leaves_multiprocessing_out():
     # the process pool is imported only for --jobs > 1; loading it slows every run's start-up
     code = "import sys, pilothop.cli\nprint(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
-    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = _python(code)
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
@@ -124,9 +176,7 @@ def test_perfbench_tracer_runs_a_simulate_spec(tmp_path):
         f"metrics = tracer.finish({str(tmp_path / 'spans.json')!r})\n"
         "print(json.dumps([rc, metrics]))\n"
     )
-    path = [str(SRC.parent), str(SRC.parent.parent / "perfbench"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = _python(code, SRC.parent.parent / "perfbench")
     assert out.returncode == 0, out.stderr
     rc, metrics = json.loads(out.stdout.splitlines()[-1])
     assert rc == 0
