@@ -9,7 +9,7 @@ The hierarchy, from tightest to loosest:
   Jensen; only the reference gain stays random.
 * R3 -- additionally averages the collider and active counts into the
   interference variances; fully analytic up to a 1-D gain expectation,
-  taken by a 96-point Gauss rule (``expect_beta``), so R3 and Ra carry no
+  taken by a 96-point Gauss rule (``beta_nodes``), so R3 and Ra carry no
   Monte Carlo error under any gain law.
 * Ra -- large-system limit of R3; the optimizer's workhorse.
 
@@ -23,19 +23,20 @@ no matter how the enclosing experiment is parallelized, and identical
 columns are reused across grid points (common random numbers) to
 stabilize argmax comparisons.
 
-Every bound is taken a grid row (one pilot length) at a time, each cell
-equal, bit for bit, to the same cell alone. ``r1_bar``/``r2_bar`` are the
-row's one-cell case; ``r3``/``ra`` reduce their one cell with
-``expect_beta``, which gives the row's cell bit for bit. An R1 or R2 cell is the
-activation-weighted sum of F rows, the collider averages at each active
-count K_a, which the cells of a row share: ``_averaged_row`` computes them
-in one pass of one kernel, ``_f_row_sums``, a block of gain samples at a
-time, and keeps none after the call. Only the prefix sums of the last gain
-pool built are kept, if they fit in 32 MiB (``_POOL``). The rows of a grid
-stage (``bound_grid``) share its activation windows, taken once per stage. R3
-and Ra rows take one ``expect_rows`` call over the memoized gain nodes
-(``analytic_row``), each block of cells written in place by the bound's one
-SINR formula (``_sinr3_fill``, ``_sinra_fill``).
+Every bound has one evaluation path, ``_cells``, which takes it over a
+(tau_p, p_a) grid a row (one pilot length) at a time, each cell equal, bit
+for bit, to the same cell alone. ``bound_grid`` is ``_cells`` at p_a =
+min(p_aK/K, 1); ``r1_bar``/``r2_bar``/``r3``/``ra`` are its 1x1 case at
+the config's p_a as given. An R1 or R2 cell is the activation-weighted sum
+of F rows, the collider averages at each active count K_a, which the cells
+of a row share: ``_averaged_row`` computes them in one pass of one kernel,
+``_f_row_sums``, a block of gain samples at a time, and keeps none after
+the call. Only the prefix sums of the last gain pool built are kept, if
+they fit in 32 MiB (``_POOL``). The rows of a grid share its activation
+windows, taken once per grid. R3 and Ra rows take one ``expect_rows`` call
+over the memoized gain nodes (``analytic_row``), each block of cells
+written in place by the bound's one SINR formula (``_sinr3_fill``,
+``_sinra_fill``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .channels import (
     BetaMoments,
     LargeScaleModel,
     analytic_moments,
-    expect_beta,
     expect_rows,
     is_degenerate,
     sample_beta,
@@ -437,31 +437,13 @@ def _averaged_row(cfg: "SystemConfig", tau_p: int, terms: list, use_sinr2: bool)
     return values, errs, ns
 
 
-def _averaged_bound(cfg: "SystemConfig", use_sinr2: bool) -> BoundResult:
-    """R1 (R2 with ``use_sinr2``) at the config's own operating point: the one-cell case of :func:`_averaged_row`."""
-    if cfg.tau_p is None or cfg.p_a is None:
-        raise ValueError("averaged bounds need tau_p and p_a set on the config")
-    (value,), (err,), (n,) = _averaged_row(cfg, cfg.tau_p, _activation_terms(cfg, cfg.p_a), use_sinr2)
-    return BoundResult(float(value), mc_samples=int(n), mc_std_err=float(err))
+def analytic_row(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a) -> np.ndarray:
+    """R3 or Ra at pilot length ``tau_p`` for every activation probability of the row ``p_a``.
 
-
-def r1_bar(cfg: "SystemConfig") -> BoundResult:
-    """Main averaged sum-rate bound (Monte Carlo over the gain law, ``cfg.mc``)."""
-    return _averaged_bound(cfg, use_sinr2=False)
-
-
-def r2_bar(cfg: "SystemConfig") -> BoundResult:
-    """Secondary averaged bound with collider identities Jensen-averaged."""
-    return _averaged_bound(cfg, use_sinr2=True)
-
-
-def _analytic_cells(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a):
-    """A row of R3 or Ra cells at pilot length ``tau_p``, as (live, scale, f).
-
-    Cell ``live[r]`` of the row is ``scale[r] * E[log2(1 + sinr(gain, r))]``,
-    with scale = prelog * p_a*K and ``f`` the :func:`expect_rows` integrand
-    of the bound's SINR fill. The other cells, those with p_a*K = 0 and every
-    cell when tau_p = tau_u, are 0.
+    Cell r is ``prelog * p_a*K * E[log2(1 + sinr(gain, r))]``, with the
+    expectations of the whole row taken by one :func:`expect_rows` call
+    through the bound's SINR fill. Cells with p_a*K = 0, and every cell
+    when tau_p = tau_u, are 0.
     """
     if tau_p > cfg.tau_u:
         raise ValueError(f"tau_p={tau_p} exceeds tau_u={cfg.tau_u}")
@@ -477,46 +459,59 @@ def _analytic_cells(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a):
                 else _sinra_fill(b0, moments, tau_p, cfg.M))
         return lambda rows, out: np.log2(np.add(sinr(levels[rows], out), 1.0, out=out), out=out)
 
-    return live, prelog * paK[live], f
-
-
-def analytic_row(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a) -> np.ndarray:
-    """R3 or Ra at pilot length ``tau_p`` for every activation probability of the row ``p_a``.
-
-    One :func:`expect_rows` call takes the whole row, so each cell equals,
-    bit for bit, the value of :func:`r3`/:func:`ra` at that cell.
-    """
-    live, scale, f = _analytic_cells(bound_id, cfg, tau_p, p_a)
-    values = np.zeros(np.size(p_a))
+    values = np.zeros(p_a.size)
     if live.size:
-        values[live] = scale * expect_rows(cfg.model, f, live.size)
+        values[live] = prelog * paK[live] * expect_rows(cfg.model, f, live.size)
     return values
 
 
-def _analytic_bound(bound_id: str, cfg: "SystemConfig") -> BoundResult:
-    """R3 or Ra at the config's own operating point, from the row's one cell (:func:`_analytic_cells`).
+def _cells(bound: str, cfg: "SystemConfig", tau_ps, p_a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bound ``bound`` at (tau_p, p_a) for every tau_p of ``tau_ps`` and activation probability of the 1-D row ``p_a``.
 
-    Its one cell is reduced by :func:`expect_beta`, whose ``w @ row`` is the
-    reduction :func:`expect_rows` makes, so the value equals
-    :func:`analytic_row`'s.
+    Returns (values, std_errs, n_samples), each (len(tau_ps), len(p_a)).
+    The one path of every bound evaluation, grid or point: R3 and Ra rows
+    through :func:`analytic_row`, with no Monte Carlo error, R1 and R2 rows
+    through :func:`_averaged_row`, every row from the same activation
+    windows (:func:`_activation_terms`).
     """
+    if bound not in BOUNDS:
+        raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
+    p_a = np.asarray(p_a, dtype=float)
+    shape = (len(tau_ps), p_a.size)
+    if bound in ("R3", "Ra"):
+        values = np.array([analytic_row(bound, cfg, int(tau_p), p_a) for tau_p in tau_ps]).reshape(shape)
+        return values, np.zeros(shape), np.zeros(shape, dtype=int)
+    terms = _activation_terms(cfg, p_a)
+    rows = [_averaged_row(cfg, int(tau_p), terms, use_sinr2=bound == "R2") for tau_p in tau_ps]
+    return tuple(np.array([row[k] for row in rows]).reshape(shape) for k in range(3))
+
+
+def _point(bound: str, cfg: "SystemConfig") -> BoundResult:
+    """Bound ``bound`` at the config's own operating point: the 1x1 case of :func:`_cells`, at p_a as given."""
     if cfg.tau_p is None or cfg.p_a is None:
-        raise ValueError(f"{bound_id.lower()} needs tau_p and p_a set on the config")
-    live, scale, f = _analytic_cells(bound_id, cfg, cfg.tau_p, [cfg.p_a])
-    if live.size == 0:
-        return BoundResult(0.0)
-    val = expect_beta(cfg.model, lambda b0: f(b0)(slice(0, 1), np.empty((1, b0.size)))[0])
-    return BoundResult(float(scale[0] * val))
+        raise ValueError(f"{bound} needs tau_p and p_a set on the config")
+    (value,), (err,), (n,) = (part[0] for part in _cells(bound, cfg, [cfg.tau_p], [cfg.p_a]))
+    return BoundResult(float(value), mc_samples=int(n), mc_std_err=float(err))
+
+
+def r1_bar(cfg: "SystemConfig") -> BoundResult:
+    """Main averaged sum-rate bound (Monte Carlo over the gain law, ``cfg.mc``)."""
+    return _point("R1", cfg)
+
+
+def r2_bar(cfg: "SystemConfig") -> BoundResult:
+    """Secondary averaged bound with collider identities Jensen-averaged."""
+    return _point("R2", cfg)
 
 
 def r3(cfg: "SystemConfig") -> BoundResult:
     """Optimization bound: analytic except for the 1-D gain expectation."""
-    return _analytic_bound("R3", cfg)
+    return _point("R3", cfg)
 
 
 def ra(cfg: "SystemConfig") -> BoundResult:
     """Large-system bound used for fast optimization."""
-    return _analytic_bound("Ra", cfg)
+    return _point("Ra", cfg)
 
 
 # Every bound by id, called as fn(cfg); the analytic ones read no cfg.mc.
@@ -542,19 +537,7 @@ def bound_grid(bound: str, cfg: "SystemConfig", tau_ps, p_aK) -> tuple[np.ndarra
 
     Returns (values, std_errs, n_samples), each a (len(tau_ps), len(p_aK))
     array whose cells equal the value, mc_std_err and mc_samples of the
-    :class:`BoundResult` that :func:`bound_at` returns there. Each row is
-    taken at once, with p_a = min(q/K, 1) as in :func:`at_point`: R3 and Ra
-    through :func:`analytic_row`, with no Monte Carlo error, R1 and R2
-    through :func:`_averaged_row`, every row from the same activation
-    windows (:func:`_activation_terms`).
+    :class:`BoundResult` that :func:`bound_at` returns there: the grid of
+    :func:`_cells` at p_a = min(q/K, 1), as in :func:`at_point`.
     """
-    if bound not in BOUNDS:
-        raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
-    p_a = np.minimum(np.asarray(p_aK, dtype=float) / cfg.K, 1.0)
-    shape = (len(tau_ps), p_a.size)
-    if bound in ("R3", "Ra"):
-        values = np.array([analytic_row(bound, cfg, int(tau_p), p_a) for tau_p in tau_ps]).reshape(shape)
-        return values, np.zeros(shape), np.zeros(shape, dtype=int)
-    terms = _activation_terms(cfg, p_a)
-    rows = [_averaged_row(cfg, int(tau_p), terms, use_sinr2=bound == "R2") for tau_p in tau_ps]
-    return tuple(np.array([row[k] for row in rows]).reshape(shape) for k in range(3))
+    return _cells(bound, cfg, tau_ps, np.minimum(np.asarray(p_aK, dtype=float) / cfg.K, 1.0))

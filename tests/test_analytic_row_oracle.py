@@ -1,13 +1,15 @@
 """Oracle for the row kernels: whole rows against the per-cell formulation.
 
-The R3/Ra reference evaluates one cell at a time, with p_a a Python float,
-as the bounds did before rows existed: p_a = min(q/K, 1), paK = p_a*K, and
-prelog * paK * E[log2(1 + sinr)] with the SINR written out on scalars
-(Python's ** squares p_a through libm pow). The R1/R2 reference is the
-per-cell engine that the row function replaced: each F row of the cell's
-activation window built whole by the per-row formula, then summed into the
-cell in ascending K_a. Rows must equal them with ==, and ``grid_opt`` must
-equal a cell-by-cell grid search over ``bound_at``.
+Both references take one cell at its activation probability p_a, a Python
+float, as given; a grid cell at q is the reference at p_a = min(q/K, 1).
+The R3/Ra reference evaluates paK = p_a*K and prelog * paK *
+E[log2(1 + sinr)] with the SINR written out on scalars (Python's **
+squares p_a through libm pow), as the bounds did before rows existed. The
+R1/R2 reference is the per-cell engine that the row function replaced:
+each F row of the cell's activation window built whole by the per-row
+formula, then summed into the cell in ascending K_a. Rows and points must
+equal them with ==, and ``grid_opt`` must equal a cell-by-cell grid search
+over ``bound_at``.
 """
 
 import functools
@@ -19,7 +21,7 @@ import pytest
 
 from pilothop import bounds, channels, optimize
 from pilothop.access import binom_windows
-from pilothop.bounds import McConfig, analytic_row, bound_at, bound_grid
+from pilothop.bounds import BOUNDS, McConfig, analytic_row, bound_at, bound_grid
 from pilothop.channels import (
     LogNormalShadowing,
     RingPathLoss,
@@ -46,9 +48,8 @@ def _cfg(name, seed=11):
     return SystemConfig(M=M, K=K, tau_u=TAU_U, model=MODELS[name], seed=seed, mc=McConfig(n_beta_samples=200))
 
 
-def _cell(bound, cfg, tau_p, q):
+def _cell(bound, cfg, tau_p, p_a):
     """(value, std_err, n_samples) of one cell, the per-cell way."""
-    p_a = min(q / cfg.K, 1.0)
     paK = p_a * cfg.K
     prelog = (cfg.tau_u - tau_p) / cfg.tau_u
     if paK == 0.0 or prelog == 0.0:
@@ -103,9 +104,8 @@ def _block_crossing_row(name):
 _shared_row = functools.lru_cache(maxsize=4096)(_ref_row)
 
 
-def _averaged_cell(bound, cfg, tau_p, q):
+def _averaged_cell(bound, cfg, tau_p, p_a):
     """(value, std_err, n_samples) of one R1 or R2 cell, the per-cell way."""
-    p_a = min(q / cfg.K, 1.0)
     prelog = (cfg.tau_u - tau_p) / cfg.tau_u
     if p_a == 0.0 or prelog == 0.0:
         return 0.0, 0.0, 0
@@ -129,7 +129,7 @@ def test_row_equals_cells(bound, name):
     cell = _averaged_cell if bound in ("R1", "R2") else _cell
     for tau_p in (1, 20, TAU_U - 1, TAU_U):
         qs = _block_crossing_row(name) if bound in ("R3", "Ra") and tau_p == 20 else ROW
-        want = [cell(bound, cfg, tau_p, float(q)) for q in qs]
+        want = [cell(bound, cfg, tau_p, min(float(q) / cfg.K, 1.0)) for q in qs]
         values, errs, ns = (part[0].tolist() for part in bound_grid(bound, cfg, [tau_p], qs))
         assert list(zip(values, errs, ns)) == want
         for q, (v, err, n) in zip(qs[::7], want[::7]):
@@ -139,6 +139,21 @@ def test_row_equals_cells(bound, name):
     assert not any(part.any() for part in bound_grid(bound, cfg, [TAU_U], ROW))
     res = bound_at(bound, cfg, TAU_U, 30.0)
     assert (res.value, res.mc_std_err, res.mc_samples) == (0.0, 0.0, 0)
+
+
+# p_a*K/K != p_a: R1 and R2 taken at p_a*K through the grid, or through
+# bound_at, move in the last bit
+P_A_OFF_GRID = 0.16170532667249132
+
+
+@pytest.mark.parametrize("bound", ["R1", "R2", "R3", "Ra"])
+def test_point_takes_p_a_as_given(bound):
+    cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=20, p_a=P_A_OFF_GRID, model=UniformPowerError(10.0, 0.5),
+                       seed=3, mc=McConfig(n_beta_samples=400))
+    cell = _averaged_cell if bound in ("R1", "R2") else _cell
+    res = BOUNDS[bound](cfg)
+    assert (res.value, res.mc_std_err, res.mc_samples) == cell(bound, cfg, 20, P_A_OFF_GRID)
+    assert P_A_OFF_GRID * cfg.K / cfg.K != P_A_OFF_GRID
 
 
 def test_grid_opt_on_r1_keeps_only_pools(monkeypatch):
@@ -180,7 +195,7 @@ def test_row_handles_zero_activity_and_rejects_long_pilots():
     cfg = _cfg("uniform-0.5")
     row = analytic_row("Ra", cfg, 20, [0.0, 30 / K, 0.0])
     assert row[0] == row[2] == 0.0
-    assert row[1] == _cell("Ra", cfg, 20, 30.0)[0]
+    assert row[1] == _cell("Ra", cfg, 20, 30 / K)[0]
     with pytest.raises(ValueError):
         analytic_row("Ra", cfg, TAU_U + 1, [30 / K])
 
@@ -202,7 +217,7 @@ def test_r3_rejects_sparse_activity(name):
     with pytest.raises(ValueError):
         bound_at("R3", cfg, 20, 0.5)
     with pytest.raises(ValueError):
-        _cell("R3", cfg, 20, 0.5)
+        _cell("R3", cfg, 20, 0.5 / K)
 
 
 def _reference_grid_opt(cost, cfg, grid):

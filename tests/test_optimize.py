@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pilothop import bounds
 from pilothop.bounds import BOUNDS, McConfig, r3, ra
 from pilothop.channels import LogNormalShadowing, UniformPowerError
 from pilothop.config import SystemConfig
@@ -208,14 +209,21 @@ def test_heuristics_never_touch_the_main_bound(monkeypatch):
 
     def spy(*a, **k):
         calls["n"] += 1
-        raise AssertionError("main bound evaluated inside a heuristic")
+        raise AssertionError("averaged bound evaluated inside a heuristic")
 
-    monkeypatch.setitem(BOUNDS, "R1", spy)  # every bound evaluation goes through the registry
+    # every R1 or R2 evaluation, at a point or over a grid, takes its rows from _averaged_row
+    monkeypatch.setattr(bounds, "_averaged_row", spy)
     cfg = _cfg(model=UniformPowerError(10.0, 0.3))
     for method in ("Rh0", "Rh-1D", "Ra-1D"):
         res = optimize(method, cfg)
         assert res.method == method
     assert calls["n"] == 0
+    # the spy sees both ways in: a grid optimization and a point
+    with pytest.raises(AssertionError, match="averaged bound"):
+        grid_opt("R1", cfg, GridSpec(3, 3, refine_points=2))
+    with pytest.raises(AssertionError, match="averaged bound"):
+        BOUNDS["R2"](replace(cfg, tau_p=20, p_a=0.05))
+    assert calls["n"] == 2
 
 
 def test_optimize_dispatch_and_rate_recheck():

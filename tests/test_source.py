@@ -197,3 +197,30 @@ def test_no_function_takes_model_or_mc_beside_cfg():
                 if "cfg" in names and names & {"model", "mc"}:
                     found.append(f"{path.name}:{node.lineno}")
     assert SRC.is_dir() and not found, found
+
+
+def _readers(names) -> dict:
+    """For each of ``names``, the (file, function) scopes of src/ that read it as a name or attribute."""
+    found = {name: set() for name in names}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (scope[0], node.name)
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in found:
+            found[name].add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.name, "<module>"))
+    return found
+
+
+def test_every_bound_evaluation_takes_one_path():
+    # a point is the 1x1 case of the grid: the R1/R2 and R3/Ra row kernels each have one
+    # reader, bounds._cells, so a second evaluation path cannot grow back unnoticed
+    assert _readers(["_averaged_row", "analytic_row"]) == {
+        "_averaged_row": {("bounds.py", "_cells")},
+        "analytic_row": {("bounds.py", "_cells")},
+    }
