@@ -24,19 +24,19 @@ columns are reused across grid points (common random numbers) to
 stabilize argmax comparisons.
 
 Every bound has one evaluation path, ``_cells``, which takes it over a
-(tau_p, p_a) grid a row (one pilot length) at a time, each cell equal, bit
-for bit, to the same cell alone. ``bound_grid`` is ``_cells`` at p_a =
-min(p_aK/K, 1); ``r1_bar``/``r2_bar``/``r3``/``ra`` are its 1x1 case at
-the config's p_a as given. An R1 or R2 cell is the activation-weighted sum
-of F rows, the collider averages at each active count K_a, which the cells
-of a row share: ``_averaged_row`` computes them in one pass of one kernel,
-``_f_row_sums``, a block of gain samples at a time, and keeps none after
-the call. Only the prefix sums of the last gain pool built are kept, if
-they fit in 32 MiB (``_POOL``). The rows of a grid share its activation
-windows, taken once per grid. R3 and Ra rows take one ``expect_rows`` call
-over the memoized gain nodes (``analytic_row``), each block of cells
-written in place by the bound's one SINR formula (``_sinr3_fill``,
-``_sinra_fill``).
+(tau_p, p_a) grid, each cell equal, bit for bit, to the same cell alone.
+``bound_grid`` is ``_cells`` at p_a = min(p_aK/K, 1);
+``r1_bar``/``r2_bar``/``r3``/``ra`` are its 1x1 case at the config's p_a
+as given. R1 and R2 go a row (one pilot length) at a time: the cells of a
+row share its F rows, the collider averages at each active count K_a,
+which ``_averaged_row`` computes in one pass of one kernel,
+``_f_row_sums``, a block of gain samples at a time, keeping none after the
+call. Only the prefix sums of the last gain pool built are kept, if they
+fit in 32 MiB (``_POOL``). The rows of a grid share its activation
+windows, taken once per grid. An R3 or Ra grid takes one ``expect_rows``
+call over the memoized gain nodes (``_analytic_stage``), each block of
+cells written in place by the bound's one SINR formula (``_sinr3_fill``,
+``_sinra_fill``) at each cell's pilot length and activation level.
 """
 
 from __future__ import annotations
@@ -170,20 +170,21 @@ def _pow2(x):
     return np.float_power(x, 2)
 
 
-def _sinr3_fill(b0, moments: BetaMoments, tau_p: int, K: int, M: int):
-    """R3's SINR at the gains ``b0`` as ``fill(p_a, out)``, which writes it at every (p_a, b0) into ``out``.
+def _sinr3_fill(b0, moments: BetaMoments, K: int, M: int):
+    """R3's SINR at the gains ``b0`` as ``fill(tau_p, p_a, out)``, which writes it at every (cell, b0) into ``out``.
 
-    With n1 = p_a K - 1 the denominator is b2m (M-1) n1 + b0 (1 + bm n1) -
-    bm^2 n1 + (1 + n1 bm)(1 + b0 tau_p) + n1 bm + bm^2 (p_a^2 K (K-1) - n1),
-    summed left to right in ``out`` with each step's rounding, so an entry
-    has the same bits at any shape; the terms of b0 alone are taken once.
+    ``tau_p`` and ``p_a`` broadcast against ``b0``; a stage passes (cells, 1)
+    columns. With n1 = p_a K - 1 the denominator is b2m (M-1) n1 + b0 (1 + bm
+    n1) - bm^2 n1 + (1 + n1 bm)(1 + b0 tau_p) + n1 bm + bm^2 (p_a^2 K (K-1) -
+    n1), summed left to right in ``out`` with each step's rounding, so an
+    entry has the same bits at any shape.
     """
     if M < 2:
         raise ValueError("M must be >= 2")
     bm, b2m = moments.mean, moments.mean_sq
-    num, pilot = tau_p * (M - 1) * b0**2, 1.0 + b0 * tau_p
+    b0_sq = b0**2
 
-    def fill(p_a, out):
+    def fill(tau_p, p_a, out):
         paK = p_a * K
         if np.any(paK < 1.0):
             raise ValueError(f"p_a*K = {np.min(paK):.3g} < 1: the averaged interference terms are meaningless; "
@@ -192,28 +193,28 @@ def _sinr3_fill(b0, moments: BetaMoments, tau_p: int, K: int, M: int):
         den = np.multiply(b0, 1.0 + bm * n1, out=out)
         den += b2m * (M - 1) * n1
         den -= bm**2 * n1
-        den += (1.0 + n1 * bm) * pilot
+        den += (1.0 + n1 * bm) * (1.0 + b0 * tau_p)
         den += n1 * bm
         den += bm**2 * (_pow2(p_a) * K * (K - 1) - n1)
         if not den.min() > 0:
             raise ValueError("non-positive interference power: beta_0 must be positive")
-        return np.divide(num, den, out=den)
+        return np.divide(tau_p * (M - 1) * b0_sq, den, out=den)
 
     return fill
 
 
-def _sinra_fill(b0, moments: BetaMoments, tau_p: float, M: int):
-    """The large-system SINR at the gains ``b0`` as ``fill(p_aK, out)``, as :func:`_sinr3_fill` fills R3's."""
+def _sinra_fill(b0, moments: BetaMoments, M: int):
+    """The large-system SINR at the gains ``b0`` as ``fill(tau_p, p_aK, out)``, as :func:`_sinr3_fill` fills R3's."""
     bm, b2m = moments.mean, moments.mean_sq
-    num, mean_b0 = M * tau_p * b0**2, bm * b0
+    b0_sq, mean_b0 = b0**2, bm * b0
 
-    def fill(p_aK, out):
+    def fill(tau_p, p_aK, out):
         if np.any(p_aK <= 0):
             raise ValueError("p_a*K must be positive")
         den = np.multiply(mean_b0, p_aK, out=out)
         den *= tau_p
         den += b2m * M * p_aK + bm**2 * _pow2(p_aK)
-        return np.divide(num, den, out=den)
+        return np.divide(M * tau_p * b0_sq, den, out=den)
 
     return fill
 
@@ -221,7 +222,7 @@ def _sinra_fill(b0, moments: BetaMoments, tau_p: float, M: int):
 def sinra(beta_0, moments: BetaMoments, tau_p: float, p_aK: float, M: int):
     """Large-system SINR. Vectorized over beta_0 and p_aK."""
     b0, p_aK = np.asarray(beta_0, dtype=float), np.asarray(p_aK, dtype=float)
-    return _sinra_fill(b0, moments, tau_p, M)(p_aK, np.empty(np.broadcast_shapes(b0.shape, p_aK.shape)))[()]
+    return _sinra_fill(b0, moments, M)(tau_p, p_aK, np.empty(np.broadcast_shapes(b0.shape, p_aK.shape)))[()]
 
 
 # Byte cap of the gain pool that _prefix_sums holds between calls.
@@ -241,22 +242,17 @@ def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int):
 
     Returns (cum, cum_sq), each (width + 1, n): row j sums pool columns
     0..j-1 in column order. Column j of the pool comes from its own
-    counter-based stream, so enlarging the pool leaves earlier columns (and
-    prefix sums) untouched; that makes common random numbers across grid
-    points, and bit-identical reruns, work. Held read-only, one key at a
-    time, and grown on demand.
+    counter-based stream, so a wider pool has the same earlier columns (and
+    prefix sums); that makes common random numbers across grid points, and
+    bit-identical reruns, work. Held read-only, one key at a time; a pool
+    narrower than asked is dropped and the wider one built from column 0.
     """
     key = (model, n, seed)
-    held = _POOL.get(key)
-    if held is not None and held[0].shape[0] > width:
-        return held
+    if key in _POOL and _POOL[key][0].shape[0] > width:
+        return _POOL[key]
     _POOL.clear()
-    have = 0 if held is None else held[0].shape[0] - 1
     cum, cum_sq = np.zeros((width + 1, n)), np.zeros((width + 1, n))
-    if held is not None:
-        cum[: have + 1], cum_sq[: have + 1] = held
-    del held
-    for j in range(have, width):
+    for j in range(width):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, j))))
         col = sample_beta(model, rng, n)
         cum[j + 1] = cum[j] + col
@@ -437,31 +433,32 @@ def _averaged_row(cfg: "SystemConfig", tau_p: int, terms: list, use_sinr2: bool)
     return values, errs, ns
 
 
-def analytic_row(bound_id: str, cfg: "SystemConfig", tau_p: int, p_a) -> np.ndarray:
-    """R3 or Ra at pilot length ``tau_p`` for every activation probability of the row ``p_a``.
+def _analytic_stage(bound: str, cfg: "SystemConfig", tau_ps, p_a) -> np.ndarray:
+    """R3 or Ra at every pilot length of ``tau_ps`` and activation probability of the 1-D row ``p_a``.
 
-    Cell r is ``prelog * p_a*K * E[log2(1 + sinr(gain, r))]``, with the
-    expectations of the whole row taken by one :func:`expect_rows` call
-    through the bound's SINR fill. Cells with p_a*K = 0, and every cell
-    when tau_p = tau_u, are 0.
+    Returns a (len(tau_ps), len(p_a)) grid. Cell (i, j) is ``prelog_i *
+    p_aK_j * E[log2(1 + sinr(gain; tau_p_i, p_a_j))]``, with the
+    expectations of every live cell of the stage taken by one
+    :func:`expect_rows` call through the bound's SINR fill. Cells with
+    p_a*K = 0, and every cell of a row with tau_p = tau_u, are 0.
     """
-    if tau_p > cfg.tau_u:
-        raise ValueError(f"tau_p={tau_p} exceeds tau_u={cfg.tau_u}")
+    tau_ps = np.array(tau_ps, dtype=int)
+    if tau_ps.max(initial=0) > cfg.tau_u:
+        raise ValueError(f"tau_p={tau_ps.max()} exceeds tau_u={cfg.tau_u}")
     p_a = np.asarray(p_a, dtype=float)
     paK = p_a * cfg.K
-    prelog = (cfg.tau_u - tau_p) / cfg.tau_u
-    live = np.flatnonzero(paK != 0.0) if prelog != 0.0 else np.empty(0, dtype=int)
+    prelog = (cfg.tau_u - tau_ps) / cfg.tau_u
+    rows, cols = np.nonzero((prelog != 0.0)[:, None] & (paK != 0.0))
     moments = analytic_moments(cfg.model)
-    levels = p_a[live, None] if bound_id == "R3" else paK[live, None]
+    taus, levels = tau_ps[rows, None], (p_a if bound == "R3" else paK)[cols, None]
 
     def f(b0):
-        sinr = (_sinr3_fill(b0, moments, tau_p, cfg.K, cfg.M) if bound_id == "R3"
-                else _sinra_fill(b0, moments, tau_p, cfg.M))
-        return lambda rows, out: np.log2(np.add(sinr(levels[rows], out), 1.0, out=out), out=out)
+        sinr = _sinr3_fill(b0, moments, cfg.K, cfg.M) if bound == "R3" else _sinra_fill(b0, moments, cfg.M)
+        return lambda at, out: np.log2(np.add(sinr(taus[at], levels[at], out), 1.0, out=out), out=out)
 
-    values = np.zeros(p_a.size)
-    if live.size:
-        values[live] = prelog * paK[live] * expect_rows(cfg.model, f, live.size)
+    values = np.zeros((tau_ps.size, p_a.size))
+    if rows.size:
+        values[rows, cols] = prelog[rows] * paK[cols] * expect_rows(cfg.model, f, rows.size)
     return values
 
 
@@ -469,18 +466,17 @@ def _cells(bound: str, cfg: "SystemConfig", tau_ps, p_a) -> tuple[np.ndarray, np
     """Bound ``bound`` at (tau_p, p_a) for every tau_p of ``tau_ps`` and activation probability of the 1-D row ``p_a``.
 
     Returns (values, std_errs, n_samples), each (len(tau_ps), len(p_a)).
-    The one path of every bound evaluation, grid or point: R3 and Ra rows
-    through :func:`analytic_row`, with no Monte Carlo error, R1 and R2 rows
-    through :func:`_averaged_row`, every row from the same activation
-    windows (:func:`_activation_terms`).
+    The one path of every bound evaluation, grid or point: an R3 or Ra
+    stage in one pass of :func:`_analytic_stage`, with no Monte Carlo error,
+    R1 and R2 a row at a time through :func:`_averaged_row`, every row from
+    the same activation windows (:func:`_activation_terms`).
     """
     if bound not in BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
     p_a = np.asarray(p_a, dtype=float)
     shape = (len(tau_ps), p_a.size)
     if bound in ("R3", "Ra"):
-        values = np.array([analytic_row(bound, cfg, int(tau_p), p_a) for tau_p in tau_ps]).reshape(shape)
-        return values, np.zeros(shape), np.zeros(shape, dtype=int)
+        return _analytic_stage(bound, cfg, tau_ps, p_a), np.zeros(shape), np.zeros(shape, dtype=int)
     terms = _activation_terms(cfg, p_a)
     rows = [_averaged_row(cfg, int(tau_p), terms, use_sinr2=bound == "R2") for tau_p in tau_ps]
     return tuple(np.array([row[k] for row in rows]).reshape(shape) for k in range(3))

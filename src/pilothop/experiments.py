@@ -129,9 +129,7 @@ def run_experiment(spec: ExperimentSpec, *, seed_override: int | None = None, jo
                 chunks = list(pool.map(_sweep_point, tasks))
         else:
             chunks = [_sweep_point(t) for t in tasks]
-        records = [r for chunk in chunks for r in chunk]
-        # same records under three metric names: consumers plot the matching column
-        return {"rate": records, "tau_p_opt": records, "p_aK_opt": records}
+        return {"rate": [r for chunk in chunks for r in chunk]}
 
     if spec.kind == "simulate":
         return {"simulate": _simulate(cfg, spec.n_slots, spec.n_frames, "simulated", cfg.tau_u)}

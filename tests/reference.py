@@ -56,10 +56,10 @@ def sinr_components(s: CollisionScenario, other_active_betas: Sequence[float] = 
 def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a, K: int, M: int):
     """SINR with collider and active counts averaged out. Broadcasts over ``beta_0`` and ``p_a``.
 
-    It is the formula the R3 row path fills (``bounds._sinr3_fill``), taken at one shape.
+    It is the formula the R3 stage path fills (``bounds._sinr3_fill``), taken at one shape.
     """
     b0, p_a = np.asarray(beta_0, dtype=float), np.asarray(p_a, dtype=float)
-    return _sinr3_fill(b0, moments, tau_p, K, M)(p_a, np.empty(np.broadcast_shapes(b0.shape, p_a.shape)))[()]
+    return _sinr3_fill(b0, moments, K, M)(tau_p, p_a, np.empty(np.broadcast_shapes(b0.shape, p_a.shape)))[()]
 
 
 def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):

@@ -317,7 +317,7 @@ def test_criterion_12_byte_identical_csv(tmp_path):
         out = tmp_path / label
         assert cli_main(["run", str(spec), "--out", str(out), "--jobs", jobs]) == 0
         outs[label] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
-    same = outs["a"] == outs["b"] == outs["c"] and len(outs["a"]) == 3
+    same = outs["a"] == outs["b"] == outs["c"] and list(outs["a"]) == ["det_rate.csv"]
     elapsed = time.perf_counter() - t0
     _report(12, "byte-identical CSV under reruns and parallelism", same and elapsed < 600.0,
             f"{len(outs['a'])} files compared across 3 runs, {elapsed:.0f}s")

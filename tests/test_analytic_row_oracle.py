@@ -1,4 +1,4 @@
-"""Oracle for the row kernels: whole rows against the per-cell formulation.
+"""Oracle for the grid kernels: whole rows and R3/Ra stages against the per-cell formulation.
 
 Both references take one cell at its activation probability p_a, a Python
 float, as given; a grid cell at q is the reference at p_a = min(q/K, 1).
@@ -7,9 +7,9 @@ E[log2(1 + sinr)] with the SINR written out on scalars (Python's **
 squares p_a through libm pow), as the bounds did before rows existed. The
 R1/R2 reference is the per-cell engine that the row function replaced:
 each F row of the cell's activation window built whole by the per-row
-formula, then summed into the cell in ascending K_a. Rows and points must
-equal them with ==, and ``grid_opt`` must equal a cell-by-cell grid search
-over ``bound_at``.
+formula, then summed into the cell in ascending K_a. Rows, stages and
+points must equal them with ==, and ``grid_opt`` must equal a cell-by-cell
+grid search over ``bound_at``.
 """
 
 import functools
@@ -21,7 +21,7 @@ import pytest
 
 from pilothop import bounds, channels, optimize
 from pilothop.access import binom_windows
-from pilothop.bounds import BOUNDS, McConfig, analytic_row, bound_at, bound_grid
+from pilothop.bounds import BOUNDS, McConfig, _analytic_stage, bound_at, bound_grid
 from pilothop.channels import (
     LogNormalShadowing,
     RingPathLoss,
@@ -191,22 +191,40 @@ def test_grid_stages_equal_bound_at(monkeypatch):
             assert got == want, (bound, tp)
 
 
-def test_row_handles_zero_activity_and_rejects_long_pilots():
+@pytest.mark.parametrize("bound", ["R3", "Ra"])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_stage_equals_cells(bound, name):
+    # a default 25x25 stage in one call, its last row at tau_p = tau_u, with
+    # two p_aK = 0 columns: every cell equals the cell alone
+    cfg = _cfg(name)
+    tps = np.unique(np.round(np.linspace(1, TAU_U, 25)).astype(int))
+    qs = np.insert(np.geomspace(1.0, K, 25), [0, 12], 0.0)
+    assert tps.size == 25 and tps[-1] == TAU_U
+    want = [[_cell(bound, cfg, int(tp), float(q) / K)[0] for q in qs] for tp in tps]
+    assert _analytic_stage(bound, cfg, tps, qs / K).tolist() == want
+
+
+def test_stage_handles_zero_activity_and_rejects_long_pilots():
     cfg = _cfg("uniform-0.5")
-    row = analytic_row("Ra", cfg, 20, [0.0, 30 / K, 0.0])
-    assert row[0] == row[2] == 0.0
-    assert row[1] == _cell("Ra", cfg, 20, 30 / K)[0]
-    with pytest.raises(ValueError):
-        analytic_row("Ra", cfg, TAU_U + 1, [30 / K])
+    stage = _analytic_stage("Ra", cfg, [20, TAU_U], [0.0, 30 / K, 0.0])
+    assert stage.shape == (2, 3)
+    assert stage[0, 0] == stage[0, 2] == 0.0 and not stage[1].any()
+    assert stage[0, 1] == _cell("Ra", cfg, 20, 30 / K)[0]
+    with pytest.raises(ValueError, match="exceeds tau_u"):
+        _analytic_stage("Ra", cfg, [20, TAU_U + 1], [30 / K])
+    # sparse activity is an error wherever the cell is live, not on a zero-prelog row
+    with pytest.raises(ValueError, match="sparse activity"):
+        _analytic_stage("R3", cfg, [20, TAU_U], [30 / K, 0.5 / K])
+    assert not _analytic_stage("R3", cfg, [TAU_U], [0.5 / K]).any()
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1e6])
-def test_r3_row_rejects_non_positive_interference(monkeypatch, bad):
+def test_r3_stage_rejects_non_positive_interference(monkeypatch, bad):
     # an explicit error, not an assert, so the check survives python -O
     nodes, w = np.array([10.0, bad, 12.0]), np.full(3, 1.0 / 3.0)
     monkeypatch.setattr(channels, "beta_nodes", lambda *args, **kwargs: (nodes, w))
     with pytest.raises(ValueError, match="interference power"):
-        analytic_row("R3", _cfg("uniform-0.5"), 20, np.array([2.0, 30.0, 400.0]) / K)
+        _analytic_stage("R3", _cfg("uniform-0.5"), [20, 40], np.array([2.0, 30.0, 400.0]) / K)
 
 
 @pytest.mark.parametrize("name", ["uniform-0.5", "lognormal-4"])

@@ -340,6 +340,13 @@ def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
                  GridSpec(tau_p_values=(tp - 7, tp, tp + 3), pak_points=9, refine_points=4))
         warm = r1_bar(replace(cfg, tau_p=tp))
         assert (warm.value, warm.mc_std_err) == (cold.value, cold.mc_std_err)
+    # and from a pool first built narrower for the same (model, n, seed), then rebuilt wider
+    pool = _cold_store(monkeypatch)
+    r1_bar(replace(cfg, p_a=2 / cfg.K))
+    narrow = pool[(cfg.model, cfg.mc.n_beta_samples, cfg.seed)][0].shape[0]
+    wide = r1_bar(cfg)
+    assert pool[(cfg.model, cfg.mc.n_beta_samples, cfg.seed)][0].shape[0] > narrow
+    assert (wide.value, wide.mc_std_err) == (a.value, a.mc_std_err)
 
 
 def test_store_stays_under_its_cap(uniform_spread, ring, monkeypatch):

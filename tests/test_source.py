@@ -218,9 +218,9 @@ def _readers(names) -> dict:
 
 
 def test_every_bound_evaluation_takes_one_path():
-    # a point is the 1x1 case of the grid: the R1/R2 and R3/Ra row kernels each have one
-    # reader, bounds._cells, so a second evaluation path cannot grow back unnoticed
-    assert _readers(["_averaged_row", "analytic_row"]) == {
+    # a point is the 1x1 case of the grid: the R1/R2 row kernel and the R3/Ra stage kernel
+    # each have one reader, bounds._cells, so a second evaluation path cannot grow back unnoticed
+    assert _readers(["_averaged_row", "_analytic_stage"]) == {
         "_averaged_row": {("bounds.py", "_cells")},
-        "analytic_row": {("bounds.py", "_cells")},
+        "_analytic_stage": {("bounds.py", "_cells")},
     }
