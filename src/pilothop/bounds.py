@@ -411,8 +411,6 @@ def _averaged_row(cfg: "SystemConfig", tau_p: int, terms: list, use_sinr2: bool)
     K_a, so each cell equals, bit for bit, the same cell evaluated alone.
     """
     tau_u, mc = cfg.tau_u, cfg.mc
-    if tau_p > tau_u:
-        raise ValueError(f"tau_p={tau_p} exceeds tau_u={tau_u}")
     prelog = (tau_u - tau_p) / tau_u
     values, errs, ns = np.zeros(len(terms)), np.zeros(len(terms)), np.zeros(len(terms), dtype=int)
     live = [i for i, t in enumerate(terms) if t is not None] if prelog != 0.0 else []
@@ -443,8 +441,6 @@ def _analytic_stage(bound: str, cfg: "SystemConfig", tau_ps, p_a) -> np.ndarray:
     p_a*K = 0, and every cell of a row with tau_p = tau_u, are 0.
     """
     tau_ps = np.array(tau_ps, dtype=int)
-    if tau_ps.max(initial=0) > cfg.tau_u:
-        raise ValueError(f"tau_p={tau_ps.max()} exceeds tau_u={cfg.tau_u}")
     p_a = np.asarray(p_a, dtype=float)
     paK = p_a * cfg.K
     prelog = (cfg.tau_u - tau_ps) / cfg.tau_u
@@ -473,6 +469,9 @@ def _cells(bound: str, cfg: "SystemConfig", tau_ps, p_a) -> tuple[np.ndarray, np
     """
     if bound not in BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}")
+    for tau_p in np.asarray(tau_ps).tolist():
+        if not (isinstance(tau_p, int) and not isinstance(tau_p, bool) and 1 <= tau_p <= cfg.tau_u):
+            raise ValueError(f"tau_p must be an integer in [1, tau_u={cfg.tau_u}] (got {tau_p!r})")
     p_a = np.asarray(p_a, dtype=float)
     shape = (len(tau_ps), p_a.size)
     if bound in ("R3", "Ra"):

@@ -3,12 +3,17 @@
 Each device holds a pseudo-random pilot-hopping pattern known to the base
 station: the pilot of device d in slot l of a frame is a counter-based hash
 of (seed, frame, d, l), so only the active devices' patterns are computed
-to transmit. Per slot ``train_slot``, the only place the training phase is
-written, draws the Bartlett QR factor of [channels | noise], a rotated
-antenna basis, instead of M-dimensional draws, and forms no pilot-book
-product. The receiver thresholds the correlation energy to find the pilots
-in use. Across slots the detected pilot sets are matched against the
-hopping patterns to identify which devices transmitted. The scan regenerates
+to transmit. ``train_slot``, the only place the training phase is written,
+draws per slot only what the receiver reads: the channels' Bartlett QR
+factor in min(K_a, M) coordinates, each used pilot's projection onto the
+channels' span, and one Gamma per pilot for the rest of its energy. It
+takes no M-dimensional draw, forms no pilot-book product, and keeps every
+inner product the receiver reads (see its docstring). ``run_frame`` runs
+the receiver over blocks of slots, sized by ``SLOT_ENTRIES``, with one
+numpy call per operation; the draws stay per slot, so a slot's draws and
+SINRs do not depend on its block. The receiver thresholds the correlation
+energy to find the pilots in use. Across slots the detected pilot sets are
+matched against the hopping patterns to identify which devices transmitted. The scan regenerates
 the population's patterns in ``SCAN_ENTRIES``-entry blocks, bounding memory,
 one slot chunk at a time, and stops hashing a device once it has missed more
 slots than the identification threshold rho allows.
@@ -62,6 +67,12 @@ class DetectionThreshold:
 # time: its working set stays at a few 512 kB arrays whatever K and L are
 SCAN_ENTRIES = 1 << 16
 
+# complex entries of the training arrays that one block of slots holds
+# (K_a + tau_p rows of min(K_a, M) + 1 coordinates a slot): seven slots at
+# K_a = 37, tau_p = 39, M = 100. Blocks of 4-7 slots ran fastest there;
+# larger ones fall out of cache
+SLOT_ENTRIES = 5 << 12
+
 # SplitMix64: the golden-ratio counter increment and the finalizer multipliers
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -113,15 +124,16 @@ def all_patterns(K: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -
 
 
 def pilot_energy(corr: np.ndarray) -> np.ndarray:
-    """Correlation energy ||y_j||^2 of each column of ``corr`` (a scalar for one column)."""
-    return np.einsum("i...,i...->...", corr.real, corr.real) + np.einsum("i...,i...->...", corr.imag, corr.imag)
+    """Energy ||y_j||^2 of each column of ``corr``, (..., r, tau_p) -> (..., tau_p); a scalar for one column."""
+    return np.sum(corr.real**2 + corr.imag**2, axis=max(corr.ndim - 2, 0))
 
 
 def detect_pilots(energy: np.ndarray, M: int, threshold: DetectionThreshold | None = None) -> np.ndarray:
-    """Indices of pilots whose correlation energy clears the threshold.
+    """Flat indices of the pilots whose correlation energy clears the threshold.
 
     ``energy`` is :func:`pilot_energy` of the correlated pilot block, whose
-    r <= M rows may be a rotated basis (``train_slot``'s), so M is passed.
+    r <= M + 1 rows are a rotated basis (``train_slot``'s), so M is passed.
+    For a block of slots, (B, tau_p), slot b's pilot j has index b*tau_p + j.
     """
     threshold = threshold or DetectionThreshold()
     return np.flatnonzero(energy / M > threshold.value(M))
@@ -131,7 +143,7 @@ def estimate_sum_power(y_p: np.ndarray, tau_p: int, M: int):
     """Channel-hardening estimate of the summed gain on a pilot.
 
     ``y_p`` is the correlated observation of one pilot at ``M`` antennas, in
-    a basis of r <= M rows (a float), or a block of such columns. The noise
+    a basis of r rows (a float), or a block of such columns. The noise
     floor contributes exactly 1 per antenna, hence the subtraction. No slot
     output holds it, so ``simulate_slot`` does not compute it.
     """
@@ -141,7 +153,12 @@ def estimate_sum_power(y_p: np.ndarray, tau_p: int, M: int):
 
 @dataclass
 class SlotOutcome:
-    """Receiver outputs plus the genie SINR for one slot."""
+    """Receiver outputs plus the genie SINR for one slot, or a block of slots.
+
+    For a block, ``detected`` and ``pilot_of_device`` hold flat ids
+    b*tau_p + pilot of the block's slot b, and ``pilot_of_device`` and
+    ``device_sinr`` are (B, K_a).
+    """
 
     detected: np.ndarray
     pilot_of_device: np.ndarray
@@ -163,59 +180,116 @@ def mrc_and_measure(
     neither the receiver's sum-power estimate nor any data realization
     enters it. ``yn2 = pilot_energy(corr)``, as detection reads it. One
     product ``U[j, k] = y_j^H g_k`` serves every pilot; the per-pilot terms
-    are sums over the pilot's members.
+    are sums over the pilot's members, and only the rows of pilots in use
+    are read. A block of B slots on a leading axis (G (B, r, K_a),
+    assignment (B, K_a), corr (B, r, tau_p), yn2 (B, tau_p)) is one batched
+    product whose row b*tau_p + j is slot b's pilot j; it returns (B, K_a).
     """
-    own = (assignment, np.arange(betas.size))
-    U = corr.conj().T @ G
-    total = np.bincount(assignment, weights=betas, minlength=tau_p)
-    ghat_dot = np.sqrt(tau_p) * betas / (tau_p * total[assignment] + 1.0) * yn2[assignment]  # y^H ghat_k, real
-    ee = np.bincount(assignment, weights=np.abs(ghat_dot - U[own]) ** 2, minlength=tau_p)
+    assignment = np.asarray(assignment)
+    K_a = betas.size
+    B = int(np.prod(assignment.shape[:-1]))
+    rows = (np.arange(B)[:, None] * tau_p + assignment.reshape(B, K_a)).ravel()
+    own = (rows, np.tile(np.arange(K_a), B))
+    U = (np.swapaxes(corr, -1, -2).conj() @ G).reshape(B * tau_p, K_a)
+    betas = np.tile(betas, B)
+    yn2 = yn2.reshape(-1)
+    total = np.bincount(rows, weights=betas, minlength=B * tau_p)
+    ghat_dot = np.sqrt(tau_p) * betas / (tau_p * total[rows] + 1.0) * yn2[rows]  # y^H ghat_k, real
+    err = ghat_dot - U[own]
+    ee = np.bincount(rows, weights=err.real**2 + err.imag**2, minlength=B * tau_p)
     gd2 = ghat_dot**2
-    gd2_tot = np.bincount(assignment, weights=gd2, minlength=tau_p)
-    out = np.abs(U) ** 2
+    gd2_tot = np.bincount(rows, weights=gd2, minlength=B * tau_p)
+    out = U.real**2 + U.imag**2
     out[own] = 0.0  # row j keeps only the devices off pilot j
-    rest = (ee + out.sum(axis=1) + yn2)[assignment]
-    return gd2 / (gd2_tot[assignment] - gd2 + rest)
+    rest = (ee + out.sum(axis=1) + yn2)[rows]
+    return (gd2 / (gd2_tot[rows] - gd2 + rest)).reshape(assignment.shape)
 
 
 @lru_cache(maxsize=16)
-def _trapezoid(n: int, r: int):
-    """Flat float-view positions of an (n, r) complex array's strictly lower entries (row-major) and diagonal."""
-    rows, cols = np.tril_indices(n, -1, r)
-    re = 2 * (rows * r + cols)
-    return np.stack([re, re + 1], axis=1).ravel(), np.arange(r) * (2 * r + 2)
+def _bartlett_layout(K_a: int, m: int):
+    """Flat positions in a (K_a, m + 1) complex array of the strictly lower
+    entries of its first m columns, in its float view and row-major order,
+    with the row of each, and of its m diagonal entries."""
+    rows, cols = np.tril_indices(K_a, -1, m)
+    re = 2 * (rows * (m + 1) + cols)
+    return np.stack([re, re + 1], axis=1).ravel(), np.repeat(rows, 2), np.arange(m) * (m + 2)
 
 
 def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rng: np.random.Generator):
-    """Training phase of one slot: (G, corr), the (r, K_a) channels and the
-    pilot block correlated with the unitary book, in a rotated basis of
-    r = min(M, n) antennas, n = K_a + tau_p.
+    """Training phase of one slot, or of a block of slots: (G, corr), the
+    (..., m + 1, K_a) channels and the (..., m + 1, tau_p) pilot block
+    correlated with the unitary book, in a rotated basis of m + 1 antenna
+    coordinates, m = min(K_a, M).
 
-    Rotating the antennas keeps every inner product the receiver reads, so
-    the slot draws the (r, n) QR factor R of X = [G diag(betas)^-1/2 | W],
-    not X (complex Bartlett): CN(0, 1) strictly upper entries in row-major
-    order of R^T, then R_ii = sqrt(Gamma(M - i, 1)). G = R[:, :K_a] sqrt(betas)
-    and corr = R[:, K_a:] + sqrt(tau_p) G E, E the 0/1 map of device k to
-    pilot ``assignment[k]``; an empty slot's corr is R.
+    ``assignment`` is one slot's (K_a,) pilots or a block's (B, K_a); the
+    gains ``betas`` hold in every slot. The receiver reads the channels'
+    inner products with each other, each used pilot's inner products with
+    the channels, and each pilot's energy, so a slot draws those statistics
+    and no more. Its first m coordinates span the channels, and the last
+    holds the norm of what of each pilot's noise lies outside that span.
+    Per slot, in this order:
+
+    1. standard normals, real and imaginary parts interleaved, CN(0, 1)
+       after a sqrt(1/2) scale: the strictly upper entries of the (m, K_a)
+       Bartlett QR factor R of G diag(betas)^-1/2, in row-major order of
+       R^T; then, for each used pilot in pilot order, the m coordinates of
+       its noise in span(G). (Two ``standard_normal`` calls, one stream.)
+    2. one ``standard_gamma`` call: R_ii^2 ~ Gamma(M - i) for i < m; then,
+       for each pilot in pilot order, the squared norm of the rest of its
+       noise, Gamma(M - m) if the pilot is used (0 when m = M) and Gamma(M)
+       if not.
+
+    G = [R sqrt(betas); 0], each entry scaled as it is placed. A used
+    pilot's observation is its noise plus sqrt(tau_p) times its members'
+    channels; an unused pilot's is its noise, all of it in the last
+    coordinate. This is exact: the noise is independent of G and
+    rotation-invariant, so given G its projection onto the m-dimensional
+    span(G) is CN(0, I_m) and the squared norm of the rest is an
+    independent Gamma(M - m). Every inner product of G with G and with
+    a used pilot's observation, and every pilot's energy, therefore has the
+    law of the physical slot's; only the inner products between two pilots'
+    observations, which the receiver never reads, do not.
     """
-    K_a, n = betas.size, betas.size + tau_p
-    r = min(M, n)
-    strict, diag = _trapezoid(n, r)
-    Rt = np.zeros((n, r), dtype=complex)  # R^T: antennas on the last axis
-    Rt.reshape(-1).view(float)[strict] = rng.standard_normal(strict.size) * np.sqrt(0.5)
-    Rt.reshape(-1).view(float)[diag] = np.sqrt(rng.standard_gamma(M - np.arange(r)))
-    Gt = Rt[:K_a].view(float) * np.sqrt(betas)[:, None]  # float view: (K_a, 2r)
-    E = np.sqrt(tau_p) * (np.arange(tau_p)[:, None] == assignment)
-    return Gt.view(complex).T, (Rt[K_a:] + (E @ Gt).view(complex)).T
+    betas = np.asarray(betas, dtype=float)
+    A = np.asarray(assignment, dtype=int)
+    block = A if A.ndim == 2 else A[None]
+    B, K_a = block.shape
+    m = min(K_a, M)
+    strict, device, diag = _bartlett_layout(K_a, m)
+    used = np.zeros((B, tau_p), dtype=bool)
+    used[np.arange(B)[:, None], block] = True
+    counts = 2 * m * np.count_nonzero(used, axis=1)
+    ends = np.cumsum(counts)
+    shapes = np.empty((B, m + tau_p))
+    shapes[:, :m] = M - np.arange(m)
+    shapes[:, m:] = np.where(used, M - m, M)
+    zg, zp, g = np.empty((B, strict.size)), np.empty(ends[-1]), np.empty((B, m + tau_p))
+    for b in range(B):  # per slot, so a slot's draws do not depend on its block
+        rng.standard_normal(out=zg[b])
+        rng.standard_normal(out=zp[ends[b] - counts[b]:ends[b]])
+        rng.standard_gamma(shapes[b], out=g[b])
+    Gt = np.zeros((B, K_a, m + 1), dtype=complex)  # G^T: coordinates on the last axis
+    Gt.reshape(B, -1).view(float)[:, strict] = zg * np.sqrt(0.5 * betas)[device]
+    Gt.reshape(B, -1)[:, diag] = np.sqrt(g[:, :m] * betas[:m])
+    Ct = np.zeros((B, tau_p, m + 1), dtype=complex)  # corr^T
+    Ct[:, :, :m][used] = (zp * np.sqrt(0.5)).view(complex).reshape(np.count_nonzero(used), m)
+    Ct[:, :, m] = np.sqrt(g[:, m:])
+    E = np.zeros((B, tau_p, K_a))  # sqrt(tau_p) times the 0/1 map of device k to its pilot
+    E[np.arange(B)[:, None], block, np.arange(K_a)] = np.sqrt(tau_p)
+    Ct.view(float)[...] += E @ Gt.view(float)
+    G, corr = np.swapaxes(Gt, -1, -2), np.swapaxes(Ct, -1, -2)
+    return (G, corr) if A.ndim == 2 else (G[0], corr[0])
 
 
 def simulate_slot(betas, assignment, tau_p: int, M: int, rng: np.random.Generator) -> SlotOutcome:
-    """One coherence slot on a book of ``tau_p`` pilots: training, detection, genie SINR."""
+    """One coherence slot on a book of ``tau_p`` pilots, or a block of slots
+    (``assignment`` (B, K_a)): training, detection, genie SINR."""
     betas = np.asarray(betas, dtype=float)
     assignment = np.asarray(assignment, dtype=int)
     G, corr = train_slot(betas, assignment, tau_p, M, rng)
     energy = pilot_energy(corr)
-    return SlotOutcome(detect_pilots(energy, M), assignment, mrc_and_measure(G, betas, assignment, corr, energy, tau_p))
+    pilots = assignment if assignment.ndim == 1 else np.arange(len(assignment))[:, None] * tau_p + assignment
+    return SlotOutcome(detect_pilots(energy, M), pilots, mrc_and_measure(G, betas, assignment, corr, energy, tau_p))
 
 
 @dataclass(frozen=True)
@@ -236,6 +310,9 @@ def match_patterns(
     """Declare a device of 0..K-1 active when its pattern hits the detected
     pilot set in at least a rho fraction of slots.
 
+    ``detected_sets`` holds each slot's detected pilot indices, or is the
+    (L, tau_p) boolean map of them.
+
     ``patterns_of(devices, slots)`` returns the devices' pattern entries over
     the range ``slots``. A device is identified when its hits h satisfy
     ``h / L >= rho``, that is when it misses at most ``slack = L - need``
@@ -253,12 +330,17 @@ def match_patterns(
     L = len(detected_sets)
     if L < 1:
         raise ValueError("need at least one observed slot")
-    D = np.zeros((L, tau_p), dtype=bool)
-    for l, det in enumerate(detected_sets):
-        det = np.asarray(det, dtype=int)
-        if det.size and (det.min() < 0 or det.max() >= tau_p):
-            raise ValueError(f"detected pilots of slot {l} must lie in [0, {tau_p})")
-        D[l, det] = True
+    if isinstance(detected_sets, np.ndarray) and detected_sets.dtype == bool:
+        if detected_sets.shape != (L, tau_p):
+            raise ValueError(f"a detection map must be (slots, {tau_p})")
+        D = detected_sets
+    else:
+        D = np.zeros((L, tau_p), dtype=bool)
+        for l, det in enumerate(detected_sets):
+            det = np.asarray(det, dtype=int)
+            if det.size and (det.min() < 0 or det.max() >= tau_p):
+                raise ValueError(f"detected pilots of slot {l} must lie in [0, {tau_p})")
+            D[l, det] = True
     D, offsets = D.ravel(), np.arange(L) * tau_p  # slot l's pilot j sits at l*tau_p + j
     need = int(np.argmax(np.arange(L + 1) / L >= rho))  # the same division as hits / L >= rho
     chunk = L - need + 1
@@ -314,7 +396,9 @@ def run_frame(
     Per-device empirical rates average log2(1 + SINR) over the slots in
     which the device's pilot was detected (undetected slots contribute
     zero), scaled by the training-overhead prelog. ``collect_slots`` retains
-    the per-slot outcomes in ``FrameResult.slots``. Every run detects pilots
+    the per-slot outcomes in ``FrameResult.slots``. Slots are simulated in
+    blocks sized by ``SLOT_ENTRIES``; rates are added slot by slot, in slot
+    order, so no output depends on the block size. Every run detects pilots
     at the default zeta = 5 of ``DetectionThreshold`` and identifies devices
     at the default rho = 0.9 of ``match_patterns``: no spec field reaches
     either.
@@ -334,25 +418,26 @@ def run_frame(
     def patterns_of(devices, slots):
         return hopping_patterns(devices, frame_index, slots, tau_p, cfg.seed)
 
-    assignments = patterns_of(active, range(n_slots)).T  # row l: the active devices' pilots in slot l
     betas = sample_beta(cfg.model, rng, active.size)
 
     bits = np.zeros(active.size)
-    detected_sets = []
+    detected = np.zeros((n_slots, tau_p), dtype=bool)  # slot l's detected pilots
     slots = [] if collect_slots else None
-    for l in range(n_slots):
-        assignment = assignments[l]
-        out = simulate_slot(betas, assignment, tau_p, M, rng)
-        detected_sets.append(out.detected)
-        detected = np.zeros(tau_p, dtype=bool)
-        detected[out.detected] = True
-        seen = detected[assignment]
-        bits[seen] += np.log2(1.0 + out.device_sinr[seen])
+    step = max(1, SLOT_ENTRIES // ((active.size + tau_p) * (min(active.size, M) + 1)))
+    for start in range(0, n_slots, step):
+        block = range(start, min(start + step, n_slots))
+        assignments = patterns_of(active, block).T  # row b: the active devices' pilots in slot start + b
+        out = simulate_slot(betas, assignments, tau_p, M, rng)
+        hits = detected[block.start:block.stop]
+        hits.reshape(-1)[out.detected] = True
+        seen = hits.reshape(-1)[out.pilot_of_device]
+        for gained in np.where(seen, np.log2(1.0 + out.device_sinr), 0.0):  # slot by slot, in slot order
+            bits += gained
         if collect_slots:
-            slots.append(out)
+            slots += map(SlotOutcome, map(np.flatnonzero, hits), assignments, out.device_sinr)
 
     prelog = (tau_u - tau_p) / tau_u
     rates = prelog * bits / n_slots
-    ident = match_patterns(detected_sets, patterns_of, cfg.K, tau_p, active=active)
+    ident = match_patterns(detected, patterns_of, cfg.K, tau_p, active=active)
     return FrameResult(active, rates, float(rates.sum()), ident, slots)
 

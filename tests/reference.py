@@ -1,9 +1,11 @@
 """Reference formulas only the tests read: slow or independent forms of what
 the package computes another way (the R2 SINR as its own function, the R3
 SINR at scalars, the SINR rebuilt from the MMSE variances, the DFT pilot
-book ``train_slot`` rotates away, the whole-frame hopping-pattern hash)."""
+book ``train_slot`` rotates away, the full-basis training phase whose
+statistics ``train_slot`` draws, the whole-frame hopping-pattern hash)."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -109,3 +111,35 @@ def hopping_table(devices, frame: int, n_slots: int, tau_p: int, root_seed: int)
     x = (x ^ (x >> np.uint64(27))) * mix2
     x = x ^ (x >> np.uint64(31))
     return (((x >> np.uint64(32)) * np.uint64(tau_p)) >> np.uint64(32)).astype(np.intp)
+
+
+@lru_cache(maxsize=16)
+def _trapezoid(n: int, r: int):
+    """Flat float-view positions of an (n, r) complex array's strictly lower entries (row-major) and diagonal."""
+    rows, cols = np.tril_indices(n, -1, r)
+    re = 2 * (rows * r + cols)
+    return np.stack([re, re + 1], axis=1).ravel(), np.arange(r) * (2 * r + 2)
+
+
+def full_train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rng: np.random.Generator):
+    """Training phase of one slot in the full rotated basis: (G, corr), the
+    (r, K_a) channels and the pilot block correlated with the unitary book,
+    in r = min(M, n) antenna coordinates, n = K_a + tau_p.
+
+    Rotating the antennas keeps every inner product, so the slot draws the
+    (r, n) QR factor R of X = [G diag(betas)^-1/2 | W], not X (complex
+    Bartlett): CN(0, 1) strictly upper entries in row-major order of R^T,
+    then R_ii = sqrt(Gamma(M - i, 1)). G = R[:, :K_a] sqrt(betas) and corr =
+    R[:, K_a:] + sqrt(tau_p) G E, E the 0/1 map of device k to pilot
+    ``assignment[k]``; an empty slot's corr is R. Unlike
+    ``protocol.train_slot`` it keeps the inner products between pilots too.
+    """
+    K_a, n = betas.size, betas.size + tau_p
+    r = min(M, n)
+    strict, diag = _trapezoid(n, r)
+    Rt = np.zeros((n, r), dtype=complex)  # R^T: antennas on the last axis
+    Rt.reshape(-1).view(float)[strict] = rng.standard_normal(strict.size) * np.sqrt(0.5)
+    Rt.reshape(-1).view(float)[diag] = np.sqrt(rng.standard_gamma(M - np.arange(r)))
+    Gt = Rt[:K_a].view(float) * np.sqrt(betas)[:, None]  # float view: (K_a, 2r)
+    E = np.sqrt(tau_p) * (np.arange(tau_p)[:, None] == assignment)
+    return Gt.view(complex).T, (Rt[K_a:] + (E @ Gt).view(complex)).T

@@ -210,12 +210,24 @@ def test_stage_handles_zero_activity_and_rejects_long_pilots():
     assert stage.shape == (2, 3)
     assert stage[0, 0] == stage[0, 2] == 0.0 and not stage[1].any()
     assert stage[0, 1] == _cell("Ra", cfg, 20, 30 / K)[0]
-    with pytest.raises(ValueError, match="exceeds tau_u"):
-        _analytic_stage("Ra", cfg, [20, TAU_U + 1], [30 / K])
+    with pytest.raises(ValueError, match=rf"tau_p must be an integer in \[1, tau_u={TAU_U}\] \(got {TAU_U + 1}\)"):
+        bounds._cells("Ra", cfg, [20, TAU_U + 1], [30 / K])
     # sparse activity is an error wherever the cell is live, not on a zero-prelog row
     with pytest.raises(ValueError, match="sparse activity"):
         _analytic_stage("R3", cfg, [20, TAU_U], [30 / K, 0.5 / K])
     assert not _analytic_stage("R3", cfg, [TAU_U], [0.5 / K]).any()
+
+
+@pytest.mark.parametrize("bound", ["R1", "R2", "R3", "Ra"])
+@pytest.mark.parametrize("tau_p", [0, -5, TAU_U + 1])
+def test_every_bound_rejects_pilot_lengths_outside_one_to_tau_u(bound, tau_p):
+    # a grid reports a pilot length out of range as bound_at does, rather than a rate
+    cfg = _cfg("uniform-0.5")
+    message = rf"tau_p must be an integer in \[1, tau_u={TAU_U}\] \(got {tau_p}\)"
+    with pytest.raises(ValueError, match=message):
+        bound_grid(bound, cfg, [20, tau_p], [30.0])
+    with pytest.raises(ValueError, match=message):
+        bound_at(bound, cfg, tau_p, 30.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1e6])

@@ -8,6 +8,7 @@ from scipy.stats import binom, chisquare
 
 from pilothop.bounds import CollisionScenario, sinr1
 from pilothop.channels import UniformPowerError
+from pilothop import protocol
 from pilothop.config import SystemConfig
 from pilothop.protocol import (
     SCAN_ENTRIES,
@@ -24,7 +25,7 @@ from pilothop.protocol import (
     simulate_slot,
     train_slot,
 )
-from reference import hopping_table, pilot_sequences
+from reference import full_train_slot, hopping_table, pilot_sequences
 
 
 def test_pilot_sequences_orthonormal():
@@ -86,9 +87,15 @@ def test_hopping_patterns_match_the_counter_by_counter_hash(tau_p, seed):
 
 
 def _noise_corr(tau_p, M, rng):
-    """Pilot correlation of a slot in which nobody transmits: the (r, tau_p)
-    Bartlett factor R of an (M, tau_p) CN(0, 1) block, r = min(M, tau_p)."""
+    """Pilot correlation of a slot in which nobody transmits: one row, each
+    pilot's noise norm sqrt(Gamma(M))."""
     return train_slot(np.zeros(0), np.zeros(0, dtype=int), tau_p, M, rng)[1]
+
+
+def _bartlett_factor(n, M, rng):
+    """The (r, n) Bartlett factor R of an (M, n) CN(0, 1) block, r = min(M, n),
+    as the full-basis reference draws it for an empty slot on n pilots."""
+    return full_train_slot(np.zeros(0), np.zeros(0, dtype=int), n, M, rng)[1]
 
 
 def test_detect_single_device_certain(rng):
@@ -130,18 +137,18 @@ def test_detection_false_alarm_rate_is_gamma_tail(rng, zeta):
 
 
 def test_detection_threshold_is_set_by_the_antenna_count_not_the_rows(rng):
-    # a noise-only correlation has r = tau_p < M rows, yet each column's energy
+    # a noise-only correlation has r = 1 < M rows, yet each column's energy
     # is Gamma(M, 1): detection at M gets the Gamma(M, 1/M) tail, while reading
     # the row count would flag nearly every pilot
     M, tau_p, slots = 40, 6, 3000
     threshold = DetectionThreshold(1.0)
     corrs = [_noise_corr(tau_p, M, rng) for _ in range(slots)]
-    assert corrs[0].shape == (tau_p, tau_p)
+    assert corrs[0].shape == (1, tau_p)
     alarms = sum(detect_pilots(pilot_energy(c), M, threshold).size for c in corrs)
     p = gammaincc(M, M * threshold.value(M))
     n = slots * tau_p
     assert abs(alarms / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
-    assert sum(detect_pilots(pilot_energy(c), tau_p, threshold).size for c in corrs) > 0.99 * n
+    assert sum(detect_pilots(pilot_energy(c), len(c), threshold).size for c in corrs) > 0.99 * n
 
 
 def test_detection_statistic_mean_noise_only(rng):
@@ -289,9 +296,10 @@ def _pilot_book_slot(betas, assignment, tau_p, M, R):
 
 
 def test_rotated_training_matches_the_zero_padded_pilot_book_path(rng):
-    # an empty slot on K_a + tau_p pilots draws the same factor R as a slot of
-    # K_a devices on tau_p pilots; sent through the pilot book, zero-padded to M
-    # antennas, R gives the same SINRs and pilot energies as the rotated path
+    # the full-basis reference: an empty slot on K_a + tau_p pilots draws the
+    # same factor R as a slot of K_a devices on tau_p pilots; sent through the
+    # pilot book, zero-padded to M antennas, R gives the same SINRs and pilot
+    # energies as the rotated path
     cases = [(4, 2, [0, 1, 1, 2, 2, 2, 3, 0])]  # fewer antennas than devices
     for _ in range(300):
         tau_p, M = int(rng.integers(1, 41)), int(rng.integers(1, 129))
@@ -300,8 +308,8 @@ def test_rotated_training_matches_the_zero_padded_pilot_book_path(rng):
         assignment = np.asarray(assignment, dtype=int)
         betas = 10.0 ** rng.uniform(-1.0, 2.0, assignment.size)
         seed = int(rng.integers(2**32))
-        G, corr = train_slot(betas, assignment, tau_p, M, np.random.default_rng(seed))
-        R = _noise_corr(assignment.size + tau_p, M, np.random.default_rng(seed))
+        G, corr = full_train_slot(betas, assignment, tau_p, M, np.random.default_rng(seed))
+        R = _bartlett_factor(assignment.size + tau_p, M, np.random.default_rng(seed))
         G_pad, corr_pad = _pilot_book_slot(betas, assignment, tau_p, M, R)
         r = min(M, assignment.size + tau_p)
         assert G.shape == (r, assignment.size) and corr.shape == (r, tau_p)
@@ -313,16 +321,114 @@ def test_rotated_training_matches_the_zero_padded_pilot_book_path(rng):
         np.testing.assert_allclose(energy, (np.abs(corr_pad) ** 2).sum(axis=0), rtol=1e-12, atol=0)
 
 
+def _slot_statistics(G, corr, assignment):
+    """What ``train_slot`` draws, taken from a full slot by QR: span(G)'s
+    coordinates of G and of each used pilot's observation, and the rest of
+    each pilot's norm in one more coordinate (all of it for an unused pilot)."""
+    Q = np.linalg.qr(G)[0]  # m = min(K_a, M) columns
+    energy = pilot_energy(corr)
+    used = np.isin(np.arange(corr.shape[1]), assignment)
+    proj = np.where(used, Q.conj().T @ corr, 0.0)
+    rest = np.sqrt(np.maximum(energy - pilot_energy(proj), 0.0))
+    return np.vstack([Q.conj().T @ G, np.zeros((1, G.shape[1]))]), np.vstack([proj, rest])
+
+
+def test_slot_statistics_reproduce_the_full_slot(rng):
+    # the receiver reads only G's inner products with G and with the used
+    # pilots' observations, and each pilot's energy: the statistics train_slot
+    # draws, taken by QR from a full-basis slot, give that slot's energies and SINRs
+    cases = [(5, 16, []), (4, 2, [0, 1, 1, 2, 2, 2, 3, 0]), (3, 2, [2]), (6, 3, [0, 0, 5]), (7, 30, [6, 6])]
+    for _ in range(300):
+        tau_p, M = int(rng.integers(1, 20)), int(rng.integers(2, 40))
+        cases.append((tau_p, M, rng.integers(0, tau_p, int(rng.integers(0, 30)))))
+    assert any(len(a) >= M for _, M, a in cases) and any(M == 2 for _, M, _ in cases)
+    for tau_p, M, assignment in cases:
+        assignment = np.asarray(assignment, dtype=int)
+        betas = 10.0 ** rng.uniform(-1.0, 2.0, assignment.size)
+        G, corr = full_train_slot(betas, assignment, tau_p, M, rng)
+        G_s, corr_s = _slot_statistics(G, corr, assignment)
+        assert G_s.shape == (min(assignment.size, M) + 1, assignment.size)
+        energy = pilot_energy(corr)
+        np.testing.assert_allclose(pilot_energy(corr_s), energy, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mrc_and_measure(G_s, betas, assignment, corr_s, pilot_energy(corr_s), tau_p),
+                                   mrc_and_measure(G, betas, assignment, corr, energy, tau_p), rtol=1e-12, atol=0)
+
+
+def _slot_draws(draw, betas, assignment, tau_p, M, n, seed):
+    """Per-device log2(1 + SINR) and per-pilot energy / M of ``n`` slots of
+    ``draw``, the statistics draw or the full-basis reference, one row a slot."""
+    rng = np.random.default_rng(seed)
+    rates, energies = np.empty((n, betas.size)), np.empty((n, tau_p))
+    for l in range(n):
+        G, corr = draw(betas, assignment, tau_p, M, rng)
+        energies[l] = pilot_energy(corr)
+        rates[l] = np.log2(1.0 + mrc_and_measure(G, betas, assignment, corr, energies[l], tau_p))
+    return rates, energies / M
+
+
+@pytest.mark.parametrize("tau_p, M, assignment", [
+    (39, 100, "37"),                 # slot-dense's shape
+    (33, 100, "30"),                 # slot-mmtc's shape
+    (20, 50, "25"),
+    (16, 20, "10"),
+    (4, 8, [0, 0, 1]),               # a collision and two unused pilots
+    (3, 2, [0, 1, 1, 2]),            # K_a > M = 2
+    (6, 4, [5, 5, 5, 5, 5]),         # everyone on one pilot, K_a > M
+    (12, 12, list(range(12))),       # K_a = M, every pilot used once
+    (10, 3, [0, 0, 2, 4, 4, 9]),     # K_a > M, unused pilots
+    (1, 64, [0, 0, 0]),              # one pilot
+    (8, 32, [7]),                    # one device
+    (5, 16, []),                     # nobody active
+    (2, 6, [0, 1, 0, 1, 0, 1, 0]),   # K_a > M on two pilots
+])
+def test_statistics_draw_has_the_full_slot_law(tau_p, M, assignment):
+    # two-sample z-tests of the mean rate of every device and mean energy of
+    # every pilot, the statistics draw against the full-basis reference
+    rng = np.random.default_rng(tau_p * 1000 + M)
+    if isinstance(assignment, str):
+        assignment = rng.integers(0, tau_p, int(assignment))
+    assignment = np.asarray(assignment, dtype=int)
+    betas = 10.0 ** rng.uniform(-1.0, 2.0, assignment.size)
+    n = 1500
+    new = _slot_draws(train_slot, betas, assignment, tau_p, M, n, 1)
+    ref = _slot_draws(full_train_slot, betas, assignment, tau_p, M, n, 2)
+    z = []
+    for a, b in zip(new, ref):
+        se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / n)
+        z += list((a.mean(axis=0) - b.mean(axis=0)) / se)
+    assert len(z) == assignment.size + tau_p and max(map(abs, z)) < 4.5, z
+
+
+@pytest.mark.parametrize("tau_p, M, K_a", [(39, 100, 37), (5, 4, 7), (8, 2, 3), (6, 16, 0), (1, 8, 4)])
+def test_a_block_of_slots_equals_its_slots_one_at_a_time(tau_p, M, K_a):
+    rng = np.random.default_rng(K_a * 100 + M)
+    betas = 10.0 ** rng.uniform(-1.0, 1.0, K_a)
+    A = rng.integers(0, tau_p, (9, K_a))
+    G, corr = train_slot(betas, A, tau_p, M, np.random.default_rng(5))
+    block = simulate_slot(betas, A, tau_p, M, np.random.default_rng(5))
+    assert block.device_sinr.shape == block.pilot_of_device.shape == (9, K_a)
+    one, again = np.random.default_rng(5), np.random.default_rng(5)
+    for b in range(9):
+        out = simulate_slot(betas, A[b], tau_p, M, one)
+        G_b, corr_b = train_slot(betas, A[b], tau_p, M, again)
+        assert np.array_equal(G_b, G[b]) and np.array_equal(corr_b, corr[b])
+        assert np.array_equal(out.device_sinr, block.device_sinr[b])
+        assert np.array_equal(out.detected + b * tau_p, block.detected[block.detected // tau_p == b])
+        assert np.array_equal(out.pilot_of_device + b * tau_p, block.pilot_of_device[b])
+    assert one.random() == again.random()
+
+
 @pytest.mark.parametrize("M, n", [(6, 4), (4, 7)])
 def test_bartlett_factor_gram_has_wishart_moments(M, n):
-    # R^H R is distributed as X^H X for X (M, n) i.i.d. CN(0, 1): its diagonal
-    # is Gamma(M, 1), mean and variance M; each off-diagonal entry is a sum of M
-    # products of independent CN(0, 1) entries, mean 0 and E|.|^2 = M
+    # the full-basis reference's factor: R^H R is distributed as X^H X for X
+    # (M, n) i.i.d. CN(0, 1): its diagonal is Gamma(M, 1), mean and variance M;
+    # each off-diagonal entry is a sum of M products of independent CN(0, 1)
+    # entries, mean 0 and E|.|^2 = M
     rng, trials = np.random.default_rng(21), 20000
-    R = _noise_corr(n, M, rng)
+    R = _bartlett_factor(n, M, rng)
     assert R.shape == (min(M, n), n) and not np.tril(R, -1).any()
     assert np.all(np.diag(R).real > 0) and not np.diag(R).imag.any()
-    grams = np.array([R.conj().T @ R for R in (_noise_corr(n, M, rng) for _ in range(trials))])
+    grams = np.array([R.conj().T @ R for R in (_bartlett_factor(n, M, rng) for _ in range(trials))])
     diag = grams[:, np.arange(n), np.arange(n)].real
     rows, cols = np.triu_indices(n, 1)
     off = grams[:, rows, cols]
@@ -336,25 +442,65 @@ def test_bartlett_factor_gram_has_wishart_moments(M, n):
     assert max(float(np.abs(v).max()) for v in z) < 4.5, z
 
 
-def _bartlett_replay(rng, M, n):
-    """The (r, n) factor R drawn by hand in ``train_slot``'s order: the strictly
-    upper entries column by column, then the diagonal."""
-    r = min(M, n)
-    R = np.zeros((r, n), dtype=complex)
-    upper = [(i, j) for j in range(n) for i in range(min(j, r))]
-    z = rng.standard_normal(2 * len(upper)) * math.sqrt(0.5)
-    for k, (i, j) in enumerate(upper):
-        R[i, j] = complex(z[2 * k], z[2 * k + 1])
-    R[np.arange(r), np.arange(r)] = np.sqrt(rng.standard_gamma(M - np.arange(r)))
-    return R
+def _statistics_replay(rng, betas, assignment, tau_p, M):
+    """One slot's (G, corr) drawn by hand in ``train_slot``'s documented order.
+
+    Normals: the strictly upper entries of the (m, K_a) factor R, column by
+    column, then m coordinates for each used pilot in pilot order. Gammas:
+    R's diagonal, then one per pilot, Gamma(M - m) if used, else Gamma(M).
+    G = R sqrt(betas), column k scaled as its draws are placed. Exact to the
+    bit when no two devices share a pilot.
+    """
+    K_a, m = betas.size, min(betas.size, M)
+    used = sorted(set(np.asarray(assignment).tolist()))
+    upper = [(i, k) for k in range(K_a) for i in range(min(k, m))]
+    z = rng.standard_normal(2 * (len(upper) + m * len(used)))
+    w = [complex(z[2 * t], z[2 * t + 1]) for t in range(z.size // 2)]
+    G = np.zeros((m + 1, K_a), dtype=complex)
+    for t, (i, k) in enumerate(upper):
+        G[i, k] = w[t] * math.sqrt(0.5 * betas[k])
+    noise = np.zeros((m + 1, tau_p), dtype=complex)
+    for t, j in enumerate(used):
+        noise[:m, j] = np.array(w[len(upper) + t * m:len(upper) + (t + 1) * m]) * math.sqrt(0.5)
+    g = rng.standard_gamma([M - i for i in range(m)] + [M - m if j in used else M for j in range(tau_p)])
+    G[np.arange(m), np.arange(m)] = np.sqrt(g[:m] * betas[:m])
+    noise[m] = np.sqrt(g[m:])
+    corr = noise.copy()
+    for k, j in enumerate(assignment):
+        corr[:, j] += math.sqrt(tau_p) * G[:, k]
+    return G, corr
 
 
 def test_empty_slot_draws_only_the_noise_block():
+    # nobody transmits: the slot draws one Gamma(M) noise energy per pilot and no normal
     M, tau_p = 16, 5
     rng, replay = np.random.default_rng(11), np.random.default_rng(11)
     out = simulate_slot([], [], tau_p, M, rng)
-    assert np.array_equal(out.detected, detect_pilots(pilot_energy(_bartlett_replay(replay, M, tau_p)), M))
+    _, corr = _statistics_replay(replay, np.zeros(0), [], tau_p, M)
+    assert corr.shape == (1, tau_p)
+    assert np.array_equal(out.detected, detect_pilots(pilot_energy(corr), M))
     assert out.device_sinr.shape == (0,)
+    assert rng.random() == replay.random()  # both streams stand at the same place
+
+
+@pytest.mark.parametrize("tau_p, M, assignment", [
+    (8, 64, [3, 5]),         # m = K_a < M: the rest of a used pilot's noise is Gamma(M - K_a)
+    (6, 2, [0, 2, 3]),       # K_a > M = m: a used pilot's noise lies in span(G)
+    (4, 3, [1, 0, 3]),       # K_a = M
+    (5, 40, [4]),            # one device, four pilots unused
+])
+def test_training_draws_follow_the_documented_order(tau_p, M, assignment):
+    betas = np.array([10.0, 6.0, 0.5][:len(assignment)])
+    G, corr = train_slot(betas, np.array(assignment), tau_p, M, np.random.default_rng(4))
+    replay = np.random.default_rng(4)
+    G_ref, corr_ref = _statistics_replay(replay, betas, assignment, tau_p, M)
+    assert np.array_equal(G, G_ref) and np.array_equal(corr, corr_ref)
+    m = min(len(assignment), M)
+    assert G.shape == (m + 1, len(assignment)) and not G[m].any() and not np.tril(G, -1).any()
+    unused = np.setdiff1d(np.arange(tau_p), assignment)
+    assert not corr[:m, unused].any() and np.all(corr[m, unused].real > 0)
+    rng = np.random.default_rng(4)
+    train_slot(betas, np.array(assignment), tau_p, M, rng)
     assert rng.random() == replay.random()  # both streams stand at the same place
 
 
@@ -403,6 +549,21 @@ def test_match_patterns_rejects_out_of_range_detected_pilots(bad):
     patterns = np.array([[0, 0], [3, 3]])
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
         match_patterns([np.array([bad]), np.array([bad])], _table_rows(patterns), 2, 4, rho=0.9)
+
+
+def test_match_patterns_reads_a_detection_map_as_its_index_sets(rng):
+    # run_frame hands over its (L, tau_p) boolean map of detected pilots
+    K, L, tau_p = 300, 40, 6
+    table = rng.integers(0, tau_p, (K, L))
+    D = rng.random((L, tau_p)) < 0.6
+    sets = [np.flatnonzero(row) for row in D]
+    for rho in (0.5, 0.9):
+        got = match_patterns(D, _table_rows(table), K, tau_p, rho=rho, active=np.array([3, 7]))
+        want = match_patterns(sets, _table_rows(table), K, tau_p, rho=rho, active=np.array([3, 7]))
+        for name in ("identified", "missed", "false"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    with pytest.raises(ValueError, match="detection map"):
+        match_patterns(D[:, :-1], _table_rows(table), K, tau_p)
 
 
 def _match_reference(detected_sets, patterns, tau_p, rho=0.9, active=None):
@@ -539,6 +700,44 @@ def test_run_frame_memory_stays_bounded_at_mmtc_scale(power_controlled):
     assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def test_run_frame_scratch_does_not_grow_with_the_frame(monkeypatch):
+    # slot-dense's point: blocks of slots are drawn and dropped, so a frame keeps
+    # per slot only its detection map, a byte per pilot. The identification
+    # scan, whose blocks are bounded by SCAN_ENTRIES, is left out here
+    cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=39, p_a=40.4638937 / 800,
+                       model=UniformPowerError(10.0, 0.0), seed=5)
+    nobody = IdentificationReport(*[np.zeros(0, dtype=int)] * 3)
+    monkeypatch.setattr(protocol, "match_patterns", lambda *args, **kwargs: nobody)
+    peaks = {}
+    for n_slots in (100, 2000):
+        tracemalloc.start()
+        try:
+            run_frame(cfg, n_slots, np.random.default_rng(1))
+            peaks[n_slots] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] - peaks[100] <= 1900 * cfg.tau_p + 16_384, peaks
+
+
+def test_run_frame_does_not_depend_on_the_block_budget(monkeypatch):
+    # one slot a block, three, and the whole frame in one block give the same bits
+    cfg = SystemConfig(M=32, K=60, tau_u=40, tau_p=8, p_a=0.15, model=UniformPowerError(0.15, 0.5), seed=3)
+    frames = []
+    for budget in (1, 700, protocol.SLOT_ENTRIES):
+        monkeypatch.setattr(protocol, "SLOT_ENTRIES", budget)
+        frames.append(run_frame(cfg, 60, np.random.default_rng(5), collect_slots=True))
+    a = frames[0]
+    entries = (a.active.size + cfg.tau_p) * (a.active.size + 1)
+    assert 1 < 700 // entries < 60 <= protocol.SLOT_ENTRIES // entries
+    for b in frames[1:]:
+        assert np.array_equal(a.rates, b.rates) and a.sum_rate == b.sum_rate
+        for name in ("identified", "missed", "false"):
+            assert np.array_equal(getattr(a.identification, name), getattr(b.identification, name))
+        for sa, sb in zip(a.slots, b.slots, strict=True):
+            assert np.array_equal(sa.detected, sb.detected) and np.array_equal(sa.device_sinr, sb.device_sinr)
+            assert np.array_equal(sa.pilot_of_device, sb.pilot_of_device)
+
+
 def test_run_frame_no_active_devices(power_controlled):
     cfg = _frame_cfg(model=power_controlled)
     fr = run_frame(cfg, 50, np.random.default_rng(4), active=np.array([], dtype=int))
@@ -568,17 +767,14 @@ def test_all_patterns_shape():
 
 
 def test_slot_outcome_carries_estimates():
-    # train_slot draws the channels, then the noise, and correlates once; the
-    # slot runs the shared detection and SINR routines on that correlation
+    # train_slot draws the channels' statistics, then the pilots', and correlates
+    # once; the slot runs the shared detection and SINR routines on that correlation
     betas, assignment = np.array([10.0, 6.0]), np.array([3, 5])
     rng = np.random.default_rng(4)
     G, corr = train_slot(betas, assignment, 8, 64, rng)
 
     replay = np.random.default_rng(4)  # replay the training draws by hand
-    R = _bartlett_replay(replay, 64, 10)
-    G_ref = R[:, :2] * np.sqrt(betas)
-    corr_ref = R[:, 2:].copy()
-    corr_ref[:, assignment] += math.sqrt(8) * G_ref  # one device per pilot
+    G_ref, corr_ref = _statistics_replay(replay, betas, assignment, 8, 64)
     assert np.array_equal(G, G_ref)
     assert np.array_equal(corr, corr_ref)
     assert rng.random() == replay.random()  # both streams stand at the same place

@@ -168,22 +168,56 @@ def test_perfbench_tracer_runs_a_simulate_spec(tmp_path):
     spec.write_text("kind: simulate\nsystem: {M: 32, K: 60, tau_u: 40, tau_p: 8, p_a: 0.1, seed: 3}\n"
                     "n_slots: 20\nn_frames: 2\nout_prefix: sim\n")
     code = (
-        "import json\n"
+        "import json, math\n"
         "from tracing import Tracer\n"
+        "from pilothop.access import ActivationLaw, sample_active_set\n"
         "from pilothop.cli import main\n"
+        "from pilothop.experiments import _frame_rng\n"
+        "from pilothop.protocol import SLOT_ENTRIES\n"
         "tracer = Tracer().install()\n"
         f"rc = main(['run', {str(spec)!r}, '--out', {str(tmp_path)!r}])\n"
         f"metrics = tracer.finish({str(tmp_path / 'spans.json')!r})\n"
-        "print(json.dumps([rc, metrics]))\n"
+        "sizes = [sample_active_set(ActivationLaw(60, 0.1), _frame_rng(3, i)).size for i in range(2)]\n"
+        "blocks = sum(math.ceil(20 / max(1, SLOT_ENTRIES // ((k + 8) * (min(k, 32) + 1)))) for k in sizes)\n"
+        "print(json.dumps([rc, metrics, blocks]))\n"
     )
     out = _python(code, SRC.parent.parent / "perfbench")
     assert out.returncode == 0, out.stderr
-    rc, metrics = json.loads(out.stdout.splitlines()[-1])
+    rc, metrics, blocks = json.loads(out.stdout.splitlines()[-1])
     assert rc == 0
-    assert metrics["protocol.simulate_slot.calls"] == 40
+    # simulate_slot takes a block of slots per call: each frame's 20 slots in blocks of SLOT_ENTRIES entries
+    assert metrics["protocol.simulate_slot.calls"] == blocks >= 2
     for name in ("simulate_slot.missed_pilots", "simulate_slot.false_pilots",
                  "match_patterns.missed_devices", "match_patterns.false_devices"):
         assert isinstance(metrics[f"protocol.{name}"], int), name
+
+
+def test_perfbench_tracer_counts_each_slots_missed_and_false_pilots(tmp_path):
+    # a block's SlotOutcome holds flat slot * tau_p + pilot ids, so the tracer's
+    # per-call set differences count the (slot, pilot) misses and false alarms
+    # exactly; two antennas and weak gains give both
+    code = (
+        "import json\n"
+        "import numpy as np\n"
+        "from tracing import Tracer\n"
+        "from pilothop import protocol\n"
+        "from pilothop.channels import UniformPowerError\n"
+        "from pilothop.config import SystemConfig\n"
+        "tracer = Tracer().install()\n"
+        "cfg = SystemConfig(M=2, K=60, tau_u=40, tau_p=20, p_a=0.1, model=UniformPowerError(0.3, 0.5), seed=3)\n"
+        "fr = protocol.run_frame(cfg, 8000, np.random.default_rng(5), collect_slots=True)\n"
+        f"metrics = tracer.finish({str(tmp_path / 'spans.json')!r})\n"
+        "missed = sum(np.setdiff1d(s.pilot_of_device, s.detected).size for s in fr.slots)\n"
+        "false = sum(np.setdiff1d(s.detected, s.pilot_of_device).size for s in fr.slots)\n"
+        "print(json.dumps([metrics['protocol.simulate_slot.missed_pilots'],\n"
+        "                  metrics['protocol.simulate_slot.false_pilots'], missed, false,\n"
+        "                  metrics['protocol.simulate_slot.calls']]))\n"
+    )
+    out = _python(code, SRC.parent.parent / "perfbench")
+    assert out.returncode == 0, out.stderr
+    traced_missed, traced_false, missed, false, calls = json.loads(out.stdout.splitlines()[-1])
+    assert 1 < calls < 8000 and missed > 0 and false > 0
+    assert (traced_missed, traced_false) == (missed, false)
 
 
 def test_no_function_takes_model_or_mc_beside_cfg():
