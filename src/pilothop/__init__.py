@@ -21,7 +21,7 @@ from .channels import (
     analytic_moments,
 )
 from .config import SystemConfig
-from .optimize import GridSpec, OptimizationResult, S0
+from .optimize import OptimizationResult, S0
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "UniformPowerError",
     "analytic_moments",
     "SystemConfig",
-    "GridSpec",
     "OptimizationResult",
     "S0",
     "__version__",

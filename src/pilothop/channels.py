@@ -192,8 +192,8 @@ def is_degenerate(model: LargeScaleModel) -> bool:
 QUAD_NODES = 96
 
 # Node x row elements expect_rows fills at once (512 KiB): up to 682 cells of
-# 96 nodes, so a stage-one grid of the default GridSpec (25 x 25 cells, 60,000
-# entries) or a 61-point scan is one block.
+# 96 nodes, so a grid_opt stage-one grid (25 x 25 cells, 60,000 entries) or a
+# 61-point scan is one block.
 _BLOCK_ELEMENTS = 1 << 16
 
 

@@ -47,26 +47,6 @@ S0 = 3.9215536345675077
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Two-stage search grid over (tau_p, p_a*K)."""
-
-    tau_p_points: int = 25
-    pak_points: int = 25
-    pak_min: float = 1.0
-    refine_points: int = 15
-    tau_p_values: tuple = ()
-    pak_values: tuple = ()
-
-    def __post_init__(self):
-        if not self.tau_p_values and self.tau_p_points < 1:
-            raise ValueError("empty tau_p grid")
-        if not self.pak_values and self.pak_points < 1:
-            raise ValueError("empty p_a*K grid")
-        if self.pak_min <= 0:
-            raise ValueError("pak_min must be positive")
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     tau_p_opt: int
     p_aK_opt: float
@@ -76,7 +56,7 @@ class OptimizationResult:
     bound: BoundResult | None = None  # RATE_BOUND[method] at the point, whose value is rate
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-4):
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_tol: float):
     """Golden-section maximization on [lo, hi]; returns (x, f(x), evaluations)."""
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -101,6 +81,14 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float, rel_to
 # Points of _scan_then_golden's log-spaced scan, and its golden-section tolerance.
 SCAN_POINTS = 61
 SCAN_REL_TOL = 1e-4
+
+# grid_opt's search: stage one takes TAU_P_POINTS pilot lengths linearly over
+# [1, tau_u] and PAK_POINTS values of p_a*K log-spaced over [PAK_MIN, K];
+# stage two takes REFINE_POINTS per axis across the stage-one argmax's cell.
+TAU_P_POINTS = 25
+PAK_POINTS = 25
+PAK_MIN = 1.0
+REFINE_POINTS = 15
 
 
 def _scan_then_golden(model, sinr, lo: float, hi: float):
@@ -163,35 +151,20 @@ def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel):
     return _tau_p_third(tau_u), b_opt * root, val, evals
 
 
-def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> OptimizationResult:
+def grid_opt(cost: str, cfg: "SystemConfig") -> OptimizationResult:
     """Two-stage grid search of ``cost`` over (tau_p, p_a*K) for the scenario ``cfg``.
 
     Stage one scans tau_p linearly over [1, tau_u] and p_a*K log-spaced over
-    [pak_min, K]; stage two refines one stage-one cell around the argmax.
+    [PAK_MIN, K]; stage two refines one stage-one cell around the argmax.
     ``rate`` is the best cell's value and ``bound`` its :class:`BoundResult`,
     which equals ``bound_at(cost, ...)`` at the returned point, Monte Carlo
     error included.
     """
     if cost not in COSTS:
         raise ValueError(f"unknown cost {cost!r}; expected one of {COSTS}")
-    grid = grid or GridSpec()
     tau_u, K = cfg.tau_u, cfg.K
-
-    if grid.tau_p_values:
-        tps = np.unique(np.asarray(grid.tau_p_values, dtype=int))
-    else:
-        tps = np.unique(np.round(np.linspace(1, tau_u, grid.tau_p_points)).astype(int))
-    if grid.pak_values:
-        qs = np.unique(np.asarray(grid.pak_values, dtype=float))
-    else:
-        q_lo = min(grid.pak_min, float(K))
-        qs = np.geomspace(q_lo, K, grid.pak_points)
-    if tps.size == 0 or qs.size == 0:
-        raise ValueError("empty search grid")
-    if tps[0] < 1 or tps[-1] > tau_u:
-        raise ValueError("tau_p grid must lie within [1, tau_u]")
-    if qs[0] <= 0 or qs[-1] > K:
-        raise ValueError("p_a*K grid must lie within (0, K]")
+    tps = np.unique(np.round(np.linspace(1, tau_u, TAU_P_POINTS)).astype(int))
+    qs = np.geomspace(min(PAK_MIN, float(K)), K, PAK_POINTS)
 
     evals = 0
     best = (-math.inf, None, None, None)
@@ -210,13 +183,13 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
 
     i = int(np.searchsorted(tps, best[1]))
     tp_lo, tp_hi = tps[max(i - 1, 0)], tps[min(i + 1, tps.size - 1)]
-    tps2 = np.unique(np.round(np.linspace(tp_lo, tp_hi, grid.refine_points)).astype(int))
+    tps2 = np.unique(np.round(np.linspace(tp_lo, tp_hi, REFINE_POINTS)).astype(int))
     j = int(np.searchsorted(qs, best[2]))
-    ratio = qs[min(j + 1, qs.size - 1)] / qs[j] if qs.size > 1 else 1.0
-    # refinement stays inside the declared grid span (R3 needs p_a*K >= 1)
-    q_lo2 = max(best[2] / max(ratio, 1.0), float(qs[0]))
-    q_hi2 = min(best[2] * max(ratio, 1.0), float(K))
-    qs2 = np.geomspace(q_lo2, q_hi2, grid.refine_points) if q_hi2 > q_lo2 else np.array([best[2]])
+    ratio = qs[min(j + 1, qs.size - 1)] / qs[j]
+    # refinement stays inside stage one's span (R3 needs p_a*K >= 1)
+    q_lo2 = max(best[2] / ratio, float(qs[0]))
+    q_hi2 = min(best[2] * ratio, float(K))
+    qs2 = np.geomspace(q_lo2, q_hi2, REFINE_POINTS) if q_hi2 > q_lo2 else np.array([best[2]])
     sweep(tps2, qs2)
 
     rate, tau_p_opt, q_opt, at = best
@@ -226,7 +199,7 @@ def grid_opt(cost: str, cfg: "SystemConfig", grid: GridSpec | None = None) -> Op
 def optimize(method: str, cfg: "SystemConfig") -> OptimizationResult:
     """Run one of the six named methods on the scenario ``cfg`` and return its operating point.
 
-    The three ``-opt`` methods search the default :class:`GridSpec`.
+    The three ``-opt`` methods search the grid of :func:`grid_opt`.
     ``rate`` is the method's own cost at the returned point: the best grid
     cell's value for ``-opt``, the Ra bound for ``Ra-1D`` (for both, ``bound``
     holds that bound's :class:`BoundResult`) and a surrogate, not an

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import numpy.ma  # noqa: F401  np.unique loads it lazily; load it at import, not inside a run
@@ -41,27 +41,12 @@ from .channels import sample_beta
 from .config import SystemConfig
 
 
-@dataclass(frozen=True)
-class DetectionThreshold:
-    """Pilot-activity threshold: detect when the correlation energy per
-    antenna exceeds t = 1 + zeta*sqrt(2/M).
-
-    On a pilot nobody uses the statistic is Gamma(M, 1/M): mean 1, standard
-    deviation 1/sqrt(M), so t sits zeta*sqrt(2) standard deviations above
-    the mean. The per-pilot false-alarm probability is
-    ``scipy.special.gammaincc(M, M*t)``; the default zeta = 5 gives 1.8e-9
-    at M = 100.
-    """
-
-    zeta: float = 5.0
-
-    def __post_init__(self):
-        if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
-
-    def value(self, M: int) -> float:
-        return 1.0 + self.zeta * np.sqrt(2.0 / M)
-
+# Pilot-activity threshold: a pilot is detected when its correlation energy
+# per antenna exceeds t = 1 + ZETA*sqrt(2/M). On a pilot nobody uses the
+# statistic is Gamma(M, 1/M): mean 1, standard deviation 1/sqrt(M), so t sits
+# ZETA*sqrt(2) standard deviations above the mean, and the per-pilot
+# false-alarm probability, scipy.special.gammaincc(M, M*t), is 1.8e-9 at M = 100
+ZETA = 5.0
 
 # (device, slot) pattern entries the identification scan regenerates at a
 # time: its working set stays at a few 512 kB arrays whatever K and L are
@@ -79,6 +64,12 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
+@lru_cache(maxsize=1)
+def _frame_key(root_seed: int, frame: int) -> np.uint64:
+    """The 64-bit key of ``hopping_patterns`` for one frame; a frame's blocks and scan share it."""
+    return np.random.SeedSequence((root_seed, frame)).generate_state(1, np.uint64)[0]
+
+
 def hopping_patterns(devices, frame: int, slots: range, tau_p: int, root_seed: int) -> np.ndarray:
     """(len(devices), len(slots)) pilot indices: row i is the pattern of
     device ``devices[i]`` in frame ``frame`` over the slots of the range
@@ -86,12 +77,12 @@ def hopping_patterns(devices, frame: int, slots: range, tau_p: int, root_seed: i
 
     A counter-based function of (root seed, frame, device, slot), so both
     sides regenerate any entry alone. ``SeedSequence((root_seed, frame))``
-    gives one 64-bit frame key per call, which keeps every bit of any
-    non-negative integer seed. Entry (d, l) is the SplitMix64 output at counter
-    d * 2**32 + l + 1 under that key, and its output h maps to a pilot by
-    multiply-high, ``((h >> 32) * tau_p) >> 32``. Each pilot then has
-    probability within 2**-32 of 1/tau_p: a relative bias of at most
-    tau_p / 2**32. The mixer's input (counter * gamma + key, mod 2**64) is
+    gives one 64-bit frame key, held for the latest frame, which keeps every
+    bit of any non-negative integer seed. Entry (d, l) is the SplitMix64
+    output at counter d * 2**32 + l + 1 under that key, and its output h
+    maps to a pilot by multiply-high, ``((h >> 32) * tau_p) >> 32``. Each
+    pilot then has probability within 2**-32 of 1/tau_p: a relative bias of
+    at most tau_p / 2**32. The mixer's input (counter * gamma + key, mod 2**64) is
     formed as a per-device column plus a per-slot row.
     """
     devices = np.asarray(devices, dtype=np.int64)
@@ -99,8 +90,7 @@ def hopping_patterns(devices, frame: int, slots: range, tau_p: int, root_seed: i
         raise ValueError("device ids must lie in [0, 2**32)")
     if slots.step != 1 or slots.start < 0:
         raise ValueError("slots must be a step-1 range of non-negative slot indices")
-    key = np.random.SeedSequence((root_seed, frame)).generate_state(1, np.uint64)
-    col = (devices.astype(np.uint64) << np.uint64(32)) * _GAMMA + key
+    col = (devices.astype(np.uint64) << np.uint64(32)) * _GAMMA + _frame_key(root_seed, frame)
     row = np.arange(slots.start + 1, slots.stop + 1, dtype=np.uint64) * _GAMMA
     x = np.add.outer(col, row)
     t = np.empty_like(x)  # the xor-shifts' scratch
@@ -128,15 +118,14 @@ def pilot_energy(corr: np.ndarray) -> np.ndarray:
     return np.sum(corr.real**2 + corr.imag**2, axis=max(corr.ndim - 2, 0))
 
 
-def detect_pilots(energy: np.ndarray, M: int, threshold: DetectionThreshold | None = None) -> np.ndarray:
-    """Flat indices of the pilots whose correlation energy clears the threshold.
+def detect_pilots(energy: np.ndarray, M: int) -> np.ndarray:
+    """Flat indices of the pilots whose correlation energy clears the threshold ``ZETA`` sets.
 
     ``energy`` is :func:`pilot_energy` of the correlated pilot block, whose
     r <= M + 1 rows are a rotated basis (``train_slot``'s), so M is passed.
     For a block of slots, (B, tau_p), slot b's pilot j has index b*tau_p + j.
     """
-    threshold = threshold or DetectionThreshold()
-    return np.flatnonzero(energy / M > threshold.value(M))
+    return np.flatnonzero(energy / M > 1.0 + ZETA * np.sqrt(2.0 / M))
 
 
 def estimate_sum_power(y_p: np.ndarray, tau_p: int, M: int):
@@ -300,7 +289,7 @@ class IdentificationReport:
 
 
 def match_patterns(
-    detected_sets: Sequence[np.ndarray],
+    detected: np.ndarray,
     patterns_of: Callable[[np.ndarray, range], np.ndarray],
     K: int,
     tau_p: int,
@@ -310,8 +299,7 @@ def match_patterns(
     """Declare a device of 0..K-1 active when its pattern hits the detected
     pilot set in at least a rho fraction of slots.
 
-    ``detected_sets`` holds each slot's detected pilot indices, or is the
-    (L, tau_p) boolean map of them.
+    ``detected`` is the (L, tau_p) boolean map of each slot's detected pilots.
 
     ``patterns_of(devices, slots)`` returns the devices' pattern entries over
     the range ``slots``. A device is identified when its hits h satisfy
@@ -327,21 +315,11 @@ def match_patterns(
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
-    L = len(detected_sets)
-    if L < 1:
-        raise ValueError("need at least one observed slot")
-    if isinstance(detected_sets, np.ndarray) and detected_sets.dtype == bool:
-        if detected_sets.shape != (L, tau_p):
-            raise ValueError(f"a detection map must be (slots, {tau_p})")
-        D = detected_sets
-    else:
-        D = np.zeros((L, tau_p), dtype=bool)
-        for l, det in enumerate(detected_sets):
-            det = np.asarray(det, dtype=int)
-            if det.size and (det.min() < 0 or det.max() >= tau_p):
-                raise ValueError(f"detected pilots of slot {l} must lie in [0, {tau_p})")
-            D[l, det] = True
-    D, offsets = D.ravel(), np.arange(L) * tau_p  # slot l's pilot j sits at l*tau_p + j
+    detected = np.asarray(detected)
+    L = len(detected)
+    if detected.dtype != bool or detected.shape != (L, tau_p) or L < 1:
+        raise ValueError(f"need a (slots >= 1, {tau_p}) boolean detection map")
+    D, offsets = detected.ravel(), np.arange(L) * tau_p  # slot l's pilot j sits at l*tau_p + j
     need = int(np.argmax(np.arange(L + 1) / L >= rho))  # the same division as hits / L >= rho
     chunk = L - need + 1
     budget = np.full(K, chunk - 1, dtype=np.min_scalar_type(-chunk))  # misses still affordable
@@ -399,9 +377,8 @@ def run_frame(
     the per-slot outcomes in ``FrameResult.slots``. Slots are simulated in
     blocks sized by ``SLOT_ENTRIES``; rates are added slot by slot, in slot
     order, so no output depends on the block size. Every run detects pilots
-    at the default zeta = 5 of ``DetectionThreshold`` and identifies devices
-    at the default rho = 0.9 of ``match_patterns``: no spec field reaches
-    either.
+    at ``ZETA`` and identifies devices at the default rho = 0.9 of
+    ``match_patterns``: no spec field reaches either.
     """
     if cfg.tau_p is None or cfg.p_a is None:
         raise ValueError("run_frame needs tau_p and p_a set")

@@ -22,7 +22,6 @@ points and pairs each rung's numeric optimum with its prediction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -66,16 +65,6 @@ class ScalingPrediction:
             raise ValueError("leading-order predictions must be positive")
 
 
-def _warn_if_mismatched(case: ScalingCase, M: int, tau_u: int):
-    ratio = M / tau_u
-    if case is ScalingCase.ANTENNA_RICH and ratio < 10:
-        warnings.warn(f"antenna-rich regime declared but M/tau_u = {ratio:.3g} < 10", stacklevel=3)
-    if case is ScalingCase.SLOT_RICH and ratio > 0.1:
-        warnings.warn(f"slot-rich regime declared but M/tau_u = {ratio:.3g} > 0.1", stacklevel=3)
-    if case is ScalingCase.BALANCED and not 0.01 <= ratio <= 100:
-        warnings.warn(f"balanced regime declared but M/tau_u = {ratio:.3g}", stacklevel=3)
-
-
 def predict(case: ScalingCase | str, tau_u: int, M: int, model: LargeScaleModel) -> ScalingPrediction:
     """Leading-order optimal (tau_p, p_a*K, rate, SINR) in the declared regime.
 
@@ -85,7 +74,6 @@ def predict(case: ScalingCase | str, tau_u: int, M: int, model: LargeScaleModel)
     back as tau_p / tau_u, p_aK / sqrt(M tau_u) and rate / sqrt(M tau_u).
     """
     case = ScalingCase(case)
-    _warn_if_mismatched(case, M, tau_u)
     moments = analytic_moments(model)
     f = moments.spread_factor
     if case is ScalingCase.ANTENNA_RICH:
@@ -188,16 +176,14 @@ def verify_scaling(case: ScalingCase | str, model: LargeScaleModel, ladder) -> t
     pair each rung's optimum with the closed-form prediction.
 
     Each rung is the scenario (M, tau_u) with LADDER_K devices and gains
-    from ``model``, searched on the default grid. Returns one
+    from ``model``, searched on :func:`grid_opt`'s grid. Returns one
     :class:`LadderPoint` per rung, in ladder order.
     """
     case = ScalingCase(case)
     points = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # declared-regime warnings on early rungs
-        for M, tau_u in ladder:
-            cfg = SystemConfig(M=int(M), K=LADDER_K, tau_u=int(tau_u), model=model)
-            res = grid_opt("Ra", cfg)
-            pred = predict(case, int(tau_u), int(M), model)
-            points.append(LadderPoint(int(M), int(tau_u), res.tau_p_opt, res.p_aK_opt, res.rate, pred))
+    for M, tau_u in ladder:
+        cfg = SystemConfig(M=int(M), K=LADDER_K, tau_u=int(tau_u), model=model)
+        res = grid_opt("Ra", cfg)
+        pred = predict(case, int(tau_u), int(M), model)
+        points.append(LadderPoint(int(M), int(tau_u), res.tau_p_opt, res.p_aK_opt, res.rate, pred))
     return tuple(points)

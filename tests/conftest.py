@@ -38,3 +38,16 @@ def shadowed():
 @pytest.fixture
 def ring():
     return RingPathLoss(10.0, 0.25)
+
+
+@pytest.fixture
+def search_grid(monkeypatch):
+    """Set grid_opt's stage-one points per axis and its refinement points for one test."""
+    from pilothop import optimize
+
+    def set_grid(tau_p_points, pak_points, refine_points):
+        monkeypatch.setattr(optimize, "TAU_P_POINTS", tau_p_points)
+        monkeypatch.setattr(optimize, "PAK_POINTS", pak_points)
+        monkeypatch.setattr(optimize, "REFINE_POINTS", refine_points)
+
+    return set_grid

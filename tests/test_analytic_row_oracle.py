@@ -32,7 +32,7 @@ from pilothop.channels import (
     is_degenerate,
 )
 from pilothop.config import SystemConfig
-from pilothop.optimize import GridSpec, grid_opt
+from pilothop.optimize import grid_opt
 from test_engine_oracle import _ref_row
 
 MODELS = {
@@ -156,16 +156,17 @@ def test_point_takes_p_a_as_given(bound):
     assert P_A_OFF_GRID * cfg.K / cfg.K != P_A_OFF_GRID
 
 
-def test_grid_opt_on_r1_keeps_only_pools(monkeypatch):
+def test_grid_opt_on_r1_keeps_only_pools(monkeypatch, search_grid):
     # F rows live only inside a row call: the memo holds the cfg's gain pool alone
     pool: dict = {}
     monkeypatch.setattr(bounds, "_POOL", pool)
     cfg = _cfg("ring-0.25")
-    grid_opt("R1", cfg, GridSpec(4, 6, refine_points=3))
+    search_grid(4, 6, 3)
+    grid_opt("R1", cfg)
     assert list(pool) == [(cfg.model, cfg.mc.n_beta_samples, cfg.seed)]
 
 
-def test_grid_stages_equal_bound_at(monkeypatch):
+def test_grid_stages_equal_bound_at(monkeypatch, search_grid):
     # every cell of both stages of an R1-opt grid, and of the same stages
     # under R2, taken with the stage's shared activation windows, equals the
     # cell alone
@@ -179,7 +180,8 @@ def test_grid_stages_equal_bound_at(monkeypatch):
 
     monkeypatch.setattr(optimize, "bound_grid", recorded)
     cfg = _cfg("ring-0.25")
-    grid_opt("R1", cfg, GridSpec(5, 7, refine_points=4))
+    search_grid(5, 7, 4)
+    grid_opt("R1", cfg)
     assert len(stages) == 2
     stages += [(tps, qs, bound_grid("R2", cfg, tps, qs)) for tps, qs, _ in stages]
     for i, (tps, qs, (values, errs, ns)) in enumerate(stages):
@@ -250,10 +252,10 @@ def test_r3_rejects_sparse_activity(name):
         _cell("R3", cfg, 20, 0.5 / K)
 
 
-def _reference_grid_opt(cost, cfg, grid):
-    """Two-stage grid search, one bound_at call per cell, first strict maximum wins."""
-    tps = np.unique(np.round(np.linspace(1, cfg.tau_u, grid.tau_p_points)).astype(int))
-    qs = np.geomspace(min(grid.pak_min, float(cfg.K)), cfg.K, grid.pak_points)
+def _reference_grid_opt(cost, cfg):
+    """Two-stage grid search on grid_opt's constants, one bound_at call per cell, first strict maximum wins."""
+    tps = np.unique(np.round(np.linspace(1, cfg.tau_u, optimize.TAU_P_POINTS)).astype(int))
+    qs = np.geomspace(min(optimize.PAK_MIN, float(cfg.K)), cfg.K, optimize.PAK_POINTS)
     evals, best = 0, (-math.inf, None, None)
 
     def sweep(tp_list, q_list):
@@ -268,21 +270,22 @@ def _reference_grid_opt(cost, cfg, grid):
     sweep(tps, qs)
     i = int(np.searchsorted(tps, best[1]))
     tps2 = np.unique(np.round(np.linspace(tps[max(i - 1, 0)], tps[min(i + 1, tps.size - 1)],
-                                          grid.refine_points)).astype(int))
+                                          optimize.REFINE_POINTS)).astype(int))
     j = int(np.searchsorted(qs, best[2]))
     ratio = qs[min(j + 1, qs.size - 1)] / qs[j]
     q_lo2 = max(best[2] / max(ratio, 1.0), float(qs[0]))
     q_hi2 = min(best[2] * max(ratio, 1.0), float(cfg.K))
-    sweep(tps2, np.geomspace(q_lo2, q_hi2, grid.refine_points) if q_hi2 > q_lo2 else np.array([best[2]]))
+    sweep(tps2, np.geomspace(q_lo2, q_hi2, optimize.REFINE_POINTS) if q_hi2 > q_lo2 else np.array([best[2]]))
     value, tau_p, q = best
     return tau_p, q, value, evals
 
 
 @pytest.mark.parametrize("cost", ["R3", "Ra"])
 @pytest.mark.parametrize("name", list(MODELS))
-def test_grid_opt_equals_cell_by_cell_search(cost, name):
+def test_grid_opt_equals_cell_by_cell_search(cost, name, search_grid):
     cfg = _cfg(name, seed=5)
-    for grid in (GridSpec(12, 14, refine_points=6), GridSpec(5, 60, refine_points=50)):
-        got = grid_opt(cost, cfg, grid)
-        want = _reference_grid_opt(cost, cfg, grid)
+    for grid in ((12, 14, 6), (5, 60, 50)):
+        search_grid(*grid)
+        got = grid_opt(cost, cfg)
+        want = _reference_grid_opt(cost, cfg)
         assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.evaluations) == want

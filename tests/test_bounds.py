@@ -25,7 +25,7 @@ from pilothop.bounds import (
 )
 from pilothop.channels import LogNormalShadowing, UniformPowerError, analytic_moments, expect_beta, sample_beta
 from pilothop.config import SystemConfig
-from pilothop.optimize import GridSpec, grid_opt
+from pilothop.optimize import grid_opt
 from reference import sinr2, sinr3, sinr_components
 
 
@@ -267,13 +267,14 @@ def test_r1_bar_matches_exhaustive_enumeration():
     assert got.value == pytest.approx(total, rel=1e-12)
 
 
-def test_bounds_and_grid_opt_read_the_config_mc(uniform_spread):
+def test_bounds_and_grid_opt_read_the_config_mc(uniform_spread, search_grid):
     # the Monte Carlo settings come from the scenario itself, on every entry point
     cfg = _cfg(model=uniform_spread, mc=McConfig(n_beta_samples=300))
     assert r1_bar(cfg).mc_samples == 300
     assert r2_bar(cfg).mc_samples == 300
     assert bound_at("R1", cfg, 20, 10.0).mc_samples == 300
-    res = grid_opt("R1", replace(cfg, tau_p=None, p_a=None), GridSpec(3, 3, refine_points=2))
+    search_grid(3, 3, 2)
+    res = grid_opt("R1", replace(cfg, tau_p=None, p_a=None))
     at = bound_at("R1", cfg, res.tau_p_opt, res.p_aK_opt)
     assert at.mc_samples == 300 and res.rate == at.value
 
@@ -323,7 +324,7 @@ def _held_bytes(pool):
     return sum(a.nbytes for value in pool.values() for a in value)
 
 
-def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
+def test_r1_bar_is_deterministic(uniform_spread, monkeypatch, search_grid):
     cfg = _cfg(model=uniform_spread)
     _cold_store(monkeypatch)
     a = r1_bar(cfg)
@@ -333,11 +334,11 @@ def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
     assert c.value != a.value  # different stream, different estimate
     # the same bits from a cold store and from one warmed by a grid sweep
     # over the cell's pool, across three pilot lengths
+    search_grid(3, 9, 4)
     for tp in (20, 33, 50):
         _cold_store(monkeypatch)
         cold = r1_bar(replace(cfg, tau_p=tp))
-        grid_opt("R1", replace(cfg, tau_p=None, p_a=None),
-                 GridSpec(tau_p_values=(tp - 7, tp, tp + 3), pak_points=9, refine_points=4))
+        grid_opt("R1", replace(cfg, tau_p=None, p_a=None))
         warm = r1_bar(replace(cfg, tau_p=tp))
         assert (warm.value, warm.mc_std_err) == (cold.value, cold.mc_std_err)
     # and from a pool first built narrower for the same (model, n, seed), then rebuilt wider
@@ -349,10 +350,11 @@ def test_r1_bar_is_deterministic(uniform_spread, monkeypatch):
     assert (wide.value, wide.mc_std_err) == (a.value, a.mc_std_err)
 
 
-def test_store_stays_under_its_cap(uniform_spread, ring, monkeypatch):
+def test_store_stays_under_its_cap(uniform_spread, ring, monkeypatch, search_grid):
     pool = _cold_store(monkeypatch)
     cfg = _cfg(model=uniform_spread)
-    grid_opt("R1", replace(cfg, tau_p=None, p_a=None), GridSpec(6, 8, refine_points=3))
+    search_grid(6, 8, 3)
+    grid_opt("R1", replace(cfg, tau_p=None, p_a=None))
     assert len(pool) == 1 and 0 < _held_bytes(pool) <= bounds.STORE_CAP_BYTES
     big = SystemConfig(M=100, K=10**5, tau_u=100, tau_p=33, p_a=30 / 10**5, model=ring, seed=7)
     r1_bar(big)

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from pilothop import bounds
-from pilothop.bounds import BOUNDS, McConfig, r3, ra
+from pilothop.bounds import BOUNDS, McConfig, bound_grid, r3, ra
 from pilothop.channels import LogNormalShadowing, UniformPowerError
 from pilothop.config import SystemConfig
 from pilothop.optimize import (
     S0,
-    GridSpec,
     asymptotic_1d,
     golden_section_max,
     grid_opt,
@@ -130,9 +129,10 @@ def _cfg(seed=11, **kw):
     return SystemConfig(**base)
 
 
-def test_grid_opt_reevaluation_reproduces_rate():
+def test_grid_opt_reevaluation_reproduces_rate(search_grid):
     cfg = _cfg(model=UniformPowerError(10.0, 0.5))
-    res = grid_opt("R1", cfg, grid=GridSpec(8, 8, refine_points=5))
+    search_grid(8, 8, 5)
+    res = grid_opt("R1", cfg)
     from pilothop.bounds import r1_bar
 
     again = r1_bar(replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / 800))
@@ -148,10 +148,11 @@ def test_r1_opt_point_keeps_its_argmax(ring):
     assert res.rate == pytest.approx(27.571692350974395, rel=1e-12)
 
 
-def test_grid_opt_respects_bounds():
+def test_grid_opt_respects_bounds(search_grid):
     cfg = _cfg(model=UniformPowerError(10.0, 0.0))
+    search_grid(9, 9, 5)
     for cost, fn in (("R3", r3), ("Ra", ra)):
-        res = grid_opt(cost, cfg, grid=GridSpec(9, 9, refine_points=5))
+        res = grid_opt(cost, cfg)
         assert 1 <= res.tau_p_opt <= 100
         assert 0 < res.p_aK_opt <= 800
         assert res.rate > 0
@@ -160,20 +161,23 @@ def test_grid_opt_respects_bounds():
         assert fn(at).value == res.rate  # re-evaluation reproduces the optimum
 
 
-def test_grid_opt_single_point_grid():
+def test_grid_opt_single_point_grid(search_grid, monkeypatch):
+    # one point per axis: stage one is the cell (1, PAK_MIN), and stage two keeps it
     cfg = _cfg(model=UniformPowerError(10.0, 0.0))
-    res = grid_opt("Ra", cfg, grid=GridSpec(tau_p_values=(17,), pak_values=(42.0,)))
-    assert (res.tau_p_opt, res.p_aK_opt) == (17, 42.0)
+    search_grid(1, 1, 1)
+    monkeypatch.setattr("pilothop.optimize.PAK_MIN", 42.0)
+    res = grid_opt("Ra", cfg)
+    assert (res.tau_p_opt, res.p_aK_opt, res.evaluations) == (1, 42.0, 2)
+    assert res.rate == ra(replace(cfg, tau_p=1, p_a=42.0 / 800)).value
 
 
 def test_grid_opt_rejects_bad_grids():
+    # grid_opt's own grid lies in [1, tau_u] x [1, K]; a cell outside it is
+    # rejected by bound_grid, which takes every stage, and a cost without a
+    # bound by grid_opt itself
     cfg = _cfg(model=UniformPowerError(10.0, 0.0))
     with pytest.raises(ValueError):
-        GridSpec(tau_p_points=0)
-    with pytest.raises(ValueError):
-        grid_opt("Ra", cfg, grid=GridSpec(tau_p_values=(0,)))
-    with pytest.raises(ValueError):
-        grid_opt("Ra", cfg, grid=GridSpec(pak_values=(9999.0,)))
+        bound_grid("Ra", cfg, [0], [42.0])
     with pytest.raises(ValueError):
         grid_opt("R2", cfg)
 
@@ -193,18 +197,18 @@ def test_grid_opt_interior_argmax_at_m400():
     assert res.p_aK_opt < 10**5
 
 
-def test_r3_and_ra_argmax_agree():
+def test_r3_and_ra_argmax_agree(search_grid):
     cfg = _cfg(seed=13, model=UniformPowerError(10.0, 0.0), mc=McConfig(n_beta_samples=1))
-    g = GridSpec(tau_p_points=12, pak_points=12, refine_points=7)
-    r3res = grid_opt("R3", cfg, grid=g)
-    rares = grid_opt("Ra", cfg, grid=g)
+    search_grid(12, 12, 7)
+    r3res = grid_opt("R3", cfg)
+    rares = grid_opt("Ra", cfg)
     tp_step = 99 / 11
     assert abs(r3res.tau_p_opt - rares.tau_p_opt) <= tp_step
     ratio = (800 / 1.0) ** (1 / 11)
     assert max(r3res.p_aK_opt, rares.p_aK_opt) / min(r3res.p_aK_opt, rares.p_aK_opt) <= ratio
 
 
-def test_heuristics_never_touch_the_main_bound(monkeypatch):
+def test_heuristics_never_touch_the_main_bound(monkeypatch, search_grid):
     calls = {"n": 0}
 
     def spy(*a, **k):
@@ -219,8 +223,9 @@ def test_heuristics_never_touch_the_main_bound(monkeypatch):
         assert res.method == method
     assert calls["n"] == 0
     # the spy sees both ways in: a grid optimization and a point
+    search_grid(3, 3, 2)
     with pytest.raises(AssertionError, match="averaged bound"):
-        grid_opt("R1", cfg, GridSpec(3, 3, refine_points=2))
+        grid_opt("R1", cfg)
     with pytest.raises(AssertionError, match="averaged bound"):
         BOUNDS["R2"](replace(cfg, tau_p=20, p_a=0.05))
     assert calls["n"] == 2

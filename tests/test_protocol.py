@@ -12,7 +12,6 @@ from pilothop import protocol
 from pilothop.config import SystemConfig
 from pilothop.protocol import (
     SCAN_ENTRIES,
-    DetectionThreshold,
     IdentificationReport,
     all_patterns,
     detect_pilots,
@@ -117,38 +116,39 @@ def test_detect_no_transmitters_false_alarm(rng):
     assert fa / (2000 * 12) < 1e-3
 
 
-def test_detect_infinite_threshold_empty(rng):
+def test_detect_infinite_threshold_empty(rng, monkeypatch):
+    monkeypatch.setattr(protocol, "ZETA", 1e9)
     pil = pilot_sequences(8)
     Y = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8)) + 40.0
-    assert detect_pilots(pilot_energy(Y @ pil.conj()), 64, DetectionThreshold(zeta=1e9)).size == 0
+    assert detect_pilots(pilot_energy(Y @ pil.conj()), 64).size == 0
 
 
 @pytest.mark.parametrize("zeta", [0.5, 1.0])
-def test_detection_false_alarm_rate_is_gamma_tail(rng, zeta):
+def test_detection_false_alarm_rate_is_gamma_tail(rng, zeta, monkeypatch):
     # noise only: the per-antenna correlation energy is Gamma(M, 1/M), so a
     # pilot clears t = 1 + zeta*sqrt(2/M) with probability Q(M, M*t)
+    monkeypatch.setattr(protocol, "ZETA", zeta)
     M, tau_p, slots = 100, 4, 2000
-    threshold = DetectionThreshold(zeta)
-    alarms = sum(detect_pilots(pilot_energy(_noise_corr(tau_p, M, rng)), M, threshold).size for _ in range(slots))
-    p = gammaincc(M, M * threshold.value(M))
+    alarms = sum(detect_pilots(pilot_energy(_noise_corr(tau_p, M, rng)), M).size for _ in range(slots))
+    p = gammaincc(M, M * (1 + zeta * math.sqrt(2 / M)))
     assert p == pytest.approx({0.5: 0.2345, 1.0: 0.0830}[zeta], abs=1e-4)
     n = slots * tau_p
     assert abs(alarms / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
-def test_detection_threshold_is_set_by_the_antenna_count_not_the_rows(rng):
+def test_detection_threshold_is_set_by_the_antenna_count_not_the_rows(rng, monkeypatch):
     # a noise-only correlation has r = 1 < M rows, yet each column's energy
     # is Gamma(M, 1): detection at M gets the Gamma(M, 1/M) tail, while reading
     # the row count would flag nearly every pilot
+    monkeypatch.setattr(protocol, "ZETA", 1.0)
     M, tau_p, slots = 40, 6, 3000
-    threshold = DetectionThreshold(1.0)
     corrs = [_noise_corr(tau_p, M, rng) for _ in range(slots)]
     assert corrs[0].shape == (1, tau_p)
-    alarms = sum(detect_pilots(pilot_energy(c), M, threshold).size for c in corrs)
-    p = gammaincc(M, M * threshold.value(M))
+    alarms = sum(detect_pilots(pilot_energy(c), M).size for c in corrs)
+    p = gammaincc(M, M * (1 + math.sqrt(2 / M)))
     n = slots * tau_p
     assert abs(alarms / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
-    assert sum(detect_pilots(pilot_energy(c), len(c), threshold).size for c in corrs) > 0.99 * n
+    assert sum(detect_pilots(pilot_energy(c), len(c)).size for c in corrs) > 0.99 * n
 
 
 def test_detection_statistic_mean_noise_only(rng):
@@ -509,9 +509,17 @@ def _table_rows(patterns):
     return lambda devices, slots: patterns[devices][:, slots]
 
 
+def _detection_map(sets, tau_p):
+    """The (L, tau_p) boolean map that ``match_patterns`` reads, from each slot's detected pilot indices."""
+    D = np.zeros((len(sets), tau_p), dtype=bool)
+    for l, det in enumerate(sets):
+        D[l, np.asarray(det, dtype=int)] = True
+    return D
+
+
 def test_match_patterns_trivial_and_reports():
     patterns = np.array([[1, 2, 3, 0], [0, 0, 1, 1], [2, 2, 2, 2]])
-    detected = [np.array([1]), np.array([2]), np.array([3]), np.array([0])]
+    detected = _detection_map([[1], [2], [3], [0]], 4)
     rep = match_patterns(detected, _table_rows(patterns), 3, 4, rho=0.9, active=np.array([0]))
     assert np.array_equal(rep.identified, np.array([0]))
     assert rep.missed.size == 0 and rep.false.size == 0
@@ -519,7 +527,7 @@ def test_match_patterns_trivial_and_reports():
 
 def test_match_patterns_single_slot_is_ambiguous():
     patterns = np.array([[1], [1], [2]])
-    rep = match_patterns([np.array([1])], _table_rows(patterns), 3, 4, rho=0.9)
+    rep = match_patterns(_detection_map([[1]], 4), _table_rows(patterns), 3, 4, rho=0.9)
     assert np.array_equal(rep.identified, np.array([0, 1]))
 
 
@@ -530,7 +538,7 @@ def test_match_patterns_false_identification_tail(rng):
     tail = binom.sf(35, 40, 0.5)
     assert tail < 1e-6  # scipy oracle: ~9.3e-8
     L, tau_p, trials = 40, 20, 40000
-    detected = [np.arange(10) for _ in range(L)]
+    detected = _detection_map([np.arange(10)] * L, tau_p)
     patterns = rng.integers(0, tau_p, size=(trials, L))
     rep = match_patterns(detected, _table_rows(patterns), trials, tau_p, rho=0.9)
     assert rep.identified.size <= max(1, 10 * trials * tail)
@@ -538,17 +546,9 @@ def test_match_patterns_false_identification_tail(rng):
 
 def test_match_patterns_validates_inputs():
     with pytest.raises(ValueError):
-        match_patterns([], _table_rows(np.zeros((2, 4), dtype=int)), 2, 4)
+        match_patterns(np.zeros((0, 4), dtype=bool), _table_rows(np.zeros((2, 4), dtype=int)), 2, 4)
     with pytest.raises(ValueError):
-        match_patterns([np.array([0])], _table_rows(np.zeros((2, 1), dtype=int)), 2, 4, rho=0.0)
-
-
-@pytest.mark.parametrize("bad", [-1, 4])
-def test_match_patterns_rejects_out_of_range_detected_pilots(bad):
-    # pilot -1 would wrap round to pilot 3 and identify device 1; pilot 4 has no row
-    patterns = np.array([[0, 0], [3, 3]])
-    with pytest.raises(ValueError, match=r"\[0, 4\)"):
-        match_patterns([np.array([bad]), np.array([bad])], _table_rows(patterns), 2, 4, rho=0.9)
+        match_patterns(_detection_map([[0]], 4), _table_rows(np.zeros((2, 1), dtype=int)), 2, 4, rho=0.0)
 
 
 def test_match_patterns_reads_a_detection_map_as_its_index_sets(rng):
@@ -559,11 +559,13 @@ def test_match_patterns_reads_a_detection_map_as_its_index_sets(rng):
     sets = [np.flatnonzero(row) for row in D]
     for rho in (0.5, 0.9):
         got = match_patterns(D, _table_rows(table), K, tau_p, rho=rho, active=np.array([3, 7]))
-        want = match_patterns(sets, _table_rows(table), K, tau_p, rho=rho, active=np.array([3, 7]))
+        want = _match_reference(sets, table, tau_p, rho=rho, active=np.array([3, 7]))
         for name in ("identified", "missed", "false"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    with pytest.raises(ValueError, match="detection map"):
-        match_patterns(D[:, :-1], _table_rows(table), K, tau_p)
+    # a map of the wrong width, or of 0/1 integers, which would index slots and not select pilots
+    for bad in (D[:, :-1], D.astype(int)):
+        with pytest.raises(ValueError, match="detection map"):
+            match_patterns(bad, _table_rows(table), K, tau_p)
 
 
 def _match_reference(detected_sets, patterns, tau_p, rho=0.9, active=None):
@@ -574,9 +576,7 @@ def _match_reference(detected_sets, patterns, tau_p, rho=0.9, active=None):
     L = len(detected_sets)
     if L < 1:
         raise ValueError("need at least one observed slot")
-    D = np.zeros((L, tau_p), dtype=bool)
-    for l, det in enumerate(detected_sets):
-        D[l, np.asarray(det, dtype=int)] = True
+    D = _detection_map(detected_sets, tau_p)
     hits = D[np.arange(L)[None, :], patterns[:, :L]]
     identified = np.flatnonzero(hits.mean(axis=1) >= rho)
     if active is None:
@@ -603,8 +603,8 @@ def test_match_patterns_blocked_scan_matches_whole_table(L, size, rho):
     # the active pilots, each missed with probability 0.2, plus false alarms
     detected = [np.union1d(own[rng.random(active.size) > 0.2, l], np.flatnonzero(rng.random(tau_p) < 0.1))
                 for l in range(L)]
-    got = match_patterns(detected, lambda d, s: hopping_patterns(d, frame, s, tau_p, seed), K, tau_p,
-                         rho=rho, active=active)
+    got = match_patterns(_detection_map(detected, tau_p), lambda d, s: hopping_patterns(d, frame, s, tau_p, seed),
+                         K, tau_p, rho=rho, active=active)
     want = _match_reference(detected, table, tau_p, rho=rho, active=active)
     for name in ("identified", "missed", "false"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -625,7 +625,7 @@ def test_match_patterns_scans_everyone_when_every_pilot_is_detected(rho):
     # nobody ever misses, so no device can be dropped and every entry is hashed once
     K, L, tau_p = 2 * SCAN_ENTRIES // 7 + 3, 7, 5
     patterns_of, asked = _counting(lambda d, s: hopping_patterns(d, 1, s, tau_p, 3))
-    rep = match_patterns([np.arange(tau_p)] * L, patterns_of, K, tau_p, rho=rho, active=np.array([2, 9]))
+    rep = match_patterns(np.ones((L, tau_p), dtype=bool), patterns_of, K, tau_p, rho=rho, active=np.array([2, 9]))
     assert np.array_equal(rep.identified, np.arange(K))
     assert rep.missed.size == 0 and np.array_equal(rep.false, np.setdiff1d(np.arange(K), [2, 9]))
     assert sum(asked) == K * L
@@ -640,7 +640,7 @@ def test_match_patterns_blocks_stay_bounded_when_survivors_cluster():
     table = np.where((ids >= K // 2) | ((ids % 2 == 0) & (np.arange(L) >= 11) & (np.arange(L) < 22)), 2, 1)
     patterns_of, asked = _counting(_table_rows(table))
     detected = [np.array([0, 1])] * L
-    got = match_patterns(detected, patterns_of, K, tau_p, rho=0.75)
+    got = match_patterns(_detection_map(detected, tau_p), patterns_of, K, tau_p, rho=0.75)
     assert np.array_equal(got.identified, _match_reference(detected, table, tau_p, rho=0.75).identified)
     assert np.array_equal(got.identified, np.arange(1, K // 2, 2))
     assert max(asked) <= SCAN_ENTRIES and sum(asked) < K * L
@@ -655,7 +655,7 @@ def test_match_patterns_hashes_at_most_half_the_table_at_mmtc_scale():
     own = hopping_patterns(active, frame, range(L), tau_p, seed)
     detected = [np.unique(own[:, l]) for l in range(L)]
     patterns_of, asked = _counting(lambda d, s: hopping_patterns(d, frame, s, tau_p, seed))
-    rep = match_patterns(detected, patterns_of, K, tau_p, rho=0.9, active=active)
+    rep = match_patterns(_detection_map(detected, tau_p), patterns_of, K, tau_p, rho=0.9, active=active)
     assert rep.missed.size == 0 and rep.false.size == 0
     assert sum(asked) <= K * L // 2, sum(asked) / (K * L)
 
@@ -684,6 +684,15 @@ def test_run_frame_identifies_single_device(power_controlled):
 def test_run_frame_rejects_bad_active_ids(power_controlled, active, match):
     with pytest.raises(ValueError, match=match):
         run_frame(_frame_cfg(model=power_controlled), 5, np.random.default_rng(1), active=np.array(active))
+
+
+def test_run_frame_takes_its_frame_key_once(power_controlled, monkeypatch):
+    # one slot per block: 50 blocks and the identification scan share one frame key
+    monkeypatch.setattr(protocol, "SLOT_ENTRIES", 1)
+    protocol._frame_key.cache_clear()
+    run_frame(_frame_cfg(model=power_controlled), 50, np.random.default_rng(3))
+    info = protocol._frame_key.cache_info()
+    assert info.misses == 1 and info.hits >= 50, info
 
 
 def test_run_frame_memory_stays_bounded_at_mmtc_scale(power_controlled):

@@ -39,11 +39,6 @@ def test_predict_slot_rich_values(pc_model):
     assert p.sinr == pytest.approx(2 ** (1 / 3) * (100 / 10**5) ** (1 / 6), rel=1e-12)
 
 
-def test_predict_warns_on_regime_mismatch(pc_model):
-    with pytest.warns(UserWarning, match="antenna-rich"):
-        predict(ScalingCase.ANTENNA_RICH, 100, 100, pc_model)
-
-
 def test_prediction_validation():
     with pytest.raises(ValueError):
         ScalingPrediction(tau_p=0.0, p_aK=1.0, rate=1.0, sinr=1.0)
