@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 import numpy.ma  # noqa: F401  np.unique loads it lazily; load it at import, not inside a run
 
-from .bounds import COSTS, BoundResult, bound_at, bound_grid, sinra
+from .bounds import COSTS, BoundResult, bound_at, bound_grid, r1_ceiling, sinra
 from .channels import LargeScaleModel, analytic_moments, expect_rows
 
 if TYPE_CHECKING:
@@ -48,6 +48,13 @@ S0 = 3.9215536345675077
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """A method's operating point.
+
+    ``evaluations`` counts the cost evaluations the method searched: every
+    cell of both grid stages for ``-opt``, though ``R1-opt`` evaluates
+    exactly only the cells that :func:`grid_opt` cannot rule out.
+    """
+
     tau_p_opt: int
     p_aK_opt: float
     rate: float
@@ -89,6 +96,10 @@ TAU_P_POINTS = 25
 PAK_POINTS = 25
 PAK_MIN = 1.0
 REFINE_POINTS = 15
+
+# grid_opt evaluates an R1 cell exactly only when its r1_ceiling reaches the
+# best value known, less this share for the rounding of either side
+CEILING_REL_TOL = 1e-9
 
 
 def _scan_then_golden(model, sinr, lo: float, hi: float):
@@ -151,14 +162,39 @@ def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel):
     return _tau_p_third(tau_u), b_opt * root, val, evals
 
 
+def _r1_stage(cfg: "SystemConfig", tps, qs, best: float):
+    """R1 at the cells of the stage ``tps`` x ``qs`` that can reach ``best``, as :func:`bound_grid` returns them.
+
+    The cell of highest :func:`r1_ceiling` is evaluated first; then, a row
+    at a time, every cell whose ceiling is at least the better of its value
+    and ``best``, less :data:`CEILING_REL_TOL`. Every cell that can reach
+    either holds its :func:`bound_grid` value, bit for bit; the others read
+    -inf.
+    """
+    ceiling = r1_ceiling(cfg, tps, qs)
+    values, errs, ns = np.full(ceiling.shape, -math.inf), np.zeros(ceiling.shape), np.zeros(ceiling.shape, dtype=int)
+    i, j = np.unravel_index(int(np.argmax(ceiling)), ceiling.shape)
+    values[i, j], errs[i, j], ns[i, j] = (part[0, 0] for part in bound_grid("R1", cfg, tps[i:i + 1], qs[j:j + 1]))
+    keep = ceiling >= max(values[i, j], best) * (1.0 - CEILING_REL_TOL)
+    keep[i, j] = False
+    for r in np.flatnonzero(keep.any(axis=1)):
+        cols = keep[r]
+        values[r, cols], errs[r, cols], ns[r, cols] = (part[0] for part in bound_grid("R1", cfg, tps[r:r + 1], qs[cols]))
+    return values, errs, ns
+
+
 def grid_opt(cost: str, cfg: "SystemConfig") -> OptimizationResult:
     """Two-stage grid search of ``cost`` over (tau_p, p_a*K) for the scenario ``cfg``.
 
     Stage one scans tau_p linearly over [1, tau_u] and p_a*K log-spaced over
     [PAK_MIN, K]; stage two refines one stage-one cell around the argmax.
-    ``rate`` is the best cell's value and ``bound`` its :class:`BoundResult`,
-    which equals ``bound_at(cost, ...)`` at the returned point, Monte Carlo
-    error included.
+    Every cell of both stages is searched, and ``evaluations`` counts them
+    all. An R3 or Ra stage is evaluated whole; an R1 stage exactly only at
+    the cells whose certified ceiling (:func:`_r1_stage`) can reach the best
+    value, so the others cannot win. The first strict maximum in row-major
+    order wins. ``rate`` is the best cell's value and ``bound`` its
+    :class:`BoundResult`, which equals ``bound_at(cost, ...)`` at the
+    returned point, Monte Carlo error included.
     """
     if cost not in COSTS:
         raise ValueError(f"unknown cost {cost!r}; expected one of {COSTS}")
@@ -170,14 +206,14 @@ def grid_opt(cost: str, cfg: "SystemConfig") -> OptimizationResult:
     best = (-math.inf, None, None, None)
 
     def sweep(tp_list, q_list):
-        # one stage at a time; the first strict maximum in row-major order wins
         nonlocal evals, best
-        for tp, values, errs, ns in zip(tp_list, *bound_grid(cost, cfg, tp_list, q_list)):
-            evals += q_list.size
-            j = int(np.argmax(values))
-            if values[j] > best[0]:
-                best = (float(values[j]), int(tp), float(q_list[j]),
-                        BoundResult(float(values[j]), int(ns[j]), float(errs[j])))
+        evals += tp_list.size * q_list.size
+        stage = _r1_stage(cfg, tp_list, q_list, best[0]) if cost == "R1" else bound_grid(cost, cfg, tp_list, q_list)
+        values, errs, ns = (part.reshape(-1) for part in stage)
+        k = int(np.argmax(values))  # the first maximum in row-major order
+        if values[k] > best[0]:
+            best = (float(values[k]), int(tp_list[k // q_list.size]), float(q_list[k % q_list.size]),
+                    BoundResult(float(values[k]), int(ns[k]), float(errs[k])))
 
     sweep(tps, qs)
 

@@ -166,26 +166,20 @@ def test_grid_opt_on_r1_keeps_only_pools(monkeypatch, search_grid):
     assert list(pool) == [(cfg.model, cfg.mc.n_beta_samples, cfg.seed)]
 
 
-def test_grid_stages_equal_bound_at(monkeypatch, search_grid):
+def test_grid_stages_equal_bound_at(search_grid):
     # every cell of both stages of an R1-opt grid, and of the same stages
-    # under R2, taken with the stage's shared activation windows, equals the
-    # cell alone
-    stages = []
-    take = optimize.bound_grid
-
-    def recorded(bound, cfg, tau_ps, p_aK):
-        values = take(bound, cfg, tau_ps, p_aK)
-        stages.append((list(tau_ps), list(p_aK), values))
-        return values
-
-    monkeypatch.setattr(optimize, "bound_grid", recorded)
+    # under R2, taken whole with the stage's shared activation windows,
+    # equals the cell alone
     cfg = _cfg("ring-0.25")
     search_grid(5, 7, 4)
-    grid_opt("R1", cfg)
-    assert len(stages) == 2
-    stages += [(tps, qs, bound_grid("R2", cfg, tps, qs)) for tps, qs, _ in stages]
-    for i, (tps, qs, (values, errs, ns)) in enumerate(stages):
-        bound = "R1" if i < 2 else "R2"
+    tps, qs = _stage_one(cfg)
+    stage_one = bound_grid("R1", cfg, tps, qs)
+    r, j = np.unravel_index(int(np.argmax(stage_one[0])), stage_one[0].shape)
+    tps2, qs2 = _stage_two(cfg, tps, qs, int(tps[r]), float(qs[j]))
+    stages = [("R1", tps, qs, stage_one), ("R1", tps2, qs2, bound_grid("R1", cfg, tps2, qs2))]
+    stages += [("R2", tps, qs, bound_grid("R2", cfg, tps, qs)) for _, tps, qs, _ in stages]
+    assert (tps.size, qs.size, tps2.size, qs2.size) == (5, 7, 4, 4)
+    for bound, tps, qs, (values, errs, ns) in stages:
         assert values.shape == errs.shape == ns.shape == (len(tps), len(qs))
         for r, tp in enumerate(tps):
             got = list(zip(values[r].tolist(), errs[r].tolist(), ns[r].tolist()))
@@ -252,10 +246,26 @@ def test_r3_rejects_sparse_activity(name):
         _cell("R3", cfg, 20, 0.5 / K)
 
 
+def _stage_one(cfg):
+    """grid_opt's stage-one pilot lengths and p_a*K values, from its constants."""
+    tps = np.unique(np.round(np.linspace(1, cfg.tau_u, optimize.TAU_P_POINTS)).astype(int))
+    return tps, np.geomspace(min(optimize.PAK_MIN, float(cfg.K)), cfg.K, optimize.PAK_POINTS)
+
+
+def _stage_two(cfg, tps, qs, tau_p, q):
+    """grid_opt's stage-two grid across the stage-one cell (tau_p, q) of ``tps`` x ``qs``."""
+    i = int(np.searchsorted(tps, tau_p))
+    tps2 = np.unique(np.round(np.linspace(tps[max(i - 1, 0)], tps[min(i + 1, tps.size - 1)],
+                                          optimize.REFINE_POINTS)).astype(int))
+    j = int(np.searchsorted(qs, q))
+    ratio = qs[min(j + 1, qs.size - 1)] / qs[j]
+    q_lo2 = max(q / max(ratio, 1.0), float(qs[0]))
+    q_hi2 = min(q * max(ratio, 1.0), float(cfg.K))
+    return tps2, np.geomspace(q_lo2, q_hi2, optimize.REFINE_POINTS) if q_hi2 > q_lo2 else np.array([q])
+
+
 def _reference_grid_opt(cost, cfg):
     """Two-stage grid search on grid_opt's constants, one bound_at call per cell, first strict maximum wins."""
-    tps = np.unique(np.round(np.linspace(1, cfg.tau_u, optimize.TAU_P_POINTS)).astype(int))
-    qs = np.geomspace(min(optimize.PAK_MIN, float(cfg.K)), cfg.K, optimize.PAK_POINTS)
     evals, best = 0, (-math.inf, None, None)
 
     def sweep(tp_list, q_list):
@@ -267,24 +277,23 @@ def _reference_grid_opt(cost, cfg):
                 if res.value > best[0]:
                     best = (res.value, int(tp), float(q))
 
+    tps, qs = _stage_one(cfg)
     sweep(tps, qs)
-    i = int(np.searchsorted(tps, best[1]))
-    tps2 = np.unique(np.round(np.linspace(tps[max(i - 1, 0)], tps[min(i + 1, tps.size - 1)],
-                                          optimize.REFINE_POINTS)).astype(int))
-    j = int(np.searchsorted(qs, best[2]))
-    ratio = qs[min(j + 1, qs.size - 1)] / qs[j]
-    q_lo2 = max(best[2] / max(ratio, 1.0), float(qs[0]))
-    q_hi2 = min(best[2] * max(ratio, 1.0), float(cfg.K))
-    sweep(tps2, np.geomspace(q_lo2, q_hi2, optimize.REFINE_POINTS) if q_hi2 > q_lo2 else np.array([best[2]]))
+    sweep(*_stage_two(cfg, tps, qs, best[1], best[2]))
     value, tau_p, q = best
     return tau_p, q, value, evals
 
 
-@pytest.mark.parametrize("cost", ["R3", "Ra"])
+# (stage-one pilot lengths, p_a*K values, refinement points) per cost; R1,
+# pruned by its ceiling, on grids small enough for a cell-by-cell search
+SEARCH_GRIDS = {"R1": ((6, 9, 4), (4, 14, 5)), "R3": ((12, 14, 6), (5, 60, 50)), "Ra": ((12, 14, 6), (5, 60, 50))}
+
+
+@pytest.mark.parametrize("cost", list(SEARCH_GRIDS))
 @pytest.mark.parametrize("name", list(MODELS))
 def test_grid_opt_equals_cell_by_cell_search(cost, name, search_grid):
     cfg = _cfg(name, seed=5)
-    for grid in ((12, 14, 6), (5, 60, 50)):
+    for grid in SEARCH_GRIDS[cost]:
         search_grid(*grid)
         got = grid_opt(cost, cfg)
         want = _reference_grid_opt(cost, cfg)

@@ -253,8 +253,10 @@ def _readers(names) -> dict:
 
 def test_every_bound_evaluation_takes_one_path():
     # a point is the 1x1 case of the grid: the R1/R2 row kernel and the R3/Ra stage kernel
-    # each have one reader, bounds._cells, so a second evaluation path cannot grow back unnoticed
-    assert _readers(["_averaged_row", "_analytic_stage"]) == {
+    # each have one reader, bounds._cells, so a second evaluation path cannot grow back unnoticed;
+    # the F-row kernel is read by the rows and by R1-opt's ceiling alone
+    assert _readers(["_averaged_row", "_analytic_stage", "_f_row_sums"]) == {
         "_averaged_row": {("bounds.py", "_cells")},
         "_analytic_stage": {("bounds.py", "_cells")},
+        "_f_row_sums": {("bounds.py", "_averaged_row"), ("bounds.py", "r1_ceiling")},
     }
