@@ -40,6 +40,9 @@ cells written in place by the bound's one SINR formula (``_sinr3_fill``,
 
 ``r1_ceiling`` bounds every R1 cell of a grid from above at a fraction of
 its cost, so a search need evaluate exactly only the cells that can win.
+R1-opt takes it coarse to fine, at each spacing of ``HEAD_SPACINGS`` on
+the rows and columns the last pass left, each row's collision windows
+from one ``binom_windows`` call that gives both F and its tail terms.
 It rests on a lemma about the kernel's own F row. Fix one gain sample, so
 the pool's column order is fixed; the reference is column 0, the c
 colliders columns 1..c and the other active devices columns c+1..K_a-1.
@@ -313,12 +316,13 @@ def _sample_blocks(n: int, span: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments: BetaMoments | None):
+def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments: BetaMoments | None, windows=None):
     """Per-sample sums ``sum_t coeffs[t] F[k_lo + t]``, one row per (k_lo, coeffs) of ``cells``.
 
     F is R1's, or R2's when ``moments`` is given. Each row is computed once,
     a block of gain samples at a time, and each block is added, times its
     coefficient, to the sums of the cells that use it, in ascending K_a.
+    ``windows``, if given, are the caller's collision windows of the K_a.
 
     Both bounds share one row formula over the collider counts c of each
     row's collision window,
@@ -342,7 +346,7 @@ def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments
         for K_a, coeff in enumerate(coeffs, k_lo):
             users.setdefault(K_a, []).append((i, coeff))
     kas = sorted(users)
-    c_lo, c_hi, _, c_w = binom_windows(np.array(kas) - 1, 1.0 / tau_p, eps_tail)
+    c_lo, c_hi, _, c_w = binom_windows(np.array(kas) - 1, 1.0 / tau_p, eps_tail) if windows is None else windows
     c0, c1 = int(c_lo.min()), int(c_hi.max()) + 1
     n = cum.shape[1]
     sums = np.zeros((len(cells), n))
@@ -564,29 +568,29 @@ def bound_grid(bound: str, cfg: "SystemConfig", tau_ps, p_aK) -> tuple[np.ndarra
 
 
 # r1_ceiling takes F at block heads from the grid's smallest active count k
-# on, each head k + max(1, k // HEAD_SPACING) after the last: a wider spacing
-# takes fewer heads, but sits further above the cells and leaves more of them
-# to evaluate. On a default 25 x 25 R1-opt stage one (ring 0.25, tau_u 120,
-# 500 samples), k // 8 takes 50 heads per row, sits 1.041x above the best
-# cell and keeps 15 cells; k // 16 takes 88, sits 1.011x above and keeps 5;
-# k // 32 takes 153, sits 1.000x above and keeps 1. The stage took 0.20,
-# 0.30 and 0.40 s (2.0 s with every cell evaluated) on a 2-core Xeon VM
-# with one BLAS thread; whole R1-opt searches over three gain laws at
-# tau_u 60-300 ran about as fast at k // 8 as at k // 16, and slower at k // 32.
-HEAD_SPACING = 16
+# on, each head k + max(1, k // spacing) after the last: a wider spacing takes
+# fewer heads, but sits further above the cells and leaves more of them to
+# evaluate. R1-opt's stage one takes the ceiling once per spacing of this
+# ladder, each pass on the rows and columns the last one could not rule out.
+# (K_a, collider count, sample) F-row entries of a whole R1-opt per ladder, at
+# ring 0.25, tau_u 120, 500 samples: (16) 26.8M, (4, 16) 16.2M, (2, 16)
+# 15.4M, (8, 16) 19.5M, (1, 4, 16) 28.0M; (4, 16) ran at or near the fastest
+# of them on all four scenarios tried (2-core Xeon VM, one BLAS thread).
+HEAD_SPACINGS = (4, 16)
 
 
-def r1_ceiling(cfg: "SystemConfig", tau_ps, p_aK) -> np.ndarray:
+def r1_ceiling(cfg: "SystemConfig", tau_ps, p_aK, spacing: int) -> np.ndarray:
     """An upper bound on R1 at every cell of ``bound_grid("R1", cfg, tau_ps, p_aK)``.
 
     Returns a (len(tau_ps), len(p_aK)) array, each cell at least the R1
     value there, up to rounding: per gain sample, each K_a term of a cell
     takes F at its head, the largest block head <= K_a, plus the head's
     truncated collider mass times log2(1 + (M-1) b0) (the lemma of the
-    module docstring). F at the heads is one :func:`_f_row_sums` call per
-    pilot length, a single-K_a cell per head, on the gain pool of the
-    cells, and a cell's ceiling is its activation terms summed per head
-    times the heads' sample means.
+    module docstring), with heads ``spacing`` apart (:data:`HEAD_SPACINGS`).
+    F at the heads is one :func:`_f_row_sums` call per pilot length, a
+    single-K_a cell per head, on the gain pool of the cells, and a cell's
+    ceiling is its activation terms summed per head times the heads' sample
+    means.
     """
     _check_pilot_lengths(cfg, tau_ps)
     tau_ps = np.asarray(tau_ps, dtype=int)
@@ -597,8 +601,8 @@ def r1_ceiling(cfg: "SystemConfig", tau_ps, p_aK) -> np.ndarray:
         return ceiling
     heads = [min(k_lo for k_lo, _ in live)]
     k_top = max(k_lo + coeffs.size - 1 for k_lo, coeffs in live)
-    while heads[-1] + max(1, heads[-1] // HEAD_SPACING) <= k_top:
-        heads.append(heads[-1] + max(1, heads[-1] // HEAD_SPACING))
+    while heads[-1] + max(1, heads[-1] // spacing) <= k_top:
+        heads.append(heads[-1] + max(1, heads[-1] // spacing))
     heads = np.array(heads)
     # per cell, its activation terms K_a p(K_a) summed over the K_a of each head
     per_head = np.zeros((len(terms), heads.size))
@@ -616,7 +620,7 @@ def r1_ceiling(cfg: "SystemConfig", tau_ps, p_aK) -> np.ndarray:
     for i, tau_p in enumerate(tau_ps.tolist()):
         prelog = (cfg.tau_u - tau_p) / cfg.tau_u
         if prelog != 0.0:
-            f = _f_row_sums(cum, cum_sq, singles, tau_p, cfg.M, mc.eps_tail, None).mean(axis=1)
-            covered = binom_windows(heads - 1, 1.0 / tau_p, mc.eps_tail)[2]
-            ceiling[i] = prelog * (per_head @ (f + (1.0 - covered) * tail))
+            windows = binom_windows(heads - 1, 1.0 / tau_p, mc.eps_tail)
+            f = _f_row_sums(cum, cum_sq, singles, tau_p, cfg.M, mc.eps_tail, None, windows).mean(axis=1)
+            ceiling[i] = prelog * (per_head @ (f + (1.0 - windows[2]) * tail))
     return ceiling

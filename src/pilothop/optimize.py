@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 import numpy.ma  # noqa: F401  np.unique loads it lazily; load it at import, not inside a run
 
-from .bounds import COSTS, BoundResult, bound_at, bound_grid, r1_ceiling, sinra
+from .bounds import COSTS, HEAD_SPACINGS, BoundResult, bound_at, bound_grid, r1_ceiling, sinra
 from .channels import LargeScaleModel, analytic_moments, expect_rows
 
 if TYPE_CHECKING:
@@ -52,7 +52,7 @@ class OptimizationResult:
 
     ``evaluations`` counts the cost evaluations the method searched: every
     cell of both grid stages for ``-opt``, though ``R1-opt`` evaluates
-    exactly only the cells that :func:`grid_opt` cannot rule out.
+    exactly only the stage-one cells that :func:`grid_opt` cannot rule out.
     """
 
     tau_p_opt: int
@@ -162,21 +162,28 @@ def asymptotic_1d(tau_u: int, M: int, model: LargeScaleModel):
     return _tau_p_third(tau_u), b_opt * root, val, evals
 
 
-def _r1_stage(cfg: "SystemConfig", tps, qs, best: float):
-    """R1 at the cells of the stage ``tps`` x ``qs`` that can reach ``best``, as :func:`bound_grid` returns them.
+def _r1_stage(cfg: "SystemConfig", tps, qs):
+    """R1 at the cells of the stage ``tps`` x ``qs`` that can reach its maximum, as :func:`bound_grid` returns them.
 
-    The cell of highest :func:`r1_ceiling` is evaluated first; then, a row
-    at a time, every cell whose ceiling is at least the better of its value
-    and ``best``, less :data:`CEILING_REL_TOL`. Every cell that can reach
-    either holds its :func:`bound_grid` value, bit for bit; the others read
-    -inf.
+    The top cell of :func:`r1_ceiling` at the first spacing of
+    :data:`HEAD_SPACINGS` is evaluated first. A cell is ruled out once a
+    ceiling of it falls below that value, less :data:`CEILING_REL_TOL`; each
+    later spacing takes the ceiling only on the rows x columns that hold a
+    cell still in. The cells left are evaluated a row at a time. Every cell
+    that can reach the maximum holds its :func:`bound_grid` value, bit for
+    bit; the others read -inf.
     """
-    ceiling = r1_ceiling(cfg, tps, qs)
+    ceiling = r1_ceiling(cfg, tps, qs, HEAD_SPACINGS[0])
     values, errs, ns = np.full(ceiling.shape, -math.inf), np.zeros(ceiling.shape), np.zeros(ceiling.shape, dtype=int)
     i, j = np.unravel_index(int(np.argmax(ceiling)), ceiling.shape)
     values[i, j], errs[i, j], ns[i, j] = (part[0, 0] for part in bound_grid("R1", cfg, tps[i:i + 1], qs[j:j + 1]))
-    keep = ceiling >= max(values[i, j], best) * (1.0 - CEILING_REL_TOL)
+    floor = values[i, j] * (1.0 - CEILING_REL_TOL)
+    keep = ceiling >= floor
     keep[i, j] = False
+    for spacing in HEAD_SPACINGS[1:]:
+        rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+        if rows.size:
+            keep[np.ix_(rows, cols)] &= r1_ceiling(cfg, tps[rows], qs[cols], spacing) >= floor
     for r in np.flatnonzero(keep.any(axis=1)):
         cols = keep[r]
         values[r, cols], errs[r, cols], ns[r, cols] = (part[0] for part in bound_grid("R1", cfg, tps[r:r + 1], qs[cols]))
@@ -189,12 +196,12 @@ def grid_opt(cost: str, cfg: "SystemConfig") -> OptimizationResult:
     Stage one scans tau_p linearly over [1, tau_u] and p_a*K log-spaced over
     [PAK_MIN, K]; stage two refines one stage-one cell around the argmax.
     Every cell of both stages is searched, and ``evaluations`` counts them
-    all. An R3 or Ra stage is evaluated whole; an R1 stage exactly only at
-    the cells whose certified ceiling (:func:`_r1_stage`) can reach the best
-    value, so the others cannot win. The first strict maximum in row-major
-    order wins. ``rate`` is the best cell's value and ``bound`` its
-    :class:`BoundResult`, which equals ``bound_at(cost, ...)`` at the
-    returned point, Monte Carlo error included.
+    all. Stage two is evaluated whole, and so is stage one of R3 or Ra; an
+    R1 stage one exactly only at the cells whose certified ceilings
+    (:func:`_r1_stage`) reach its best value, so the others cannot win. The
+    first strict maximum in row-major order wins. ``rate`` is the best
+    cell's value and ``bound`` its :class:`BoundResult`, which equals
+    ``bound_at(cost, ...)`` at the returned point, Monte Carlo error included.
     """
     if cost not in COSTS:
         raise ValueError(f"unknown cost {cost!r}; expected one of {COSTS}")
@@ -205,17 +212,16 @@ def grid_opt(cost: str, cfg: "SystemConfig") -> OptimizationResult:
     evals = 0
     best = (-math.inf, None, None, None)
 
-    def sweep(tp_list, q_list):
+    def sweep(tp_list, q_list, stage):
         nonlocal evals, best
         evals += tp_list.size * q_list.size
-        stage = _r1_stage(cfg, tp_list, q_list, best[0]) if cost == "R1" else bound_grid(cost, cfg, tp_list, q_list)
         values, errs, ns = (part.reshape(-1) for part in stage)
         k = int(np.argmax(values))  # the first maximum in row-major order
         if values[k] > best[0]:
             best = (float(values[k]), int(tp_list[k // q_list.size]), float(q_list[k % q_list.size]),
                     BoundResult(float(values[k]), int(ns[k]), float(errs[k])))
 
-    sweep(tps, qs)
+    sweep(tps, qs, _r1_stage(cfg, tps, qs) if cost == "R1" else bound_grid(cost, cfg, tps, qs))
 
     i = int(np.searchsorted(tps, best[1]))
     tp_lo, tp_hi = tps[max(i - 1, 0)], tps[min(i + 1, tps.size - 1)]
@@ -226,7 +232,7 @@ def grid_opt(cost: str, cfg: "SystemConfig") -> OptimizationResult:
     q_lo2 = max(best[2] / ratio, float(qs[0]))
     q_hi2 = min(best[2] * ratio, float(K))
     qs2 = np.geomspace(q_lo2, q_hi2, REFINE_POINTS) if q_hi2 > q_lo2 else np.array([best[2]])
-    sweep(tps2, qs2)
+    sweep(tps2, qs2, bound_grid(cost, cfg, tps2, qs2))
 
     rate, tau_p_opt, q_opt, at = best
     return OptimizationResult(tau_p_opt, q_opt, rate, f"{cost}-opt", evals, at)

@@ -265,8 +265,10 @@ def _stage_two(cfg, tps, qs, tau_p, q):
 
 
 def _reference_grid_opt(cost, cfg):
-    """Two-stage grid search on grid_opt's constants, one bound_at call per cell, first strict maximum wins."""
-    evals, best = 0, (-math.inf, None, None)
+    """Two-stage grid search on grid_opt's constants, one bound_at call per cell, first strict maximum wins.
+
+    Returns (tau_p, p_aK, rate, evaluations, mc_std_err)."""
+    evals, best = 0, (-math.inf, None, None, None)
 
     def sweep(tp_list, q_list):
         nonlocal evals, best
@@ -275,13 +277,13 @@ def _reference_grid_opt(cost, cfg):
                 res = bound_at(cost, cfg, tp, float(q))
                 evals += 1
                 if res.value > best[0]:
-                    best = (res.value, int(tp), float(q))
+                    best = (res.value, int(tp), float(q), res.mc_std_err)
 
     tps, qs = _stage_one(cfg)
     sweep(tps, qs)
     sweep(*_stage_two(cfg, tps, qs, best[1], best[2]))
-    value, tau_p, q = best
-    return tau_p, q, value, evals
+    value, tau_p, q, err = best
+    return tau_p, q, value, evals, err
 
 
 # (stage-one pilot lengths, p_a*K values, refinement points) per cost; R1,
@@ -297,4 +299,31 @@ def test_grid_opt_equals_cell_by_cell_search(cost, name, search_grid):
         search_grid(*grid)
         got = grid_opt(cost, cfg)
         want = _reference_grid_opt(cost, cfg)
-        assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.evaluations) == want
+        assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.evaluations, got.bound.mc_std_err) == want
+
+
+# R1-opt's pruning at its edges, each as (model, config changes, search grid);
+# on the first two, the first ceiling pass rules out every cell but its top one
+R1_EDGES = {
+    "empty-sub-grid": ("uniform-0.5", {}, (3, 3, 3)),
+    "one-cell-grid": ("uniform-0.5", {}, (1, 1, 3)),
+    "K-10": ("uniform-0.5", {"K": 10}, (6, 9, 4)),
+    "M-2": ("ring-0.25", {"M": 2}, (6, 9, 4)),
+    "degenerate": ("power-controlled", {}, (6, 9, 4)),
+    "eps-tail-0.05": ("lognormal-4", {"mc": McConfig(n_beta_samples=200, eps_tail=0.05)}, (6, 9, 4)),
+}
+
+
+@pytest.mark.parametrize("case", list(R1_EDGES))
+def test_r1_grid_opt_equals_cell_by_cell_search_at_its_edges(case, search_grid, monkeypatch):
+    name, changes, grid = R1_EDGES[case]
+    cfg = replace(_cfg(name, seed=5), **changes)
+    search_grid(*grid)
+    spacings, ceiling = [], optimize.r1_ceiling
+    monkeypatch.setattr(optimize, "r1_ceiling", lambda *args: spacings.append(args[-1]) or ceiling(*args))
+    got = grid_opt("R1", cfg)
+    tau_p, q, value, _, err = _reference_grid_opt("R1", cfg)
+    assert (got.tau_p_opt, got.p_aK_opt, got.rate, got.bound.mc_std_err) == (tau_p, q, value, err)
+    if case in ("empty-sub-grid", "one-cell-grid"):
+        # a stage-one pass that leaves only its top cell takes no finer pass
+        assert spacings == [optimize.HEAD_SPACINGS[0]]

@@ -2,10 +2,10 @@
 
 ``bounds.r1_ceiling`` rests on a lemma about the F row: for every K_a >= k,
 per gain sample, F[K_a] <= F[k] + (1 - covered_k) log2(1 + (M-1) b0). The
-lemma is checked on the kernel's own rows, the ceiling on every cell of a
-full stage-one grid, and the pruned search for the share of the kernel's
-work it still does. Both checks of a bound allow the relative margin that
-``grid_opt`` allows.
+lemma is checked on the kernel's own rows, the ceiling at every spacing of
+``HEAD_SPACINGS`` on every cell of a full stage-one grid, and the pruned
+search for the share of the kernel's work it still does. Both checks of a
+bound allow the relative margin that ``grid_opt`` allows.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 from pilothop import bounds, optimize
 from pilothop.access import binom_windows
-from pilothop.bounds import McConfig, bound_grid, r1_ceiling
+from pilothop.bounds import HEAD_SPACINGS, McConfig, bound_grid, r1_ceiling
 from pilothop.channels import LogNormalShadowing, RingPathLoss, UniformPowerError, is_degenerate
 from pilothop.config import SystemConfig
 from pilothop.optimize import CEILING_REL_TOL, grid_opt
@@ -57,14 +57,16 @@ def test_ceiling_covers_every_cell_of_a_stage(name, tau_u, samples, eps, slack):
     tps, qs = _stage_one(cfg)
     whole = bound_grid("R1", cfg, tps, qs)
     values = whole[0]
-    ceiling = r1_ceiling(cfg, tps, qs)
-    assert ceiling.shape == values.shape == (25, 25)
-    assert (ceiling >= values * (1.0 - CEILING_REL_TOL)).all()
-    # a ceiling that tells cells apart: close above the best cell
+    # every spacing of the ladder covers the whole stage, not only the sub-grid it is taken on
+    for spacing in HEAD_SPACINGS:
+        ceiling = r1_ceiling(cfg, tps, qs, spacing)
+        assert ceiling.shape == values.shape == (25, 25)
+        assert (ceiling >= values * (1.0 - CEILING_REL_TOL)).all(), spacing
+    # the finest ceiling tells cells apart: close above the best cell
     at = np.unravel_index(np.argmax(values), values.shape)
     assert ceiling[at] <= slack * values[at]
     # the stage grid_opt takes: the cells it evaluates keep their bits, and the first maximum stays
-    pruned = optimize._r1_stage(cfg, tps, qs, -np.inf)
+    pruned = optimize._r1_stage(cfg, tps, qs)
     kept = np.isfinite(pruned[0])
     assert all((part[kept] == full[kept]).all() for part, full in zip(pruned, whole))
     assert np.argmax(pruned[0]) == np.argmax(values)
@@ -77,25 +79,41 @@ def _kernel_entries(cum, cells, tau_p, eps):
     return cum.shape[1] * int((hi - lo + 1).sum())
 
 
-def test_pruned_r1_opt_does_a_quarter_of_the_kernel_work(monkeypatch, ring):
+def test_pruned_r1_opt_does_under_8_percent_of_the_kernel_work(monkeypatch, ring):
     # at the fig6 ring point (790 cells searched), the ceilings and the cells
-    # they keep take at most a quarter of the F-row entries of every cell
+    # they keep take at most 8% of the F-row entries of every cell (6.7%), and
+    # each ceiling row takes its collision windows from one binom_windows call
     cfg = SystemConfig(M=M, K=K, tau_u=120, model=ring, seed=3, mc=McConfig(n_beta_samples=500))
-    kernel, ceiling = bounds._f_row_sums, optimize.r1_ceiling
-    done, stages = [0], []
+    kernel, ceiling, grid, windows = bounds._f_row_sums, optimize.r1_ceiling, optimize.bound_grid, bounds.binom_windows
+    done, calls, ceilings, grids = [0], [0], [], []
 
     def counted(cum, cum_sq, cells, tau_p, *rest):
         done[0] += _kernel_entries(cum, cells, tau_p, cfg.mc.eps_tail)
         return kernel(cum, cum_sq, cells, tau_p, *rest)
 
-    def recorded(cfg, tau_ps, p_aK):
-        stages.append((tau_ps, p_aK))
-        return ceiling(cfg, tau_ps, p_aK)
+    def called(*args):
+        calls[0] += 1
+        return windows(*args)
+
+    def recorded(cfg, tau_ps, p_aK, spacing):
+        before = calls[0]
+        out = ceiling(cfg, tau_ps, p_aK, spacing)
+        # one call for the activation windows, then one per pilot length with a prelog
+        ceilings.append((tau_ps, p_aK, calls[0] - before, 1 + int(np.count_nonzero(tau_ps < cfg.tau_u))))
+        return out
+
+    def logged(bound, cfg, tau_ps, p_aK):
+        grids.append((tau_ps, p_aK))
+        return grid(bound, cfg, tau_ps, p_aK)
 
     monkeypatch.setattr(bounds, "_f_row_sums", counted)
+    monkeypatch.setattr(bounds, "binom_windows", called)
     monkeypatch.setattr(optimize, "r1_ceiling", recorded)
+    monkeypatch.setattr(optimize, "bound_grid", logged)
     res = grid_opt("R1", cfg)
     assert (res.tau_p_opt, res.p_aK_opt, res.evaluations) == (39, 40.46389372560529, 790)
+    assert len(ceilings) == len(HEAD_SPACINGS) and all(got == want for *_, got, want in ceilings)
+    assert calls[0] == 54  # two calls per ceiling row took 98
     pruned = done[0]
 
     def tallied(cum, cum_sq, cells, tau_p, *rest):
@@ -104,7 +122,9 @@ def test_pruned_r1_opt_does_a_quarter_of_the_kernel_work(monkeypatch, ring):
 
     monkeypatch.setattr(bounds, "_f_row_sums", tallied)
     done[0] = 0
+    # stage one is the first ceiling's grid, and stage two, evaluated whole, the last grid
+    stages = [ceilings[0][:2], grids[-1]]
     for tps, qs in stages:
-        bound_grid("R1", cfg, tps, qs)
-    assert len(stages) == 2 and sum(t.size * q.size for t, q in stages) == 790
-    assert pruned <= 0.25 * done[0], (pruned, done[0])
+        grid("R1", cfg, tps, qs)
+    assert sum(t.size * q.size for t, q in stages) == 790
+    assert pruned <= 0.08 * done[0], (pruned, done[0])

@@ -260,3 +260,20 @@ def test_every_bound_evaluation_takes_one_path():
         "_analytic_stage": {("bounds.py", "_cells")},
         "_f_row_sums": {("bounds.py", "_averaged_row"), ("bounds.py", "r1_ceiling")},
     }
+
+
+def _calls_in(path: Path, function: str, callee: str) -> int:
+    """Calls of ``callee`` by name inside the top-level function ``function`` of ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (body,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee
+               for node in ast.walk(body))
+
+
+def test_r1_ceiling_has_one_reader_and_one_window_call_per_row():
+    # the ceiling is R1-opt's pruning alone (the F-row kernel's readers are pinned above);
+    # it hands each row's collision windows to the kernel, which takes them itself only
+    # when not handed any
+    assert _readers(["r1_ceiling"]) == {"r1_ceiling": {("optimize.py", "_r1_stage")}}
+    assert _calls_in(SRC / "bounds.py", "_f_row_sums", "binom_windows") == 1
+    assert _calls_in(SRC / "bounds.py", "r1_ceiling", "binom_windows") == 1
