@@ -12,14 +12,17 @@ around the binomial mode. ``binom_windows`` finds those windows for many
 bounds build every collision window of a pilot length, and every activation
 window of a grid stage, with one call each.
 
-The masses come from ``scipy.special``, which is imported by the first
-binomial (:func:`load_binomial`) and not by importing this module: only R1
-and R2 take binomials, and the simulator, R3, Ra and the scaling laws run
-without scipy.
+The masses come from scipy's special-function ufuncs, which the first
+binomial loads (:func:`load_binomial`) and importing this module does not:
+only R1 and R2 take binomials, and the simulator, R3, Ra and the scaling
+laws run without scipy.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import types
 from dataclasses import dataclass
 from functools import cache
 from typing import Union
@@ -84,17 +87,32 @@ def _binom_params(law: AnyLaw) -> tuple[int, float]:
 
 @cache
 def load_binomial():
-    """(gammaln, _binom_pmf) from ``scipy.special``, imported on the first call.
+    """(gammaln, _binom_pmf) from ``scipy.special._ufuncs``, loaded on the first call.
 
-    scipy is the package's only source of binomial masses, and importing it
-    costs about 0.2 s and 16 MB, so only runs that take a binomial pay for
-    it. ``pilothop run`` calls this during set-up for specs that evaluate R1
-    or R2 (``config.evaluated_bounds``), so a broken scipy fails before any work.
+    scipy is the package's only source of binomial masses. The ufunc
+    extension alone loads in about 0.02–0.03 s and 5 MB, while ``import
+    scipy.special`` also runs its package ``__init__``, whose array-API layer
+    (which imports ``numpy.f2py`` and ``numpy.testing``) brings the cost to
+    about 0.2 s and 17 MB. So, unless ``scipy.special`` is loaded already,
+    the extension is imported under a bare stand-in package that is removed
+    again, error or not; a later ``import scipy.special`` runs the real
+    ``__init__`` and exports these very ufunc objects. ``pilothop run``
+    calls this during set-up for specs that evaluate R1 or R2
+    (``config.evaluated_bounds``), so a broken scipy fails before any work.
     """
-    from scipy.special import gammaln
-    from scipy.special._ufuncs import _binom_pmf
+    import scipy
 
-    return gammaln, _binom_pmf
+    bare = "scipy.special" not in sys.modules
+    if bare:
+        stand_in = types.ModuleType("scipy.special")
+        stand_in.__path__ = [os.path.join(scipy.__path__[0], "special")]
+        sys.modules["scipy.special"] = stand_in
+    try:
+        from scipy.special import _ufuncs
+    finally:
+        if bare:
+            del sys.modules["scipy.special"]
+    return _ufuncs.gammaln, _ufuncs._binom_pmf
 
 
 def binom_pmf(k, n, p: float):

@@ -47,10 +47,13 @@ def test_f_falls_in_the_active_count_up_to_the_truncated_tail(name, tau_p, eps):
     assert (f[:-1] > f[1:]).any()  # F does fall somewhere, so the check bites
 
 
+STAGE_CASES = pytest.mark.parametrize(("name", "tau_u", "samples", "eps", "slack"), [
+    ("ring-0.25", 120, 500, 1e-9, 1.05), ("lognormal-16", 60, 200, 1e-9, 1.05), ("ring-0.25", 120, 200, 0.1, 1.5)])
+
+
 # the last case truncates a tenth of each collision window: one cell of its
 # stage needs the ceiling's tail term, which loosens the ceiling at the best cell
-@pytest.mark.parametrize(("name", "tau_u", "samples", "eps", "slack"), [
-    ("ring-0.25", 120, 500, 1e-9, 1.05), ("lognormal-16", 60, 200, 1e-9, 1.05), ("ring-0.25", 120, 200, 0.1, 1.5)])
+@STAGE_CASES
 def test_ceiling_covers_every_cell_of_a_stage(name, tau_u, samples, eps, slack):
     mc = McConfig(n_beta_samples=samples, eps_tail=eps)
     cfg = SystemConfig(M=M, K=K, tau_u=tau_u, model=LAWS[name], seed=3, mc=mc)
@@ -70,6 +73,26 @@ def test_ceiling_covers_every_cell_of_a_stage(name, tau_u, samples, eps, slack):
     kept = np.isfinite(pruned[0])
     assert all((part[kept] == full[kept]).all() for part, full in zip(pruned, whole))
     assert np.argmax(pruned[0]) == np.argmax(values)
+
+
+@STAGE_CASES
+def test_r1_stage_evaluates_exactly_the_cells_whose_ceilings_reach_the_floor(name, tau_u, samples, eps, slack):
+    # the kept set, rebuilt cell by cell: the floor is the coarsest ceiling's top cell, evaluated,
+    # less CEILING_REL_TOL, and a cell stays while its ceiling at every spacing reaches the floor
+    mc = McConfig(n_beta_samples=samples, eps_tail=eps)
+    cfg = SystemConfig(M=M, K=K, tau_u=tau_u, model=LAWS[name], seed=3, mc=mc)
+    tps, qs = _stage_one(cfg)
+    coarse = r1_ceiling(cfg, tps, qs, HEAD_SPACINGS[0])
+    top = tuple(int(i) for i in np.unravel_index(np.argmax(coarse), coarse.shape))
+    floor = bound_grid("R1", cfg, tps[[top[0]]], qs[[top[1]]])[0][0, 0] * (1.0 - CEILING_REL_TOL)
+    kept = {(int(r), int(c)) for r, c in zip(*np.nonzero(coarse >= floor))} - {top}
+    for spacing in HEAD_SPACINGS[1:]:
+        rows, cols = sorted({r for r, _ in kept}), sorted({c for _, c in kept})
+        ceiling = r1_ceiling(cfg, tps[rows], qs[cols], spacing)
+        at = {cell: ceiling[rows.index(cell[0]), cols.index(cell[1])] for cell in kept}
+        kept = {cell for cell, value in at.items() if value >= floor}
+    pruned = optimize._r1_stage(cfg, tps, qs)
+    assert {(int(r), int(c)) for r, c in zip(*np.nonzero(np.isfinite(pruned[0])))} == kept | {top}
 
 
 def _kernel_entries(cum, cells, tau_p, eps):

@@ -86,8 +86,8 @@ def test_evaluated_bounds_of_the_shipped_specs():
     }
 
 
-# Runs one `pilothop run` and prints [exit code, scipy.special loaded at entry into
-# run_experiment, binom_pmf called during the run, modules imported during the run]
+# Runs one `pilothop run` and prints [exit code, scipy's binomial ufuncs loaded at entry
+# into run_experiment, binom_pmf called during the run, modules imported during the run]
 _WATCHED_RUN = """
 import json, sys
 from pilothop import access, cli
@@ -97,7 +97,7 @@ def counted(*args, **kwargs):
     took.append(1)
     return binom_pmf(*args, **kwargs)
 def watched(*args, **kwargs):
-    seen["scipy"], before = "scipy.special" in sys.modules, set(sys.modules)
+    seen["scipy"], before = "scipy.special._ufuncs" in sys.modules, set(sys.modules)
     out = run_experiment(*args, **kwargs)
     seen["imported"] = sorted(set(sys.modules) - before)
     return out
@@ -108,8 +108,8 @@ print(json.dumps([rc, seen["scipy"], bool(took), seen["imported"]]))
 
 
 def test_runs_import_nothing_and_load_scipy_at_start_up_only_for_binomials(tmp_path, monkeypatch):
-    # setup_s ends at entry into run_experiment, so no run may import a module after it; scipy
-    # is loaded before that entry exactly when the spec evaluates R1 or R2, which take binomials
+    # setup_s ends at entry into run_experiment, so no run may import a module after it; scipy's
+    # binomial ufuncs are loaded before that entry exactly when the spec evaluates R1 or R2
     runs = {op.name: (op.spec, op.cli_args(tmp_path / op.name)) for op in _benchmark_ops(tmp_path, monkeypatch)}
     runs |= {path.stem: (path, ["run", str(path), "--out", str(tmp_path / path.stem), "--jobs", "1"])
              for path in SHIPPED}

@@ -3,9 +3,12 @@
 import ast
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pilothop"
 
@@ -53,7 +56,8 @@ def test_no_module_imports_scipy_at_module_level():
 
 
 def test_import_validate_simulate_and_scaling_leave_scipy_out(tmp_path):
-    # importing scipy.special costs about 0.2 s of start-up; only runs that evaluate R1 or R2 load it
+    # scipy's binomial ufuncs cost about 0.02-0.03 s and 5 MB of start-up (all of scipy.special
+    # about 0.2 s and 17 MB); only runs that evaluate R1 or R2 load them
     specs = sorted((SRC.parent.parent / "specs").glob("*.yaml"))
     sim = tmp_path / "sim.yaml"
     sim.write_text("kind: simulate\nsystem: {M: 32, K: 60, tau_u: 40, tau_p: 8, p_a: 0.1, seed: 3}\n"
@@ -97,6 +101,99 @@ def test_import_validate_and_run_leave_scipy_stats_and_optimize_out(tmp_path):
     out = _python(code)
     assert json.loads(out.stdout.splitlines()[-1]) == [[], [0, []], [0, []]], out.stdout + out.stderr
     assert (tmp_path / "opt_optimize.csv").read_text().count("\n") == 3
+
+
+_R1_SPEC = ("kind: bound-eval\nsystem: {M: 32, K: 60, tau_u: 40, tau_p: 8, p_a: 0.1, seed: 3}\n"
+            "bounds: [R1]\nout_prefix: r1\n")
+# scipy.special's package __init__ and the array-API layer it loads, which the binomial ufuncs do without
+_ARRAY_API_LAYER = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+
+
+def test_r1_run_loads_the_binomial_ufuncs_without_scipy_special_package(tmp_path):
+    # start-up loads scipy.special._ufuncs alone; a later import scipy.special gives the real
+    # package, which exports the very ufunc objects the run took its masses from
+    spec = tmp_path / "r1.yaml"
+    spec.write_text(_R1_SPEC)
+    code = (
+        "import json, sys\n"
+        "from pilothop import access, cli\n"
+        "seen, run_experiment = {}, cli.run_experiment\n"
+        "def watched(*args, **kwargs):\n"
+        f"    seen['start-up'] = [m for m in {_ARRAY_API_LAYER!r} if m in sys.modules]\n"
+        "    seen['ufuncs'] = 'scipy.special._ufuncs' in sys.modules\n"
+        "    return run_experiment(*args, **kwargs)\n"
+        "cli.run_experiment = watched\n"
+        f"seen['rc'] = cli.main(['run', {str(spec)!r}, '--out', {str(tmp_path)!r}])\n"
+        "import scipy.special\n"
+        "gammaln, binom_pmf = access.load_binomial()\n"
+        "seen['real'] = hasattr(scipy.special, '__file__')\n"
+        "seen['same'] = [scipy.special.gammaln is gammaln, scipy.special._ufuncs._binom_pmf is binom_pmf]\n"
+        "print(json.dumps(seen))\n"
+    )
+    out = _python(code)
+    assert json.loads(out.stdout.splitlines()[-1]) == {
+        "start-up": [], "ufuncs": True, "rc": 0, "real": True, "same": [True, True]}, out.stdout + out.stderr
+    assert (tmp_path / "r1_bounds.csv").exists()
+
+
+def test_load_binomial_takes_the_ufuncs_of_a_loaded_scipy_special():
+    code = (
+        "import scipy.special\n"
+        "from pilothop.access import load_binomial\n"
+        "gammaln, binom_pmf = load_binomial()\n"
+        "print(gammaln is scipy.special.gammaln, binom_pmf is scipy.special._ufuncs._binom_pmf)\n"
+    )
+    out = _python(code)
+    assert out.stdout.split() == ["True", "True"], out.stdout + out.stderr
+
+
+def test_a_failed_ufunc_import_propagates_and_leaves_no_bare_package():
+    # an ImportError inside the bare import reaches the caller, and the stand-in package is
+    # gone, so the next call (load_binomial caches no error) imports afresh
+    code = (
+        "import json, sys\n"
+        "from pilothop.access import load_binomial\n"
+        "class Broken:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy.special._ufuncs':\n"
+        "            raise ImportError('broken ufuncs')\n"
+        "seen = []\n"
+        "sys.meta_path.insert(0, Broken())\n"
+        "try:\n"
+        "    load_binomial()\n"
+        "except ImportError as exc:\n"
+        "    seen.append(str(exc))\n"
+        "seen.append('scipy.special' in sys.modules)\n"
+        "del sys.meta_path[0]\n"
+        "seen.append(load_binomial()[1](3, 10, 0.5))\n"
+        "seen.append('scipy.special' in sys.modules)\n"
+        "print(json.dumps(seen))\n"
+    )
+    out = _python(code)
+    assert json.loads(out.stdout.splitlines()[-1]) == ["broken ufuncs", False, 120 / 1024, False], \
+        out.stdout + out.stderr
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap limits are glibc's")
+def test_a_slot_run_keeps_its_block_arrays_on_the_heap(tmp_path):
+    # at glibc's default limits this run takes over 60,000 page faults, each block's
+    # arrays mapped afresh; with the heap kept, a few hundred
+    spec = SRC.parent.parent / "specs" / "protocol_validation.yaml"
+    code = (
+        "import resource\n"
+        "from pilothop import cli\n"
+        "faults, run_experiment = [], cli.run_experiment\n"
+        "def counted(*args, **kwargs):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    out = run_experiment(*args, **kwargs)\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "    return out\n"
+        "cli.run_experiment = counted\n"
+        f"print(cli.main(['run', {str(spec)!r}, '--out', {str(tmp_path)!r}, '--seed', '905']), faults[0])\n"
+    )
+    out = _python(code)
+    rc, faults = map(int, out.stdout.split()[-2:])
+    assert rc == 0 and faults < 5000, out.stdout + out.stderr
 
 
 def test_import_cli_leaves_multiprocessing_out():
