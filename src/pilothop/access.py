@@ -28,7 +28,6 @@ from functools import cache
 from typing import Union
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique loads it lazily; load it at import, not inside a run
 
 
 @dataclass(frozen=True)
@@ -221,13 +220,13 @@ def _band(ns, ps, w_lo, span):
     ks = (w_lo[:, None] + np.arange(width))[inside]
     n_of, p_of = np.repeat(ns, span + 1), np.repeat(ps, span + 1)
     vals = np.empty(ks.size)
-    for q in np.unique(ps).tolist():
+    for q in set(ps.tolist()):
         at = p_of == q
         vals[at] = binom_pmf(ks[at], n_of[at], q)
     pm = np.zeros((ns.size, width))
     pm[inside] = vals
     band = np.empty(ns.size)
-    for length in np.unique(span).tolist():
+    for length in set(span.tolist()):
         at = span == length
         band[at] = pm[at, :length + 1].sum(axis=1)
     return pm, band

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique loads it lazily; load it at import, not inside a run
 
 from .bounds import COSTS, HEAD_SPACINGS, BoundResult, bound_at, bound_grid, r1_ceiling, sinra
 from .channels import LargeScaleModel, analytic_moments, expect_rows
@@ -121,6 +120,11 @@ def _scan_then_golden(model, sinr, lo: float, hi: float):
     return x, fx, evals + SCAN_POINTS
 
 
+def _pilot_lengths(lo, hi, n: int) -> np.ndarray:
+    """The distinct integers nearest ``n`` points spaced evenly over [lo, hi], ascending."""
+    return np.array(sorted(set(np.round(np.linspace(lo, hi, n)).astype(int).tolist())), dtype=int)
+
+
 def _tau_p_third(tau_u: int) -> int:
     return max(1, round(tau_u / 3.0))
 
@@ -206,7 +210,7 @@ def grid_opt(cost: str, cfg: "SystemConfig") -> OptimizationResult:
     if cost not in COSTS:
         raise ValueError(f"unknown cost {cost!r}; expected one of {COSTS}")
     tau_u, K = cfg.tau_u, cfg.K
-    tps = np.unique(np.round(np.linspace(1, tau_u, TAU_P_POINTS)).astype(int))
+    tps = _pilot_lengths(1, tau_u, TAU_P_POINTS)
     qs = np.geomspace(min(PAK_MIN, float(K)), K, PAK_POINTS)
 
     evals = 0
@@ -225,7 +229,7 @@ def grid_opt(cost: str, cfg: "SystemConfig") -> OptimizationResult:
 
     i = int(np.searchsorted(tps, best[1]))
     tp_lo, tp_hi = tps[max(i - 1, 0)], tps[min(i + 1, tps.size - 1)]
-    tps2 = np.unique(np.round(np.linspace(tp_lo, tp_hi, REFINE_POINTS)).astype(int))
+    tps2 = _pilot_lengths(tp_lo, tp_hi, REFINE_POINTS)
     j = int(np.searchsorted(qs, best[2]))
     ratio = qs[min(j + 1, qs.size - 1)] / qs[j]
     # refinement stays inside stage one's span (R3 needs p_a*K >= 1)

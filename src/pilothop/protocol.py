@@ -16,7 +16,8 @@ energy to find the pilots in use. Across slots the detected pilot sets are
 matched against the hopping patterns to identify which devices transmitted. The scan regenerates
 the population's patterns in ``SCAN_ENTRIES``-entry blocks, bounding memory,
 one slot chunk at a time, and stops hashing a device once it has missed more
-slots than the identification threshold rho allows.
+slots than the identification threshold ``RHO`` allows. A frame is set by its
+scenario, its random stream and its frame index alone.
 
 A genie side channel (true channels and gains, never visible to the
 receiver path) decomposes the output of maximum ratio combining along each
@@ -33,7 +34,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique loads it lazily; load it at import, not inside a run
 import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not inside a run
 
 from .access import ActivationLaw, sample_active_set
@@ -47,6 +47,10 @@ from .config import SystemConfig
 # ZETA*sqrt(2) standard deviations above the mean, and the per-pilot
 # false-alarm probability, scipy.special.gammaincc(M, M*t), is 1.8e-9 at M = 100
 ZETA = 5.0
+
+# Identification threshold: a device is declared active when its pattern
+# hits the detected pilots in at least this fraction of the frame's slots
+RHO = 0.9
 
 # (device, slot) pattern entries the identification scan regenerates at a
 # time: its working set stays at a few 512 kB arrays whatever K and L are
@@ -293,17 +297,17 @@ def match_patterns(
     patterns_of: Callable[[np.ndarray, range], np.ndarray],
     K: int,
     tau_p: int,
-    rho: float = 0.9,
-    active: np.ndarray | None = None,
+    active: np.ndarray,
 ) -> IdentificationReport:
     """Declare a device of 0..K-1 active when its pattern hits the detected
-    pilot set in at least a rho fraction of slots.
+    pilot set in at least a ``RHO`` fraction of slots, and compare the
+    declared devices with the ``active`` ones.
 
     ``detected`` is the (L, tau_p) boolean map of each slot's detected pilots.
 
     ``patterns_of(devices, slots)`` returns the devices' pattern entries over
     the range ``slots``. A device is identified when its hits h satisfy
-    ``h / L >= rho``, that is when it misses at most ``slack = L - need``
+    ``h / L >= RHO``, that is when it misses at most ``slack = L - need``
     slots, ``need`` the least such h. The scan takes the frame in chunks of
     ``slack + 1`` slots, the fewest after which a device can exceed its
     slack, and hashes only the devices still within it: a signed per-device
@@ -311,16 +315,15 @@ def match_patterns(
     Survivors are regenerated in blocks of at most ``SCAN_ENTRIES`` pattern
     entries, so no K x L table is held. With a single observed slot this
     degenerates to per-slot pilot ambiguity: every device whose pilot was
-    detected matches.
+    detected matches. ``missed`` and ``false`` are the sorted set differences
+    of the active and the identified ids.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("rho must lie in (0, 1]")
     detected = np.asarray(detected)
     L = len(detected)
     if detected.dtype != bool or detected.shape != (L, tau_p) or L < 1:
         raise ValueError(f"need a (slots >= 1, {tau_p}) boolean detection map")
     D, offsets = detected.ravel(), np.arange(L) * tau_p  # slot l's pilot j sits at l*tau_p + j
-    need = int(np.argmax(np.arange(L + 1) / L >= rho))  # the same division as hits / L >= rho
+    need = int(np.argmax(np.arange(L + 1) / L >= RHO))  # the same division as hits / L >= RHO
     chunk = L - need + 1
     budget = np.full(K, chunk - 1, dtype=np.min_scalar_type(-chunk))  # misses still affordable
     step = max(1, SCAN_ENTRIES // chunk)
@@ -340,22 +343,21 @@ def match_patterns(
                 budget[ids] -= len(slots) - hits
             lo = nxt
     identified = np.flatnonzero(budget >= 0)
-    if active is None:
-        active = np.array([], dtype=int)
-    missed = np.setdiff1d(active, identified)
-    false = np.setdiff1d(identified, active)
+    on, off = set(active.tolist()), set(identified.tolist())
+    missed = np.array(sorted(on - off), dtype=active.dtype)
+    false = np.array(sorted(off - on), dtype=identified.dtype)
     return IdentificationReport(identified, missed, false)
 
 
 @dataclass
 class FrameResult:
-    """Per-frame simulation summary; rates are aligned with ``active``."""
+    """Per-frame simulation summary; rates are aligned with ``active``. No
+    per-slot outcome is kept, so memory does not grow with the slot count."""
 
     active: np.ndarray
     rates: np.ndarray
     sum_rate: float
     identification: IdentificationReport
-    slots: list | None = None
 
 
 def run_frame(
@@ -364,34 +366,26 @@ def run_frame(
     rng: np.random.Generator,
     *,
     frame_index: int = 0,
-    active: np.ndarray | None = None,
-    collect_slots: bool = False,
 ) -> FrameResult:
     """Simulate one transmission frame of ``n_slots`` coherence slots of the scenario ``cfg``.
 
-    The active set is drawn from ``rng`` unless ``active`` is given (distinct
-    ids in [0, K), else ``ValueError``), and its gains from ``cfg.model``.
+    ``rng`` draws the active set (``sample_active_set``), then its gains
+    from ``cfg.model`` (``sample_beta``), then the slots in slot order.
     Per-device empirical rates average log2(1 + SINR) over the slots in
     which the device's pilot was detected (undetected slots contribute
-    zero), scaled by the training-overhead prelog. ``collect_slots`` retains
-    the per-slot outcomes in ``FrameResult.slots``. Slots are simulated in
+    zero), scaled by the training-overhead prelog. Slots are simulated in
     blocks sized by ``SLOT_ENTRIES``; rates are added slot by slot, in slot
     order, so no output depends on the block size. Every run detects pilots
-    at ``ZETA`` and identifies devices at the default rho = 0.9 of
-    ``match_patterns``: no spec field reaches either.
+    at ``ZETA`` and identifies devices at ``RHO``: no spec field reaches
+    either.
     """
     if cfg.tau_p is None or cfg.p_a is None:
         raise ValueError("run_frame needs tau_p and p_a set")
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     tau_p, tau_u, M = cfg.tau_p, cfg.tau_u, cfg.M
-    if active is None:
-        active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
-    active = np.asarray(active, dtype=int)
-    if np.any((active < 0) | (active >= cfg.K)):
-        raise ValueError(f"active device ids must lie in [0, {cfg.K})")
-    if np.unique(active).size != active.size:
-        raise ValueError("active device ids must be distinct")
+    active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
+
     def patterns_of(devices, slots):
         return hopping_patterns(devices, frame_index, slots, tau_p, cfg.seed)
 
@@ -399,7 +393,6 @@ def run_frame(
 
     bits = np.zeros(active.size)
     detected = np.zeros((n_slots, tau_p), dtype=bool)  # slot l's detected pilots
-    slots = [] if collect_slots else None
     step = max(1, SLOT_ENTRIES // ((active.size + tau_p) * (min(active.size, M) + 1)))
     for start in range(0, n_slots, step):
         block = range(start, min(start + step, n_slots))
@@ -410,11 +403,9 @@ def run_frame(
         seen = hits.reshape(-1)[out.pilot_of_device]
         for gained in np.where(seen, np.log2(1.0 + out.device_sinr), 0.0):  # slot by slot, in slot order
             bits += gained
-        if collect_slots:
-            slots += map(SlotOutcome, map(np.flatnonzero, hits), assignments, out.device_sinr)
 
     prelog = (tau_u - tau_p) / tau_u
     rates = prelog * bits / n_slots
-    ident = match_patterns(detected, patterns_of, cfg.K, tau_p, active=active)
-    return FrameResult(active, rates, float(rates.sum()), ident, slots)
+    ident = match_patterns(detected, patterns_of, cfg.K, tau_p, active)
+    return FrameResult(active, rates, float(rates.sum()), ident)
 

@@ -51,3 +51,41 @@ def search_grid(monkeypatch):
         monkeypatch.setattr(optimize, "REFINE_POINTS", refine_points)
 
     return set_grid
+
+
+@pytest.fixture
+def set_rho(monkeypatch):
+    """Set match_patterns' identification threshold for one test."""
+    from pilothop import protocol
+
+    return lambda rho: monkeypatch.setattr(protocol, "RHO", rho)
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    """``run(cfg, n_slots, seed, frame_index=0)``: run_frame and its slot-by-slot
+    replay (``reference.replay_frame``), each on ``default_rng(seed)``. Checks
+    that they agree, ``==``, in the active set, the rates and the detection map
+    run_frame hands to match_patterns, and returns the frame and the replay's
+    slots."""
+    from pilothop import protocol
+    from reference import frame_outputs, replay_frame
+
+    maps, match = [], protocol.match_patterns
+
+    def recorded(detected, *args):
+        maps.append(detected.copy())
+        return match(detected, *args)
+
+    monkeypatch.setattr(protocol, "match_patterns", recorded)
+
+    def run(cfg, n_slots, seed, frame_index=0):
+        fr = protocol.run_frame(cfg, n_slots, np.random.default_rng(seed), frame_index=frame_index)
+        active, slots = replay_frame(cfg, n_slots, np.random.default_rng(seed), frame_index)
+        rates, detected = frame_outputs(cfg, slots)
+        assert np.array_equal(fr.active, active)
+        assert np.array_equal(fr.rates, rates)
+        assert np.array_equal(maps[-1], detected)
+        return fr, slots
+
+    return run

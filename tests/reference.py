@@ -2,7 +2,8 @@
 the package computes another way (the R2 SINR as its own function, the R3
 SINR at scalars, the SINR rebuilt from the MMSE variances, the DFT pilot
 book ``train_slot`` rotates away, the full-basis training phase whose
-statistics ``train_slot`` draws, the whole-frame hopping-pattern hash)."""
+statistics ``train_slot`` draws, the whole-frame hopping-pattern hash, a
+frame replayed one slot at a time)."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -10,8 +11,10 @@ from typing import Sequence
 
 import numpy as np
 
+from pilothop.access import ActivationLaw, sample_active_set
 from pilothop.bounds import CollisionScenario, _sinr3_fill, estimation_variances
-from pilothop.channels import BetaMoments
+from pilothop.channels import BetaMoments, sample_beta
+from pilothop.protocol import hopping_patterns, simulate_slot
 
 
 @dataclass(frozen=True)
@@ -143,3 +146,30 @@ def full_train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: in
     Gt = Rt[:K_a].view(float) * np.sqrt(betas)[:, None]  # float view: (K_a, 2r)
     E = np.sqrt(tau_p) * (np.arange(tau_p)[:, None] == assignment)
     return Gt.view(complex).T, (Rt[K_a:] + (E @ Gt).view(complex)).T
+
+
+def replay_frame(cfg, n_slots: int, rng: np.random.Generator, frame_index: int = 0):
+    """The draws of ``protocol.run_frame`` made one slot at a time: the active
+    set, its gains, then for each slot l the active devices' pilots over
+    ``range(l, l + 1)`` and ``simulate_slot``. Returns the active set and one
+    ``SlotOutcome`` per slot, in slot order."""
+    active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
+    betas = sample_beta(cfg.model, rng, active.size)
+    return active, [
+        simulate_slot(betas, hopping_patterns(active, frame_index, range(l, l + 1), cfg.tau_p, cfg.seed)[:, 0],
+                      cfg.tau_p, cfg.M, rng)
+        for l in range(n_slots)
+    ]
+
+
+def frame_outputs(cfg, slots):
+    """(rates, detection map) of a frame from its slots: a device's rate adds
+    log2(1 + SINR) slot by slot, in slot order, over the slots in which its
+    pilot was detected, times the prelog over the slot count; row l of the
+    (slots, tau_p) map marks slot l's detected pilots."""
+    detected = np.zeros((len(slots), cfg.tau_p), dtype=bool)
+    bits = np.zeros(slots[0].device_sinr.size)
+    for l, out in enumerate(slots):
+        detected[l, out.detected] = True
+        bits += np.where(detected[l, out.pilot_of_device], np.log2(1.0 + out.device_sinr), 0.0)
+    return (cfg.tau_u - cfg.tau_p) / cfg.tau_u * bits / len(slots), detected

@@ -26,7 +26,6 @@ from pilothop.cli import main as cli_main
 from pilothop.config import SystemConfig
 from pilothop.experiments import point_seed
 from pilothop.optimize import S0, grid_opt, heuristic1, optimize
-from pilothop.protocol import run_frame
 from pilothop.scaling import ScalingCase, predict, solve_ab, verify_scaling
 from reference import sinr_components
 
@@ -182,16 +181,16 @@ def test_criterion_07_method_consistency(fig6_sweep):
             f"{elapsed:.0f}s")
 
 
-def test_criterion_08_protocol_vs_bound():
+def test_criterion_08_protocol_vs_bound(replayed):
     t0 = time.perf_counter()
     cfg = SystemConfig(M=100, K=800, tau_u=100, model=UniformPowerError(10.0, 0.0), seed=5)
     res = grid_opt("Ra", cfg)
     at = replace(cfg, tau_p=res.tau_p_opt, p_a=res.p_aK_opt / cfg.K)
     bound = r1_bar(at)
 
-    fr = run_frame(at, 2000, np.random.default_rng(99), collect_slots=True)
+    fr, slots = replayed(at, 2000, 99)
     prelog = (at.tau_u - at.tau_p) / at.tau_u
-    slot_totals = np.array([prelog * np.log2(1.0 + out.device_sinr).sum() for out in fr.slots])
+    slot_totals = np.array([prelog * np.log2(1.0 + out.device_sinr).sum() for out in slots])
     se_slots = slot_totals.std(ddof=1) / math.sqrt(slot_totals.size)
 
     # frame-level spread: one frame pins one activation draw, so the bound
@@ -219,7 +218,7 @@ def test_criterion_08_protocol_vs_bound():
             f"K_a={k_a}, R1(K_a)={bound_ka:.3f}, se_slots={se_slots:.3f}, {elapsed:.0f}s")
 
 
-def test_criterion_08_per_ka_limit_at_several_seeds():
+def test_criterion_08_per_ka_limit_at_several_seeds(replayed):
     # criterion 8's per-K_a lower limit, R1(K_a) - 3 se_slots, on one frame
     # of 500 slots for each of the frame seeds 1-5; every margin is reported
     t0 = time.perf_counter()
@@ -229,8 +228,8 @@ def test_criterion_08_per_ka_limit_at_several_seeds():
     prelog = (at.tau_u - at.tau_p) / at.tau_u
     margins = []
     for seed in range(1, 6):
-        fr = run_frame(at, 500, np.random.default_rng(seed), frame_index=seed, collect_slots=True)
-        slot_totals = np.array([prelog * np.log2(1.0 + out.device_sinr).sum() for out in fr.slots])
+        fr, slots = replayed(at, 500, seed, frame_index=seed)
+        slot_totals = np.array([prelog * np.log2(1.0 + out.device_sinr).sum() for out in slots])
         se_slots = slot_totals.std(ddof=1) / math.sqrt(slot_totals.size)
         bound_ka = r1_bar(replace(at, K=int(fr.active.size), p_a=1.0)).value
         margins.append((seed, int(fr.active.size), fr.sum_rate - (bound_ka - 3 * se_slots)))

@@ -55,13 +55,15 @@ def test_no_module_imports_scipy_at_module_level():
     assert anywhere and not found, found
 
 
+SPECS = sorted((SRC.parent.parent / "specs").glob("*.yaml"))
+_SIM_SPEC = "kind: simulate\nsystem: {M: 32, K: 60, tau_u: 40, tau_p: 8, p_a: 0.1, seed: 3}\nn_slots: 20\nout_prefix: sim\n"
+
+
 def test_import_validate_simulate_and_scaling_leave_scipy_out(tmp_path):
     # scipy's binomial ufuncs cost about 0.02-0.03 s and 5 MB of start-up (all of scipy.special
     # about 0.2 s and 17 MB); only runs that evaluate R1 or R2 load them
-    specs = sorted((SRC.parent.parent / "specs").glob("*.yaml"))
     sim = tmp_path / "sim.yaml"
-    sim.write_text("kind: simulate\nsystem: {M: 32, K: 60, tau_u: 40, tau_p: 8, p_a: 0.1, seed: 3}\n"
-                   "n_slots: 20\nout_prefix: sim\n")
+    sim.write_text(_SIM_SPEC)
     ladder = tmp_path / "ladder.yaml"
     ladder.write_text("kind: scaling-verify\nsystem: {seed: 0}\ncase: balanced\n"
                       "ladder: [[100, 100], [400, 400]]\nout_prefix: ladder\n")
@@ -69,16 +71,32 @@ def test_import_validate_simulate_and_scaling_leave_scipy_out(tmp_path):
         "import json, sys, pilothop\n"
         "from pilothop.cli import main\n"
         "seen = [['import', 'scipy' in sys.modules]]\n"
-        f"for args in {[['validate', str(p)] for p in specs]}:\n"
+        f"for args in {[['validate', str(p)] for p in SPECS]}:\n"
         "    seen.append([main(args), 'scipy' in sys.modules])\n"
         f"for spec in {[str(sim), str(ladder)]}:\n"
         f"    seen.append([main(['run', spec, '--out', {str(tmp_path)!r}]), 'scipy' in sys.modules])\n"
         "print(json.dumps(seen))\n"
     )
     out = _python(code)
-    assert json.loads(out.stdout.splitlines()[-1]) == [["import", False]] + [[0, False]] * (len(specs) + 2), \
+    assert json.loads(out.stdout.splitlines()[-1]) == [["import", False]] + [[0, False]] * (len(SPECS) + 2), \
         out.stdout + out.stderr
-    assert len(specs) >= 4 and (tmp_path / "sim_simulate.csv").exists() and (tmp_path / "ladder_scaling.csv").exists()
+    assert len(SPECS) >= 4 and (tmp_path / "sim_simulate.csv").exists() and (tmp_path / "ladder_scaling.csv").exists()
+
+
+def test_runs_leave_numpy_ma_out(tmp_path):
+    # importing numpy.ma takes 14-18 ms of every start-up; np.unique, np.setdiff1d and
+    # np.isin's sort path import it on their first call, so the package calls none of them
+    sim = tmp_path / "sim.yaml"
+    sim.write_text(_SIM_SPEC)
+    runs = [["run", str(spec), "--out", str(tmp_path), "--jobs", "1"] for spec in [*SPECS, sim]]
+    code = (
+        "import json, sys\n"
+        "from pilothop.cli import main\n"
+        f"print(json.dumps([[main(args) for args in {runs!r}], 'numpy.ma' in sys.modules]))\n"
+    )
+    out = _python(code)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0] * len(runs), False], out.stdout + out.stderr
+    assert len(SPECS) >= 4 and (tmp_path / "sim_simulate.csv").exists()
 
 
 def test_import_validate_and_run_leave_scipy_stats_and_optimize_out(tmp_path):
@@ -242,6 +260,51 @@ def unread_public_names() -> list[str]:
     return sorted(f"{mod}.{name}" for name, mod in defined.items() if name not in read | kept)
 
 
+# Defaulted parameters of public functions that no package call sets, each with its reason
+KEPT_DEFAULTS = {
+    "access.truncate_support.eps_tail": "perfbench/tracing.py builds collision windows at each run's own eps_tail",
+    "bounds.sinr1.other_active_betas": "sinr1 is kept unread (KEPT_UNREAD); its tests set the other devices' gains",
+    "cli.main.argv": "the console entry point, called with none and reading sys.argv",
+}
+
+
+def unset_defaults() -> list[str]:
+    """module.function.parameter for each parameter with a default, of a public
+    top-level function of src/, that no call in src/ sets by keyword or by position."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for mod, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            a = fn.args
+            positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+            defaulted = positional[len(positional) - len(a.defaults):] + \
+                [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for param in defaulted:
+                at = positional.index(param) if param in positional else None
+                if not any(
+                    any(k.arg in (param, None) for k in call.keywords)
+                    or at is not None and any(i <= at and isinstance(arg, ast.Starred) or i == at
+                                              for i, arg in enumerate(call.args))
+                    for call in calls.get(fn.name, [])
+                ):
+                    unset.append(f"{mod}.{fn.name}.{param}")
+    return sorted(unset)
+
+
+def test_every_default_is_set_by_some_package_call():
+    # a parameter that only tests set is a test-only switch: the package should
+    # not carry it, and its tests should reach the behaviour another way
+    assert unset_defaults() == sorted(KEPT_DEFAULTS)
+
+
 def test_perfbench_tracer_names_resolve():
     # perfbench/run.py --trace 1 wraps these by name; a deleted name would break it only there
     import importlib
@@ -292,7 +355,8 @@ def test_perfbench_tracer_runs_a_simulate_spec(tmp_path):
 def test_perfbench_tracer_counts_each_slots_missed_and_false_pilots(tmp_path):
     # a block's SlotOutcome holds flat slot * tau_p + pilot ids, so the tracer's
     # per-call set differences count the (slot, pilot) misses and false alarms
-    # exactly; two antennas and weak gains give both
+    # exactly: they equal a recount over the frame replayed slot by slot, once the
+    # replay is checked against the frame; two antennas and weak gains give both
     code = (
         "import json\n"
         "import numpy as np\n"
@@ -300,19 +364,26 @@ def test_perfbench_tracer_counts_each_slots_missed_and_false_pilots(tmp_path):
         "from pilothop import protocol\n"
         "from pilothop.channels import UniformPowerError\n"
         "from pilothop.config import SystemConfig\n"
+        "from reference import frame_outputs, replay_frame\n"
         "tracer = Tracer().install()\n"
+        "maps, match = [], protocol.match_patterns\n"
+        "protocol.match_patterns = lambda detected, *args: maps.append(detected.copy()) or match(detected, *args)\n"
         "cfg = SystemConfig(M=2, K=60, tau_u=40, tau_p=20, p_a=0.1, model=UniformPowerError(0.3, 0.5), seed=3)\n"
-        "fr = protocol.run_frame(cfg, 8000, np.random.default_rng(5), collect_slots=True)\n"
+        "fr = protocol.run_frame(cfg, 8000, np.random.default_rng(5))\n"
         f"metrics = tracer.finish({str(tmp_path / 'spans.json')!r})\n"
-        "missed = sum(np.setdiff1d(s.pilot_of_device, s.detected).size for s in fr.slots)\n"
-        "false = sum(np.setdiff1d(s.detected, s.pilot_of_device).size for s in fr.slots)\n"
-        "print(json.dumps([metrics['protocol.simulate_slot.missed_pilots'],\n"
+        "active, slots = replay_frame(cfg, 8000, np.random.default_rng(5))\n"
+        "rates, detected = frame_outputs(cfg, slots)\n"
+        "same = [np.array_equal(fr.active, active), np.array_equal(fr.rates, rates), np.array_equal(maps[0], detected)]\n"
+        "missed = sum(np.setdiff1d(s.pilot_of_device, s.detected).size for s in slots)\n"
+        "false = sum(np.setdiff1d(s.detected, s.pilot_of_device).size for s in slots)\n"
+        "print(json.dumps([same, metrics['protocol.simulate_slot.missed_pilots'],\n"
         "                  metrics['protocol.simulate_slot.false_pilots'], missed, false,\n"
         "                  metrics['protocol.simulate_slot.calls']]))\n"
     )
-    out = _python(code, SRC.parent.parent / "perfbench")
+    out = _python(code, SRC.parent.parent / "perfbench", Path(__file__).resolve().parent)
     assert out.returncode == 0, out.stderr
-    traced_missed, traced_false, missed, false, calls = json.loads(out.stdout.splitlines()[-1])
+    same, traced_missed, traced_false, missed, false, calls = json.loads(out.stdout.splitlines()[-1])
+    assert same == [True, True, True]
     assert 1 < calls < 8000 and missed > 0 and false > 0
     assert (traced_missed, traced_false) == (missed, false)
 
