@@ -12,7 +12,6 @@ numeric failure during execution.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from pathlib import Path
 
@@ -72,37 +71,12 @@ def _cmd_validate(args) -> int:
     return code
 
 
-# glibc's mallopt parameters, and the sizes a run sets them to
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-HEAP_TRIM_BYTES, HEAP_MMAP_BYTES = 8 << 20, 4 << 20
-
-
-def _keep_large_arrays_on_the_heap() -> None:
-    """Serve arrays below 4 MiB from the heap and keep up to 8 MiB of it free, on glibc.
-
-    By default glibc maps every allocation of 128 KiB or more afresh and
-    hands the heap's top back once 128 KiB of it is free, raising both
-    limits only when a large block happens to be freed. The simulator's
-    blocks of slots allocate and free arrays of a few hundred KiB thousands
-    of times a run, so at the default limits each one is new pages, faulted
-    in one at a time: over 60,000 page faults in one ``protocol_validation``
-    run at K_a of about 48, against about 350 at these limits. Fixed limits
-    make a run's memory traffic independent of what start-up happened to
-    import and free. Other allocators are left as they are.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
-    if mallopt is not None:
-        mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_BYTES)
-        mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_BYTES)
-
-
 def _cmd_run(args) -> int:
     spec, code = _load_valid(args.spec)
     if spec is None:
         return code
     if {"R1", "R2"} & evaluated_bounds(spec):
         load_binomial()  # scipy's import belongs to start-up, and a broken scipy fails before any work
-    _keep_large_arrays_on_the_heap()
     try:
         outputs = run_experiment(spec, seed_override=args.seed, jobs=args.jobs)
     except (ValueError, ArithmeticError) as exc:

@@ -9,15 +9,15 @@ factor in min(K_a, M) coordinates, each used pilot's projection onto the
 channels' span, and one Gamma per pilot for the rest of its energy. It
 takes no M-dimensional draw, forms no pilot-book product, and keeps every
 inner product the receiver reads (see its docstring). ``run_frame`` runs
-the receiver over blocks of slots, sized by ``SLOT_ENTRIES``, with one
-numpy call per operation; the draws stay per slot, so a slot's draws and
-SINRs do not depend on its block. The receiver thresholds the correlation
-energy to find the pilots in use. Across slots the detected pilot sets are
-matched against the hopping patterns to identify which devices transmitted. The scan regenerates
-the population's patterns in ``SCAN_ENTRIES``-entry blocks, bounding memory,
-one slot chunk at a time, and stops hashing a device once it has missed more
-slots than the identification threshold ``RHO`` allows. A frame is set by its
-scenario, its random stream and its frame index alone.
+the receiver over blocks of ``SLOT_ENTRIES``-bounded size, one numpy call
+per operation, in one set of ``block_arrays`` a frame; draws stay per
+slot, so no slot depends on its block. The receiver thresholds the
+correlation energy to find the pilots in use. Across slots the detected
+pilot sets are matched against the hopping patterns to identify which
+devices transmitted; the scan regenerates the population's patterns in
+``SCAN_ENTRIES``-entry blocks, one slot chunk at a time, and stops hashing
+a device once it has missed more slots than ``RHO`` allows. A frame is
+set by its scenario, its random stream and its frame index alone.
 
 A genie side channel (true channels and gains, never visible to the
 receiver path) decomposes the output of maximum ratio combining along each
@@ -165,6 +165,7 @@ def mrc_and_measure(
     corr: np.ndarray,
     yn2: np.ndarray,
     tau_p: int,
+    out: dict | None = None,
 ) -> np.ndarray:
     """Genie SINR per active device under MRC along its pilot's observation.
 
@@ -177,13 +178,16 @@ def mrc_and_measure(
     are read. A block of B slots on a leading axis (G (B, r, K_a),
     assignment (B, K_a), corr (B, r, tau_p), yn2 (B, tau_p)) is one batched
     product whose row b*tau_p + j is slot b's pilot j; it returns (B, K_a).
+    corr^H and U go into ``out``, :func:`block_arrays` (afresh if None).
     """
     assignment = np.asarray(assignment)
-    K_a = betas.size
+    K_a, r = betas.size, corr.shape[-2]
     B = int(np.prod(assignment.shape[:-1]))
+    arrays = block_arrays(B, K_a, tau_p, r) if out is None else out
     rows = (np.arange(B)[:, None] * tau_p + assignment.reshape(B, K_a)).ravel()
     own = (rows, np.tile(np.arange(K_a), B))
-    U = (np.swapaxes(corr, -1, -2).conj() @ G).reshape(B * tau_p, K_a)
+    corr_h = np.conjugate(np.swapaxes(corr, -1, -2).reshape(B, tau_p, r), out=arrays["scratch"][:B])
+    U = np.matmul(corr_h, G.reshape(B, r, K_a), out=arrays["U"][:B]).reshape(B * tau_p, K_a)
     betas = np.tile(betas, B)
     yn2 = yn2.reshape(-1)
     total = np.bincount(rows, weights=betas, minlength=B * tau_p)
@@ -192,9 +196,9 @@ def mrc_and_measure(
     ee = np.bincount(rows, weights=err.real**2 + err.imag**2, minlength=B * tau_p)
     gd2 = ghat_dot**2
     gd2_tot = np.bincount(rows, weights=gd2, minlength=B * tau_p)
-    out = U.real**2 + U.imag**2
-    out[own] = 0.0  # row j keeps only the devices off pilot j
-    rest = (ee + out.sum(axis=1) + yn2)[rows]
+    off = U.real**2 + U.imag**2
+    off[own] = 0.0  # row j keeps only the devices off pilot j
+    rest = (ee + off.sum(axis=1) + yn2)[rows]
     return (gd2 / (gd2_tot[rows] - gd2 + rest)).reshape(assignment.shape)
 
 
@@ -208,11 +212,25 @@ def _bartlett_layout(K_a: int, m: int):
     return np.stack([re, re + 1], axis=1).ravel(), np.repeat(rows, 2), np.arange(m) * (m + 2)
 
 
-def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rng: np.random.Generator):
+def block_arrays(slots: int, K_a: int, tau_p: int, r: int) -> dict:
+    """The arrays a block of up to ``slots`` slots writes: K_a devices,
+    ``tau_p`` pilots, r = m + 1 coordinates. ``z``, the normal draws; ``Gt``
+    = G^T; ``Ct`` = corr^T; ``E``, the one-hot map; ``U`` = corr^H G; and
+    ``scratch``, E @ Gt and then corr^H. A block of B slots writes the
+    leading [:B] views, so ``run_frame``'s blocks share one set a frame."""
+    m = r - 1
+    draws = _bartlett_layout(K_a, m)[0].size + 2 * m * min(K_a, tau_p)
+    shapes = {"Gt": (K_a, r), "Ct": (tau_p, r), "scratch": (tau_p, r), "U": (tau_p, K_a)}
+    arrays = {name: np.empty((slots, *shape), dtype=complex) for name, shape in shapes.items()}
+    return {**arrays, "E": np.empty((slots, tau_p, K_a)), "z": np.empty(slots * draws)}
+
+
+def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rng: np.random.Generator, out=None):
     """Training phase of one slot, or of a block of slots: (G, corr), the
     (..., m + 1, K_a) channels and the (..., m + 1, tau_p) pilot block
     correlated with the unitary book, in a rotated basis of m + 1 antenna
-    coordinates, m = min(K_a, M).
+    coordinates, m = min(K_a, M). G and corr are views of ``out``,
+    :func:`block_arrays` of at least B slots (made afresh when it is None).
 
     ``assignment`` is one slot's (K_a,) pilots or a block's (B, K_a); the
     gains ``betas`` hold in every slot. The receiver reads the channels'
@@ -256,33 +274,38 @@ def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rn
     shapes = np.empty((B, m + tau_p))
     shapes[:, :m] = M - np.arange(m)
     shapes[:, m:] = np.where(used, M - m, M)
-    zg, zp, g = np.empty((B, strict.size)), np.empty(ends[-1]), np.empty((B, m + tau_p))
+    arrays = block_arrays(B, K_a, tau_p, m + 1) if out is None else out
+    Gt, Ct, E, prod = (arrays[name][:B] for name in ("Gt", "Ct", "E", "scratch"))
+    zg = arrays["z"][:B * strict.size].reshape(B, strict.size)
+    zp, g = arrays["z"][B * strict.size:][:ends[-1]], np.empty((B, m + tau_p))
     for b in range(B):  # per slot, so a slot's draws do not depend on its block
         rng.standard_normal(out=zg[b])
         rng.standard_normal(out=zp[ends[b] - counts[b]:ends[b]])
         rng.standard_gamma(shapes[b], out=g[b])
-    Gt = np.zeros((B, K_a, m + 1), dtype=complex)  # G^T: coordinates on the last axis
-    Gt.reshape(B, -1).view(float)[:, strict] = zg * np.sqrt(0.5 * betas)[device]
+    Gt[...] = Ct[...] = E[...] = 0  # each is written sparsely below
+    zg *= np.sqrt(0.5 * betas)[device]
+    Gt.reshape(B, -1).view(float)[:, strict] = zg
     Gt.reshape(B, -1)[:, diag] = np.sqrt(g[:, :m] * betas[:m])
-    Ct = np.zeros((B, tau_p, m + 1), dtype=complex)  # corr^T
-    Ct[:, :, :m][used] = (zp * np.sqrt(0.5)).view(complex).reshape(np.count_nonzero(used), m)
+    zp *= np.sqrt(0.5)
+    Ct[:, :, :m][used] = zp.view(complex).reshape(np.count_nonzero(used), m)
     Ct[:, :, m] = np.sqrt(g[:, m:])
-    E = np.zeros((B, tau_p, K_a))  # sqrt(tau_p) times the 0/1 map of device k to its pilot
-    E[np.arange(B)[:, None], block, np.arange(K_a)] = np.sqrt(tau_p)
-    Ct.view(float)[...] += E @ Gt.view(float)
+    E[np.arange(B)[:, None], block, np.arange(K_a)] = np.sqrt(tau_p)  # sqrt(tau_p) at (device k's pilot, k)
+    Ct.view(float)[...] += np.matmul(E, Gt.view(float), out=prod.view(float))
     G, corr = np.swapaxes(Gt, -1, -2), np.swapaxes(Ct, -1, -2)
     return (G, corr) if A.ndim == 2 else (G[0], corr[0])
 
 
-def simulate_slot(betas, assignment, tau_p: int, M: int, rng: np.random.Generator) -> SlotOutcome:
+def simulate_slot(betas, assignment, tau_p: int, M: int, rng: np.random.Generator, out=None) -> SlotOutcome:
     """One coherence slot on a book of ``tau_p`` pilots, or a block of slots
-    (``assignment`` (B, K_a)): training, detection, genie SINR."""
+    (``assignment`` (B, K_a)): training, detection, genie SINR. ``out`` is
+    :func:`block_arrays` of at least B slots, or None; no output is a view of it."""
     betas = np.asarray(betas, dtype=float)
     assignment = np.asarray(assignment, dtype=int)
-    G, corr = train_slot(betas, assignment, tau_p, M, rng)
+    G, corr = train_slot(betas, assignment, tau_p, M, rng, out=out)
     energy = pilot_energy(corr)
     pilots = assignment if assignment.ndim == 1 else np.arange(len(assignment))[:, None] * tau_p + assignment
-    return SlotOutcome(detect_pilots(energy, M), pilots, mrc_and_measure(G, betas, assignment, corr, energy, tau_p))
+    sinr = mrc_and_measure(G, betas, assignment, corr, energy, tau_p, out=out)
+    return SlotOutcome(detect_pilots(energy, M), pilots, sinr)
 
 
 @dataclass(frozen=True)
@@ -374,10 +397,10 @@ def run_frame(
     Per-device empirical rates average log2(1 + SINR) over the slots in
     which the device's pilot was detected (undetected slots contribute
     zero), scaled by the training-overhead prelog. Slots are simulated in
-    blocks sized by ``SLOT_ENTRIES``; rates are added slot by slot, in slot
-    order, so no output depends on the block size. Every run detects pilots
-    at ``ZETA`` and identifies devices at ``RHO``: no spec field reaches
-    either.
+    blocks sized by ``SLOT_ENTRIES``, all in one :func:`block_arrays`;
+    rates are added slot by slot, in slot order, so no output depends on
+    the block size. Every run detects pilots at ``ZETA`` and identifies
+    devices at ``RHO``: no spec field reaches either.
     """
     if cfg.tau_p is None or cfg.p_a is None:
         raise ValueError("run_frame needs tau_p and p_a set")
@@ -394,15 +417,17 @@ def run_frame(
     bits = np.zeros(active.size)
     detected = np.zeros((n_slots, tau_p), dtype=bool)  # slot l's detected pilots
     step = max(1, SLOT_ENTRIES // ((active.size + tau_p) * (min(active.size, M) + 1)))
+    arrays = block_arrays(min(step, n_slots), active.size, tau_p, min(active.size, M) + 1)
     for start in range(0, n_slots, step):
         block = range(start, min(start + step, n_slots))
         assignments = patterns_of(active, block).T  # row b: the active devices' pilots in slot start + b
-        out = simulate_slot(betas, assignments, tau_p, M, rng)
+        slot = simulate_slot(betas, assignments, tau_p, M, rng, out=arrays)
         hits = detected[block.start:block.stop]
-        hits.reshape(-1)[out.detected] = True
-        seen = hits.reshape(-1)[out.pilot_of_device]
-        for gained in np.where(seen, np.log2(1.0 + out.device_sinr), 0.0):  # slot by slot, in slot order
+        hits.reshape(-1)[slot.detected] = True
+        seen = hits.reshape(-1)[slot.pilot_of_device]
+        for gained in np.where(seen, np.log2(1.0 + slot.device_sinr), 0.0):  # slot by slot, in slot order
             bits += gained
+    del arrays  # the identification scan's buffers do not stack on them
 
     prelog = (tau_u - tau_p) / tau_u
     rates = prelog * bits / n_slots

@@ -14,6 +14,7 @@ from pilothop.protocol import (
     SCAN_ENTRIES,
     IdentificationReport,
     all_patterns,
+    block_arrays,
     detect_pilots,
     estimate_sum_power,
     hopping_patterns,
@@ -448,6 +449,35 @@ def test_a_block_of_slots_equals_its_slots_one_at_a_time(tau_p, M, K_a):
     assert one.random() == again.random()
 
 
+@pytest.mark.parametrize("tau_p, M, K_a", [(39, 100, 37), (5, 4, 7)])  # m = K_a < M, m = M < K_a
+@pytest.mark.parametrize("slots", [6, 4, None])  # a full block, a shorter last block, one slot's (K_a,) pilots
+def test_caller_supplied_arrays_give_the_bits_of_fresh_ones(tau_p, M, K_a, slots):
+    # the arrays start as NaN, so any entry a block reads without writing or zeroing it
+    # first would show in the outputs; a shorter block writes leading views of them
+    rng = np.random.default_rng(K_a)
+    betas = 10.0 ** rng.uniform(-1.0, 1.0, K_a)
+    A = rng.integers(0, tau_p, K_a if slots is None else (slots, K_a))
+    arrays = block_arrays(6, K_a, tau_p, min(K_a, M) + 1)
+
+    def spoiled():
+        for a in arrays.values():
+            a.view(float).fill(np.nan)
+        return arrays
+
+    G, corr = train_slot(betas, A, tau_p, M, np.random.default_rng(5))
+    G_w, corr_w = train_slot(betas, A, tau_p, M, np.random.default_rng(5), out=spoiled())
+    assert np.array_equal(G_w, G) and np.array_equal(corr_w, corr)
+    assert np.shares_memory(G_w, arrays["Gt"]) and np.shares_memory(corr_w, arrays["Ct"])
+    energy = pilot_energy(corr)
+    sinr = mrc_and_measure(G, betas, A, corr, energy, tau_p)
+    assert np.array_equal(mrc_and_measure(G, betas, A, corr, energy, tau_p, out=spoiled()), sinr)
+    fresh = simulate_slot(betas, A, tau_p, M, np.random.default_rng(5))
+    got = simulate_slot(betas, A, tau_p, M, np.random.default_rng(5), out=spoiled())
+    spoiled()  # no output is a view of the arrays
+    for name in ("detected", "pilot_of_device", "device_sinr"):
+        assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
+
+
 @pytest.mark.parametrize("M, n", [(6, 4), (4, 7)])
 def test_bartlett_factor_gram_has_wishart_moments(M, n):
     # the full-basis reference's factor: R^H R is distributed as X^H X for X
@@ -733,9 +763,9 @@ def test_run_frame_memory_stays_bounded_at_mmtc_scale(power_controlled):
 
 
 def test_run_frame_scratch_does_not_grow_with_the_frame(monkeypatch):
-    # slot-dense's point: blocks of slots are drawn and dropped, so a frame keeps
-    # per slot only its detection map, a byte per pilot. The identification
-    # scan, whose blocks are bounded by SCAN_ENTRIES, is left out here
+    # slot-dense's point: the blocks' arrays are sized by a block, not by the frame,
+    # so a frame keeps per slot only its detection map, a byte per pilot. The
+    # identification scan, whose blocks are bounded by SCAN_ENTRIES, is left out here
     cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=39, p_a=40.4638937 / 800,
                        model=UniformPowerError(10.0, 0.0), seed=5)
     nobody = IdentificationReport(*[np.zeros(0, dtype=int)] * 3)

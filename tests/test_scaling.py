@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pilothop.bounds import sinra
 from pilothop.channels import LogNormalShadowing, UniformPowerError, RingPathLoss, analytic_moments, beta_nodes
 from pilothop import scaling
+from pilothop.config import parse_model, parse_spec
 from pilothop.scaling import (
     AB_GRID_POINTS,
     AB_STAGES,
@@ -162,3 +164,20 @@ def test_spread_factor_enters_predictions():
     f = analytic_moments(ring).spread_factor
     assert p.p_aK == pytest.approx(math.sqrt(f) * 0.5 * math.sqrt(100 * 100000), rel=1e-12)
     assert f > 1.0
+
+
+_SHIPPED = parse_spec(Path(__file__).resolve().parent.parent / "specs" / "scaling_antenna_rich.yaml")
+
+
+@pytest.mark.parametrize("case, model, ladder", [
+    (_SHIPPED.case, parse_model(_SHIPPED.system["model"]), _SHIPPED.ladder),
+    # the ladders of the tests above
+    ("antenna-rich", UniformPowerError(10.0, 0.0), [(10**3, 100), (10**4, 100)]),
+    ("balanced", UniformPowerError(10.0, 0.0), [(100, 100), (400, 400)]),
+    ("slot-rich", UniformPowerError(10.0, 0.0), [(100, 10**4), (100, 10**6)]),
+    ("balanced", UniformPowerError(10.0, 0.5), [(100, 100), (400, 400), (1600, 1600)]),
+], ids=["shipped", "antenna-rich", "balanced", "slot-rich", "balanced-spread"])
+def test_the_activation_cap_never_binds_on_a_ladder_rung(case, model, ladder):
+    # LADDER_K's claim: every rung's optimum has p_a < 1, so the regimes speak of p_aK, not of K
+    points = verify_scaling(case, model, ladder)
+    assert len(points) == len(ladder) and all(pt.p_aK_opt < scaling.LADDER_K for pt in points), points

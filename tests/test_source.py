@@ -3,7 +3,6 @@
 import ast
 import json
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -41,18 +40,30 @@ def _module_level(tree):
             todo.extend(ast.iter_child_nodes(node))
 
 
-def _scipy_imports(nodes) -> list:
+def _imports(nodes, package: str) -> list:
     return [node for node in nodes
-            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
-            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"]
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == package for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package]
+
+
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
 def test_no_module_imports_scipy_at_module_level():
     # scipy is imported on first use, by access.load_binomial, never with the package
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
-    found = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in _scipy_imports(_module_level(tree))]
-    anywhere = [node for tree in trees.values() for node in _scipy_imports(ast.walk(tree))]
+    trees = _trees()
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in _imports(_module_level(tree), "scipy")]
+    anywhere = [node for tree in trees.values() for node in _imports(ast.walk(tree), "scipy")]
     assert anywhere and not found, found
+
+
+def test_no_module_imports_ctypes():
+    # the package leaves memory and threads to numpy: a foreign call through ctypes (an allocator
+    # setting, a BLAS thread count) would hold for one entry point and not for library callers
+    trees = _trees()
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in _imports(ast.walk(tree), "ctypes")]
+    assert len(trees) >= 10 and not found, found
 
 
 SPECS = sorted((SRC.parent.parent / "specs").glob("*.yaml"))
@@ -192,26 +203,37 @@ def test_a_failed_ufunc_import_propagates_and_leaves_no_bare_package():
         out.stdout + out.stderr
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap limits are glibc's")
-def test_a_slot_run_keeps_its_block_arrays_on_the_heap(tmp_path):
-    # at glibc's default limits this run takes over 60,000 page faults, each block's
-    # arrays mapped afresh; with the heap kept, a few hundred
+@pytest.mark.skipif(sys.platform == "win32", reason="the resource module, which counts page faults, is POSIX-only")
+@pytest.mark.parametrize("through", ["cli", "experiments"], ids=["cli", "library"])
+def test_a_slot_run_takes_few_page_faults(tmp_path, through):
+    # run_frame takes its blocks' arrays once per frame, so only a frame's first block maps
+    # fresh pages, and `pilothop run` and a library caller, which never imports pilothop.cli,
+    # fault alike. With arrays allocated per block this run took over 58,000 faults either way
     spec = SRC.parent.parent / "specs" / "protocol_validation.yaml"
+    call = {
+        "cli": f"cli.main(['run', {str(spec)!r}, '--out', {str(tmp_path)!r}, '--seed', '905'])",
+        "experiments": f"sorted(experiments.run_experiment(parse_spec(Path({str(spec)!r})), seed_override=905))",
+    }[through]
     code = (
-        "import resource\n"
-        "from pilothop import cli\n"
-        "faults, run_experiment = [], cli.run_experiment\n"
+        "import json, resource, sys\n"
+        "from pathlib import Path\n"
+        f"from pilothop import {through}\n"
+        "from pilothop.config import parse_spec\n"
+        "from pilothop.experiments import run_experiment\n"
+        "faults = []\n"
         "def counted(*args, **kwargs):\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    out = run_experiment(*args, **kwargs)\n"
         "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         "    return out\n"
-        "cli.run_experiment = counted\n"
-        f"print(cli.main(['run', {str(spec)!r}, '--out', {str(tmp_path)!r}, '--seed', '905']), faults[0])\n"
+        f"{through}.run_experiment = counted\n"
+        f"result = {call}\n"
+        "print(json.dumps([result, faults, 'pilothop.cli' in sys.modules]))\n"
     )
     out = _python(code)
-    rc, faults = map(int, out.stdout.split()[-2:])
-    assert rc == 0 and faults < 5000, out.stdout + out.stderr
+    result, faults, cli_loaded = json.loads(out.stdout.splitlines()[-1])
+    assert result == {"cli": 0, "experiments": ["compare"]}[through], out.stdout + out.stderr
+    assert cli_loaded == (through == "cli") and len(faults) == 1 and faults[0] < 5000, faults
 
 
 def test_import_cli_leaves_multiprocessing_out():
