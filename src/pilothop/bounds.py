@@ -35,8 +35,8 @@ call. Only the prefix sums of the last gain pool built are kept, if they
 fit in 32 MiB (``_POOL``). The rows of a grid share its activation
 windows, taken once per grid. An R3 or Ra grid takes one ``expect_rows``
 call over the memoized gain nodes (``_analytic_stage``), each block of
-cells written in place by the bound's one SINR formula (``_sinr3_fill``,
-``_sinra_fill``) at each cell's pilot length and activation level.
+cells written in place by the bound's one SINR formula (``_sinr3``,
+``_sinra``) at each cell's pilot length and activation level.
 
 ``r1_ceiling`` bounds every R1 cell of a grid from above at a fraction of
 its cost, so a search need evaluate exactly only the cells that can win.
@@ -193,8 +193,8 @@ def _pow2(x):
     return np.float_power(x, 2)
 
 
-def _sinr3_fill(b0, moments: BetaMoments, K: int, M: int):
-    """R3's SINR at the gains ``b0`` as ``fill(tau_p, p_a, out)``, which writes it at every (cell, b0) into ``out``.
+def _sinr3(b0, tau_p, p_a, moments: BetaMoments, K: int, M: int, out):
+    """R3's SINR at the gains ``b0``, pilot lengths ``tau_p`` and activation probabilities ``p_a``, written into ``out``.
 
     ``tau_p`` and ``p_a`` broadcast against ``b0``; a stage passes (cells, 1)
     columns. With n1 = p_a K - 1 the denominator is b2m (M-1) n1 + b0 (1 + bm
@@ -205,47 +205,37 @@ def _sinr3_fill(b0, moments: BetaMoments, K: int, M: int):
     if M < 2:
         raise ValueError("M must be >= 2")
     bm, b2m = moments.mean, moments.mean_sq
-    b0_sq = b0**2
-
-    def fill(tau_p, p_a, out):
-        paK = p_a * K
-        if np.any(paK < 1.0):
-            raise ValueError(f"p_a*K = {np.min(paK):.3g} < 1: the averaged interference terms are meaningless; "
-                             "evaluate r1_bar directly for sparse activity")
-        n1 = paK - 1.0
-        den = np.multiply(b0, 1.0 + bm * n1, out=out)
-        den += b2m * (M - 1) * n1
-        den -= bm**2 * n1
-        den += (1.0 + n1 * bm) * (1.0 + b0 * tau_p)
-        den += n1 * bm
-        den += bm**2 * (_pow2(p_a) * K * (K - 1) - n1)
-        if not den.min() > 0:
-            raise ValueError("non-positive interference power: beta_0 must be positive")
-        return np.divide(tau_p * (M - 1) * b0_sq, den, out=den)
-
-    return fill
+    paK = p_a * K
+    if np.any(paK < 1.0):
+        raise ValueError(f"p_a*K = {np.min(paK):.3g} < 1: the averaged interference terms are meaningless; "
+                         "evaluate r1_bar directly for sparse activity")
+    n1 = paK - 1.0
+    den = np.multiply(b0, 1.0 + bm * n1, out=out)
+    den += b2m * (M - 1) * n1
+    den -= bm**2 * n1
+    den += (1.0 + n1 * bm) * (1.0 + b0 * tau_p)
+    den += n1 * bm
+    den += bm**2 * (_pow2(p_a) * K * (K - 1) - n1)
+    if not den.min() > 0:
+        raise ValueError("non-positive interference power: beta_0 must be positive")
+    return np.divide(tau_p * (M - 1) * b0**2, den, out=den)
 
 
-def _sinra_fill(b0, moments: BetaMoments, M: int):
-    """The large-system SINR at the gains ``b0`` as ``fill(tau_p, p_aK, out)``, as :func:`_sinr3_fill` fills R3's."""
+def _sinra(b0, tau_p, p_aK, moments: BetaMoments, M: int, out):
+    """The large-system SINR at the gains ``b0``, written into ``out`` as :func:`_sinr3` writes R3's."""
+    if np.any(p_aK <= 0):
+        raise ValueError("p_a*K must be positive")
     bm, b2m = moments.mean, moments.mean_sq
-    b0_sq, mean_b0 = b0**2, bm * b0
-
-    def fill(tau_p, p_aK, out):
-        if np.any(p_aK <= 0):
-            raise ValueError("p_a*K must be positive")
-        den = np.multiply(mean_b0, p_aK, out=out)
-        den *= tau_p
-        den += b2m * M * p_aK + bm**2 * _pow2(p_aK)
-        return np.divide(M * tau_p * b0_sq, den, out=den)
-
-    return fill
+    den = np.multiply(bm * b0, p_aK, out=out)
+    den *= tau_p
+    den += b2m * M * p_aK + bm**2 * _pow2(p_aK)
+    return np.divide(M * tau_p * b0**2, den, out=den)
 
 
 def sinra(beta_0, moments: BetaMoments, tau_p: float, p_aK: float, M: int):
     """Large-system SINR. Vectorized over beta_0 and p_aK."""
     b0, p_aK = np.asarray(beta_0, dtype=float), np.asarray(p_aK, dtype=float)
-    return _sinra_fill(b0, moments, M)(tau_p, p_aK, np.empty(np.broadcast_shapes(b0.shape, p_aK.shape)))[()]
+    return _sinra(b0, tau_p, p_aK, moments, M, np.empty(np.broadcast_shapes(b0.shape, p_aK.shape)))[()]
 
 
 # Byte cap of the gain pool that _prefix_sums holds between calls.
@@ -444,7 +434,8 @@ def _averaged_row(cfg: "SystemConfig", tau_p: int, terms: list, use_sinr2: bool)
 
     exact = is_degenerate(cfg.model)
     n = 1 if exact else mc.n_beta_samples
-    k_top = max(k_lo + coeffs.size - 1 for k_lo, coeffs in cells)
+    # R2 reads only the reference gain, pool column 0
+    k_top = 1 if use_sinr2 else max(k_lo + coeffs.size - 1 for k_lo, coeffs in cells)
     cum, cum_sq = _prefix_sums(cfg.model, n, k_top, cfg.seed)
     moments = analytic_moments(cfg.model) if use_sinr2 else None
     for i, total_s in zip(live, _f_row_sums(cum, cum_sq, cells, tau_p, cfg.M, mc.eps_tail, moments)):
@@ -461,7 +452,8 @@ def _analytic_stage(bound: str, cfg: "SystemConfig", tau_ps, p_a) -> np.ndarray:
     Returns a (len(tau_ps), len(p_a)) grid. Cell (i, j) is ``prelog_i *
     p_aK_j * E[log2(1 + sinr(gain; tau_p_i, p_a_j))]``, with the
     expectations of every live cell of the stage taken by one
-    :func:`expect_rows` call through the bound's SINR fill. Cells with
+    :func:`expect_rows` call that writes the bound's SINR (:func:`_sinr3`,
+    :func:`_sinra`) into its blocks. Cells with
     p_a*K = 0, and every cell of a row with tau_p = tau_u, are 0.
     """
     tau_ps = np.array(tau_ps, dtype=int)
@@ -471,14 +463,15 @@ def _analytic_stage(bound: str, cfg: "SystemConfig", tau_ps, p_a) -> np.ndarray:
     rows, cols = np.nonzero((prelog != 0.0)[:, None] & (paK != 0.0))
     moments = analytic_moments(cfg.model)
     taus, levels = tau_ps[rows, None], (p_a if bound == "R3" else paK)[cols, None]
+    sinr, args = (_sinr3, (moments, cfg.K, cfg.M)) if bound == "R3" else (_sinra, (moments, cfg.M))
 
-    def f(b0):
-        sinr = _sinr3_fill(b0, moments, cfg.K, cfg.M) if bound == "R3" else _sinra_fill(b0, moments, cfg.M)
-        return lambda at, out: np.log2(np.add(sinr(taus[at], levels[at], out), 1.0, out=out), out=out)
+    def fill(b0, at, out):
+        sinr(b0, taus[at], levels[at], *args, out)
+        np.log2(np.add(out, 1.0, out=out), out=out)
 
     values = np.zeros((tau_ps.size, p_a.size))
     if rows.size:
-        values[rows, cols] = prelog[rows] * paK[cols] * expect_rows(cfg.model, f, rows.size)
+        values[rows, cols] = prelog[rows] * paK[cols] * expect_rows(cfg.model, fill, rows.size)
     return values
 
 

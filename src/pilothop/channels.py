@@ -213,24 +213,23 @@ def expect_beta(model: LargeScaleModel, f: Callable) -> float:
     return float(w @ np.asarray(f(nodes), dtype=float))
 
 
-def expect_rows(model: LargeScaleModel, f: Callable, n_rows: int) -> np.ndarray:
+def expect_rows(model: LargeScaleModel, fill: Callable, n_rows: int) -> np.ndarray:
     """E[f_r(gain)] for each row r = 0..n_rows-1 of a family of integrands.
 
-    ``f(nodes)`` is called once on the n nodes of :func:`beta_nodes` and
-    returns ``fill(rows, out)``, which writes the integrands of the slice
-    ``rows`` at every node into ``out``, a (len(rows), n) block of at most
-    _BLOCK_ELEMENTS entries (or one row) that expect_rows owns, and returns
-    it. Each row is reduced on its own as ``w @ row``, the reduction
-    :func:`expect_beta` makes: a row's value equals expect_beta of its
-    integrand, whatever rows are filled with it.
+    ``fill(nodes, rows, out)`` writes the integrands of the slice ``rows``
+    at the n nodes of :func:`beta_nodes` into ``out``, a (len(rows), n)
+    block of at most _BLOCK_ELEMENTS entries (or one row) of the one buffer
+    that expect_rows owns. Each row is reduced on its own as ``w @ row``,
+    the reduction :func:`expect_beta` makes: a row's value equals
+    expect_beta of its integrand, whatever rows are filled with it.
     """
     nodes, w = beta_nodes(model)
-    fill = f(nodes)
     values = np.empty(n_rows)
     step = min(max(1, _BLOCK_ELEMENTS // nodes.size), n_rows)
     buf = np.empty((step, nodes.size))
     for lo in range(0, n_rows, step):
-        block = fill(slice(lo, lo + step), buf[:n_rows - lo])
+        block = buf[:n_rows - lo]
+        fill(nodes, slice(lo, lo + step), block)
         for j, row in enumerate(block, lo):
             values[j] = w @ row
     return values

@@ -146,11 +146,11 @@ def estimate_sum_power(y_p: np.ndarray, tau_p: int, M: int):
 
 @dataclass
 class SlotOutcome:
-    """Receiver outputs plus the genie SINR for one slot, or a block of slots.
+    """Receiver outputs plus the genie SINR for a block of B slots.
 
-    For a block, ``detected`` and ``pilot_of_device`` hold flat ids
-    b*tau_p + pilot of the block's slot b, and ``pilot_of_device`` and
-    ``device_sinr`` are (B, K_a).
+    ``detected`` and ``pilot_of_device`` hold flat ids b*tau_p + pilot of
+    the block's slot b, and ``pilot_of_device`` and ``device_sinr`` are (B,
+    K_a).
     """
 
     detected: np.ndarray
@@ -165,29 +165,25 @@ def mrc_and_measure(
     corr: np.ndarray,
     yn2: np.ndarray,
     tau_p: int,
-    out: dict | None = None,
+    out: dict,
 ) -> np.ndarray:
-    """Genie SINR per active device under MRC along its pilot's observation.
+    """Genie SINR per active device under MRC along its pilot's observation, for a block of B slots.
 
     The combiner is a positive multiple of the correlated observation
-    ``corr[:, pilot]``, and the SINR does not depend on that multiple, so
+    ``corr[b, :, pilot]``, and the SINR does not depend on that multiple, so
     neither the receiver's sum-power estimate nor any data realization
-    enters it. ``yn2 = pilot_energy(corr)``, as detection reads it. One
-    product ``U[j, k] = y_j^H g_k`` serves every pilot; the per-pilot terms
-    are sums over the pilot's members, and only the rows of pilots in use
-    are read. A block of B slots on a leading axis (G (B, r, K_a),
-    assignment (B, K_a), corr (B, r, tau_p), yn2 (B, tau_p)) is one batched
-    product whose row b*tau_p + j is slot b's pilot j; it returns (B, K_a).
-    corr^H and U go into ``out``, :func:`block_arrays` (afresh if None).
+    enters it. ``yn2 = pilot_energy(corr)``, as detection reads it. G is (B,
+    r, K_a), ``assignment`` (B, K_a), corr (B, r, tau_p) and yn2 (B, tau_p).
+    One batched product ``U[b*tau_p + j, k] = y_j^H g_k`` serves every
+    pilot of every slot; the per-pilot terms are sums over the pilot's
+    members, and only the rows of pilots in use are read. Returns (B, K_a).
+    corr^H and U go into ``out``, :func:`block_arrays` of at least B slots.
     """
-    assignment = np.asarray(assignment)
-    K_a, r = betas.size, corr.shape[-2]
-    B = int(np.prod(assignment.shape[:-1]))
-    arrays = block_arrays(B, K_a, tau_p, r) if out is None else out
-    rows = (np.arange(B)[:, None] * tau_p + assignment.reshape(B, K_a)).ravel()
+    B, K_a = assignment.shape
+    rows = (np.arange(B)[:, None] * tau_p + assignment).ravel()
     own = (rows, np.tile(np.arange(K_a), B))
-    corr_h = np.conjugate(np.swapaxes(corr, -1, -2).reshape(B, tau_p, r), out=arrays["scratch"][:B])
-    U = np.matmul(corr_h, G.reshape(B, r, K_a), out=arrays["U"][:B]).reshape(B * tau_p, K_a)
+    corr_h = np.conjugate(np.swapaxes(corr, -1, -2), out=out["scratch"][:B])
+    U = np.matmul(corr_h, G, out=out["U"][:B]).reshape(B * tau_p, K_a)
     betas = np.tile(betas, B)
     yn2 = yn2.reshape(-1)
     total = np.bincount(rows, weights=betas, minlength=B * tau_p)
@@ -199,7 +195,7 @@ def mrc_and_measure(
     off = U.real**2 + U.imag**2
     off[own] = 0.0  # row j keeps only the devices off pilot j
     rest = (ee + off.sum(axis=1) + yn2)[rows]
-    return (gd2 / (gd2_tot[rows] - gd2 + rest)).reshape(assignment.shape)
+    return (gd2 / (gd2_tot[rows] - gd2 + rest)).reshape(B, K_a)
 
 
 @lru_cache(maxsize=16)
@@ -225,15 +221,15 @@ def block_arrays(slots: int, K_a: int, tau_p: int, r: int) -> dict:
     return {**arrays, "E": np.empty((slots, tau_p, K_a)), "z": np.empty(slots * draws)}
 
 
-def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rng: np.random.Generator, out=None):
-    """Training phase of one slot, or of a block of slots: (G, corr), the
-    (..., m + 1, K_a) channels and the (..., m + 1, tau_p) pilot block
-    correlated with the unitary book, in a rotated basis of m + 1 antenna
-    coordinates, m = min(K_a, M). G and corr are views of ``out``,
-    :func:`block_arrays` of at least B slots (made afresh when it is None).
+def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rng: np.random.Generator, out: dict):
+    """Training phase of a block of B slots: (G, corr), the (B, m + 1, K_a)
+    channels and the (B, m + 1, tau_p) pilot blocks correlated with the
+    unitary book, in a rotated basis of m + 1 antenna coordinates, m =
+    min(K_a, M). G and corr are views of ``out``, :func:`block_arrays` of at
+    least B slots.
 
-    ``assignment`` is one slot's (K_a,) pilots or a block's (B, K_a); the
-    gains ``betas`` hold in every slot. The receiver reads the channels'
+    ``assignment`` holds the block's (B, K_a) pilots; the gains ``betas``
+    hold in every slot. The receiver reads the channels'
     inner products with each other, each used pilot's inner products with
     the channels, and each pilot's energy, so a slot draws those statistics
     and no more. Its first m coordinates span the channels, and the last
@@ -261,23 +257,19 @@ def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rn
     law of the physical slot's; only the inner products between two pilots'
     observations, which the receiver never reads, do not.
     """
-    betas = np.asarray(betas, dtype=float)
-    A = np.asarray(assignment, dtype=int)
-    block = A if A.ndim == 2 else A[None]
-    B, K_a = block.shape
+    B, K_a = assignment.shape
     m = min(K_a, M)
     strict, device, diag = _bartlett_layout(K_a, m)
     used = np.zeros((B, tau_p), dtype=bool)
-    used[np.arange(B)[:, None], block] = True
+    used[np.arange(B)[:, None], assignment] = True
     counts = 2 * m * np.count_nonzero(used, axis=1)
     ends = np.cumsum(counts)
     shapes = np.empty((B, m + tau_p))
     shapes[:, :m] = M - np.arange(m)
     shapes[:, m:] = np.where(used, M - m, M)
-    arrays = block_arrays(B, K_a, tau_p, m + 1) if out is None else out
-    Gt, Ct, E, prod = (arrays[name][:B] for name in ("Gt", "Ct", "E", "scratch"))
-    zg = arrays["z"][:B * strict.size].reshape(B, strict.size)
-    zp, g = arrays["z"][B * strict.size:][:ends[-1]], np.empty((B, m + tau_p))
+    Gt, Ct, E, prod = (out[name][:B] for name in ("Gt", "Ct", "E", "scratch"))
+    zg = out["z"][:B * strict.size].reshape(B, strict.size)
+    zp, g = out["z"][B * strict.size:][:ends[-1]], np.empty((B, m + tau_p))
     for b in range(B):  # per slot, so a slot's draws do not depend on its block
         rng.standard_normal(out=zg[b])
         rng.standard_normal(out=zp[ends[b] - counts[b]:ends[b]])
@@ -289,21 +281,18 @@ def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rn
     zp *= np.sqrt(0.5)
     Ct[:, :, :m][used] = zp.view(complex).reshape(np.count_nonzero(used), m)
     Ct[:, :, m] = np.sqrt(g[:, m:])
-    E[np.arange(B)[:, None], block, np.arange(K_a)] = np.sqrt(tau_p)  # sqrt(tau_p) at (device k's pilot, k)
+    E[np.arange(B)[:, None], assignment, np.arange(K_a)] = np.sqrt(tau_p)  # sqrt(tau_p) at (device k's pilot, k)
     Ct.view(float)[...] += np.matmul(E, Gt.view(float), out=prod.view(float))
-    G, corr = np.swapaxes(Gt, -1, -2), np.swapaxes(Ct, -1, -2)
-    return (G, corr) if A.ndim == 2 else (G[0], corr[0])
+    return np.swapaxes(Gt, -1, -2), np.swapaxes(Ct, -1, -2)
 
 
-def simulate_slot(betas, assignment, tau_p: int, M: int, rng: np.random.Generator, out=None) -> SlotOutcome:
-    """One coherence slot on a book of ``tau_p`` pilots, or a block of slots
-    (``assignment`` (B, K_a)): training, detection, genie SINR. ``out`` is
-    :func:`block_arrays` of at least B slots, or None; no output is a view of it."""
-    betas = np.asarray(betas, dtype=float)
-    assignment = np.asarray(assignment, dtype=int)
+def simulate_slot(betas, assignment, tau_p: int, M: int, rng: np.random.Generator, out: dict) -> SlotOutcome:
+    """A block of coherence slots on a book of ``tau_p`` pilots (``assignment``
+    (B, K_a)): training, detection, genie SINR. ``out`` is :func:`block_arrays`
+    of at least B slots; no output is a view of it."""
     G, corr = train_slot(betas, assignment, tau_p, M, rng, out=out)
     energy = pilot_energy(corr)
-    pilots = assignment if assignment.ndim == 1 else np.arange(len(assignment))[:, None] * tau_p + assignment
+    pilots = np.arange(len(assignment))[:, None] * tau_p + assignment
     sinr = mrc_and_measure(G, betas, assignment, corr, energy, tau_p, out=out)
     return SlotOutcome(detect_pilots(energy, M), pilots, sinr)
 

@@ -3,7 +3,8 @@ the package computes another way (the R2 SINR as its own function, the R3
 SINR at scalars, the SINR rebuilt from the MMSE variances, the DFT pilot
 book ``train_slot`` rotates away, the full-basis training phase whose
 statistics ``train_slot`` draws, the whole-frame hopping-pattern hash, a
-frame replayed one slot at a time)."""
+frame replayed one slot at a time), and the slot routines run on one slot
+as a block of one (``train_one``, ``simulate_one``, ``mrc_one``)."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -12,9 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from pilothop.access import ActivationLaw, sample_active_set
-from pilothop.bounds import CollisionScenario, _sinr3_fill, estimation_variances
+from pilothop.bounds import CollisionScenario, _sinr3, estimation_variances
 from pilothop.channels import BetaMoments, sample_beta
-from pilothop.protocol import hopping_patterns, simulate_slot
+from pilothop.protocol import SlotOutcome, block_arrays, hopping_patterns, mrc_and_measure, simulate_slot, train_slot
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,10 @@ def sinr_components(s: CollisionScenario, other_active_betas: Sequence[float] = 
 def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a, K: int, M: int):
     """SINR with collider and active counts averaged out. Broadcasts over ``beta_0`` and ``p_a``.
 
-    It is the formula the R3 stage path fills (``bounds._sinr3_fill``), taken at one shape.
+    It is the formula the R3 stage writes (``bounds._sinr3``), taken at one shape.
     """
     b0, p_a = np.asarray(beta_0, dtype=float), np.asarray(p_a, dtype=float)
-    return _sinr3_fill(b0, moments, K, M)(tau_p, p_a, np.empty(np.broadcast_shapes(b0.shape, p_a.shape)))[()]
+    return _sinr3(b0, tau_p, p_a, moments, K, M, np.empty(np.broadcast_shapes(b0.shape, p_a.shape)))[()]
 
 
 def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):
@@ -148,16 +149,44 @@ def full_train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: in
     return Gt.view(complex).T, (Rt[K_a:] + (E @ Gt).view(complex)).T
 
 
+def _one(betas, assignment, tau_p: int, r: int):
+    """One slot as a block of one: its gains, its (1, K_a) pilots and its own ``block_arrays(1, ...)`` of r rows."""
+    betas = np.asarray(betas, dtype=float)
+    return betas, np.asarray(assignment, dtype=int)[None], block_arrays(1, betas.size, tau_p, r)
+
+
+def train_one(betas, assignment, tau_p: int, M: int, rng: np.random.Generator):
+    """``train_slot`` on one slot, a block of one: the slot's (G, corr)."""
+    betas, A, out = _one(betas, assignment, tau_p, min(len(betas), M) + 1)
+    G, corr = train_slot(betas, A, tau_p, M, rng, out=out)
+    return G[0], corr[0]
+
+
+def simulate_one(betas, assignment, tau_p: int, M: int, rng: np.random.Generator) -> SlotOutcome:
+    """``simulate_slot`` on one slot, a block of one: the slot's outcome, its
+    pilot ids and its (K_a,) SINRs without the block axis."""
+    betas, A, out = _one(betas, assignment, tau_p, min(len(betas), M) + 1)
+    slot = simulate_slot(betas, A, tau_p, M, rng, out=out)
+    return SlotOutcome(slot.detected, slot.pilot_of_device[0], slot.device_sinr[0])
+
+
+def mrc_one(G, betas, assignment, corr, yn2, tau_p: int):
+    """``mrc_and_measure`` on one slot's (r, K_a) channels, (r, tau_p)
+    correlation and (tau_p,) energies, a block of one: the slot's (K_a,) SINRs."""
+    betas, A, out = _one(betas, assignment, tau_p, corr.shape[0])
+    return mrc_and_measure(G[None], betas, A, corr[None], yn2[None], tau_p, out=out)[0]
+
+
 def replay_frame(cfg, n_slots: int, rng: np.random.Generator, frame_index: int = 0):
     """The draws of ``protocol.run_frame`` made one slot at a time: the active
     set, its gains, then for each slot l the active devices' pilots over
-    ``range(l, l + 1)`` and ``simulate_slot``. Returns the active set and one
+    ``range(l, l + 1)`` and ``simulate_one``. Returns the active set and one
     ``SlotOutcome`` per slot, in slot order."""
     active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
     betas = sample_beta(cfg.model, rng, active.size)
     return active, [
-        simulate_slot(betas, hopping_patterns(active, frame_index, range(l, l + 1), cfg.tau_p, cfg.seed)[:, 0],
-                      cfg.tau_p, cfg.M, rng)
+        simulate_one(betas, hopping_patterns(active, frame_index, range(l, l + 1), cfg.tau_p, cfg.seed)[:, 0],
+                     cfg.tau_p, cfg.M, rng)
         for l in range(n_slots)
     ]
 

@@ -373,6 +373,21 @@ def test_pool_of_the_last_seed_alone_is_held(uniform_spread, monkeypatch):
     assert list(pool) == [(uniform_spread, cfg.mc.n_beta_samples, 5)]
 
 
+def test_r2_builds_only_the_reference_column_of_the_pool(uniform_spread, monkeypatch):
+    # R2 reads the reference gain, pool column 0, alone: a cold r2_bar holds a one-column
+    # pool (two prefix-sum rows), and gives the bits it gives once r1_bar has built the pool
+    # of the whole population
+    pool = _cold_store(monkeypatch)
+    cfg = SystemConfig(M=100, K=800, tau_u=100, tau_p=33, p_a=1.0, model=uniform_spread, seed=4)
+    key = (cfg.model, cfg.mc.n_beta_samples, cfg.seed)
+    cold = r2_bar(cfg)
+    assert pool[key][0].shape[0] == 2 and cold.mc_samples == cfg.mc.n_beta_samples
+    r1_bar(cfg)
+    assert pool[key][0].shape[0] == cfg.K + 1
+    warm = r2_bar(cfg)
+    assert (warm.value, warm.mc_std_err, warm.mc_samples) == (cold.value, cold.mc_std_err, cold.mc_samples)
+
+
 # What an R1/R2 row may hold at once beyond the pool's prefix sums and the
 # window masses it is handed: four kernel tiles of 2 MiB and 2 MiB more
 ROW_SCRATCH_BYTES = 4 * 8 * bounds.ROW_BLOCK_ENTRIES + 2 * 2**20

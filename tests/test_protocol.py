@@ -25,7 +25,7 @@ from pilothop.protocol import (
     simulate_slot,
     train_slot,
 )
-from reference import full_train_slot, hopping_table, pilot_sequences
+from reference import full_train_slot, hopping_table, mrc_one, pilot_sequences, simulate_one, train_one
 
 
 def test_pilot_sequences_orthonormal():
@@ -89,7 +89,7 @@ def test_hopping_patterns_match_the_counter_by_counter_hash(tau_p, seed):
 def _noise_corr(tau_p, M, rng):
     """Pilot correlation of a slot in which nobody transmits: one row, each
     pilot's noise norm sqrt(Gamma(M))."""
-    return train_slot(np.zeros(0), np.zeros(0, dtype=int), tau_p, M, rng)[1]
+    return train_one(np.zeros(0), np.zeros(0, dtype=int), tau_p, M, rng)[1]
 
 
 def _bartlett_factor(n, M, rng):
@@ -102,7 +102,7 @@ def test_detect_single_device_certain(rng):
     # a 10 dB device on pilot 5: correlation energy ~ tau_p*beta + 1 >> threshold
     hits, extras = 0, 0
     for _ in range(300):
-        out = simulate_slot(np.array([10.0]), np.array([5]), 12, 100, rng)
+        out = simulate_one(np.array([10.0]), np.array([5]), 12, 100, rng)
         hits += 5 in out.detected
         extras += out.detected.size - (5 in out.detected)
     assert hits == 300
@@ -111,7 +111,7 @@ def test_detect_single_device_certain(rng):
 
 def test_detect_no_transmitters_false_alarm(rng):
     fa = sum(
-        simulate_slot(np.array([]), np.array([], dtype=int), 12, 100, rng).detected.size
+        simulate_one(np.array([]), np.array([], dtype=int), 12, 100, rng).detected.size
         for _ in range(2000)
     )
     assert fa / (2000 * 12) < 1e-3
@@ -162,7 +162,7 @@ def test_detection_statistic_mean_noise_only(rng):
 
 def test_estimate_sum_power_concentration(rng):
     est = np.array([
-        estimate_sum_power(train_slot(np.array([10.0]), np.array([0]), 33, 400, rng)[1][:, 0], 33, 400)
+        estimate_sum_power(train_one(np.array([10.0]), np.array([0]), 33, 400, rng)[1][:, 0], 33, 400)
         for _ in range(400)
     ])
     # the pilot's observation is CN(0, (33*10 + 1) I_400), so |est - 10| <= 1
@@ -173,7 +173,7 @@ def test_estimate_sum_power_concentration(rng):
     assert abs(cover - p) <= 3 * math.sqrt(p * (1 - p) / est.size)
     # two equal colliders: estimate approaches the summed gain
     est2 = np.array([
-        estimate_sum_power(train_slot(np.array([10.0, 10.0]), np.array([3, 3]), 16, 2048, rng)[1][:, 3], 16, 2048)
+        estimate_sum_power(train_one(np.array([10.0, 10.0]), np.array([3, 3]), 16, 2048, rng)[1][:, 3], 16, 2048)
         for _ in range(100)
     ])
     assert est2.mean() == pytest.approx(20.0, rel=0.05)
@@ -193,7 +193,7 @@ def test_estimate_sum_power_error_scales_inversely_with_antennas(rng):
     variances = []
     for M in Ms:
         es = [
-            estimate_sum_power(train_slot(np.array([10.0]), np.array([0]), 16, M, rng)[1][:, 0], 16, M)
+            estimate_sum_power(train_one(np.array([10.0]), np.array([0]), 16, M, rng)[1][:, 0], 16, M)
             for _ in range(300)
         ]
         variances.append(np.var(es))
@@ -206,7 +206,7 @@ def test_mrc_large_array_matches_conditional_sinr(rng):
     s = CollisionScenario(10.0, (), 1, 16, M)
     target = sinr1(s, [])
     vals = [
-        simulate_slot(np.array([10.0]), np.array([2]), 16, M, rng).device_sinr[0]
+        simulate_one(np.array([10.0]), np.array([2]), 16, M, rng).device_sinr[0]
         for _ in range(12)
     ]
     assert np.mean(vals) == pytest.approx(target, rel=0.05)
@@ -217,7 +217,7 @@ def test_forced_collision_jensen_bound(rng):
     s = CollisionScenario(10.0, (10.0,), 2, 20, 100)
     bound = math.log2(1.0 + sinr1(s, []))
     vals = np.array([
-        math.log2(1.0 + simulate_slot(np.array([10.0, 10.0]), np.array([3, 3]), 20, 100, rng).device_sinr[0])
+        math.log2(1.0 + simulate_one(np.array([10.0, 10.0]), np.array([3, 3]), 20, 100, rng).device_sinr[0])
         for _ in range(2000)
     ])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -243,7 +243,8 @@ def test_slot_sinr_averages_to_sinr1_of_its_scenario(tau_p, M, K_a):
     assignment = rng.integers(0, tau_p, K_a)
     betas = 10.0 ** rng.uniform(-1.0, 2.0, K_a)
     n, block = 4000, 200
-    inv = np.concatenate([1.0 / simulate_slot(betas, np.tile(assignment, (block, 1)), tau_p, M, rng).device_sinr
+    A, arrays = np.tile(assignment, (block, 1)), block_arrays(block, K_a, tau_p, min(K_a, M) + 1)
+    inv = np.concatenate([1.0 / simulate_slot(betas, A, tau_p, M, rng, out=arrays).device_sinr
                           for _ in range(n // block)])
     z = []
     for k in range(K_a):
@@ -284,7 +285,7 @@ def _training_slot(rng, tau_p, M, assignment):
     """Channels, gains and pilot correlation of one slot with spread gains."""
     assignment = np.asarray(assignment, dtype=int)
     betas = 10.0 ** rng.uniform(-1.0, 2.0, assignment.size)
-    G, corr = train_slot(betas, assignment, tau_p, M, rng)
+    G, corr = train_one(betas, assignment, tau_p, M, rng)
     return G, betas, assignment, corr
 
 
@@ -298,7 +299,7 @@ def _training_slot(rng, tau_p, M, assignment):
 ])
 def test_mrc_matches_per_pilot_loop(rng, tau_p, M, assignment):
     G, betas, assignment, corr = _training_slot(rng, tau_p, M, assignment)
-    got = mrc_and_measure(G, betas, assignment, corr, pilot_energy(corr), tau_p)
+    got = mrc_one(G, betas, assignment, corr, pilot_energy(corr), tau_p)
     assert got.shape == (len(assignment),)
     np.testing.assert_allclose(got, _mrc_reference(G, betas, assignment, corr, tau_p), rtol=1e-12, atol=0)
 
@@ -308,7 +309,7 @@ def test_mrc_matches_per_pilot_loop_on_random_slots(rng):
         tau_p, M = int(rng.integers(1, 41)), int(rng.integers(1, 129))
         assignment = rng.integers(0, tau_p, int(rng.integers(0, 61)))
         G, betas, assignment, corr = _training_slot(rng, tau_p, M, assignment)
-        np.testing.assert_allclose(mrc_and_measure(G, betas, assignment, corr, pilot_energy(corr), tau_p),
+        np.testing.assert_allclose(mrc_one(G, betas, assignment, corr, pilot_energy(corr), tau_p),
                                    _mrc_reference(G, betas, assignment, corr, tau_p), rtol=1e-12, atol=0)
 
 
@@ -344,8 +345,8 @@ def test_rotated_training_matches_the_zero_padded_pilot_book_path(rng):
         G_pad, corr_pad = _pilot_book_slot(betas, assignment, tau_p, M, R)
         r = min(M, assignment.size + tau_p)
         assert G.shape == (r, assignment.size) and corr.shape == (r, tau_p)
-        sinr = mrc_and_measure(G, betas, assignment, corr, pilot_energy(corr), tau_p)
-        padded = mrc_and_measure(G_pad, betas, assignment, corr_pad, pilot_energy(corr_pad), tau_p)
+        sinr = mrc_one(G, betas, assignment, corr, pilot_energy(corr), tau_p)
+        padded = mrc_one(G_pad, betas, assignment, corr_pad, pilot_energy(corr_pad), tau_p)
         np.testing.assert_allclose(sinr, padded, rtol=1e-12, atol=0)
         np.testing.assert_allclose(sinr, _mrc_reference(G_pad, betas, assignment, corr_pad, tau_p), rtol=1e-12, atol=0)
         energy = (np.abs(corr) ** 2).sum(axis=0)
@@ -381,8 +382,8 @@ def test_slot_statistics_reproduce_the_full_slot(rng):
         assert G_s.shape == (min(assignment.size, M) + 1, assignment.size)
         energy = pilot_energy(corr)
         np.testing.assert_allclose(pilot_energy(corr_s), energy, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(mrc_and_measure(G_s, betas, assignment, corr_s, pilot_energy(corr_s), tau_p),
-                                   mrc_and_measure(G, betas, assignment, corr, energy, tau_p), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mrc_one(G_s, betas, assignment, corr_s, pilot_energy(corr_s), tau_p),
+                                   mrc_one(G, betas, assignment, corr, energy, tau_p), rtol=1e-12, atol=0)
 
 
 def _slot_draws(draw, betas, assignment, tau_p, M, n, seed):
@@ -393,7 +394,7 @@ def _slot_draws(draw, betas, assignment, tau_p, M, n, seed):
     for l in range(n):
         G, corr = draw(betas, assignment, tau_p, M, rng)
         energies[l] = pilot_energy(corr)
-        rates[l] = np.log2(1.0 + mrc_and_measure(G, betas, assignment, corr, energies[l], tau_p))
+        rates[l] = np.log2(1.0 + mrc_one(G, betas, assignment, corr, energies[l], tau_p))
     return rates, energies / M
 
 
@@ -421,7 +422,7 @@ def test_statistics_draw_has_the_full_slot_law(tau_p, M, assignment):
     assignment = np.asarray(assignment, dtype=int)
     betas = 10.0 ** rng.uniform(-1.0, 2.0, assignment.size)
     n = 1500
-    new = _slot_draws(train_slot, betas, assignment, tau_p, M, n, 1)
+    new = _slot_draws(train_one, betas, assignment, tau_p, M, n, 1)
     ref = _slot_draws(full_train_slot, betas, assignment, tau_p, M, n, 2)
     z = []
     for a, b in zip(new, ref):
@@ -435,13 +436,14 @@ def test_a_block_of_slots_equals_its_slots_one_at_a_time(tau_p, M, K_a):
     rng = np.random.default_rng(K_a * 100 + M)
     betas = 10.0 ** rng.uniform(-1.0, 1.0, K_a)
     A = rng.integers(0, tau_p, (9, K_a))
-    G, corr = train_slot(betas, A, tau_p, M, np.random.default_rng(5))
-    block = simulate_slot(betas, A, tau_p, M, np.random.default_rng(5))
+    arrays = block_arrays(9, K_a, tau_p, min(K_a, M) + 1)
+    G, corr = (x.copy() for x in train_slot(betas, A, tau_p, M, np.random.default_rng(5), out=arrays))
+    block = simulate_slot(betas, A, tau_p, M, np.random.default_rng(5), out=arrays)
     assert block.device_sinr.shape == block.pilot_of_device.shape == (9, K_a)
     one, again = np.random.default_rng(5), np.random.default_rng(5)
     for b in range(9):
-        out = simulate_slot(betas, A[b], tau_p, M, one)
-        G_b, corr_b = train_slot(betas, A[b], tau_p, M, again)
+        out = simulate_one(betas, A[b], tau_p, M, one)
+        G_b, corr_b = train_one(betas, A[b], tau_p, M, again)
         assert np.array_equal(G_b, G[b]) and np.array_equal(corr_b, corr[b])
         assert np.array_equal(out.device_sinr, block.device_sinr[b])
         assert np.array_equal(out.detected + b * tau_p, block.detected[block.detected // tau_p == b])
@@ -450,13 +452,13 @@ def test_a_block_of_slots_equals_its_slots_one_at_a_time(tau_p, M, K_a):
 
 
 @pytest.mark.parametrize("tau_p, M, K_a", [(39, 100, 37), (5, 4, 7)])  # m = K_a < M, m = M < K_a
-@pytest.mark.parametrize("slots", [6, 4, None])  # a full block, a shorter last block, one slot's (K_a,) pilots
+@pytest.mark.parametrize("slots", [6, 4, 1])  # a full block, a shorter last block, a block of one
 def test_caller_supplied_arrays_give_the_bits_of_fresh_ones(tau_p, M, K_a, slots):
     # the arrays start as NaN, so any entry a block reads without writing or zeroing it
     # first would show in the outputs; a shorter block writes leading views of them
     rng = np.random.default_rng(K_a)
     betas = 10.0 ** rng.uniform(-1.0, 1.0, K_a)
-    A = rng.integers(0, tau_p, K_a if slots is None else (slots, K_a))
+    A = rng.integers(0, tau_p, (slots, K_a))
     arrays = block_arrays(6, K_a, tau_p, min(K_a, M) + 1)
 
     def spoiled():
@@ -464,18 +466,21 @@ def test_caller_supplied_arrays_give_the_bits_of_fresh_ones(tau_p, M, K_a, slots
             a.view(float).fill(np.nan)
         return arrays
 
-    G, corr = train_slot(betas, A, tau_p, M, np.random.default_rng(5))
+    def fresh():
+        return block_arrays(slots, K_a, tau_p, min(K_a, M) + 1)
+
+    G, corr = train_slot(betas, A, tau_p, M, np.random.default_rng(5), out=fresh())
     G_w, corr_w = train_slot(betas, A, tau_p, M, np.random.default_rng(5), out=spoiled())
     assert np.array_equal(G_w, G) and np.array_equal(corr_w, corr)
     assert np.shares_memory(G_w, arrays["Gt"]) and np.shares_memory(corr_w, arrays["Ct"])
     energy = pilot_energy(corr)
-    sinr = mrc_and_measure(G, betas, A, corr, energy, tau_p)
+    sinr = mrc_and_measure(G, betas, A, corr, energy, tau_p, out=fresh())
     assert np.array_equal(mrc_and_measure(G, betas, A, corr, energy, tau_p, out=spoiled()), sinr)
-    fresh = simulate_slot(betas, A, tau_p, M, np.random.default_rng(5))
+    want = simulate_slot(betas, A, tau_p, M, np.random.default_rng(5), out=fresh())
     got = simulate_slot(betas, A, tau_p, M, np.random.default_rng(5), out=spoiled())
     spoiled()  # no output is a view of the arrays
     for name in ("detected", "pilot_of_device", "device_sinr"):
-        assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("M, n", [(6, 4), (4, 7)])
@@ -535,7 +540,7 @@ def test_empty_slot_draws_only_the_noise_block():
     # nobody transmits: the slot draws one Gamma(M) noise energy per pilot and no normal
     M, tau_p = 16, 5
     rng, replay = np.random.default_rng(11), np.random.default_rng(11)
-    out = simulate_slot([], [], tau_p, M, rng)
+    out = simulate_one([], [], tau_p, M, rng)
     _, corr = _statistics_replay(replay, np.zeros(0), [], tau_p, M)
     assert corr.shape == (1, tau_p)
     assert np.array_equal(out.detected, detect_pilots(pilot_energy(corr), M))
@@ -551,7 +556,7 @@ def test_empty_slot_draws_only_the_noise_block():
 ])
 def test_training_draws_follow_the_documented_order(tau_p, M, assignment):
     betas = np.array([10.0, 6.0, 0.5][:len(assignment)])
-    G, corr = train_slot(betas, np.array(assignment), tau_p, M, np.random.default_rng(4))
+    G, corr = train_one(betas, np.array(assignment), tau_p, M, np.random.default_rng(4))
     replay = np.random.default_rng(4)
     G_ref, corr_ref = _statistics_replay(replay, betas, assignment, tau_p, M)
     assert np.array_equal(G, G_ref) and np.array_equal(corr, corr_ref)
@@ -560,7 +565,7 @@ def test_training_draws_follow_the_documented_order(tau_p, M, assignment):
     unused = np.setdiff1d(np.arange(tau_p), assignment)
     assert not corr[:m, unused].any() and np.all(corr[m, unused].real > 0)
     rng = np.random.default_rng(4)
-    train_slot(betas, np.array(assignment), tau_p, M, rng)
+    train_one(betas, np.array(assignment), tau_p, M, rng)
     assert rng.random() == replay.random()  # both streams stand at the same place
 
 
@@ -832,7 +837,7 @@ def test_slot_outcome_carries_estimates():
     # once; the slot runs the shared detection and SINR routines on that correlation
     betas, assignment = np.array([10.0, 6.0]), np.array([3, 5])
     rng = np.random.default_rng(4)
-    G, corr = train_slot(betas, assignment, 8, 64, rng)
+    G, corr = train_one(betas, assignment, 8, 64, rng)
 
     replay = np.random.default_rng(4)  # replay the training draws by hand
     G_ref, corr_ref = _statistics_replay(replay, betas, assignment, 8, 64)
@@ -840,11 +845,11 @@ def test_slot_outcome_carries_estimates():
     assert np.array_equal(corr, corr_ref)
     assert rng.random() == replay.random()  # both streams stand at the same place
 
-    out = simulate_slot(betas, assignment, 8, 64, np.random.default_rng(4))
+    out = simulate_one(betas, assignment, 8, 64, np.random.default_rng(4))
     assert np.array_equal(out.detected, detect_pilots(pilot_energy(corr), 64))
     assert np.array_equal(out.detected, [3, 5])
     assert np.array_equal(out.pilot_of_device, assignment)
-    assert np.array_equal(out.device_sinr, mrc_and_measure(G, betas, assignment, corr, pilot_energy(corr), 8))
+    assert np.array_equal(out.device_sinr, mrc_one(G, betas, assignment, corr, pilot_energy(corr), 8))
 
 
 def test_run_frame_rates_count_only_detected_slots(replayed):

@@ -290,9 +290,18 @@ KEPT_DEFAULTS = {
 }
 
 
-def unset_defaults() -> list[str]:
-    """module.function.parameter for each parameter with a default, of a public
-    top-level function of src/, that no call in src/ sets by keyword or by position."""
+# Defaulted parameters of public functions that every package call sets, each with its reason
+KEPT_CALLER_DEFAULTS = {
+    "experiments.run_experiment.seed_override": "library callers run a spec at its own seed; the CLI passes --seed",
+    "experiments.run_experiment.jobs": "library callers run serially; the CLI passes --jobs",
+    "protocol.run_frame.frame_index": "README's quick tour runs one frame, frame 0; experiments number theirs",
+}
+
+
+def _default_uses() -> dict:
+    """module.function.parameter -> (calls, setting calls) for each parameter with a default, of a
+    public top-level function of src/: the calls of the function by name in src/, and those of
+    them that set the parameter by keyword or by position."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
     calls = {}
     for tree in trees.values():
@@ -300,7 +309,7 @@ def unset_defaults() -> list[str]:
             if isinstance(node, ast.Call):
                 name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    unset = []
+    uses = {}
     for mod, tree in trees.items():
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
@@ -311,20 +320,36 @@ def unset_defaults() -> list[str]:
                 [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
             for param in defaulted:
                 at = positional.index(param) if param in positional else None
-                if not any(
+                setting = [
                     any(k.arg in (param, None) for k in call.keywords)
                     or at is not None and any(i <= at and isinstance(arg, ast.Starred) or i == at
                                               for i, arg in enumerate(call.args))
                     for call in calls.get(fn.name, [])
-                ):
-                    unset.append(f"{mod}.{fn.name}.{param}")
-    return sorted(unset)
+                ]
+                uses[f"{mod}.{fn.name}.{param}"] = (len(setting), sum(setting))
+    return uses
+
+
+def unset_defaults() -> list[str]:
+    """The defaulted parameters of :func:`_default_uses` that no call in src/ sets."""
+    return sorted(name for name, (_, setting) in _default_uses().items() if not setting)
+
+
+def always_set_defaults() -> list[str]:
+    """The defaulted parameters of :func:`_default_uses` that every call in src/ sets."""
+    return sorted(name for name, (n, setting) in _default_uses().items() if n and setting == n)
 
 
 def test_every_default_is_set_by_some_package_call():
     # a parameter that only tests set is a test-only switch: the package should
     # not carry it, and its tests should reach the behaviour another way
     assert unset_defaults() == sorted(KEPT_DEFAULTS)
+
+
+def test_no_default_is_taken_only_by_tests():
+    # a default that every package call overrides is a call shape the package never runs:
+    # only tests take it, unless callers outside the package are meant to
+    assert always_set_defaults() == sorted(KEPT_CALLER_DEFAULTS)
 
 
 def test_perfbench_tracer_names_resolve():
@@ -424,11 +449,11 @@ def test_no_function_takes_model_or_mc_beside_cfg():
 
 
 def _readers(names) -> dict:
-    """For each of ``names``, the (file, function) scopes of src/ that read it as a name or attribute."""
+    """For each of ``names``, the (file, top-level function) scopes of src/ that read it as a name or attribute."""
     found = {name: set() for name in names}
 
     def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and scope[1] == "<module>":
             scope = (scope[0], node.name)
         name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
         if name in found:
@@ -449,6 +474,16 @@ def test_every_bound_evaluation_takes_one_path():
         "_averaged_row": {("bounds.py", "_cells")},
         "_analytic_stage": {("bounds.py", "_cells")},
         "_f_row_sums": {("bounds.py", "_averaged_row"), ("bounds.py", "r1_ceiling")},
+    }
+
+
+def test_every_gain_expectation_takes_one_rule():
+    # the Gauss rule is read by the two expectations and by solve_ab's objective, whose gemv
+    # over the nodes is the one standing exception; every row of integrands goes through
+    # expect_rows, so a third private path over the nodes cannot grow back unnoticed
+    assert _readers(["beta_nodes", "expect_rows"]) == {
+        "beta_nodes": {("channels.py", "expect_beta"), ("channels.py", "expect_rows"), ("scaling.py", "ab_objective")},
+        "expect_rows": {("bounds.py", "_analytic_stage"), ("optimize.py", "_scan_then_golden")},
     }
 
 
