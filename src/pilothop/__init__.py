@@ -11,8 +11,8 @@ Library layout:
 * :mod:`pilothop.cli`      -- experiment runner emitting CSV curves
 """
 
-from .access import ActivationLaw, CollisionLaw, TruncatedSupport
-from .bounds import BoundResult, CollisionScenario, McConfig
+from .access import ActivationLaw
+from .bounds import BoundResult, McConfig
 from .channels import (
     BetaMoments,
     LogNormalShadowing,
@@ -27,10 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationLaw",
-    "CollisionLaw",
-    "TruncatedSupport",
     "BoundResult",
-    "CollisionScenario",
     "McConfig",
     "BetaMoments",
     "LogNormalShadowing",

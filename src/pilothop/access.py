@@ -129,9 +129,9 @@ def binom_pmf(k, n, p: float):
     if np.any((k < 0) | (k > n)):
         raise ValueError(f"support of Binomial({n}, {p}) is 0..{n}")
     if p == 0.0:
-        return np.where(k == 0, 1.0, 0.0)[()]
+        return np.where(k == 0, 1.0, 0.0)
     if p == 1.0:
-        return np.where(k == n, 1.0, 0.0)[()]
+        return np.where(k == n, 1.0, 0.0)
     if p < 1e-6 or p > 1.0 - 1e-6:
         # the saddle-point evaluator overflows for extreme p; the log-gamma
         # route is accurate there because the mass sits on a handful of terms
@@ -142,8 +142,8 @@ def binom_pmf(k, n, p: float):
             + k * np.log(p)
             + (n - k) * np.log1p(-p)
         )
-        return np.exp(log_pmf)[()]
-    return _binom_pmf(k, n, p)[()]
+        return np.exp(log_pmf)
+    return _binom_pmf(k, n, p)
 
 
 # Entries of the pmf band that ``binom_windows`` holds at once: it takes its

@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not inside a run
@@ -112,28 +112,6 @@ def mc_problems(v: dict) -> list[tuple[str, str]]:
 
 
 @dataclass(frozen=True)
-class CollisionScenario:
-    """One contamination event: the reference device, its colliders, and context."""
-
-    beta_0: float
-    colliders: tuple
-    K_a: int
-    tau_p: int
-    M: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "colliders", tuple(float(b) for b in self.colliders))
-        if self.beta_0 <= 0 or any(b <= 0 for b in self.colliders):
-            raise ValueError("all large-scale gains must be positive")
-        if len(self.colliders) > self.K_a - 1:
-            raise ValueError(f"{len(self.colliders)} colliders but only {self.K_a - 1} other active devices")
-        if self.tau_p < 1:
-            raise ValueError("tau_p must be >= 1")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-
-
-@dataclass(frozen=True)
 class BoundResult:
     """A sum-rate value with its Monte Carlo provenance."""
 
@@ -161,25 +139,27 @@ def estimation_variances(beta_0: float, collider_betas, tau_p: int) -> tuple[flo
     return est, err
 
 
-def sinr1(s: CollisionScenario, other_active_betas: Sequence[float] = ()) -> float:
-    """Effective SINR of the reference device for one collision scenario.
+def sinr1(beta_0: float, colliders, others, tau_p: int, M: int) -> float:
+    """Effective SINR of the reference device for one contamination event.
 
-    ``other_active_betas`` holds the gains of the K_a - 1 - |colliders|
-    active devices on different pilots.
+    ``colliders`` holds the gains sharing the reference pilot and ``others``
+    those of the active devices on other pilots, so K_a = 1 + |colliders| +
+    |others|.
     """
-    if s.M < 2:
+    if M < 2:
         raise ValueError("the combiner analysis needs M >= 2 (an M-1 array gain factor)")
-    colliders = np.asarray(s.colliders, dtype=float)
-    others = np.asarray(other_active_betas, dtype=float)
-    expected = s.K_a - 1 - colliders.size
-    if others.size != expected:
-        raise ValueError(f"expected {expected} non-colliding active gains, got {others.size}")
-    members = np.concatenate(([s.beta_0], colliders))
+    if tau_p < 1:
+        raise ValueError("tau_p must be >= 1")
+    colliders = np.asarray(colliders, dtype=float)
+    others = np.asarray(others, dtype=float)
+    if beta_0 <= 0 or np.any(colliders <= 0) or np.any(others <= 0):
+        raise ValueError("all large-scale gains must be positive")
+    members = np.concatenate(([beta_0], colliders))
     total = float(members.sum())
-    num = s.tau_p * (s.M - 1) * s.beta_0**2
-    pilot_term = s.tau_p * (s.M - 1) * float(np.sum(colliders**2))
-    est_term = float(sum(b * (1.0 + s.tau_p * (total - b)) for b in members))
-    resid_term = (1.0 + float(others.sum())) * (1.0 + s.tau_p * total)
+    num = tau_p * (M - 1) * beta_0**2
+    pilot_term = tau_p * (M - 1) * float(np.sum(colliders**2))
+    est_term = float(sum(b * (1.0 + tau_p * (total - b)) for b in members))
+    resid_term = (1.0 + float(others.sum())) * (1.0 + tau_p * total)
     return num / (pilot_term + est_term + resid_term)
 
 
@@ -393,11 +373,11 @@ def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments
 def _activation_terms(cfg: "SystemConfig", p_a) -> list:
     """Per activation probability of ``p_a``, (k_lo, K_a p(K_a)) over its activation window from K_a = k_lo >= 1.
 
-    The entry is None where p_a = 0 or the window holds no K_a >= 1. Every
-    window comes from one :func:`binom_windows` call, so a grid stage takes
-    each of its windows once and hands the terms to all its rows.
+    ``p_a`` is a 1-D float array. The entry is None where p_a = 0 or the
+    window holds no K_a >= 1. Every window comes from one
+    :func:`binom_windows` call, so a grid stage takes each of its windows
+    once and hands the terms to all its rows.
     """
-    p_a = np.atleast_1d(np.asarray(p_a, dtype=float))
     terms = [None] * p_a.size
     live = np.flatnonzero(p_a != 0.0)
     if live.size:

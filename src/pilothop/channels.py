@@ -42,8 +42,8 @@ class UniformPowerError:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.delta_bar <= 0:
-            raise ValueError(f"delta_bar must be positive, got {self.delta_bar}")
+        if not (math.isfinite(self.delta_bar) and self.delta_bar > 0):
+            raise ValueError(f"delta_bar must be positive and finite, got {self.delta_bar}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -56,10 +56,10 @@ class LogNormalShadowing:
     sigma_v2: float = 0.0
 
     def __post_init__(self):
-        if self.delta_bar <= 0:
-            raise ValueError(f"delta_bar must be positive, got {self.delta_bar}")
-        if self.sigma_v2 < 0:
-            raise ValueError(f"sigma_v2 must be non-negative, got {self.sigma_v2}")
+        if not (math.isfinite(self.delta_bar) and self.delta_bar > 0):
+            raise ValueError(f"delta_bar must be positive and finite, got {self.delta_bar}")
+        if not (math.isfinite(self.sigma_v2) and self.sigma_v2 >= 0):
+            raise ValueError(f"sigma_v2 must be non-negative and finite, got {self.sigma_v2}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class RingPathLoss:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.delta_bar <= 0:
-            raise ValueError(f"delta_bar must be positive, got {self.delta_bar}")
+        if not (math.isfinite(self.delta_bar) and self.delta_bar > 0):
+            raise ValueError(f"delta_bar must be positive and finite, got {self.delta_bar}")
         # alpha = 1 puts devices at distance 0 where the gain moments diverge
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")

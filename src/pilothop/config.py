@@ -292,11 +292,10 @@ def validate(spec: ExperimentSpec) -> list[Diagnostic]:
         if name in reads and not (_is_integer(v) and v >= 1):
             diags.append(Diagnostic(name, f"must be an integer >= 1 (got {v!r})"))
     if "case" in reads:
-        from .scaling import ScalingCase  # local: scaling imports config, a cycle at module level
+        from .scaling import CASES  # local: scaling imports config, a cycle at module level
 
-        cases = tuple(c.value for c in ScalingCase)
-        if spec.case not in cases:
-            diags.append(Diagnostic("case", f"unknown case {spec.case!r}; expected one of {cases}"))
+        if spec.case not in CASES:
+            diags.append(Diagnostic("case", f"unknown case {spec.case!r}; expected one of {CASES}"))
     if "ladder" in reads:
         for i, rung in enumerate(lists["ladder"]):
             if not (isinstance(rung, (list, tuple)) and len(rung) == 2):

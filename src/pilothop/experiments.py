@@ -35,8 +35,6 @@ class Record:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
     if isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer() and abs(x) < 1e15):
         return str(int(x))
     return f"{x:.9g}"

@@ -118,8 +118,8 @@ def all_patterns(K: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -
 
 
 def pilot_energy(corr: np.ndarray) -> np.ndarray:
-    """Energy ||y_j||^2 of each column of ``corr``, (..., r, tau_p) -> (..., tau_p); a scalar for one column."""
-    return np.sum(corr.real**2 + corr.imag**2, axis=max(corr.ndim - 2, 0))
+    """Energy ||y_j||^2 of each column of ``corr``, (..., r, tau_p) -> (..., tau_p)."""
+    return np.sum(corr.real**2 + corr.imag**2, axis=-2)
 
 
 def detect_pilots(energy: np.ndarray, M: int) -> np.ndarray:
@@ -132,16 +132,15 @@ def detect_pilots(energy: np.ndarray, M: int) -> np.ndarray:
     return np.flatnonzero(energy / M > 1.0 + ZETA * np.sqrt(2.0 / M))
 
 
-def estimate_sum_power(y_p: np.ndarray, tau_p: int, M: int):
-    """Channel-hardening estimate of the summed gain on a pilot.
+def estimate_sum_power(y_p: np.ndarray, tau_p: int, M: int) -> np.ndarray:
+    """Channel-hardening estimate of the summed gain on each pilot, (..., r, k) -> (..., k).
 
-    ``y_p`` is the correlated observation of one pilot at ``M`` antennas, in
-    a basis of r rows (a float), or a block of such columns. The noise
-    floor contributes exactly 1 per antenna, hence the subtraction. No slot
-    output holds it, so ``simulate_slot`` does not compute it.
+    Column j of ``y_p`` is the correlated observation of one pilot at ``M``
+    antennas, in a basis of r rows. The noise floor contributes exactly 1
+    per antenna, hence the subtraction. No slot output holds it, so
+    ``simulate_slot`` does not compute it.
     """
-    est = np.maximum(0.0, (pilot_energy(y_p) / M - 1.0) / tau_p)
-    return float(est) if est.ndim == 0 else est
+    return np.maximum(0.0, (pilot_energy(y_p) / M - 1.0) / tau_p)
 
 
 @dataclass

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -45,10 +44,8 @@ AB_STAGES = 3
 LADDER_K = 10**6
 
 
-class ScalingCase(str, Enum):
-    ANTENNA_RICH = "antenna-rich"
-    SLOT_RICH = "slot-rich"
-    BALANCED = "balanced"
+# The regimes predict and verify_scaling take, by name
+CASES = ("antenna-rich", "slot-rich", "balanced")
 
 
 @dataclass(frozen=True)
@@ -65,25 +62,27 @@ class ScalingPrediction:
             raise ValueError("leading-order predictions must be positive")
 
 
-def predict(case: ScalingCase | str, tau_u: int, M: int, model: LargeScaleModel) -> ScalingPrediction:
+def predict(case: str, tau_u: int, M: int, model: LargeScaleModel) -> ScalingPrediction:
     """Leading-order optimal (tau_p, p_a*K, rate, SINR) in the declared regime.
 
     The antenna- and slot-rich cases read the gain law only through its
     moments; the balanced case solves its functional at delta = M / tau_u
     by a 1-D expectation over the gain law, and its (a, b, rate scale) read
     back as tau_p / tau_u, p_aK / sqrt(M tau_u) and rate / sqrt(M tau_u).
+    ``case`` is one of :data:`CASES`.
     """
-    case = ScalingCase(case)
+    if case not in CASES:
+        raise ValueError(f"unknown scaling case {case!r}; expected one of {CASES}")
     moments = analytic_moments(model)
     f = moments.spread_factor
-    if case is ScalingCase.ANTENNA_RICH:
+    if case == "antenna-rich":
         return ScalingPrediction(
             tau_p=tau_u / 2.0,
             p_aK=math.sqrt(f) * 0.5 * math.sqrt(M * tau_u),
             rate=tau_u / (4.0 * LN2),
             sinr=math.sqrt(tau_u / M),
         )
-    if case is ScalingCase.SLOT_RICH:
+    if case == "slot-rich":
         tau_p = (M / 2.0) ** (2.0 / 3.0) * tau_u ** (1.0 / 3.0)
         return ScalingPrediction(
             tau_p=tau_p,
@@ -106,15 +105,13 @@ def ab_objective(a, b, delta: float, model: LargeScaleModel):
     """Normalized balanced-regime rate at pilot share a and activation scale b.
 
     Multiplying by sqrt(M*tau_u) recovers the sum rate; the functional
-    depends on (M, tau_u) only through delta. ``b`` is a scalar, giving a
-    float, or a 1-D array, giving one value per entry. The expectation is
-    taken over the memoized Gauss rule of :func:`beta_nodes`.
+    depends on (M, tau_u) only through delta. ``b`` is a 1-D array, and
+    the result holds one value per entry. The expectation is taken over the
+    memoized Gauss rule of :func:`beta_nodes`.
     """
     betas, w = beta_nodes(model)
-    b = np.asarray(b, dtype=float)
-    x = sinra(betas, analytic_moments(model), a, b[..., None] * math.sqrt(delta), delta)
-    vals = (1.0 - a) * b * (np.log2(1.0 + x) @ w)
-    return float(vals) if vals.ndim == 0 else vals
+    x = sinra(betas, analytic_moments(model), a, b[:, None] * math.sqrt(delta), delta)
+    return (1.0 - a) * b * (np.log2(1.0 + x) @ w)
 
 
 @lru_cache(maxsize=32)
@@ -171,15 +168,17 @@ class LadderPoint:
     prediction: ScalingPrediction
 
 
-def verify_scaling(case: ScalingCase | str, model: LargeScaleModel, ladder) -> tuple[LadderPoint, ...]:
+def verify_scaling(case: str, model: LargeScaleModel, ladder) -> tuple[LadderPoint, ...]:
     """Grid-optimize the large-system bound along a (M, tau_u) ladder and
     pair each rung's optimum with the closed-form prediction.
 
     Each rung is the scenario (M, tau_u) with LADDER_K devices and gains
     from ``model``, searched on :func:`grid_opt`'s grid. Returns one
-    :class:`LadderPoint` per rung, in ladder order.
+    :class:`LadderPoint` per rung, in ladder order. ``case`` is one of
+    :data:`CASES`, checked before any rung is searched.
     """
-    case = ScalingCase(case)
+    if case not in CASES:
+        raise ValueError(f"unknown scaling case {case!r}; expected one of {CASES}")
     points = []
     for M, tau_u in ladder:
         cfg = SystemConfig(M=int(M), K=LADDER_K, tau_u=int(tau_u), model=model)

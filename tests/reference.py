@@ -8,12 +8,11 @@ as a block of one (``train_one``, ``simulate_one``, ``mrc_one``)."""
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from pilothop.access import ActivationLaw, sample_active_set
-from pilothop.bounds import CollisionScenario, _sinr3, estimation_variances
+from pilothop.bounds import _sinr3, estimation_variances
 from pilothop.channels import BetaMoments, sample_beta
 from pilothop.protocol import SlotOutcome, block_arrays, hopping_patterns, mrc_and_measure, simulate_slot, train_slot
 
@@ -36,24 +35,25 @@ class SinrComponents:
         return self.pilot_contamination + self.estimation_error + self.residual_interference
 
 
-def sinr_components(s: CollisionScenario, other_active_betas: Sequence[float] = ()) -> SinrComponents:
-    """Inverse-SINR terms assembled from the MMSE estimate/error variances.
+def sinr_components(beta_0: float, colliders, others, tau_p: int, M: int) -> SinrComponents:
+    """Inverse-SINR terms assembled from the MMSE estimate/error variances,
+    for the arguments of ``bounds.sinr1``.
 
     Independent of ``bounds.sinr1``: this path goes through the per-device
     estimation variances, the closed form does not.
     """
-    if s.M < 2:
+    if M < 2:
         raise ValueError("the combiner analysis needs M >= 2")
-    members = np.concatenate(([s.beta_0], np.asarray(s.colliders, dtype=float)))
-    others = np.asarray(other_active_betas, dtype=float)
-    est_var, _ = estimation_variances(s.beta_0, members[1:], s.tau_p)
+    members = np.concatenate(([beta_0], np.asarray(colliders, dtype=float)))
+    others = np.asarray(others, dtype=float)
+    est_var, _ = estimation_variances(beta_0, members[1:], tau_p)
     err_sum = 0.0
     for j, b in enumerate(members):
-        _, err = estimation_variances(b, np.delete(members, j), s.tau_p)
+        _, err = estimation_variances(b, np.delete(members, j), tau_p)
         err_sum += err
-    gain = (s.M - 1) * est_var
+    gain = (M - 1) * est_var
     return SinrComponents(
-        pilot_contamination=float(np.sum(members[1:] ** 2)) / s.beta_0**2,
+        pilot_contamination=float(np.sum(members[1:] ** 2)) / beta_0**2,
         estimation_error=err_sum / gain,
         residual_interference=(float(others.sum()) + 1.0) / gain,
     )

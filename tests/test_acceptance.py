@@ -13,7 +13,6 @@ import pytest
 
 from pilothop.access import binom_pmf
 from pilothop.bounds import (
-    CollisionScenario,
     McConfig,
     estimation_variances,
     r1_bar,
@@ -26,7 +25,7 @@ from pilothop.cli import main as cli_main
 from pilothop.config import SystemConfig
 from pilothop.experiments import point_seed
 from pilothop.optimize import S0, grid_opt, heuristic1, optimize
-from pilothop.scaling import ScalingCase, predict, solve_ab, verify_scaling
+from pilothop.scaling import predict, solve_ab, verify_scaling
 from reference import sinr_components
 
 
@@ -62,11 +61,9 @@ def test_criterion_03_variance_decomposition_oracle():
         c = int(rng.integers(0, 6))
         extra = int(rng.integers(0, 8))
         betas = np.exp(rng.normal(1.0, 1.2, size=1 + c + extra))
-        s = CollisionScenario(float(betas[0]), tuple(betas[1 : 1 + c]), 1 + c + extra,
-                              int(rng.integers(1, 64)), int(rng.integers(2, 512)))
-        others = betas[1 + c :]
-        direct = sinr1(s, others)
-        recon = 1.0 / sinr_components(s, others).inverse_sinr
+        s = (float(betas[0]), betas[1 : 1 + c], betas[1 + c :], int(rng.integers(1, 64)), int(rng.integers(2, 512)))
+        direct = sinr1(*s)
+        recon = 1.0 / sinr_components(*s).inverse_sinr
         worst = max(worst, abs(direct - recon) / direct)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
@@ -98,7 +95,7 @@ def test_criterion_04_bound_ordering_grid():
 def test_criterion_05_antenna_rich_scaling():
     t0 = time.perf_counter()
     model = UniformPowerError(10.0, 0.0)
-    points = verify_scaling(ScalingCase.ANTENNA_RICH, model, [(10**3, 100), (10**4, 100), (10**5, 100)])
+    points = verify_scaling("antenna-rich", model, [(10**3, 100), (10**4, 100), (10**5, 100)])
     tau_errs = [abs(pt.tau_p_opt - pt.prediction.tau_p) / pt.prediction.tau_p for pt in points]
     rate_errs = [abs(pt.rate - pt.prediction.rate) / pt.prediction.rate for pt in points]
     final = points[-1]
@@ -123,8 +120,8 @@ def test_criterion_06_balanced_regime_solution():
     da = [abs(a - 0.5) for a, _ in pts]
     db = [abs(b - 0.5) for _, b in pts]
     monotone = all(x > y for x, y in zip(da, da[1:])) and all(x > y for x, y in zip(db, db[1:]))
-    p1 = predict(ScalingCase.BALANCED, 200, 100, model)
-    p2 = predict(ScalingCase.BALANCED, 2000, 1000, model)
+    p1 = predict("balanced", 200, 100, model)
+    p2 = predict("balanced", 2000, 1000, model)
     # a = tau_p / tau_u and b = p_aK / sqrt(M tau_u) depend on M / tau_u only
     invariant = (abs(p1.tau_p / 200 - p2.tau_p / 2000) <= 1e-8
                  and abs(p1.p_aK / math.sqrt(100 * 200) - p2.p_aK / math.sqrt(1000 * 2000)) <= 1e-8)

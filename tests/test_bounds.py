@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pilothop import bounds
 from pilothop.bounds import (
     BoundResult,
-    CollisionScenario,
     McConfig,
     bound_at,
     bound_grid,
@@ -31,57 +30,51 @@ from reference import sinr2, sinr3, sinr_components
 
 def test_sinr1_hand_value():
     # lone device: numerator 10*100*1, denominator 1 + 11
-    s = CollisionScenario(beta_0=1.0, colliders=(), K_a=1, tau_p=10, M=101)
-    assert sinr1(s, []) == pytest.approx(1000.0 / 12.0, rel=1e-14)
+    assert sinr1(1.0, [], [], 10, 101) == pytest.approx(1000.0 / 12.0, rel=1e-14)
 
 
 def test_sinr1_contamination_limit():
     # equal-gain collider, enormous array: only the contamination term survives
-    s = CollisionScenario(beta_0=2.0, colliders=(2.0,), K_a=2, tau_p=10, M=10**9)
-    assert sinr1(s, []) == pytest.approx(1.0, rel=1e-5)
+    assert sinr1(2.0, [2.0], [], 10, 10**9) == pytest.approx(1.0, rel=1e-5)
 
 
 def test_sinr1_rejects_single_antenna():
-    s = CollisionScenario(beta_0=1.0, colliders=(), K_a=1, tau_p=10, M=1)
     with pytest.raises(ValueError):
-        sinr1(s, [])
+        sinr1(1.0, [], [], 10, 1)
 
 
-def test_sinr1_checks_other_count():
-    s = CollisionScenario(beta_0=1.0, colliders=(1.0,), K_a=4, tau_p=5, M=8)
+@pytest.mark.parametrize("args", [
+    (1.0, [1.0], [1.0], 0, 8),
+    (0.0, [1.0], [1.0], 5, 8),
+    (1.0, [-1.0], [1.0], 5, 8),
+    (1.0, [1.0], [1.0, 0.0], 5, 8),
+], ids=["tau_p-0", "beta_0-0", "collider-negative", "other-0"])
+def test_sinr1_checks_its_inputs(args):
     with pytest.raises(ValueError):
-        sinr1(s, [1.0])  # needs K_a - 1 - |colliders| = 2 gains
+        sinr1(*args)
 
 
 def _random_scenario(rng):
     c = int(rng.integers(0, 6))
     extra = int(rng.integers(0, 8))
-    K_a = 1 + c + extra
     betas = np.exp(rng.normal(1.0, 1.2, size=1 + c + extra))
-    s = CollisionScenario(
-        beta_0=float(betas[0]),
-        colliders=tuple(betas[1 : 1 + c]),
-        K_a=K_a,
-        tau_p=int(rng.integers(1, 64)),
-        M=int(rng.integers(2, 512)),
-    )
-    return s, betas[1 + c :]
+    return float(betas[0]), betas[1 : 1 + c], betas[1 + c :], int(rng.integers(1, 64)), int(rng.integers(2, 512))
 
 
 def test_components_equal_closed_form(rng):
     for _ in range(1000):
-        s, others = _random_scenario(rng)
-        direct = sinr1(s, others)
-        via_variances = 1.0 / sinr_components(s, others).inverse_sinr
+        s = _random_scenario(rng)
+        direct = sinr1(*s)
+        via_variances = 1.0 / sinr_components(*s).inverse_sinr
         assert abs(direct - via_variances) <= 1e-12 * direct
 
 
 @given(seed=st.integers(0, 10**9))
 @settings(max_examples=200, deadline=None)
 def test_components_equal_closed_form_property(seed):
-    s, others = _random_scenario(np.random.default_rng(seed))
-    direct = sinr1(s, others)
-    assert abs(direct - 1.0 / sinr_components(s, others).inverse_sinr) <= 1e-12 * direct
+    s = _random_scenario(np.random.default_rng(seed))
+    direct = sinr1(*s)
+    assert abs(direct - 1.0 / sinr_components(*s).inverse_sinr) <= 1e-12 * direct
 
 
 def test_estimation_variances_values():
@@ -105,9 +98,8 @@ def test_sinr2_jensen_step_deterministic():
     model = UniformPowerError(10.0, 0.0)
     mo = analytic_moments(model)
     for c, K_a, tau_p, M in [(0, 1, 5, 16), (2, 9, 8, 64), (5, 30, 20, 100)]:
-        s = CollisionScenario(10.0, (10.0,) * c, K_a, tau_p, M)
         others = [10.0] * (K_a - 1 - c)
-        assert sinr2(c, K_a, 10.0, mo, tau_p, M) == pytest.approx(sinr1(s, others), rel=1e-12)
+        assert sinr2(c, K_a, 10.0, mo, tau_p, M) == pytest.approx(sinr1(10.0, [10.0] * c, others, tau_p, M), rel=1e-12)
 
 
 def test_sinr2_jensen_step_monte_carlo(rng):
@@ -235,7 +227,7 @@ def test_r1_bar_single_device_matches_quadrature(uniform_spread):
     got = r1_bar(cfg)
 
     def rate_of_gain(b0):
-        return (70 / 80) * math.log2(1.0 + sinr1(CollisionScenario(b0, (), 1, 10, 50), []))
+        return (70 / 80) * math.log2(1.0 + sinr1(b0, [], [], 10, 50))
 
     want = expect_beta(uniform_spread, np.vectorize(rate_of_gain))
     assert abs(got.value - want) <= 4 * got.mc_std_err
@@ -257,8 +249,8 @@ def test_r1_bar_matches_exhaustive_enumeration():
             rate_sum = 0.0
             for dev in range(K_a):
                 c = sum(1 for j in range(K_a) if j != dev and assign[j] == assign[dev])
-                s = CollisionScenario(beta, (beta,) * c, K_a, tau_p, M)
-                rate_sum += (tau_u - tau_p) / tau_u * math.log2(1.0 + sinr1(s, [beta] * (K_a - 1 - c)))
+                sinr = sinr1(beta, [beta] * c, [beta] * (K_a - 1 - c), tau_p, M)
+                rate_sum += (tau_u - tau_p) / tau_u * math.log2(1.0 + sinr)
             total += p_act * p_assign * rate_sum
     cfg = SystemConfig(M=M, K=K, tau_u=tau_u, tau_p=tau_p, p_a=p_a, model=UniformPowerError(beta, 0.0), seed=0,
                        mc=McConfig(eps_tail=1e-15))
@@ -441,5 +433,4 @@ def test_bound_result_invariants():
 @given(seed=st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_sinrs_are_nonnegative(seed):
-    s, others = _random_scenario(np.random.default_rng(seed))
-    assert sinr1(s, others) >= 0.0
+    assert sinr1(*_random_scenario(np.random.default_rng(seed))) >= 0.0

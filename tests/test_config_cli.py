@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,27 @@ def test_cli_malformed_spec_exit_3(tmp_path, capsys, body, field):
     assert main(["run", spec, "--out", str(tmp_path)]) == 3
     assert f"invalid: {field}: " in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("model, name", [
+    (UniformPowerError, "delta_bar"),
+    (LogNormalShadowing, "delta_bar"),
+    (LogNormalShadowing, "sigma_v2"),
+    (RingPathLoss, "delta_bar"),
+], ids=["uniform-delta_bar", "lognormal-delta_bar", "lognormal-sigma_v2", "pathloss-delta_bar"])
+@pytest.mark.parametrize("text, value", [(".nan", math.nan), (".inf", math.inf)], ids=["nan", "inf"])
+def test_non_finite_gain_law_parameter_exit_3(tmp_path, capsys, model, name, text, value):
+    # a NaN or infinite gain law is refused: it once validated, and then simulate wrote a
+    # rate of 0 and bound-eval failed on a non-positive beta_0 after a run of warnings
+    tag = {UniformPowerError: "uniform", LogNormalShadowing: "lognormal", RingPathLoss: "pathloss"}[model]
+    spec = _write(tmp_path, "bad.yaml", "kind: simulate\nsystem: {M: 32, K: 60, tau_p: 8, p_a: 0.1, "
+                  f"model: {{type: {tag}, {name}: {text}}}}}\nn_slots: 2\n")
+    assert main(["validate", spec]) == 3
+    assert main(["run", spec, "--out", str(tmp_path)]) == 3
+    assert f"invalid: system.model: {name} " in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    with pytest.raises(ValueError, match=name):
+        model(**{name: value})
 
 
 @pytest.mark.parametrize("body, kind, unread", [

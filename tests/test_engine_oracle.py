@@ -274,7 +274,7 @@ def test_engine_rows_equal_per_row_formula(model, kind):
             assert np.array_equal(wide[kas[0] - 1:kas[-1]], alone), (K, tau_p)
             # the cell alone and the cell in a row next to a sparser one
             cell = fn(cfg)
-            terms = bounds._activation_terms(cfg, [cfg.p_a * 0.6, cfg.p_a])
+            terms = bounds._activation_terms(cfg, np.array([cfg.p_a * 0.6, cfg.p_a]))
             values, errs, ns = bounds._averaged_row(cfg, tau_p, terms, use_sinr2=kind == "R2")
             assert (values[1], errs[1], ns[1]) == (cell.value, cell.mc_std_err, cell.mc_samples), (K, tau_p)
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import gammainc, gammaincc
 from scipy.stats import binom, chisquare
 
-from pilothop.bounds import CollisionScenario, sinr1
+from pilothop.bounds import sinr1
 from pilothop.channels import UniformPowerError
 from pilothop import protocol
 from pilothop.config import SystemConfig
@@ -162,7 +162,7 @@ def test_detection_statistic_mean_noise_only(rng):
 
 def test_estimate_sum_power_concentration(rng):
     est = np.array([
-        estimate_sum_power(train_one(np.array([10.0]), np.array([0]), 33, 400, rng)[1][:, 0], 33, 400)
+        estimate_sum_power(train_one(np.array([10.0]), np.array([0]), 33, 400, rng)[1], 33, 400)[0]
         for _ in range(400)
     ])
     # the pilot's observation is CN(0, (33*10 + 1) I_400), so |est - 10| <= 1
@@ -173,19 +173,18 @@ def test_estimate_sum_power_concentration(rng):
     assert abs(cover - p) <= 3 * math.sqrt(p * (1 - p) / est.size)
     # two equal colliders: estimate approaches the summed gain
     est2 = np.array([
-        estimate_sum_power(train_one(np.array([10.0, 10.0]), np.array([3, 3]), 16, 2048, rng)[1][:, 3], 16, 2048)
+        estimate_sum_power(train_one(np.array([10.0, 10.0]), np.array([3, 3]), 16, 2048, rng)[1], 16, 2048)[3]
         for _ in range(100)
     ])
     assert est2.mean() == pytest.approx(20.0, rel=0.05)
 
 
 def test_estimate_sum_power_clamped_at_zero(rng):
-    y = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2)
-    assert estimate_sum_power(0.0 * y, 8, 64) == 0.0
-    assert isinstance(estimate_sum_power(y, 8, 64), float)  # one column, one float
-    vals = [estimate_sum_power((rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2), 8, 64)
-            for _ in range(200)]
-    assert np.mean(vals) < 0.05
+    # noise-only columns: (64, 200) observations give 200 estimates, each at least 0
+    y = (rng.standard_normal((64, 200)) + 1j * rng.standard_normal((64, 200))) / math.sqrt(2)
+    assert np.array_equal(estimate_sum_power(0.0 * y, 8, 64), np.zeros(200))
+    vals = estimate_sum_power(y, 8, 64)
+    assert vals.shape == (200,) and vals.min() >= 0.0 and np.mean(vals) < 0.05
 
 
 def test_estimate_sum_power_error_scales_inversely_with_antennas(rng):
@@ -193,7 +192,7 @@ def test_estimate_sum_power_error_scales_inversely_with_antennas(rng):
     variances = []
     for M in Ms:
         es = [
-            estimate_sum_power(train_one(np.array([10.0]), np.array([0]), 16, M, rng)[1][:, 0], 16, M)
+            estimate_sum_power(train_one(np.array([10.0]), np.array([0]), 16, M, rng)[1], 16, M)[0]
             for _ in range(300)
         ]
         variances.append(np.var(es))
@@ -203,8 +202,7 @@ def test_estimate_sum_power_error_scales_inversely_with_antennas(rng):
 
 def test_mrc_large_array_matches_conditional_sinr(rng):
     M = 8192
-    s = CollisionScenario(10.0, (), 1, 16, M)
-    target = sinr1(s, [])
+    target = sinr1(10.0, [], [], 16, M)
     vals = [
         simulate_one(np.array([10.0]), np.array([2]), 16, M, rng).device_sinr[0]
         for _ in range(12)
@@ -214,8 +212,7 @@ def test_mrc_large_array_matches_conditional_sinr(rng):
 
 def test_forced_collision_jensen_bound(rng):
     # two devices pinned to the same pilot every slot, equal gains
-    s = CollisionScenario(10.0, (10.0,), 2, 20, 100)
-    bound = math.log2(1.0 + sinr1(s, []))
+    bound = math.log2(1.0 + sinr1(10.0, [10.0], [], 20, 100))
     vals = np.array([
         math.log2(1.0 + simulate_one(np.array([10.0, 10.0]), np.array([3, 3]), 20, 100, rng).device_sinr[0])
         for _ in range(2000)
@@ -250,8 +247,7 @@ def test_slot_sinr_averages_to_sinr1_of_its_scenario(tau_p, M, K_a):
     for k in range(K_a):
         shared = assignment == assignment[k]
         shared[k] = False
-        s = CollisionScenario(betas[k], betas[shared], K_a, tau_p, M)
-        want = 1.0 / sinr1(s, betas[assignment != assignment[k]])
+        want = 1.0 / sinr1(betas[k], betas[shared], betas[assignment != assignment[k]], tau_p, M)
         z.append((inv[:, k].mean() - want) / (inv[:, k].std(ddof=1) / math.sqrt(n)))
     assert max(map(abs, z)) < 4.5, z
 

@@ -1,11 +1,13 @@
 """Guards on the shipped specs: the CSV bytes of the fast ones, that every
 spec the repository ships (``specs/``, the benchmark's, the README's)
-validates, and that their runs import every module during start-up.
+validates, that their runs import every module during start-up, and that
+they call every function of the package that is not kept on purpose.
 
 The files under ``tests/golden/`` were written by ``pilothop run`` on each
 spec at its own seed. A refactor that keeps the arithmetic must keep them.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -86,10 +88,19 @@ def test_evaluated_bounds_of_the_shipped_specs():
     }
 
 
-# Runs one `pilothop run` and prints [exit code, scipy's binomial ufuncs loaded at entry
-# into run_experiment, binom_pmf called during the run, modules imported during the run]
+# Runs one `pilothop` command and prints [exit code, scipy's binomial ufuncs loaded at entry
+# into run_experiment, binom_pmf called during the run, modules imported during the run,
+# functions of src/pilothop called]; a command that runs no experiment prints null for the
+# second and fourth. Calls are recorded from before the package is imported, as call events
+# only: the tracer returns None, so no line event fires.
 _WATCHED_RUN = """
-import json, sys
+import json, os, sys
+called, src = set(), os.path.join(sys.argv[1], "")
+def tracer(frame, event, arg):
+    code = frame.f_code
+    if code.co_filename.startswith(src):
+        called.add((os.path.basename(code.co_filename)[:-3], code.co_qualname))
+sys.settrace(tracer)
 from pilothop import access, cli
 took, seen = [], {}
 binom_pmf, run_experiment = access.binom_pmf, cli.run_experiment
@@ -102,27 +113,60 @@ def watched(*args, **kwargs):
     seen["imported"] = sorted(set(sys.modules) - before)
     return out
 access.binom_pmf, cli.run_experiment = counted, watched
-rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, seen["scipy"], bool(took), seen["imported"]]))
+rc = cli.main(sys.argv[2:])
+sys.settrace(None)
+print(json.dumps([rc, seen.get("scipy"), bool(took), seen.get("imported"), sorted(called)]))
 """
 
 
-def test_runs_import_nothing_and_load_scipy_at_start_up_only_for_binomials(tmp_path, monkeypatch):
-    # setup_s ends at entry into run_experiment, so no run may import a module after it; scipy's
-    # binomial ufuncs are loaded before that entry exactly when the spec evaluates R1 or R2
-    runs = {op.name: (op.spec, op.cli_args(tmp_path / op.name)) for op in _benchmark_ops(tmp_path, monkeypatch)}
+@pytest.fixture(scope="module")
+def watched_runs(tmp_path_factory):
+    """Each benchmark op and shipped spec run through ``_WATCHED_RUN`` (name -> (spec, its output, or
+    the tail of its stderr if it failed)), and ``pilothop validate`` of each shipped spec."""
+    tmp_path = tmp_path_factory.mktemp("watched")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ops = _benchmark_ops(tmp_path, monkeypatch)
+    runs = {op.name: (op.spec, op.cli_args(tmp_path / op.name)) for op in ops}
     runs |= {path.stem: (path, ["run", str(path), "--out", str(tmp_path / path.stem), "--jobs", "1"])
              for path in SHIPPED}
+    runs |= {f"validate {path.stem}": (path, ["validate", str(path)]) for path in SHIPPED}
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-    seen, want = {}, {}
+    seen = {}
     for name, (spec, args) in runs.items():
-        out = subprocess.run([sys.executable, "-c", _WATCHED_RUN, *args], env=env, capture_output=True, text=True)
-        seen[name] = json.loads(out.stdout.splitlines()[-1]) if out.returncode == 0 else out.stderr[-400:]
-        binomial = bool({"R1", "R2"} & evaluated_bounds(parse_spec(spec)))
-        want[name] = [0, binomial, binomial, []]
+        out = subprocess.run([sys.executable, "-c", _WATCHED_RUN, str(ROOT / "src" / "pilothop"), *args],
+                             env=env, capture_output=True, text=True)
+        seen[name] = spec, json.loads(out.stdout.splitlines()[-1]) if out.returncode == 0 else out.stderr[-400:]
+    return seen
+
+
+def test_runs_import_nothing_and_load_scipy_at_start_up_only_for_binomials(watched_runs):
+    # setup_s ends at entry into run_experiment, so no run may import a module after it; scipy's
+    # binomial ufuncs are loaded before that entry exactly when the spec evaluates R1 or R2
+    seen, want = {}, {}
+    for name, (spec, out) in watched_runs.items():
+        if not name.startswith("validate "):
+            seen[name] = out[:4] if isinstance(out, list) else out
+            binomial = bool({"R1", "R2"} & evaluated_bounds(parse_spec(spec)))
+            want[name] = [0, binomial, binomial, []]
     assert seen == want
     assert {binomial for _, binomial, _, _ in want.values()} == {False, True}  # both kinds of run are covered
+
+
+def test_every_function_of_the_package_is_called_by_some_run(watched_runs):
+    # a top-level function that no benchmark op, shipped spec run or validation calls is code
+    # only tests reach; the allowed ones are the names perfbench/tracing.py pins, the public
+    # names kept unread, and _binom_params, which only the pinned truncate_support calls
+    from test_source import KEPT_UNREAD, _tracer_pinned
+
+    failed = {name: out for name, (_, out) in watched_runs.items() if not (isinstance(out, list) and out[0] == 0)}
+    assert not failed
+    called = {tuple(pair) for _, (_, out) in watched_runs.items() for pair in out[4]}
+    defined = {(path.stem, node.name) for path in sorted((ROOT / "src" / "pilothop").glob("*.py"))
+               for node in ast.parse(path.read_text(), filename=str(path)).body if isinstance(node, ast.FunctionDef)}
+    allowed = {name for _, name in _tracer_pinned()} | set(KEPT_UNREAD) | {"_binom_params"}
+    assert len(defined) > 50 and len(called & defined) > 50
+    assert sorted(f"{mod}.{name}" for mod, name in defined - called if name not in allowed) == []
 
 
 README = (ROOT / "README.md").read_text()

@@ -285,7 +285,6 @@ def unread_public_names() -> list[str]:
 # Defaulted parameters of public functions that no package call sets, each with its reason
 KEPT_DEFAULTS = {
     "access.truncate_support.eps_tail": "perfbench/tracing.py builds collision windows at each run's own eps_tail",
-    "bounds.sinr1.other_active_betas": "sinr1 is kept unread (KEPT_UNREAD); its tests set the other devices' gains",
     "cli.main.argv": "the console entry point, called with none and reading sys.argv",
 }
 
