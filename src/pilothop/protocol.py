@@ -14,10 +14,11 @@ per operation, in one set of ``block_arrays`` a frame; draws stay per
 slot, so no slot depends on its block. The receiver thresholds the
 correlation energy to find the pilots in use. Across slots the detected
 pilot sets are matched against the hopping patterns to identify which
-devices transmitted; the scan regenerates the population's patterns in
-``SCAN_ENTRIES``-entry blocks, one slot chunk at a time, and stops hashing
-a device once it has missed more slots than ``RHO`` allows. A frame is
-set by its scenario, its random stream and its frame index alone.
+devices transmitted; the scan regenerates the population's patterns
+slot-major, in ``SCAN_ENTRIES``-entry blocks of buffers it takes once a
+frame, one slot chunk at a time with the sparsest slots first, and stops
+hashing a device once it has missed more slots than ``RHO`` allows. A
+frame is set by its scenario, its random stream and its frame index alone.
 
 A genie side channel (true channels and gains, never visible to the
 receiver path) decomposes the output of maximum ratio combining along each
@@ -52,8 +53,13 @@ ZETA = 5.0
 # hits the detected pilots in at least this fraction of the frame's slots
 RHO = 0.9
 
-# (device, slot) pattern entries the identification scan regenerates at a
-# time: its working set stays at a few 512 kB arrays whatever K and L are
+# (slot, device) pattern entries the identification scan regenerates at a
+# time: its working set stays at two 512 kB arrays and a 64 kB one whatever K
+# and L are. One run_frame at slot-mmtc's shape (K = 1e5, 200 slots, p_aK =
+# 30, seeds 1-6), in ms, as the median over 8 alternated processes of each
+# one's median frame (range): 2**14 71.3 (69.6-76.2), 2**15 62.0
+# (59.0-78.2), 2**16 56.9 (55.5-62.3), 2**17 60.6 (58.0-65.0); 2**16 was the
+# fastest in all 8 (2-core Xeon VM, one BLAS thread)
 SCAN_ENTRIES = 1 << 16
 
 # complex entries of the training arrays that one block of slots holds
@@ -74,30 +80,36 @@ def _frame_key(root_seed: int, frame: int) -> np.uint64:
     return np.random.SeedSequence((root_seed, frame)).generate_state(1, np.uint64)[0]
 
 
-def hopping_patterns(devices, frame: int, slots: range, tau_p: int, root_seed: int) -> np.ndarray:
-    """(len(devices), len(slots)) pilot indices: row i is the pattern of
-    device ``devices[i]`` in frame ``frame`` over the slots of the range
-    ``slots`` (step 1).
+def hopping_patterns(devices, frame: int, slots, tau_p: int, root_seed: int, out) -> np.ndarray:
+    """(len(slots), len(devices)) pilot indices: column i is the pattern of
+    device ``devices[i]`` in frame ``frame`` over ``slots``, a 1-D array (or
+    range) of slot indices in any order, repeats allowed. The result is a
+    view of ``out[0]``: ``out`` is a pair of 1-D uint64 buffers (or a (2, n)
+    array) of at least len(slots) * len(devices) entries each, the mixer's
+    state and its xor-shifts' scratch.
 
     A counter-based function of (root seed, frame, device, slot), so both
     sides regenerate any entry alone. ``SeedSequence((root_seed, frame))``
     gives one 64-bit frame key, held for the latest frame, which keeps every
-    bit of any non-negative integer seed. Entry (d, l) is the SplitMix64
-    output at counter d * 2**32 + l + 1 under that key, and its output h
-    maps to a pilot by multiply-high, ``((h >> 32) * tau_p) >> 32``. Each
-    pilot then has probability within 2**-32 of 1/tau_p: a relative bias of
-    at most tau_p / 2**32. The mixer's input (counter * gamma + key, mod 2**64) is
-    formed as a per-device column plus a per-slot row.
+    bit of any non-negative integer seed. Entry (l, d) is the SplitMix64
+    output at counter d * 2**32 + l + 1 under that key, so device ids lie in
+    [0, 2**32) and slot indices in [0, 2**32 - 1), and its output h maps to
+    a pilot by multiply-high, ``((h >> 32) * tau_p) >> 32``. Each pilot then
+    has probability within 2**-32 of 1/tau_p: a relative bias of at most
+    tau_p / 2**32. The mixer's input (counter * gamma + key, mod 2**64) is
+    formed as a per-slot column plus a per-device row, slot-major, so each
+    numpy loop runs along the devices.
     """
     devices = np.asarray(devices, dtype=np.int64)
+    slots = np.asarray(slots, dtype=np.int64)
     if devices.size and (devices.min() < 0 or devices.max() >= 1 << 32):
         raise ValueError("device ids must lie in [0, 2**32)")
-    if slots.step != 1 or slots.start < 0:
-        raise ValueError("slots must be a step-1 range of non-negative slot indices")
+    if slots.ndim != 1 or slots.size and (slots.min() < 0 or slots.max() >= (1 << 32) - 1):
+        raise ValueError("slots must be a 1-D array of slot indices in [0, 2**32 - 1)")
     col = (devices.astype(np.uint64) << np.uint64(32)) * _GAMMA + _frame_key(root_seed, frame)
-    row = np.arange(slots.start + 1, slots.stop + 1, dtype=np.uint64) * _GAMMA
-    x = np.add.outer(col, row)
-    t = np.empty_like(x)  # the xor-shifts' scratch
+    row = (slots.astype(np.uint64) + np.uint64(1)) * _GAMMA
+    x, t = (buf[:row.size * col.size].reshape(row.size, col.size) for buf in out)  # t: the xor-shifts' scratch
+    np.add(row[:, None], col, out=x)
     np.right_shift(x, np.uint64(30), out=t)
     x ^= t
     x *= _MIX1
@@ -114,7 +126,8 @@ def hopping_patterns(devices, frame: int, slots: range, tau_p: int, root_seed: i
 
 def all_patterns(K: int, frame: int, n_slots: int, tau_p: int, root_seed: int) -> np.ndarray:
     """(K, n_slots) hopping patterns of the whole device population."""
-    return hopping_patterns(np.arange(K), frame, range(n_slots), tau_p, root_seed)
+    out = np.empty((2, K * n_slots), dtype=np.uint64)
+    return hopping_patterns(np.arange(K), frame, np.arange(n_slots), tau_p, root_seed, out).T
 
 
 def pilot_energy(corr: np.ndarray) -> np.ndarray:
@@ -210,14 +223,17 @@ def _bartlett_layout(K_a: int, m: int):
 def block_arrays(slots: int, K_a: int, tau_p: int, r: int) -> dict:
     """The arrays a block of up to ``slots`` slots writes: K_a devices,
     ``tau_p`` pilots, r = m + 1 coordinates. ``z``, the normal draws; ``Gt``
-    = G^T; ``Ct`` = corr^T; ``E``, the one-hot map; ``U`` = corr^H G; and
-    ``scratch``, E @ Gt and then corr^H. A block of B slots writes the
-    leading [:B] views, so ``run_frame``'s blocks share one set a frame."""
+    = G^T; ``Ct`` = corr^T; ``E``, the one-hot map; ``U`` = corr^H G;
+    ``scratch``, E @ Gt and then corr^H; and ``hash``, the pair of uint64
+    buffers :func:`hopping_patterns` writes the block's pilots into. A block
+    of B slots writes the leading [:B] views, so ``run_frame``'s blocks share
+    one set a frame."""
     m = r - 1
     draws = _bartlett_layout(K_a, m)[0].size + 2 * m * min(K_a, tau_p)
     shapes = {"Gt": (K_a, r), "Ct": (tau_p, r), "scratch": (tau_p, r), "U": (tau_p, K_a)}
     arrays = {name: np.empty((slots, *shape), dtype=complex) for name, shape in shapes.items()}
-    return {**arrays, "E": np.empty((slots, tau_p, K_a)), "z": np.empty(slots * draws)}
+    return {**arrays, "E": np.empty((slots, tau_p, K_a)), "z": np.empty(slots * draws),
+            "hash": np.empty((2, slots * K_a), dtype=np.uint64)}
 
 
 def train_slot(betas: np.ndarray, assignment: np.ndarray, tau_p: int, M: int, rng: np.random.Generator, out: dict):
@@ -305,7 +321,7 @@ class IdentificationReport:
 
 def match_patterns(
     detected: np.ndarray,
-    patterns_of: Callable[[np.ndarray, range], np.ndarray],
+    patterns_of: Callable[[np.ndarray, np.ndarray, tuple], np.ndarray],
     K: int,
     tau_p: int,
     active: np.ndarray,
@@ -316,33 +332,46 @@ def match_patterns(
 
     ``detected`` is the (L, tau_p) boolean map of each slot's detected pilots.
 
-    ``patterns_of(devices, slots)`` returns the devices' pattern entries over
-    the range ``slots``. A device is identified when its hits h satisfy
-    ``h / L >= RHO``, that is when it misses at most ``slack = L - need``
-    slots, ``need`` the least such h. The scan takes the frame in chunks of
-    ``slack + 1`` slots, the fewest after which a device can exceed its
-    slack, and hashes only the devices still within it: a signed per-device
-    budget (one byte each while slack < 128) counts down their misses.
-    Survivors are regenerated in blocks of at most ``SCAN_ENTRIES`` pattern
-    entries, so no K x L table is held. With a single observed slot this
-    degenerates to per-slot pilot ambiguity: every device whose pilot was
-    detected matches. ``missed`` and ``false`` are the sorted set differences
-    of the active and the identified ids.
+    ``patterns_of(devices, slots, out)`` returns the devices' pattern entries
+    over the 1-D array ``slots``, (len(slots), len(devices)), as a view of
+    the scan's pair of uint64 buffers ``out`` (see :func:`hopping_patterns`).
+    A device is identified when its hits h satisfy ``h / L >= RHO``, that is
+    when it misses at most ``slack = L - need`` slots, ``need`` the least
+    such h. Hits do not depend on the order in which slots are scanned, so
+    the scan takes them sparsest first, in a stable ascending order of their
+    detected-pilot counts, where a device misses most. Its first chunk holds
+    ``chunk = slack + 1`` slots, the fewest after which a device can exceed
+    its slack, and each later chunk ``chunk // 3`` slots (at least one), and
+    only the devices still within their slack are hashed: a signed
+    per-device budget (one byte each while slack < 128) counts down their
+    misses. Survivors are regenerated in blocks of at most ``SCAN_ENTRIES``
+    pattern entries, into buffers taken once a call, so no K x L table is
+    held. With a single observed slot this degenerates to per-slot pilot
+    ambiguity: every device whose pilot was detected matches. ``missed`` and
+    ``false`` are the sorted set differences of the active and the
+    identified ids.
     """
     detected = np.asarray(detected)
     L = len(detected)
     if detected.dtype != bool or detected.shape != (L, tau_p) or L < 1:
         raise ValueError(f"need a (slots >= 1, {tau_p}) boolean detection map")
-    D, offsets = detected.ravel(), np.arange(L) * tau_p  # slot l's pilot j sits at l*tau_p + j
+    order = np.argsort(np.count_nonzero(detected, axis=1), kind="stable")  # sparsest slots first
+    D, offsets = detected.ravel(), order[:, None] * tau_p  # slot l's pilot j sits at l*tau_p + j
     need = int(np.argmax(np.arange(L + 1) / L >= RHO))  # the same division as hits / L >= RHO
     chunk = L - need + 1
     budget = np.full(K, chunk - 1, dtype=np.min_scalar_type(-chunk))  # misses still affordable
-    step = max(1, SCAN_ENTRIES // chunk)
-    for start in range(0, L, chunk):
-        slots = range(start, min(start + chunk, L))
+    size = min(K, max(1, SCAN_ENTRIES // chunk)) * chunk
+    # two hash buffers, not one (2, size) array: slot-mmtc's peak_rss_mb rose 0.4 MB
+    # over the per-call arrays with two, 1.1 MB with one
+    out = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    hit = np.empty(size, dtype=bool)
+    edges = [0, *range(chunk, L, max(1, chunk // 3)), L]
+    for start, stop in zip(edges, edges[1:]):
+        n = stop - start
         alive = np.count_nonzero(budget >= 0)
         if alive == 0:
             break
+        step = size // n  # devices a block holds
         width = step * K // alive  # an id window holding about `step` survivors
         lo = 0
         while lo < K:
@@ -350,8 +379,10 @@ def match_patterns(
             nxt = lo + (ids[-1] + 1 if ids.size == step else width)
             if ids.size:
                 ids += lo
-                hits = np.count_nonzero(D[patterns_of(ids, slots) + offsets[start:slots.stop]], axis=1)
-                budget[ids] -= len(slots) - hits
+                at = patterns_of(ids, order[start:stop], out)
+                at += offsets[start:stop]
+                hits = np.take(D, at, out=hit[:at.size].reshape(at.shape), mode="clip")  # "raise" would copy out
+                budget[ids] -= n - hits.sum(axis=0, dtype=np.min_scalar_type(chunk))
             lo = nxt
     identified = np.flatnonzero(budget >= 0)
     on, off = set(active.tolist()), set(identified.tolist())
@@ -397,8 +428,8 @@ def run_frame(
     tau_p, tau_u, M = cfg.tau_p, cfg.tau_u, cfg.M
     active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
 
-    def patterns_of(devices, slots):
-        return hopping_patterns(devices, frame_index, slots, tau_p, cfg.seed)
+    def patterns_of(devices, slots, out):
+        return hopping_patterns(devices, frame_index, slots, tau_p, cfg.seed, out)
 
     betas = sample_beta(cfg.model, rng, active.size)
 
@@ -408,7 +439,7 @@ def run_frame(
     arrays = block_arrays(min(step, n_slots), active.size, tau_p, min(active.size, M) + 1)
     for start in range(0, n_slots, step):
         block = range(start, min(start + step, n_slots))
-        assignments = patterns_of(active, block).T  # row b: the active devices' pilots in slot start + b
+        assignments = patterns_of(active, block, arrays["hash"])  # row b: the active pilots in slot start + b
         slot = simulate_slot(betas, assignments, tau_p, M, rng, out=arrays)
         hits = detected[block.start:block.stop]
         hits.reshape(-1)[slot.detected] = True

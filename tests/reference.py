@@ -3,7 +3,8 @@ the package computes another way (the R2 SINR as its own function, the R3
 SINR at scalars, the SINR rebuilt from the MMSE variances, the DFT pilot
 book ``train_slot`` rotates away, the full-basis training phase whose
 statistics ``train_slot`` draws, the whole-frame hopping-pattern hash, a
-frame replayed one slot at a time), and the slot routines run on one slot
+frame replayed one slot at a time), the hopping patterns hashed into
+buffers of their own (``patterns``), and the slot routines run on one slot
 as a block of one (``train_one``, ``simulate_one``, ``mrc_one``)."""
 
 from dataclasses import dataclass
@@ -106,7 +107,7 @@ def hopping_table(devices, frame: int, n_slots: int, tau_p: int, root_seed: int)
     """(len(devices), n_slots) hopping patterns hashed counter by counter:
     SplitMix64 of d * 2**32 + l + 1 under the (root_seed, frame) key, mapped
     to a pilot by multiply-high. ``protocol.hopping_patterns`` forms the same
-    mixer input as a per-device column plus a per-slot row."""
+    mixer input as a per-slot column plus a per-device row, slot-major."""
     gamma, mix1, mix2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
     key = np.random.SeedSequence((root_seed, frame)).generate_state(1, np.uint64)
     x = (np.asarray(devices, dtype=np.uint64) << np.uint64(32))[:, None] + np.arange(1, n_slots + 1, dtype=np.uint64)
@@ -115,6 +116,12 @@ def hopping_table(devices, frame: int, n_slots: int, tau_p: int, root_seed: int)
     x = (x ^ (x >> np.uint64(27))) * mix2
     x = x ^ (x >> np.uint64(31))
     return (((x >> np.uint64(32)) * np.uint64(tau_p)) >> np.uint64(32)).astype(np.intp)
+
+
+def patterns(devices, frame: int, slots, tau_p: int, root_seed: int) -> np.ndarray:
+    """``protocol.hopping_patterns`` into buffers of its own: the (len(slots), len(devices)) pilots."""
+    out = np.empty((2, np.size(slots) * np.size(devices)), dtype=np.uint64)
+    return hopping_patterns(devices, frame, slots, tau_p, root_seed, out)
 
 
 @lru_cache(maxsize=16)
@@ -185,8 +192,7 @@ def replay_frame(cfg, n_slots: int, rng: np.random.Generator, frame_index: int =
     active = sample_active_set(ActivationLaw(cfg.K, cfg.p_a), rng)
     betas = sample_beta(cfg.model, rng, active.size)
     return active, [
-        simulate_one(betas, hopping_patterns(active, frame_index, range(l, l + 1), cfg.tau_p, cfg.seed)[:, 0],
-                     cfg.tau_p, cfg.M, rng)
+        simulate_one(betas, patterns(active, frame_index, [l], cfg.tau_p, cfg.seed)[0], cfg.tau_p, cfg.M, rng)
         for l in range(n_slots)
     ]
 
