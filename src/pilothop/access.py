@@ -25,7 +25,6 @@ import sys
 import types
 from dataclasses import dataclass
 from functools import cache
-from typing import Union
 
 import numpy as np
 
@@ -58,9 +57,6 @@ class CollisionLaw:
             raise ValueError(f"pilot count tau_p must be >= 1, got {self.tau_p}")
 
 
-AnyLaw = Union[ActivationLaw, CollisionLaw]
-
-
 @dataclass(frozen=True)
 class TruncatedSupport:
     """Contiguous integer window [lo, hi] covering at least 1 - eps_tail mass."""
@@ -74,14 +70,6 @@ class TruncatedSupport:
             raise ValueError(f"empty support [{self.lo}, {self.hi}]")
         if not 0.0 < self.covered_mass <= 1.0 + 1e-12:
             raise ValueError(f"covered_mass out of range: {self.covered_mass}")
-
-
-def _binom_params(law: AnyLaw) -> tuple[int, float]:
-    if isinstance(law, ActivationLaw):
-        return law.K, law.p_a
-    if isinstance(law, CollisionLaw):
-        return law.K_a - 1, 1.0 / law.tau_p
-    raise TypeError(f"expected ActivationLaw or CollisionLaw, got {type(law).__name__}")
 
 
 @cache
@@ -262,7 +250,7 @@ def _greedy_windows(pm, band, m, span, eps_tail: float):
     return lo, lo + taken, covered, masses
 
 
-def truncate_support(law: AnyLaw, eps_tail: float = 1e-9) -> TruncatedSupport:
+def truncate_support(law: ActivationLaw | CollisionLaw, eps_tail: float = 1e-9) -> TruncatedSupport:
     """Smallest contiguous window around the mode with mass >= 1 - eps_tail.
 
     Grows greedily from the mode, always annexing the heavier neighbour;
@@ -270,7 +258,12 @@ def truncate_support(law: AnyLaw, eps_tail: float = 1e-9) -> TruncatedSupport:
     """
     if not 0.0 < eps_tail < 1.0:
         raise ValueError(f"eps_tail must lie in (0, 1), got {eps_tail}")
-    n, p = _binom_params(law)
+    if isinstance(law, ActivationLaw):
+        n, p = law.K, law.p_a
+    elif isinstance(law, CollisionLaw):
+        n, p = law.K_a - 1, 1.0 / law.tau_p
+    else:
+        raise TypeError(f"expected ActivationLaw or CollisionLaw, got {type(law).__name__}")
     lo, hi, covered, _ = binom_windows([n], p, eps_tail)
     return TruncatedSupport(int(lo[0]), int(hi[0]), float(covered[0]))
 

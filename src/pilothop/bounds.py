@@ -41,8 +41,8 @@ cells written in place by the bound's one SINR formula (``_sinr3``,
 ``r1_ceiling`` bounds every R1 cell of a grid from above at a fraction of
 its cost, so a search need evaluate exactly only the cells that can win.
 R1-opt takes it coarse to fine, at each spacing of ``HEAD_SPACINGS`` on
-the rows and columns the last pass left, each row's collision windows
-from one ``binom_windows`` call that gives both F and its tail terms.
+the rows and columns the last pass left, each row's F and the covered
+masses of its tail terms from one ``_f_row_sums`` call.
 It rests on a lemma about the kernel's own F row. Fix one gain sample, so
 the pool's column order is fixed; the reference is column 0, the c
 colliders columns 1..c and the other active devices columns c+1..K_a-1.
@@ -257,46 +257,49 @@ def _prefix_sums(model: LargeScaleModel, n: int, width: int, seed: int):
 
 
 # (collider count, gain sample) entries in one tile of each of the F-row
-# kernel's four arrays: at most 2 MiB per array while eight samples fit in it
-# (span <= 32,768 collider counts); beyond, tiles of four to seven samples
+# kernel's four arrays: at most 2 MiB per array while one sample fits in it
+# (span <= 262,144 collider counts)
 ROW_BLOCK_ENTRIES = 1 << 18
 
 
 def _sample_blocks(n: int, span: int) -> list[tuple[int, int]]:
     """Column ranges tiling 0..n-1 for an F-row block over ``span`` collider counts.
 
-    ``width`` is the largest multiple of 4 with ``width * span <=
-    ROW_BLOCK_ENTRIES``, or 4 if there is none. Blocks are ``width`` wide
-    and the last takes what is left, unless that is under four columns: the
-    last block then starts four columns earlier (merged with the one before
-    when ``width`` is 4). OpenBLAS's gemv sums a column in an order set by
-    whether it falls in the kernel's groups of four or in the ``n mod 4``
-    tail, and a block of under four columns is summed in yet another order;
-    blocks of at least four columns that start at multiples of 4 give each
-    column of ``coll_w @ block`` the bits of ``coll_w @ whole`` under one
-    BLAS thread (with more, OpenBLAS splits a long product into ranges of
-    its own).
+    Blocks are ``max(1, ROW_BLOCK_ENTRIES // span)`` wide and the last takes
+    what is left. :func:`_collider_sum` gives a column the same bits in any
+    block, so the tiling bounds the kernel's scratch and nothing else.
     """
-    width = max(4, ROW_BLOCK_ENTRIES // span // 4 * 4)
-    starts = list(range(0, n, width))
-    if len(starts) > 1 and n - starts[-1] < 4:
-        starts[-1] -= 4
-        if starts[-1] == starts[-2]:
-            starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
+    width = max(1, ROW_BLOCK_ENTRIES // span)
+    return [(j, min(j + width, n)) for j in range(0, n, width)]
 
 
-def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments: BetaMoments | None, windows=None):
+def _collider_sum(coll_w, x):
+    """``sum_c coll_w[c] x[c]`` for each column of the (c, s) block ``x``.
+
+    Each column is the ordered loop ``acc += coll_w[c] * x[c]`` from c = 0,
+    bit for bit, whatever the block's width and its columns' place in the
+    pool, and whatever BLAS is loaded: einsum adds the rows in order, column
+    by column, but takes a single column as a dot product in partial sums,
+    so that column is summed by ``cumsum``.
+    """
+    if x.shape[1] == 1:
+        return np.cumsum(coll_w * x[:, 0])[-1:]
+    return np.einsum("c,cs->s", coll_w, x)
+
+
+def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments: BetaMoments | None):
     """Per-sample sums ``sum_t coeffs[t] F[k_lo + t]``, one row per (k_lo, coeffs) of ``cells``.
 
-    F is R1's, or R2's when ``moments`` is given. Each row is computed once,
-    a block of gain samples at a time, and each block is added, times its
-    coefficient, to the sums of the cells that use it, in ascending K_a.
-    ``windows``, if given, are the caller's collision windows of the K_a.
+    Returns (sums, covered): the sums, and the mass each collision window
+    covers, one entry per K_a of the cells in ascending order. F is R1's,
+    or R2's when ``moments`` is given. Each row is computed once, a block of
+    gain samples at a time, and each block is added, times its coefficient,
+    to the sums of the cells that use it, in ascending K_a.
 
     Both bounds share one row formula over the collider counts c of each
     row's collision window,
-    ``F[K_a] = coll_w @ log2(1 + num / (A_c + x(K_a) B_c))``:
+    ``F[K_a] = sum_c coll_w[c] log2(1 + num / (A_c + x(K_a) B_c))``, summed
+    in ascending c by :func:`_collider_sum`:
     ``num = tau_p (M-1) b0^2``, and ``A_c``, ``B_c`` are the parts of the
     SINR denominator that depend on c and the gain sample but not on K_a,
     computed once for the union of the windows. In R1, ``A_c = tau_p (M-1)
@@ -316,7 +319,7 @@ def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments
         for K_a, coeff in enumerate(coeffs, k_lo):
             users.setdefault(K_a, []).append((i, coeff))
     kas = sorted(users)
-    c_lo, c_hi, _, c_w = binom_windows(np.array(kas) - 1, 1.0 / tau_p, eps_tail) if windows is None else windows
+    c_lo, c_hi, covered, c_w = binom_windows(np.array(kas) - 1, 1.0 / tau_p, eps_tail)
     c0, c1 = int(c_lo.min()), int(c_hi.max()) + 1
     n = cum.shape[1]
     sums = np.zeros((len(cells), n))
@@ -364,10 +367,10 @@ def _f_row_sums(cum, cum_sq, cells, tau_p: int, M: int, eps_tail: float, moments
             den += A[at]
             np.divide(num, den, out=den)
             den += 1.0
-            row = coll_w @ np.log2(den, out=den)
+            row = _collider_sum(coll_w, np.log2(den, out=den))
             for i, coeff in users[K_a]:
                 sums[i, blk] += coeff * row
-    return sums
+    return sums, covered
 
 
 def _activation_terms(cfg: "SystemConfig", p_a) -> list:
@@ -418,7 +421,7 @@ def _averaged_row(cfg: "SystemConfig", tau_p: int, terms: list, use_sinr2: bool)
     k_top = 1 if use_sinr2 else max(k_lo + coeffs.size - 1 for k_lo, coeffs in cells)
     cum, cum_sq = _prefix_sums(cfg.model, n, k_top, cfg.seed)
     moments = analytic_moments(cfg.model) if use_sinr2 else None
-    for i, total_s in zip(live, _f_row_sums(cum, cum_sq, cells, tau_p, cfg.M, mc.eps_tail, moments)):
+    for i, total_s in zip(live, _f_row_sums(cum, cum_sq, cells, tau_p, cfg.M, mc.eps_tail, moments)[0]):
         values[i] = total_s.mean()
         if not exact:
             # a single draw is not analytic, but its error is unknown
@@ -593,7 +596,6 @@ def r1_ceiling(cfg: "SystemConfig", tau_ps, p_aK, spacing: int) -> np.ndarray:
     for i, tau_p in enumerate(tau_ps.tolist()):
         prelog = (cfg.tau_u - tau_p) / cfg.tau_u
         if prelog != 0.0:
-            windows = binom_windows(heads - 1, 1.0 / tau_p, mc.eps_tail)
-            f = _f_row_sums(cum, cum_sq, singles, tau_p, cfg.M, mc.eps_tail, None, windows).mean(axis=1)
-            ceiling[i] = prelog * (per_head @ (f + (1.0 - windows[2]) * tail))
+            f, covered = _f_row_sums(cum, cum_sq, singles, tau_p, cfg.M, mc.eps_tail, None)
+            ceiling[i] = prelog * (per_head @ (f.mean(axis=1) + (1.0 - covered) * tail))
     return ceiling

@@ -10,7 +10,8 @@ vectorized pass.
 
 The second is the per-row kernel that the engine's shared R1/R2 row
 formula replaced: R1 rows through ``_sinr1_from_sums`` below, R2 rows
-through ``reference.sinr2``, each row's SINR block built whole. The
+through ``reference.sinr2``, each row's SINR block built whole and summed
+over the colliders by an explicit loop in ascending collider count. The
 kernel's rows must equal it bit for bit, computed alone and inside a wider
 union of rows; the kernel is read one cell per K_a with coefficient 1.0,
 whose sum is the row itself (0.0 + 1.0 x == x).
@@ -18,10 +19,6 @@ whose sum is the row itself (0.0 + 1.0 x == x).
 
 import functools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +217,14 @@ def _sinr1_from_sums(b0, b0_sq, coll_sum, coll_sq, other_sum, tau_p, M):
     return tau_p * (M - 1) * b0_sq / den
 
 
+def _ordered_sum(weights, rows):
+    """``sum_c weights[c] rows[c]``, added row after row from c = 0."""
+    acc = np.zeros(rows.shape[1:])
+    for w, row in zip(weights, rows):
+        acc += w * row
+    return acc
+
+
 def _ref_row(kind, cfg, K_a):
     """The F row at K_a of the config's table, its SINR block built whole."""
     n = 1 if is_degenerate(cfg.model) else cfg.mc.n_beta_samples
@@ -233,7 +238,7 @@ def _ref_row(kind, cfg, K_a):
     else:
         upto = cum[cols]
         s = _sinr1_from_sums(b0, b0_sq, upto - b0, cum_sq[cols] - b0_sq, cum[K_a] - upto, cfg.tau_p, cfg.M)
-    return coll_w @ np.log2(1.0 + s)
+    return _ordered_sum(coll_w, np.log2(1.0 + s))
 
 
 def _cell_kas(cfg):
@@ -248,7 +253,7 @@ def _kernel_rows(kind, cfg, kas):
     cum, cum_sq = bounds._prefix_sums(cfg.model, n, max(kas), cfg.seed)
     moments = analytic_moments(cfg.model) if kind == "R2" else None
     cells = [(K_a, [1.0]) for K_a in kas]
-    return bounds._f_row_sums(cum, cum_sq, cells, cfg.tau_p, cfg.M, cfg.mc.eps_tail, moments)
+    return bounds._f_row_sums(cum, cum_sq, cells, cfg.tau_p, cfg.M, cfg.mc.eps_tail, moments)[0]
 
 
 ROW_MODELS = {k: MODELS[k] for k in ("ring", "spread", "shadowed")}
@@ -279,28 +284,38 @@ def test_engine_rows_equal_per_row_formula(model, kind):
             assert (values[1], errs[1], ns[1]) == (cell.value, cell.mc_std_err, cell.mc_samples), (K, tau_p)
 
 
-def _block_mismatches():
-    """Every (case, block width) whose sample blocks do not give the whole product's bits.
+def test_collider_sum_is_the_ordered_loop():
+    # every column of every tile 1 to 9 wide, at every offset, contiguous or
+    # a view of the block, has the bits of the ordered loop over the colliders
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3, 5, 301, 4099):
+        for w in (1, 2, 3, 17, 71):
+            x = np.log2(1.0 + 10.0 * rng.random((w, n)))
+            coll_w = rng.random(w)
+            want = _ordered_sum(coll_w, x)
+            for width in range(1, min(n, 9) + 1):
+                for a in range(n - width + 1):
+                    tile = x[:, a:a + width]
+                    for got in (bounds._collider_sum(coll_w, tile),
+                                bounds._collider_sum(coll_w, np.ascontiguousarray(tile))):
+                        assert np.array_equal(got, want[a:a + width]), (n, w, width, a)
 
-    Checks ``coll_w @ block`` on the tiles of ``_sample_blocks`` against
-    ``coll_w @ whole`` column for column, and engine cells and their F rows
-    computed in narrow sample blocks against the same in one block. Run
-    under one BLAS thread.
-    """
-    found = []
+
+def test_sample_blocks_keep_every_bit(monkeypatch):
+    # sample blocks must not move a bit of any row: the collider sum of each
+    # tile against that of the whole block, and engine cells and their F
+    # rows computed in narrow sample blocks against the same in one block
     rng = np.random.default_rng(3)
-    widths = (4, 8, 12, 20, 64, 1000, 4096)
     for n in (1, 2, 3, 5, 7, 301, 302, 303, 700, 1003, 4097, 4098, 4099, 20001, 50003):
         for w in (1, 2, 3, 5, 17, 40, 71):
             x = np.log2(1.0 + 10.0 * rng.random((w, n)))
             coll_w = rng.random(w)
-            whole = coll_w @ x
-            for width in widths:
-                bounds.ROW_BLOCK_ENTRIES = width
+            whole = bounds._collider_sum(coll_w, x)
+            for width in (1, 2, 3, 4, 8, 12, 20, 64, 1000, 4096):
+                monkeypatch.setattr(bounds, "ROW_BLOCK_ENTRIES", width)
                 tiles = bounds._sample_blocks(n, 1)
-                got = np.concatenate([coll_w @ np.ascontiguousarray(x[:, a:b]) for a, b in tiles])
-                if not np.array_equal(got, whole):
-                    found.append(("gemv", n, w, width))
+                got = np.concatenate([bounds._collider_sum(coll_w, np.ascontiguousarray(x[:, a:b])) for a, b in tiles])
+                assert np.array_equal(got, whole), (n, w, width)
     for n in (301, 302, 303, 1004):
         for kind, fn in (("R1", r1_bar), ("R2", r2_bar)):
             for tau_p, q in ROW_CELLS:
@@ -308,42 +323,25 @@ def _block_mismatches():
                                    seed=4, mc=McConfig(n_beta_samples=n))
                 kas, cells = _cell_kas(cfg), []
                 for entries in (1 << 40, 4, 48, 1000):
-                    bounds.ROW_BLOCK_ENTRIES = entries
+                    monkeypatch.setattr(bounds, "ROW_BLOCK_ENTRIES", entries)
                     res = fn(cfg)
                     cells.append((res.value, res.mc_std_err, _kernel_rows(kind, cfg, kas).tobytes()))
-                if any(c != cells[0] for c in cells):
-                    found.append((kind, n, tau_p))
-    return found
+                assert all(c == cells[0] for c in cells), (kind, n, tau_p)
 
 
-def test_sample_blocks_keep_every_bit():
-    # sample blocks must not move a bit of any row; BLAS runs one thread, as
-    # in the benchmark, because OpenBLAS splits a long product across
-    # threads into ranges of its own
-    tests = Path(__file__).resolve().parent
-    path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "OPENBLAS_NUM_THREADS": "1"}
-    code = "import test_engine_oracle as t; print(t._block_mismatches())"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stdout[-2000:] + out.stderr[-2000:]
-
-
-def test_sample_blocks_tile_in_multiples_of_four(monkeypatch):
-    # blocks start at multiples of 4 and hold at least four samples; none
-    # exceeds the entry budget while eight samples fit in it
+def test_sample_blocks_tile_within_the_entry_budget(monkeypatch):
+    # blocks of max(1, entries // span) samples, the last taking what is left,
+    # each within the entry budget wherever one sample fits in it
     for entries in (1, 4, 48, 1000, 1 << 18):
         monkeypatch.setattr(bounds, "ROW_BLOCK_ENTRIES", entries)
         for n in (1, 3, 4, 5, 7, 9, 500, 700, 4099, 50000):
             for span in (1, 3, 70, 800, 900, 40000):
                 tiles = bounds._sample_blocks(n, span)
                 lengths = [b - a for a, b in tiles]
-                width = max(4, entries // span // 4 * 4)
+                width = max(1, entries // span)
                 assert tiles[0][0] == 0 and tiles[-1][1] == n
                 assert all(b == c for (_, b), (c, _) in zip(tiles, tiles[1:]))
-                assert all(a % 4 == 0 for a, _ in tiles)
-                assert min(lengths) >= min(n, 4) and len(tiles) <= -(-n // width)
-                assert all(length == width for length in lengths[:-2])
-                if width >= 8:
-                    assert max(lengths) <= width and max(lengths) * span <= entries
-                else:
-                    assert max(lengths) <= 7
+                assert all(length == width for length in lengths[:-1]) and 1 <= lengths[-1] <= width
+                assert len(tiles) == -(-n // width)
+                if span <= entries:
+                    assert max(lengths) * span <= entries

@@ -39,8 +39,7 @@ def test_f_falls_in_the_active_count_up_to_the_truncated_tail(name, tau_p, eps):
     n = 1 if is_degenerate(model) else 200
     cum, cum_sq = bounds._prefix_sums(model, n, top, 5)
     kas = np.arange(1, top + 1)
-    f = bounds._f_row_sums(cum, cum_sq, [(int(k), [1.0]) for k in kas], tau_p, M, eps, None)
-    covered = binom_windows(kas - 1, 1.0 / tau_p, eps)[2]
+    f, covered = bounds._f_row_sums(cum, cum_sq, [(int(k), [1.0]) for k in kas], tau_p, M, eps, None)
     # the lowest F[k] + tail over k <= K_a, per sample
     ceiling = np.minimum.accumulate(f + (1.0 - covered)[:, None] * np.log2(1.0 + (M - 1) * cum[1]), axis=0)
     assert (f * (1.0 - CEILING_REL_TOL) <= ceiling).all()
@@ -105,7 +104,8 @@ def _kernel_entries(cum, cells, tau_p, eps):
 def test_pruned_r1_opt_does_under_8_percent_of_the_kernel_work(monkeypatch, ring):
     # at the fig6 ring point (790 cells searched), the ceilings and the cells
     # they keep take at most 8% of the F-row entries of every cell (6.7%), and
-    # each ceiling row takes its collision windows from one binom_windows call
+    # each ceiling row takes its collision windows from the one binom_windows
+    # call of its kernel call
     cfg = SystemConfig(M=M, K=K, tau_u=120, model=ring, seed=3, mc=McConfig(n_beta_samples=500))
     kernel, ceiling, grid, windows = bounds._f_row_sums, optimize.r1_ceiling, optimize.bound_grid, bounds.binom_windows
     done, calls, ceilings, grids = [0], [0], [], []
@@ -141,7 +141,7 @@ def test_pruned_r1_opt_does_under_8_percent_of_the_kernel_work(monkeypatch, ring
 
     def tallied(cum, cum_sq, cells, tau_p, *rest):
         done[0] += _kernel_entries(cum, cells, tau_p, cfg.mc.eps_tail)
-        return np.zeros((len(cells), cum.shape[1]))
+        return np.zeros((len(cells), cum.shape[1])), None
 
     monkeypatch.setattr(bounds, "_f_row_sums", tallied)
     done[0] = 0

@@ -58,6 +58,31 @@ def test_analytic_sweep_csv_is_byte_identical(tmp_path, prefix):
     assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
 
 
+def test_r1_r2_csvs_do_not_depend_on_blas_threads(tmp_path):
+    # the shipped hierarchy (R1 and R2 beside R3 and Ra) and a one-point R1-opt sweep write the
+    # same bytes under one and two BLAS threads
+    sweep = tmp_path / "r1_opt.yaml"
+    sweep.write_text(yaml.safe_dump({
+        "kind": "sweep", "system": {"M": 100, "K": 800, "seed": 7,
+                                    "model": {"type": "pathloss", "delta_bar": 10.0, "alpha": 0.25},
+                                    "mc": {"n_beta_samples": 500}},
+        "methods": ["R1-opt"], "sweep": {"axis": "tau_u", "values": [120]}, "evaluate_with": "R1",
+        "out_prefix": "r1_opt",
+    }, sort_keys=False))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    written = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / threads
+        for spec in (ROOT / "specs" / "bound_hierarchy.yaml", sweep):
+            run = subprocess.run([sys.executable, "-m", "pilothop.cli", "run", str(spec), "--out", str(out)],
+                                 env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr[-2000:]
+        written[threads] = {csv.name: csv.read_bytes() for csv in sorted(out.glob("*.csv"))}
+    assert sorted(written["1"]) == ["hierarchy_bounds.csv", "r1_opt_rate.csv"]
+    assert written["1"] == written["2"]
+
+
 def _benchmark_ops(tmp_path, monkeypatch) -> list:
     """The ops of every perfbench workload at seed 1, their specs written under tmp_path."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # workloads.py imports oracle from there
@@ -155,8 +180,8 @@ def test_runs_import_nothing_and_load_scipy_at_start_up_only_for_binomials(watch
 
 def test_every_function_of_the_package_is_called_by_some_run(watched_runs):
     # a top-level function that no benchmark op, shipped spec run or validation calls is code
-    # only tests reach; the allowed ones are the names perfbench/tracing.py pins, the public
-    # names kept unread, and _binom_params, which only the pinned truncate_support calls
+    # only tests reach; the allowed ones are the names perfbench/tracing.py pins and the public
+    # names kept unread
     from test_source import KEPT_UNREAD, _tracer_pinned
 
     failed = {name: out for name, (_, out) in watched_runs.items() if not (isinstance(out, list) and out[0] == 0)}
@@ -164,7 +189,7 @@ def test_every_function_of_the_package_is_called_by_some_run(watched_runs):
     called = {tuple(pair) for _, (_, out) in watched_runs.items() for pair in out[4]}
     defined = {(path.stem, node.name) for path in sorted((ROOT / "src" / "pilothop").glob("*.py"))
                for node in ast.parse(path.read_text(), filename=str(path)).body if isinstance(node, ast.FunctionDef)}
-    allowed = {name for _, name in _tracer_pinned()} | set(KEPT_UNREAD) | {"_binom_params"}
+    allowed = {name for _, name in _tracer_pinned()} | set(KEPT_UNREAD)
     assert len(defined) > 50 and len(called & defined) > 50
     assert sorted(f"{mod}.{name}" for mod, name in defined - called if name not in allowed) == []
 

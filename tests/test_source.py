@@ -496,8 +496,25 @@ def _calls_in(path: Path, function: str, callee: str) -> int:
 
 def test_r1_ceiling_has_one_reader_and_one_window_call_per_row():
     # the ceiling is R1-opt's pruning alone (the F-row kernel's readers are pinned above);
-    # it hands each row's collision windows to the kernel, which takes them itself only
-    # when not handed any
+    # each row's collision windows, and the masses of its tail terms, come from the one
+    # window call of its kernel call
     assert _readers(["r1_ceiling"]) == {"r1_ceiling": {("optimize.py", "_r1_stage")}}
     assert _calls_in(SRC / "bounds.py", "_f_row_sums", "binom_windows") == 1
-    assert _calls_in(SRC / "bounds.py", "r1_ceiling", "binom_windows") == 1
+    assert _calls_in(SRC / "bounds.py", "r1_ceiling", "binom_windows") == 0
+
+
+def test_r1_r2_bits_take_no_blas():
+    # R1 and R2 values are sums the package orders itself: the functions on their path take
+    # no matrix product, whose summation order (and so last bits) the loaded BLAS would set
+    tree = ast.parse((SRC / "bounds.py").read_text())
+    path = {"_f_row_sums", "_collider_sum", "_averaged_row", "_prefix_sums", "_activation_terms"}
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in path:
+            path.remove(node.name)
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult):
+                    found.append(f"{node.name}:{sub.lineno} @")
+                elif isinstance(sub, ast.Attribute) and sub.attr in {"dot", "matmul", "inner", "tensordot"}:
+                    found.append(f"{node.name}:{sub.lineno} {sub.attr}")
+    assert not path and not found, (path, found)
