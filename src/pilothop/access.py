@@ -107,10 +107,13 @@ def binom_pmf(k, n, p: float):
 
     Calls the saddle-point ufunc behind ``scipy.stats.binom.pmf`` directly,
     which gives the same values without importing ``scipy.stats``. A plain
-    log-gamma route loses ~2e-12 of total mass around n = 2000, which would
-    break the unit-mass contract the averaged bounds rely on. Both come from
-    :func:`load_binomial`, so scipy is imported by the first call, not by
-    importing this module.
+    log-gamma route loses about n eps of total mass (~2e-12 around n =
+    2000, 9e-9 at n = 1e7, p = 1e-7), which would break the unit-mass
+    contract the averaged bounds and :func:`binom_windows` rely on. That
+    route is taken only where p max(n) < 2^-53, so that P(X = 0) rounds to 1
+    and the loss is below rounding: the ufunc overflows for p near the
+    smallest normal double (2.2e-308). Both come from :func:`load_binomial`, so
+    scipy is imported by the first call, not by importing this module.
     """
     gammaln, _binom_pmf = load_binomial()
     k = np.asarray(k)
@@ -120,9 +123,7 @@ def binom_pmf(k, n, p: float):
         return np.where(k == 0, 1.0, 0.0)
     if p == 1.0:
         return np.where(k == n, 1.0, 0.0)
-    if p < 1e-6 or p > 1.0 - 1e-6:
-        # the saddle-point evaluator overflows for extreme p; the log-gamma
-        # route is accurate there because the mass sits on a handful of terms
+    if p * np.max(n) < 2.0**-53:
         log_pmf = (
             gammaln(n + 1.0)
             - gammaln(k + 1.0)

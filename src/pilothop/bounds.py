@@ -34,9 +34,9 @@ which ``_averaged_row`` computes in one pass of one kernel,
 call. Only the prefix sums of the last gain pool built are kept, if they
 fit in 32 MiB (``_POOL``). The rows of a grid share its activation
 windows, taken once per grid. An R3 or Ra grid takes one ``expect_rows``
-call over the memoized gain nodes (``_analytic_stage``), each block of
-cells written in place by the bound's one SINR formula (``_sinr3``,
-``_sinra``) at each cell's pilot length and activation level.
+call over the memoized gain nodes (``_analytic_stage``): the bound's one
+SINR formula (``_sinr3``, ``sinra``) at every cell's pilot length and
+activation level, one (cells, nodes) array divided into in place.
 
 ``r1_ceiling`` bounds every R1 cell of a grid from above at a fraction of
 its cost, so a search need evaluate exactly only the cells that can win.
@@ -173,24 +173,25 @@ def _pow2(x):
     return np.float_power(x, 2)
 
 
-def _sinr3(b0, tau_p, p_a, moments: BetaMoments, K: int, M: int, out):
-    """R3's SINR at the gains ``b0``, pilot lengths ``tau_p`` and activation probabilities ``p_a``, written into ``out``.
+def _sinr3(beta_0, moments: BetaMoments, tau_p, p_a, K: int, M: int):
+    """R3's SINR at the gains ``beta_0``, pilot lengths ``tau_p`` and activation probabilities ``p_a``.
 
-    ``tau_p`` and ``p_a`` broadcast against ``b0``; a stage passes (cells, 1)
-    columns. With n1 = p_a K - 1 the denominator is b2m (M-1) n1 + b0 (1 + bm
-    n1) - bm^2 n1 + (1 + n1 bm)(1 + b0 tau_p) + n1 bm + bm^2 (p_a^2 K (K-1) -
-    n1), summed left to right in ``out`` with each step's rounding, so an
-    entry has the same bits at any shape.
+    Collider and active counts are averaged out. ``tau_p`` and ``p_a``
+    broadcast against ``beta_0``; a stage passes (cells, 1) columns. With n1 =
+    p_a K - 1 the denominator is b2m (M-1) n1 + b0 (1 + bm n1) - bm^2 n1 + (1 +
+    n1 bm)(1 + b0 tau_p) + n1 bm + bm^2 (p_a^2 K (K-1) - n1), summed left to
+    right in one array and divided into in place, so an entry has the same bits at any shape.
     """
     if M < 2:
         raise ValueError("M must be >= 2")
+    b0, p_a = np.asarray(beta_0, dtype=float), np.asarray(p_a, dtype=float)
     bm, b2m = moments.mean, moments.mean_sq
     paK = p_a * K
     if np.any(paK < 1.0):
         raise ValueError(f"p_a*K = {np.min(paK):.3g} < 1: the averaged interference terms are meaningless; "
                          "evaluate r1_bar directly for sparse activity")
     n1 = paK - 1.0
-    den = np.multiply(b0, 1.0 + bm * n1, out=out)
+    den = np.multiply(b0, 1.0 + bm * n1, out=np.empty(np.broadcast_shapes(b0.shape, np.shape(tau_p), p_a.shape)))
     den += b2m * (M - 1) * n1
     den -= bm**2 * n1
     den += (1.0 + n1 * bm) * (1.0 + b0 * tau_p)
@@ -198,24 +199,19 @@ def _sinr3(b0, tau_p, p_a, moments: BetaMoments, K: int, M: int, out):
     den += bm**2 * (_pow2(p_a) * K * (K - 1) - n1)
     if not den.min() > 0:
         raise ValueError("non-positive interference power: beta_0 must be positive")
-    return np.divide(tau_p * (M - 1) * b0**2, den, out=den)
+    return np.divide(tau_p * (M - 1) * b0**2, den, out=den)[()]
 
 
-def _sinra(b0, tau_p, p_aK, moments: BetaMoments, M: int, out):
-    """The large-system SINR at the gains ``b0``, written into ``out`` as :func:`_sinr3` writes R3's."""
+def sinra(beta_0, moments: BetaMoments, tau_p, p_aK, M: int):
+    """Large-system SINR, formed as :func:`_sinr3` forms R3's, ``tau_p`` and ``p_aK`` broadcast against ``beta_0``."""
+    b0, p_aK = np.asarray(beta_0, dtype=float), np.asarray(p_aK, dtype=float)
     if np.any(p_aK <= 0):
         raise ValueError("p_a*K must be positive")
     bm, b2m = moments.mean, moments.mean_sq
-    den = np.multiply(bm * b0, p_aK, out=out)
+    den = np.multiply(bm * b0, p_aK, out=np.empty(np.broadcast_shapes(b0.shape, np.shape(tau_p), p_aK.shape)))
     den *= tau_p
     den += b2m * M * p_aK + bm**2 * _pow2(p_aK)
-    return np.divide(M * tau_p * b0**2, den, out=den)
-
-
-def sinra(beta_0, moments: BetaMoments, tau_p: float, p_aK: float, M: int):
-    """Large-system SINR. Vectorized over beta_0 and p_aK."""
-    b0, p_aK = np.asarray(beta_0, dtype=float), np.asarray(p_aK, dtype=float)
-    return _sinra(b0, tau_p, p_aK, moments, M, np.empty(np.broadcast_shapes(b0.shape, p_aK.shape)))[()]
+    return np.divide(M * tau_p * b0**2, den, out=den)[()]
 
 
 # Byte cap of the gain pool that _prefix_sums holds between calls.
@@ -435,8 +431,8 @@ def _analytic_stage(bound: str, cfg: "SystemConfig", tau_ps, p_a) -> np.ndarray:
     Returns a (len(tau_ps), len(p_a)) grid. Cell (i, j) is ``prelog_i *
     p_aK_j * E[log2(1 + sinr(gain; tau_p_i, p_a_j))]``, with the
     expectations of every live cell of the stage taken by one
-    :func:`expect_rows` call that writes the bound's SINR (:func:`_sinr3`,
-    :func:`_sinra`) into its blocks. Cells with
+    :func:`expect_rows` call over the bound's SINR (:func:`_sinr3`,
+    :func:`sinra`) at every live cell. Cells with
     p_a*K = 0, and every cell of a row with tau_p = tau_u, are 0.
     """
     tau_ps = np.array(tau_ps, dtype=int)
@@ -446,15 +442,15 @@ def _analytic_stage(bound: str, cfg: "SystemConfig", tau_ps, p_a) -> np.ndarray:
     rows, cols = np.nonzero((prelog != 0.0)[:, None] & (paK != 0.0))
     moments = analytic_moments(cfg.model)
     taus, levels = tau_ps[rows, None], (p_a if bound == "R3" else paK)[cols, None]
-    sinr, args = (_sinr3, (moments, cfg.K, cfg.M)) if bound == "R3" else (_sinra, (moments, cfg.M))
+    sinr, args = (_sinr3, (cfg.K, cfg.M)) if bound == "R3" else (sinra, (cfg.M,))
 
-    def fill(b0, at, out):
-        sinr(b0, taus[at], levels[at], *args, out)
-        np.log2(np.add(out, 1.0, out=out), out=out)
+    def integrand(b0):
+        x = sinr(b0, moments, taus, levels, *args)
+        return np.log2(np.add(x, 1.0, out=x), out=x)
 
     values = np.zeros((tau_ps.size, p_a.size))
     if rows.size:
-        values[rows, cols] = prelog[rows] * paK[cols] * expect_rows(cfg.model, fill, rows.size)
+        values[rows, cols] = prelog[rows] * paK[cols] * expect_rows(cfg.model, integrand)
     return values
 
 

@@ -191,11 +191,6 @@ def is_degenerate(model: LargeScaleModel) -> bool:
 # Hermite on log-normal shadowing.
 QUAD_NODES = 96
 
-# Node x row elements expect_rows fills at once (512 KiB): up to 682 cells of
-# 96 nodes, so a grid_opt stage-one grid (25 x 25 cells, 60,000 entries) or a
-# 61-point scan is one block.
-_BLOCK_ELEMENTS = 1 << 16
-
 
 def expect_beta(model: LargeScaleModel, f: Callable) -> float:
     """Expectation of f(gain) under the model, as ``w @ f(nodes)`` over :func:`beta_nodes`.
@@ -213,26 +208,16 @@ def expect_beta(model: LargeScaleModel, f: Callable) -> float:
     return float(w @ np.asarray(f(nodes), dtype=float))
 
 
-def expect_rows(model: LargeScaleModel, fill: Callable, n_rows: int) -> np.ndarray:
-    """E[f_r(gain)] for each row r = 0..n_rows-1 of a family of integrands.
+def expect_rows(model: LargeScaleModel, f: Callable) -> np.ndarray:
+    """E[f_r(gain)] for each row r of a family of integrands.
 
-    ``fill(nodes, rows, out)`` writes the integrands of the slice ``rows``
-    at the n nodes of :func:`beta_nodes` into ``out``, a (len(rows), n)
-    block of at most _BLOCK_ELEMENTS entries (or one row) of the one buffer
-    that expect_rows owns. Each row is reduced on its own as ``w @ row``,
+    ``f(nodes)`` returns the integrands at the n nodes of :func:`beta_nodes`
+    as a (rows, n) array. Each row is reduced on its own as ``w @ row``,
     the reduction :func:`expect_beta` makes: a row's value equals
-    expect_beta of its integrand, whatever rows are filled with it.
+    expect_beta of its integrand, whatever rows come with it.
     """
     nodes, w = beta_nodes(model)
-    values = np.empty(n_rows)
-    step = min(max(1, _BLOCK_ELEMENTS // nodes.size), n_rows)
-    buf = np.empty((step, nodes.size))
-    for lo in range(0, n_rows, step):
-        block = buf[:n_rows - lo]
-        fill(nodes, slice(lo, lo + step), block)
-        for j, row in enumerate(block, lo):
-            values[j] = w @ row
-    return values
+    return np.array([w @ row for row in f(nodes)])
 
 
 @lru_cache(maxsize=32)

@@ -104,10 +104,7 @@ CEILING_REL_TOL = 1e-9
 def _scan_then_golden(model, sinr, lo: float, hi: float):
     """Maximize b * E[log2(1 + sinr(gain, b))] over [lo, hi]: a log-spaced scan as one row, then golden section."""
     def obj(bs):
-        def fill(nodes, rows, out):
-            np.log2(1.0 + sinr(nodes, bs[rows, None]), out=out)
-
-        return bs * expect_rows(model, fill, bs.size)
+        return bs * expect_rows(model, lambda nodes: np.log2(1.0 + sinr(nodes, bs[:, None])))
 
     grid = np.geomspace(lo, hi, SCAN_POINTS)
     vals = obj(grid)

@@ -4,11 +4,16 @@ Three regimes of the unconstrained pilot length are covered:
 
 * antenna-rich (M >> tau_u): half the slot goes to pilots and the rate
   saturates at tau_u / (4 ln 2) bits per symbol.
-* slot-rich (M << tau_u): the pilot share shrinks like (M/2)^(2/3) tau_u^(1/3)
-  and the rate is pinned by the array size. The regime's own pilot-length
-  equation -2*x^(3/2)/sqrt(M) + x + tau_u = 0 has its stationary point at
-  (M/4)^(1/3) tau_u^(2/3) to leading order, and numeric ladders land there,
-  with a rate near M / ln 2.
+* slot-rich (M << tau_u): the pilot share shrinks and the rate is pinned
+  by the array size. With t = tau_p and n = p_aK in M << n << t, the
+  large-system bound reads, to first order in each small ratio,
+  (M/ln 2)(1 - t/tau_u)(1 - n/t)(1 - M/(2n)): n SINR = M/(1 + n/t + M/t)
+  and log2(1 + x) ~ (x - x^2/2)/ln 2 at x ~ M/n. So n = sqrt(M t/2),
+  t = (M/2)^(1/3) tau_u^(2/3), the SINR is 2^(2/3) (M/tau_u)^(1/3), and
+  the rate tends to M/ln 2 from below, by the next-order factor
+  1 - 3 (M/(2 tau_u))^(1/3). That factor is <= 0 for tau_u <= 13.5 M, so
+  the prediction is the limit M/ln 2. A spread gain law scales n by
+  sqrt(spread_factor).
 * balanced (M ~ tau_u): pilot share a and activation scale b are order-one
   numbers found by maximizing a rate functional that depends on the system
   only through delta = M / tau_u; the rate grows like sqrt(M tau_u). The
@@ -66,9 +71,11 @@ def predict(case: str, tau_u: int, M: int, model: LargeScaleModel) -> ScalingPre
     """Leading-order optimal (tau_p, p_a*K, rate, SINR) in the declared regime.
 
     The antenna- and slot-rich cases read the gain law only through its
-    moments; the balanced case solves its functional at delta = M / tau_u
-    by a 1-D expectation over the gain law, and its (a, b, rate scale) read
-    back as tau_p / tau_u, p_aK / sqrt(M tau_u) and rate / sqrt(M tau_u).
+    moments, and the slot-rich rate is its limit M/ln 2, without the
+    next-order factor of the module docstring; the balanced case solves its
+    functional at delta = M / tau_u by a 1-D expectation over the gain law,
+    and its (a, b, rate scale) read back as tau_p / tau_u, p_aK / sqrt(M
+    tau_u) and rate / sqrt(M tau_u).
     ``case`` is one of :data:`CASES`.
     """
     if case not in CASES:
@@ -83,12 +90,12 @@ def predict(case: str, tau_u: int, M: int, model: LargeScaleModel) -> ScalingPre
             sinr=math.sqrt(tau_u / M),
         )
     if case == "slot-rich":
-        tau_p = (M / 2.0) ** (2.0 / 3.0) * tau_u ** (1.0 / 3.0)
+        tau_p = (M / 2.0) ** (1.0 / 3.0) * tau_u ** (2.0 / 3.0)
         return ScalingPrediction(
             tau_p=tau_p,
             p_aK=math.sqrt(f / 2.0) * math.sqrt(M * tau_p),
-            rate=float(M),
-            sinr=2.0 ** (1.0 / 3.0) * (M / tau_u) ** (1.0 / 6.0),
+            rate=M / LN2,
+            sinr=2.0 ** (2.0 / 3.0) * (M / tau_u) ** (1.0 / 3.0),
         )
     a, b, scale = solve_ab(M / tau_u, model)
     tau_p = a * tau_u
@@ -128,7 +135,7 @@ def solve_ab(delta: float, model: LargeScaleModel) -> tuple[float, float, float]
     if delta <= 0:
         raise ValueError("delta must be positive")
     root_f = math.sqrt(analytic_moments(model).spread_factor)
-    # the slot-rich limit pushes a toward (delta/2)^(2/3); keep it in range
+    # the slot-rich limit pushes a toward (delta/2)^(1/3); keep it in range
     a_lo = min(1e-3, 0.2 * (delta / 2.0) ** (2.0 / 3.0))
     grid_a = np.geomspace(a_lo, 1.0 - 1e-3, AB_GRID_POINTS)
     grid_b = np.geomspace(1e-3 * root_f, 5.0 * root_f, AB_GRID_POINTS)

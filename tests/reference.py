@@ -1,11 +1,11 @@
 """Reference formulas only the tests read: slow or independent forms of what
-the package computes another way (the R2 SINR as its own function, the R3
-SINR at scalars, the SINR rebuilt from the MMSE variances, the DFT pilot
-book ``train_slot`` rotates away, the full-basis training phase whose
-statistics ``train_slot`` draws, the whole-frame hopping-pattern hash, a
-frame replayed one slot at a time), the hopping patterns hashed into
-buffers of their own (``patterns``), and the slot routines run on one slot
-as a block of one (``train_one``, ``simulate_one``, ``mrc_one``)."""
+the package computes another way (the R2 SINR as its own function, the
+SINR rebuilt from the MMSE variances, the DFT pilot book ``train_slot``
+rotates away, the full-basis training phase whose statistics
+``train_slot`` draws, the whole-frame hopping-pattern hash, a frame
+replayed one slot at a time), the hopping patterns hashed into buffers of
+their own (``patterns``), and the slot routines run on one slot as a block
+of one (``train_one``, ``simulate_one``, ``mrc_one``)."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from pilothop.access import ActivationLaw, sample_active_set
-from pilothop.bounds import _sinr3, estimation_variances
+from pilothop.bounds import estimation_variances
 from pilothop.channels import BetaMoments, sample_beta
 from pilothop.protocol import SlotOutcome, block_arrays, hopping_patterns, mrc_and_measure, simulate_slot, train_slot
 
@@ -58,15 +58,6 @@ def sinr_components(beta_0: float, colliders, others, tau_p: int, M: int) -> Sin
         estimation_error=err_sum / gain,
         residual_interference=(float(others.sum()) + 1.0) / gain,
     )
-
-
-def sinr3(beta_0, moments: BetaMoments, tau_p: int, p_a, K: int, M: int):
-    """SINR with collider and active counts averaged out. Broadcasts over ``beta_0`` and ``p_a``.
-
-    It is the formula the R3 stage writes (``bounds._sinr3``), taken at one shape.
-    """
-    b0, p_a = np.asarray(beta_0, dtype=float), np.asarray(p_a, dtype=float)
-    return _sinr3(b0, tau_p, p_a, moments, K, M, np.empty(np.broadcast_shapes(b0.shape, p_a.shape)))[()]
 
 
 def sinr2(c, K_a: int, beta_0, moments: BetaMoments, tau_p: int, M: int):

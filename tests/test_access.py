@@ -11,6 +11,7 @@ from pilothop.access import (
     ActivationLaw,
     CollisionLaw,
     binom_pmf,
+    binom_windows,
     sample_active_set,
     truncate_support,
 )
@@ -46,6 +47,20 @@ def test_binom_pmf_equals_scipy_stats(p):
     ns = np.arange(1990, 2001)[:, None]
     ks = np.minimum(np.arange(0, 2001, 7), ns)
     assert np.array_equal(binom_pmf(ks, ns, p), binom.pmf(ks, ns, p))
+
+
+@pytest.mark.parametrize("p", [1e-9, 1e-7, 9.9e-7])
+@pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
+def test_binom_pmf_keeps_unit_mass_at_small_p(n, p):
+    # a log-gamma route loses about n eps of the mass (9e-9 at n = 1e7, p = 1e-7);
+    # k <= 200 holds all of it but far less than 1e-100 at these means of at most 10
+    assert abs(1.0 - binom_pmf(np.arange(201), n, p).sum()) <= 1e-12
+
+
+def test_binom_windows_stay_narrow_at_small_p():
+    # a window whose band lost mass to rounding would widen to the whole support
+    lo, hi, covered, masses = binom_windows([10**6], 3e-7, 1e-12)
+    assert hi[0] - lo[0] + 1 == masses[0].size <= 20 and covered[0] >= 1.0 - 1e-12
 
 
 def test_activation_mean_is_pa_k():

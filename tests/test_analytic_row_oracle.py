@@ -27,7 +27,6 @@ from pilothop.channels import (
     RingPathLoss,
     UniformPowerError,
     analytic_moments,
-    beta_nodes,
     expect_beta,
     is_degenerate,
 )
@@ -82,7 +81,7 @@ def _squares_disagree(x):
 # 1..8. The last cells are ones whose p_a (R3) or p_a*K (Ra) squares
 # differently by pow and by multiplication, taken at high activity, where
 # that square dominates the interference. R3/Ra rows at tau_p = 20 are
-# padded to cross a block (_block_crossing_row).
+# padded past any shipped stage's size (_long_row).
 _QS = np.linspace(400.0, K, 20000)
 ROW = np.concatenate([
     np.geomspace(1.0, K, 50), [K, 37.5, 1.0],
@@ -91,12 +90,11 @@ ROW = np.concatenate([
 ])
 
 
-def _block_crossing_row(name):
-    """ROW padded until its live cells fill more than one expect_rows block on
-    the model's nodes, with a zero-activity cell between the first two blocks."""
-    step = max(1, channels._BLOCK_ELEMENTS // beta_nodes(MODELS[name])[0].size)
-    row = np.concatenate([ROW, np.geomspace(1.5, K, max(step + 1 - ROW.size, 0))])
-    return np.insert(row, step, 0.0)
+def _long_row():
+    """ROW padded to 683 live cells, more than a grid_opt stage holds, with a
+    zero-activity cell among them."""
+    row = np.concatenate([ROW, np.geomspace(1.5, K, 683 - ROW.size)])
+    return np.insert(row, 682, 0.0)
 
 
 # an F row depends on the bound, the config, tau_p and K_a only, so cells
@@ -128,7 +126,7 @@ def test_row_equals_cells(bound, name):
     cfg = _cfg(name)
     cell = _averaged_cell if bound in ("R1", "R2") else _cell
     for tau_p in (1, 20, TAU_U - 1, TAU_U):
-        qs = _block_crossing_row(name) if bound in ("R3", "Ra") and tau_p == 20 else ROW
+        qs = _long_row() if bound in ("R3", "Ra") and tau_p == 20 else ROW
         want = [cell(bound, cfg, tau_p, min(float(q) / cfg.K, 1.0)) for q in qs]
         values, errs, ns = (part[0].tolist() for part in bound_grid(bound, cfg, [tau_p], qs))
         assert list(zip(values, errs, ns)) == want

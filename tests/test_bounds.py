@@ -12,6 +12,7 @@ from pilothop import bounds
 from pilothop.bounds import (
     BoundResult,
     McConfig,
+    _sinr3,
     bound_at,
     bound_grid,
     estimation_variances,
@@ -25,7 +26,7 @@ from pilothop.bounds import (
 from pilothop.channels import LogNormalShadowing, UniformPowerError, analytic_moments, expect_beta, sample_beta
 from pilothop.config import SystemConfig
 from pilothop.optimize import grid_opt
-from reference import sinr2, sinr3, sinr_components
+from reference import sinr2, sinr_components
 
 
 def test_sinr1_hand_value():
@@ -134,13 +135,13 @@ def test_sinr3_collapse_at_one_active():
     b0, tau_p, M, K = 9.0, 20, 64, 800
     p_a = 1.0 / K
     den = b0 + (1 + b0 * tau_p) + mo.mean**2 * (p_a**2 * K * (K - 1))
-    assert sinr3(b0, mo, tau_p, p_a, K, M) == pytest.approx(tau_p * (M - 1) * b0**2 / den, rel=1e-12)
+    assert _sinr3(b0, mo, tau_p, p_a, K, M) == pytest.approx(tau_p * (M - 1) * b0**2 / den, rel=1e-12)
 
 
 def test_sinr3_matches_sinra_at_scale():
     mo = analytic_moments(UniformPowerError(10.0, 0.0))
     for M, tau_p, paK, K in [(10**4, 500, 300, 10**5), (10**5, 1000, 1000, 10**6)]:
-        s3 = sinr3(10.0, mo, tau_p, paK / K, K, M)
+        s3 = _sinr3(10.0, mo, tau_p, paK / K, K, M)
         sa = sinra(10.0, mo, tau_p, paK, M)
         assert abs(s3 - sa) / s3 < 0.05
 
@@ -148,14 +149,14 @@ def test_sinr3_matches_sinra_at_scale():
 def test_sinr3_monotone_in_activity():
     mo = analytic_moments(UniformPowerError(10.0, 0.3))
     K = 800
-    vals = [sinr3(10.0, mo, 33, q / K, K, 100) for q in np.linspace(2, 400, 60)]
+    vals = [_sinr3(10.0, mo, 33, q / K, K, 100) for q in np.linspace(2, 400, 60)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_sinr3_requires_enough_activity():
     mo = analytic_moments(UniformPowerError(10.0, 0.0))
     with pytest.raises(ValueError, match="r1_bar"):
-        sinr3(10.0, mo, 33, 0.5 / 800, 800, 100)
+        _sinr3(10.0, mo, 33, 0.5 / 800, 800, 100)
 
 
 @pytest.mark.parametrize("beta_0", [math.nan, -1e6])
@@ -165,7 +166,7 @@ def test_sinr2_sinr3_reject_non_positive_interference(beta_0):
     with pytest.raises(ValueError, match="interference power"):
         sinr2(1, 10, beta_0, mo, 16, 64)
     with pytest.raises(ValueError, match="interference power"):
-        sinr3(beta_0, mo, 16, 10 / 800, 800, 64)
+        _sinr3(beta_0, mo, 16, 10 / 800, 800, 64)
 
 
 def test_sinra_three_term_decomposition():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from pilothop.bounds import sinra
+from pilothop.bounds import _sinr3, sinra
 from pilothop import channels
 from pilothop.channels import (
     BetaMoments,
@@ -23,7 +23,6 @@ from pilothop.channels import (
     sample_beta,
     sample_channels,
 )
-from reference import sinr3
 
 
 @pytest.mark.parametrize(
@@ -178,7 +177,7 @@ def test_expect_beta_quadrature_matches_nodes():
         mo = analytic_moments(model)
         for tau_p in (1, 10, 33, 60):
             for paK in (1.0, 5.0, 30.0, 200.0):
-                for sinr in (lambda b: sinr3(b, mo, tau_p, paK / K, K, M), lambda b: sinra(b, mo, tau_p, paK, M)):
+                for sinr in (lambda b: _sinr3(b, mo, tau_p, paK / K, K, M), lambda b: sinra(b, mo, tau_p, paK, M)):
                     f = lambda b: np.log2(1.0 + sinr(b))
                     assert expect_beta(model, f) == pytest.approx(_quad_expectation(model, f), rel=1e-9), model
 
@@ -208,7 +207,7 @@ def test_hermite_rule_agrees_with_a_finer_rule(sigma_v2, tol):
     root_f = math.sqrt(mo.spread_factor)
     sinrs = []
     for M, tau_p, paK in itertools.product((10, 100, 1000), (1, 10, 40), (1.0, 3.0, 30.0, 300.0)):
-        sinrs += [functools.partial(sinr3, moments=mo, tau_p=tau_p, p_a=paK / 1000, K=1000, M=M),
+        sinrs += [functools.partial(_sinr3, moments=mo, tau_p=tau_p, p_a=paK / 1000, K=1000, M=M),
                   functools.partial(sinra, moments=mo, tau_p=tau_p, p_aK=paK, M=M)]
     for scale in (1e-2, 0.3, 1.0, 3.0, 1e2):
         sinrs.append(functools.partial(lambda b, s: b**2 / (3.0 * mo.mean * s * s), s=scale))

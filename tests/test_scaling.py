@@ -35,9 +35,10 @@ def test_predict_antenna_rich_values(pc_model):
 
 def test_predict_slot_rich_values(pc_model):
     p = predict("slot-rich", 10**5, 100, pc_model)
-    assert p.tau_p == pytest.approx(50 ** (2 / 3) * (10**5) ** (1 / 3), rel=1e-12)
-    assert p.rate == 100.0
-    assert p.sinr == pytest.approx(2 ** (1 / 3) * (100 / 10**5) ** (1 / 6), rel=1e-12)
+    assert p.tau_p == pytest.approx(50 ** (1 / 3) * (10**5) ** (2 / 3), rel=1e-12)
+    assert p.p_aK == pytest.approx(math.sqrt(100 * p.tau_p / 2), rel=1e-12)
+    assert p.rate == pytest.approx(100 / math.log(2), rel=1e-12)
+    assert p.sinr == pytest.approx(2 ** (2 / 3) * (100 / 10**5) ** (1 / 3), rel=1e-12)
 
 
 def test_prediction_validation():
@@ -90,12 +91,15 @@ def test_solve_ab_saturates_to_half(pc_model):
 
 
 def test_solve_ab_small_delta_exponent(pc_model):
-    # the stationarity condition of the slot-rich limit puts the pilot
-    # share at ~(delta/4)^(1/3); the measured exponent must sit near 1/3
+    # the slot-rich limit puts the pilot share at (delta/2)^(1/3) to leading
+    # order; the measured exponent must sit near 1/3
     a1, _, _ = solve_ab(1e-2, pc_model)
     a2, _, _ = solve_ab(1e-4, pc_model)
     slope = math.log(a1 / a2) / math.log(1e-2 / 1e-4)
     assert 0.28 <= slope <= 0.40
+    # and the share approaches the closed form from below as delta -> 0
+    ratios = [solve_ab(d, pc_model)[0] / (d / 2) ** (1 / 3) for d in (1e-2, 1e-3, 1e-4, 1e-5)]
+    assert all(x < y < 1.0 for x, y in zip(ratios, ratios[1:])) and ratios[-1] >= 0.98, ratios
 
 
 def test_ab_objective_vanishes_at_full_pilot_share(pc_model):
@@ -138,14 +142,12 @@ def test_verify_scaling_balanced_rate_scale(pc_model):
 
 def test_verify_scaling_slot_rich_normalization(pc_model):
     points = verify_scaling("slot-rich", pc_model, [(100, 10**4), (100, 10**6)])
-    # the numeric rate approaches M / ln 2 rather than the leading-order M
-    last = points[-1]
-    assert _rel(last.rate, last.M / math.log(2)) < _rel(last.rate, last.prediction.rate)
-    alt = [_rel(pt.rate, pt.M / math.log(2)) for pt in points]
-    assert alt[1] < alt[0]
-    # the stationary point (M/4)^(1/3) tau_u^(2/3) tracks the measured pilot length within a factor
+    # the predicted pilot length (M/2)^(1/3) tau_u^(2/3) tracks the measured optimum
     for pt in points:
-        assert 0.5 <= pt.tau_p_opt / ((pt.M / 4) ** (1 / 3) * pt.tau_u ** (2 / 3)) <= 2.0
+        assert 0.8 <= pt.tau_p_opt / pt.prediction.tau_p <= 1.25, pt
+    # the rate climbs toward its limit M / ln 2 by the factor 1 - 3 (M / (2 tau_u))^(1/3)
+    ratios = [pt.rate / pt.prediction.rate for pt in points]
+    assert ratios[0] < ratios[1] < 1.0, ratios
 
 
 def test_verify_scaling_rejects_constrained_case(pc_model, monkeypatch):
